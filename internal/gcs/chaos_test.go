@@ -28,14 +28,21 @@ func TestChaosInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaos(t, seed, seed%2 == 0) // alternate safe/agreed delivery
+			runChaos(t, seed, seed%2 == 0, 4) // alternate safe/agreed delivery
+		})
+	}
+	// A 3-member view has exactly one other non-sequencer member to
+	// wait for; 4 members exercise the all-to-all minimum.
+	for seed := int64(9); seed <= 12; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("members=3/seed=%d", seed), func(t *testing.T) {
+			runChaos(t, seed, seed%2 == 0, 3)
 		})
 	}
 }
 
-func runChaos(t *testing.T, seed int64, safe bool) {
+func runChaos(t *testing.T, seed int64, safe bool, members int) {
 	t.Helper()
-	const members = 4
 	rng := rand.New(rand.NewSource(seed))
 
 	net := simnet.New(simnet.Config{

@@ -232,8 +232,10 @@ type Config struct {
 	// guarantee of extended virtual synchrony (Transis/Totem SAFE
 	// messages). It closes the amnesia window where one member
 	// delivers (and acts on) a message that dies with it, at the cost
-	// of an extra acknowledgment round per message. Off by default
-	// (agreed delivery), matching common Transis usage.
+	// of an acknowledgment hop per message: members multicast their
+	// receipt acks to the whole view and each decides safety itself
+	// (see deliverLimit). Off by default (agreed delivery), matching
+	// common Transis usage.
 	SafeDelivery bool
 	// LeaseDuration is the wall-clock length of the read leases the
 	// sequencer grants to view members (piggybacked on heartbeat and
@@ -249,12 +251,15 @@ type Config struct {
 	// negative disables leasing.
 	LeaseDuration time.Duration
 
-	// LoopbackSelfDelivery routes the sequencer's own sequenced
-	// messages through its transport endpoint instead of the direct
-	// in-process path. Transis-faithful: the original JOSHUA stack
-	// crossed a local daemon socket even for same-node delivery, which
-	// is where the paper's 37% single-head latency overhead lives.
-	// Benchmarks enable it; it changes timing only, not semantics.
+	// LoopbackSelfDelivery makes the sequencer hold back delivery of
+	// each message it sequences until the DATA frame has come back
+	// through its own transport endpoint. Transis-faithful: the
+	// original JOSHUA stack crossed a local daemon socket even for
+	// same-node delivery, which is where the paper's 37% single-head
+	// latency overhead lives. The sequencer still buffers the message
+	// the moment it assigns the sequence (its receipt is what the other
+	// members' safe-delivery rule takes for granted), so the option
+	// changes timing only, not semantics. Benchmarks enable it.
 	LoopbackSelfDelivery bool
 
 	// Logger receives protocol diagnostics. Nil disables logging.
@@ -380,14 +385,14 @@ type Process struct {
 	acked       map[MemberID]uint64 // sequencer: cumulative acks
 	delivered   map[MemberID]uint64 // highest SenderSeq delivered per member
 	gapSince    time.Time           // when the current delivery gap appeared
-	// Safe delivery (when enabled): members report their highest
-	// contiguously received sequence to the sequencer, which
-	// aggregates them into a safe watermark and broadcasts it;
-	// delivery never passes the watermark. safeUpTo is the local
-	// watermark; recvAcked is the sequencer's per-member accounting.
-	safeUpTo  uint64
+	// Safe delivery (when enabled): every non-sequencer member
+	// multicasts its highest contiguously received sequence to the
+	// view; recvAcked holds the latest report from each peer, and
+	// delivery never passes their minimum (see deliverLimit).
 	recvAcked map[MemberID]uint64
-	lastReAck time.Time
+	// looped is the highest own sequence whose DATA frame has come back
+	// through the endpoint (sequencer under LoopbackSelfDelivery).
+	looped uint64
 	// tailSeq is the highest sequence known to have been assigned in
 	// this view (from received DATA and heartbeat advertisements); it
 	// lets a member that missed the tail of the stream NACK it.
@@ -397,18 +402,15 @@ type Process struct {
 	// event-loop round and emitted as coalesced frames at its end.
 	outData []dataMsg // sequencer: sequenced but not yet multicast
 	reqOut  []dataMsg // sender: ordering requests not yet sent
-	// Ack coalescing: ackPending marks a receipt ack owed to the
-	// sequencer; it is satisfied once per round by flushAck, or
-	// piggybacked on an outgoing REQBATCH. ackSince anchors the
-	// AckDelay window; ackArmed tracks whether ackTimer is set.
+	// Ack coalescing: ackPending marks a receipt ack owed to the view;
+	// it is satisfied once per round by flushAck, the sequencer's copy
+	// piggybacked on an outgoing REQBATCH when there is one. ackSince
+	// anchors the AckDelay window; ackArmed tracks whether ackTimer is
+	// set.
 	ackPending bool
 	ackSince   time.Time
 	ackArmed   bool
 	ackTimer   *time.Timer
-	// safeDirty marks a safe-watermark announcement owed to the view
-	// (sequencer); flushSafe emits it once per round unless a BATCH
-	// frame already carried it.
-	safeDirty bool
 
 	// flush state (see flush.go)
 	fl flushState
@@ -767,8 +769,8 @@ func (p *Process) drainInputs() {
 }
 
 // flushRound emits the output accumulated during one event-loop
-// round: sequenced DATA batches, queued ordering requests, the safe
-// watermark, and the receipt ack. Deferring the sends to this single
+// round: sequenced DATA batches, queued ordering requests, and the
+// receipt ack. Deferring the sends to this single
 // point is what turns the opportunistic input drain into wire-level
 // batching and ack coalescing.
 func (p *Process) flushRound() {
@@ -778,7 +780,6 @@ func (p *Process) flushRound() {
 	}
 	p.flushOutData()
 	p.flushReqOut()
-	p.flushSafe()
 	p.flushAck()
 	// Republish the leased-read catch-up gate: delivered everything we
 	// know was assigned in this view (tailSeq covers every received
@@ -805,12 +806,6 @@ func (p *Process) flushOutData() {
 			m = &message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: p.outData[0]}
 		} else {
 			m = &message{Kind: kindBatch, From: p.cfg.Self, ViewID: p.view.ID, Msgs: p.outData[:n]}
-			if p.cfg.SafeDelivery {
-				// Piggyback the safe watermark; the separate SAFE
-				// frame this round becomes redundant.
-				m.Delivered = p.safeUpTo
-				p.safeDirty = false
-			}
 			// Piggyback a lease grant so holders under sustained
 			// write load renew from the data stream itself.
 			m.LeaseDur = p.leaseGrant()
@@ -832,8 +827,9 @@ func (p *Process) flushOutData() {
 
 // flushReqOut sends the ordering requests queued this round to the
 // sequencer, packing up to MaxBatch into each REQBATCH frame with the
-// current delivery/receipt watermarks piggybacked (which also
-// satisfies any pending receipt ack). Requests queued by the time a
+// current delivery/receipt watermarks piggybacked (which is the
+// sequencer's copy of any pending receipt ack; the other members get
+// theirs standalone). Requests queued by the time a
 // view change interrupted the round are discarded: adoptView
 // retransmits all pending messages once the new view is installed.
 func (p *Process) flushReqOut() {
@@ -868,7 +864,7 @@ func (p *Process) flushReqOut() {
 				Received:  p.contiguousReceived(),
 			}
 			if p.ackPending {
-				p.ackPending = false
+				p.sendAck(p.view.Members[1:]) // everyone but the sequencer
 				p.bumpStat(func(st *Stats) { st.AcksCoalesced++ })
 			}
 			if n > 1 {
@@ -886,17 +882,7 @@ func (p *Process) flushReqOut() {
 	p.reqOut = nil
 }
 
-// flushSafe announces the safe watermark once per round when it moved
-// (or the periodic re-announce is due) and no BATCH frame carried it.
-func (p *Process) flushSafe() {
-	if !p.safeDirty {
-		return
-	}
-	p.safeDirty = false
-	p.sendToMembers(&message{Kind: kindSafe, From: p.cfg.Self, ViewID: p.view.ID, Delivered: p.safeUpTo})
-}
-
-// flushAck sends the coalesced receipt ack owed to the sequencer, or
+// flushAck sends the coalesced receipt ack owed to the view, or
 // arms the delay timer when AckDelay postpones it past this round.
 func (p *Process) flushAck() {
 	if !p.ackPending {
@@ -911,7 +897,7 @@ func (p *Process) flushAck() {
 			return
 		}
 	}
-	p.sendAckNow()
+	p.sendAck(p.view.Members)
 }
 
 // handleDatagram decodes and dispatches one incoming datagram.
@@ -928,14 +914,7 @@ func (p *Process) handleDatagram(dg transport.Message) {
 
 	switch m.Kind {
 	case kindHeartbeat:
-		if m.ViewID == p.view.ID {
-			if m.Delivered > p.tailSeq {
-				p.tailSeq = m.Delivered
-			}
-			if m.LeaseDur > 0 && p.st == statusNormal && m.From == p.view.Sequencer() {
-				p.renewLease(m.LeaseDur)
-			}
-		}
+		p.onHeartbeat(m)
 	case kindData:
 		p.onData(m)
 	case kindReq:
@@ -960,13 +939,26 @@ func (p *Process) handleDatagram(dg transport.Message) {
 		p.onNewView(m)
 	case kindStateSnap:
 		p.onStateSnap(m)
-	case kindSafe:
-		p.onSafe(m)
 	case kindBatch:
 		p.onBatch(m)
 	case kindReqBatch:
 		p.onReqBatch(m)
 	}
+}
+
+// heartbeat builds the frame sent to every view member each tick. It
+// advertises the highest sequence we know was assigned, so peers can
+// detect a missed tail, and repeats our cumulative ack, so a lost ACK
+// frame costs one heartbeat, not a stalled delivery. The ack rides
+// only in normal operation: what arrives during a flush is buffered
+// after our flush state was reported, and a peer must not deliver on a
+// receipt the flush may never hear of.
+func (p *Process) heartbeat() *message {
+	hb := &message{Kind: kindHeartbeat, From: p.cfg.Self, ViewID: p.view.ID, Tail: p.tailSeq}
+	if p.st == statusNormal {
+		hb.Delivered, hb.Received = p.nextDeliver-1, p.contiguousReceived()
+	}
+	return hb
 }
 
 // onTick drives heartbeats, the failure detector, retransmission, and
@@ -984,13 +976,7 @@ func (p *Process) onTick() {
 		return
 	}
 
-	// Heartbeats to all current members, advertising the highest
-	// sequence we know was assigned so peers can detect a missed
-	// tail.
-	hb := &message{Kind: kindHeartbeat, From: p.cfg.Self, ViewID: p.view.ID, Delivered: p.tailSeq}
-	if p.view.Sequencer() == p.cfg.Self && p.nextSeq > hb.Delivered {
-		hb.Delivered = p.nextSeq
-	}
+	hb := p.heartbeat()
 	if dur := p.leaseGrant(); dur > 0 {
 		hb.LeaseDur = dur
 		p.renewLease(dur) // the sequencer's own lease rides its grant
@@ -1018,8 +1004,9 @@ func (p *Process) onTick() {
 	case statusNormal:
 		p.resendPending(now)
 		p.nackGaps(now)
-		p.reAckStalled(now)
-		p.sendAck()
+		if p.view.Sequencer() == p.cfg.Self {
+			p.advanceStability() // our own delivery may have been the last
+		}
 		p.maybeStartFlush()
 	case statusFlushing:
 		p.flushTick(now)
@@ -1090,45 +1077,34 @@ func (p *Process) sequence(d dataMsg) {
 	}
 	p.reqSeq[d.Sender][d.SenderSeq] = d.Seq
 
+	// Local receipt is immediate in every mode, and precedes the send:
+	// the members' safe-delivery rule takes the sequencer's copy for
+	// granted. Under loopback self-delivery only the delivery waits,
+	// for the frame sent to self (see deliverLimit).
+	p.acceptData(&d)
+	p.deliverReady()
 	if p.cfg.MaxBatch > 1 {
 		// Defer the multicast to flushOutData so messages sequenced in
-		// the same round share a frame. Local acceptance is immediate
-		// (loopback self-delivery instead rides the batch sent to
-		// self).
+		// the same round share a frame.
 		p.outData = append(p.outData, d)
-		if !p.cfg.LoopbackSelfDelivery {
-			dd := d
-			p.acceptData(&dd)
-		}
 		return
 	}
 	m := &message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: d}
 	p.sendToMembers(m)
 	if p.cfg.LoopbackSelfDelivery {
-		// Transis-faithful path: our own message re-enters through
-		// the endpoint, paying the local IPC hop.
 		p.sendTo(p.cfg.Self, m)
-		return
 	}
-	p.acceptData(&d)
 }
 
-// onBatch handles a coalesced frame of sequenced messages, plus its
-// piggybacked safe watermark.
+// onBatch handles a coalesced frame of sequenced messages.
 func (p *Process) onBatch(m *message) {
 	if m.ViewID != p.view.ID || p.st == statusJoining {
 		return
 	}
 	for i := range m.Msgs {
-		d := m.Msgs[i]
-		p.acceptData(&d)
+		p.receiveData(m.From, m.Msgs[i])
 	}
-	if p.cfg.SafeDelivery && m.From == p.view.Sequencer() && m.Delivered > p.safeUpTo {
-		p.safeUpTo = m.Delivered
-		if p.st == statusNormal {
-			p.deliverReady()
-		}
-	}
+	p.deliverReady()
 	if m.LeaseDur > 0 && p.st == statusNormal && m.From == p.view.Sequencer() {
 		p.renewLease(m.LeaseDur)
 	}
@@ -1144,18 +1120,9 @@ func (p *Process) onReqBatch(m *message) {
 	if p.view.Sequencer() != p.cfg.Self || !p.view.Includes(m.From) {
 		return
 	}
-	if m.Delivered > p.acked[m.From] {
-		p.acked[m.From] = m.Delivered
-	}
-	if m.Received > p.recvAcked[m.From] {
-		p.recvAcked[m.From] = m.Received
-	}
+	p.onAck(m)
 	for i := range m.Msgs {
 		p.sequence(m.Msgs[i])
-	}
-	p.advanceStability()
-	if p.cfg.SafeDelivery {
-		p.updateSafeWatermark()
 	}
 }
 
@@ -1164,36 +1131,46 @@ func (p *Process) onData(m *message) {
 	if m.ViewID != p.view.ID || p.st == statusJoining {
 		return
 	}
-	d := m.Data
+	p.receiveData(m.From, m.Data)
+	p.deliverReady()
+}
+
+// receiveData buffers one sequenced message off the wire. Our own
+// frame coming back is the loopback self-delivery echo: the message is
+// already buffered, and the echo releases its delivery.
+func (p *Process) receiveData(from MemberID, d dataMsg) {
+	if from == p.cfg.Self && d.Seq > p.looped {
+		p.looped = d.Seq
+	}
 	p.acceptData(&d)
 }
 
-// acceptData buffers a sequenced message and, in normal operation,
-// delivers any newly contiguous prefix. During a flush delivery is
-// frozen: messages are only buffered, and the coordinator's agreed
-// final sequence (deliverTo) decides what gets delivered, preserving
-// virtual synchrony.
+// acceptData buffers a sequenced message and owes the view a receipt
+// ack for it. Delivery is the caller's next step: deliverReady in
+// normal operation (once per frame, however many messages it carried),
+// while during a flush messages are only buffered and the coordinator's
+// agreed final sequence (deliverTo) decides what gets delivered,
+// preserving virtual synchrony.
 func (p *Process) acceptData(d *dataMsg) {
 	if d.Seq <= p.stable {
 		return // already delivered everywhere and garbage-collected
 	}
 	if d.Seq > p.tailSeq {
 		p.tailSeq = d.Seq
+		// Close the leased-read gate before this receipt is reported
+		// to anyone: a peer may deliver, and answer a client, on the
+		// strength of it. flushRound reopens it once we have delivered.
+		p.caughtUp.Store(false)
 	}
 	if _, ok := p.ordered[d.Seq]; !ok {
 		p.ordered[d.Seq] = d
-		if p.cfg.SafeDelivery && p.st == statusNormal {
-			if p.view.Sequencer() == p.cfg.Self {
-				p.updateSafeWatermark()
-			} else if p.cfg.AckDelay < 0 {
-				p.sendAckNow() // per-message acks, Transis-faithful
+		if p.cfg.SafeDelivery && p.st == statusNormal && p.view.Sequencer() != p.cfg.Self {
+			if p.cfg.AckDelay < 0 {
+				p.sendAck(p.view.Members) // per-message acks, Transis-faithful
 			} else {
 				p.scheduleAck()
 			}
 		}
-	}
-	if p.st == statusNormal {
-		p.deliverReady()
 	}
 }
 
@@ -1209,9 +1186,9 @@ func (p *Process) contiguousReceived() uint64 {
 	}
 }
 
-// scheduleAck marks a receipt ack owed to the sequencer; flushRound
-// satisfies it once per round (or per AckDelay window), either as one
-// ACK frame or piggybacked on an outgoing REQBATCH.
+// scheduleAck marks a receipt ack owed to the view; flushRound
+// satisfies it once per round (or per AckDelay window), the
+// sequencer's copy piggybacked on an outgoing REQBATCH if there is one.
 func (p *Process) scheduleAck() {
 	if p.ackPending {
 		p.bumpStat(func(st *Stats) { st.AcksCoalesced++ })
@@ -1221,79 +1198,52 @@ func (p *Process) scheduleAck() {
 	p.ackSince = time.Now()
 }
 
-// sendAckNow immediately reports receipt progress to the sequencer
-// (safe delivery: the sequencer aggregates these into the safe
-// watermark). It satisfies any coalesced ack still pending.
-func (p *Process) sendAckNow() {
+// sendAck multicasts this member's cumulative receipt and delivery
+// progress. Under safe delivery every member decides safety itself
+// from these (deliverLimit), so they go to the whole view, not just
+// the sequencer. It satisfies any coalesced ack still pending.
+func (p *Process) sendAck(targets []MemberID) {
 	p.ackPending = false
-	m := &message{
+	p.multicast(targets, &message{
 		Kind:      kindAck,
 		From:      p.cfg.Self,
 		ViewID:    p.view.ID,
 		Delivered: p.nextDeliver - 1,
 		Received:  p.contiguousReceived(),
-	}
-	p.sendTo(p.view.Sequencer(), m)
+	})
 }
 
-// updateSafeWatermark recomputes the safe watermark (sequencer only):
-// the highest sequence contiguously received by every view member.
-// Advancing it unblocks delivery everywhere.
-func (p *Process) updateSafeWatermark() {
+// deliverLimit returns the highest sequence this member may deliver
+// now: its own contiguous receipt, capped under safe delivery by the
+// receipt ack of every other non-sequencer member. The sequencer's own
+// receipt needs no ack — it buffered the message when it assigned the
+// sequence — so nobody waits for a watermark relayed through it.
+func (p *Process) deliverLimit() uint64 {
 	w := p.contiguousReceived()
+	seqr := p.view.Sequencer()
+	if p.cfg.LoopbackSelfDelivery && seqr == p.cfg.Self && p.looped < w {
+		w = p.looped
+	}
+	if !p.cfg.SafeDelivery {
+		return w
+	}
 	for _, m := range p.view.Members {
-		if m == p.cfg.Self {
-			continue
-		}
-		if p.recvAcked[m] < w {
+		if m != p.cfg.Self && m != seqr && p.recvAcked[m] < w {
 			w = p.recvAcked[m]
 		}
 	}
-	if w > p.safeUpTo {
-		p.safeUpTo = w
-		p.broadcastSafe()
-		if p.st == statusNormal {
-			p.deliverReady()
-		}
-	}
+	return w
 }
 
-// broadcastSafe schedules a safe-watermark announcement (sequencer
-// only); flushSafe emits at most one SAFE frame per round, and an
-// outgoing BATCH frame absorbs it entirely.
-func (p *Process) broadcastSafe() {
-	p.safeDirty = true
-}
-
-// onSafe adopts the sequencer's safe watermark.
-func (p *Process) onSafe(m *message) {
-	if !p.cfg.SafeDelivery || m.ViewID != p.view.ID {
-		return
-	}
-	if m.From != p.view.Sequencer() {
-		return
-	}
-	if m.Delivered > p.safeUpTo {
-		p.safeUpTo = m.Delivered
-		if p.st == statusNormal {
-			p.deliverReady()
-		}
-	}
-}
-
-// deliverReady delivers the contiguous prefix starting at nextDeliver
-// (subject to the safe-delivery condition when enabled).
+// deliverReady delivers, in normal operation, the buffered prefix from
+// nextDeliver up to deliverLimit. It runs on every DATA and every ACK
+// arrival, whichever completes the condition.
 func (p *Process) deliverReady() {
-	for {
-		d, ok := p.ordered[p.nextDeliver]
-		if !ok {
-			break
-		}
-		if p.cfg.SafeDelivery && p.nextDeliver > p.safeUpTo {
-			break // await the safe watermark
-		}
-		p.deliverOne(d)
-		p.nextDeliver++
+	if p.st != statusNormal {
+		return
+	}
+	for limit := p.deliverLimit(); p.nextDeliver <= limit; p.nextDeliver++ {
+		p.deliverOne(p.ordered[p.nextDeliver])
 	}
 }
 
@@ -1386,23 +1336,6 @@ func (p *Process) nackGaps(now time.Time) {
 	p.sendTo(p.view.Sequencer(), m)
 }
 
-// reAckStalled retransmits receipt acknowledgments while safe
-// delivery is stalled, covering a lost ack or a lost safe watermark
-// (the sequencer's periodic broadcastSafe covers the other side).
-func (p *Process) reAckStalled(now time.Time) {
-	if !p.cfg.SafeDelivery || p.view.Sequencer() == p.cfg.Self {
-		return
-	}
-	if _, ok := p.ordered[p.nextDeliver]; !ok {
-		return // gap, not an ack stall; nackGaps handles it
-	}
-	if now.Sub(p.lastReAck) < p.cfg.ResendInterval {
-		return
-	}
-	p.lastReAck = now
-	p.sendAckNow()
-}
-
 // onNack retransmits requested messages (sequencer only).
 func (p *Process) onNack(m *message) {
 	if m.ViewID != p.view.ID || p.view.Sequencer() != p.cfg.Self {
@@ -1416,38 +1349,38 @@ func (p *Process) onNack(m *message) {
 	}
 }
 
-// sendAck reports cumulative delivery progress to the sequencer.
-func (p *Process) sendAck() {
-	if p.view.Sequencer() == p.cfg.Self {
-		p.acked[p.cfg.Self] = p.nextDeliver - 1
-		p.advanceStability()
-		if p.cfg.SafeDelivery {
-			p.updateSafeWatermark()
-			// Re-announce the watermark so members that missed the
-			// last kindSafe catch up.
-			if p.safeUpTo > 0 {
-				p.broadcastSafe()
-			}
-		}
+// onHeartbeat takes a peer's tail advertisement, lease grant, and the
+// cumulative ack every heartbeat repeats.
+func (p *Process) onHeartbeat(m *message) {
+	if m.ViewID != p.view.ID {
 		return
 	}
-	p.sendAckNow()
+	if m.Tail > p.tailSeq {
+		p.tailSeq = m.Tail
+	}
+	if m.LeaseDur > 0 && p.st == statusNormal && m.From == p.view.Sequencer() {
+		p.renewLease(m.LeaseDur)
+	}
+	p.onAck(m)
 }
 
-// onAck records a member's progress (sequencer only).
+// onAck records a member's progress, carried by an ACK, a heartbeat or
+// a REQBATCH: receipt feeds this member's own safe-delivery rule,
+// delivery feeds stability GC at the sequencer. Watermarks are
+// per-view; foreign-view, non-member and joining-state acks are void.
 func (p *Process) onAck(m *message) {
-	if m.ViewID != p.view.ID || p.view.Sequencer() != p.cfg.Self {
+	if m.ViewID != p.view.ID || p.st == statusJoining || !p.view.Includes(m.From) {
 		return
-	}
-	if m.Delivered > p.acked[m.From] {
-		p.acked[m.From] = m.Delivered
 	}
 	if m.Received > p.recvAcked[m.From] {
 		p.recvAcked[m.From] = m.Received
+		p.deliverReady()
 	}
-	p.advanceStability()
-	if p.cfg.SafeDelivery {
-		p.updateSafeWatermark()
+	if p.view.Sequencer() == p.cfg.Self {
+		if m.Delivered > p.acked[m.From] {
+			p.acked[m.From] = m.Delivered
+		}
+		p.advanceStability()
 	}
 }
 
@@ -1514,8 +1447,8 @@ func (p *Process) installView(v View) {
 	}
 	p.reqSeq = make(map[MemberID]map[uint64]uint64)
 	p.acked = make(map[MemberID]uint64)
-	p.safeUpTo = 0
 	p.recvAcked = make(map[MemberID]uint64)
+	p.looped = 0
 	p.gapSince = time.Time{}
 	p.tailSeq = 0
 	// Unflushed round output belongs to the old view: sequenced
@@ -1524,7 +1457,6 @@ func (p *Process) installView(v View) {
 	p.outData = nil
 	p.reqOut = nil
 	p.ackPending = false
-	p.safeDirty = false
 
 	now := time.Now()
 	for _, m := range v.Members {

@@ -52,27 +52,73 @@ func TestSafeDeliveryTotalOrder(t *testing.T) {
 }
 
 func TestSafeDeliveryWithLoss(t *testing.T) {
-	// Lost acks must be recovered by periodic re-acks, not stall
-	// delivery forever.
-	net := simnet.New(simnet.Config{
-		Latency:  simnet.Latency{Remote: time.Millisecond},
-		DropRate: 0.1,
-		Seed:     11,
-	})
-	defer net.Close()
-	obs := safeGroup(t, net, 3, false)
+	// Lost acks must be recovered by the heartbeat-carried ack, not
+	// stall delivery forever. All-to-all acks are (n-1)² frames a
+	// round, so the 4-member group loses more of them.
+	for _, n := range []int{3, 4} {
+		n := n
+		t.Run(fmt.Sprintf("members=%d", n), func(t *testing.T) {
+			net := simnet.New(simnet.Config{
+				Latency:  simnet.Latency{Remote: time.Millisecond},
+				DropRate: 0.1,
+				Seed:     11,
+			})
+			defer net.Close()
+			obs := safeGroup(t, net, n, false)
 
-	for k := 0; k < 10; k++ {
-		obs[k%3].p.Broadcast([]byte(fmt.Sprintf("m%d", k)))
+			for k := 0; k < 10; k++ {
+				obs[k%n].p.Broadcast([]byte(fmt.Sprintf("m%d", k)))
+			}
+			waitFor(t, 20*time.Second, "safe deliveries despite loss", func() bool {
+				for _, o := range obs {
+					if len(o.deliveredPayloads()) != 10 {
+						return false
+					}
+				}
+				return true
+			})
+		})
 	}
-	waitFor(t, 20*time.Second, "safe deliveries despite loss", func() bool {
+}
+
+// ackDropper loses every standalone ACK frame between two non-
+// sequencer members (m0, on host0, is the sequencer).
+type ackDropper struct{ transport.Endpoint }
+
+func (e ackDropper) Send(to transport.Addr, payload []byte) error {
+	if len(payload) > 0 && payload[0] == kindAck && to != "host0/gcs" {
+		return nil
+	}
+	return e.Endpoint.Send(to, payload)
+}
+
+func TestLostMemberAcksHealByHeartbeat(t *testing.T) {
+	// With every member-to-member ACK lost, the only thing that can
+	// complete the safe-delivery condition at m1 and m2 is the
+	// cumulative ack each heartbeat repeats. Request retransmission is
+	// pushed out of the picture so it cannot be what heals.
+	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
+	defer net.Close()
+	const resend = 5 * time.Second
+	obs := group(t, net, 3, func(i int, c *Config) {
+		c.SafeDelivery = true
+		c.ResendInterval = resend
+		c.Endpoint = ackDropper{c.Endpoint}
+	})
+
+	start := time.Now()
+	obs[1].p.Broadcast([]byte("one"))
+	waitFor(t, resend, "delivery via heartbeat-carried acks", func() bool {
 		for _, o := range obs {
-			if len(o.deliveredPayloads()) != 10 {
+			if len(o.deliveredPayloads()) != 1 {
 				return false
 			}
 		}
 		return true
 	})
+	// Two heartbeats (10 ms each here) is the design figure; the bound
+	// asserted is only that no slower mechanism was needed.
+	t.Logf("healed in %v", time.Since(start))
 }
 
 func TestSafeDeliverySurvivesFailure(t *testing.T) {
@@ -130,33 +176,5 @@ func TestLoopbackSelfDeliverySingleton(t *testing.T) {
 	})
 	if d := time.Since(start); d < 4*time.Millisecond {
 		t.Errorf("delivery took %v; loopback should pay the ~5ms local hop", d)
-	}
-}
-
-func TestSafeSlowerThanAgreed(t *testing.T) {
-	// The ablation behind the latency model: safe delivery costs an
-	// extra acknowledgment round.
-	run := func(safe bool) time.Duration {
-		net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: 10 * time.Millisecond}})
-		defer net.Close()
-		obs := group(t, net, 3, func(i int, c *Config) {
-			c.SafeDelivery = safe
-		})
-		// Warm up.
-		obs[0].p.Broadcast([]byte("warm"))
-		waitFor(t, 10*time.Second, "warmup", func() bool {
-			return len(obs[2].deliveredPayloads()) == 1
-		})
-		start := time.Now()
-		obs[2].p.Broadcast([]byte("timed"))
-		waitFor(t, 10*time.Second, "timed delivery", func() bool {
-			return len(obs[2].deliveredPayloads()) == 2
-		})
-		return time.Since(start)
-	}
-	agreed := run(false)
-	safe := run(true)
-	if safe <= agreed {
-		t.Errorf("safe (%v) should be slower than agreed (%v)", safe, agreed)
 	}
 }

@@ -14,7 +14,7 @@ const (
 	kindData            // sequenced broadcast (also used for retransmissions)
 	kindReq             // sender -> sequencer: please order this payload
 	kindNack            // receiver -> sequencer: retransmit these sequence numbers
-	kindAck             // receiver -> sequencer: cumulative delivery acknowledgment
+	kindAck             // member -> all: cumulative receipt and delivery acknowledgment
 	kindStable          // sequencer -> all: stability watermark for garbage collection
 	kindJoin            // joiner -> all: request admission
 	kindLeave           // member -> all: voluntary departure
@@ -23,7 +23,6 @@ const (
 	kindFlushState      // member -> coordinator: my unstable messages and progress
 	kindNewView         // coordinator -> candidates: install the new view
 	kindStateSnap       // coordinator -> joiner: state transfer before first view
-	kindSafe            // sequencer -> all: cumulative safe-delivery watermark
 	kindBatch           // sequencer -> all: several sequenced messages in one frame
 	kindReqBatch        // sender -> sequencer: several ordering requests + piggybacked ack
 )
@@ -53,16 +52,16 @@ type message struct {
 	// kindNack: sequences to retransmit.
 	Missing []uint64
 
-	// kindAck: cumulative delivery watermark; kindHeartbeat: highest
-	// known assigned sequence; kindSafe: the safe watermark; kindBatch
-	// and kindReqBatch piggyback the sender's current watermark here
-	// (safe watermark from the sequencer, delivery watermark from a
-	// member), saving the separate SAFE/ACK frame.
+	// kindAck, kindHeartbeat, kindReqBatch: the sender's cumulative
+	// delivery watermark (stability accounting at the sequencer).
 	Delivered uint64
-	// kindAck, kindReqBatch: highest contiguously received sequence
-	// (safe-delivery accounting; may exceed Delivered while delivery
-	// awaits the safe watermark).
+	// kindAck, kindHeartbeat, kindReqBatch: highest contiguously
+	// received sequence (safe-delivery accounting at every member; may
+	// exceed Delivered while delivery awaits the other members' acks).
 	Received uint64
+	// kindHeartbeat: highest sequence the sender knows was assigned, so
+	// peers that missed the tail of the stream learn to NACK it.
+	Tail uint64
 
 	// kindStable
 	Stable uint64
@@ -225,9 +224,9 @@ func (m *message) marshal(e *codec.Encoder) {
 	case kindJoin:
 		e.PutUint(m.Since)
 	case kindHeartbeat:
-		// Delivered carries the sender's highest known assigned
-		// sequence, so peers that missed the tail learn to NACK it.
+		e.PutUint(m.Tail)
 		e.PutUint(m.Delivered)
+		e.PutUint(m.Received)
 		e.PutDuration(m.LeaseDur)
 	case kindData:
 		putDataMsg(e, m.Data)
@@ -242,8 +241,6 @@ func (m *message) marshal(e *codec.Encoder) {
 	case kindAck:
 		e.PutUint(m.Delivered)
 		e.PutUint(m.Received)
-	case kindSafe:
-		e.PutUint(m.Delivered)
 	case kindStable:
 		e.PutUint(m.Stable)
 	case kindSuspect:
@@ -268,7 +265,6 @@ func (m *message) marshal(e *codec.Encoder) {
 		e.PutUint(m.ChunkCnt)
 		e.PutBytes(m.AppState)
 	case kindBatch:
-		e.PutUint(m.Delivered)
 		e.PutDuration(m.LeaseDur)
 		putDataMsgs(e, m.Msgs)
 	case kindReqBatch:
@@ -302,7 +298,9 @@ func decodeMessage(b []byte) (*message, error) {
 	case kindJoin:
 		m.Since = d.Uint()
 	case kindHeartbeat:
+		m.Tail = d.Uint()
 		m.Delivered = d.Uint()
+		m.Received = d.Uint()
 		m.LeaseDur = d.Duration()
 	case kindData:
 		m.Data = getDataMsg(d)
@@ -323,8 +321,6 @@ func decodeMessage(b []byte) (*message, error) {
 	case kindAck:
 		m.Delivered = d.Uint()
 		m.Received = d.Uint()
-	case kindSafe:
-		m.Delivered = d.Uint()
 	case kindStable:
 		m.Stable = d.Uint()
 	case kindSuspect:
@@ -351,7 +347,6 @@ func decodeMessage(b []byte) (*message, error) {
 		m.AppState = make([]byte, len(b))
 		copy(m.AppState, b)
 	case kindBatch:
-		m.Delivered = d.Uint()
 		m.LeaseDur = d.Duration()
 		m.Msgs = getDataMsgs(d)
 	case kindReqBatch:

@@ -11,9 +11,9 @@ import (
 func TestWireRoundTripAllKinds(t *testing.T) {
 	msgs := []*message{
 		{Kind: kindHeartbeat, From: "a", ViewID: 7},
-		{Kind: kindHeartbeat, From: "a", ViewID: 7, Delivered: 42}, // tail advertisement
+		{Kind: kindHeartbeat, From: "a", ViewID: 7, Tail: 42},                              // tail advertisement
+		{Kind: kindHeartbeat, From: "b", ViewID: 7, Tail: 42, Delivered: 39, Received: 41}, // carries the cumulative ack
 		{Kind: kindAck, From: "b", ViewID: 2, Delivered: 9, Received: 12},
-		{Kind: kindSafe, From: "a", ViewID: 2, Delivered: 11},
 		{Kind: kindJoin, From: "newguy"},
 		{Kind: kindLeave, From: "b", ViewID: 3},
 		{Kind: kindData, From: "a", ViewID: 2, Data: dataMsg{Seq: 9, Sender: "c", SenderSeq: 4, Payload: []byte("hi")}},
@@ -43,7 +43,7 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 			AppState:   []byte("app-bytes"),
 		},
 		{
-			Kind: kindBatch, From: "a", ViewID: 2, Delivered: 17,
+			Kind: kindBatch, From: "a", ViewID: 2,
 			Msgs: []dataMsg{
 				{Seq: 18, Sender: "b", SenderSeq: 6, Payload: []byte("one")},
 				{Seq: 19, Sender: "a", SenderSeq: 9, Payload: nil},
