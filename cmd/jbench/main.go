@@ -5,14 +5,14 @@
 //	jbench -fig 11             # Figure 11: job submission throughput
 //	jbench -fig 12             # Figure 12: availability/downtime
 //	jbench -fig ablations      # DESIGN.md design-choice ablations
-//	jbench -fig readpath       # concurrent vs on-loop query serving
+//	jbench -fig readpath       # concurrent query serving beside a submit stream
 //	jbench -fig wal            # WAL fsync-policy ablation vs in-memory
 //	jbench -fig applypipe      # pipelined apply-path ablation
 //	jbench -fig shards         # sharded replication groups scaling sweep
 //	jbench -fig leases         # read consistency levels: local/leased/broadcast
 //	jbench -fig writepath      # 10k-client zero-alloc write-path profile
 //	jbench -fig sched          # scheduling policy sweep: fifo/priority/backfill
-//	jbench -fig checkpoint     # off-loop vs blocking checkpoint tail latency
+//	jbench -fig checkpoint     # off-loop checkpoint tail latency vs none
 //	jbench -fig all            # everything
 //
 // -json writes the selected figure's results (readpath, wal,
@@ -218,23 +218,15 @@ func main() {
 	}
 
 	runReadPath := func() {
-		conc, onLoop, err := bench.AblationReadConcurrency(cal, 2, 4, 6, 25)
+		res, err := bench.MeasureMixedReads(cal, 2, 4, 6, 25)
 		if err != nil {
 			fail(err)
 		}
 		fmt.Println("Concurrent read path (4 jstat pollers vs a batched submit stream):")
-		for _, r := range []bench.MixedReadResult{conc, onLoop} {
-			fmt.Printf("  %-12s %6.0f reads/s   read mean %-10v batch mean %v\n",
-				r.Variant+":", r.ReadsPerSec, r.ReadMean.Round(time.Millisecond/10), r.SubmitMean.Round(time.Millisecond/10))
-		}
-		if onLoop.ReadsPerSec > 0 {
-			fmt.Printf("  speedup: %.1fx read throughput\n", conc.ReadsPerSec/onLoop.ReadsPerSec)
-		}
+		fmt.Printf("  %6.0f reads/s   read mean %-10v batch mean %v\n",
+			res.ReadsPerSec, res.ReadMean.Round(time.Millisecond/10), res.SubmitMean.Round(time.Millisecond/10))
 		fmt.Println()
-		writeJSON(map[string]any{
-			"concurrent": conc,
-			"on_loop":    onLoop,
-		}, 2, 1)
+		writeJSON(map[string]any{"concurrent": res}, 2, 1)
 	}
 
 	runWAL := func() {
@@ -273,8 +265,8 @@ func main() {
 				v.SubmitP50.Round(time.Millisecond/10), v.SubmitP99.Round(time.Millisecond/10),
 				v.ParallelRuns, v.Barriers, v.FsyncOverlap.Round(time.Millisecond))
 		}
-		fmt.Printf("  speedup: %.1fx throughput vs serial, p99 ratio %.2f\n",
-			res.SpeedupParallelVsSerial, res.P99RatioParallelVsSerial)
+		fmt.Printf("  speedup: %.1fx throughput vs overlap (1 worker), p99 ratio %.2f\n",
+			res.SpeedupParallelVsOverlap, res.P99RatioParallelVsOverlap)
 		fmt.Println()
 		writeJSON(map[string]any{"apply_pipeline": res}, 2, 1)
 	}

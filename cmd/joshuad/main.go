@@ -56,9 +56,8 @@ func main() {
 		syncPolicy   = flag.String("sync-policy", "", "WAL fsync policy: always, interval, or none (overrides sync_policy in config)")
 		ckptEvery    = flag.Uint64("checkpoint-every", 0, "applied commands between checkpoints (overrides checkpoint_every in config; 0 = default)")
 		ckptCompress = flag.Bool("checkpoint-compress", false, "flate-compress checkpoint files (or checkpoint_compress in config)")
-		ckptBlocking = flag.Bool("checkpoint-blocking", false, "serialize+fsync checkpoints on the event loop (pre-concurrent ablation)")
 		deltaMax     = flag.Int64("delta-max-bytes", 0, "WAL-suffix state-transfer cap in bytes (overrides delta_max_bytes in config; 0 = 64 MiB default, negative = unlimited)")
-		applyConc    = flag.Int("apply-concurrency", 0, "apply-worker pool size for the pipelined write path (overrides apply_concurrency in config; 0 = GOMAXPROCS, negative = serial ablation)")
+		applyConc    = flag.Int("apply-concurrency", 0, "apply-worker pool size (overrides apply_concurrency in config; 0 = GOMAXPROCS, 1 = serial apply)")
 		leaseDur     = flag.Duration("lease-duration", 0, "read-lease length for locally served linearizable reads (overrides lease_duration in config; 0 = engine default, negative = leases off)")
 		shardIdx     = flag.Int("shard", -1, "override this head's replication group (default: the [head] section's shard key)")
 		shardCount   = flag.Int("shards", 0, "override the deployment's shard count (default: the shards config key)")
@@ -67,6 +66,9 @@ func main() {
 		verbose      = flag.Bool("v", false, "log protocol diagnostics")
 	)
 	flag.Parse()
+	if *applyConc < 0 {
+		cli.Fatalf("joshuad: usage: -apply-concurrency must be >= 0 (0 = GOMAXPROCS), got %d", *applyConc)
+	}
 
 	conf, err := cli.LoadConfig(*configPath)
 	if err != nil {
@@ -184,7 +186,6 @@ func main() {
 		cfg.CheckpointEvery = *ckptEvery
 	}
 	cfg.CheckpointCompress = conf.CheckpointCompress || *ckptCompress
-	cfg.CheckpointBlocking = *ckptBlocking
 	cfg.DeltaMaxBytes = conf.DeltaMaxBytes
 	if *deltaMax != 0 {
 		cfg.DeltaMaxBytes = *deltaMax

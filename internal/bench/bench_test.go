@@ -8,7 +8,6 @@ import (
 
 	"joshua/internal/joshua"
 	"joshua/internal/pbs"
-	"joshua/internal/rsm"
 )
 
 // tiny returns a very small calibration so tests run quickly.
@@ -177,33 +176,22 @@ func TestMixedReadConcurrencyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mixed-workload measurement")
 	}
-	conc, onLoop, err := AblationReadConcurrency(tiny(), 2, 4, 6, 25)
+	res, err := MeasureMixedReads(tiny(), 2, 4, 6, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("concurrent: %.0f reads/s, read mean %v, batch mean %v",
-		conc.ReadsPerSec, conc.ReadMean, conc.SubmitMean)
-	t.Logf("on-loop:    %.0f reads/s, read mean %v, batch mean %v",
-		onLoop.ReadsPerSec, onLoop.ReadMean, onLoop.SubmitMean)
-	if conc.ReadsPerSec < 2*onLoop.ReadsPerSec {
-		t.Errorf("concurrent reads %.0f/s, want >= 2x on-loop %.0f/s",
-			conc.ReadsPerSec, onLoop.ReadsPerSec)
-	}
-	// The pool must not tax the write path: per-batch submission
-	// latency stays comparable (generous bound for timing noise).
-	if conc.SubmitMean > onLoop.SubmitMean*3/2 {
-		t.Errorf("concurrent submit mean %v, want <= 1.5x on-loop %v",
-			conc.SubmitMean, onLoop.SubmitMean)
+	t.Logf("%.0f reads/s, read mean %v, batch mean %v", res.ReadsPerSec, res.ReadMean, res.SubmitMean)
+	// Pollers are served while the batched submit stream occupies the
+	// event loop; how fast is benchmark/compare's business, not a test's.
+	if res.Reads == 0 || res.SubmitMean == 0 {
+		t.Errorf("no reads served beside the submit stream: %+v", res)
 	}
 }
 
-// benchmarkMixedReads reports per-listing latency with a batched
+// BenchmarkMixedReadsConcurrent reports per-listing latency with a batched
 // submit stream occupying the replication loop in the background.
-func benchmarkMixedReads(b *testing.B, readConcurrency int) {
-	cal := tiny()
-	opts := cal.options(2, false)
-	opts.ReadConcurrency = readConcurrency
-	c, err := clusterNew(opts)
+func BenchmarkMixedReadsConcurrent(b *testing.B) {
+	c, err := clusterNew(tiny().options(2, false))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -263,9 +251,6 @@ func benchmarkMixedReads(b *testing.B, readConcurrency int) {
 	close(stop)
 	<-done
 }
-
-func BenchmarkMixedReadsConcurrent(b *testing.B) { benchmarkMixedReads(b, 0) }
-func BenchmarkMixedReadsOnLoop(b *testing.B)     { benchmarkMixedReads(b, rsm.ReadOnLoop) }
 
 func TestSequencerFailoverStall(t *testing.T) {
 	if testing.Short() {

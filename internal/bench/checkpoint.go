@@ -17,22 +17,19 @@ import (
 )
 
 // This file measures what checkpointing costs the submission path
-// (DESIGN.md §6.10): with a fat replicated state, serializing and
-// fsyncing a checkpoint on the event loop stalls every command that
-// arrives during the write, visible as a multi-millisecond p99.9
-// spike at each checkpoint boundary. The off-loop path forks a
+// (DESIGN.md §6.10): with a fat replicated state, the engine forks a
 // copy-on-write image on the loop (map copies, no serialization) and
 // lets a background goroutine do the encode+CRC+fsync, so the
-// boundary disappears from the tail. The same fork powers the donor
-// side of join-time state transfer, measured here as time-to-ready
-// for a joiner while the donor keeps taking writes.
+// checkpoint boundary should all but disappear from the p99.9 tail
+// against the no-checkpoint floor. The same fork powers the donor side
+// of join-time state transfer, measured here as time-to-ready for a
+// joiner while the donor keeps taking writes.
 
 // CheckpointVariant is one checkpoint-policy run of the tail-latency
 // figure.
 type CheckpointVariant struct {
-	// Name is "off-loop" (forked background checkpoints, the default),
-	// "blocking" (serialize+fsync on the event loop, the pre-fork
-	// ablation), or "none" (checkpoints disabled, the floor).
+	// Name is "off-loop" (forked background checkpoints) or "none"
+	// (checkpoints disabled, the floor).
 	Name string `json:"name"`
 	// Client-observed put latency percentiles across a run that
 	// crosses many checkpoint boundaries.
@@ -57,8 +54,7 @@ type RecoveryPoint struct {
 // JoinVariant is one donor-policy run of the join-while-loaded figure.
 type JoinVariant struct {
 	// Name is "forked" (off-loop donor: checkpoint image + WAL suffix
-	// streamed by a background goroutine) or "blocking" (the pre-fork
-	// donor encodes the full state on its event loop).
+	// streamed by a background goroutine).
 	Name     string        `json:"name"`
 	JoinTime time.Duration `json:"join_time_ns"`
 	// Donor-observed put latency while the join was in flight.
@@ -76,17 +72,16 @@ type CheckpointResult struct {
 	Samples         int                 `json:"samples"`
 	CheckpointEvery uint64              `json:"checkpoint_every"`
 	Variants        []CheckpointVariant `json:"variants"`
-	// StallRatio is off-loop p99.9 over no-checkpoint p99.9 — the
-	// acceptance gate: near 1.0 when forked checkpoints leave the tail
-	// alone, while the blocking ablation shows the multi-ms boundary.
+	// StallRatio is off-loop p99.9 over no-checkpoint p99.9: near 1.0
+	// when forked checkpoints leave the tail alone.
 	StallRatio float64         `json:"stall_ratio_offloop_vs_none"`
 	Recovery   []RecoveryPoint `json:"recovery_sweep"`
 	Join       []JoinVariant   `json:"join_while_loaded"`
 }
 
 // ckptRig is a minimal durable kvstore group over simnet, sized so the
-// replicated state is fat enough that a blocking checkpoint stalls
-// measurably.
+// replicated state is fat enough that serializing it takes
+// milliseconds.
 type ckptRig struct {
 	net   *simnet.Network
 	dir   string
@@ -271,7 +266,6 @@ func MeasureCheckpointStall(preloadKeys, valBytes, samples int) (CheckpointResul
 		mutate func(*rsm.Config)
 	}{
 		{"off-loop", func(c *rsm.Config) { c.CheckpointEvery = cadence }},
-		{"blocking", func(c *rsm.Config) { c.CheckpointEvery = cadence; c.CheckpointBlocking = true }},
 		{"none", func(c *rsm.Config) { c.CheckpointEvery = 1 << 30 }},
 	}
 	for _, v := range variants {
@@ -373,14 +367,12 @@ func MeasureCheckpointStall(preloadKeys, valBytes, samples int) (CheckpointResul
 
 	// Join while loaded: a fresh third replica joins a 2-member group
 	// whose donor keeps taking writes; the forked donor streams
-	// checkpoint+suffix off-loop, the blocking ablation encodes the
-	// full state on its event loop.
+	// checkpoint+suffix off-loop.
 	for _, v := range []struct {
 		name   string
 		mutate func(*rsm.Config)
 	}{
 		{"forked", func(c *rsm.Config) { c.CheckpointEvery = cadence }},
-		{"blocking", func(c *rsm.Config) { c.CheckpointEvery = cadence; c.CheckpointBlocking = true }},
 	} {
 		jv := JoinVariant{Name: v.name}
 		if err := func() error {

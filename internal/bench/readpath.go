@@ -8,22 +8,18 @@ import (
 
 	"joshua/internal/joshua"
 	"joshua/internal/pbs"
-	"joshua/internal/rsm"
 )
 
 // This file measures the concurrent read path: jstat-class queries
-// served off the replication event loop by a read-worker pool, against
-// the on-loop ablation (rsm.ReadOnLoop) where every query waits behind
-// command application. The workload is the paper's operational mix — a
-// stream of job submissions with many jstat pollers watching the queue
-// — and the interesting quantity is what polling costs the write path
-// and what the write path costs the pollers.
+// served off the replication event loop by a read-worker pool. The
+// workload is the paper's operational mix — a stream of job
+// submissions with many jstat pollers watching the queue — and the
+// interesting quantity is what polling costs the write path and what
+// the write path costs the pollers.
 
 // MixedReadResult is one measured run of the mixed read/write
 // workload.
 type MixedReadResult struct {
-	// Variant names the configuration ("concurrent" or "on-loop").
-	Variant string `json:"variant"`
 	// Pollers is how many jstat clients polled throughout.
 	Pollers int `json:"pollers"`
 	// Batches and BatchSize describe the submit stream: Batches
@@ -47,19 +43,12 @@ type MixedReadResult struct {
 // `batches` batched submissions of `batchSize` held jobs, and both
 // sides are timed over the submission window. Batched submission is
 // the paper's own throughput remedy, and it is the worst case for
-// on-loop queries: applying one batch occupies the event loop for
-// batchSize qsub-processing intervals, during which an on-loop jstat
-// cannot be answered at all. readConcurrency forwards to the heads
-// (0 = engine default pool, rsm.ReadOnLoop = on-loop ablation).
-func MeasureMixedReads(cal Calibration, heads, pollers, batches, batchSize, readConcurrency int) (MixedReadResult, error) {
-	res := MixedReadResult{Pollers: pollers, Batches: batches, BatchSize: batchSize, Variant: "concurrent"}
-	if readConcurrency == rsm.ReadOnLoop {
-		res.Variant = "on-loop"
-	}
+// queries: applying one batch occupies the event loop for batchSize
+// qsub-processing intervals, which the read pool must not wait behind.
+func MeasureMixedReads(cal Calibration, heads, pollers, batches, batchSize int) (MixedReadResult, error) {
+	res := MixedReadResult{Pollers: pollers, Batches: batches, BatchSize: batchSize}
 
-	opts := cal.options(heads, false)
-	opts.ReadConcurrency = readConcurrency
-	c, err := clusterNew(opts)
+	c, err := clusterNew(cal.options(heads, false))
 	if err != nil {
 		return res, err
 	}
@@ -136,18 +125,4 @@ func MeasureMixedReads(cal Calibration, heads, pollers, batches, batchSize, read
 	}
 	res.SubmitMean = elapsed / time.Duration(batches)
 	return res, nil
-}
-
-// AblationReadConcurrency runs the mixed workload under the default
-// read-worker pool and under the on-loop ablation, on identical
-// clusters. The concurrent path should multiply poller throughput —
-// on-loop, every listing waits behind qsub processing inside command
-// application — without costing the submit stream.
-func AblationReadConcurrency(cal Calibration, heads, pollers, batches, batchSize int) (concurrent, onLoop MixedReadResult, err error) {
-	concurrent, err = MeasureMixedReads(cal, heads, pollers, batches, batchSize, 0)
-	if err != nil {
-		return concurrent, onLoop, err
-	}
-	onLoop, err = MeasureMixedReads(cal, heads, pollers, batches, batchSize, rsm.ReadOnLoop)
-	return concurrent, onLoop, err
 }

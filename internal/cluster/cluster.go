@@ -102,13 +102,8 @@ type Options struct {
 	// OrderedCompletions routes mom completion reports through the
 	// total order (see joshua.Config.OrderedCompletions).
 	OrderedCompletions bool
-	// ReadConcurrency forwards to joshua.Config.ReadConcurrency: the
-	// per-head read-worker pool size (0 = engine default,
-	// rsm.ReadOnLoop = serve queries on the event loop).
-	ReadConcurrency int
 	// ApplyConcurrency forwards to joshua.Config.ApplyConcurrency: the
-	// per-head apply-worker pool size for the pipelined write path
-	// (0 = engine default, rsm.ApplyOnLoop = the serial ablation).
+	// per-head apply-worker pool size (0 = engine default, 1 = serial).
 	ApplyConcurrency int
 	// LeaseDuration forwards to joshua.Config.LeaseDuration: the
 	// sequencer-granted read-lease length (0 = enabled with the group
@@ -134,11 +129,9 @@ type Options struct {
 	SyncPolicy      wal.SyncPolicy
 	SyncInterval    time.Duration
 	CheckpointEvery uint64
-	// CheckpointBlocking forces the on-loop serialize+fsync checkpoint
-	// ablation; CheckpointCompress flate-compresses checkpoint files;
+	// CheckpointCompress flate-compresses checkpoint files;
 	// DeltaMaxBytes caps the WAL-suffix state transfer (see
 	// joshua.Config).
-	CheckpointBlocking bool
 	CheckpointCompress bool
 	DeltaMaxBytes      int64
 }
@@ -376,7 +369,6 @@ func (c *Cluster) startHead(s, i int, initial []gcs.MemberID, join bool) error {
 		Daemon:             daemon,
 		OutputPolicy:       c.opts.OutputPolicy,
 		OrderedCompletions: c.opts.OrderedCompletions,
-		ReadConcurrency:    c.opts.ReadConcurrency,
 		ApplyConcurrency:   c.opts.ApplyConcurrency,
 		LeaseDuration:      c.opts.LeaseDuration,
 		Shard:              s,
@@ -387,7 +379,6 @@ func (c *Cluster) startHead(s, i int, initial []gcs.MemberID, join bool) error {
 		SyncPolicy:         c.opts.SyncPolicy,
 		SyncInterval:       c.opts.SyncInterval,
 		CheckpointEvery:    c.opts.CheckpointEvery,
-		CheckpointBlocking: c.opts.CheckpointBlocking,
 		CheckpointCompress: c.opts.CheckpointCompress,
 		DeltaMaxBytes:      c.opts.DeltaMaxBytes,
 	}

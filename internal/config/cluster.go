@@ -70,8 +70,8 @@ type ClusterFile struct {
 	// negative = unlimited).
 	DeltaMaxBytes int64
 	// ApplyConcurrency sizes each head's apply-worker pool
-	// ("apply_concurrency" under [options]; 0 = engine default, any
-	// negative value = the serial pre-pipeline ablation).
+	// ("apply_concurrency" under [options]; 0 = engine default, 1 =
+	// serial apply; negative values are rejected).
 	ApplyConcurrency int
 	// LeaseDuration is the sequencer-granted read-lease length
 	// ("lease_duration", globally or under [options], a Go duration
@@ -247,12 +247,10 @@ func ClusterFromFile(f *File) (*ClusterFile, error) {
 		if c.CheckpointCompress, err = opts[0].Bool("checkpoint_compress", false); err != nil {
 			return nil, err
 		}
-		dmb, err := opts[0].Int("delta_max_bytes", 0)
-		if err != nil {
+		if c.DeltaMaxBytes, err = opts[0].Int("delta_max_bytes", 0); err != nil {
 			return nil, err
 		}
-		c.DeltaMaxBytes = dmb
-		ac, err := opts[0].Int("apply_concurrency", 0)
+		ac, err := opts[0].Uint("apply_concurrency", 0)
 		if err != nil {
 			return nil, err
 		}

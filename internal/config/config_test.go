@@ -268,3 +268,27 @@ func TestClusterValidation(t *testing.T) {
 		}
 	}
 }
+
+func TestClusterEngineOptions(t *testing.T) {
+	head := "[head h]\ngcs=a\nclient=b\npbs=c\n"
+	cluster := func(input string) (*ClusterFile, error) {
+		t.Helper()
+		f, err := Parse(strings.NewReader(input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ClusterFromFile(f)
+	}
+
+	c, err := cluster(head + "[options]\napply_concurrency = 4\ndelta_max_bytes = -1\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ApplyConcurrency != 4 || c.DeltaMaxBytes != -1 {
+		t.Errorf("ApplyConcurrency/DeltaMaxBytes = %d/%d, want 4/-1", c.ApplyConcurrency, c.DeltaMaxBytes)
+	}
+	// A pool size is never negative.
+	if _, err := cluster(head + "[options]\napply_concurrency = -1\n"); err == nil {
+		t.Error("apply_concurrency = -1 should be rejected")
+	}
+}

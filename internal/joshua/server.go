@@ -118,24 +118,14 @@ type Config struct {
 	// Default 4096 entries.
 	DedupLimit int
 
-	// ReadConcurrency sizes the replication engine's read-worker pool,
-	// which serves query commands (jstat, jnodes, jadmin) off the
-	// event loop. Zero selects the engine default (GOMAXPROCS);
-	// rsm.ReadOnLoop serves queries inline on the event loop,
-	// serialized with command application — the pre-concurrent
-	// behaviour, kept as an ablation.
-	ReadConcurrency int
 	// ReplyQueueLen bounds the engine's asynchronous reply queue; zero
 	// selects the engine default.
 	ReplyQueueLen int
 
-	// ApplyConcurrency sizes the engine's apply-worker pool and enables
-	// the pipelined write path: the WAL fsync of each event-loop round
-	// overlaps command execution, and commands on disjoint conflict
-	// domains (independent jobs) apply in parallel. Zero selects the
-	// engine default (GOMAXPROCS); rsm.ApplyOnLoop restores the strictly
-	// serial apply-then-blocking-commit path — the pre-pipeline
-	// behaviour, kept as an ablation.
+	// ApplyConcurrency sizes the engine's apply-worker pool: commands
+	// on disjoint conflict domains (independent jobs) apply in parallel
+	// while each round's WAL fsync overlaps their execution. Zero
+	// selects the engine default (GOMAXPROCS); 1 applies serially.
 	ApplyConcurrency int
 
 	// DataDir, when set, enables the replication engine's durability
@@ -154,10 +144,6 @@ type Config struct {
 	// CheckpointEvery is the applied-command cadence between
 	// checkpoints; zero selects the engine default.
 	CheckpointEvery uint64
-	// CheckpointBlocking forces the pre-concurrent checkpoint path:
-	// serialize and fsync on the event loop. Kept as an ablation; the
-	// default forks the service state and checkpoints off-loop.
-	CheckpointBlocking bool
 	// CheckpointCompress enables flate (level 1) compression of
 	// checkpoint files.
 	CheckpointCompress bool
@@ -273,14 +259,12 @@ func StartServer(cfg Config) (*Server, error) {
 		Classify:           s.classify,
 		OutputPolicy:       rsm.OutputPolicy(cfg.OutputPolicy),
 		DedupLimit:         cfg.DedupLimit,
-		ReadConcurrency:    cfg.ReadConcurrency,
 		ReplyQueueLen:      cfg.ReplyQueueLen,
 		ApplyConcurrency:   cfg.ApplyConcurrency,
 		DataDir:            cfg.DataDir,
 		SyncPolicy:         cfg.SyncPolicy,
 		SyncInterval:       cfg.SyncInterval,
 		CheckpointEvery:    cfg.CheckpointEvery,
-		CheckpointBlocking: cfg.CheckpointBlocking,
 		CheckpointCompress: cfg.CheckpointCompress,
 		DeltaMaxBytes:      cfg.DeltaMaxBytes,
 		WALSegmentBytes:    cfg.WALSegmentBytes,
@@ -430,8 +414,7 @@ func (s *Server) Close() {
 
 // serveRead builds the response for one read-classified request into
 // a pooled encoder (released by the replica's replier after the
-// send). It runs on a read-worker goroutine (or inline on the event
-// loop under the rsm.ReadOnLoop ablation), concurrently with command
+// send). It runs on a read-worker goroutine, concurrently with command
 // application, so it touches only concurrency-safe state: the batch
 // server's copy-on-write status snapshot, the lock table behind its
 // RWMutex, and the replica's counter snapshots.

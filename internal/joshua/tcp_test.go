@@ -34,25 +34,35 @@ func newTCPCluster(t *testing.T, n int) *tcpCluster {
 		headPBSAddrs = append(headPBSAddrs, pbsAddr(i))
 	}
 
-	// Mom first, so its TCP address is resolvable by the heads.
-	momEP, err := tcpnet.Listen("compute0/mom", "127.0.0.1:0", tc.res)
-	if err != nil {
-		t.Fatal(err)
+	// Listen on every endpoint and fill the resolver before anything
+	// starts: the mom, the lock client and every head's group layer
+	// resolve addresses from their own goroutines as soon as they run,
+	// and a StaticResolver is a plain map.
+	listen := func(addr transport.Addr) *tcpnet.Endpoint {
+		t.Helper()
+		ep, err := tcpnet.Listen(addr, "127.0.0.1:0", tc.res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.res[addr] = ep.TCPAddr()
+		return ep
 	}
-	tc.res["compute0/mom"] = momEP.TCPAddr()
-
+	momEP := listen("compute0/mom")
+	var groupEPs, clientEPs, pbsEPs []*tcpnet.Endpoint
+	for i := 0; i < n; i++ {
+		groupEPs = append(groupEPs, listen(gcsAddr(i)))
+		clientEPs = append(clientEPs, listen(clientAddr(i)))
+		pbsEPs = append(pbsEPs, listen(pbsAddr(i)))
+	}
 	lockEP, err := tcpnet.Listen("compute0/jmutex", "127.0.0.1:0", tc.res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No prober: this client is created before the head listeners
-	// register themselves in tc.res, and a startup probe round would
-	// read the resolver map while the setup loop below still writes it.
+
 	tc.lockCli, err = NewClient(ClientConfig{
 		Endpoint:       lockEP,
 		Heads:          headClientAddrs,
 		AttemptTimeout: 500 * time.Millisecond,
-		RedeemAfter:    -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,32 +82,16 @@ func newTCPCluster(t *testing.T, n int) *tcpCluster {
 		initial = append(initial, member(i))
 	}
 	for i := 0; i < n; i++ {
-		groupEP, err := tcpnet.Listen(gcsAddr(i), "127.0.0.1:0", tc.res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.res[gcsAddr(i)] = groupEP.TCPAddr()
-		clientEP, err := tcpnet.Listen(clientAddr(i), "127.0.0.1:0", tc.res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.res[clientAddr(i)] = clientEP.TCPAddr()
-		pbsEP, err := tcpnet.Listen(pbsAddr(i), "127.0.0.1:0", tc.res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.res[pbsAddr(i)] = pbsEP.TCPAddr()
-
 		srv := pbs.NewServer(pbs.Config{ServerName: "cluster", Nodes: []string{"compute0"}, Exclusive: true})
 		daemon := pbs.NewDaemon(srv, pbs.DaemonConfig{
-			Endpoint:       pbsEP,
+			Endpoint:       pbsEPs[i],
 			Moms:           map[string]transport.Addr{"compute0": "compute0/mom"},
 			ResendInterval: 100 * time.Millisecond,
 		})
 		head, err := StartServer(Config{
 			Self:           member(i),
-			GroupEndpoint:  groupEP,
-			ClientEndpoint: clientEP,
+			GroupEndpoint:  groupEPs[i],
+			ClientEndpoint: clientEPs[i],
 			Peers:          peers,
 			InitialMembers: initial,
 			Daemon:         daemon,

@@ -2,6 +2,8 @@ package rsm_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -30,9 +32,9 @@ func (r *kvRig) waitCheckpoint(i int, timeout time.Duration) rsm.Stats {
 }
 
 // TestOffLoopCheckpointRestart pins the forked checkpoint path end to
-// end: the kvstore implements ForkingService, so the cadence trips a
-// background capture+serialize+fsync whose durable result a restart
-// recovers from, replaying only the post-checkpoint suffix.
+// end: the cadence trips a background capture+serialize+fsync whose
+// durable result a restart recovers from, replaying only the
+// post-checkpoint suffix.
 func TestOffLoopCheckpointRestart(t *testing.T) {
 	durable := durableIn(t.TempDir(), func(c *rsm.Config) { c.CheckpointEvery = 4 })
 	r := newKVRig(t, 1, durable)
@@ -72,40 +74,75 @@ func TestOffLoopCheckpointRestart(t *testing.T) {
 	}
 }
 
-// TestBlockingCheckpointAblation pins the fallback: CheckpointBlocking
-// forces the pre-fork on-loop path even for a ForkingService, and the
-// result is just as durable.
-func TestBlockingCheckpointAblation(t *testing.T) {
-	durable := durableIn(t.TempDir(), func(c *rsm.Config) {
-		c.CheckpointEvery = 4
-		c.CheckpointBlocking = true
-	})
+// TestCheckpointFailureBacksOffAndRetries pins the checkpoint path's
+// failure handling: a directory squatting on the first checkpoint's
+// temp path makes SaveCheckpointFrom fail (EISDIR, even as root) and
+// its cleanup removes the directory. The engine counts exactly one
+// failure, retries once the backoff has passed, and a restart recovers
+// from the retried checkpoint, replaying only the suffix after it.
+func TestCheckpointFailureBacksOffAndRetries(t *testing.T) {
+	base := t.TempDir()
+	durable := durableIn(base, func(c *rsm.Config) { c.CheckpointEvery = 4 })
 	r := newKVRig(t, 1, durable)
 
+	// wal.Open deletes leftover temp files, so the trap goes in after
+	// Start and before the cadence first trips, at applied index 4.
+	trap := filepath.Join(base, string(repMember(0)), fmt.Sprintf("ckpt-%020d.ckpt.tmp", 4))
+	if err := os.Mkdir(trap, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	const n = 10
-	for i := 0; i < n; i++ {
+	put := func(i int) {
+		t.Helper()
 		req := &kvstore.Request{ReqID: r.reqID(), Op: kvstore.OpAppend, Key: fmt.Sprintf("k%d", i), Value: "v"}
 		if resp, _ := r.call(0, req, 5*time.Second); !resp.OK {
 			t.Fatalf("append %d: %+v", i, resp)
 		}
 	}
-	// Blocking checkpoints commit on the loop before the reply, so no
-	// polling is needed.
-	st := r.reps[0].Stats()
-	if st.CheckpointIndex == 0 {
-		t.Fatalf("no checkpoint after %d commands at cadence 4: %+v", n, st)
+	for i := 0; i < 4; i++ {
+		put(i)
 	}
-	if st.CkptInflight {
-		t.Error("blocking path left a background checkpoint in flight")
+	deadline := time.Now().Add(5 * time.Second)
+	for r.reps[0].Stats().CheckpointFailures == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("checkpoint over a squatted temp path never failed: %+v", r.reps[0].Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if st := r.reps[0].Stats(); st.CheckpointIndex != 0 {
+		t.Fatalf("failed checkpoint left CheckpointIndex = %d", st.CheckpointIndex)
+	}
+	if _, err := os.Stat(trap); !os.IsNotExist(err) {
+		t.Fatalf("failed checkpoint's cleanup left %s behind (stat: %v)", trap, err)
+	}
+
+	// Past the first backoff step (100 ms) the owed checkpoint is
+	// retried at the next round.
+	time.Sleep(150 * time.Millisecond)
+	for i := 4; i < n; i++ {
+		put(i)
+	}
+	st := r.waitCheckpoint(0, 5*time.Second)
+	if st.CheckpointFailures != 1 {
+		t.Errorf("CheckpointFailures = %d, want 1", st.CheckpointFailures)
+	}
+	if st.CheckpointIndex <= 4 {
+		t.Errorf("CheckpointIndex = %d, want the retry after index 4", st.CheckpointIndex)
 	}
 
 	r.crash(0)
 	r.restart(0, []gcs.MemberID{repMember(0)}, durable)
-	if got, _ := r.stores[0].Get("k0"); got != "v" {
-		t.Fatalf("recovered k0 = %q, want v", got)
+	for i := 0; i < n; i++ {
+		if got, _ := r.stores[0].Get(fmt.Sprintf("k%d", i)); got != "v" {
+			t.Fatalf("recovered k%d = %q, want v", i, got)
+		}
 	}
-	if rst := r.reps[0].Stats(); rst.RecoveryReplayed >= n {
-		t.Errorf("replayed %d of %d; the blocking checkpoint did not cut replay", rst.RecoveryReplayed, n)
+	rst := r.reps[0].Stats()
+	if rst.AppliedIndex != n || rst.CheckpointIndex == 0 {
+		t.Fatalf("recovered applied %d from checkpoint %d, want %d from a checkpoint", rst.AppliedIndex, rst.CheckpointIndex, n)
+	}
+	if rst.RecoveryReplayed != rst.AppliedIndex-rst.CheckpointIndex {
+		t.Errorf("replayed %d, want applied-checkpoint = %d", rst.RecoveryReplayed, rst.AppliedIndex-rst.CheckpointIndex)
 	}
 }
 

@@ -75,45 +75,32 @@ func (m *Mux) ConflictKey(cmd Command) string {
 // reject a corrupt or truncated section before handing it to a
 // sub-service whose decoder may not tolerate garbage.
 func (m *Mux) Snapshot() []byte {
-	e := codec.NewEncoder(256)
-	e.PutUint(uint64(len(m.names)))
-	for _, name := range m.names {
-		section := m.services[name].Snapshot()
-		e.PutString(name)
-		e.PutUint(uint64(crc32.ChecksumIEEE(section)))
-		e.PutBytes(section)
-	}
-	return e.Bytes()
+	return m.encode(func(i int) []byte { return m.services[m.names[i]].Snapshot() })
 }
 
-// Fork captures a point-in-time image of every sub-service. Services
-// implementing ForkingService contribute their own cheap fork;
-// services without the capability are snapshotted eagerly here, on
-// the caller's (event loop) goroutine — still correct, just not
-// deferred. The returned closure encodes exactly the bytes Snapshot
-// would have produced at fork time, so checkpoints and transfers are
-// byte-identical whichever path built them.
+// Fork captures every sub-service's fork in registration order; the
+// returned closure encodes exactly the bytes Snapshot would have
+// produced at fork time.
 func (m *Mux) Fork() func() []byte {
 	parts := make([]func() []byte, len(m.names))
 	for i, name := range m.names {
-		if fs, ok := m.services[name].(ForkingService); ok {
-			parts[i] = fs.Fork()
-		} else {
-			section := m.services[name].Snapshot()
-			parts[i] = func() []byte { return section }
-		}
+		parts[i] = m.services[name].Fork()
 	}
-	return func() []byte {
-		e := codec.NewEncoder(256)
-		e.PutUint(uint64(len(m.names)))
-		for i, name := range m.names {
-			section := parts[i]()
-			e.PutString(name)
-			e.PutUint(uint64(crc32.ChecksumIEEE(section)))
-			e.PutBytes(section)
-		}
-		return e.Bytes()
+	return func() []byte { return m.encode(func(i int) []byte { return parts[i]() }) }
+}
+
+// encode lays out the sections section(i) returns, one per registered
+// name, in the format Restore reads.
+func (m *Mux) encode(section func(i int) []byte) []byte {
+	e := codec.NewEncoder(256)
+	e.PutUint(uint64(len(m.names)))
+	for i, name := range m.names {
+		b := section(i)
+		e.PutString(name)
+		e.PutUint(uint64(crc32.ChecksumIEEE(b)))
+		e.PutBytes(b)
 	}
+	return e.Bytes()
 }
 
 // Restore dispatches each tagged snapshot section to its sub-service.

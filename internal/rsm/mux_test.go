@@ -13,6 +13,7 @@ type recService struct {
 	key     string // ConflictKey answer ("" = global barrier)
 	applied []string
 	state   []byte
+	forks   int
 }
 
 func (s *recService) Apply(cmd Command) []byte {
@@ -23,6 +24,14 @@ func (s *recService) Apply(cmd Command) []byte {
 func (s *recService) ConflictKey(cmd Command) string { return s.key }
 
 func (s *recService) Snapshot() []byte { return append([]byte(nil), s.state...) }
+
+// Fork copies the state under no lock (tests are single-goroutine at
+// fork time); the closure encodes the copy.
+func (s *recService) Fork() func() []byte {
+	s.forks++
+	captured := append([]byte(nil), s.state...)
+	return func() []byte { return captured }
+}
 
 func (s *recService) Restore(state []byte) error {
 	s.state = append([]byte(nil), state...)
@@ -134,44 +143,29 @@ func TestMuxManyServicesOrdered(t *testing.T) {
 	}
 }
 
-// forkRecService adds the ForkingService capability to recService: the
-// capture copies state under no lock (tests are single-goroutine at
-// fork time), the closure encodes the copy.
-type forkRecService struct {
-	recService
-	forks int
-}
-
-func (s *forkRecService) Fork() func() []byte {
-	s.forks++
-	captured := append([]byte(nil), s.state...)
-	return func() []byte { return captured }
-}
-
 func TestMuxForkMatchesSnapshot(t *testing.T) {
-	// One sub-service forks, the other doesn't: the Mux must still
-	// produce bytes identical to Snapshot at fork time, snapshotting
-	// the non-forking service eagerly.
-	fk := &forkRecService{recService: recService{name: "a", state: []byte("alpha")}}
-	plain := &recService{name: "b", state: []byte("beta")}
-	m := NewMux(routeByPrefix).Register("a", fk).Register("b", plain)
+	// The Mux forks every sub-service once and its encoder must produce
+	// bytes identical to Snapshot at fork time.
+	a := &recService{name: "a", state: []byte("alpha")}
+	b := &recService{name: "b", state: []byte("beta")}
+	m := NewMux(routeByPrefix).Register("a", a).Register("b", b)
 
 	want := m.Snapshot()
 	enc := m.Fork()
-	if fk.forks != 1 {
-		t.Fatalf("forking sub-service forked %d times, want 1", fk.forks)
+	if a.forks != 1 || b.forks != 1 {
+		t.Fatalf("sub-services forked %d and %d times, want 1 each", a.forks, b.forks)
 	}
 
 	// Mutate both services after the fork.
-	fk.state = []byte("ALPHA'd")
-	plain.state = []byte("BETA'd")
+	a.state = []byte("ALPHA'd")
+	b.state = []byte("BETA'd")
 
 	got := enc()
 	if !bytes.Equal(got, want) {
 		t.Fatalf("forked mux encode differs from snapshot at fork time")
 	}
 	// The forked image restores cleanly into a fresh assembly.
-	da := &forkRecService{recService: recService{name: "a"}}
+	da := &recService{name: "a"}
 	db := &recService{name: "b"}
 	dst := NewMux(routeByPrefix).Register("a", da).Register("b", db)
 	if err := dst.Restore(got); err != nil {

@@ -86,34 +86,6 @@ func TestConcurrentReadsDuringMutations(t *testing.T) {
 	}
 }
 
-// TestReadOnLoopAblationServesReads pins the ablation: with the pool
-// disabled the engine behaves like the pre-concurrent build — reads
-// answered inline on the event loop, zero workers — and the counters
-// still account for them.
-func TestReadOnLoopAblationServesReads(t *testing.T) {
-	r := newKVRig(t, 1, func(c *rsm.Config) { c.ReadConcurrency = rsm.ReadOnLoop })
-
-	put := &kvstore.Request{ReqID: r.reqID(), Op: kvstore.OpPut, Key: "k", Value: "v"}
-	if resp, _ := r.call(0, put, 5*time.Second); !resp.OK {
-		t.Fatalf("put: %+v", resp)
-	}
-	get := &kvstore.Request{ReqID: r.reqID(), Op: kvstore.OpGet, Key: "k"}
-	if resp, _ := r.call(0, get, 5*time.Second); !resp.OK || resp.Value != "v" {
-		t.Fatalf("get: %+v", resp)
-	}
-
-	st := r.reps[0].Stats()
-	if st.ReadWorkers != 0 {
-		t.Errorf("ReadWorkers = %d, want 0 under ReadOnLoop", st.ReadWorkers)
-	}
-	if st.ReadQueueDepth != 0 {
-		t.Errorf("ReadQueueDepth = %d, want 0 under ReadOnLoop", st.ReadQueueDepth)
-	}
-	if st.LocalReads != 1 {
-		t.Errorf("LocalReads = %d, want 1", st.LocalReads)
-	}
-}
-
 // TestDedupRetryServedOffLoop pins the retry fast path: a client
 // resending an already-applied request is answered from the sharded
 // dedup table by a read worker, without another trip through the
@@ -141,15 +113,21 @@ func TestDedupRetryServedOffLoop(t *testing.T) {
 	}
 }
 
-// TestSameClientReplyOrderUnderParallelApply pins the pipeline's reply
-// ordering: commands a client sent earlier must never be answered
-// after ones it sent later, even when parallel apply finishes the
-// later command first. A long serial run on one key (six appends, same
-// conflict key, applied in order) batches with a single fast put on
-// another key; the put's execution completes first, but its reply must
-// still trail the whole run.
+// TestSameClientReplyOrderUnderParallelApply pins the releaser's reply
+// ordering: replies follow the total order even when parallel apply
+// finishes a later command first. A long serial run on one key (six
+// appends, same conflict key, applied in order) batches with a single
+// fast put on another key; the put's execution completes first, but
+// its reply must still trail the whole run. One read worker broadcasts
+// the outstanding requests in arrival order, so total order equals
+// send order here; with more workers two outstanding requests may be
+// ordered either way (see rsm.Classifier), which is not what this
+// test isolates.
 func TestSameClientReplyOrderUnderParallelApply(t *testing.T) {
-	r := newKVRig(t, 1, func(c *rsm.Config) { c.ApplyConcurrency = 8 })
+	r := newKVRig(t, 1, func(c *rsm.Config) {
+		c.ApplyConcurrency = 8
+		c.ReadConcurrency = 1
+	})
 	r.stores[0].SetApplyCost(2 * time.Millisecond)
 
 	// Plug the apply stage so the measured commands queue up into one

@@ -28,8 +28,12 @@
 // round's client replies in order only once both its applies and its
 // covering fsync have completed — no client ever sees an
 // acknowledgment the log could still lose. Config.ApplyConcurrency
-// sizes the pool; ApplyOnLoop restores the strictly serial
-// apply-then-blocking-commit ablation.
+// sizes the pool; 1 keeps execution serial, still overlapped with the
+// fsync.
+//
+// Checkpoints and join-time state transfers never stall the loop
+// either: the loop only captures a copy-on-write image (Service.Fork),
+// and a background goroutine serializes, fsyncs, or ships it.
 //
 // The paper's central claim is that this machinery is *external*: it
 // wraps any deterministic service behind its command interface, with
@@ -81,7 +85,7 @@ type Command struct {
 }
 
 // Service is the deterministic state machine being replicated.
-// Snapshot and Restore are invoked from the Replica's event loop
+// Fork and Restore are invoked from the Replica's event loop
 // goroutine only. Apply is invoked from the event loop too — except
 // that within one event-loop round, commands whose ConflictKeys are
 // distinct and non-empty may be executed concurrently on apply-worker
@@ -108,34 +112,24 @@ type Service interface {
 	// a pure function of the command, so every replica partitions
 	// the same totally ordered batch identically.
 	ConflictKey(cmd Command) string
-	// Snapshot encodes the full service state for join-time transfer.
+	// Snapshot encodes the full service state. The engine serializes
+	// through Fork; Snapshot is the reference encoding every fork must
+	// reproduce byte for byte (the cross-replica determinism suites
+	// compare snapshots, so checkpoints and transfers encoded from a
+	// fork must be interchangeable with it).
 	Snapshot() []byte
+	// Fork captures a copy-on-write image of the state and returns its
+	// encoder. The capture runs on the event loop, serialized against
+	// Apply, and must return quickly — shallow-copy the top-level maps
+	// behind the service's read lock, nothing more. The encoder runs
+	// later on an arbitrary goroutine, concurrently with subsequent
+	// Applies, and must return exactly what Snapshot() would have
+	// returned at fork time. Checkpoints are serialized and fsynced,
+	// and join-time transfers assembled, from this image off the loop,
+	// so neither stalls command application however large the state.
+	Fork() func() []byte
 	// Restore replaces the service state from a Snapshot.
 	Restore(state []byte) error
-}
-
-// ForkingService is an optional Service capability: a service that can
-// capture a cheap copy-on-write image of its state and encode it later,
-// off the event loop. Fork is invoked from the event loop only
-// (serialized against Apply, exactly like Snapshot) and must return
-// quickly — shallow-copy the top-level maps behind the service's
-// read lock, nothing more. The returned closure encodes the captured
-// image; it runs on an arbitrary goroutine, concurrent with subsequent
-// Applies, and must produce bytes identical to what Snapshot() would
-// have returned at fork time (the cross-replica determinism suites
-// compare snapshots byte for byte, so a fork-encoded checkpoint and a
-// loop-encoded one must be interchangeable).
-//
-// When the Service implements this, the Replica serializes and fsyncs
-// checkpoints on a dedicated checkpointer goroutine and assembles
-// join-time state transfers off the loop, eliminating the periodic
-// p99.9 stall that grows with state size. Services without Fork fall
-// back to the blocking on-loop path.
-type ForkingService interface {
-	Service
-	// Fork captures the copy-on-write image (on the loop) and returns
-	// its encoder (run anywhere, later).
-	Fork() func() []byte
 }
 
 // Verdict tells the Replica what to do with one client datagram.
@@ -146,7 +140,7 @@ const (
 	Ignore Verdict = iota
 	// Reply answers immediately with the classification's response —
 	// local reads and protocol-level rejections, served without
-	// ordering (and, with a read-worker pool, off the event loop).
+	// ordering, off the event loop.
 	Reply
 	// Replicate pushes the datagram through the total order; every
 	// replica applies it and the output-mutex winner answers.
@@ -163,9 +157,9 @@ type Classification struct {
 	// Respond so the construction runs on a read worker.
 	Response []byte
 	// Respond, when non-nil, builds the reply lazily on a read-worker
-	// goroutine (or on the event loop under the ReadOnLoop ablation).
-	// It must be safe to call from any goroutine: it runs concurrently
-	// with Service.Apply. It takes precedence over Response.
+	// goroutine. It must be safe to call from any goroutine: it runs
+	// concurrently with Service.Apply. It takes precedence over
+	// Response.
 	Respond func() []byte
 	// RespondEnc, when non-nil, builds the reply into a pooled encoder
 	// (codec.GetEncoder); the replier returns the encoder to the pool
@@ -181,10 +175,15 @@ type Classification struct {
 // Classifier inspects one inbound client datagram and returns the
 // verdict plus either a prebuilt response or a deferred Respond
 // closure. It runs on the Replica's receive path — the intercept
-// goroutine, concurrent with Service.Apply (the event loop only under
-// the ReadOnLoop ablation) — so it must be safe to call from any
-// goroutine and should stay cheap: parse the verdict and request ID,
-// and push response construction into Respond.
+// goroutine, concurrent with Service.Apply — so it must be safe to
+// call from any goroutine and should stay cheap: parse the verdict and
+// request ID, and push response construction into Respond.
+//
+// Replicate-classified requests are broadcast by the read-worker pool,
+// so two requests one client has outstanding at the same time may
+// enter the total order — and be answered — in either order: replies
+// follow total order, not send order. A client that needs its commands
+// applied in send order awaits each reply before sending the next.
 type Classifier func(payload []byte) Classification
 
 // OutputPolicy selects which replica relays command output back to
@@ -203,19 +202,6 @@ const (
 	// it.
 	LeaderReplies
 )
-
-// ReadOnLoop disables the read-worker pool: Reply-classified
-// datagrams and dedup-retry probes are served on the event-loop
-// goroutine, serialized against command application — the original
-// engine behaviour, kept as an ablation (and for single-core
-// deployments where the pool buys nothing).
-const ReadOnLoop = -1
-
-// ApplyOnLoop disables the pipelined apply path: every round applies
-// its commands serially on the event loop and then blocks on the
-// WAL group commit before releasing any reply — the pre-pipeline
-// engine behaviour, kept as an ablation (mirroring ReadOnLoop).
-const ApplyOnLoop = -1
 
 // Config parameterizes a Replica.
 type Config struct {
@@ -252,14 +238,13 @@ type Config struct {
 	DedupLimit int
 
 	// ReadConcurrency sizes the read-worker pool that serves
-	// Reply-classified datagrams and dedup-retry probes off the event
-	// loop. Zero selects the default, runtime.GOMAXPROCS(0);
-	// ReadOnLoop (any negative value) disables the pool and serves
-	// reads on the event loop, the pre-concurrent ablation.
+	// Reply-classified datagrams, dedup-retry probes and broadcasts off
+	// the event loop. Zero selects the default, runtime.GOMAXPROCS(0);
+	// negative is a Start error.
 	ReadConcurrency int
 	// ReadQueueLen bounds the queue feeding the read workers. When it
-	// fills, the event loop serves the datagram inline rather than
-	// dropping it. Default 256.
+	// fills, the intercept goroutine serves the datagram inline rather
+	// than dropping it. Default 256.
 	ReadQueueLen int
 	// ReplyQueueLen bounds the asynchronous reply queue through which
 	// every clientEP.Send flows (command output, local reads, dedup
@@ -271,13 +256,10 @@ type Config struct {
 
 	// ApplyConcurrency sizes the bounded worker pool that executes
 	// non-conflicting per-key runs of one round's batch in parallel
-	// (see Service.ConflictKey), and enables the pipelined write
-	// path: the round's WAL fsync runs concurrently with execution,
-	// and replies are released by durability watermark instead of an
-	// end-of-round blocking commit. Zero selects the default,
-	// runtime.GOMAXPROCS(0); 1 keeps execution serial while still
-	// overlapping it with the fsync; ApplyOnLoop (any negative value)
-	// disables the pipeline entirely — the pre-pipeline ablation.
+	// (see Service.ConflictKey) while the round's WAL fsync is in
+	// flight. Zero selects the default, runtime.GOMAXPROCS(0); 1 keeps
+	// execution serial while still overlapping it with the fsync;
+	// negative is a Start error.
 	ApplyConcurrency int
 
 	// LeaseDuration controls sequencer-granted read leases, which let
@@ -325,11 +307,6 @@ type Config struct {
 	// CheckpointEvery is the applied-command cadence between
 	// checkpoints. Default 1024.
 	CheckpointEvery uint64
-	// CheckpointBlocking forces checkpoints onto the event loop (the
-	// pre-fork serialize+fsync-in-place path) even when the Service
-	// implements ForkingService — the stall ablation that
-	// `jbench -fig checkpoint` measures against.
-	CheckpointBlocking bool
 	// CheckpointCompress flate-compresses checkpoint files (level 1);
 	// see wal.Options.Compress.
 	CheckpointCompress bool
@@ -363,10 +340,10 @@ type Stats struct {
 	Views           uint64 // views installed
 	DedupEntries    int    // current deduplication-table size (gauge)
 	ReadQueueDepth  int    // datagrams waiting for a read worker (gauge)
-	ReadWorkers     int    // read-worker pool size (0 = on-loop)
+	ReadWorkers     int    // read-worker pool size
 
-	// Pipelined apply path (zero under the ApplyOnLoop ablation).
-	ApplyWorkers      int    // apply-worker pool size (0 = pre-pipeline ablation)
+	// Apply pipeline.
+	ApplyWorkers      int    // apply-worker pool size (1 = serial execution)
 	ApplyParallelRuns uint64 // per-key runs executed on the worker pool
 	ApplyBarriers     uint64 // commands applied alone as global barriers (empty ConflictKey)
 	FsyncOverlapNs    uint64 // cumulative ns the WAL fsync ran concurrently with the apply stage
@@ -381,8 +358,8 @@ type Stats struct {
 	WALSegments      int    // on-disk log segments (gauge)
 	CheckpointIndex  uint64 // newest durable checkpoint's applied index
 
-	// Checkpointing (see ForkingService; Ckpt* are zero until the
-	// first checkpoint completes).
+	// Checkpointing (see Service.Fork; Ckpt* are zero until the first
+	// checkpoint completes).
 	CheckpointFailures uint64 // failed checkpoint attempts (retried after backoff)
 	CkptInflight       bool   // a background checkpoint is being written (gauge)
 	CkptLastDurationNs uint64 // wall time of the newest completed checkpoint
@@ -433,10 +410,10 @@ type reply struct {
 	enc     *codec.Encoder
 }
 
-// pendingApply is one delivery of a pipelined round. The round's
-// commands live in a reused slab ([]pendingApply, value entries), and
-// per-key runs are threaded through it with next indices, so batching
-// a round allocates no per-command nodes.
+// pendingApply is one delivery of a round. The round's commands live
+// in a reused slab ([]pendingApply, value entries), and per-key runs
+// are threaded through it with next indices, so batching a round
+// allocates no per-command nodes.
 type pendingApply struct {
 	env   *envelope
 	cmd   Command
@@ -472,10 +449,11 @@ type applyRun struct {
 	head int32
 }
 
-// ckptJob is one background checkpoint: the applied index it covers,
-// the forked service encoder, and the dedup-table snapshot captured on
-// the loop at the same instant (capturing it later would let the table
-// drift past the service image and break exactly-once on recovery).
+// ckptJob is one replica image for a background checkpoint or state
+// transfer: the applied index it covers, the forked service encoder,
+// and the dedup-table snapshot captured on the loop at the same
+// instant (capturing it later would let the table drift past the
+// service image and break exactly-once on recovery).
 type ckptJob struct {
 	index  uint64
 	encode func() []byte
@@ -491,11 +469,6 @@ type Replica struct {
 	clientEP transport.Endpoint
 	service  Service
 
-	// forkSvc is non-nil when the service supports copy-on-write forks
-	// (and Config.CheckpointBlocking is unset): checkpoints then
-	// serialize and fsync on the checkpointer goroutine, and state
-	// transfers are assembled off the loop.
-	forkSvc ForkingService
 	// ckptQ feeds the checkpointer goroutine; ckptInflight gates it to
 	// one outstanding background checkpoint (so the buffered-1 send
 	// below never blocks the loop).
@@ -526,24 +499,21 @@ type Replica struct {
 	// stream.
 	dedup *dedupTable
 
-	// readQ feeds the read-worker pool; nil under ReadOnLoop.
+	// readQ feeds the read-worker pool.
 	readQ chan readTask
 	// replyQ carries every outbound client response; a dedicated
 	// replier goroutine drains it so no protocol goroutine ever blocks
 	// in clientEP.Send.
 	replyQ chan reply
 
-	// applyConc is the resolved apply-pool size; 0 selects the
-	// ApplyOnLoop ablation (serial apply + blocking commit).
-	applyConc int
 	// applyQ feeds the persistent apply workers one per-key run at a
-	// time (created only when applyConc > 1). The event loop is the
-	// sole sender and closes it on exit, so every queued run is drained
-	// before the workers stop and applyWG.Wait can never hang.
+	// time (created only when ApplyConcurrency > 1). The event loop is
+	// the sole sender and closes it on exit, so every queued run is
+	// drained before the workers stop and applyWG.Wait can never hang.
 	applyQ  chan applyRun
 	applyWG sync.WaitGroup
 	// relQ feeds the releaser goroutine one releaseBatch per round, in
-	// round order; nil under ApplyOnLoop.
+	// round order.
 	relQ chan releaseBatch
 	// envFree / replyFree recycle the per-round envelope and reply
 	// slices between the loop (producer) and the releaser (consumer),
@@ -577,10 +547,10 @@ type Replica struct {
 	// client addresses decoded out of envelopes (see internTable).
 	originIntern internTable
 	clientIntern internTable
-	// batchBuf collects one pipelined round's envelopes; paBuf is the
-	// round's pendingApply slab; posIdx maps ReqID → first copy this
-	// round; runHeads/runTails/runIdx build the per-key runs. All are
-	// reused across rounds.
+	// batchBuf collects one round's envelopes; paBuf is the round's
+	// pendingApply slab; posIdx maps ReqID → first copy this round;
+	// runHeads/runTails/runIdx build the per-key runs. All are reused
+	// across rounds.
 	batchBuf []*envelope
 	paBuf    []pendingApply
 	posIdx   map[string]int
@@ -592,14 +562,8 @@ type Replica struct {
 	// It is the WAL record index, the checkpoint position, and the
 	// version a restarted head advertises when rejoining.
 	appliedIdx uint64
-	// walDirty marks appends awaiting the end-of-round group commit;
 	// sinceCkpt counts applies since the last checkpoint.
-	walDirty  bool
 	sinceCkpt uint64
-	// pendingReplies defers client responses until the round's WAL
-	// commit, so no client ever sees an acknowledgment for a command
-	// the log could still lose.
-	pendingReplies []reply
 
 	// log is the durability layer; nil without Config.DataDir.
 	log *wal.Log
@@ -624,14 +588,15 @@ func Start(cfg Config) (*Replica, error) {
 	if cfg.ClientEndpoint == nil {
 		return nil, errors.New("rsm: Config.ClientEndpoint required")
 	}
+	if cfg.ReadConcurrency < 0 || cfg.ApplyConcurrency < 0 {
+		return nil, fmt.Errorf("rsm: negative pool size (ReadConcurrency %d, ApplyConcurrency %d)",
+			cfg.ReadConcurrency, cfg.ApplyConcurrency)
+	}
 	if cfg.DedupLimit <= 0 {
 		cfg.DedupLimit = 4096
 	}
 	if cfg.ReadConcurrency == 0 {
 		cfg.ReadConcurrency = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ReadConcurrency < 0 {
-		cfg.ReadConcurrency = 0 // ReadOnLoop ablation
 	}
 	if cfg.ReadQueueLen <= 0 {
 		cfg.ReadQueueLen = 256
@@ -642,9 +607,6 @@ func Start(cfg Config) (*Replica, error) {
 	if cfg.ApplyConcurrency == 0 {
 		cfg.ApplyConcurrency = runtime.GOMAXPROCS(0)
 	}
-	if cfg.ApplyConcurrency < 0 {
-		cfg.ApplyConcurrency = 0 // ApplyOnLoop ablation
-	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 1024
 	}
@@ -653,17 +615,13 @@ func Start(cfg Config) (*Replica, error) {
 	}
 
 	r := &Replica{
-		cfg:       cfg,
-		clientEP:  cfg.ClientEndpoint,
-		service:   cfg.Service,
-		done:      make(chan struct{}),
-		ready:     make(chan struct{}),
-		dedup:     newDedupTable(cfg.DedupLimit),
-		replyQ:    make(chan reply, cfg.ReplyQueueLen),
-		applyConc: cfg.ApplyConcurrency,
-	}
-	if fs, ok := cfg.Service.(ForkingService); ok && !cfg.CheckpointBlocking {
-		r.forkSvc = fs
+		cfg:      cfg,
+		clientEP: cfg.ClientEndpoint,
+		service:  cfg.Service,
+		done:     make(chan struct{}),
+		ready:    make(chan struct{}),
+		dedup:    newDedupTable(cfg.DedupLimit),
+		replyQ:   make(chan reply, cfg.ReplyQueueLen),
 	}
 	r.stats.ReadWorkers = cfg.ReadConcurrency
 	r.stats.ApplyWorkers = cfg.ApplyConcurrency
@@ -672,9 +630,9 @@ func Start(cfg Config) (*Replica, error) {
 	// post-checkpoint log records through the same conflict-keyed pool
 	// live rounds use; failure paths below close applyQ to let them
 	// drain and exit (run() owns the close once it starts).
-	if r.applyConc > 1 {
-		r.applyQ = make(chan applyRun, r.applyConc*2)
-		for i := 0; i < r.applyConc; i++ {
+	if n := cfg.ApplyConcurrency; n > 1 {
+		r.applyQ = make(chan applyRun, n*2)
+		for i := 0; i < n; i++ {
 			go r.applyWorker()
 		}
 	}
@@ -745,20 +703,16 @@ func Start(cfg Config) (*Replica, error) {
 	r.mallocs0 = ms.Mallocs
 
 	go r.replier()
-	if cfg.ReadConcurrency > 0 {
-		r.readQ = make(chan readTask, cfg.ReadQueueLen)
-		for i := 0; i < cfg.ReadConcurrency; i++ {
-			go r.readWorker()
-		}
-		go r.intercept()
+	r.readQ = make(chan readTask, cfg.ReadQueueLen)
+	for i := 0; i < cfg.ReadConcurrency; i++ {
+		go r.readWorker()
 	}
-	if r.applyConc > 0 {
-		r.relQ = make(chan releaseBatch, 64)
-		r.envFree = make(chan []*envelope, 4)
-		r.replyFree = make(chan []reply, 4)
-		go r.releaser()
-	}
-	if r.forkSvc != nil && r.log != nil {
+	go r.intercept()
+	r.relQ = make(chan releaseBatch, 64)
+	r.envFree = make(chan []*envelope, 4)
+	r.replyFree = make(chan []reply, 4)
+	go r.releaser()
+	if r.log != nil {
 		r.ckptQ = make(chan ckptJob, 1)
 		go r.checkpointer()
 	}
@@ -827,9 +781,7 @@ func (r *Replica) Stats() Stats {
 	st.LeaseReads = r.leaseReads.Load()
 	st.LeaseFallbacks = r.leaseFallbacks.Load()
 	st.LeaseRevocations = r.group.Stats().LeaseRevocations
-	if r.readQ != nil {
-		st.ReadQueueDepth = len(r.readQ)
-	}
+	st.ReadQueueDepth = len(r.readQ)
 	if r.cfg.ReadCacheHits != nil {
 		st.ReadCacheHits = r.cfg.ReadCacheHits()
 	}
@@ -899,11 +851,9 @@ func (r *Replica) bump(f func(*Stats)) {
 	r.statsMu.Unlock()
 }
 
-// run is the replica's event loop. With the read-worker pool enabled
-// the intercept goroutine owns the client endpoint and this loop
-// handles group events only, so a slow Apply never delays datagram
-// interception; under ReadOnLoop client datagrams are handled here,
-// serialized against command application (the ablation's contract).
+// run is the replica's event loop. The intercept goroutine owns the
+// client endpoint, so this loop handles group events only and a slow
+// Apply never delays datagram interception.
 func (r *Replica) run() {
 	labelStage("event_loop")
 	if r.applyQ != nil {
@@ -912,10 +862,6 @@ func (r *Replica) run() {
 		defer close(r.applyQ)
 	}
 	events := r.group.Events()
-	var recv <-chan transport.Message // nil when intercept owns the endpoint
-	if r.readQ == nil {
-		recv = r.clientEP.Recv()
-	}
 	for {
 		select {
 		case <-r.done:
@@ -924,78 +870,20 @@ func (r *Replica) run() {
 			if !ok {
 				return
 			}
-			if r.applyConc > 0 {
-				// Pipelined write path: the round's WAL fsync runs
-				// concurrently with its (conflict-partitioned) apply
-				// stage, and the releaser couples replies to the
-				// durability watermark.
-				r.runPipelinedRound(e, events)
-				continue
-			}
-			r.handleGroupEvent(e)
-			// Drain whatever else arrived this round, then commit
-			// once: under SyncPolicy=always that is one fsync per
-			// round covering the whole batch of applied commands
-			// (group commit), and client replies are released only
-			// after it.
-			r.drainGroupEvents(events)
-			r.commitRound()
-		case dg, ok := <-recv:
-			if !ok {
-				return
-			}
-			r.handleClientDatagram(dg)
+			r.runRound(e, events)
 		}
 	}
 }
 
-// maxEventsPerRound bounds one commit round so a firehose of
-// deliveries cannot starve client-datagram handling under ReadOnLoop.
+// maxEventsPerRound bounds one round's batch, and with it how long the
+// round's first command waits for the batch to be collected.
 const maxEventsPerRound = 256
 
-func (r *Replica) drainGroupEvents(events <-chan gcs.Event) {
-	for i := 0; i < maxEventsPerRound; i++ {
-		select {
-		case e, ok := <-events:
-			if !ok {
-				return
-			}
-			r.handleGroupEvent(e)
-		default:
-			return
-		}
-	}
-}
-
-// commitRound ends one event-loop round: group-commit the WAL,
-// checkpoint if the cadence is due, then release the round's deferred
-// client replies.
-func (r *Replica) commitRound() {
-	if r.log != nil && r.walDirty {
-		if err := r.log.Commit(); err != nil {
-			r.logf("wal commit failed: %v", err)
-		}
-		r.walDirty = false
-		r.durableIdx.Store(r.appliedIdx)
-		r.maybeCheckpoint()
-	}
-	for _, rep := range r.pendingReplies {
-		if rep.enc != nil {
-			r.sendAsyncEnc(rep.to, rep.enc)
-		} else {
-			r.sendAsync(rep.to, rep.payload)
-		}
-	}
-	r.pendingReplies = r.pendingReplies[:0]
-}
-
-// maybeCheckpoint starts (or performs) a checkpoint when the cadence
-// is due, or when a failed attempt's retry backoff has expired. With a
-// ForkingService the loop only captures the copy-on-write image and
-// the dedup snapshot — both must reflect exactly appliedIdx — and the
-// checkpointer goroutine serializes, CRCs, and fsyncs off-loop; the
-// blocking path remains for services without Fork (and the
-// CheckpointBlocking ablation).
+// maybeCheckpoint starts a checkpoint when the cadence is due, or when
+// a failed attempt's retry backoff has expired. The loop only captures
+// the copy-on-write image and the dedup snapshot — both must reflect
+// exactly appliedIdx — and the checkpointer goroutine serializes,
+// CRCs, and fsyncs off-loop.
 func (r *Replica) maybeCheckpoint() {
 	if r.log == nil {
 		return
@@ -1006,41 +894,26 @@ func (r *Replica) maybeCheckpoint() {
 	if at := r.ckptRetryAt.Load(); at != 0 && time.Now().UnixNano() < at {
 		return // failure backoff: don't thrash the serialize+fsync
 	}
-	if r.forkSvc == nil {
-		r.checkpointNow()
-		return
-	}
 	if r.ckptInflight.Load() {
 		return // one outstanding background checkpoint at a time
 	}
-	ids, resps := r.dedup.snapshot()
-	job := ckptJob{index: r.appliedIdx, encode: r.forkSvc.Fork(), ids: ids, resps: resps}
+	job := r.fork()
 	r.ckptInflight.Store(true)
 	r.ckptRetry.Store(false)
 	r.sinceCkpt = 0
 	r.ckptQ <- job // buffered 1; the inflight gate makes this non-blocking
 }
 
-// checkpointNow durably snapshots the full replica state at the
-// current applied index, blocking the event loop for the duration; the
-// log releases every segment the checkpoint covers.
-func (r *Replica) checkpointNow() {
-	t0 := time.Now()
-	state := r.encodeState()
-	if err := r.log.SaveCheckpoint(r.appliedIdx, state); err != nil {
-		r.logf("checkpoint at %d failed: %v", r.appliedIdx, err)
-		r.checkpointFailed()
-		return
-	}
-	r.sinceCkpt = 0
-	r.checkpointDone(t0, len(state))
-	r.logf("checkpoint at applied index %d", r.appliedIdx)
+// fork captures the replica image at the current applied index; loop
+// only.
+func (r *Replica) fork() ckptJob {
+	ids, resps := r.dedup.snapshot()
+	return ckptJob{index: r.appliedIdx, encode: r.service.Fork(), ids: ids, resps: resps}
 }
 
 // checkpointer serializes, frames, and fsyncs forked checkpoint images
-// off the event loop — the streaming half of the ForkingService path.
-// One job is in flight at a time (ckptInflight); failures arm the same
-// retry backoff the blocking path uses.
+// off the event loop. One job is in flight at a time (ckptInflight);
+// a failure arms the retry backoff.
 func (r *Replica) checkpointer() {
 	labelStage("checkpointer")
 	for {
@@ -1059,11 +932,11 @@ func (r *Replica) checkpointer() {
 			size := len(prefix) + len(st.Service) + len(tail)
 			src := io.MultiReader(&pacedReader{b: prefix}, &pacedReader{b: st.Service}, &pacedReader{b: tail})
 			if err := r.log.SaveCheckpointFrom(job.index, src); err != nil {
-				r.logf("background checkpoint at %d failed: %v", job.index, err)
+				r.logf("checkpoint at %d failed: %v", job.index, err)
 				r.checkpointFailed()
 			} else {
 				r.checkpointDone(t0, size)
-				r.logf("checkpoint at applied index %d (off-loop)", job.index)
+				r.logf("checkpoint at applied index %d", job.index)
 			}
 			r.ckptInflight.Store(false)
 		}
@@ -1107,10 +980,9 @@ const (
 )
 
 // checkpointFailed arms the retry backoff after a failed checkpoint
-// attempt. sinceCkpt is deliberately not reset: the checkpoint is
-// still owed, but the backoff keeps the loop from re-running the full
-// serialize+fsync every round against a sick disk. Safe from the loop
-// (blocking path) and the checkpointer goroutine alike.
+// attempt: the checkpoint is still owed (ckptRetry), but the backoff
+// keeps the loop from re-running the full serialize+fsync every round
+// against a sick disk.
 func (r *Replica) checkpointFailed() {
 	n := r.ckptFails.Add(1)
 	shift := n - 1
@@ -1139,17 +1011,19 @@ func (r *Replica) checkpointDone(t0 time.Time, size int) {
 	})
 }
 
-// runPipelinedRound is the pipelined counterpart of one
-// handleGroupEvent+drainGroupEvents+commitRound round: deliveries are
-// collected into a batch and executed through applyBatch (WAL fsync
-// overlapping the conflict-partitioned apply stage), while control
-// events (views, state transfer) act as ordering points — everything
-// delivered before them is applied first, and any side effects they
-// produce are flushed to the releaser before the round continues.
-func (r *Replica) runPipelinedRound(first gcs.Event, events <-chan gcs.Event) {
+// runRound is one event-loop round: deliveries are collected into a
+// batch and executed through applyBatch (WAL fsync overlapping the
+// conflict-partitioned apply stage), while control events (views,
+// state transfer) act as ordering points — everything delivered before
+// them is applied first.
+func (r *Replica) runRound(first gcs.Event, events <-chan gcs.Event) {
 	batch := r.batchBuf[:0]
 	flush := func() {
 		r.applyBatch(batch)
+		// Every delivery in the batch is now reflected in local state;
+		// credit them against the group layer's delivered count so
+		// leased reads know the apply queue is drained.
+		r.delivHandled.Add(uint64(len(batch)))
 		batch = batch[:0]
 	}
 	handle := func(e gcs.Event) {
@@ -1166,45 +1040,21 @@ func (r *Replica) runPipelinedRound(first gcs.Event, events <-chan gcs.Event) {
 		}
 		flush()
 		r.handleGroupEvent(e)
-		r.flushControlEffects()
 	}
 	handle(first)
 	for i := 1; i < maxEventsPerRound; i++ {
 		select {
 		case e, ok := <-events:
-			if !ok {
-				flush()
-				r.batchBuf = batch[:0]
-				return
+			if ok {
+				handle(e)
+				continue
 			}
-			handle(e)
 		default:
-			flush()
-			r.batchBuf = batch[:0]
-			return
 		}
+		break // the queue is drained (or closed): end the round
 	}
 	flush()
 	r.batchBuf = batch[:0]
-}
-
-// flushControlEffects pushes side effects produced outside applyBatch
-// — delta-transfer replay appends and replies go through applyEnvelope
-// — into the release pipeline, preserving the durability gate and the
-// in-order release guarantee for them too.
-func (r *Replica) flushControlEffects() {
-	if len(r.pendingReplies) == 0 && !r.walDirty {
-		return
-	}
-	now := time.Now()
-	b := releaseBatch{replies: r.pendingReplies, t0: now, applyEnd: now}
-	r.pendingReplies = r.takeReplySlice()
-	if r.log != nil && r.walDirty {
-		b.tk = r.log.CommitTicket()
-		b.maxIndex = r.appliedIdx
-		r.walDirty = false
-	}
-	r.dispatch(b)
 }
 
 // takeReplySlice / takeEnvSlice pull a recycled per-round slice from
@@ -1257,6 +1107,7 @@ func (r *Replica) applyBatch(batch []*envelope) {
 	clear(r.posIdx)
 	pos := r.posIdx // ReqID → first copy this round
 	fresh := 0
+	dirty := false // the round appended to the log
 	for _, env := range batch {
 		cmds = append(cmds, pendingApply{env: env, dupOf: -1, next: -1})
 		pa := &cmds[len(cmds)-1]
@@ -1282,7 +1133,7 @@ func (r *Replica) applyBatch(batch []*envelope) {
 					env.release()
 					r.logf("wal append at %d failed: %v", pa.index, err)
 				} else {
-					r.walDirty = true
+					dirty = true
 					r.sinceCkpt++
 				}
 			}
@@ -1301,10 +1152,9 @@ func (r *Replica) applyBatch(batch []*envelope) {
 	// the batch while it is in flight.
 	var tk *wal.Ticket
 	var maxIndex uint64
-	if r.log != nil && r.walDirty {
+	if dirty {
 		tk = r.log.CommitTicket()
 		maxIndex = r.appliedIdx
-		r.walDirty = false
 	}
 
 	r.applySections(cmds)
@@ -1323,6 +1173,9 @@ func (r *Replica) applyBatch(batch []*envelope) {
 		} else if !pa.seen {
 			r.dedupInsert(pa.env.ReqID, pa.resp, pa.index)
 		}
+		// Output mutual exclusion, and no output outside the primary
+		// component: a minority fragment may keep its local state
+		// self-consistent, but its results must never reach users.
 		if pa.env.Client == "" || !r.view.Primary || !r.shouldReply(pa.env) {
 			continue
 		}
@@ -1342,11 +1195,6 @@ func (r *Replica) applyBatch(batch []*envelope) {
 	}
 	envs := append(r.takeEnvSlice(), batch...)
 	r.dispatch(releaseBatch{tk: tk, maxIndex: maxIndex, replies: replies, envs: envs, t0: t0, applyEnd: applyEnd})
-
-	// Every delivery in the batch is now reflected in local state;
-	// credit them against the group layer's delivered count so leased
-	// reads know the apply queue is drained.
-	r.delivHandled.Add(uint64(len(batch)))
 
 	r.maybeCheckpoint()
 }
@@ -1557,17 +1405,6 @@ func (r *Replica) handleGroupEvent(e gcs.Event) {
 		r.bump(func(st *Stats) { st.Views++ })
 		r.readyOnce.Do(func() { close(r.ready) })
 		r.logf("view %d members=%v primary=%v", ev.View.ID, ev.View.Members, ev.View.Primary)
-	case gcs.DeliverEvent:
-		env := getEnvelope()
-		if err := r.decodeEnvelopeInto(env, ev.Payload); err != nil {
-			env.release()
-			r.logf("dropping malformed replicated command: %v", err)
-			r.delivHandled.Add(1)
-			return
-		}
-		r.applyEnvelope(env)
-		env.release()
-		r.delivHandled.Add(1)
 	case gcs.SnapshotRequestEvent:
 		r.serveTransfer(ev)
 	case gcs.StateTransferEvent:
@@ -1580,12 +1417,11 @@ func (r *Replica) handleGroupEvent(e gcs.Event) {
 }
 
 // handleClientDatagram intercepts one client request: the cheap
-// verdict/ReqID parse runs here on the receive path (the intercept
-// goroutine, or the event loop under ReadOnLoop), then the work —
-// response construction for reads, the dedup-retry probe and
+// verdict/ReqID parse runs here on the intercept goroutine, then the
+// work — response construction for reads, the dedup-retry probe and
 // broadcast for commands — is handed to the read-worker pool. If the
-// pool is saturated (or disabled by ReadOnLoop) the datagram is
-// served inline so nothing is ever lost to a full queue.
+// pool is saturated the datagram is served inline so nothing is ever
+// lost to a full queue.
 func (r *Replica) handleClientDatagram(dg transport.Message) {
 	cls := r.cfg.Classify(dg.Payload)
 	if cls.Verdict == Ignore {
@@ -1593,12 +1429,10 @@ func (r *Replica) handleClientDatagram(dg transport.Message) {
 	}
 	r.bump(func(st *Stats) { st.Intercepted++ })
 
-	if r.readQ != nil {
-		select {
-		case r.readQ <- readTask{from: dg.From, payload: dg.Payload, cls: cls}:
-			return
-		default: // pool saturated: degrade to inline service
-		}
+	select {
+	case r.readQ <- readTask{from: dg.From, payload: dg.Payload, cls: cls}:
+		return
+	default: // pool saturated: degrade to inline service
 	}
 	r.serveRequest(dg.From, dg.Payload, cls)
 }
@@ -1617,9 +1451,12 @@ func (r *Replica) readWorker() {
 }
 
 // serveRequest finishes one classified datagram. It runs on a read
-// worker (or inline on the event loop under ReadOnLoop/overflow), so
-// it may touch only concurrency-safe state: the sharded dedup table,
-// the group layer's view, and whatever the Respond closure guards.
+// worker (or inline on the intercept goroutine on overflow), so it may
+// touch only concurrency-safe state: the sharded dedup table, the
+// group layer's view, and whatever the Respond closure guards. With
+// several workers, two of one client's outstanding commands may reach
+// Broadcast in either order; their replies follow the total order
+// they get, not the order they were sent (see Classifier).
 func (r *Replica) serveRequest(from transport.Addr, payload []byte, cls Classification) {
 	if cls.Verdict == Reply {
 		r.bump(func(st *Stats) { st.LocalReads++ })
@@ -1721,81 +1558,6 @@ func (r *Replica) replier() {
 	}
 }
 
-// applyEnvelope executes one totally ordered command against the
-// local service. Every replica runs this for every command in the
-// same order; exactly one (per OutputPolicy) relays the output.
-func (r *Replica) applyEnvelope(env *envelope) {
-	// Output mutual exclusion, and output suppression outside the
-	// primary component: a minority fragment may keep its local state
-	// self-consistent, but its results must never reach users — the
-	// primary component's are authoritative. Internally originated
-	// commands have no client at all.
-	wantReply := env.Client != "" && r.view.Primary && r.shouldReply(env)
-
-	if _, _, seen := r.dedup.lookup(env.ReqID); !seen {
-		// First delivery: execute. A duplicate (the same request
-		// replicated twice because the client retried at a second
-		// replica before the first replica's broadcast was delivered)
-		// reuses the recorded response.
-		respBytes := r.applyCommand(env)
-		if r.log != nil {
-			// The staged frame shares the envelope's wire buffer; the
-			// ref keeps it alive until the flush.
-			env.ref()
-			if err := r.log.AppendShared(r.appliedIdx, env.wire(), env); err != nil {
-				env.release()
-				r.logf("wal append at %d failed: %v", r.appliedIdx, err)
-			} else {
-				r.walDirty = true
-				r.sinceCkpt++
-			}
-		}
-		if wantReply && respBytes != nil {
-			if r.log != nil {
-				// Held back until the round's WAL commit: acknowledge
-				// only what the log has accepted.
-				r.pendingReplies = append(r.pendingReplies, reply{to: env.Client, payload: respBytes})
-			} else {
-				r.sendAsync(env.Client, respBytes)
-			}
-		}
-		return
-	}
-	if !wantReply {
-		return
-	}
-	// Recorded response: copy it out of the table under its lock (the
-	// entry's buffer recycles on eviction) into a pooled encoder owned
-	// by the reply path.
-	if enc, _, ok := r.dedup.fetch(env.ReqID); ok && enc != nil {
-		if r.log != nil {
-			r.pendingReplies = append(r.pendingReplies, reply{to: env.Client, payload: enc.Bytes(), enc: enc})
-		} else {
-			r.sendAsyncEnc(env.Client, enc)
-		}
-	}
-}
-
-// applyCommand executes one never-seen command: applied-index advance,
-// service apply, dedup insert. Shared by live delivery, recovery
-// replay, and delta-transfer replay.
-func (r *Replica) applyCommand(env *envelope) []byte {
-	r.appliedIdx++
-	r.appliedPub.Store(r.appliedIdx)
-	respBytes := r.service.Apply(Command{
-		ReqID:   env.ReqID,
-		Payload: env.Payload,
-		Origin:  env.Origin,
-		Client:  env.Client,
-	})
-	r.dedupInsert(env.ReqID, respBytes, r.appliedIdx)
-	r.bump(func(st *Stats) {
-		st.Applied++
-		st.AppliedIndex = r.appliedIdx
-	})
-	return respBytes
-}
-
 // shouldReply implements the output mutual exclusion.
 func (r *Replica) shouldReply(env *envelope) bool {
 	switch r.cfg.OutputPolicy {
@@ -1816,21 +1578,6 @@ func (r *Replica) dedupInsert(reqID string, resp []byte, index uint64) {
 		return
 	}
 	r.bump(func(st *Stats) { st.DedupEntries = r.dedup.live() })
-}
-
-// encodeState builds the full replica state — the service snapshot,
-// its applied index, and the deduplication table (so client retries do
-// not re-execute on the recipient). It is both the checkpoint format
-// and the full state-transfer payload.
-func (r *Replica) encodeState() []byte {
-	ids, resps := r.dedup.snapshot()
-	st := &replicaState{
-		Applied:   r.appliedIdx,
-		Service:   r.service.Snapshot(),
-		DedupIDs:  ids,
-		DedupResp: resps,
-	}
-	return st.encode()
 }
 
 // loadState installs a decoded replicaState: service, dedup table,
@@ -1864,28 +1611,15 @@ func (r *Replica) deltaMax() int {
 	return int(r.cfg.DeltaMaxBytes)
 }
 
-// serveTransfer answers a join-time snapshot request. Without a
-// ForkingService (or without a log) it runs the pre-fork blocking
-// path on the loop: log-suffix delta when the WAL retains the joiner's
-// gap, full encodeState otherwise. With one, the loop only captures a
-// copy-on-write image and the dedup snapshot, and a background
-// goroutine assembles the transfer and calls ev.Reply — the group's
-// flush protocol blocks quiescent until the reply (or its timeout), so
-// a late reply from another goroutine is the intended contract, and
-// the donor's event loop never stalls on a 4000-node join.
+// serveTransfer answers a join-time snapshot request. The loop only
+// captures a copy-on-write image and the dedup snapshot, and a
+// background goroutine assembles the transfer and calls ev.Reply — the
+// group's flush protocol blocks quiescent until the reply (or its
+// timeout), so a late reply from another goroutine is the intended
+// contract, and the donor's event loop never stalls on a 4000-node
+// join.
 func (r *Replica) serveTransfer(ev gcs.SnapshotRequestEvent) {
-	if r.forkSvc == nil || r.log == nil {
-		if out, ok := r.tryDeltaTransfer(ev.Since, r.appliedIdx); ok {
-			ev.Reply(out)
-			return
-		}
-		r.bump(func(st *Stats) { st.TransferOutFull++ })
-		ev.Reply(frameTransfer(transferFull, r.encodeState()))
-		return
-	}
-	ids, resps := r.dedup.snapshot()
-	job := ckptJob{index: r.appliedIdx, encode: r.forkSvc.Fork(), ids: ids, resps: resps}
-	go r.buildTransfer(ev, job)
+	go r.buildTransfer(ev, r.fork())
 }
 
 // tryDeltaTransfer serves the log suffix (since, applied] when the WAL
@@ -1918,14 +1652,15 @@ func (r *Replica) tryDeltaTransfer(since, applied uint64) ([]byte, bool) {
 // then the newest durable checkpoint file plus the WAL suffix after it
 // (retried against concurrent pruning), and finally a full transfer
 // encoded from the image the loop captured at dispatch — which needs
-// no disk state at all and therefore cannot lose a race.
+// no disk state at all and therefore cannot lose a race. An in-memory
+// donor (no log) has only the last.
 func (r *Replica) buildTransfer(ev gcs.SnapshotRequestEvent, job ckptJob) {
 	labelStage("transfer_builder")
 	if out, ok := r.tryDeltaTransfer(ev.Since, job.index); ok {
 		ev.Reply(out)
 		return
 	}
-	for attempt := 0; attempt < 3; attempt++ {
+	for attempt := 0; r.log != nil && attempt < 3; attempt++ {
 		out, retry := r.tryHybridTransfer(job.index)
 		if out != nil {
 			ev.Reply(out)
@@ -1937,7 +1672,7 @@ func (r *Replica) buildTransfer(ev gcs.SnapshotRequestEvent, job ckptJob) {
 	}
 	st := &replicaState{Applied: job.index, Service: job.encode(), DedupIDs: job.ids, DedupResp: job.resps}
 	r.bump(func(s *Stats) { s.TransferOutFull++ })
-	r.logf("serving full transfer at index %d (off-loop)", job.index)
+	r.logf("serving full transfer at index %d", job.index)
 	ev.Reply(frameTransfer(transferFull, st.encode()))
 }
 
@@ -1980,8 +1715,8 @@ func (r *Replica) tryHybridTransfer(applied uint64) (out []byte, retry bool) {
 // restoreTransfer applies a join-time state transfer. A full transfer
 // replaces everything (and resets the local log: the discarded local
 // suffix may diverge from the group's history); a delta replays the
-// donor's log records after our recovered applied index through the
-// normal apply path, which also writes them to our own log.
+// donor's log records after our recovered applied index through
+// applyBatch, which also writes them to our own log.
 func (r *Replica) restoreTransfer(b []byte) error {
 	kind, payload, err := unframeTransfer(b)
 	if err != nil {
@@ -2008,7 +1743,7 @@ func (r *Replica) restoreTransfer(b []byte) error {
 		// as our own base (full-restore semantics, including the log
 		// reset — the local suffix may diverge from the group's
 		// history), then replay the donor's post-checkpoint records
-		// through the normal apply path.
+		// through applyBatch.
 		stateBytes, donorApplied, recs, err := decodeHybrid(payload)
 		if err != nil {
 			return err
@@ -2021,7 +1756,6 @@ func (r *Replica) restoreTransfer(b []byte) error {
 			return err
 		}
 		r.sinceCkpt = 0
-		r.walDirty = false
 		if r.log != nil {
 			if err := r.log.Reset(st.Applied, stateBytes); err != nil {
 				r.logf("wal reset after hybrid transfer failed: %v", err)
@@ -2046,7 +1780,6 @@ func (r *Replica) restoreTransfer(b []byte) error {
 			return err
 		}
 		r.sinceCkpt = 0
-		r.walDirty = false
 		if r.log != nil {
 			if err := r.log.Reset(st.Applied, payload); err != nil {
 				r.logf("wal reset after full transfer failed: %v", err)
@@ -2057,33 +1790,63 @@ func (r *Replica) restoreTransfer(b []byte) error {
 	}
 }
 
-// replayDeltaRecords applies a donor's log suffix through the normal
-// apply path (which also writes the records to our own log) and checks
-// the end position against the donor's applied index. Records at or
-// below our applied index are skipped — a shared delta for several
-// joiners, or a hybrid whose checkpoint already covers a prefix.
+// replayDeltaRecords feeds a donor's log suffix through applyBatch like
+// a live round (which also writes the records to our own log) and
+// checks the end position against the donor's applied index. Records
+// at or below our applied index are skipped — a shared delta for
+// several joiners, or a hybrid whose checkpoint already covers a
+// prefix. The donor logged every record as fresh, so a batch is cut
+// before any record whose ReqID the dedup table still holds: the
+// pending batch's inserts evict it exactly as the donor's did, and its
+// size cap (see replayBatchMax) keeps two copies of one ReqID apart.
 func (r *Replica) replayDeltaRecords(recs []deltaRecord, donorApplied uint64) (uint64, error) {
 	var replayed uint64
+	batchMax := r.replayBatchMax()
+	batch := make([]*envelope, 0, min(batchMax, len(recs)))
+	flush := func() {
+		r.applyBatch(batch) // the releaser drops the envelopes
+		batch = batch[:0]
+	}
 	for _, rec := range recs {
-		if rec.Index <= r.appliedIdx {
+		applied := r.appliedIdx + uint64(len(batch))
+		if rec.Index <= applied {
 			continue
 		}
-		if rec.Index != r.appliedIdx+1 {
-			return replayed, fmt.Errorf("rsm: delta gap: record %d after applied %d", rec.Index, r.appliedIdx)
+		if rec.Index != applied+1 {
+			for _, env := range batch {
+				env.release()
+			}
+			return replayed, fmt.Errorf("rsm: delta gap: record %d after applied %d", rec.Index, applied)
 		}
 		env := getEnvelope()
 		if err := r.decodeEnvelopeInto(env, rec.Data); err != nil {
 			env.release()
+			for _, env := range batch {
+				env.release()
+			}
 			return replayed, fmt.Errorf("rsm: delta record %d: %w", rec.Index, err)
 		}
-		r.applyEnvelope(env)
-		env.release()
+		if _, _, seen := r.dedup.lookup(env.ReqID); seen || len(batch) >= batchMax {
+			flush()
+		}
+		batch = append(batch, env)
 		replayed++
 	}
+	flush()
 	if r.appliedIdx != donorApplied {
 		return replayed, fmt.Errorf("rsm: delta ends at %d, donor applied %d", r.appliedIdx, donorApplied)
 	}
 	return replayed, nil
+}
+
+// replayBatchMax caps the batches replay feeds the apply stage at
+// DedupLimit records: a ReqID logged twice implies more than DedupLimit
+// fresh inserts between the two copies (the first entry had to be
+// evicted before the retry could re-log), so a batch this size never
+// holds a same-ReqID pair, and per-batch dedup inserts in index order
+// keep the table's FIFO eviction identical to live execution.
+func (r *Replica) replayBatchMax() int {
+	return min(512, r.cfg.DedupLimit)
 }
 
 // recoverLocal rebuilds the replica from its data directory before it
@@ -2102,17 +1865,9 @@ func (r *Replica) recoverLocal() error {
 	}
 	// Replay the post-checkpoint suffix through the conflict-keyed
 	// apply pool instead of serially: records are collected into
-	// batches and each batch partitions into per-key runs exactly like
-	// a live round. Batches are capped at DedupLimit records — a ReqID
-	// logged twice implies more than DedupLimit fresh inserts between
-	// the two copies (the first entry had to be evicted before the
-	// retry could re-log), so a batch this size can never contain a
-	// same-ReqID pair, and per-batch dedup inserts in index order keep
-	// the table's FIFO eviction identical to live execution.
-	batchMax := 512
-	if r.cfg.DedupLimit < batchMax {
-		batchMax = r.cfg.DedupLimit
-	}
+	// batches (see replayBatchMax) and each batch partitions into
+	// per-key runs exactly like a live round.
+	batchMax := r.replayBatchMax()
 	var replayed uint64
 	batch := make([]*envelope, 0, batchMax)
 	err := r.log.Replay(r.appliedIdx, func(index uint64, data []byte) error {
@@ -2154,9 +1909,8 @@ func (r *Replica) recoverLocal() error {
 // conflict-keyed apply pool. It mirrors applyBatch's dedup/partition
 // stage but never re-appends to the log (the records are already
 // durable), never produces replies, and releases the envelopes at the
-// end. The caller guarantees the batch holds at most DedupLimit
-// records, so no ReqID occurs twice within it (see recoverLocal) and
-// dupOf chaining is unnecessary.
+// end. The caller caps the batch at replayBatchMax, so no ReqID occurs
+// twice within it and dupOf chaining is unnecessary.
 func (r *Replica) replayBatch(batch []*envelope) {
 	if len(batch) == 0 {
 		return

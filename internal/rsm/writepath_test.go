@@ -44,6 +44,7 @@ func (s *benchSvc) ConflictKey(cmd Command) string {
 	return s.keys[int(cmd.Payload[0])%len(s.keys)]
 }
 func (s *benchSvc) Snapshot() []byte     { return nil }
+func (s *benchSvc) Fork() func() []byte  { return s.Snapshot }
 func (s *benchSvc) Restore([]byte) error { return nil }
 
 // startBenchReplica assembles the write-path engine — dedup table,
@@ -65,16 +66,16 @@ func startBenchReplica(tb testing.TB, svc Service, applyConc int) *Replica {
 			// dedup snapshot + service snapshot) are pushed out of the
 			// measured window so the benchmark isolates the per-command
 			// submit→apply→reply chain the CI alloc gate budgets.
-			CheckpointEvery: 1 << 30,
+			CheckpointEvery:  1 << 30,
+			ApplyConcurrency: applyConc,
 		},
-		clientEP:  &nullEP{addr: "rep0/cli", recv: make(chan transport.Message)},
-		service:   svc,
-		done:      make(chan struct{}),
-		ready:     make(chan struct{}),
-		dedup:     newDedupTable(4096),
-		replyQ:    make(chan reply, 1024),
-		applyConc: applyConc,
-		log:       l,
+		clientEP: &nullEP{addr: "rep0/cli", recv: make(chan transport.Message)},
+		service:  svc,
+		done:     make(chan struct{}),
+		ready:    make(chan struct{}),
+		dedup:    newDedupTable(4096),
+		replyQ:   make(chan reply, 1024),
+		log:      l,
 	}
 	r.view = gcs.View{Primary: true}
 	r.relQ = make(chan releaseBatch, 64)
@@ -203,6 +204,13 @@ func (s *echoSvc) Snapshot() []byte {
 	}
 	return buf.Bytes()
 }
+
+// Fork encodes eagerly: the tests that fork an echoSvc never run Apply
+// concurrently with the capture, so no copy-on-write is needed.
+func (s *echoSvc) Fork() func() []byte {
+	b := s.Snapshot()
+	return func() []byte { return b }
+}
 func (s *echoSvc) Restore(b []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -278,7 +286,8 @@ func TestRecyclingSnapshotsIdentical(t *testing.T) {
 		// snapshot (the state itself is updated synchronously by
 		// applyBatch; this maximizes pool churn before comparing).
 		drainReleaser(t, r)
-		snapshots[variant] = r.encodeState()
+		job := r.fork()
+		snapshots[variant] = (&replicaState{Applied: job.index, Service: job.encode(), DedupIDs: job.ids, DedupResp: job.resps}).encode()
 	}
 	if !bytes.Equal(snapshots[0], snapshots[1]) {
 		t.Fatalf("snapshots diverge under recycling: %d vs %d bytes",
