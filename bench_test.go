@@ -25,7 +25,6 @@ import (
 	"joshua/internal/bench"
 	"joshua/internal/codec"
 	"joshua/internal/gcs"
-	"joshua/internal/joshua"
 	"joshua/internal/pbs"
 	"joshua/internal/simnet"
 	"joshua/internal/transport"
@@ -157,17 +156,6 @@ func BenchmarkAblation_AgreedDelivery_2heads(b *testing.B) {
 
 func BenchmarkAblation_SafeDelivery_2heads(b *testing.B) {
 	benchSubmit(b, latencySystem(b, 2, false)) // safe is the calibrated default
-}
-
-func BenchmarkAblation_LeaderReplies_2heads(b *testing.B) {
-	cal := bench.PaperCalibration(benchScale)
-	cal.OutputPolicy = joshua.LeaderReplies
-	sys, err := bench.StartSystem(cal, 2, false)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(sys.Close)
-	benchSubmit(b, sys)
 }
 
 func BenchmarkAblation_BatchSubmit100_2heads(b *testing.B) {

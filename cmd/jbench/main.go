@@ -192,7 +192,6 @@ func main() {
 		type runner func() (bench.AblationResult, error)
 		for _, r := range []runner{
 			func() (bench.AblationResult, error) { return bench.AblationSafeDelivery(cal, 2, *samples) },
-			func() (bench.AblationResult, error) { return bench.AblationOutputPolicy(cal, 2, *samples) },
 			func() (bench.AblationResult, error) { return bench.AblationBatchSubmission(cal, 2, 100) },
 			func() (bench.AblationResult, error) { return bench.AblationReads(cal, 2, *samples) },
 			func() (bench.AblationResult, error) { return bench.AblationOrderedCompletions(cal, 2, 6) },

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"joshua/internal/cluster"
-	"joshua/internal/joshua"
 	"joshua/internal/pbs"
 )
 
@@ -47,32 +46,6 @@ func AblationSafeDelivery(cal Calibration, heads, samples int) (AblationResult, 
 			res.Variants["agreed"] = lat
 		} else {
 			res.Variants["safe"] = lat
-		}
-	}
-	return res, nil
-}
-
-// AblationOutputPolicy compares the two output-mutual-exclusion
-// policies: the intercepting head answers (the paper's structure)
-// versus the view leader answers everything.
-func AblationOutputPolicy(cal Calibration, heads, samples int) (AblationResult, error) {
-	res := AblationResult{Name: "output mutual exclusion", Variants: map[string]time.Duration{}}
-	for _, policy := range []joshua.OutputPolicy{joshua.OriginReplies, joshua.LeaderReplies} {
-		c := cal
-		c.OutputPolicy = policy
-		sys, err := StartSystem(c, heads, false)
-		if err != nil {
-			return res, err
-		}
-		lat, err := MeasureLatency(sys.Client, samples)
-		sys.Close()
-		if err != nil {
-			return res, err
-		}
-		if policy == joshua.LeaderReplies {
-			res.Variants["leader-replies"] = lat
-		} else {
-			res.Variants["origin-replies"] = lat
 		}
 	}
 	return res, nil

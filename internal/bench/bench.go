@@ -45,9 +45,6 @@ type Calibration struct {
 	// default) to agreed (sequencer order only) — the delivery-
 	// guarantee ablation.
 	Agreed bool
-	// OutputPolicy selects which head relays command output (the
-	// output-mutual-exclusion ablation).
-	OutputPolicy joshua.OutputPolicy
 	// OrderedCompletions routes mom completion reports through the
 	// total order (the deterministic-allocation extension).
 	OrderedCompletions bool
@@ -106,15 +103,14 @@ func (cal Calibration) tune(c *gcs.Config) {
 // options builds the cluster configuration for one measured system.
 func (cal Calibration) options(heads int, plain bool) cluster.Options {
 	return cluster.Options{
-		Heads:        heads,
-		Computes:     1,
-		Exclusive:    true,
-		Latency:      cal.Latency,
-		TxTime:       cal.TxTime,
-		SubmitDelay:  cal.SubmitDelay,
-		Plain:        plain,
-		OutputPolicy: cal.OutputPolicy,
-		TuneGCS:      cal.tune,
+		Heads:       heads,
+		Computes:    1,
+		Exclusive:   true,
+		Latency:     cal.Latency,
+		TxTime:      cal.TxTime,
+		SubmitDelay: cal.SubmitDelay,
+		Plain:       plain,
+		TuneGCS:     cal.tune,
 	}
 }
 

@@ -124,22 +124,6 @@ func TestAblationReads(t *testing.T) {
 	t.Logf("local %v, ordered %v", res.Variants["local"], res.Variants["ordered"])
 }
 
-func TestAblationOutputPolicy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("latency measurement")
-	}
-	res, err := AblationOutputPolicy(tiny(), 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Variants) != 2 {
-		t.Fatalf("variants: %+v", res.Variants)
-	}
-	// Both policies must work; no strict ordering asserted (it depends
-	// on which head the client is pinned to).
-	_ = joshua.LeaderReplies
-}
-
 func TestAblationExclusiveScheduling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("workload measurement")

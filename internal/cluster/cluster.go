@@ -84,8 +84,7 @@ type Options struct {
 	NodeMem  int64
 	// TimeScale scales simulated job wall time on the moms.
 	TimeScale float64
-	// OutputPolicy, PartitionPolicy forward to the JOSHUA servers.
-	OutputPolicy    joshua.OutputPolicy
+	// PartitionPolicy forwards to the JOSHUA servers.
 	PartitionPolicy gcs.PartitionPolicy
 	// TuneGCS adjusts group communication timings (tests shorten).
 	TuneGCS func(*gcs.Config)
@@ -367,7 +366,6 @@ func (c *Cluster) startHead(s, i int, initial []gcs.MemberID, join bool) error {
 		Peers:              groupPeers(s),
 		PartitionPolicy:    c.opts.PartitionPolicy,
 		Daemon:             daemon,
-		OutputPolicy:       c.opts.OutputPolicy,
 		OrderedCompletions: c.opts.OrderedCompletions,
 		ApplyConcurrency:   c.opts.ApplyConcurrency,
 		LeaseDuration:      c.opts.LeaseDuration,

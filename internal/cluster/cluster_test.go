@@ -566,35 +566,6 @@ func TestConcurrentClientsConsistency(t *testing.T) {
 	}
 }
 
-func TestOutputPolicyLeader(t *testing.T) {
-	opts := testOptions(3, 1)
-	opts.OutputPolicy = joshua.LeaderReplies
-	c := newCluster(t, opts)
-	cli, _ := c.Client()
-	j, err := cli.Submit(pbs.SubmitRequest{WallTime: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "completion", func() bool {
-		got, err := cli.Stat(j.ID)
-		return err == nil && got.State == pbs.StateCompleted
-	})
-	// Only the leader replied to replicated commands. Replied counts
-	// every response a head sent, so subtract the local reads (the
-	// Stat polls above, answered by whichever head was asked) and any
-	// dedup-table replays to isolate the ordered-command replies.
-	time.Sleep(100 * time.Millisecond)
-	var replied int64
-	for _, i := range c.LiveHeads() {
-		st := c.Head(i).Stats()
-		replied += int64(st.Replied) - int64(st.LocalReads) - int64(st.DedupHits)
-	}
-	intercepted := int64(c.Head(0).Stats().Applied) // same at all heads
-	if replied > intercepted+1 {
-		t.Errorf("replies = %d for %d commands; leader policy should reply once per command", replied, intercepted)
-	}
-}
-
 func TestComputeNodeFailureDocumentedLimitation(t *testing.T) {
 	// The paper: compute-node (mom) failure is out of scope; the job
 	// stays Running. We verify the documented behaviour holds.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -23,7 +24,8 @@ import (
 // retries idempotent, so a command submitted during a head-node
 // failure is executed exactly once and answered as soon as a survivor
 // picks it up — the "continuous availability without any interruption
-// of service" the paper demonstrates.
+// of service" the paper demonstrates. Writes go first to the head a
+// reply revealed as the sequencer (see waiter).
 //
 // A deployment may run several independent replicated groups
 // ("shards", see internal/shard), each owning a slice of the job
@@ -56,7 +58,7 @@ type Client struct {
 	readRR atomic.Uint64
 
 	mu      sync.Mutex
-	waiters map[string]chan *rpcResponse
+	waiters map[string]*waiter
 	closed  bool
 
 	done chan struct{}
@@ -68,25 +70,36 @@ type Client struct {
 // client's mu.
 type headSet struct {
 	addrs []transport.Addr
-	// preferred is the index of the last head that answered a mutating
-	// (or ordered) command; retries start there ("sticky" head
-	// selection).
+	// preferred is where mutations start: the sequencer, once a reply
+	// has named it (see waiter), else the last head that answered one.
 	preferred int
-	// healthy tracks which heads have been answering: a head is marked
-	// down on a send error or attempt timeout and up again on any
-	// reply. The read round-robin rotates over healthy heads only, so
-	// pollers don't pay a timeout re-probing a dead (or not yet
-	// started) head on every rotation; the failover loop still visits
-	// every head, and a background prober (ClientConfig.RedeemAfter)
-	// re-probes down-marked heads off the request path so a recovered
-	// head rejoins the rotation even when no sticky mutation happens
-	// to land on it.
+	// healthy marks which heads have been answering: down on a send
+	// error or attempt timeout, up on any reply. Reads rotate over
+	// healthy heads only, the failover walk visits down-marked heads
+	// last, and the background prober (ClientConfig.RedeemAfter)
+	// re-probes them so a recovered head rejoins the read rotation.
 	healthy []bool
 	// minEpoch is the highest batch-state version this client has
 	// observed from the shard — raised by both reads and acked
 	// mutations; scatter-gather listings refuse to regress below it
 	// (per-shard monotonic reads plus read-your-writes).
 	minEpoch uint64
+	// lastMut, the last finished mutation, stays registered for a
+	// sequencer copy that trails the reply which ended the call.
+	lastMut *waiter
+}
+
+// waiter is one outstanding request. The view's sequencer replies to
+// every ordered command, and so does the head that intercepted it
+// (rsm's output rule), so a reply from a head the request was never
+// sent to names the sequencer.
+type waiter struct {
+	reqID    string
+	ch       chan *rpcResponse
+	hs       *headSet
+	sent     uint64 // bit i: sent to hs.addrs[i]
+	mutating bool
+	answered bool // a non-rejection reply has arrived
 }
 
 // ClientConfig parameterizes a Client.
@@ -108,8 +121,9 @@ type ClientConfig struct {
 	// used to route node commands (jnodes -o/-c) to the owning shard.
 	// Optional: without it node commands fan out across shards.
 	ShardNodes [][]string
-	// AttemptTimeout bounds one head's answer before the client moves
-	// to the next head. Default 1s.
+	// AttemptTimeout bounds one head's answer before the client marks
+	// it down and moves to the next head. A mutation is also hedged to
+	// the next head after AttemptTimeout/16. Default 1s.
 	AttemptTimeout time.Duration
 	// Rounds is how many times the full head list is tried before
 	// giving up. Default 3.
@@ -160,6 +174,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		if len(heads) == 0 {
 			return nil, fmt.Errorf("%w (shard %d)", ErrNoHeads, s)
 		}
+		if len(heads) > 64 { // a call's sent and tried sets are 64-bit masks
+			return nil, fmt.Errorf("joshua: shard %d lists %d heads, at most 64", s, len(heads))
+		}
 	}
 	if cfg.ShardNodes != nil && len(cfg.ShardNodes) != len(groups) {
 		return nil, fmt.Errorf("joshua: ShardNodes covers %d shards, Shards has %d", len(cfg.ShardNodes), len(groups))
@@ -177,7 +194,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg:     cfg,
 		ep:      cfg.Endpoint,
 		nodes:   cfg.ShardNodes,
-		waiters: make(map[string]chan *rpcResponse),
+		waiters: make(map[string]*waiter),
 		done:    make(chan struct{}),
 	}
 	for _, heads := range groups {
@@ -236,14 +253,78 @@ func (c *Client) recvLoop() {
 			continue
 		}
 		c.mu.Lock()
-		if ch, ok := c.waiters[resp.ReqID]; ok {
+		if w := c.waiters[resp.ReqID]; w != nil {
+			c.learnLocked(w, dg.From, resp)
 			select {
-			case ch <- resp:
+			case w.ch <- resp:
 			default: // duplicate reply; the first one won
 			}
 		}
 		c.mu.Unlock()
 	}
+}
+
+// learnLocked applies one reply to its shard's routing state. The
+// replier is healthy. A head answering a request it was never sent is
+// the sequencer, and mutations start there from now on; otherwise the
+// first head to answer a mutation becomes sticky. Replies arrive in
+// order, so an origin's late reply cannot undo a learned sequencer.
+// Callers hold c.mu.
+func (c *Client) learnLocked(w *waiter, from transport.Addr, resp *rpcResponse) {
+	idx := slices.Index(w.hs.addrs, from)
+	if idx < 0 {
+		return
+	}
+	w.hs.healthy[idx] = true
+	if !resp.OK && resp.ErrMsg == ErrNotPrimary.Error() {
+		return
+	}
+	first := !w.answered
+	w.answered = true
+	if w.sent&(1<<idx) == 0 || (first && w.mutating) {
+		w.hs.preferred = idx
+	}
+}
+
+// register adds a waiter for reqID on shard hs.
+func (c *Client) register(reqID string, hs *headSet, mutating bool) (*waiter, error) {
+	w := &waiter{reqID: reqID, ch: make(chan *rpcResponse, 1), hs: hs, mutating: mutating}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, ErrClosed
+	}
+	c.waiters[reqID] = w
+	return w, nil
+}
+
+// unregister retires a finished call; a mutation's waiter lingers as
+// its shard's lastMut. The identity check matters because a cross-shard
+// fan-out reuses one ReqID.
+func (c *Client) unregister(w *waiter) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	retire := w
+	if w.mutating {
+		retire, w.hs.lastMut = w.hs.lastMut, w
+	}
+	if retire != nil && c.waiters[retire.reqID] == retire {
+		delete(c.waiters, retire.reqID)
+	}
+}
+
+// send transmits a request to head idx, recording the target first so
+// a fast reply is attributed correctly. A send error marks the head
+// down.
+func (c *Client) send(w *waiter, idx int, payload []byte) error {
+	c.mu.Lock()
+	w.sent |= 1 << idx
+	c.mu.Unlock()
+	err := c.ep.Send(w.hs.addrs[idx], payload)
+	if err != nil {
+		c.markHealth(w.hs, idx, false)
+	}
+	return err
 }
 
 // call sends one request to shard s with head failover and waits for
@@ -266,7 +347,6 @@ func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
 	if req.ReqID == "" {
 		req.ReqID = fmt.Sprintf("%s#%d", c.ep.Addr(), c.reqSeq.Add(1))
 	}
-	reqID := req.ReqID
 	// One pooled encode serves every failover attempt; the transport
 	// does not retain payloads after Send, so the buffer goes back to
 	// the pool when the call returns.
@@ -281,103 +361,73 @@ func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
 	readOnly := !req.Op.mutating()
 	hs := c.shards[s]
 
-	ch := make(chan *rpcResponse, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
+	w, err := c.register(req.ReqID, hs, !readOnly)
+	if err != nil {
+		return nil, err
 	}
-	c.waiters[reqID] = ch
+	defer c.unregister(w)
+	c.mu.Lock()
 	start := hs.preferred
 	if readOnly {
 		start = c.readStartLocked(hs)
 	}
 	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, reqID)
-		c.mu.Unlock()
-	}()
 
 	// The failover walk covers every head each round, but visits
-	// down-marked heads last: a call never waits out a timeout on a
-	// known-down head while a live one remains untried. The target is
-	// picked per attempt against the *current* health map — while
-	// this call sits out a timeout, the background prober may be
-	// down-marking other phantoms, and a stale precomputed order
-	// would walk straight into them.
+	// down-marked heads last (nextHead). A mutation unanswered after a
+	// sixteenth of the attempt timeout is hedged: the same payload, whose
+	// ReqID keeps it exactly-once, goes to the next head while the call
+	// keeps waiting on the first; only the full timeout marks the silent
+	// head down. The short delay matters when the sequencer crashes after
+	// the survivors applied a write it intercepted but before it replied:
+	// the hedge fetches that answer from a survivor's dedup table at the
+	// start of the outage rather than in its middle.
 	n := len(hs.addrs)
-	tried := make([]bool, n)
-	triedCount := 0
+	var tried uint64
 	var lastErr error
 	replies := 0
 	attempts := c.cfg.Rounds * n
+	timer := time.NewTimer(c.cfg.AttemptTimeout)
+	defer timer.Stop()
 	for i := 0; i < attempts; i++ {
-		if triedCount == n { // next round: every head eligible again
-			tried = make([]bool, n)
-			triedCount = 0
-		}
-		idx := -1
-		c.mu.Lock()
-		for j := 0; j < n; j++ {
-			if k := (start + j) % n; !tried[k] && hs.healthy[k] {
-				idx = k
-				break
-			}
-		}
-		if idx < 0 {
-			for j := 0; j < n; j++ {
-				if k := (start + j) % n; !tried[k] {
-					idx = k
-					break
-				}
-			}
-		}
-		c.mu.Unlock()
-		tried[idx] = true
-		triedCount++
-		if err := c.ep.Send(hs.addrs[idx], payload); err != nil {
+		idx := c.nextHead(hs, start, &tried)
+		if err := c.send(w, idx, payload); err != nil {
 			if errors.Is(err, transport.ErrClosed) {
 				return nil, ErrClosed
 			}
-			// This head is unreachable — the same condition a silent
-			// head signals by timeout, learned sooner. Move on.
-			c.markHealth(hs, idx, false)
 			lastErr = err
 			continue
 		}
-		select {
-		case resp := <-ch:
-			replies++
-			c.markHealth(hs, idx, true)
-			if !resp.OK && resp.ErrMsg == ErrNotPrimary.Error() {
-				// This head is alive but cut off from the primary
-				// component; move on to the next head immediately.
-				c.mu.Lock()
-				c.waiters[reqID] = make(chan *rpcResponse, 1)
-				ch = c.waiters[reqID]
-				c.mu.Unlock()
-				continue
+		wait, hedge := c.cfg.AttemptTimeout, !readOnly && n > 1
+		if hedge {
+			wait /= 16
+		}
+		resetTimer(timer, wait)
+	await:
+		for {
+			select {
+			case resp := <-w.ch:
+				replies++
+				if resp.OK || resp.ErrMsg != ErrNotPrimary.Error() {
+					// Raise this shard's epoch floor: statShard rotates
+					// past heads that answer below it.
+					c.observeEpoch(s, resp.Epoch)
+					return resp, nil
+				}
+				break await // alive but outside the primary component
+			case <-timer.C:
+				if !hedge {
+					c.markHealth(hs, idx, false) // silent: try the next head
+					break await
+				}
+				hedge = false
+				if err := c.send(w, c.nextHead(hs, start, &tried), payload); err != nil {
+					lastErr = err
+				}
+				resetTimer(timer, c.cfg.AttemptTimeout-wait)
+			case <-c.done:
+				return nil, ErrClosed
 			}
-			if !readOnly {
-				c.mu.Lock()
-				hs.preferred = idx
-				c.mu.Unlock()
-			}
-			// Raise this shard's epoch floor: an acked mutation (or a
-			// fresh read) guarantees later snapshots won't silently
-			// regress behind it — statShard rotates past heads that
-			// answer below the floor.
-			c.observeEpoch(s, resp.Epoch)
-			return resp, nil
-		case <-time.After(c.cfg.AttemptTimeout):
-			// Head silent (dead, partitioned, or non-primary and
-			// lost): try the next one. The request ID makes any
-			// duplicate execution collapse in the servers'
-			// deduplication table.
-			c.markHealth(hs, idx, false)
-		case <-c.done:
-			return nil, ErrClosed
 		}
 	}
 	if replies == 0 {
@@ -392,6 +442,42 @@ func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
 			ErrNoHealthyHeads, ErrUnreached, hs.addrs, attempts, req.Op)
 	}
 	return nil, fmt.Errorf("%w after %d attempts (%v)", ErrUnreached, attempts, req.Op)
+}
+
+// nextHead picks the walk's next head from start: the first untried
+// healthy one, else the first untried one, judged against the
+// *current* health map, which the background prober may be updating
+// while a call waits. Once every head has been tried, all are eligible
+// again.
+func (c *Client) nextHead(hs *headSet, start int, tried *uint64) int {
+	n := len(hs.addrs)
+	if *tried == ^uint64(0)>>(64-n) {
+		*tried = 0
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	idx := -1
+	for j := 0; j < n; j++ {
+		if k := (start + j) % n; *tried&(1<<k) == 0 && (idx < 0 || hs.healthy[k]) {
+			if idx = k; hs.healthy[k] {
+				break
+			}
+		}
+	}
+	*tried |= 1 << idx
+	return idx
+}
+
+// resetTimer re-arms t for d, draining a tick that fired unread: under
+// go.mod's pre-1.23 timer semantics it would survive Reset.
+func resetTimer(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // readStartLocked picks the next read's starting head for one shard,
@@ -419,15 +505,11 @@ func (c *Client) markHealth(hs *headSet, idx int, up bool) {
 	c.mu.Unlock()
 }
 
-// probeLoop re-probes heads with a cheap local read (jadmin info) so
-// the health map tracks reality off the request path: client calls
-// never wait on a probe, and an address that never answers (a spare
-// slot in a static head list, a decommissioned head) costs nothing
-// beyond the probe datagram. The first round covers every address —
-// a head list may carry spare slots with nothing behind them, and
-// discovering that in the failover walk would cost a full attempt
-// timeout per phantom, in the request path. Later rounds (every
-// RedeemAfter) cover only down-marked heads, so a recovered head
+// probeLoop re-probes heads with a cheap local read (jadmin info) off
+// the request path. The first round covers every address, so spare
+// slots in a static head list are marked down before a call's failover
+// walk would wait out a timeout on each; later rounds, every
+// RedeemAfter, cover only down-marked heads, so a recovered head
 // rejoins its shard's read rotation.
 func (c *Client) probeLoop() {
 	type target struct{ s, i int }
@@ -468,30 +550,23 @@ func (c *Client) probe(s, i int) {
 		ReqID: fmt.Sprintf("%s#probe%d", c.ep.Addr(), c.reqSeq.Add(1)),
 		Op:    OpInfoLocal,
 	}
-	ch := make(chan *rpcResponse, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	w, err := c.register(req.ReqID, hs, false)
+	if err != nil {
 		return
 	}
-	c.waiters[req.ReqID] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, req.ReqID)
-		c.mu.Unlock()
-	}()
+	defer c.unregister(w)
 	penc := req.encodeTo()
-	err := c.ep.Send(hs.addrs[i], penc.Bytes())
+	err = c.send(w, i, penc.Bytes())
 	penc.Release()
 	if err != nil {
-		c.markHealth(hs, i, false)
 		return
 	}
+	// The receive loop marks the head healthy when it answers.
+	timer := time.NewTimer(c.cfg.AttemptTimeout)
+	defer timer.Stop()
 	select {
-	case <-ch:
-		c.markHealth(hs, i, true)
-	case <-time.After(c.cfg.AttemptTimeout):
+	case <-w.ch:
+	case <-timer.C:
 		c.markHealth(hs, i, false)
 	case <-c.done:
 	}

@@ -16,7 +16,7 @@
 // behind the same engine; MomHooks wires it to the moms.
 //
 // The service-independent machinery — total order, request
-// deduplication, output mutual exclusion, join-time state transfer —
+// deduplication, the output rule, join-time state transfer —
 // lives entirely in internal/rsm; this package contributes only the
 // PBS protocol (wire.go), the two service adapters (service.go), and
 // the head-node assembly below.
@@ -40,26 +40,6 @@ import (
 	"joshua/internal/rsm"
 	"joshua/internal/transport"
 	"joshua/internal/wal"
-)
-
-// OutputPolicy selects which head node relays command output back to
-// the client — the "distributed mutual exclusion to ensure that output
-// is delivered only once" of the paper. Both policies are
-// deterministic given the totally ordered command and view streams.
-type OutputPolicy int
-
-const (
-	// OriginReplies lets the head that intercepted the command answer
-	// the client. If that head dies before answering, the client's
-	// retry is served from the deduplication table by another head.
-	// This is the paper's structure: the JOSHUA server the control
-	// command connected to relays the output back.
-	OriginReplies OutputPolicy = iota
-	// LeaderReplies lets the lowest-ID member of the current view
-	// answer every command, regardless of which head intercepted it.
-	// An ablation: one hop more predictable, but concentrates reply
-	// traffic on one head.
-	LeaderReplies
 )
 
 // Config parameterizes a JOSHUA head-node server.
@@ -97,9 +77,6 @@ type Config struct {
 	// single-group deployment.
 	Shard  int
 	Shards int
-
-	// OutputPolicy defaults to OriginReplies.
-	OutputPolicy OutputPolicy
 
 	// OrderedCompletions routes mom completion reports through the
 	// total order instead of applying them directly at each head.
@@ -257,7 +234,6 @@ func StartServer(cfg Config) (*Server, error) {
 		PartitionPolicy:    cfg.PartitionPolicy,
 		Service:            services,
 		Classify:           s.classify,
-		OutputPolicy:       rsm.OutputPolicy(cfg.OutputPolicy),
 		DedupLimit:         cfg.DedupLimit,
 		ReplyQueueLen:      cfg.ReplyQueueLen,
 		ApplyConcurrency:   cfg.ApplyConcurrency,

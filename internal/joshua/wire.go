@@ -223,8 +223,9 @@ func (r *rpcRequest) encodeInto(e *codec.Encoder) {
 	putArgs(e, &r.Args)
 }
 
-// rpcResponse is the reply relayed back to the client by exactly one
-// head node (the output mutual exclusion of the paper).
+// rpcResponse is the reply relayed back to the client by the head it
+// sent to and, when that head is not the sequencer, by the sequencer
+// too (byte-identical copies; the client keeps the first).
 type rpcResponse struct {
 	ReqID   string
 	OK      bool

@@ -11,8 +11,8 @@ import (
 
 // envelope is one replicated command inside the group communication
 // payload: the service-opaque command bytes plus enough routing
-// information for deduplication and the output mutual exclusion
-// (which replica answers the client).
+// information for deduplication and the output rule (which replicas
+// answer the client).
 //
 // Envelopes are pooled and refcounted. A decoded envelope adopts the
 // delivered wire buffer as its backing store (raw) and every field

@@ -389,6 +389,8 @@ func (c *Client) call(op Op, key, value string) (*Response, error) {
 
 	payload := EncodeRequest(&Request{ReqID: reqID, Op: op, Key: key, Value: value})
 	attempts := c.rounds * len(c.heads)
+	timer := time.NewTimer(c.timeout)
+	defer timer.Stop()
 	for i := 0; i < attempts; i++ {
 		if err := c.ep.Send(c.heads[i%len(c.heads)], payload); err != nil {
 			if errors.Is(err, transport.ErrClosed) {
@@ -396,17 +398,20 @@ func (c *Client) call(op Op, key, value string) (*Response, error) {
 			}
 			continue // head down: advance, like a timeout would
 		}
+		if !timer.Stop() {
+			select {
+			case <-timer.C: // fired unread (pre-1.23 timer semantics)
+			default:
+			}
+		}
+		timer.Reset(c.timeout)
 		select {
 		case resp := <-ch:
 			if resp.Err == ErrNotPrimary.Error() {
-				c.mu.Lock()
-				c.waiters[reqID] = make(chan *Response, 1)
-				ch = c.waiters[reqID]
-				c.mu.Unlock()
 				continue
 			}
 			return resp, nil
-		case <-time.After(c.timeout):
+		case <-timer.C:
 			// Replica silent: try the next one.
 		case <-c.done:
 			return nil, ErrClosed

@@ -1,6 +1,7 @@
 package rsm_test
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -143,8 +144,8 @@ func (r *kvRig) send(i int, req *kvstore.Request) {
 	}
 }
 
-// call sends a request to replica i and waits for the matching reply,
-// reporting which replica's endpoint sent it (for output-mutex tests).
+// call sends a request to replica i and waits for the first matching
+// reply, reporting which replica's endpoint sent it.
 func (r *kvRig) call(i int, req *kvstore.Request, timeout time.Duration) (*kvstore.Response, transport.Addr) {
 	r.t.Helper()
 	r.send(i, req)
@@ -277,20 +278,61 @@ func TestDedupEvictionReExecutesExactlyOnceMore(t *testing.T) {
 	}
 }
 
-// TestLeaderRepliesAcrossViewChange pins the LeaderReplies output
-// mutex: the lowest-ID view member answers every request, and when it
-// dies the role moves with the view change.
-func TestLeaderRepliesAcrossViewChange(t *testing.T) {
-	r := newKVRig(t, 3, func(c *rsm.Config) { c.OutputPolicy = rsm.LeaderReplies })
+// replies collects every reply to reqID until want have arrived, then
+// listens for settle more to catch any extra one. It returns them by
+// sender.
+func (r *kvRig) replies(reqID string, want int, settle time.Duration) map[transport.Addr][]byte {
+	r.t.Helper()
+	got := map[transport.Addr][]byte{}
+	n := 0
+	deadline := time.After(5 * time.Second)
+	var quiet <-chan time.Time
+	for {
+		select {
+		case dg := <-r.cli.Recv():
+			resp, err := kvstore.DecodeResponse(dg.Payload)
+			if err != nil || resp.ReqID != reqID {
+				continue
+			}
+			if _, dup := got[dg.From]; dup {
+				r.t.Fatalf("%s answered %s twice", dg.From, reqID)
+			}
+			got[dg.From] = dg.Payload
+			if n++; n == want {
+				quiet = time.After(settle)
+			}
+		case <-deadline:
+			r.t.Fatalf("%s: %d of %d replies: %v", reqID, n, want, got)
+		case <-quiet:
+			return got
+		}
+	}
+}
 
-	// Request intercepted by a non-leader: the leader still answers.
+// TestOriginAndSequencerReply pins the output rule end to end: the
+// replica that intercepted a command answers, and the view's sequencer
+// sends the same bytes when it is not the origin. After the sequencer
+// crashes, the new view's sequencer sends the copy.
+func TestOriginAndSequencerReply(t *testing.T) {
+	r := newKVRig(t, 3, nil)
+	const settle = 100 * time.Millisecond
+
+	// Intercepted by the sequencer: one reply.
 	req := &kvstore.Request{ReqID: r.reqID(), Op: kvstore.OpAppend, Key: "k", Value: "a"}
-	if _, from := r.call(1, req, 5*time.Second); from != repClientAddr(0) {
-		t.Fatalf("reply came from %s, want leader %s", from, repClientAddr(0))
+	r.send(0, req)
+	if got := r.replies(req.ReqID, 1, settle); got[repClientAddr(0)] == nil || len(got) != 1 {
+		t.Fatalf("origin == sequencer: replies %v, want rep0's alone", got)
 	}
 
-	// The leader dies; the survivors install a two-member view and the
-	// next-lowest member takes over the output role.
+	// Intercepted elsewhere: the origin and the sequencer, same bytes.
+	req = &kvstore.Request{ReqID: r.reqID(), Op: kvstore.OpAppend, Key: "k", Value: "b"}
+	r.send(1, req)
+	got := r.replies(req.ReqID, 2, settle)
+	if len(got) != 2 || !bytes.Equal(got[repClientAddr(0)], got[repClientAddr(1)]) {
+		t.Fatalf("origin != sequencer: replies %v, want identical ones from rep1 and rep0", got)
+	}
+
+	// The sequencer dies; rep1 sequences the two-member view.
 	r.crash(0)
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -303,11 +345,13 @@ func TestLeaderRepliesAcrossViewChange(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	req = &kvstore.Request{ReqID: r.reqID(), Op: kvstore.OpAppend, Key: "k", Value: "b"}
-	if _, from := r.call(2, req, 5*time.Second); from != repClientAddr(1) {
-		t.Fatalf("post-failover reply came from %s, want new leader %s", from, repClientAddr(1))
+	req = &kvstore.Request{ReqID: r.reqID(), Op: kvstore.OpAppend, Key: "k", Value: "c"}
+	r.send(2, req)
+	got = r.replies(req.ReqID, 2, settle)
+	if len(got) != 2 || !bytes.Equal(got[repClientAddr(1)], got[repClientAddr(2)]) {
+		t.Fatalf("after failover: replies %v, want identical ones from rep2 and rep1", got)
 	}
-	r.waitConverged(map[string]string{"k": "ab"}, 5*time.Second)
+	r.waitConverged(map[string]string{"k": "abc"}, 5*time.Second)
 }
 
 // TestStateTransferCarriesDedupTable pins the join contract: the

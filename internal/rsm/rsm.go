@@ -4,9 +4,9 @@
 // replicated. A Replica owns the group communication event loop,
 // applies totally ordered commands to a pluggable Service, keeps the
 // exactly-once request-deduplication table (with FIFO eviction),
-// enforces the output mutual exclusion (origin-replies or
-// leader-replies) and non-primary output suppression, and carries the
-// service state plus the dedup table through join-time state transfer.
+// enforces the output rule (the origin and the sequencer reply) and
+// non-primary output suppression, and carries the service state plus
+// the dedup table through join-time state transfer.
 //
 // Query commands do not change state and need no ordering, so the
 // engine splits the two paths: totally ordered commands apply on the
@@ -143,7 +143,7 @@ const (
 	// ordering, off the event loop.
 	Reply
 	// Replicate pushes the datagram through the total order; every
-	// replica applies it and the output-mutex winner answers.
+	// replica applies it; the origin and the sequencer answer.
 	Replicate
 )
 
@@ -186,23 +186,6 @@ type Classification struct {
 // applied in send order awaits each reply before sending the next.
 type Classifier func(payload []byte) Classification
 
-// OutputPolicy selects which replica relays command output back to
-// the client — the "distributed mutual exclusion to ensure that
-// output is delivered only once" of the paper. Both policies are
-// deterministic given the totally ordered command and view streams.
-type OutputPolicy int
-
-const (
-	// OriginReplies lets the replica that intercepted the command
-	// answer the client. If it dies before answering, the client's
-	// retry is served from the deduplication table by another replica.
-	OriginReplies OutputPolicy = iota
-	// LeaderReplies lets the lowest-ID member of the current view
-	// answer every command, regardless of which replica intercepted
-	// it.
-	LeaderReplies
-)
-
 // Config parameterizes a Replica.
 type Config struct {
 	// Self is this replica's member identity.
@@ -229,9 +212,6 @@ type Config struct {
 	Service Service
 	// Classify parses client datagrams. Required.
 	Classify Classifier
-
-	// OutputPolicy defaults to OriginReplies.
-	OutputPolicy OutputPolicy
 
 	// DedupLimit bounds the request-deduplication table. Default 4096
 	// entries.
@@ -1173,7 +1153,7 @@ func (r *Replica) applyBatch(batch []*envelope) {
 		} else if !pa.seen {
 			r.dedupInsert(pa.env.ReqID, pa.resp, pa.index)
 		}
-		// Output mutual exclusion, and no output outside the primary
+		// The output rule, and no output outside the primary
 		// component: a minority fragment may keep its local state
 		// self-consistent, but its results must never reach users.
 		if pa.env.Client == "" || !r.view.Primary || !r.shouldReply(pa.env) {
@@ -1558,14 +1538,11 @@ func (r *Replica) replier() {
 	}
 }
 
-// shouldReply implements the output mutual exclusion.
+// shouldReply is the output rule: the origin relays the output, as in
+// the paper, and the view's sequencer sends the same bytes, which tells
+// the client where to send its next write.
 func (r *Replica) shouldReply(env *envelope) bool {
-	switch r.cfg.OutputPolicy {
-	case LeaderReplies:
-		return len(r.view.Members) > 0 && r.view.Members[0] == r.cfg.Self
-	default: // OriginReplies
-		return env.Origin == r.cfg.Self
-	}
+	return env.Origin == r.cfg.Self || r.view.Sequencer() == r.cfg.Self
 }
 
 // dedupInsert records a response (tagged with its applied index, the

@@ -13,15 +13,23 @@ import (
 	"joshua/internal/wal"
 )
 
+// nullEP discards what is sent, reporting each destination on sent
+// when that is set.
 type nullEP struct {
 	addr transport.Addr
 	recv chan transport.Message
+	sent chan transport.Addr
 }
 
-func (n *nullEP) Addr() transport.Addr              { return n.addr }
-func (n *nullEP) Send(transport.Addr, []byte) error { return nil }
-func (n *nullEP) Recv() <-chan transport.Message    { return n.recv }
-func (n *nullEP) Close() error                      { return nil }
+func (n *nullEP) Addr() transport.Addr           { return n.addr }
+func (n *nullEP) Recv() <-chan transport.Message { return n.recv }
+func (n *nullEP) Close() error                   { return nil }
+func (n *nullEP) Send(to transport.Addr, _ []byte) error {
+	if n.sent != nil {
+		n.sent <- to
+	}
+	return nil
+}
 
 type benchSvc struct {
 	keys [64]string
@@ -54,6 +62,12 @@ func (s *benchSvc) Restore([]byte) error { return nil }
 // them. Everything downstream of the loop is the real machinery.
 func startBenchReplica(tb testing.TB, svc Service, applyConc int) *Replica {
 	tb.Helper()
+	return startEngine(tb, svc, applyConc, &nullEP{addr: "rep0/cli", recv: make(chan transport.Message)})
+}
+
+// startEngine is startBenchReplica over a given client endpoint.
+func startEngine(tb testing.TB, svc Service, applyConc int, ep *nullEP) *Replica {
+	tb.Helper()
 	l, err := wal.Open(wal.Options{Dir: tb.TempDir()})
 	if err != nil {
 		tb.Fatal(err)
@@ -69,7 +83,7 @@ func startBenchReplica(tb testing.TB, svc Service, applyConc int) *Replica {
 			CheckpointEvery:  1 << 30,
 			ApplyConcurrency: applyConc,
 		},
-		clientEP: &nullEP{addr: "rep0/cli", recv: make(chan transport.Message)},
+		clientEP: ep,
 		service:  svc,
 		done:     make(chan struct{}),
 		ready:    make(chan struct{}),
@@ -393,5 +407,56 @@ func TestEnvelopeRefcountSurvivesOverlap(t *testing.T) {
 	svc.mu.Unlock()
 	if applied != rounds*per {
 		t.Fatalf("applied %d commands, want %d", applied, rounds*per)
+	}
+}
+
+// TestReplyRule pins the output rule on one replica (rep0): it answers
+// a command it intercepted, and a command it sequenced for another
+// origin, once either way; it stays silent as a bystander and in a
+// non-primary view. Each case's client address names it; the marker
+// command, replied to last, proves the silent cases were decided.
+func TestReplyRule(t *testing.T) {
+	// sent holds more than the six cases can produce, so the replier
+	// never blocks on it.
+	ep := &nullEP{addr: "rep0/cli", recv: make(chan transport.Message), sent: make(chan transport.Addr, 16)}
+	r := startEngine(t, &echoSvc{}, 1, ep)
+	seq := []gcs.MemberID{"rep0", "rep1"}
+	follower := []gcs.MemberID{"head0", "rep0"} // head0 sequences
+	cases := []struct {
+		client  transport.Addr
+		members []gcs.MemberID
+		primary bool
+		origin  gcs.MemberID
+	}{
+		{"origin-and-sequencer", seq, true, "rep0"},
+		{"sequencer-copy", seq, true, "rep1"},
+		{"origin-only", follower, true, "rep0"},
+		{"bystander", follower, true, "head0"},
+		{"non-primary", seq, false, "rep0"},
+		{"marker", seq, true, "rep0"},
+	}
+	for i, c := range cases {
+		r.view = gcs.View{ID: uint64(i + 1), Members: c.members, Primary: c.primary}
+		env := getEnvelope()
+		if err := r.decodeEnvelopeInto(env, wireFor(fmt.Sprintf("req#%d", i), c.origin, c.client, []byte{byte(i)})); err != nil {
+			t.Fatal(err)
+		}
+		r.applyBatch([]*envelope{env})
+	}
+	var got []transport.Addr
+	for {
+		select {
+		case to := <-ep.sent:
+			got = append(got, to)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("marker reply never sent; got %v", got)
+		}
+		if got[len(got)-1] == "marker" {
+			break
+		}
+	}
+	want := []transport.Addr{"origin-and-sequencer", "sequencer-copy", "origin-only", "marker"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replies went to %v, want %v", got, want)
 	}
 }
