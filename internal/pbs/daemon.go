@@ -40,14 +40,14 @@ func (d *Daemon) SetDoneInterceptor(f DoneInterceptor) {
 }
 
 // ApplyDone applies a completion that was diverted by the
-// interceptor (after it has been totally ordered).
+// interceptor (after it has been totally ordered). OnJobDone fires
+// only for the report that actually ended the job.
 func (d *Daemon) ApplyDone(id JobID, exitCode int, output string) {
-	before, _ := d.srv.Status(id)
-	d.srv.JobDone(id, exitCode, output)
+	ended := d.srv.JobDone(id, exitCode, output)
 	d.mu.Lock()
 	delete(d.outstanding, id)
 	d.mu.Unlock()
-	if d.cfg.OnJobDone != nil && (before.State == StateRunning || before.State == StateExiting) {
+	if ended && d.cfg.OnJobDone != nil {
 		d.cfg.OnJobDone(id, exitCode)
 	}
 	d.flush()

@@ -1,6 +1,7 @@
 package pbs
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -12,8 +13,9 @@ import (
 // pure function of replicated state:
 //
 //	resources  — which nodes can hold a job right now (freeCaps/fitJob)
-//	ordering   — in what order jobs compete (orderStage: FIFO, or
-//	             weighted priority + decayed fairshare)
+//	ordering   — in what order jobs compete (FIFO: the eligible
+//	             index as is; otherwise orderStage's weighted
+//	             priority + decayed fairshare)
 //	placement  — which jobs start this pass (placeStrict blocks at the
 //	             first misfit; placeBackfill reserves for it and lets
 //	             non-delaying jobs fill the holes)
@@ -136,17 +138,14 @@ func (s *Server) exclusiveFit(j *Job, online []string) []string {
 	return append([]string(nil), online[:j.NodeCount]...)
 }
 
-// orderStage is stage 2: it orders the runnable queue for placement.
-// Under FIFO the submission order stands. Otherwise each job gets the
-// weighted score documented on SchedWeights, computed entirely from
-// replicated state (queue age on the logical clock, requested size,
-// user priority, decayed fairshare usage), and the order is score
-// descending with ties broken by submission sequence — a total,
-// deterministic order. Must be called with s.mu held.
+// orderStage is stage 2 under the non-FIFO policies (FIFO places
+// straight from the eligible index, already in submission order): each
+// job gets the weighted score documented on SchedWeights, computed
+// entirely from replicated state (queue age on the logical clock,
+// requested size, user priority, decayed fairshare usage), and the
+// order is score descending with ties broken by submission sequence —
+// a total, deterministic order. Must be called with s.mu held.
 func (s *Server) orderStage(cands []*Job) {
-	if s.cfg.Policy == PolicyFIFO {
-		return
-	}
 	s.fairshareDecay()
 	w := s.cfg.Weights
 	now := s.vnow()
@@ -237,10 +236,11 @@ func (s *Server) computeReservation(j *Job, online []string) *reservation {
 
 // placeStrict is the FIFO/priority placement stage: walk the ordered
 // queue and start jobs until the first one that does not fit — no job
-// overtakes a blocked one. Must be called with s.mu held.
-func (s *Server) placeStrict(cands []*Job, online []string) {
+// overtakes a blocked one. The started jobs are therefore a prefix of
+// cands; placeStrict returns its length. Must be called with s.mu held.
+func (s *Server) placeStrict(cands []*Job, online []string) int {
 	caps := s.freeCaps(online)
-	for _, j := range cands {
+	for i, j := range cands {
 		var nodes []string
 		if s.cfg.Exclusive {
 			nodes = s.exclusiveFit(j, online)
@@ -248,13 +248,14 @@ func (s *Server) placeStrict(cands []*Job, online []string) {
 			nodes = fitJob(j, caps, s.cfg.NodeMem, nil)
 		}
 		if nodes == nil {
-			return
+			return i
 		}
 		s.startJob(j, nodes)
 		if s.cfg.Exclusive {
-			return // the cluster is now fully held
+			return i + 1 // the cluster is now fully held
 		}
 	}
+	return len(cands)
 }
 
 // placeBackfill is the conservative-backfill placement stage: start
@@ -297,27 +298,58 @@ func (s *Server) placeBackfill(cands []*Job, online []string) {
 	s.resv = rv
 }
 
-// schedule runs the pipeline. Must be called with s.mu held.
+// schedule runs the pipeline over the eligible index, so a pass costs
+// what it can start, not the size of the job table: it returns at once
+// when nothing is runnable (every held submission), and under FIFO it
+// walks the index in place and stops at the first misfit. The
+// non-FIFO policies still sort the eligible jobs each pass, because
+// the age term makes their scores a function of the logical clock.
+// Must be called with s.mu held.
 func (s *Server) schedule() {
+	s.resv = nil
+	if len(s.eligible) == 0 {
+		return
+	}
 	// Hoisted out of the per-job walk: the sorted online list is the
 	// same for the whole pass.
 	online := s.onlineNodes()
-	cands := make([]*Job, 0, len(s.queue))
-	for _, id := range s.queue {
-		if j := s.jobs[id]; j.State == StateQueued {
-			cands = append(cands, j)
-		}
-	}
-	s.resv = nil
-	if len(cands) == 0 {
+	if s.cfg.Policy == PolicyFIFO {
+		// Strict placement starts a prefix of the index; drop it.
+		n := s.placeStrict(s.eligible, online)
+		clear(s.eligible[:n])
+		s.eligible = s.eligible[n:]
 		return
 	}
+	cands := slices.Clone(s.eligible)
 	s.orderStage(cands)
 	if s.cfg.Policy == PolicyBackfill && !s.cfg.Exclusive {
 		s.placeBackfill(cands, online)
-		return
+	} else {
+		s.placeStrict(cands, online)
 	}
-	s.placeStrict(cands, online)
+	s.eligible = slices.DeleteFunc(s.eligible, func(j *Job) bool { return j.State != StateQueued })
+}
+
+// eligiblePos returns where a job with sequence number seq sits, or
+// would be inserted, in the Seq-ordered eligible index. Must be called
+// with s.mu held.
+func (s *Server) eligiblePos(seq uint64) int {
+	return sort.Search(len(s.eligible), func(i int) bool { return s.eligible[i].Seq >= seq })
+}
+
+// addEligible enters a job that just became StateQueued into the
+// eligible index at its submission position. Must be called with s.mu
+// held.
+func (s *Server) addEligible(j *Job) {
+	s.eligible = slices.Insert(s.eligible, s.eligiblePos(j.Seq), j)
+}
+
+// dropEligible removes a job leaving StateQueued (held or deleted)
+// from the eligible index. Must be called with s.mu held.
+func (s *Server) dropEligible(j *Job) {
+	if i := s.eligiblePos(j.Seq); i < len(s.eligible) && s.eligible[i] == j {
+		s.eligible = slices.Delete(s.eligible, i, i+1)
+	}
 }
 
 // startJob commits one placement: state, allocation bookkeeping,

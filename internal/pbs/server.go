@@ -2,6 +2,7 @@ package pbs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -97,8 +98,15 @@ type Server struct {
 	// from it — is byte-identical across replicas.
 	ltick uint64
 	jobs  map[JobID]*Job
-	// queue holds non-completed jobs in submission order.
+	// queue holds non-completed jobs in submission order, which is
+	// ascending Seq.
 	queue []JobID
+	// eligible indexes exactly the StateQueued jobs of queue, in the
+	// same order: the scheduler's input. It is derived state, kept by
+	// every transition into or out of StateQueued (enqueueJob, Hold,
+	// Release, Delete, and schedule for the jobs it starts) and rebuilt
+	// by Restore; snapshots do not carry it.
+	eligible []*Job
 	// completed holds finished jobs in completion order.
 	completed []JobID
 	// alloc maps node name -> the jobs and resources committed on it.
@@ -265,6 +273,10 @@ func (s *Server) enqueueJob(req SubmitRequest, id JobID, seq uint64, arrayIdx in
 	}
 	s.jobs[j.ID] = j
 	s.queue = append(s.queue, j.ID)
+	if j.State == StateQueued {
+		// The newest Seq: the index's tail.
+		s.eligible = append(s.eligible, j)
+	}
 	s.account(AcctQueued, j, nil)
 	if j.State == StateHeld {
 		s.account(AcctHeld, j, nil)
@@ -362,7 +374,8 @@ func (s *Server) Delete(id JobID) (Job, error) {
 	}
 	switch j.State {
 	case StateQueued, StateHeld:
-		s.removeFromQueue(id)
+		s.dropEligible(j)
+		s.removeFromQueue(j)
 		delete(s.jobs, id)
 		delete(s.sigCount, id)
 		s.account(AcctDeleted, j, nil)
@@ -397,6 +410,7 @@ func (s *Server) Hold(id JobID) (Job, error) {
 	case StateQueued, StateHeld:
 		if j.State != StateHeld {
 			s.account(AcctHeld, j, nil)
+			s.dropEligible(j)
 		}
 		j.State = StateHeld
 		// A held job no longer competes: jobs behind it may now be
@@ -422,6 +436,7 @@ func (s *Server) Release(id JobID) (Job, error) {
 		return Job{}, &Error{Op: "qrls", ID: id, Msg: "Request invalid for state of job"}
 	}
 	j.State = StateQueued
+	s.addEligible(j)
 	s.account(AcctReleased, j, nil)
 	s.schedule()
 	return j.clone(), nil
@@ -488,18 +503,20 @@ func (s *Server) StatusAll() []Job {
 
 // JobDone applies a completion report from a mom. Duplicate reports
 // (each head node hears every mom, and retransmissions happen) are
-// idempotent. output is the job's captured standard output.
-func (s *Server) JobDone(id JobID, exitCode int, output string) {
+// idempotent. output is the job's captured standard output. JobDone
+// reports whether this report ended the job: false for an unknown job
+// and for a duplicate or stale report.
+func (s *Server) JobDone(id JobID, exitCode int, output string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.dirty()
 	s.tick()
 	j, ok := s.jobs[id]
 	if !ok {
-		return
+		return false
 	}
 	if j.State != StateRunning && j.State != StateExiting {
-		return // duplicate or stale report
+		return false // duplicate or stale report
 	}
 	// Advance the logical clock to the job's declared end, never
 	// backwards. A completion carries the virtual duration of the work
@@ -519,7 +536,7 @@ func (s *Server) JobDone(id JobID, exitCode int, output string) {
 		"exec_host":   strings.Join(j.Nodes, "+"),
 	})
 	s.releaseAlloc(j)
-	s.removeFromQueue(id)
+	s.removeFromQueue(j)
 	s.completed = append(s.completed, id)
 	if s.cfg.KeepCompleted > 0 {
 		for len(s.completed) > s.cfg.KeepCompleted {
@@ -530,6 +547,7 @@ func (s *Server) JobDone(id JobID, exitCode int, output string) {
 		}
 	}
 	s.schedule()
+	return true
 }
 
 // TakeActions drains the action outbox. The host daemon performs the
@@ -542,29 +560,22 @@ func (s *Server) TakeActions() []Action {
 	return a
 }
 
-func (s *Server) removeFromQueue(id JobID) {
-	for i, q := range s.queue {
-		if q == id {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			return
-		}
+// removeFromQueue drops j from the queue, finding it by binary search
+// on Seq (the queue's order). Must be called with s.mu held.
+func (s *Server) removeFromQueue(j *Job) {
+	i := sort.Search(len(s.queue), func(k int) bool { return s.jobs[s.queue[k]].Seq >= j.Seq })
+	if i < len(s.queue) && s.queue[i] == j.ID {
+		s.queue = slices.Delete(s.queue, i, i+1)
 	}
 }
 
 // QueueLengths reports (queued+held, running+exiting, completed)
-// counts, handy for tests and status lines.
+// counts, handy for tests and status lines. Every queued job that is
+// not counted in running is waiting, so this is O(1).
 func (s *Server) QueueLengths() (waiting, running, completed int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for _, id := range s.queue {
-		switch s.jobs[id].State {
-		case StateQueued, StateHeld:
-			waiting++
-		case StateRunning, StateExiting:
-			running++
-		}
-	}
-	return waiting, running, len(s.completed)
+	return len(s.queue) - s.running, s.running, len(s.completed)
 }
 
 // StatusText renders qstat-style output:

@@ -237,12 +237,19 @@ func (s *Server) Restore(b []byte) error {
 		return fmt.Errorf("pbs: corrupt snapshot: %v", d.Err())
 	}
 	jobs := make(map[JobID]*Job, n)
+	// The eligible index is derived state, not in the snapshot. Jobs
+	// are encoded in Seq order, which is the queue's order, so the
+	// StateQueued ones arrive already in index order.
+	var eligible []*Job
 	for i := uint64(0); i < n; i++ {
 		j := getJob(d)
 		if d.Err() != nil {
 			break
 		}
 		jobs[j.ID] = j
+		if j.State == StateQueued {
+			eligible = append(eligible, j)
+		}
 	}
 
 	readIDs := func() []JobID {
@@ -322,6 +329,7 @@ func (s *Server) Restore(b []byte) error {
 	s.ltick = ltick
 	s.jobs = jobs
 	s.queue = queue
+	s.eligible = eligible
 	s.completed = completed
 	s.alloc = alloc
 	s.running = running
