@@ -45,6 +45,7 @@ var perHeadKeys = []string{
 	"reply_queue_drops",
 	// lease_held is a per-head boolean gauge, reported but not summed.
 	"lease_reads", "lease_fallbacks", "lease_revocations",
+	"lease_fb_no_lease", "lease_fb_apply_lag", "lease_fb_durable",
 	// ckpt_inflight is a per-head boolean gauge; duration/bytes are
 	// per-head last-observed values, failures/chunks are counters.
 	"ckpt_last_duration_ns", "ckpt_bytes", "ckpt_failures",

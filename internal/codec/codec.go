@@ -174,6 +174,10 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
+	// text is the one string copy of buf made by ShareStrings; Text
+	// slices it. Empty otherwise (and for an empty buf, where slicing
+	// and converting agree).
+	text string
 }
 
 // NewDecoder returns a Decoder reading from b. The Decoder does not
@@ -281,6 +285,28 @@ func (d *Decoder) String() string {
 	return string(b)
 }
 
+// ShareStrings makes one string copy of the whole input, after which
+// Text (and StringSlice) return substrings of that copy instead of
+// allocating one string per field. A message decoded into many strings
+// then costs one allocation, and every string it yields keeps the
+// whole copy alive; decode short-lived or small-field messages without
+// it. Strings from the copy survive later changes to the input buffer.
+func (d *Decoder) ShareStrings() { d.text = string(d.buf) }
+
+// Text decodes a length-prefixed string like String. After
+// ShareStrings it returns a substring of the shared copy without
+// allocating; otherwise it converts, exactly as String does. String is
+// kept separate on purpose: its inlined conversion lets a caller whose
+// string does not escape keep it on the stack, which a call through
+// Text would prevent.
+func (d *Decoder) Text() string {
+	b := d.Bytes()
+	if d.text == "" {
+		return string(b)
+	}
+	return d.text[d.off-len(b) : d.off]
+}
+
 // Bytes decodes a length-prefixed byte slice. The returned slice
 // aliases the Decoder's input buffer.
 func (d *Decoder) Bytes() []byte {
@@ -318,7 +344,8 @@ func (d *Decoder) Duration() time.Duration {
 	return time.Duration(d.Int())
 }
 
-// StringSlice decodes a slice written by PutStringSlice.
+// StringSlice decodes a slice written by PutStringSlice. Its strings
+// share the input after ShareStrings (see Text).
 func (d *Decoder) StringSlice() []string {
 	n := d.Uint()
 	if d.err != nil {
@@ -330,7 +357,7 @@ func (d *Decoder) StringSlice() []string {
 	}
 	ss := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
-		ss = append(ss, d.String())
+		ss = append(ss, d.Text())
 	}
 	if d.err != nil {
 		return nil

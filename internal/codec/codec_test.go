@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -366,4 +367,95 @@ func TestPooledEncoderConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// sharedFixture encodes a mix of empty and non-empty strings, a string
+// slice and non-string fields between them.
+func sharedFixture() []byte {
+	e := NewEncoder(0)
+	e.PutString("")
+	e.PutString("hello, 世界")
+	e.PutUint(42)
+	e.PutStringSlice([]string{"a", "", "ccc"})
+	e.PutString("")
+	e.PutBool(true)
+	e.PutString("tail")
+	return e.Bytes()
+}
+
+// decodeFixture reads sharedFixture's fields through text (String or
+// Text) and returns them with the decoder's final error.
+func decodeFixture(d *Decoder, text func() string) ([]string, error) {
+	var out []string
+	out = append(out, text(), text(), string(rune('0'+d.Uint()%10)))
+	out = append(out, d.StringSlice()...)
+	out = append(out, text())
+	if d.Bool() {
+		out = append(out, "true")
+	}
+	out = append(out, text())
+	return out, d.Finish()
+}
+
+// TestTextMatchesString checks that Text after ShareStrings returns
+// exactly what String returns — empty strings included — and that a
+// truncated input fails the same way, with the same sticky error and
+// zero values from then on.
+func TestTextMatchesString(t *testing.T) {
+	full := sharedFixture()
+	for cut := len(full); cut >= 0; cut-- {
+		in := full[:cut]
+		plain := NewDecoder(in)
+		want, wantErr := decodeFixture(plain, plain.String)
+		shared := NewDecoder(in)
+		shared.ShareStrings()
+		got, gotErr := decodeFixture(shared, shared.Text)
+		if !slices.Equal(got, want) || gotErr != wantErr {
+			t.Fatalf("cut %d: Text gave %q (%v), String %q (%v)", cut, got, gotErr, want, wantErr)
+		}
+		if cut == len(full) && wantErr != nil {
+			t.Fatalf("full input: %v", wantErr)
+		}
+		if cut < len(full) && gotErr == nil {
+			t.Fatalf("cut %d: truncated input decoded without error", cut)
+		}
+	}
+
+	// Without ShareStrings, Text converts just like String.
+	d := NewDecoder(full)
+	if got, err := decodeFixture(d, d.Text); err != nil || got[1] != "hello, 世界" {
+		t.Fatalf("unshared Text: %q, %v", got, err)
+	}
+}
+
+// TestSharedStringsOutliveInput checks that strings decoded after
+// ShareStrings stay intact when the input buffer is overwritten, and
+// that the whole message costs one allocation.
+func TestSharedStringsOutliveInput(t *testing.T) {
+	in := sharedFixture()
+	d := NewDecoder(in)
+	d.ShareStrings()
+	got, err := decodeFixture(d, d.Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slices.Clone(got)
+	for i := range in {
+		in[i] = 0xFF
+	}
+	if !slices.Equal(got, want) || got[1] != "hello, 世界" || got[len(got)-1] != "tail" {
+		t.Errorf("decoded strings changed with the input: %q, want %q", got, want)
+	}
+
+	in = sharedFixture()
+	allocs := testing.AllocsPerRun(100, func() {
+		d := NewDecoder(in)
+		d.ShareStrings()
+		d.Text()
+		d.Text()
+		d.Uint()
+	})
+	if allocs != 1 {
+		t.Errorf("shared decode: %v allocs, want 1 (the copy)", allocs)
+	}
 }

@@ -7,13 +7,14 @@ import (
 	"joshua/internal/rsm"
 )
 
-// This file is the allocation gate for the two hot paths PR targets:
-// the client's submit encode and the server's leased ordered read.
-// The AllocsPerRun tests fail the ordinary test run on any regression;
-// the benchmarks report allocs/op for the CI -benchmem threshold
-// check. "Zero" means zero at the codec boundary: pooled encoders in,
-// zero-copy decoder views out, cached listing bodies spliced behind
-// the caller's ReqID.
+// This file is the allocation gate for the client's submit encode and
+// the server's read replies (leased ordered listing, jstat <id>); the
+// client's listing decode is gated in listing_test.go. The
+// AllocsPerRun tests fail the ordinary test run on any regression; the
+// benchmarks report allocs/op for the CI -benchmem threshold check.
+// "Zero" means zero at the codec boundary: pooled encoders in,
+// zero-copy decoder views out, cached listing bodies framed behind the
+// caller's ReqID.
 
 // benchSubmitReq is a representative qsub request.
 func benchSubmitReq() *rpcRequest {
@@ -32,7 +33,7 @@ func leaseRig(t testing.TB) (*Server, []byte) {
 	s := r.heads[0]
 
 	// Seed one job through the real client path so listings carry
-	// payload and the stat cache has something to encode.
+	// payload and the listing has something to encode.
 	seed := &rpcRequest{ReqID: "user/raw#seed", Op: OpSubmit, Args: cmdArgs{Name: "seed", Hold: true}}
 	if resp := r.sendReq(t, 0, seed, 5*time.Second); !resp.OK {
 		t.Fatalf("seed submit rejected: %s", resp.ErrMsg)
@@ -78,12 +79,38 @@ func TestSubmitEncodeZeroAlloc(t *testing.T) {
 
 func TestLeasedReadServeZeroAlloc(t *testing.T) {
 	s, payload := leaseRig(t)
-	leasedServe(t, s, payload) // warm the pool and the stat cache
+	leasedServe(t, s, payload) // warm the pool and the listing cache
 	allocs := testing.AllocsPerRun(200, func() {
 		leasedServe(t, s, payload)
 	})
 	if allocs != 0 {
 		t.Errorf("leased StatAll serve: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestStatServeAllocs pins jstat <id> on the head: the ID is peeked
+// out of the request and the one-job reply encoded straight from the
+// live table into a pooled encoder, so the only allocation is the
+// JobID conversion.
+func TestStatServeAllocs(t *testing.T) {
+	s, _ := leaseRig(t)
+	payload := (&rpcRequest{ReqID: "user/raw#stat", Op: OpStat, Args: cmdArgs{JobID: "1.cluster"}}).encode()
+	// Check the reply once, which also warms the encoder pool.
+	cls := s.classify(payload)
+	if cls.Verdict != rsm.Reply || cls.RespondEnc == nil {
+		t.Fatal("jstat <id> not classified as a local read")
+	}
+	enc := cls.RespondEnc(payload)
+	if _, resp, err := decodeRPC(enc.Bytes()); err != nil || !resp.OK || len(resp.Jobs) != 1 {
+		t.Fatalf("jstat <id> reply: %+v, %v", resp, err)
+	}
+	enc.Release()
+	allocs := testing.AllocsPerRun(200, func() {
+		cls := s.classify(payload)
+		cls.RespondEnc(payload).Release()
+	})
+	if allocs > 1 {
+		t.Errorf("jstat <id> serve: %v allocs/op, want <= 1", allocs)
 	}
 }
 

@@ -783,6 +783,11 @@ func (c *Client) Stat(id pbs.JobID) (pbs.Job, error) {
 // sequence. There is no serialization *between* shards — two jobs on
 // different shards may appear in either completion state, exactly as
 // two independent clusters would.
+//
+// The jobs decoded from one response share one backing string (their
+// IDs, names, scripts and outputs are substrings of it), so keeping
+// any one job, or any one of its strings, keeps that whole listing in
+// memory; copy what outlives the listing.
 func (c *Client) StatAll() ([]pbs.Job, error) {
 	if len(c.shards) == 1 {
 		resp, err := c.call(0, OpStatAll, cmdArgs{})

@@ -30,7 +30,6 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -163,23 +162,10 @@ type Server struct {
 	rep    atomic.Pointer[rsm.Replica]
 	daemon *pbs.Daemon
 	locks  *lockService
-	stat   statCache
 	// serveReadFn is serveRead bound once at construction; handing the
 	// same func value to every read Classification avoids a per-request
 	// method-value allocation on the hot path.
 	serveReadFn func(payload []byte) *codec.Encoder
-}
-
-// statCache holds the pre-encoded body (everything after the ReqID
-// field) of a full jstat listing, keyed on the batch server's state
-// version. Under N concurrent pollers the listing is encoded once per
-// mutation instead of once per request; every hit splices the cached
-// bytes behind the caller's own ReqID.
-type statCache struct {
-	mu    sync.Mutex
-	epoch uint64
-	body  []byte
-	hits  atomic.Uint64
 }
 
 // Stats counts server activity.
@@ -189,14 +175,19 @@ type Stats struct {
 	Replied         uint64 // responses sent to clients
 	DedupHits       uint64 // retried requests answered from the table
 	LocalReads      uint64 // queries served outside the total order
-	ReadCacheHits   uint64 // reads answered from a cached snapshot/encoding
+	ReadCacheHits   uint64 // listings answered from the batch server's per-version caches
 	ReplyQueueDrops uint64 // responses dropped on a full reply queue
 	Views           uint64 // views installed
 
 	LeaseHeld        bool   // a read lease is currently live (gauge)
 	LeaseReads       uint64 // ordered reads served locally under a lease
-	LeaseFallbacks   uint64 // ordered reads broadcast for lack of a lease
+	LeaseFallbacks   uint64 // ordered reads broadcast for lack of a lease (sum of the three below)
 	LeaseRevocations uint64 // leases revoked by flush entry or view change
+
+	// Why leased reads fell back, one counter per TryLeasedRead gate.
+	LeaseFallbackNoLease    uint64 // no live lease, or the group layer not caught up
+	LeaseFallbackApplyLag   uint64 // deliveries not yet applied
+	LeaseFallbackDurability uint64 // applied state ahead of the fsync watermark
 }
 
 // Errors.
@@ -247,7 +238,7 @@ func StartServer(cfg Config) (*Server, error) {
 		LeaseDuration:      cfg.LeaseDuration,
 		ReadCacheHits: func() uint64 {
 			hits, _ := cfg.Daemon.Server().ReadCacheStats()
-			return hits + s.stat.hits.Load()
+			return hits
 		},
 		RejectNotPrimary: func(reqID string) []byte {
 			return (&rpcResponse{ReqID: reqID, OK: false, ErrMsg: ErrNotPrimary.Error()}).encode()
@@ -372,6 +363,10 @@ func (s *Server) Stats() Stats {
 		LeaseReads:       st.LeaseReads,
 		LeaseFallbacks:   st.LeaseFallbacks,
 		LeaseRevocations: st.LeaseRevocations,
+
+		LeaseFallbackNoLease:    st.LeaseFallbackNoLease,
+		LeaseFallbackApplyLag:   st.LeaseFallbackApplyLag,
+		LeaseFallbackDurability: st.LeaseFallbackDurability,
 	}
 }
 
@@ -392,14 +387,18 @@ func (s *Server) Close() {
 // a pooled encoder (released by the replica's replier after the
 // send). It runs on a read-worker goroutine, concurrently with command
 // application, so it touches only concurrency-safe state: the batch
-// server's copy-on-write status snapshot, the lock table behind its
-// RWMutex, and the replica's counter snapshots.
+// server behind its RWMutex and its per-version listing, the lock
+// table behind its RWMutex, and the replica's counter snapshots.
+//
+// Every local read carries the batch-state version it was served at,
+// so sharded clients can reject snapshots that regress behind one they
+// already saw (per-shard monotonic reads).
 func (s *Server) serveRead(payload []byte) *codec.Encoder {
-	// Peek the header without the full argument decode: the dominant
-	// poll (jstat with no arguments) needs nothing beyond the ReqID,
-	// and the spliced reply then allocates nothing at the codec
-	// boundary. Decoder.Bytes aliases payload (no copy) and is
-	// wire-compatible with the string the client encoded.
+	// Peek the header without the full argument decode: jstat, with or
+	// without a job ID, needs nothing beyond the ReqID and the ID, and
+	// is answered straight into a pooled encoder. Decoder.Bytes
+	// aliases payload (no copy) and is wire-compatible with the string
+	// the client encoded.
 	d := codec.NewDecoder(payload)
 	d.Byte() // rpcKindRequest; classify already checked it
 	reqID := d.Bytes()
@@ -408,34 +407,26 @@ func (s *Server) serveRead(payload []byte) *codec.Encoder {
 	if d.Err() != nil {
 		return nil
 	}
-	if op == OpStatAll {
+	switch op {
+	case OpStatAll:
 		return s.statAllResponse(reqID)
+	case OpStat, OpStatLocal:
+		id := peekJobID(d)
+		if d.Err() != nil {
+			return nil
+		}
+		if len(id) == 0 && op == OpStatLocal {
+			return s.statAllResponse(reqID)
+		}
+		return s.statResponse(reqID, pbs.JobID(id))
 	}
 
 	req, _, err := decodeRPC(payload)
 	if err != nil || req == nil {
 		return nil
 	}
-	// Every local read carries the batch-state version it was served
-	// at, so sharded clients can reject snapshots that regress behind
-	// one they already saw (per-shard monotonic reads).
 	resp := &rpcResponse{ReqID: req.ReqID, OK: true, Epoch: s.daemon.Server().Version()}
 	switch req.Op {
-	case OpStatLocal:
-		if req.Args.JobID == "" {
-			return s.statAllResponse(reqID)
-		}
-		fallthrough
-	case OpStat:
-		// StatusView skips the defensive per-job clone: the job is
-		// only encoded here, never mutated.
-		j, err := s.daemon.StatusView(req.Args.JobID)
-		if err != nil {
-			resp.OK = false
-			resp.ErrMsg = err.Error()
-			break
-		}
-		resp.Jobs = []pbs.Job{j}
 	case OpNodesLocal:
 		resp.Nodes = s.daemon.Server().NodesStatus()
 	case OpInfoLocal:
@@ -451,40 +442,32 @@ func (s *Server) serveRead(payload []byte) *codec.Encoder {
 	return e
 }
 
-// statAllResponse answers a full jstat listing, re-encoding the job
-// table only when the batch server's state version has moved since
-// the cached encoding was built.
+// statAllResponse answers a full jstat listing by framing the batch
+// server's encoded listing, which it rebuilds at most once per state
+// version, behind the caller's ReqID. The epoch is the version that
+// listing was built at.
 func (s *Server) statAllResponse(reqID []byte) *codec.Encoder {
+	body, epoch := s.daemon.Server().Listing()
+	return listingResponse(reqID, body, epoch)
+}
+
+// statResponse answers jstat <id> straight from the live job table:
+// the bytes of the rpcResponse carrying that one job (or the error),
+// with no response value or job slice built.
+func (s *Server) statResponse(reqID []byte, id pbs.JobID) *codec.Encoder {
 	epoch := s.daemon.Server().Version()
-	s.stat.mu.Lock()
-	if s.stat.body != nil && s.stat.epoch == epoch {
-		body := s.stat.body
-		s.stat.mu.Unlock()
-		s.stat.hits.Add(1)
-		return spliceResponse(reqID, body)
+	j, err := s.daemon.StatusView(id)
+	e := codec.GetEncoder(256)
+	if err != nil {
+		putResponseHead(e, reqID, err.Error())
+		e.PutUint(0)
+	} else {
+		putResponseHead(e, reqID, "")
+		e.PutUint(1)
+		pbs.EncodeJob(e, j)
 	}
-	s.stat.mu.Unlock()
-
-	// Rebuild outside the cache lock: concurrent misses may encode the
-	// same listing twice, but never block each other. The epoch was
-	// read before the listing, so if a mutation lands in between, the
-	// entry is stamped stale and the next poll rebuilds it.
-	// The epoch rides inside the cached body: it is a property of the
-	// snapshot, identical for every requester, so the splice idiom
-	// still applies. It was read *before* the listing — if a mutation
-	// lands in between, the body is stamped one epoch early, which is
-	// conservative (a client may re-fetch needlessly, never accept a
-	// regressed snapshot).
-	e := codec.NewEncoder(256)
-	(&rpcResponse{OK: true, Jobs: s.daemon.StatusAll(), Epoch: epoch}).encodeBody(e)
-	body := e.Bytes()
-
-	s.stat.mu.Lock()
-	if s.stat.body == nil || epoch >= s.stat.epoch {
-		s.stat.epoch, s.stat.body = epoch, body
-	}
-	s.stat.mu.Unlock()
-	return spliceResponse(reqID, body)
+	putResponseTail(e, epoch)
+	return e
 }
 
 // infoLocked builds the jadmin report from concurrency-safe snapshots
@@ -538,6 +521,9 @@ func (s *Server) infoLocked() map[string]string {
 		"lease_held":         fmt.Sprintf("%v", st.LeaseHeld),
 		"lease_reads":        fmt.Sprintf("%d", st.LeaseReads),
 		"lease_fallbacks":    fmt.Sprintf("%d", st.LeaseFallbacks),
+		"lease_fb_no_lease":  fmt.Sprintf("%d", st.LeaseFallbackNoLease),
+		"lease_fb_apply_lag": fmt.Sprintf("%d", st.LeaseFallbackApplyLag),
+		"lease_fb_durable":   fmt.Sprintf("%d", st.LeaseFallbackDurability),
 		"lease_revocations":  fmt.Sprintf("%d", st.LeaseRevocations),
 		"locks_held":         fmt.Sprintf("%d", s.locks.Len()),
 		"gcs_broadcasts":     fmt.Sprintf("%d", gst.Broadcasts),

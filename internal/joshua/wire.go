@@ -180,6 +180,20 @@ func getArgs(d *codec.Decoder) cmdArgs {
 	return a
 }
 
+// peekJobID reads only the JobID of an argument record written by
+// putArgs, skipping the fields before it without converting them. The
+// returned bytes alias the decoder's input.
+func peekJobID(d *codec.Decoder) []byte {
+	d.Bytes()    // Name
+	d.Bytes()    // Owner
+	d.Bytes()    // Script
+	d.Uint()     // NodeCount
+	d.Duration() // WallTime
+	d.Bool()     // Hold
+	d.Uint()     // Count
+	return d.Bytes()
+}
+
 // Client RPC message kinds.
 const (
 	rpcKindRequest byte = iota + 1
@@ -253,11 +267,9 @@ func (r *rpcResponse) encode() []byte {
 	return e.Bytes()
 }
 
-// encodeBody appends everything after the ReqID field. The body is
-// identical for every requester asking the same question, so the
-// server caches it pre-encoded and splices it behind each request's
-// own ReqID (codec.Encoder.PutRaw) instead of re-walking the job
-// table per poll.
+// encodeBody appends everything after the ReqID field. The server's
+// jstat paths write the same bytes without building an rpcResponse
+// (putResponseHead, a job list, putResponseTail).
 func (r *rpcResponse) encodeBody(e *codec.Encoder) {
 	e.PutBool(r.OK)
 	e.PutString(r.ErrMsg)
@@ -283,17 +295,36 @@ func (r *rpcResponse) encodeBody(e *codec.Encoder) {
 	e.PutUint(r.Epoch)
 }
 
-// spliceResponse frames a pre-encoded response body (encodeBody
-// output) behind a per-request ReqID, into a pooled encoder released
-// by the replier after the send. The reqID bytes come straight from
-// the request decoder (PutBytes writes the same length-prefixed wire
-// form as the PutString the client used), so the splice path touches
-// the heap not at all.
-func spliceResponse(reqID []byte, body []byte) *codec.Encoder {
-	e := codec.GetEncoder(16 + len(reqID) + len(body))
+// putResponseHead writes what rpcResponse.encode writes before the
+// job list, for a response that is OK exactly when errMsg is empty.
+// The reqID bytes come straight from the request decoder (PutBytes
+// writes the same length-prefixed wire form as the PutString the
+// client used), so framing a reply touches the heap not at all.
+func putResponseHead(e *codec.Encoder, reqID []byte, errMsg string) {
 	e.PutByte(rpcKindResponse)
 	e.PutBytes(reqID)
-	e.PutRaw(body)
+	e.PutBool(errMsg == "")
+	e.PutString(errMsg)
+}
+
+// putResponseTail writes what rpcResponse.encode writes after the job
+// list of a response with no grant, nodes or info.
+func putResponseTail(e *codec.Encoder, epoch uint64) {
+	e.PutBool(false) // Granted
+	e.PutUint(0)     // Nodes
+	e.PutUint(0)     // Info
+	e.PutUint(epoch)
+}
+
+// listingResponse frames a pre-encoded job list (pbs.Server.Listing)
+// behind a per-request ReqID, into a pooled encoder released by the
+// replier after the send: the bytes of rpcResponse{ReqID, OK: true,
+// Jobs, Epoch: epoch}.encode().
+func listingResponse(reqID, jobs []byte, epoch uint64) *codec.Encoder {
+	e := codec.GetEncoder(32 + len(reqID) + len(jobs))
+	putResponseHead(e, reqID, "")
+	e.PutRaw(jobs)
+	putResponseTail(e, epoch)
 	return e
 }
 
@@ -314,16 +345,20 @@ func decodeRPC(b []byte) (*rpcRequest, *rpcResponse, error) {
 		}
 		return req, nil, nil
 	case rpcKindResponse:
+		// One string copy of the datagram backs the ReqID, the error and
+		// every job's strings, and the jobs land in one slice: a listing
+		// of n jobs costs three allocations, not a few per job.
+		d.ShareStrings()
 		resp := &rpcResponse{
-			ReqID:  d.String(),
+			ReqID:  d.Text(),
 			OK:     d.Bool(),
-			ErrMsg: d.String(),
+			ErrMsg: d.Text(),
 		}
 		n := d.Uint()
 		if d.Err() == nil && n <= uint64(d.Remaining())+1 {
-			resp.Jobs = make([]pbs.Job, 0, n)
-			for i := uint64(0); i < n; i++ {
-				resp.Jobs = append(resp.Jobs, pbs.DecodeJob(d))
+			resp.Jobs = make([]pbs.Job, n)
+			for i := range resp.Jobs {
+				pbs.DecodeJobInto(d, &resp.Jobs[i])
 			}
 		}
 		resp.Granted = d.Bool()

@@ -157,8 +157,8 @@ func (d *Daemon) FlushActions() { d.flush() }
 func (d *Daemon) Status(id JobID) (Job, error) { return d.srv.Status(id) }
 
 // StatusView is the clone-free variant of Status (see
-// Server.StatusView): the returned job aliases the shared immutable
-// snapshot and must be treated as read-only.
+// Server.StatusView): the returned job's Nodes aliases the live job
+// and must be treated as read-only.
 func (d *Daemon) StatusView(id JobID) (Job, error) { return d.srv.StatusView(id) }
 
 // StatusAll runs qstat for all jobs.

@@ -107,6 +107,9 @@ type Job struct {
 
 	State JobState
 	// Nodes are the compute nodes allocated while Running/Exiting.
+	// The server only ever replaces a live job's Nodes with a fresh
+	// slice (startJob) and never writes into one, so StatusView's
+	// value copy may alias it without a lock.
 	Nodes []string
 	// ExitCode is meaningful once State == StateCompleted. Killed
 	// jobs report ExitCodeKilled.

@@ -53,15 +53,11 @@ func (s *Server) SetNodeOffline(name string, offline bool) error {
 }
 
 // NodesStatus lists every configured node with its state and current
-// allocation, in configuration order. Served from the shared status
-// snapshot — callers must treat the result as read-only.
+// allocation, in configuration order, built from the live allocation
+// table under the read lock.
 func (s *Server) NodesStatus() []NodeStatus {
-	return s.statusSnapshot().nodes
-}
-
-// nodesStatusLocked builds the node listing. Must be called with
-// s.mu held (read or write).
-func (s *Server) nodesStatusLocked() []NodeStatus {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	out := make([]NodeStatus, 0, len(s.cfg.Nodes))
 	for _, n := range s.cfg.Nodes {
 		st := NodeStatus{

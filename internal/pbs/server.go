@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"joshua/internal/codec"
 )
 
 // Config parameterizes a Server.
@@ -73,20 +75,22 @@ type Config struct {
 
 // Server is the deterministic TORQUE-equivalent state machine. All
 // methods are safe for concurrent use; determinism is with respect to
-// the serialized order of mutating calls. Status-class reads
-// (StatusAll, Status, NodesStatus) are served from an epoch-versioned
-// copy-on-write snapshot invalidated only on mutation, so a
-// qstat-polling storm costs O(1) amortized per poll and never blocks
-// the mutation path.
+// the serialized order of mutating calls. Status-class reads never
+// copy the job table: Status, StatusView and NodesStatus look up the
+// live table under the read lock, and the two whole-table listings
+// (StatusAll's []Job and Listing's encoding) are each built at most
+// once per mutation, so a qstat-polling storm costs O(1) amortized per
+// poll and never blocks the mutation path for longer than one build.
 type Server struct {
 	mu sync.RWMutex
 
-	// version counts mutations (bumped under mu); cache holds the
-	// immutable status snapshot stamped with the version it was built
-	// at. A reader whose loaded cache matches version serves straight
+	// version counts mutations (bumped under mu). Each listing cache
+	// holds an immutable value stamped with the version it was built
+	// at; a reader whose loaded entry matches version serves straight
 	// from it — no lock, no copy.
 	version   atomic.Uint64
-	cache     atomic.Pointer[statusSnapshot]
+	jobsCache atomic.Pointer[versioned[[]Job]]
+	listing   atomic.Pointer[versioned[[]byte]]
 	cacheHits atomic.Uint64
 	cacheMiss atomic.Uint64
 
@@ -129,65 +133,71 @@ type Server struct {
 	offline map[string]bool
 }
 
-// statusSnapshot is one immutable copy-on-write view of the job table
-// and node pool, shared by every status-class reader at the epoch it
-// was built. Nothing in it is ever mutated after Store; readers may
-// hold it indefinitely (they see a consistent, possibly slightly
-// stale, state — the paper's jstat semantics).
-type statusSnapshot struct {
-	epoch uint64
-	// jobs holds every known job in StatusAll order (submission order,
-	// completed last in completion order), each deep-cloned.
-	jobs []Job
-	// index maps job ID to its position in jobs.
-	index map[JobID]int
-	// nodes is the NodesStatus listing at the same epoch.
-	nodes []NodeStatus
+// versioned is one immutable listing built at a mutation version.
+// Nothing in it is mutated after Store; readers may hold it
+// indefinitely (they see a consistent, possibly slightly stale, state
+// — the paper's jstat semantics).
+type versioned[T any] struct {
+	version uint64
+	val     T
 }
 
-// statusSnapshot returns the current snapshot, rebuilding it only if
-// a mutation happened since it was last built. The fast path is two
-// atomic loads; the slow path holds the read lock (concurrent with
-// other readers, excluded only by mutators) while copying.
-func (s *Server) statusSnapshot() *statusSnapshot {
-	if c := s.cache.Load(); c != nil && c.epoch == s.version.Load() {
+// cachedListing returns c's value if it was built at the current
+// version, and otherwise builds it with build under the read lock
+// (concurrent with other readers, excluded only by mutators), stamped
+// with the version read under that same lock. The fast path is two
+// atomic loads.
+func cachedListing[T any](s *Server, c *atomic.Pointer[versioned[T]], build func(*Server) T) (T, uint64) {
+	if v := c.Load(); v != nil && v.version == s.version.Load() {
 		s.cacheHits.Add(1)
-		return c
+		return v.val, v.version
 	}
 	s.cacheMiss.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c := &statusSnapshot{
-		epoch: s.version.Load(),
-		jobs:  make([]Job, 0, len(s.queue)+len(s.completed)),
-		index: make(map[JobID]int, len(s.jobs)),
+	v := &versioned[T]{version: s.version.Load(), val: build(s)}
+	c.Store(v)
+	return v.val, v.version
+}
+
+// statusCountLocked is the number of jobs StatusAll lists. Must be
+// called with s.mu held.
+func (s *Server) statusCountLocked() int {
+	n := len(s.queue)
+	for _, id := range s.completed {
+		if _, ok := s.jobs[id]; ok {
+			n++
+		}
 	}
+	return n
+}
+
+// eachStatusLocked calls fn on every known job in StatusAll order:
+// submission order, then completed jobs in completion order. Must be
+// called with s.mu held.
+func (s *Server) eachStatusLocked(fn func(*Job)) {
 	for _, id := range s.queue {
-		c.index[id] = len(c.jobs)
-		c.jobs = append(c.jobs, s.jobs[id].clone())
+		fn(s.jobs[id])
 	}
 	for _, id := range s.completed {
 		if j, ok := s.jobs[id]; ok {
-			c.index[id] = len(c.jobs)
-			c.jobs = append(c.jobs, j.clone())
+			fn(j)
 		}
 	}
-	c.nodes = s.nodesStatusLocked()
-	s.cache.Store(c)
-	return c
 }
 
-// dirty bumps the mutation epoch, invalidating the status snapshot.
-// Must be called with s.mu held for writing.
+// dirty bumps the mutation epoch, invalidating both listings. Must be
+// called with s.mu held for writing.
 func (s *Server) dirty() { s.version.Add(1) }
 
 // Version returns the mutation epoch. It changes exactly when a
 // status-class read could observe new state, so callers may key their
-// own caches on it (the JOSHUA head caches a pre-encoded jstat
-// response this way).
+// own caches on it.
 func (s *Server) Version() uint64 { return s.version.Load() }
 
-// ReadCacheStats reports status-snapshot cache hits and misses.
+// ReadCacheStats reports hits and misses of the two per-version
+// listing caches (StatusAll and Listing). Single-job and node reads
+// use the live table and are never cache events.
 func (s *Server) ReadCacheStats() (hits, misses uint64) {
 	return s.cacheHits.Load(), s.cacheMiss.Load()
 }
@@ -467,38 +477,67 @@ func (s *Server) SignalCount(id JobID) int {
 	return s.sigCount[id]
 }
 
-// Status returns one job (qstat <id>). Served from the status
-// snapshot: concurrent with mutations, possibly one mutation stale.
+// Status returns a copy of one job (qstat <id>), read from the live
+// table under the read lock: O(1), whatever the table size.
 func (s *Server) Status(id JobID) (Job, error) {
-	snap := s.statusSnapshot()
-	i, ok := snap.index[id]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	j, ok := s.jobs[id]
 	if !ok {
 		return Job{}, errUnknownJob("qstat", id)
 	}
-	return snap.jobs[i].clone(), nil
+	return j.clone(), nil
 }
 
-// StatusView returns one job straight from the shared immutable
-// snapshot, without the defensive clone Status makes — the single-job
-// analogue of StatusAll, for callers that only read or encode the
-// job. The job (including its Nodes slice) must be treated as
-// read-only.
+// StatusView is Status without the defensive Nodes copy, for callers
+// that only read or encode the job: the returned value's Nodes aliases
+// the live job's slice, which the server never writes into (see
+// Job.Nodes), and must be treated as read-only.
 func (s *Server) StatusView(id JobID) (Job, error) {
-	snap := s.statusSnapshot()
-	i, ok := snap.index[id]
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	j, ok := s.jobs[id]
 	if !ok {
 		return Job{}, errUnknownJob("qstat", id)
 	}
-	return snap.jobs[i], nil
+	return *j, nil
 }
 
 // StatusAll returns every known job in submission order, completed
-// jobs last in completion order (qstat). The returned slice is the
-// shared immutable snapshot — callers must treat it (and the jobs in
-// it) as read-only. An unchanged server answers repeated polls with
-// the same slice: O(1) per poll, no copying, no lock.
+// jobs last in completion order (qstat). The returned slice is shared
+// by every caller at the same version — callers must treat it (and
+// the jobs in it) as read-only. An unchanged server answers repeated
+// polls with the same slice: O(1) per poll, no copying, no lock.
 func (s *Server) StatusAll() []Job {
-	return s.statusSnapshot().jobs
+	jobs, _ := cachedListing(s, &s.jobsCache, (*Server).cloneStatusLocked)
+	return jobs
+}
+
+// cloneStatusLocked deep-copies the StatusAll listing. Must be called
+// with s.mu held.
+func (s *Server) cloneStatusLocked() []Job {
+	jobs := make([]Job, 0, s.statusCountLocked())
+	s.eachStatusLocked(func(j *Job) { jobs = append(jobs, j.clone()) })
+	return jobs
+}
+
+// Listing returns the StatusAll listing encoded for the wire — the job
+// count, then each job exactly as EncodeJob writes it — and the
+// version it was built at. It is encoded straight from the live table
+// at most once per version, and the bytes are shared by every caller
+// at that version, so they must not be modified.
+func (s *Server) Listing() (body []byte, version uint64) {
+	return cachedListing(s, &s.listing, (*Server).encodeListingLocked)
+}
+
+// encodeListingLocked builds Listing's body. Must be called with s.mu
+// held.
+func (s *Server) encodeListingLocked() []byte {
+	n := s.statusCountLocked()
+	e := codec.NewEncoder(16 + 64*n)
+	e.PutUint(uint64(n))
+	s.eachStatusLocked(func(j *Job) { putJob(e, j) })
+	return e.Bytes()
 }
 
 // JobDone applies a completion report from a mom. Duplicate reports

@@ -242,7 +242,8 @@ func (s *Server) Restore(b []byte) error {
 	// StateQueued ones arrive already in index order.
 	var eligible []*Job
 	for i := uint64(0); i < n; i++ {
-		j := getJob(d)
+		j := new(Job)
+		DecodeJobInto(d, j)
 		if d.Err() != nil {
 			break
 		}
@@ -363,20 +364,36 @@ func putJob(e *codec.Encoder, j *Job) {
 	e.PutInt(int64(j.ArrayIdx))
 }
 
-func getJob(d *codec.Decoder) *Job {
-	j := &Job{
-		ID:        JobID(d.String()),
+// EncodeJob appends a Job to an encoder; the JOSHUA command protocol
+// carries jobs in responses.
+func EncodeJob(e *codec.Encoder, j Job) { putJob(e, &j) }
+
+// DecodeJob reads a Job written by EncodeJob.
+func DecodeJob(d *codec.Decoder) Job {
+	var j Job
+	DecodeJobInto(d, &j)
+	return j
+}
+
+// DecodeJobInto reads a Job written by EncodeJob into *j, overwriting
+// every field. Its strings are substrings of the decoder's shared copy
+// after codec.Decoder.ShareStrings, and fresh strings otherwise (as in
+// Restore), so a caller decoding a whole listing into one []Job pays
+// no per-job allocation.
+func DecodeJobInto(d *codec.Decoder, j *Job) {
+	*j = Job{
+		ID:        JobID(d.Text()),
 		Seq:       d.Uint(),
-		Name:      d.String(),
-		Owner:     d.String(),
-		Script:    d.String(),
+		Name:      d.Text(),
+		Owner:     d.Text(),
+		Script:    d.Text(),
 		NodeCount: int(d.Uint()),
 		WallTime:  d.Duration(),
 		State:     JobState(d.Uint()),
 	}
 	j.Nodes = d.StringSlice()
 	j.ExitCode = int(d.Int())
-	j.Output = d.String()
+	j.Output = d.Text()
 	j.SubmittedAt = d.Time()
 	j.StartedAt = d.Time()
 	j.CompletedAt = d.Time()
@@ -384,12 +401,4 @@ func getJob(d *codec.Decoder) *Job {
 	j.Res.Mem = d.Int()
 	j.Priority = int(d.Int())
 	j.ArrayIdx = int(d.Int())
-	return j
 }
-
-// EncodeJob appends a Job to an encoder; the JOSHUA command protocol
-// carries jobs in responses.
-func EncodeJob(e *codec.Encoder, j Job) { putJob(e, &j) }
-
-// DecodeJob reads a Job written by EncodeJob.
-func DecodeJob(d *codec.Decoder) Job { return *getJob(d) }

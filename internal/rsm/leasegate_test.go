@@ -1,0 +1,104 @@
+package rsm
+
+import (
+	"testing"
+	"time"
+
+	"joshua/internal/gcs"
+	"joshua/internal/simnet"
+	"joshua/internal/transport"
+)
+
+// startLeaseReplica runs a one-member durable replica of benchSvc over
+// simnet with the given lease duration (negative disables leasing). A
+// long failure timeout keeps a granted lease live for the whole test.
+func startLeaseReplica(t *testing.T, lease time.Duration) *Replica {
+	t.Helper()
+	net := simnet.New(simnet.Config{})
+	groupEP, err := net.Endpoint("rep0/gcs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientEP, err := net.Endpoint("rep0/cli")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Start(Config{
+		Self:           "rep0",
+		GroupEndpoint:  groupEP,
+		ClientEndpoint: clientEP,
+		Peers:          map[gcs.MemberID]transport.Addr{"rep0": "rep0/gcs"},
+		InitialMembers: []gcs.MemberID{"rep0"},
+		Service:        newBenchSvc(),
+		Classify:       func([]byte) Classification { return Classification{Verdict: Ignore} },
+		DataDir:        t.TempDir(),
+		LeaseDuration:  lease,
+		TuneGCS:        func(g *gcs.Config) { g.FailTimeout = 10 * time.Second },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		r.Close()
+		net.Close()
+	})
+	select {
+	case <-r.Ready():
+	case <-time.After(10 * time.Second):
+		t.Fatal("replica not ready")
+	}
+	return r
+}
+
+// TestLeasedReadGateCounters drives each TryLeasedRead gate once and
+// checks that the refusal is counted against that gate alone, and that
+// LeaseFallbacks stays their sum.
+func TestLeasedReadGateCounters(t *testing.T) {
+	type counts struct{ reads, noLease, applyLag, durability, fallbacks uint64 }
+	read := func(r *Replica) counts {
+		st := r.Stats()
+		return counts{st.LeaseReads, st.LeaseFallbackNoLease, st.LeaseFallbackApplyLag, st.LeaseFallbackDurability, st.LeaseFallbacks}
+	}
+
+	// Gate 1: a replica that never holds a lease.
+	r := startLeaseReplica(t, -1)
+	if r.TryLeasedRead() {
+		t.Fatal("leased read served with leasing disabled")
+	}
+	if got, want := read(r), (counts{noLease: 1, fallbacks: 1}); got != want {
+		t.Errorf("no lease: counters %+v, want %+v", got, want)
+	}
+
+	// Gates 2 and 3 on a leased replica that has applied one durable
+	// command, so every gate passes until the test holds one back.
+	r = startLeaseReplica(t, 5*time.Second)
+	if err := r.Propose("gate#1", []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for !(r.group.LeasedReadOK() && r.group.DeliveredCount() > 0 &&
+		r.delivHandled.Load() == r.group.DeliveredCount() &&
+		r.durableIdx.Load() >= r.appliedPub.Load() && r.appliedPub.Load() > 0) {
+		if time.Now().After(deadline) {
+			t.Fatal("replica never reached a leased, applied, durable state")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	if !r.TryLeasedRead() {
+		t.Fatalf("leased read refused with every gate open: %+v", read(r))
+	}
+	r.delivHandled.Add(^uint64(0)) // one delivery not yet applied
+	if r.TryLeasedRead() {
+		t.Error("leased read served behind an unapplied delivery")
+	}
+	r.delivHandled.Add(1)
+	r.appliedPub.Add(1) // applied state ahead of the fsync watermark
+	if r.TryLeasedRead() {
+		t.Error("leased read served ahead of the durability watermark")
+	}
+	r.appliedPub.Add(^uint64(0))
+	if got, want := read(r), (counts{reads: 1, applyLag: 1, durability: 1, fallbacks: 2}); got != want {
+		t.Errorf("leased replica: counters %+v, want %+v", got, want)
+	}
+}

@@ -359,8 +359,13 @@ type Stats struct {
 	// Leased linearizable reads (see Config.LeaseDuration).
 	LeaseHeld        bool   // a read lease is currently live (gauge)
 	LeaseReads       uint64 // ordered reads served locally under a lease
-	LeaseFallbacks   uint64 // ordered reads that fell back to the broadcast path
+	LeaseFallbacks   uint64 // ordered reads that fell back to the broadcast path (sum of the three below)
 	LeaseRevocations uint64 // leases revoked by flush entry or view change
+
+	// Fallbacks by the TryLeasedRead gate that refused them.
+	LeaseFallbackNoLease    uint64 // gate 1: no live lease, or the group layer not caught up
+	LeaseFallbackApplyLag   uint64 // gate 2: deliveries not yet applied
+	LeaseFallbackDurability uint64 // gate 3: applied state ahead of the fsync watermark
 
 	// Memory pressure (runtime.MemStats-derived gauges, sampled by
 	// Stats() so regressions are visible in operation, not just
@@ -517,9 +522,12 @@ type Replica struct {
 	// a leased read never runs while deliveries sit in the event
 	// queue.
 	delivHandled atomic.Uint64
-	// Leased-read outcome counters (TryLeasedRead).
-	leaseReads     atomic.Uint64
-	leaseFallbacks atomic.Uint64
+	// Leased-read outcome counters (TryLeasedRead): served, and
+	// refused by each of its three gates.
+	leaseReads      atomic.Uint64
+	leaseNoLease    atomic.Uint64
+	leaseApplyLag   atomic.Uint64
+	leaseDurability atomic.Uint64
 
 	// --- owned by the run loop ---
 	view gcs.View
@@ -715,7 +723,7 @@ func (r *Replica) GroupStats() gcs.Stats { return r.group.Stats() }
 
 // TryLeasedRead reports whether an ordered (linearizable) read may be
 // served from local state right now, counting the outcome either way.
-// It holds when four gates pass together:
+// It holds when three gates pass together:
 //
 //  1. The group layer holds a live read lease from the sequencer and
 //     is caught up — it has delivered everything it knows was
@@ -740,15 +748,20 @@ func (r *Replica) GroupStats() gcs.Stats { return r.group.Stats() }
 // matter — the read is serialized where the gates held.
 //
 // A false return is the automatic fallback: the caller broadcasts the
-// read through the total order exactly as before leases existed.
+// read through the total order exactly as before leases existed. The
+// first gate that refuses is counted (Stats.LeaseFallback*).
 func (r *Replica) TryLeasedRead() bool {
-	if r.group.LeasedReadOK() &&
-		r.delivHandled.Load() >= r.group.DeliveredCount() &&
-		(r.log == nil || r.durableIdx.Load() >= r.appliedPub.Load()) {
+	switch {
+	case !r.group.LeasedReadOK():
+		r.leaseNoLease.Add(1)
+	case r.delivHandled.Load() < r.group.DeliveredCount():
+		r.leaseApplyLag.Add(1)
+	case r.log != nil && r.durableIdx.Load() < r.appliedPub.Load():
+		r.leaseDurability.Add(1)
+	default:
 		r.leaseReads.Add(1)
 		return true
 	}
-	r.leaseFallbacks.Add(1)
 	return false
 }
 
@@ -759,7 +772,10 @@ func (r *Replica) Stats() Stats {
 	r.statsMu.Unlock()
 	st.LeaseHeld = r.group.LeaseValid()
 	st.LeaseReads = r.leaseReads.Load()
-	st.LeaseFallbacks = r.leaseFallbacks.Load()
+	st.LeaseFallbackNoLease = r.leaseNoLease.Load()
+	st.LeaseFallbackApplyLag = r.leaseApplyLag.Load()
+	st.LeaseFallbackDurability = r.leaseDurability.Load()
+	st.LeaseFallbacks = st.LeaseFallbackNoLease + st.LeaseFallbackApplyLag + st.LeaseFallbackDurability
 	st.LeaseRevocations = r.group.Stats().LeaseRevocations
 	st.ReadQueueDepth = len(r.readQ)
 	if r.cfg.ReadCacheHits != nil {
