@@ -77,17 +77,13 @@ func (s *pbsService) Apply(cmd rsm.Command) []byte {
 // across distinct jobs is unspecified under parallel apply; the sink
 // is local observability, not replicated state.
 func (s *pbsService) ConflictKey(cmd rsm.Command) string {
-	op, ok := requestOp(cmd.Payload)
-	if !ok {
+	op, id, ok := requestJobID(cmd.Payload)
+	if !ok || len(id) == 0 {
 		return ""
 	}
 	switch op {
 	case OpSignal, OpStat:
-		req, _, err := decodeRPC(cmd.Payload)
-		if err != nil || req == nil || req.Args.JobID == "" {
-			return ""
-		}
-		return "job/" + string(req.Args.JobID)
+		return "job/" + string(id)
 	default:
 		return ""
 	}
@@ -144,11 +140,11 @@ func (s *lockService) Apply(cmd rsm.Command) []byte {
 // races for different jobs may resolve in parallel. Within one job the
 // log order decides the winner, exactly as before.
 func (s *lockService) ConflictKey(cmd rsm.Command) string {
-	req, _, err := decodeRPC(cmd.Payload)
-	if err != nil || req == nil || req.Args.JobID == "" {
+	_, id, ok := requestJobID(cmd.Payload)
+	if !ok || len(id) == 0 {
 		return ""
 	}
-	return "job/" + string(req.Args.JobID)
+	return "job/" + string(id)
 }
 
 func (s *lockService) Snapshot() []byte {

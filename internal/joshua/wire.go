@@ -194,6 +194,38 @@ func peekJobID(d *codec.Decoder) []byte {
 	return d.Bytes()
 }
 
+// requestJobID reads the operation and JobID of an encoded rpcRequest
+// without decoding it, skipping every other field in place. ok is
+// false exactly when decodeRPC would not return a request, so a
+// classifier built on it treats malformed payloads as one built on
+// decodeRPC did. The returned bytes alias payload.
+func requestJobID(payload []byte) (op Op, id []byte, ok bool) {
+	d := codec.NewDecoder(payload)
+	if d.Byte() != rpcKindRequest {
+		return 0, nil, false
+	}
+	d.Bytes() // ReqID
+	op = Op(d.Byte())
+	d.Bool() // Ordered
+	id = peekJobID(d)
+	// The rest of the argument record, in getArgs order.
+	d.Bytes() // Signal
+	d.Bytes() // AttemptID
+	d.Int()   // ExitCode
+	d.Bytes() // Output
+	d.Bytes() // Node
+	d.Int()   // NCPUs
+	d.Int()   // Mem
+	d.Int()   // Priority
+	d.Bool()  // ArraySet
+	d.Int()   // ArrayStart
+	d.Int()   // ArrayEnd
+	if d.Finish() != nil {
+		return 0, nil, false
+	}
+	return op, id, true
+}
+
 // Client RPC message kinds.
 const (
 	rpcKindRequest byte = iota + 1

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 )
 
 func TestRPCRequestRoundTrip(t *testing.T) {
@@ -90,6 +91,78 @@ func TestRequestOpPeek(t *testing.T) {
 	resp := &rpcResponse{ReqID: "c#9", OK: true}
 	if _, ok := requestOp(resp.encode()); ok {
 		t.Error("requestOp on a response should fail")
+	}
+}
+
+// decodedConflictKeys are the conflict keys as both services derived
+// them from a full decodeRPC: the reference the header peeks must
+// reproduce byte for byte.
+func decodedConflictKeys(payload []byte) (pbsKey, lockKey string) {
+	req, _, err := decodeRPC(payload)
+	if err == nil && req != nil && req.Args.JobID != "" {
+		lockKey = "job/" + string(req.Args.JobID)
+	}
+	if op, ok := requestOp(payload); ok && (op == OpSignal || op == OpStat) {
+		pbsKey = lockKey
+	}
+	return pbsKey, lockKey
+}
+
+// TestConflictKeyMatchesDecode compares both services' ConflictKey
+// with the decodeRPC-derived key over every operation, with and
+// without a job ID, and over every truncation of each payload, a
+// payload with a trailing byte and a response.
+func TestConflictKeyMatchesDecode(t *testing.T) {
+	full := cmdArgs{
+		Name: "n", Owner: "o", Script: "#!/bin/sh\n", NodeCount: 2, WallTime: time.Second,
+		Hold: true, Count: 3, NCPUs: 4, Mem: 1 << 30, Priority: -5,
+		ArraySet: true, ArrayStart: 1, ArrayEnd: 9,
+		Signal: "SIGUSR1", AttemptID: "head0/pbs+compute0", ExitCode: -271,
+		Output: "out\n", Node: "compute0",
+	}
+	var payloads [][]byte
+	for op := Op(0); op <= OpInfoLocal+1; op++ {
+		for _, args := range []cmdArgs{{}, {JobID: "7.cluster"}, full} {
+			if args.Name != "" {
+				args.JobID = "12.cluster"
+			}
+			for _, ordered := range []bool{false, true} {
+				p := (&rpcRequest{ReqID: "c#1", Op: op, Ordered: ordered, Args: args}).encode()
+				for n := 0; n <= len(p); n++ {
+					payloads = append(payloads, p[:n])
+				}
+				payloads = append(payloads, append(append([]byte(nil), p...), 0))
+			}
+		}
+	}
+	payloads = append(payloads, (&rpcResponse{ReqID: "c#1", OK: true}).encode())
+
+	pbsSvc, locks := &pbsService{}, newLockService()
+	var pbsKeyed, lockKeyed int
+	for _, p := range payloads {
+		cmd := rsm.Command{Payload: p}
+		wantPBS, wantLock := decodedConflictKeys(p)
+		if got := pbsSvc.ConflictKey(cmd); got != wantPBS {
+			t.Fatalf("pbs ConflictKey(%x) = %q, decodeRPC-derived %q", p, got, wantPBS)
+		}
+		if got := locks.ConflictKey(cmd); got != wantLock {
+			t.Fatalf("locks ConflictKey(%x) = %q, decodeRPC-derived %q", p, got, wantLock)
+		}
+		if wantPBS != "" {
+			pbsKeyed++
+		}
+		if wantLock != "" {
+			lockKeyed++
+		}
+	}
+	if pbsKeyed == 0 || lockKeyed == 0 {
+		t.Fatalf("table never produced a job key (pbs %d, locks %d)", pbsKeyed, lockKeyed)
+	}
+
+	// Classifying a jmutex costs only the key string.
+	cmd := rsm.Command{Payload: (&rpcRequest{ReqID: "c#2", Op: OpJMutex, Args: cmdArgs{JobID: "3.cluster", AttemptID: "a"}}).encode()}
+	if allocs := testing.AllocsPerRun(200, func() { _ = locks.ConflictKey(cmd) }); allocs > 1 {
+		t.Errorf("locks ConflictKey: %v allocs/op, want <= 1", allocs)
 	}
 }
 

@@ -49,15 +49,20 @@ type MomConfig struct {
 	// (JOSHUA's jmutex performs group communication); it runs outside
 	// the Mom's lock.
 	Prologue func(job Job, head transport.Addr) bool
-	// Epilogue runs after a job finishes executing, before the
-	// completion report (JOSHUA's jdone releases the mutex here). Nil
+	// Epilogue runs after a job finishes executing, once the completion
+	// report has been sent to every head (JOSHUA's jdone releases the
+	// mutex here, so the lock outlives the announced completion). Nil
 	// is a no-op. Only the executing attempt runs it.
 	Epilogue func(job Job)
 	// TimeScale multiplies job WallTime to get real execution time;
 	// 0 means 1.0. Benchmarks use small scales.
 	TimeScale float64
-	// ReportInterval is the retransmission period for unacknowledged
-	// completion reports. Default 200ms.
+	// ReportInterval is the base of the retransmission schedule for
+	// unacknowledged completion reports: the first resend comes one
+	// interval after the job finished, each later gap doubles up to 16
+	// intervals, and the report is abandoned 100 intervals after the
+	// job finished. It is also the period of the tick that checks the
+	// schedule. Default 200ms.
 	ReportInterval time.Duration
 }
 
@@ -67,18 +72,28 @@ type momJob struct {
 	attempts  map[transport.Addr]bool // head daemons that requested a start
 	executing bool
 	finished  bool
-	exitCode  int
-	output    string
 	killed    chan struct{} // closed to interrupt execution
+	// report is the encoded completion report, set when the job
+	// finishes and sent as is: every transport copies a payload before
+	// Send returns.
+	report []byte
 	// unacked head daemons still owed a completion report.
 	unacked map[transport.Addr]bool
-	// reportTries bounds retransmission so reports to permanently
-	// dead head nodes are eventually abandoned.
-	reportTries int
+	// The retransmission schedule: the next resend is due at resendAt,
+	// resendGap after the previous one, and nothing is resent after
+	// abandonAt, so reports to permanently dead heads stop.
+	resendAt  time.Time
+	resendGap time.Duration
+	abandonAt time.Time
 }
 
-// maxReportTries bounds completion-report retransmission rounds.
-const maxReportTries = 100
+// The completion-report retransmission schedule, in ReportIntervals:
+// gaps double up to maxReportGap, and retransmission stops
+// reportHorizon after the job finished.
+const (
+	maxReportGap  = 16
+	reportHorizon = 100
+)
 
 // StartMom creates and runs a Mom.
 func StartMom(cfg MomConfig) *Mom {
@@ -154,8 +169,8 @@ func (m *Mom) run() {
 			case momKindDoneAck:
 				m.onDoneAck(msg.JobID, dg.From)
 			}
-		case <-tick.C:
-			m.resendReports()
+		case now := <-tick.C:
+			m.resendReports(now)
 		}
 	}
 }
@@ -183,8 +198,9 @@ func (m *Mom) onStart(msg *momMsg, from transport.Addr) {
 	if j.finished {
 		// Late or retransmitted start for a finished job: the head
 		// may have missed the report; resend it directly.
+		report := j.report
 		m.mu.Unlock()
-		m.sendReport(msg.JobID, from)
+		_ = m.cfg.Endpoint.Send(from, report)
 		return
 	}
 	if j.attempts[from] {
@@ -234,8 +250,8 @@ func (m *Mom) attempt(job Job, from transport.Addr) {
 	m.execute(job)
 }
 
-// execute simulates running the job for its (scaled) wall time, then
-// reports completion to every head node.
+// execute simulates running the job for its (scaled) wall time,
+// reports completion to every head node, then runs the epilogue.
 func (m *Mom) execute(job Job) {
 	d := time.Duration(float64(job.WallTime) * m.cfg.TimeScale)
 	exit := 0
@@ -264,27 +280,21 @@ func (m *Mom) execute(job Job) {
 		}
 	}
 
-	if m.cfg.Epilogue != nil {
-		m.cfg.Epilogue(job)
-	}
-
-	m.mu.Lock()
-	if j.finished {
-		m.mu.Unlock()
-		return
-	}
-	j.finished = true
-	j.exitCode = exit
+	var output string
 	if exit == 0 {
-		j.output = runScript(job, m.cfg.Name)
+		output = runScript(job, m.cfg.Name)
 	}
-	for _, s := range m.cfg.Servers {
-		j.unacked[s] = true
-	}
+	m.mu.Lock()
+	report := m.finishLocked(j, exit, output)
 	m.mu.Unlock()
 
-	for _, s := range m.cfg.Servers {
-		m.sendReport(job.ID, s)
+	if report != nil {
+		m.sendReport(report)
+	}
+	// The epilogue (JOSHUA's jdone, one ordered write) only releases
+	// the launch lock, so it follows the report instead of delaying it.
+	if m.cfg.Epilogue != nil {
+		m.cfg.Epilogue(job)
 	}
 }
 
@@ -301,42 +311,46 @@ func (m *Mom) onKill(id JobID) {
 	default:
 		close(j.killed)
 	}
-	executing := j.executing
+	if j.executing {
+		m.mu.Unlock()
+		return // the executing attempt reports the kill
+	}
+	// Killed before any attempt executed: report the kill directly so
+	// the heads converge, then run the epilogue as execute does.
+	report := m.finishLocked(j, ExitCodeKilled, "")
 	job := j.job
 	m.mu.Unlock()
 
-	if !executing {
-		// Killed before any attempt executed: report the kill
-		// directly so the heads converge.
-		m.mu.Lock()
-		if !j.finished {
-			j.finished = true
-			j.exitCode = ExitCodeKilled
-			for _, s := range m.cfg.Servers {
-				j.unacked[s] = true
-			}
-		}
-		m.mu.Unlock()
-		if m.cfg.Epilogue != nil {
-			m.cfg.Epilogue(job)
-		}
-		for _, s := range m.cfg.Servers {
-			m.sendReport(id, s)
-		}
+	m.sendReport(report)
+	if m.cfg.Epilogue != nil {
+		m.cfg.Epilogue(job)
 	}
 }
 
-// sendReport transmits one completion report.
-func (m *Mom) sendReport(id JobID, to transport.Addr) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok || !j.finished {
-		m.mu.Unlock()
-		return
+// finishLocked marks j finished, encodes its completion report once
+// and starts the report's retransmission schedule to every head. It
+// returns the report, or nil if j had already finished. m.mu is held.
+func (m *Mom) finishLocked(j *momJob, exitCode int, output string) []byte {
+	if j.finished {
+		return nil
 	}
-	msg := &momMsg{Kind: momKindDone, JobID: id, ExitCode: j.exitCode, Output: j.output}
-	m.mu.Unlock()
-	_ = m.cfg.Endpoint.Send(to, msg.encode())
+	j.finished = true
+	j.report = (&momMsg{Kind: momKindDone, JobID: j.job.ID, ExitCode: exitCode, Output: output}).encode()
+	for _, s := range m.cfg.Servers {
+		j.unacked[s] = true
+	}
+	now := time.Now()
+	j.resendGap = m.cfg.ReportInterval
+	j.resendAt = now.Add(j.resendGap)
+	j.abandonAt = now.Add(reportHorizon * m.cfg.ReportInterval)
+	return j.report
+}
+
+// sendReport transmits an encoded completion report to every head.
+func (m *Mom) sendReport(report []byte) {
+	for _, s := range m.cfg.Servers {
+		_ = m.cfg.Endpoint.Send(s, report)
+	}
 }
 
 // runScript "executes" the job script: the simulated mom interprets
@@ -371,28 +385,35 @@ func (m *Mom) onDoneAck(id JobID, from transport.Addr) {
 // acknowledged — the fix for the behaviour the paper observed where
 // "PBS mom servers did not simply ignore a failed head node, but
 // rather kept the current job in running status until it returned".
-func (m *Mom) resendReports() {
+// Resends back off (see MomConfig.ReportInterval), so a head that is
+// down, or listed but never started, costs a job about ten resends
+// rather than one per tick. A resend is due relative to the previous
+// deadline, not to when the tick noticed it, so the gaps a head sees
+// keep their doubling shape whatever the tick's phase.
+func (m *Mom) resendReports(now time.Time) {
 	type pending struct {
-		id JobID
-		to transport.Addr
+		report []byte
+		to     transport.Addr
 	}
 	var out []pending
+	maxGap := maxReportGap * m.cfg.ReportInterval
 	m.mu.Lock()
-	for id, j := range m.jobs {
-		if !j.finished || len(j.unacked) == 0 {
+	for _, j := range m.jobs {
+		if !j.finished || len(j.unacked) == 0 || now.Before(j.resendAt) {
 			continue
 		}
-		j.reportTries++
-		if j.reportTries > maxReportTries {
-			j.unacked = make(map[transport.Addr]bool)
+		if !now.Before(j.abandonAt) {
+			clear(j.unacked)
 			continue
 		}
 		for s := range j.unacked {
-			out = append(out, pending{id, s})
+			out = append(out, pending{j.report, s})
 		}
+		j.resendGap = min(2*j.resendGap, maxGap)
+		j.resendAt = j.resendAt.Add(j.resendGap)
 	}
 	m.mu.Unlock()
 	for _, p := range out {
-		m.sendReport(p.id, p.to)
+		_ = m.cfg.Endpoint.Send(p.to, p.report)
 	}
 }

@@ -170,8 +170,241 @@ func TestEpilogueRuns(t *testing.T) {
 	})
 	j, _ := r.daemon.Submit(SubmitRequest{WallTime: time.Millisecond})
 	waitState(t, r.daemon, j.ID, StateCompleted, 5*time.Second)
+	// The epilogue follows the completion report, so it may still be
+	// on its way when the head has the job completed.
+	waitFor(t, "the epilogue", func() bool { return epilogues.Load() > 0 })
 	if epilogues.Load() != 1 {
 		t.Errorf("epilogues = %d, want 1", epilogues.Load())
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReportPrecedesEpilogue: the heads hear of a finished job before
+// the epilogue (JOSHUA's jdone) runs, and the epilogue still runs
+// exactly once: for an executed job, and for one killed before any
+// attempt executed.
+func TestReportPrecedesEpilogue(t *testing.T) {
+	for _, killed := range []bool{false, true} {
+		name := "executed"
+		if killed {
+			name = "killed-before-execution"
+		}
+		t.Run(name, func(t *testing.T) {
+			var entered, exited atomic.Int32
+			releaseEpilogue := make(chan struct{})
+			releasePrologue := make(chan struct{})
+			prologueEntered := make(chan struct{}, 1)
+			// The observer hears only the mom's first send: it never
+			// asks for a report, and resends are an hour apart. (The
+			// head also hears one when its start retransmission finds
+			// the job finished.)
+			r := newRig(t, 1, func(i int, c *MomConfig) {
+				c.Servers = append(c.Servers, "observer/pbs")
+				c.ReportInterval = time.Hour
+				c.Prologue = func(Job, transport.Addr) bool {
+					prologueEntered <- struct{}{}
+					if killed {
+						<-releasePrologue
+					}
+					return true
+				}
+				c.Epilogue = func(Job) {
+					entered.Add(1)
+					<-releaseEpilogue
+					exited.Add(1)
+				}
+			})
+			// Registered after the rig, so it runs before the rig's
+			// cleanup and no hook is left blocked.
+			var once sync.Once
+			release := func() {
+				once.Do(func() {
+					close(releasePrologue)
+					close(releaseEpilogue)
+				})
+			}
+			t.Cleanup(release)
+			observer, err := r.net.Endpoint("observer/pbs")
+			if err != nil {
+				t.Fatal(err)
+			}
+			reports := recordReports(observer)
+
+			wall := time.Millisecond
+			if killed {
+				wall = 10 * time.Second
+			}
+			j, err := r.daemon.Submit(SubmitRequest{WallTime: wall})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-prologueEntered
+			if killed {
+				if _, err := r.daemon.Delete(j.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitState(t, r.daemon, j.ID, StateCompleted, 5*time.Second)
+			waitFor(t, "the report at the observer", func() bool { return len(reports()) > 0 })
+			if got := exited.Load(); got != 0 {
+				t.Fatalf("epilogue returned %d times before its release; the report must not wait for it", got)
+			}
+			if killed {
+				got, _ := r.daemon.Status(j.ID)
+				if got.ExitCode != ExitCodeKilled {
+					t.Errorf("exit code = %d, want %d", got.ExitCode, ExitCodeKilled)
+				}
+			}
+			release()
+			waitFor(t, "the epilogue to return", func() bool { return exited.Load() > 0 })
+			if n := entered.Load(); n != 1 {
+				t.Errorf("epilogue ran %d times, want 1", n)
+			}
+		})
+	}
+}
+
+// recordReports collects the arrival times of completion reports at ep,
+// which never acknowledges them.
+func recordReports(ep transport.Endpoint) func() []time.Time {
+	var mu sync.Mutex
+	var at []time.Time
+	go func() {
+		for dg := range ep.Recv() {
+			if msg, err := decodeMomMsg(dg.Payload); err == nil && msg.Kind == momKindDone {
+				mu.Lock()
+				at = append(at, time.Now())
+				mu.Unlock()
+			}
+		}
+	}()
+	return func() []time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]time.Time(nil), at...)
+	}
+}
+
+// TestReportRetransmitBackoff: a head that is listed but never acks
+// (down, or never started) gets a backed-off series of resends that
+// stops at the horizon, not one resend per tick.
+func TestReportRetransmitBackoff(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	const slack = interval + 10*time.Millisecond
+	r := newRig(t, 1, func(i int, c *MomConfig) {
+		c.Servers = append(c.Servers, "silent/pbs")
+		c.ReportInterval = interval
+	})
+	silent, err := r.net.Endpoint("silent/pbs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reports := recordReports(silent)
+
+	j, _ := r.daemon.Submit(SubmitRequest{WallTime: time.Millisecond})
+	waitState(t, r.daemon, j.ID, StateCompleted, 5*time.Second)
+	waitFor(t, "the first report at the silent head", func() bool { return len(reports()) > 0 })
+	first := reports()[0]
+	// Past the horizon by a margin wider than the longest gap.
+	time.Sleep(time.Until(first.Add((reportHorizon + 2*maxReportGap) * interval)))
+
+	at := reports()
+	gaps := make([]time.Duration, 0, len(at))
+	for i := 1; i < len(at); i++ {
+		gaps = append(gaps, at[i].Sub(at[i-1]).Round(time.Millisecond))
+	}
+	t.Logf("%d reports at the silent head, gaps %v", len(at), gaps)
+	if len(at) > 12 {
+		t.Fatalf("silent head got %d reports in %d intervals, want <= 12", len(at), reportHorizon)
+	}
+	if len(at) < 4 {
+		t.Fatalf("silent head got %d reports, want the report retransmitted", len(at))
+	}
+	for i, gap := range gaps {
+		if i > 0 && gap+slack < gaps[i-1] {
+			t.Errorf("gap %d is %v after a gap of %v: gaps must not shrink", i, gap, gaps[i-1])
+		}
+		if gap > maxReportGap*interval+slack {
+			t.Errorf("gap %d is %v, want <= %v", i, gap, maxReportGap*interval)
+		}
+	}
+	if last := at[len(at)-1].Sub(first); last > reportHorizon*interval+slack {
+		t.Errorf("report resent %v after the first, past the %v horizon", last, reportHorizon*interval)
+	}
+}
+
+// TestLateHeadStillHearsReport: a head that comes up after the job
+// finished, and never asks the mom again, hears the report within one
+// capped gap.
+func TestLateHeadStillHearsReport(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
+	defer net.Close()
+	momEp, err := net.Endpoint("compute0/mom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mom := StartMom(MomConfig{
+		Name:           "compute0",
+		Endpoint:       momEp,
+		Servers:        []transport.Addr{"head0/pbs"},
+		ReportInterval: interval,
+	})
+	defer mom.Close()
+
+	// The head's state machine schedules the job, but its start request
+	// goes out from another address before the head's endpoint exists,
+	// so every report until then is lost.
+	srv := NewServer(Config{ServerName: "cluster", Nodes: []string{"compute0"}, Exclusive: true})
+	job, err := srv.Submit(SubmitRequest{WallTime: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	starter, err := net.Endpoint("starter/pbs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range srv.TakeActions() {
+		if s, ok := a.(StartAction); ok {
+			msg := &momMsg{Kind: momKindStart, JobID: s.Job.ID, WallTime: s.Job.WallTime, Nodes: s.Job.Nodes}
+			if err := starter.Send("compute0/mom", msg.encode()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	waitFor(t, "the job to finish", func() bool {
+		mom.mu.Lock()
+		defer mom.mu.Unlock()
+		j, ok := mom.jobs[job.ID]
+		return ok && j.finished
+	})
+	// Into the capped part of the schedule, where gaps are longest.
+	time.Sleep(2 * maxReportGap * interval)
+
+	headEp, err := net.Endpoint("head0/pbs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := time.Now()
+	daemon := NewDaemon(srv, DaemonConfig{
+		Endpoint:       headEp,
+		Moms:           map[string]transport.Addr{"compute0": "compute0/mom"},
+		ResendInterval: time.Hour,
+	})
+	defer daemon.Close()
+	waitState(t, daemon, job.ID, StateCompleted, 5*time.Second)
+	if took, limit := time.Since(up), (maxReportGap+4)*interval; took > limit {
+		t.Errorf("late head heard the report after %v, want <= %v", took, limit)
 	}
 }
 
