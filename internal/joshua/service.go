@@ -76,14 +76,18 @@ func (s *pbsService) Apply(cmd rsm.Command) []byte {
 // immediately, which is a scheduler pass.) Accounting-sink line order
 // across distinct jobs is unspecified under parallel apply; the sink
 // is local observability, not replicated state.
-func (s *pbsService) ConflictKey(cmd rsm.Command) string {
+func (s *pbsService) ConflictKey(cmd rsm.Command) string { return s.PrefixedConflictKey("", cmd) }
+
+// PrefixedConflictKey implements rsm.PrefixedKeyer: the Mux's service
+// prefix and "job/<id>" in one string.
+func (s *pbsService) PrefixedConflictKey(prefix string, cmd rsm.Command) string {
 	op, id, ok := requestJobID(cmd.Payload)
 	if !ok || len(id) == 0 {
 		return ""
 	}
 	switch op {
 	case OpSignal, OpStat:
-		return "job/" + string(id)
+		return prefix + "job/" + string(id)
 	default:
 		return ""
 	}
@@ -139,12 +143,16 @@ func (s *lockService) Apply(cmd rsm.Command) []byte {
 // for distinct jobs touch distinct entries and commute, so prologue
 // races for different jobs may resolve in parallel. Within one job the
 // log order decides the winner, exactly as before.
-func (s *lockService) ConflictKey(cmd rsm.Command) string {
+func (s *lockService) ConflictKey(cmd rsm.Command) string { return s.PrefixedConflictKey("", cmd) }
+
+// PrefixedConflictKey implements rsm.PrefixedKeyer: the Mux's service
+// prefix and "job/<id>" in one string.
+func (s *lockService) PrefixedConflictKey(prefix string, cmd rsm.Command) string {
 	_, id, ok := requestJobID(cmd.Payload)
 	if !ok || len(id) == 0 {
 		return ""
 	}
-	return "job/" + string(id)
+	return prefix + "job/" + string(id)
 }
 
 func (s *lockService) Snapshot() []byte {

@@ -108,8 +108,9 @@ func decodedConflictKeys(payload []byte) (pbsKey, lockKey string) {
 	return pbsKey, lockKey
 }
 
-// TestConflictKeyMatchesDecode compares both services' ConflictKey
-// with the decodeRPC-derived key over every operation, with and
+// TestConflictKeyMatchesDecode compares both services' ConflictKey,
+// and the head's Mux key (the routed service's name, a slash and that
+// key), with the decodeRPC-derived key over every operation, with and
 // without a job ID, and over every truncation of each payload, a
 // payload with a trailing byte and a response.
 func TestConflictKeyMatchesDecode(t *testing.T) {
@@ -138,6 +139,7 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 	payloads = append(payloads, (&rpcResponse{ReqID: "c#1", OK: true}).encode())
 
 	pbsSvc, locks := &pbsService{}, newLockService()
+	mux := rsm.NewMux(routeRequest).Register(svcPBS, pbsSvc).Register(svcLocks, locks)
 	var pbsKeyed, lockKeyed int
 	for _, p := range payloads {
 		cmd := rsm.Command{Payload: p}
@@ -147,6 +149,16 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 		}
 		if got := locks.ConflictKey(cmd); got != wantLock {
 			t.Fatalf("locks ConflictKey(%x) = %q, decodeRPC-derived %q", p, got, wantLock)
+		}
+		wantMux := wantPBS
+		if routeRequest(cmd) == svcLocks {
+			wantMux = wantLock
+		}
+		if wantMux != "" {
+			wantMux = routeRequest(cmd) + "/" + wantMux
+		}
+		if got := mux.ConflictKey(cmd); got != wantMux {
+			t.Fatalf("Mux ConflictKey(%x) = %q, decodeRPC-derived %q", p, got, wantMux)
 		}
 		if wantPBS != "" {
 			pbsKeyed++
@@ -159,10 +171,13 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 		t.Fatalf("table never produced a job key (pbs %d, locks %d)", pbsKeyed, lockKeyed)
 	}
 
-	// Classifying a jmutex costs only the key string.
+	// Classifying a jmutex costs only the key string, namespaced or not.
 	cmd := rsm.Command{Payload: (&rpcRequest{ReqID: "c#2", Op: OpJMutex, Args: cmdArgs{JobID: "3.cluster", AttemptID: "a"}}).encode()}
 	if allocs := testing.AllocsPerRun(200, func() { _ = locks.ConflictKey(cmd) }); allocs > 1 {
 		t.Errorf("locks ConflictKey: %v allocs/op, want <= 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { _ = mux.ConflictKey(cmd) }); allocs > 1 {
+		t.Errorf("Mux ConflictKey: %v allocs/op, want <= 1", allocs)
 	}
 }
 

@@ -1,9 +1,8 @@
 package pbs
 
 import (
-	"fmt"
 	"io"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -33,32 +32,91 @@ const (
 	AcctReleased = 'R'
 )
 
-// AccountingRecord is one job event.
+// AccountingRecord is one job event. The server fills the typed
+// fields, which is all a sink is handed; Attrs is the PBS attribute
+// view of them, rendered by MemoryAccounting's readers.
 type AccountingRecord struct {
-	Time  time.Time
-	Type  byte
-	Job   JobID
+	Time time.Time
+	Type byte
+	Job  JobID
+	// User, JobName, NodeCount and WallTime describe the job on every
+	// record.
+	User      string
+	JobName   string
+	NodeCount int
+	WallTime  time.Duration
+	// ExecHost is the job's nodes on S and E records. It aliases the
+	// job's Nodes, which the server never writes into (see Job.Nodes):
+	// treat it as read-only.
+	ExecHost []string
+	// ExitStatus is the job's exit code on E records.
+	ExitStatus int
+	// Attrs holds the attributes Line prints, as strings: user,
+	// jobname, nodect and walltime, plus exec_host on S and E records
+	// and exit_status on E records. Records and ForJob fill it; it is
+	// nil on the records the server emits.
 	Attrs map[string]string
 }
 
-// Line renders the record in the PBS accounting format:
+// hasExecHost reports whether the record type carries exec_host.
+func (r *AccountingRecord) hasExecHost() bool {
+	return r.Type == AcctStarted || r.Type == AcctEnded
+}
+
+// attrs renders the typed fields as Attrs.
+func (r *AccountingRecord) attrs() map[string]string {
+	m := map[string]string{
+		"user":     r.User,
+		"jobname":  r.JobName,
+		"nodect":   strconv.Itoa(r.NodeCount),
+		"walltime": FormatWalltime(r.WallTime),
+	}
+	if r.hasExecHost() {
+		m["exec_host"] = strings.Join(r.ExecHost, "+")
+	}
+	if r.Type == AcctEnded {
+		m["exit_status"] = strconv.Itoa(r.ExitStatus)
+	}
+	return m
+}
+
+// Line renders the record in the PBS accounting format, attributes in
+// key order:
 //
-//	06/06/2026 12:34:56;E;17.cluster;user=alice exit_status=0
+//	06/06/2026 12:34:56;E;17.cluster;exec_host=c0 exit_status=0 jobname=x nodect=1 user=alice walltime=00:01:00
 func (r AccountingRecord) Line() string {
-	keys := make([]string, 0, len(r.Attrs))
-	for k := range r.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var attrs strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			attrs.WriteByte(' ')
+	return string(r.appendLine(make([]byte, 0, 128)))
+}
+
+// appendLine appends Line's text to b, straight from the typed fields.
+func (r *AccountingRecord) appendLine(b []byte) []byte {
+	b = r.Time.AppendFormat(b, "01/02/2006 15:04:05")
+	b = append(b, ';', r.Type, ';')
+	b = append(b, r.Job...)
+	b = append(b, ';')
+	if r.hasExecHost() {
+		b = append(b, "exec_host="...)
+		for i, n := range r.ExecHost {
+			if i > 0 {
+				b = append(b, '+')
+			}
+			b = append(b, n...)
 		}
-		fmt.Fprintf(&attrs, "%s=%s", k, r.Attrs[k])
+		b = append(b, ' ')
 	}
-	return fmt.Sprintf("%s;%c;%s;%s",
-		r.Time.Format("01/02/2006 15:04:05"), r.Type, r.Job, attrs.String())
+	if r.Type == AcctEnded {
+		b = append(b, "exit_status="...)
+		b = strconv.AppendInt(b, int64(r.ExitStatus), 10)
+		b = append(b, ' ')
+	}
+	b = append(b, "jobname="...)
+	b = append(b, r.JobName...)
+	b = append(b, " nodect="...)
+	b = strconv.AppendInt(b, int64(r.NodeCount), 10)
+	b = append(b, " user="...)
+	b = append(b, r.User...)
+	b = append(b, " walltime="...)
+	return appendWalltime(b, r.WallTime)
 }
 
 // AccountingSink receives job events. Implementations must be fast
@@ -69,6 +127,8 @@ type AccountingSink interface {
 }
 
 // MemoryAccounting collects records in memory (tests, status tools).
+// It keeps each record as the server emitted it, typed fields only,
+// and renders Attrs when the records are read.
 type MemoryAccounting struct {
 	mu      sync.Mutex
 	records []AccountingRecord
@@ -81,31 +141,42 @@ func (m *MemoryAccounting) Record(r AccountingRecord) {
 	m.mu.Unlock()
 }
 
-// Records returns a copy of everything recorded so far.
+// Records returns a copy of everything recorded so far, Attrs
+// rendered.
 func (m *MemoryAccounting) Records() []AccountingRecord {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	return append([]AccountingRecord(nil), m.records...)
+	out := append([]AccountingRecord(nil), m.records...)
+	m.mu.Unlock()
+	return withAttrs(out)
 }
 
-// ForJob returns the records of one job, in order.
+// ForJob returns the records of one job, in order, Attrs rendered.
 func (m *MemoryAccounting) ForJob(id JobID) []AccountingRecord {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	var out []AccountingRecord
+	m.mu.Lock()
 	for _, r := range m.records {
 		if r.Job == id {
 			out = append(out, r)
 		}
 	}
-	return out
+	m.mu.Unlock()
+	return withAttrs(out)
+}
+
+// withAttrs renders Attrs on every record of rs.
+func withAttrs(rs []AccountingRecord) []AccountingRecord {
+	for i := range rs {
+		rs[i].Attrs = rs[i].attrs()
+	}
+	return rs
 }
 
 // WriterAccounting appends formatted accounting lines to an io.Writer
 // (the accounting file of a real deployment).
 type WriterAccounting struct {
-	mu sync.Mutex
-	w  io.Writer
+	mu  sync.Mutex
+	w   io.Writer
+	buf []byte // the line being written, reused from record to record
 }
 
 // NewWriterAccounting wraps w as a sink.
@@ -113,11 +184,14 @@ func NewWriterAccounting(w io.Writer) *WriterAccounting {
 	return &WriterAccounting{w: w}
 }
 
-// Record implements AccountingSink.
+// Record implements AccountingSink. A failed write loses the line: the
+// log is this head's local record, not replicated state, and the sink
+// has no way to report the error.
 func (w *WriterAccounting) Record(r AccountingRecord) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	fmt.Fprintln(w.w, r.Line())
+	w.buf = append(r.appendLine(w.buf[:0]), '\n')
+	_, _ = w.w.Write(w.buf)
 }
 
 // Fairshare state. Alongside the externally visible accounting log,
@@ -175,24 +249,25 @@ func (s *Server) FairshareUsage(user string) uint64 {
 
 // account emits one record if a sink is configured. Must be called
 // with s.mu held (records are therefore totally ordered with respect
-// to state changes).
-func (s *Server) account(typ byte, j *Job, extra map[string]string) {
+// to state changes), after the event has updated j.
+func (s *Server) account(typ byte, j *Job) {
 	if s.cfg.Accounting == nil {
 		return
 	}
-	attrs := map[string]string{
-		"user":     j.Owner,
-		"jobname":  j.Name,
-		"nodect":   fmt.Sprintf("%d", j.NodeCount),
-		"walltime": FormatWalltime(j.WallTime),
+	r := AccountingRecord{
+		Time:      s.cfg.Clock(),
+		Type:      typ,
+		Job:       j.ID,
+		User:      j.Owner,
+		JobName:   j.Name,
+		NodeCount: j.NodeCount,
+		WallTime:  j.WallTime,
 	}
-	for k, v := range extra {
-		attrs[k] = v
+	if r.hasExecHost() {
+		r.ExecHost = j.Nodes
 	}
-	s.cfg.Accounting.Record(AccountingRecord{
-		Time:  s.cfg.Clock(),
-		Type:  typ,
-		Job:   j.ID,
-		Attrs: attrs,
-	})
+	if typ == AcctEnded {
+		r.ExitStatus = j.ExitCode
+	}
+	s.cfg.Accounting.Record(r)
 }

@@ -2,6 +2,8 @@ package pbs
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -76,20 +78,159 @@ func TestAccountingHoldReleaseDelete(t *testing.T) {
 	}
 }
 
+// goldenScenario drives one job through every record type on a
+// UTC clock: a two-node job queued, started, deleted while running and
+// killed (Q S D E), a held job released and deleted (Q H R D), and an
+// unnamed job that exits 3 (Q S E).
+func goldenScenario(sink AccountingSink) {
+	at := time.Date(2026, 7, 6, 12, 34, 56, 0, time.UTC)
+	s := NewServer(Config{
+		ServerName: "cluster",
+		Nodes:      []string{"c0", "c1", "c2"},
+		Exclusive:  true,
+		Clock:      func() time.Time { at = at.Add(time.Second); return at },
+		Accounting: sink,
+	})
+	multi, _ := s.Submit(SubmitRequest{Name: "multi", Owner: "alice", NodeCount: 2, WallTime: 90 * time.Minute})
+	s.TakeActions()
+	held, _ := s.Submit(SubmitRequest{Name: "held", Owner: "bob", Hold: true, WallTime: 123*time.Hour + 245*time.Second})
+	s.Release(held.ID)
+	s.Delete(held.ID)
+	s.Delete(multi.ID)
+	s.JobDone(multi.ID, ExitCodeKilled, "")
+	anon, _ := s.Submit(SubmitRequest{})
+	s.TakeActions()
+	s.JobDone(anon.ID, 3, "")
+}
+
+// goldenLines are goldenScenario's accounting lines as the map-based
+// records rendered them, attributes in sorted key order.
+var goldenLines = []string{
+	"07/06/2026 12:34:57;Q;1.cluster;jobname=multi nodect=2 user=alice walltime=01:30:00",
+	"07/06/2026 12:34:58;S;1.cluster;exec_host=c0+c1 jobname=multi nodect=2 user=alice walltime=01:30:00",
+	"07/06/2026 12:34:59;Q;2.cluster;jobname=held nodect=1 user=bob walltime=123:04:05",
+	"07/06/2026 12:35:00;H;2.cluster;jobname=held nodect=1 user=bob walltime=123:04:05",
+	"07/06/2026 12:35:01;R;2.cluster;jobname=held nodect=1 user=bob walltime=123:04:05",
+	"07/06/2026 12:35:02;D;2.cluster;jobname=held nodect=1 user=bob walltime=123:04:05",
+	"07/06/2026 12:35:03;D;1.cluster;jobname=multi nodect=2 user=alice walltime=01:30:00",
+	"07/06/2026 12:35:04;E;1.cluster;exec_host=c0+c1 exit_status=-271 jobname=multi nodect=2 user=alice walltime=01:30:00",
+	"07/06/2026 12:35:05;Q;3.cluster;jobname=STDIN nodect=1 user= walltime=00:00:00",
+	"07/06/2026 12:35:06;S;3.cluster;exec_host=c0 jobname=STDIN nodect=1 user= walltime=00:00:00",
+	"07/06/2026 12:35:07;E;3.cluster;exec_host=c0 exit_status=3 jobname=STDIN nodect=1 user= walltime=00:00:00",
+}
+
+// TestAccountingLineFormat pins Line and the WriterAccounting log to
+// goldenLines for every record type, a multi-node exec_host and
+// ExitCodeKilled included.
 func TestAccountingLineFormat(t *testing.T) {
-	r := AccountingRecord{
-		Time: time.Date(2026, 7, 6, 12, 34, 56, 0, time.UTC),
-		Type: AcctEnded,
-		Job:  "17.cluster",
-		Attrs: map[string]string{
-			"user":        "alice",
-			"exit_status": "0",
-		},
+	mem := &MemoryAccounting{}
+	goldenScenario(mem)
+	recs := mem.Records()
+	if len(recs) != len(goldenLines) {
+		t.Fatalf("%d records, want %d", len(recs), len(goldenLines))
 	}
-	got := r.Line()
-	want := "07/06/2026 12:34:56;E;17.cluster;exit_status=0 user=alice"
-	if got != want {
-		t.Errorf("Line() = %q, want %q", got, want)
+	for i, r := range recs {
+		if got := r.Line(); got != goldenLines[i] {
+			t.Errorf("record %d Line() =\n  %q, want\n  %q", i, got, goldenLines[i])
+		}
+	}
+
+	var buf bytes.Buffer
+	goldenScenario(NewWriterAccounting(&buf))
+	if want := strings.Join(goldenLines, "\n") + "\n"; buf.String() != want {
+		t.Errorf("WriterAccounting log =\n%s\nwant\n%s", buf.String(), want)
+	}
+}
+
+// TestAccountingAttrsOnRead checks that Records and ForJob render
+// exactly the attributes the golden lines print: user, jobname, nodect
+// and walltime on every record, exec_host on S and E, exit_status on
+// E.
+func TestAccountingAttrsOnRead(t *testing.T) {
+	mem := &MemoryAccounting{}
+	goldenScenario(mem)
+	byJob := map[JobID][]map[string]string{}
+	for i, r := range mem.Records() {
+		want := map[string]string{}
+		attrs := goldenLines[i][strings.LastIndexByte(goldenLines[i], ';')+1:]
+		for _, kv := range strings.Split(attrs, " ") {
+			k, v, _ := strings.Cut(kv, "=")
+			want[k] = v
+		}
+		if !reflect.DeepEqual(r.Attrs, want) {
+			t.Errorf("record %d (%c) Attrs = %v, want %v", i, r.Type, r.Attrs, want)
+		}
+		byJob[r.Job] = append(byJob[r.Job], want)
+	}
+	for id, want := range byJob {
+		var got []map[string]string
+		for _, r := range mem.ForJob(id) {
+			got = append(got, r.Attrs)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("ForJob(%s) Attrs = %v, want %v", id, got, want)
+		}
+	}
+}
+
+// TestHeldSubmitAllocs pins a held submit with an accounting sink and
+// an IDFilter to the job and its ID: the Q and H records, the ID
+// filter and the slice and map growth amortized over the runs allocate
+// nothing.
+func TestHeldSubmitAllocs(t *testing.T) {
+	s := heldSubmitServer()
+	req := SubmitRequest{Name: "bench", Owner: "bench", Hold: true}
+	if allocs := testing.AllocsPerRun(2000, func() { _, _ = s.Submit(req) }); allocs > 2 {
+		t.Errorf("held Submit: %v allocs/op, want <= 2", allocs)
+	}
+}
+
+// TestWriterAccountingAllocs pins WriterAccounting's steady state: the
+// line is formatted into the sink's reused buffer.
+func TestWriterAccountingAllocs(t *testing.T) {
+	w, r := NewWriterAccounting(io.Discard), endRecord()
+	w.Record(r)
+	if allocs := testing.AllocsPerRun(1000, func() { w.Record(r) }); allocs > 1 {
+		t.Errorf("WriterAccounting.Record: %v allocs/op, want <= 1", allocs)
+	}
+}
+
+// heldSubmitServer is a server with a MemoryAccounting sink and an
+// IDFilter that accepts every ID.
+func heldSubmitServer() *Server {
+	return NewServer(Config{
+		ServerName: "cluster",
+		Nodes:      []string{"c0"},
+		Accounting: &MemoryAccounting{},
+		IDFilter:   func(JobID) bool { return true },
+	})
+}
+
+// endRecord is an E record of a killed two-node job.
+func endRecord() AccountingRecord {
+	return AccountingRecord{
+		Time: time.Date(2026, 7, 6, 12, 34, 56, 0, time.UTC), Type: AcctEnded, Job: "17.cluster",
+		User: "alice", JobName: "sim", NodeCount: 2, WallTime: time.Hour,
+		ExecHost: []string{"c0", "c1"}, ExitStatus: ExitCodeKilled,
+	}
+}
+
+func BenchmarkHeldSubmit(b *testing.B) {
+	s := heldSubmitServer()
+	req := SubmitRequest{Name: "bench", Owner: "bench", Hold: true}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, _ = s.Submit(req)
+	}
+}
+
+func BenchmarkWriterAccounting(b *testing.B) {
+	w, r := NewWriterAccounting(io.Discard), endRecord()
+	w.Record(r)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Record(r)
 	}
 }
 

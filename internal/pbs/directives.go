@@ -151,11 +151,25 @@ func ApplyResourceList(req *SubmitRequest, list string) error {
 // FormatWalltime renders a duration in the PBS HH:MM:SS form used by
 // qstat and the accounting log.
 func FormatWalltime(d time.Duration) string {
+	return string(appendWalltime(make([]byte, 0, 8), d))
+}
+
+// appendWalltime appends FormatWalltime's text to b.
+func appendWalltime(b []byte, d time.Duration) []byte {
 	if d < 0 {
 		d = 0
 	}
 	total := int64(d / time.Second)
-	return fmt.Sprintf("%02d:%02d:%02d", total/3600, (total/60)%60, total%60)
+	for i, v := range [3]int64{total / 3600, (total / 60) % 60, total % 60} {
+		if i > 0 {
+			b = append(b, ':')
+		}
+		if v < 10 {
+			b = append(b, '0')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return b
 }
 
 // ParseWalltime accepts the PBS HH:MM:SS form (also MM:SS and plain

@@ -130,12 +130,13 @@ func TestApplyDirectivesEmptyScript(t *testing.T) {
 
 func TestFormatWalltime(t *testing.T) {
 	cases := map[time.Duration]string{
-		0:                             "00:00:00",
-		5 * time.Second:               "00:00:05",
-		90 * time.Minute:              "01:30:00",
-		25*time.Hour + 61*time.Second: "25:01:01",
-		-time.Second:                  "00:00:00",
-		1500 * time.Millisecond:       "00:00:01",
+		0:                               "00:00:00",
+		5 * time.Second:                 "00:00:05",
+		90 * time.Minute:                "01:30:00",
+		25*time.Hour + 61*time.Second:   "25:01:01",
+		123*time.Hour + 245*time.Second: "123:04:05",
+		-time.Second:                    "00:00:00",
+		1500 * time.Millisecond:         "00:00:01",
 	}
 	for d, want := range cases {
 		if got := FormatWalltime(d); got != want {

@@ -3,7 +3,6 @@ package pbs
 import (
 	"slices"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -372,7 +371,7 @@ func (s *Server) startJob(j *Job, nodes []string) {
 	}
 	s.running++
 	s.fairshareCharge(j)
-	s.account(AcctStarted, j, map[string]string{"exec_host": strings.Join(nodes, "+")})
+	s.account(AcctStarted, j)
 	s.actions = append(s.actions, StartAction{Job: j.clone()})
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -228,10 +229,34 @@ func NewServer(cfg Config) *Server {
 // Name returns the configured server name.
 func (s *Server) Name() string { return s.cfg.ServerName }
 
-// candidateID renders the ID the current sequence number would
-// produce. Must be called with s.mu held.
-func (s *Server) candidateID() JobID {
-	return JobID(fmt.Sprintf("%d.%s", s.nextSeq, s.cfg.ServerName))
+// jobID renders the ID of sequence number seq, "seq.server", or of
+// sub-job idx of the array based at seq, "seq[idx].server", when idx is
+// not negative. The ID is the only allocation.
+func (s *Server) jobID(seq uint64, idx int) JobID {
+	var buf [64]byte
+	b := strconv.AppendUint(buf[:0], seq, 10)
+	if idx >= 0 {
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(idx), 10)
+		b = append(b, ']')
+	}
+	b = append(b, '.')
+	b = append(b, s.cfg.ServerName...)
+	return JobID(b)
+}
+
+// nextID advances the sequence to the next number whose ID the
+// IDFilter accepts and returns that ID. Each candidate is rendered
+// once: the accepted one is the job's ID. Must be called with s.mu
+// held.
+func (s *Server) nextID() JobID {
+	for {
+		s.nextSeq++
+		id := s.jobID(s.nextSeq, -1)
+		if s.cfg.IDFilter == nil || s.cfg.IDFilter(id) {
+			return id
+		}
+	}
 }
 
 // NodeNames returns the configured compute nodes.
@@ -287,9 +312,9 @@ func (s *Server) enqueueJob(req SubmitRequest, id JobID, seq uint64, arrayIdx in
 		// The newest Seq: the index's tail.
 		s.eligible = append(s.eligible, j)
 	}
-	s.account(AcctQueued, j, nil)
+	s.account(AcctQueued, j)
 	if j.State == StateHeld {
-		s.account(AcctHeld, j, nil)
+		s.account(AcctHeld, j)
 	}
 	return j
 }
@@ -307,13 +332,8 @@ func (s *Server) Submit(req SubmitRequest) (Job, error) {
 	if err := s.validateSubmit(&req); err != nil {
 		return Job{}, err
 	}
-	s.nextSeq++
-	if s.cfg.IDFilter != nil {
-		for !s.cfg.IDFilter(s.candidateID()) {
-			s.nextSeq++
-		}
-	}
-	j := s.enqueueJob(req, s.candidateID(), s.nextSeq, -1)
+	id := s.nextID()
+	j := s.enqueueJob(req, id, s.nextSeq, -1)
 	s.schedule()
 	return j.clone(), nil
 }
@@ -350,18 +370,12 @@ func (s *Server) SubmitArray(req SubmitRequest) ([]Job, error) {
 	if err := s.validateSubmit(&req); err != nil {
 		return nil, err
 	}
-	s.nextSeq++
-	if s.cfg.IDFilter != nil {
-		for !s.cfg.IDFilter(s.candidateID()) {
-			s.nextSeq++
-		}
-	}
+	s.nextID() // the filter judges the array by its base ID
 	base := s.nextSeq
 	out := make([]Job, 0, n)
 	for k := 0; k < n; k++ {
 		idx := req.Array.Start + k
-		id := JobID(fmt.Sprintf("%d[%d].%s", base, idx, s.cfg.ServerName))
-		j := s.enqueueJob(req, id, base+uint64(k), idx)
+		j := s.enqueueJob(req, s.jobID(base, idx), base+uint64(k), idx)
 		out = append(out, j.clone())
 	}
 	s.nextSeq = base + uint64(n) - 1
@@ -388,12 +402,12 @@ func (s *Server) Delete(id JobID) (Job, error) {
 		s.removeFromQueue(j)
 		delete(s.jobs, id)
 		delete(s.sigCount, id)
-		s.account(AcctDeleted, j, nil)
+		s.account(AcctDeleted, j)
 		s.schedule()
 		return j.clone(), nil
 	case StateRunning:
 		j.State = StateExiting
-		s.account(AcctDeleted, j, nil)
+		s.account(AcctDeleted, j)
 		s.actions = append(s.actions, KillAction{Job: j.clone()})
 		return j.clone(), nil
 	case StateExiting:
@@ -419,7 +433,7 @@ func (s *Server) Hold(id JobID) (Job, error) {
 	switch j.State {
 	case StateQueued, StateHeld:
 		if j.State != StateHeld {
-			s.account(AcctHeld, j, nil)
+			s.account(AcctHeld, j)
 			s.dropEligible(j)
 		}
 		j.State = StateHeld
@@ -447,7 +461,7 @@ func (s *Server) Release(id JobID) (Job, error) {
 	}
 	j.State = StateQueued
 	s.addEligible(j)
-	s.account(AcctReleased, j, nil)
+	s.account(AcctReleased, j)
 	s.schedule()
 	return j.clone(), nil
 }
@@ -570,10 +584,7 @@ func (s *Server) JobDone(id JobID, exitCode int, output string) bool {
 	j.ExitCode = exitCode
 	j.Output = output
 	j.CompletedAt = s.logicalNow()
-	s.account(AcctEnded, j, map[string]string{
-		"exit_status": fmt.Sprintf("%d", exitCode),
-		"exec_host":   strings.Join(j.Nodes, "+"),
-	})
+	s.account(AcctEnded, j)
 	s.releaseAlloc(j)
 	s.removeFromQueue(j)
 	s.completed = append(s.completed, id)

@@ -281,13 +281,19 @@ func (s *dedupShard) deleteAt(i uint64) {
 }
 
 // snapshot copies the table in FIFO insertion order for checkpoints
-// and state transfers. Event loop only; cold path, so it allocates.
+// and state transfers. Every response is copied into one arena, so a
+// fork costs three allocations whatever the table holds, and no
+// returned response aliases an entry buffer that eviction recycles.
+// Event loop only: the first pass collects the live entries' buffers,
+// which stay unchanged until the copy pass because only the event loop
+// writes them.
 func (t *dedupTable) snapshot() (ids []string, resps [][]byte) {
 	if t.count == 0 {
 		return nil, nil
 	}
 	ids = make([]string, 0, t.count)
 	resps = make([][]byte, 0, t.count)
+	size := 0
 	for i := t.head; i != t.tail; i = (i + 1) % len(t.fifo) {
 		id := t.fifo[i]
 		h := dedupHash(id)
@@ -297,12 +303,24 @@ func (t *dedupTable) snapshot() (ids []string, resps [][]byte) {
 			e := &s.entries[j]
 			var resp []byte
 			if e.hasResp {
-				resp = append([]byte(nil), e.resp...)
+				// Non-nil even when empty: nil means reply-suppressed.
+				if resp = e.resp; resp == nil {
+					resp = []byte{}
+				}
+				size += len(resp)
 			}
 			ids = append(ids, id)
 			resps = append(resps, resp)
 		}
 		s.mu.RUnlock()
+	}
+	arena := make([]byte, 0, size)
+	for i, resp := range resps {
+		if resp != nil {
+			off := len(arena)
+			arena = append(arena, resp...)
+			resps[i] = arena[off:len(arena):len(arena)]
+		}
 	}
 	return ids, resps
 }

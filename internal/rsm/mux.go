@@ -20,14 +20,21 @@ import (
 type Mux struct {
 	route    func(cmd Command) string
 	names    []string
-	services map[string]Service
+	services map[string]muxService
+}
+
+// muxService is one registered sub-service and the prefix, its name
+// and a slash, that namespaces its conflict keys.
+type muxService struct {
+	Service
+	prefix string
 }
 
 // NewMux creates a composite service. route maps each totally ordered
 // command to the name of the sub-service that applies it; it must be
 // deterministic on the command alone.
 func NewMux(route func(cmd Command) string) *Mux {
-	return &Mux{route: route, services: make(map[string]Service)}
+	return &Mux{route: route, services: make(map[string]muxService)}
 }
 
 // Register adds a named sub-service and returns the Mux for chaining.
@@ -38,7 +45,7 @@ func (m *Mux) Register(name string, s Service) *Mux {
 		panic(fmt.Sprintf("rsm: duplicate service %q", name))
 	}
 	m.names = append(m.names, name)
-	m.services[name] = s
+	m.services[name] = muxService{Service: s, prefix: name + "/"}
 	return m
 }
 
@@ -53,6 +60,15 @@ func (m *Mux) Apply(cmd Command) []byte {
 	return s.Apply(cmd)
 }
 
+// PrefixedKeyer is implemented by a Service that can build its
+// conflict key behind a prefix, so that the Mux gets a namespaced key
+// in one allocation instead of concatenating a second string per keyed
+// command. PrefixedConflictKey(prefix, cmd) must return exactly
+// prefix + ConflictKey(cmd), or "" when ConflictKey(cmd) is "".
+type PrefixedKeyer interface {
+	PrefixedConflictKey(prefix string, cmd Command) string
+}
+
 // ConflictKey routes the conflict-domain question to the command's
 // sub-service and namespaces the answer by service name, so equal keys
 // from different sub-services never alias into one domain. A command
@@ -63,11 +79,14 @@ func (m *Mux) ConflictKey(cmd Command) string {
 	if !ok {
 		return ""
 	}
+	if pk, ok := s.Service.(PrefixedKeyer); ok {
+		return pk.PrefixedConflictKey(s.prefix, cmd)
+	}
 	key := s.ConflictKey(cmd)
 	if key == "" {
 		return ""
 	}
-	return m.route(cmd) + "/" + key
+	return s.prefix + key
 }
 
 // Snapshot concatenates every sub-service's snapshot, tagged by name

@@ -38,6 +38,21 @@ func (s *recService) Restore(state []byte) error {
 	return nil
 }
 
+// prefixedService is a recService that builds its namespaced key
+// itself, counting how often the Mux asks it to.
+type prefixedService struct {
+	recService
+	calls int
+}
+
+func (s *prefixedService) PrefixedConflictKey(prefix string, cmd Command) string {
+	s.calls++
+	if s.key == "" {
+		return ""
+	}
+	return prefix + s.key
+}
+
 func routeByPrefix(cmd Command) string {
 	if len(cmd.Payload) > 0 {
 		return string(cmd.Payload[:1])
@@ -173,5 +188,26 @@ func TestMuxForkMatchesSnapshot(t *testing.T) {
 	}
 	if string(da.state) != "alpha" || string(db.state) != "beta" {
 		t.Errorf("restored states: a=%q b=%q", da.state, db.state)
+	}
+}
+
+func TestMuxConflictKeyNamespaces(t *testing.T) {
+	pre := &prefixedService{recService: recService{key: "job/7"}}
+	m := NewMux(routeByPrefix).
+		Register("a", &recService{key: "job/7"}).
+		Register("b", pre).
+		Register("c", &recService{})
+	for payload, want := range map[string]string{
+		"a": "a/job/7", // concatenated by the Mux
+		"b": "b/job/7", // built by the service
+		"c": "",        // a global barrier stays one
+		"z": "",        // so does an unrouted command
+	} {
+		if got := m.ConflictKey(Command{Payload: []byte(payload)}); got != want {
+			t.Errorf("ConflictKey(%q) = %q, want %q", payload, got, want)
+		}
+	}
+	if pre.calls != 1 {
+		t.Errorf("PrefixedConflictKey called %d times, want 1", pre.calls)
 	}
 }
