@@ -40,7 +40,7 @@ import (
 // Transis deployment did).
 const MaxHeads = 8
 
-// MaxShards bounds the shard count (matching jbench's largest sweep).
+// MaxShards bounds the shard count.
 const MaxShards = 8
 
 // Options configures a simulated cluster.
@@ -56,11 +56,8 @@ type Options struct {
 	// Computes is the number of compute nodes (>=1).
 	Computes int
 	// Latency models the interconnect; zero values give an instant
-	// network. Use bench.PaperCalibration for the paper's shape.
+	// network.
 	Latency simnet.Latency
-	// TxTime serializes each host's remote sends on the simulated
-	// network (shared-medium modeling; see simnet.Config.TxTime).
-	TxTime time.Duration
 	// DropRate and Seed feed the simulated network.
 	DropRate float64
 	Seed     int64
@@ -92,9 +89,6 @@ type Options struct {
 	Logger *log.Logger
 	// KeepCompleted bounds per-head completed-job history (0 = all).
 	KeepCompleted int
-	// SubmitDelay models the batch service's qsub processing cost
-	// (see pbs.Config.SubmitDelay); benchmarks set it.
-	SubmitDelay time.Duration
 	// Plain replaces the JOSHUA group with the paper's unreplicated
 	// single-head baseline (requires Heads == 1 and a single shard).
 	Plain bool
@@ -259,7 +253,6 @@ func New(opts Options) (*Cluster, error) {
 		nodeParts: shard.PartitionNodes(names, shards),
 		Net: simnet.New(simnet.Config{
 			Latency:  opts.Latency,
-			TxTime:   opts.TxTime,
 			DropRate: opts.DropRate,
 			Seed:     opts.Seed,
 		}),
@@ -340,7 +333,6 @@ func (c *Cluster) startHead(s, i int, initial []gcs.MemberID, join bool) error {
 		NodeCPUs:          c.opts.NodeCPUs,
 		NodeMem:           c.opts.NodeMem,
 		KeepCompleted:     c.opts.KeepCompleted,
-		SubmitDelay:       c.opts.SubmitDelay,
 		Accounting:        acct,
 		// Each shard mints only job IDs that hash back to it, so any
 		// client can route by ID alone (see internal/shard).

@@ -127,6 +127,18 @@ func TestReplicatedSubmissionConsistency(t *testing.T) {
 		}
 		ids = append(ids, j.ID)
 	}
+	// One batched submission is one replicated command carrying several
+	// jobs, which take the next sequence numbers.
+	batch, err := cli.SubmitBatch(pbs.SubmitRequest{Name: "batch", Owner: "bob", WallTime: 2 * time.Millisecond}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != 4 {
+		t.Fatalf("batch returned %d jobs, want 4", len(batch))
+	}
+	for _, j := range batch {
+		ids = append(ids, j.ID)
+	}
 	// Same IDs regardless of which head intercepted: deterministic
 	// sequence numbers.
 	for i, id := range ids {

@@ -251,17 +251,6 @@ type Config struct {
 	// negative disables leasing.
 	LeaseDuration time.Duration
 
-	// LoopbackSelfDelivery makes the sequencer hold back delivery of
-	// each message it sequences until the DATA frame has come back
-	// through its own transport endpoint. Transis-faithful: the
-	// original JOSHUA stack crossed a local daemon socket even for
-	// same-node delivery, which is where the paper's 37% single-head
-	// latency overhead lives. The sequencer still buffers the message
-	// the moment it assigns the sequence (its receipt is what the other
-	// members' safe-delivery rule takes for granted), so the option
-	// changes timing only, not semantics. Benchmarks enable it.
-	LoopbackSelfDelivery bool
-
 	// Logger receives protocol diagnostics. Nil disables logging.
 	Logger *log.Logger
 }
@@ -390,9 +379,6 @@ type Process struct {
 	// view; recvAcked holds the latest report from each peer, and
 	// delivery never passes their minimum (see deliverLimit).
 	recvAcked map[MemberID]uint64
-	// looped is the highest own sequence whose DATA frame has come back
-	// through the endpoint (sequencer under LoopbackSelfDelivery).
-	looped uint64
 	// tailSeq is the highest sequence known to have been assigned in
 	// this view (from received DATA and heartbeat advertisements); it
 	// lets a member that missed the tail of the stream NACK it.
@@ -817,9 +803,6 @@ func (p *Process) flushOutData() {
 			})
 		}
 		p.sendToMembers(m)
-		if p.cfg.LoopbackSelfDelivery {
-			p.sendTo(p.cfg.Self, m)
-		}
 		p.outData = p.outData[n:]
 	}
 	p.outData = nil
@@ -907,8 +890,8 @@ func (p *Process) handleDatagram(dg transport.Message) {
 		p.logf("dropping datagram from %s: %v", dg.From, err)
 		return
 	}
-	if m.From == p.cfg.Self && m.Kind != kindData && m.Kind != kindBatch {
-		return // our own echo; only loopback self-delivery DATA is real
+	if m.From == p.cfg.Self {
+		return // our own echo
 	}
 	p.lastHeard[m.From] = time.Now()
 
@@ -1077,10 +1060,8 @@ func (p *Process) sequence(d dataMsg) {
 	}
 	p.reqSeq[d.Sender][d.SenderSeq] = d.Seq
 
-	// Local receipt is immediate in every mode, and precedes the send:
-	// the members' safe-delivery rule takes the sequencer's copy for
-	// granted. Under loopback self-delivery only the delivery waits,
-	// for the frame sent to self (see deliverLimit).
+	// Local receipt is immediate, and precedes the send: the members'
+	// safe-delivery rule takes the sequencer's copy for granted.
 	p.acceptData(&d)
 	p.deliverReady()
 	if p.cfg.MaxBatch > 1 {
@@ -1089,11 +1070,7 @@ func (p *Process) sequence(d dataMsg) {
 		p.outData = append(p.outData, d)
 		return
 	}
-	m := &message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: d}
-	p.sendToMembers(m)
-	if p.cfg.LoopbackSelfDelivery {
-		p.sendTo(p.cfg.Self, m)
-	}
+	p.sendToMembers(&message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: d})
 }
 
 // onBatch handles a coalesced frame of sequenced messages.
@@ -1102,7 +1079,8 @@ func (p *Process) onBatch(m *message) {
 		return
 	}
 	for i := range m.Msgs {
-		p.receiveData(m.From, m.Msgs[i])
+		d := m.Msgs[i]
+		p.acceptData(&d)
 	}
 	p.deliverReady()
 	if m.LeaseDur > 0 && p.st == statusNormal && m.From == p.view.Sequencer() {
@@ -1131,18 +1109,9 @@ func (p *Process) onData(m *message) {
 	if m.ViewID != p.view.ID || p.st == statusJoining {
 		return
 	}
-	p.receiveData(m.From, m.Data)
-	p.deliverReady()
-}
-
-// receiveData buffers one sequenced message off the wire. Our own
-// frame coming back is the loopback self-delivery echo: the message is
-// already buffered, and the echo releases its delivery.
-func (p *Process) receiveData(from MemberID, d dataMsg) {
-	if from == p.cfg.Self && d.Seq > p.looped {
-		p.looped = d.Seq
-	}
+	d := m.Data
 	p.acceptData(&d)
+	p.deliverReady()
 }
 
 // acceptData buffers a sequenced message and owes the view a receipt
@@ -1220,13 +1189,10 @@ func (p *Process) sendAck(targets []MemberID) {
 // sequence — so nobody waits for a watermark relayed through it.
 func (p *Process) deliverLimit() uint64 {
 	w := p.contiguousReceived()
-	seqr := p.view.Sequencer()
-	if p.cfg.LoopbackSelfDelivery && seqr == p.cfg.Self && p.looped < w {
-		w = p.looped
-	}
 	if !p.cfg.SafeDelivery {
 		return w
 	}
+	seqr := p.view.Sequencer()
 	for _, m := range p.view.Members {
 		if m != p.cfg.Self && m != seqr && p.recvAcked[m] < w {
 			w = p.recvAcked[m]
@@ -1448,7 +1414,6 @@ func (p *Process) installView(v View) {
 	p.reqSeq = make(map[MemberID]map[uint64]uint64)
 	p.acked = make(map[MemberID]uint64)
 	p.recvAcked = make(map[MemberID]uint64)
-	p.looped = 0
 	p.gapSince = time.Time{}
 	p.tailSeq = 0
 	// Unflushed round output belongs to the old view: sequenced

@@ -9,19 +9,17 @@ import (
 	"joshua/internal/transport"
 )
 
-// safeGroup builds a group with safe delivery (and optionally
-// loopback self-delivery) enabled.
-func safeGroup(t *testing.T, net *simnet.Network, n int, loopback bool) []*observer {
+// safeGroup builds a group with safe delivery enabled.
+func safeGroup(t *testing.T, net *simnet.Network, n int) []*observer {
 	return group(t, net, n, func(i int, c *Config) {
 		c.SafeDelivery = true
-		c.LoopbackSelfDelivery = loopback
 	})
 }
 
 func TestSafeDeliveryTotalOrder(t *testing.T) {
 	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
 	defer net.Close()
-	obs := safeGroup(t, net, 3, true)
+	obs := safeGroup(t, net, 3)
 
 	const perSender = 15
 	for i, o := range obs {
@@ -64,7 +62,7 @@ func TestSafeDeliveryWithLoss(t *testing.T) {
 				Seed:     11,
 			})
 			defer net.Close()
-			obs := safeGroup(t, net, n, false)
+			obs := safeGroup(t, net, n)
 
 			for k := 0; k < 10; k++ {
 				obs[k%n].p.Broadcast([]byte(fmt.Sprintf("m%d", k)))
@@ -126,7 +124,7 @@ func TestSafeDeliverySurvivesFailure(t *testing.T) {
 	// change's agreed final sequence supersedes the ack condition.
 	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
 	defer net.Close()
-	obs := safeGroup(t, net, 3, false)
+	obs := safeGroup(t, net, 3)
 
 	obs[1].p.Broadcast([]byte("before"))
 	waitFor(t, 5*time.Second, "initial delivery", func() bool {
@@ -146,35 +144,4 @@ func TestSafeDeliverySurvivesFailure(t *testing.T) {
 		}
 		return true
 	})
-}
-
-func TestLoopbackSelfDeliverySingleton(t *testing.T) {
-	// With loopback, self-delivery pays the local hop; semantics are
-	// unchanged.
-	net := simnet.New(simnet.Config{Latency: simnet.Latency{Local: 5 * time.Millisecond}})
-	defer net.Close()
-	ep, _ := net.Endpoint("h/gcs")
-	cfg := Config{
-		Self:                 "solo",
-		Endpoint:             ep,
-		Peers:                map[MemberID]transport.Addr{"solo": "h/gcs"},
-		Bootstrap:            true,
-		LoopbackSelfDelivery: true,
-	}
-	fastTimings(&cfg)
-	p, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	o := observe(p)
-
-	start := time.Now()
-	p.Broadcast([]byte("one"))
-	waitFor(t, 5*time.Second, "loopback delivery", func() bool {
-		return len(o.deliveredPayloads()) == 1
-	})
-	if d := time.Since(start); d < 4*time.Millisecond {
-		t.Errorf("delivery took %v; loopback should pay the ~5ms local hop", d)
-	}
 }

@@ -148,35 +148,13 @@ func TestVoidAcksChangeNothing(t *testing.T) {
 
 func TestInstallViewResetsSafeState(t *testing.T) {
 	p := safeProcess("a", []MemberID{"a", "b", "c"})
-	p.cfg.LoopbackSelfDelivery = true
 	receive(p, 1)
 	ack(p, "b", 1)
-	p.onData(&message{Kind: kindData, From: "a", ViewID: p.view.ID, Data: dataMsg{Seq: 1}}) // loopback echo
-	if p.recvAcked["b"] != 1 || p.looped != 1 {
-		t.Fatalf("setup: table %v looped %d", p.recvAcked, p.looped)
+	if p.recvAcked["b"] != 1 {
+		t.Fatalf("setup: table %v", p.recvAcked)
 	}
 	p.installView(View{ID: 4, Members: []MemberID{"a", "b"}, Primary: true})
-	if len(p.recvAcked) != 0 || p.looped != 0 {
-		t.Fatalf("old-view watermarks survived: table %v looped %d", p.recvAcked, p.looped)
-	}
-}
-
-func TestLoopbackHoldsDeliveryNotReceipt(t *testing.T) {
-	p := safeProcess("a", []MemberID{"a", "b"})
-	p.cfg.LoopbackSelfDelivery = true
-	receive(p, 1)
-	ack(p, "b", 1)
-	// Buffered (and so reported, retransmittable and in any flush
-	// state) from the moment it was sequenced…
-	if p.contiguousReceived() != 1 || p.tailSeq != 1 {
-		t.Fatalf("sequencer does not hold its own message: received %d tail %d", p.contiguousReceived(), p.tailSeq)
-	}
-	// …but delivered only once the frame sent to self comes back.
-	if p.nextDeliver != 1 {
-		t.Fatal("delivered before the loopback echo")
-	}
-	p.onData(&message{Kind: kindData, From: "a", ViewID: p.view.ID, Data: dataMsg{Seq: 1}})
-	if p.nextDeliver != 2 {
-		t.Fatal("loopback echo did not release delivery")
+	if len(p.recvAcked) != 0 {
+		t.Fatalf("old-view watermarks survived: table %v", p.recvAcked)
 	}
 }

@@ -402,7 +402,7 @@ func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
 		if hedge {
 			wait /= 16
 		}
-		resetTimer(timer, wait)
+		timer.Reset(wait)
 	await:
 		for {
 			select {
@@ -424,7 +424,7 @@ func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
 				if err := c.send(w, c.nextHead(hs, start, &tried), payload); err != nil {
 					lastErr = err
 				}
-				resetTimer(timer, c.cfg.AttemptTimeout-wait)
+				timer.Reset(c.cfg.AttemptTimeout - wait)
 			case <-c.done:
 				return nil, ErrClosed
 			}
@@ -466,18 +466,6 @@ func (c *Client) nextHead(hs *headSet, start int, tried *uint64) int {
 	}
 	*tried |= 1 << idx
 	return idx
-}
-
-// resetTimer re-arms t for d, draining a tick that fired unread: under
-// go.mod's pre-1.23 timer semantics it would survive Reset.
-func resetTimer(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	t.Reset(d)
 }
 
 // readStartLocked picks the next read's starting head for one shard,

@@ -55,12 +55,6 @@ type Config struct {
 	// event clock instead, so replicas may disagree on Clock without
 	// diverging.
 	Clock func() time.Time
-	// SubmitDelay models the service's qsub processing cost (the
-	// ~98ms a TORQUE submission took on the paper's testbed).
-	// Benchmarks set it so the latency comparison has a realistic
-	// baseline; it is zero in normal operation. Submissions are
-	// processed serially, as TORQUE's single-threaded server did.
-	SubmitDelay time.Duration
 	// Accounting, when non-nil, receives one record per job event
 	// (the PBS accounting log). See AccountingSink.
 	Accounting AccountingSink
@@ -321,9 +315,6 @@ func (s *Server) enqueueJob(req SubmitRequest, id JobID, seq uint64, arrayIdx in
 
 // Submit enqueues a job (qsub). It returns the assigned job.
 func (s *Server) Submit(req SubmitRequest) (Job, error) {
-	if s.cfg.SubmitDelay > 0 {
-		time.Sleep(s.cfg.SubmitDelay)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.dirty()
@@ -351,9 +342,6 @@ func (s *Server) SubmitArray(req SubmitRequest) ([]Job, error) {
 			return nil, err
 		}
 		return []Job{j}, nil
-	}
-	if s.cfg.SubmitDelay > 0 {
-		time.Sleep(s.cfg.SubmitDelay)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -173,9 +173,8 @@ func (s *Store) ConflictKey(cmd rsm.Command) string {
 
 // SetApplyCost makes every subsequent Apply burn roughly d of
 // simulated execution time before touching the map — a stand-in for
-// real per-command work (job admission, script staging), the way
-// pbs.Config.SubmitDelay simulates it for the batch system. The apply
-// pipeline benchmarks use it to expose apply-stage parallelism.
+// real per-command work (job admission, script staging). The apply
+// pipeline tests use it to expose apply-stage parallelism.
 func (s *Store) SetApplyCost(d time.Duration) { s.applyCost.Store(int64(d)) }
 
 // Snapshot encodes the map, sorted for determinism.

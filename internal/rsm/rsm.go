@@ -62,7 +62,7 @@ import (
 )
 
 // labelStage tags the calling goroutine with an rsm_stage pprof label,
-// so CPU/heap/mutex profiles (jbench -cpuprofile etc.) attribute
+// so CPU/heap/mutex profiles (go test -cpuprofile etc.) attribute
 // samples to pipeline stages instead of anonymous goroutines.
 func labelStage(name string) {
 	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), pprof.Labels("rsm_stage", name)))

@@ -37,12 +37,6 @@ type Latency struct {
 // Config parameterizes a Network.
 type Config struct {
 	Latency Latency
-	// TxTime is the transmit-serialization cost of one remote
-	// datagram: a host's outbound remote sends occupy its interface
-	// back-to-back for TxTime each, as on the shared Fast Ethernet of
-	// the paper's test cluster. Zero disables serialization. Local
-	// (same-host) traffic never pays it.
-	TxTime time.Duration
 	// DropRate is the probability in [0,1] that a remote datagram is
 	// silently lost. Local (same-host) datagrams are never dropped.
 	DropRate float64
@@ -76,9 +70,6 @@ type Network struct {
 	// the per-pair FIFO most real links provide.
 	flows  map[flowKey]*flow
 	closed bool
-	// txBusyUntil tracks each host's transmit-serialization horizon
-	// (see Config.TxTime).
-	txBusyUntil map[string]time.Time
 
 	stats Stats
 }
@@ -166,13 +157,12 @@ func New(cfg Config) *Network {
 		seed = 0x05C847 // arbitrary fixed default for reproducibility
 	}
 	return &Network{
-		cfg:         cfg,
-		rng:         rand.New(rand.NewSource(seed)),
-		endpoints:   make(map[transport.Addr]*endpoint),
-		cut:         make(map[[2]string]bool),
-		downHosts:   make(map[string]bool),
-		flows:       make(map[flowKey]*flow),
-		txBusyUntil: make(map[string]time.Time),
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(seed)),
+		endpoints: make(map[transport.Addr]*endpoint),
+		cut:       make(map[[2]string]bool),
+		downHosts: make(map[string]bool),
+		flows:     make(map[flowKey]*flow),
 	}
 }
 
@@ -347,22 +337,8 @@ func (n *Network) send(from, to transport.Addr, payload []byte) {
 		delay += time.Duration(n.rng.Int63n(int64(n.cfg.Latency.Jitter)))
 	}
 
-	// Transmit serialization: a host's remote sends queue behind one
-	// another on its interface, each occupying it for TxTime.
-	var txWait time.Duration
-	if !local && n.cfg.TxTime > 0 {
-		now := time.Now()
-		start := now
-		if busy := n.txBusyUntil[srcHost]; busy.After(start) {
-			start = busy
-		}
-		end := start.Add(n.cfg.TxTime)
-		n.txBusyUntil[srcHost] = end
-		txWait = end.Sub(now)
-	}
-
 	msg := transport.Message{From: from, To: to, Payload: payload}
-	if delay+txWait <= 0 {
+	if delay <= 0 {
 		// Fast path: synchronous delivery preserves order trivially.
 		n.mu.Unlock()
 		n.deliver(dst, msg)
@@ -375,7 +351,7 @@ func (n *Network) send(from, to transport.Addr, payload []byte) {
 		n.flows[fk] = f
 		go f.run(func(m transport.Message) { n.deliverAddr(m) })
 	}
-	arrival := time.Now().Add(delay + txWait)
+	arrival := time.Now().Add(delay)
 	n.mu.Unlock()
 	f.push(arrival, msg)
 }

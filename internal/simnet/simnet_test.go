@@ -321,42 +321,3 @@ func TestStatsCounts(t *testing.T) {
 		t.Errorf("stats = %+v", st)
 	}
 }
-
-func TestTxTimeSerializesSends(t *testing.T) {
-	n := New(Config{TxTime: 20 * time.Millisecond})
-	a, _ := n.Endpoint("h1/a")
-	b, _ := n.Endpoint("h2/b")
-	c, _ := n.Endpoint("h3/c")
-
-	start := time.Now()
-	a.Send("h2/b", []byte("1"))
-	a.Send("h3/c", []byte("2"))
-	if _, ok := recvWithin(t, b, time.Second); !ok {
-		t.Fatal("first send lost")
-	}
-	firstAt := time.Since(start)
-	if _, ok := recvWithin(t, c, time.Second); !ok {
-		t.Fatal("second send lost")
-	}
-	secondAt := time.Since(start)
-	if firstAt < 15*time.Millisecond {
-		t.Errorf("first delivery at %v, want >= ~20ms", firstAt)
-	}
-	if secondAt < 35*time.Millisecond {
-		t.Errorf("second delivery at %v, want >= ~40ms (serialized)", secondAt)
-	}
-}
-
-func TestTxTimeSkipsLocalTraffic(t *testing.T) {
-	n := New(Config{TxTime: 50 * time.Millisecond})
-	a, _ := n.Endpoint("h1/a")
-	b, _ := n.Endpoint("h1/b")
-	start := time.Now()
-	a.Send("h1/b", []byte("ipc"))
-	if _, ok := recvWithin(t, b, time.Second); !ok {
-		t.Fatal("local send lost")
-	}
-	if d := time.Since(start); d > 30*time.Millisecond {
-		t.Errorf("local send took %v; TxTime must not apply", d)
-	}
-}
