@@ -5,13 +5,16 @@
 // Usage:
 //
 //	joshuad -config cluster.conf -id head0 [-mode static|bootstrap|join]
-//	        [-data-dir /var/lib/joshua] [-sync-policy always|interval|none]
+//	        [-data-dir /var/lib/joshua]
 //
 // The configuration file declares every head node and compute node
-// (see internal/config). With -mode static (the default) all declared
-// heads form the group together at startup; -mode bootstrap founds a
-// fresh singleton group; -mode join joins a running group with state
-// transfer, the path a repaired head node takes back into service.
+// and carries every tuning knob — scheduling policy, node capacity,
+// fsync policy, checkpoint cadence, apply pool, read leases (see
+// internal/config); no flag shadows them. With -mode static (the
+// default) all declared heads form the group together at startup;
+// -mode bootstrap founds a fresh singleton group; -mode join joins a
+// running group with state transfer, the path a repaired head node
+// takes back into service.
 //
 // With -data-dir (or data_dir in the configuration) the head keeps a
 // write-ahead log and periodic checkpoints under <dir>/<id>; after a
@@ -41,34 +44,23 @@ import (
 	"joshua/internal/cli"
 	"joshua/internal/joshua"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 	"joshua/internal/shard"
 	"joshua/internal/transport/tcpnet"
-	"joshua/internal/wal"
 )
 
 func main() {
 	var (
-		configPath   = flag.String("config", "", "cluster configuration file")
-		id           = flag.String("id", "", "this head node's name (a [head <name>] section)")
-		mode         = flag.String("mode", "static", "group formation: static, bootstrap, or join")
-		acctPath     = flag.String("accounting", "", "append PBS accounting records to this file")
-		dataDir      = flag.String("data-dir", "", "durable state root: WAL + checkpoints go to <dir>/<id> (overrides data_dir in config; empty = in-memory)")
-		syncPolicy   = flag.String("sync-policy", "", "WAL fsync policy: always, interval, or none (overrides sync_policy in config)")
-		ckptEvery    = flag.Uint64("checkpoint-every", 0, "applied commands between checkpoints (overrides checkpoint_every in config; 0 = default)")
-		ckptCompress = flag.Bool("checkpoint-compress", false, "flate-compress checkpoint files (or checkpoint_compress in config)")
-		deltaMax     = flag.Int64("delta-max-bytes", 0, "WAL-suffix state-transfer cap in bytes (overrides delta_max_bytes in config; 0 = 64 MiB default, negative = unlimited)")
-		applyConc    = flag.Int("apply-concurrency", 0, "apply-worker pool size (overrides apply_concurrency in config; 0 = GOMAXPROCS, 1 = serial apply)")
-		leaseDur     = flag.Duration("lease-duration", 0, "read-lease length for locally served linearizable reads (overrides lease_duration in config; 0 = engine default, negative = leases off)")
-		shardIdx     = flag.Int("shard", -1, "override this head's replication group (default: the [head] section's shard key)")
-		shardCount   = flag.Int("shards", 0, "override the deployment's shard count (default: the shards config key)")
-		schedPol     = flag.String("sched-policy", "", "scheduling policy: fifo, priority, or backfill (overrides sched_policy in config)")
-		nodeCPUs     = flag.Int("node-cpus", 0, "per-node CPU capacity (overrides node_cpus in config; 0 = 1 cpu)")
-		verbose      = flag.Bool("v", false, "log protocol diagnostics")
+		configPath = flag.String("config", "", "cluster configuration file")
+		id         = flag.String("id", "", "this head node's name (a [head <name>] section)")
+		mode       = flag.String("mode", "static", "group formation: static, bootstrap, or join")
+		acctPath   = flag.String("accounting", "", "append PBS accounting records to this file")
+		dataDir    = flag.String("data-dir", "", "durable state root: WAL + checkpoints go to <dir>/<id> (overrides data_dir in config; empty = in-memory)")
+		shardIdx   = flag.Int("shard", -1, "override this head's replication group (default: the [head] section's shard key)")
+		shardCount = flag.Int("shards", 0, "override the deployment's shard count (default: the shards config key)")
+		verbose    = flag.Bool("v", false, "log protocol diagnostics")
 	)
 	flag.Parse()
-	if *applyConc < 0 {
-		cli.Fatalf("joshuad: usage: -apply-concurrency must be >= 0 (0 = GOMAXPROCS), got %d", *applyConc)
-	}
 
 	conf, err := cli.LoadConfig(*configPath)
 	if err != nil {
@@ -107,26 +99,14 @@ func main() {
 	// The head schedules only its shard's slice of the compute pool
 	// and assigns only job IDs its shard owns (in the single-group
 	// deployment both reduce to everything / no filtering).
-	schedPolicy := conf.SchedPolicy
-	if *schedPol != "" {
-		p, err := pbs.ParseSchedPolicy(*schedPol)
-		if err != nil {
-			cli.Fatalf("joshuad: %v", err)
-		}
-		schedPolicy = p
-	}
-	cpus := conf.NodeCPUs
-	if *nodeCPUs > 0 {
-		cpus = *nodeCPUs
-	}
 	pbsCfg := pbs.Config{
 		ServerName:        conf.ServerName,
 		Nodes:             conf.ShardNodeNamesOf(head.Shard),
 		Exclusive:         conf.Exclusive,
-		Policy:            schedPolicy,
+		Policy:            conf.SchedPolicy,
 		Weights:           conf.SchedWeights,
 		FairshareHalfLife: conf.FairshareHalfLife,
-		NodeCPUs:          cpus,
+		NodeCPUs:          conf.NodeCPUs,
 		NodeMem:           conf.NodeMem,
 		KeepCompleted:     1024,
 		IDFilter:          shard.IDFilter(head.Shard, conf.Shards),
@@ -146,18 +126,26 @@ func main() {
 	})
 
 	cfg := joshua.Config{
-		Self:           head.MemberID(),
-		GroupEndpoint:  groupEP,
-		ClientEndpoint: clientEP,
-		Peers:          conf.ShardGroupPeers(head.Shard),
-		Daemon:         daemon,
-		Shard:          head.Shard,
-		Shards:         conf.Shards,
+		Config: rsm.Config{
+			Self:               head.MemberID(),
+			GroupEndpoint:      groupEP,
+			ClientEndpoint:     clientEP,
+			Peers:              conf.ShardGroupPeers(head.Shard),
+			SyncPolicy:         conf.SyncPolicy,
+			CheckpointEvery:    conf.CheckpointEvery,
+			CheckpointCompress: conf.CheckpointCompress,
+			DeltaMaxBytes:      conf.DeltaMaxBytes,
+			ApplyConcurrency:   conf.ApplyConcurrency,
+			LeaseDuration:      conf.LeaseDuration,
+		},
+		Daemon: daemon,
+		Shard:  head.Shard,
+		Shards: conf.Shards,
 		// Non-FIFO policies advance the scheduler's logical clock on
 		// every completion, so completion reports must take the same
 		// totally ordered path as everything else or replica clocks —
 		// and therefore schedules — would drift apart.
-		OrderedCompletions: schedPolicy != pbs.PolicyFIFO,
+		OrderedCompletions: conf.SchedPolicy != pbs.PolicyFIFO,
 	}
 	if *verbose {
 		cfg.Logger = log.New(os.Stderr, "", log.Ltime|log.Lmicroseconds)
@@ -169,34 +157,6 @@ func main() {
 	}
 	if root != "" {
 		cfg.DataDir = filepath.Join(root, *id)
-	}
-	policy := conf.SyncPolicy
-	if *syncPolicy != "" {
-		policy = *syncPolicy
-	}
-	if policy != "" {
-		p, err := wal.ParseSyncPolicy(policy)
-		if err != nil {
-			cli.Fatalf("joshuad: %v", err)
-		}
-		cfg.SyncPolicy = p
-	}
-	cfg.CheckpointEvery = conf.CheckpointEvery
-	if *ckptEvery != 0 {
-		cfg.CheckpointEvery = *ckptEvery
-	}
-	cfg.CheckpointCompress = conf.CheckpointCompress || *ckptCompress
-	cfg.DeltaMaxBytes = conf.DeltaMaxBytes
-	if *deltaMax != 0 {
-		cfg.DeltaMaxBytes = *deltaMax
-	}
-	cfg.ApplyConcurrency = conf.ApplyConcurrency
-	if *applyConc != 0 {
-		cfg.ApplyConcurrency = *applyConc
-	}
-	cfg.LeaseDuration = conf.LeaseDuration
-	if *leaseDur != 0 {
-		cfg.LeaseDuration = *leaseDur
 	}
 	switch *mode {
 	case "static":

@@ -11,6 +11,7 @@ import (
 	"joshua/internal/gcs"
 	"joshua/internal/joshua"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 	"joshua/internal/transport"
 	"joshua/internal/transport/tcpnet"
 )
@@ -210,12 +211,14 @@ func TestCLIFirstWriteToNonSequencer(t *testing.T) {
 			ResendInterval: 100 * time.Millisecond,
 		})
 		head, err := joshua.StartServer(joshua.Config{
-			Self:           member(i),
-			GroupEndpoint:  gcsEPs[i],
-			ClientEndpoint: clientEPs[i],
-			Peers:          peers,
-			InitialMembers: initial,
-			Daemon:         daemon,
+			Config: rsm.Config{
+				Self:           member(i),
+				GroupEndpoint:  gcsEPs[i],
+				ClientEndpoint: clientEPs[i],
+				Peers:          peers,
+				InitialMembers: initial,
+			},
+			Daemon: daemon,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -28,6 +28,7 @@ import (
 	"joshua/internal/gcs"
 	"joshua/internal/joshua"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 	"joshua/internal/shard"
 	"joshua/internal/simnet"
 	"joshua/internal/transport"
@@ -95,13 +96,8 @@ type Options struct {
 	// OrderedCompletions routes mom completion reports through the
 	// total order (see joshua.Config.OrderedCompletions).
 	OrderedCompletions bool
-	// ApplyConcurrency forwards to joshua.Config.ApplyConcurrency: the
-	// per-head apply-worker pool size (0 = engine default, 1 = serial).
-	ApplyConcurrency int
-	// LeaseDuration forwards to joshua.Config.LeaseDuration: the
-	// sequencer-granted read-lease length (0 = enabled with the group
-	// layer's default, negative = disabled, the broadcast-ordered
-	// ablation).
+	// LeaseDuration is each head's sequencer-granted read-lease length
+	// (see rsm.Config.LeaseDuration; 0 = the group layer's default).
 	LeaseDuration time.Duration
 	// ClientTimeout is the per-head attempt timeout for clients made
 	// by Client/ClientFor (0 = 1s). Stress tests shorten it so a
@@ -117,16 +113,6 @@ type Options struct {
 	// DataDir/s<s>head<i>, enabling crash recovery via RestartHeads.
 	// Empty keeps heads purely in-memory.
 	DataDir string
-	// SyncPolicy, SyncInterval, CheckpointEvery forward to each head's
-	// durability layer (see joshua.Config).
-	SyncPolicy      wal.SyncPolicy
-	SyncInterval    time.Duration
-	CheckpointEvery uint64
-	// CheckpointCompress flate-compresses checkpoint files;
-	// DeltaMaxBytes caps the WAL-suffix state transfer (see
-	// joshua.Config).
-	CheckpointCompress bool
-	DeltaMaxBytes      int64
 }
 
 // headKey addresses one head: replication group s, slot i.
@@ -352,25 +338,21 @@ func (c *Cluster) startHead(s, i int, initial []gcs.MemberID, join bool) error {
 	}
 
 	cfg := joshua.Config{
-		Self:               headMember(s, i),
-		GroupEndpoint:      groupEP,
-		ClientEndpoint:     clientEP,
-		Peers:              groupPeers(s),
-		PartitionPolicy:    c.opts.PartitionPolicy,
+		Config: rsm.Config{
+			Self:            headMember(s, i),
+			GroupEndpoint:   groupEP,
+			ClientEndpoint:  clientEP,
+			Peers:           groupPeers(s),
+			PartitionPolicy: c.opts.PartitionPolicy,
+			LeaseDuration:   c.opts.LeaseDuration,
+			DataDir:         c.headDataDir(s, i),
+			TuneGCS:         c.opts.TuneGCS,
+			Logger:          c.opts.Logger,
+		},
 		Daemon:             daemon,
 		OrderedCompletions: c.opts.OrderedCompletions,
-		ApplyConcurrency:   c.opts.ApplyConcurrency,
-		LeaseDuration:      c.opts.LeaseDuration,
 		Shard:              s,
 		Shards:             c.shards,
-		TuneGCS:            c.opts.TuneGCS,
-		Logger:             c.opts.Logger,
-		DataDir:            c.headDataDir(s, i),
-		SyncPolicy:         c.opts.SyncPolicy,
-		SyncInterval:       c.opts.SyncInterval,
-		CheckpointEvery:    c.opts.CheckpointEvery,
-		CheckpointCompress: c.opts.CheckpointCompress,
-		DeltaMaxBytes:      c.opts.DeltaMaxBytes,
 	}
 	if !join {
 		cfg.InitialMembers = initial

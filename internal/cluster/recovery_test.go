@@ -6,21 +6,21 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"joshua/internal/joshua"
 	"joshua/internal/pbs"
-	"joshua/internal/wal"
 )
 
 // durableOptions is testOptions plus a per-test data directory, so
-// every head keeps a write-ahead log and checkpoints. SyncAlways makes
-// every acknowledged command durable before its reply.
+// every head keeps a write-ahead log and checkpoints. Every
+// acknowledged command reached the log file before its reply, which is
+// all a head crash (the process, not the machine) can test.
 func durableOptions(t *testing.T, heads, computes int) Options {
 	o := testOptions(heads, computes)
 	o.DataDir = t.TempDir()
-	o.SyncPolicy = wal.SyncAlways
 	o.ClientTimeout = 250 * time.Millisecond
 	return o
 }
@@ -217,21 +217,41 @@ func TestRejoinDeltaSmallerThanFullTransfer(t *testing.T) {
 // checkpoint (replaying the longer WAL suffix), and exactly-once
 // semantics must hold across the crash.
 func TestRecoveryAfterTornCheckpointTmp(t *testing.T) {
-	o := durableOptions(t, 2, 1)
-	o.CheckpointEvery = 4
-	c := newCluster(t, o)
+	c := newCluster(t, durableOptions(t, 2, 1))
 	cli, err := c.ClientFor(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ids := map[pbs.JobID]bool{}
-	for i := 0; i < 10; i++ {
-		j, err := cli.Submit(pbs.SubmitRequest{Name: fmt.Sprintf("job%d", i), Hold: true})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		ids[j.ID] = true
+	// Submit past the default checkpoint cadence of 1,024 applied
+	// commands, from concurrent senders to keep the test short.
+	const senders, perSender = 8, 130
+	var (
+		mu   sync.Mutex
+		ids  = map[pbs.JobID]bool{}
+		wg   sync.WaitGroup
+		errs = make(chan error, senders)
+	)
+	for k := 0; k < senders; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			for i := 0; i < perSender; i++ {
+				j, err := cli.Submit(pbs.SubmitRequest{Name: fmt.Sprintf("job%d-%d", k, i), Hold: true})
+				if err != nil {
+					errs <- fmt.Errorf("submit %d-%d: %v", k, i, err)
+					return
+				}
+				mu.Lock()
+				ids[j.ID] = true
+				mu.Unlock()
+			}
+		}(k)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
 	}
 	var lockID pbs.JobID
 	for id := range ids {

@@ -10,81 +10,96 @@ import (
 	"joshua/internal/pbs"
 	"joshua/internal/transport"
 	"joshua/internal/transport/tcpnet"
+	"joshua/internal/wal"
 )
 
 // ClusterFile is the deployment description used by the joshuad,
 // jmomd, and control-command binaries: which head nodes exist, where
 // each of their services listens, and which compute nodes run moms.
+//
+// Deployment-wide keys may be set at top level (before any section) or
+// under [options], which overrides the top level; the key each field
+// reads is named in its comment. A key outside that set is an error.
 type ClusterFile struct {
-	// ServerName suffixes job IDs; identical on every head.
+	// ServerName suffixes job IDs; identical on every head
+	// ("server_name"; default "cluster").
 	ServerName string
 	// Shards is the number of independent replication groups the
-	// deployment is partitioned into ("shards", globally or under
-	// [options]; default 1). With more than one shard every [head]
-	// section must carry a "shard = N" key placing it in a group, and
-	// compute nodes either all declare "shard = N" or are dealt
-	// round-robin across shards in name order.
-	Shards    int
-	Heads     []HeadDecl
-	Computes  []ComputeDecl
+	// deployment is partitioned into ("shards"; default 1). With more
+	// than one shard every [head] section must carry a "shard = N" key
+	// placing it in a group, and compute nodes either all declare
+	// "shard = N" or are dealt round-robin across shards in name order.
+	Shards   int
+	Heads    []HeadDecl
+	Computes []ComputeDecl
+	// Exclusive selects the paper's one-job-per-node Maui policy
+	// ("exclusive"; default true).
 	Exclusive bool
-	// SchedPolicy selects the scheduling pipeline ("sched_policy",
-	// globally or under [options]: fifo, priority, or backfill;
-	// default fifo — the paper's configuration).
+	// SchedPolicy selects the scheduling pipeline ("sched_policy":
+	// fifo, priority, or backfill; default fifo — the paper's
+	// configuration).
 	SchedPolicy pbs.SchedPolicy
 	// SchedWeights are the priority-stage weights ("sched_weight_age",
-	// "sched_weight_size", "sched_weight_user", "sched_weight_fair"
-	// under [options]; all-zero selects pbs.DefaultSchedWeights).
+	// "sched_weight_size", "sched_weight_user", "sched_weight_fair";
+	// all-zero selects pbs.DefaultSchedWeights).
 	SchedWeights pbs.SchedWeights
 	// FairshareHalfLife is the fairshare decay half-life in logical
-	// ticks ("fairshare_half_life" under [options]; 0 = no decay).
+	// ticks ("fairshare_half_life"; 0 = no decay).
 	FairshareHalfLife uint64
 	// NodeCPUs / NodeMem set per-node schedulable capacity
-	// ("node_cpus", "node_mem" under [options]; node_mem accepts PBS
-	// sizes like "4gb").
-	NodeCPUs  int
-	NodeMem   int64
+	// ("node_cpus", "node_mem"; node_mem accepts PBS sizes like "4gb").
+	NodeCPUs int
+	NodeMem  int64
+	// TimeScale scales simulated job wall time on the moms
+	// ("time_scale"; default 1).
 	TimeScale float64
 	// ClientBind is the local TCP address control commands listen on
-	// for replies ("client_bind", globally or under [options]). Empty
-	// means an ephemeral loopback port, which only works when the
-	// head nodes run on the same machine; multi-machine deployments
-	// set it to an address the heads can route back to, e.g.
-	// "10.0.0.7:0" or "0.0.0.0:0".
+	// for replies ("client_bind"). Empty means an ephemeral loopback
+	// port, which only works when the head nodes run on the same
+	// machine; multi-machine deployments set it to an address the heads
+	// can route back to, e.g. "10.0.0.7:0" or "0.0.0.0:0".
 	ClientBind string
 	// DataDir enables each head's durable write-ahead log and
-	// checkpoints under <data_dir>/<head name> ("data_dir", globally
-	// or under [options]). Empty runs heads purely in-memory.
+	// checkpoints under <data_dir>/<head name> ("data_dir"). Empty runs
+	// heads purely in-memory.
 	DataDir string
-	// SyncPolicy is the WAL fsync policy: "always", "interval", or
-	// "none" ("sync_policy"; default "interval").
-	SyncPolicy string
+	// SyncPolicy is the WAL fsync policy ("sync_policy": always,
+	// interval, or none; default interval).
+	SyncPolicy wal.SyncPolicy
 	// CheckpointEvery is the applied-command cadence between
 	// checkpoints ("checkpoint_every"; 0 = engine default).
 	CheckpointEvery uint64
 	// CheckpointCompress enables flate compression of checkpoint
-	// files ("checkpoint_compress" under [options]).
+	// files ("checkpoint_compress").
 	CheckpointCompress bool
 	// DeltaMaxBytes caps the WAL-suffix state-transfer size
-	// ("delta_max_bytes" under [options]; 0 = engine default 64 MiB,
-	// negative = unlimited).
+	// ("delta_max_bytes"; 0 = engine default 64 MiB, negative =
+	// unlimited).
 	DeltaMaxBytes int64
 	// ApplyConcurrency sizes each head's apply-worker pool
-	// ("apply_concurrency" under [options]; 0 = engine default, 1 =
-	// serial apply; negative values are rejected).
+	// ("apply_concurrency"; 0 = engine default, 1 = serial apply;
+	// negative values are rejected).
 	ApplyConcurrency int
 	// LeaseDuration is the sequencer-granted read-lease length
-	// ("lease_duration", globally or under [options], a Go duration
-	// like "500ms", or "off"). Zero (the default) enables leasing at
-	// the group engine's default length; "off" (or any negative
-	// duration) disables leases, sending every ordered read through
-	// the total order.
+	// ("lease_duration", a Go duration like "500ms"; 0 = the group
+	// engine's default; negative values are rejected).
 	LeaseDuration time.Duration
 
 	// explicitComputes records whether the compute shard placement
 	// came from the file (every section declared "shard = N") or was
 	// derived round-robin; SetShards re-derives only the latter.
 	explicitComputes bool
+}
+
+// clusterKeys is every key a top-level line or [options] may set.
+var clusterKeys = map[string]bool{
+	"server_name": true, "shards": true, "exclusive": true,
+	"sched_policy": true, "sched_weight_age": true, "sched_weight_size": true,
+	"sched_weight_user": true, "sched_weight_fair": true, "fairshare_half_life": true,
+	"node_cpus": true, "node_mem": true, "time_scale": true, "client_bind": true,
+	"data_dir": true, "sync_policy": true, "checkpoint_every": true,
+	"checkpoint_compress": true, "delta_max_bytes": true,
+	"apply_concurrency": true, "lease_duration": true,
 }
 
 // HeadDecl is one "[head <name>]" section.
@@ -128,22 +143,6 @@ func (c ComputeDecl) MomAddr() transport.Addr {
 // MemberID returns the head's group member identity.
 func (h HeadDecl) MemberID() gcs.MemberID { return gcs.MemberID(h.Name) }
 
-// parseLeaseDuration interprets the "lease_duration" key: a Go
-// duration string, or "off"/"disabled" for the broadcast-only
-// ablation (mapped to -1, which the engine treats as leasing
-// disabled).
-func parseLeaseDuration(v string) (time.Duration, error) {
-	switch v {
-	case "off", "disabled":
-		return -1, nil
-	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("config: lease_duration: %v", err)
-	}
-	return d, nil
-}
-
 // LoadCluster parses a deployment description.
 func LoadCluster(path string) (*ClusterFile, error) {
 	f, err := Load(path)
@@ -153,28 +152,138 @@ func LoadCluster(path string) (*ClusterFile, error) {
 	return ClusterFromFile(f)
 }
 
+// options merges the top-level keys with the first [options]
+// section's, which override them, and rejects an unknown key by line.
+func options(f *File) (*Section, error) {
+	merged := newSection("options", "", 0)
+	srcs := []*Section{f.Globals}
+	if opts := f.SectionsOf("options"); len(opts) > 0 {
+		srcs = append(srcs, opts[0])
+	}
+	for _, src := range srcs {
+		var unknown *ParseError
+		for k, v := range src.Keys {
+			if !clusterKeys[k] {
+				if line := src.lines[k]; unknown == nil || line < unknown.Line {
+					unknown = &ParseError{line, fmt.Sprintf("unknown key %q", k)}
+				}
+			}
+			merged.Keys[k] = v
+		}
+		if unknown != nil {
+			return nil, unknown
+		}
+	}
+	return merged, nil
+}
+
+// keyReader reads typed keys from one section, keeping the first
+// error so a run of reads needs one check.
+type keyReader struct {
+	s   *Section
+	err error
+}
+
+func (r *keyReader) keep(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+func (r *keyReader) int(key string) int64 {
+	v, err := r.s.Int(key, 0)
+	r.keep(err)
+	return v
+}
+
+func (r *keyReader) uint(key string) uint64 {
+	v, err := r.s.Uint(key, 0)
+	r.keep(err)
+	return v
+}
+
+func (r *keyReader) bool(key string, def bool) bool {
+	v, err := r.s.Bool(key, def)
+	r.keep(err)
+	return v
+}
+
+func (r *keyReader) float(key string, def float64) float64 {
+	v, err := r.s.Float(key, def)
+	r.keep(err)
+	return v
+}
+
+// parsed returns parse(value) for a key that is set, and T's zero
+// value for one that is not.
+func parsed[T any](r *keyReader, key string, parse func(string) (T, error)) T {
+	var v T
+	if s := r.s.Get(key); s != "" {
+		var err error
+		if v, err = parse(s); err != nil {
+			r.keep(fmt.Errorf("config: key %q: %v", key, err))
+		}
+	}
+	return v
+}
+
+func positive(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if err != nil || n < 1 {
+		return 0, fmt.Errorf("want a positive integer, got %q", s)
+	}
+	return n, nil
+}
+
+func nonNegative(s string) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("negative duration %v", d)
+	}
+	return d, err
+}
+
 // ClusterFromFile interprets a parsed configuration.
 func ClusterFromFile(f *File) (*ClusterFile, error) {
+	o, err := options(f)
+	if err != nil {
+		return nil, err
+	}
+	r := &keyReader{s: o}
 	c := &ClusterFile{
-		ServerName: f.Global("server_name", "cluster"),
-		TimeScale:  1.0,
-		Exclusive:  true,
-		ClientBind: f.Global("client_bind", ""),
-		DataDir:    f.Global("data_dir", ""),
-		SyncPolicy: f.Global("sync_policy", ""),
+		ServerName:        o.Get("server_name"),
+		Shards:            parsed(r, "shards", positive),
+		Exclusive:         r.bool("exclusive", true),
+		SchedPolicy:       parsed(r, "sched_policy", pbs.ParseSchedPolicy),
+		FairshareHalfLife: r.uint("fairshare_half_life"),
+		SchedWeights: pbs.SchedWeights{
+			Age:  r.int("sched_weight_age"),
+			Size: r.int("sched_weight_size"),
+			User: r.int("sched_weight_user"),
+			Fair: r.int("sched_weight_fair"),
+		},
+		NodeCPUs:           int(r.int("node_cpus")),
+		NodeMem:            parsed(r, "node_mem", pbs.ParseMem),
+		TimeScale:          r.float("time_scale", 1),
+		ClientBind:         o.Get("client_bind"),
+		DataDir:            o.Get("data_dir"),
+		SyncPolicy:         parsed(r, "sync_policy", wal.ParseSyncPolicy),
+		CheckpointEvery:    r.uint("checkpoint_every"),
+		CheckpointCompress: r.bool("checkpoint_compress", false),
+		DeltaMaxBytes:      r.int("delta_max_bytes"),
+		ApplyConcurrency:   int(r.uint("apply_concurrency")),
+		LeaseDuration:      parsed(r, "lease_duration", nonNegative),
 	}
-	if v := f.Global("lease_duration", ""); v != "" {
-		var err error
-		if c.LeaseDuration, err = parseLeaseDuration(v); err != nil {
-			return nil, err
-		}
+	if r.err != nil {
+		return nil, r.err
 	}
-	if v := f.Global("sched_policy", ""); v != "" {
-		var err error
-		if c.SchedPolicy, err = pbs.ParseSchedPolicy(v); err != nil {
-			return nil, err
-		}
+	if c.ServerName == "" {
+		c.ServerName = "cluster"
 	}
+	if c.Shards == 0 {
+		c.Shards = 1
+	}
+
 	for _, sec := range f.SectionsOf("head") {
 		if sec.Name == "" {
 			return nil, fmt.Errorf("config: [head] section at line %d needs a name", sec.Line)
@@ -215,93 +324,6 @@ func ClusterFromFile(f *File) (*ClusterFile, error) {
 	}
 	if len(c.Heads) == 0 {
 		return nil, fmt.Errorf("config: no [head <name>] sections")
-	}
-	c.Shards = 1
-	if v := f.Global("shards", ""); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("config: shards must be a positive integer, got %q", v)
-		}
-		c.Shards = n
-	}
-	if opts := f.SectionsOf("options"); len(opts) > 0 {
-		var err error
-		if c.Exclusive, err = opts[0].Bool("exclusive", true); err != nil {
-			return nil, err
-		}
-		if c.TimeScale, err = opts[0].Float("time_scale", 1.0); err != nil {
-			return nil, err
-		}
-		if v := opts[0].Get("client_bind"); v != "" {
-			c.ClientBind = v
-		}
-		if v := opts[0].Get("data_dir"); v != "" {
-			c.DataDir = v
-		}
-		if v := opts[0].Get("sync_policy"); v != "" {
-			c.SyncPolicy = v
-		}
-		if c.CheckpointEvery, err = opts[0].Uint("checkpoint_every", 0); err != nil {
-			return nil, err
-		}
-		if c.CheckpointCompress, err = opts[0].Bool("checkpoint_compress", false); err != nil {
-			return nil, err
-		}
-		if c.DeltaMaxBytes, err = opts[0].Int("delta_max_bytes", 0); err != nil {
-			return nil, err
-		}
-		ac, err := opts[0].Uint("apply_concurrency", 0)
-		if err != nil {
-			return nil, err
-		}
-		c.ApplyConcurrency = int(ac)
-		if v := opts[0].Get("lease_duration"); v != "" {
-			if c.LeaseDuration, err = parseLeaseDuration(v); err != nil {
-				return nil, err
-			}
-		}
-		if v := opts[0].Get("shards"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 1 {
-				return nil, fmt.Errorf("config: shards must be a positive integer, got %q", v)
-			}
-			c.Shards = n
-		}
-		if v := opts[0].Get("sched_policy"); v != "" {
-			if c.SchedPolicy, err = pbs.ParseSchedPolicy(v); err != nil {
-				return nil, err
-			}
-		}
-		nc, err := opts[0].Int("node_cpus", 0)
-		if err != nil {
-			return nil, err
-		}
-		c.NodeCPUs = int(nc)
-		if v := opts[0].Get("node_mem"); v != "" {
-			if c.NodeMem, err = pbs.ParseMem(v); err != nil {
-				return nil, fmt.Errorf("config: node_mem: %v", err)
-			}
-		}
-		if c.FairshareHalfLife, err = opts[0].Uint("fairshare_half_life", 0); err != nil {
-			return nil, err
-		}
-		wAge, err := opts[0].Int("sched_weight_age", 0)
-		if err != nil {
-			return nil, err
-		}
-		wSize, err := opts[0].Int("sched_weight_size", 0)
-		if err != nil {
-			return nil, err
-		}
-		wUser, err := opts[0].Int("sched_weight_user", 0)
-		if err != nil {
-			return nil, err
-		}
-		wFair, err := opts[0].Int("sched_weight_fair", 0)
-		if err != nil {
-			return nil, err
-		}
-		c.SchedWeights = pbs.SchedWeights{Age: wAge, Size: wSize, User: wUser, Fair: wFair}
 	}
 	sort.Slice(c.Heads, func(i, j int) bool { return c.Heads[i].Name < c.Heads[j].Name })
 	sort.Slice(c.Computes, func(i, j int) bool { return c.Computes[i].Name < c.Computes[j].Name })

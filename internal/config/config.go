@@ -35,8 +35,9 @@ import (
 
 // File is a parsed configuration.
 type File struct {
-	// Globals holds top-level keys (before any section).
-	Globals map[string]string
+	// Globals holds the top-level keys (before any section header), as
+	// a section with an empty Kind.
+	Globals *Section
 	// Sections in file order.
 	Sections []*Section
 }
@@ -47,6 +48,12 @@ type Section struct {
 	Name string
 	Keys map[string]string
 	Line int
+	// lines records the line each key was set on.
+	lines map[string]int
+}
+
+func newSection(kind, name string, line int) *Section {
+	return &Section{Kind: kind, Name: name, Keys: map[string]string{}, Line: line, lines: map[string]int{}}
 }
 
 // ParseError reports a syntax error with its line number.
@@ -71,8 +78,8 @@ func Load(path string) (*File, error) {
 
 // Parse reads a configuration from r.
 func Parse(r io.Reader) (*File, error) {
-	file := &File{Globals: make(map[string]string)}
-	var current *Section
+	file := &File{Globals: newSection("", "", 0)}
+	current := file.Globals
 
 	sc := bufio.NewScanner(r)
 	line := 0
@@ -95,10 +102,7 @@ func Parse(r io.Reader) (*File, error) {
 				return nil, &ParseError{line, "empty section header"}
 			}
 			parts := strings.Fields(header)
-			sec := &Section{Kind: parts[0], Keys: make(map[string]string), Line: line}
-			if len(parts) > 1 {
-				sec.Name = strings.Join(parts[1:], " ")
-			}
+			sec := newSection(parts[0], strings.Join(parts[1:], " "), line)
 			file.Sections = append(file.Sections, sec)
 			current = sec
 			continue
@@ -112,14 +116,11 @@ func Parse(r io.Reader) (*File, error) {
 		if key == "" {
 			return nil, &ParseError{line, "empty key"}
 		}
-		target := file.Globals
-		if current != nil {
-			target = current.Keys
-		}
-		if _, dup := target[key]; dup {
+		if _, dup := current.Keys[key]; dup {
 			return nil, &ParseError{line, fmt.Sprintf("duplicate key %q", key)}
 		}
-		target[key] = val
+		current.Keys[key] = val
+		current.lines[key] = line
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -219,19 +220,6 @@ func (s *Section) Duration(key string, def time.Duration) (time.Duration, error)
 		return 0, fmt.Errorf("config: key %q: %v", key, err)
 	}
 	return d, nil
-}
-
-// GlobalBool parses a top-level boolean key.
-func (f *File) GlobalBool(key string, def bool) (bool, error) {
-	return parseBool(f.Globals[key], key, def)
-}
-
-// Global returns a top-level key, or def when absent.
-func (f *File) Global(key, def string) string {
-	if v, ok := f.Globals[key]; ok && v != "" {
-		return v
-	}
-	return def
 }
 
 func parseBool(v, key string, def bool) (bool, error) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"joshua/internal/pbs"
+	"joshua/internal/wal"
 )
 
 const sample = `
@@ -37,8 +38,8 @@ func TestParseSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Global("server_name", "") != "cluster" {
-		t.Errorf("server_name = %q", f.Global("server_name", ""))
+	if got := f.Globals.Get("server_name"); got != "cluster" {
+		t.Errorf("server_name = %q", got)
 	}
 	heads := f.SectionsOf("head")
 	if len(heads) != 2 || heads[0].Name != "head0" || heads[1].Name != "head1" {
@@ -290,5 +291,63 @@ func TestClusterEngineOptions(t *testing.T) {
 	// A pool size is never negative.
 	if _, err := cluster(head + "[options]\napply_concurrency = -1\n"); err == nil {
 		t.Error("apply_concurrency = -1 should be rejected")
+	}
+
+	// Every key is read at top level too, with [options] overriding.
+	c, err = cluster("apply_concurrency = 4\ncheckpoint_every = 64\n" + head + "[options]\ncheckpoint_every = 128\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.ApplyConcurrency != 4 || c.CheckpointEvery != 128 {
+		t.Errorf("ApplyConcurrency/CheckpointEvery = %d/%d, want 4/128", c.ApplyConcurrency, c.CheckpointEvery)
+	}
+	c, err = cluster(head + "[options]\nsync_policy = always\nlease_duration = 300ms\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.SyncPolicy != wal.SyncAlways || c.LeaseDuration != 300*time.Millisecond {
+		t.Errorf("SyncPolicy/LeaseDuration = %v/%v, want always/300ms", c.SyncPolicy, c.LeaseDuration)
+	}
+}
+
+func TestClusterRejectsUnknownKeys(t *testing.T) {
+	head := "[head h]\ngcs=a\nclient=b\npbs=c\n"
+	for input, line := range map[string]string{
+		"server_name = x\napply_concurency = 4\n" + head:             "line 2:",
+		head + "[options]\nexclusive = true\napply_concurency = 4\n": "line 7:",
+		head + "[options]\nsync-policy = always\n":                   "line 6:",
+	} {
+		f, err := Parse(strings.NewReader(input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ClusterFromFile(f)
+		if err == nil || !strings.Contains(err.Error(), line) || !strings.Contains(err.Error(), "unknown key") {
+			t.Errorf("ClusterFromFile(%q) = %v, want an unknown-key error at %s", input, err, line)
+		}
+	}
+	// [head] and [compute] keys are not deployment-wide options.
+	f, err := Parse(strings.NewReader(head + "shard = 0\n[compute n]\nmom = d\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ClusterFromFile(f); err != nil {
+		t.Errorf("section keys rejected: %v", err)
+	}
+}
+
+func TestClusterRejectsBadLeaseDuration(t *testing.T) {
+	head := "[head h]\ngcs=a\nclient=b\npbs=c\n"
+	for _, input := range []string{
+		"lease_duration = off\n" + head,
+		head + "[options]\nlease_duration = -1s\n",
+	} {
+		f, err := Parse(strings.NewReader(input))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ClusterFromFile(f); err == nil || !strings.Contains(err.Error(), "lease_duration") {
+			t.Errorf("ClusterFromFile(%q) = %v, want an error naming lease_duration", input, err)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -108,6 +109,10 @@ mom = 127.0.0.1:%d
 
 [options]
 exclusive = true
+apply_concurrency = 2
+checkpoint_every = 64
+sync_policy = interval
+lease_duration = 300ms
 `, p[0], p[1], p[2], p[3], p[4], p[5], p[6])
 	if err := os.WriteFile(conf, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
@@ -304,6 +309,10 @@ func TestBinariesDirectivesAndNodes(t *testing.T) {
 	if !strings.Contains(out, "head0") || !strings.Contains(out, "mode") ||
 		!strings.Contains(out, "primary") {
 		t.Fatalf("jadmin output:\n%s", out)
+	}
+	// The [options] apply_concurrency key reached both heads' engines.
+	if n := len(regexp.MustCompile(`apply_workers\s+2\n`).FindAllString(out, -1)); n != 2 {
+		t.Fatalf("jadmin reports apply_concurrency = 2 on %d of 2 heads:\n%s", n, out)
 	}
 
 	// Node management round trip.

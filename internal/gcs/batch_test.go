@@ -10,7 +10,7 @@ import (
 )
 
 // TestBatchedBurstTotalOrder drives a concurrent burst through the
-// default (batching-on) configuration and checks that coalescing is
+// group and checks that coalescing is
 // actually happening — BATCH frames sent, acks merged — without
 // costing total order or per-sender FIFO.
 func TestBatchedBurstTotalOrder(t *testing.T) {
@@ -87,39 +87,6 @@ func TestBatchedBurstTotalOrder(t *testing.T) {
 	}
 }
 
-// TestAblationKnobsDisableBatching pins the Transis-faithful ablation:
-// MaxBatch=1 and AckDelay<0 must reproduce the one-datagram-per-
-// message, one-ack-per-delivery behavior exactly — zero batches, zero
-// coalesced acks, and unchanged delivery semantics.
-func TestAblationKnobsDisableBatching(t *testing.T) {
-	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
-	defer net.Close()
-	obs := group(t, net, 2, func(i int, c *Config) {
-		c.SafeDelivery = true
-		c.MaxBatch = 1
-		c.AckDelay = -1
-	})
-
-	const n = 30
-	for k := 0; k < n; k++ {
-		if err := obs[1].p.Broadcast([]byte(fmt.Sprintf("m1-%d", k))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, 10*time.Second, "all deliveries without batching", func() bool {
-		return len(obs[0].deliveredPayloads()) == n && len(obs[1].deliveredPayloads()) == n
-	})
-	for i, o := range obs {
-		st := o.p.Stats()
-		if st.BatchesSent != 0 {
-			t.Errorf("member %d sent %d batches with MaxBatch=1", i, st.BatchesSent)
-		}
-		if st.AcksCoalesced != 0 {
-			t.Errorf("member %d coalesced %d acks with AckDelay<0", i, st.AcksCoalesced)
-		}
-	}
-}
-
 // TestBatchStraddlesViewChange crashes the sequencer in the middle of
 // a batched burst: BATCH frames in flight are cut by the flush, the
 // survivors reconcile, and every survivor-sent message is delivered
@@ -128,7 +95,7 @@ func TestAblationKnobsDisableBatching(t *testing.T) {
 func TestBatchStraddlesViewChange(t *testing.T) {
 	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
 	defer net.Close()
-	obs := group(t, net, 3, nil) // batching on by default
+	obs := group(t, net, 3, nil)
 
 	stop := make(chan struct{})
 	sent := make([]int, 3)

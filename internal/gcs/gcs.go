@@ -209,24 +209,6 @@ type Config struct {
 	// broadcasts; Broadcast blocks when it is full. Default 256.
 	Window int
 
-	// MaxBatch bounds how many sequenced messages the sequencer packs
-	// into one BATCH frame, and how many queued ordering requests a
-	// sender packs into one REQBATCH frame. Messages available within
-	// the same event-loop round coalesce up to this bound, amortising
-	// the per-frame cost (encode, send, ack) across a burst; an
-	// isolated message still goes out immediately in its own frame, so
-	// batching adds no latency. 1 disables batching — every message
-	// travels alone, the Transis-faithful configuration. Default 64.
-	MaxBatch int
-	// AckDelay shapes receipt-acknowledgment coalescing under
-	// SafeDelivery. 0 (the default) sends at most one ack per
-	// event-loop round, so a burst of sequenced messages arriving
-	// together is acknowledged once. A positive value additionally
-	// holds the ack up to that long to merge acks across rounds
-	// (throughput over latency). A negative value acknowledges every
-	// message immediately, as the original per-message protocol did.
-	AckDelay time.Duration
-
 	// SafeDelivery delays delivery of each message until every view
 	// member has acknowledged receiving it — the "safe" delivery
 	// guarantee of extended virtual synchrony (Transis/Totem SAFE
@@ -277,12 +259,6 @@ func (c *Config) fillDefaults() {
 	if c.Window <= 0 {
 		c.Window = 256
 	}
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 64
-	}
-	if c.MaxBatch < 1 {
-		c.MaxBatch = 1
-	}
 	if c.TransferChunk <= 0 {
 		c.TransferChunk = 256 << 10
 	}
@@ -294,10 +270,21 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// maxBatchBytes caps the payload bytes coalesced into one BATCH or
-// REQBATCH frame, keeping a batch of large messages well under the
-// codec frame limit. A single oversized message still goes out alone.
-const maxBatchBytes = 1 << 20
+// Batching bounds (see flushRound). Messages available within the
+// same event-loop round coalesce into one BATCH (sequenced data) or
+// REQBATCH (ordering requests) frame of at most maxBatchMsgs messages
+// and maxBatchBytes payload bytes, amortising the per-frame cost
+// (encode, send, ack) across a burst; an isolated message still goes
+// out at once in its own frame, so batching adds no latency. The byte
+// cap keeps a batch of large messages well under the codec frame
+// limit; a single oversized message still goes out alone. A round
+// drains at most drainPerRound queued inputs, so the ticker (failure
+// detector, retransmission) stays responsive under sustained load.
+const (
+	maxBatchMsgs  = 64
+	maxBatchBytes = 1 << 20
+	drainPerRound = 4 * maxBatchMsgs
+)
 
 // Process states.
 type status int
@@ -390,13 +377,8 @@ type Process struct {
 	reqOut  []dataMsg // sender: ordering requests not yet sent
 	// Ack coalescing: ackPending marks a receipt ack owed to the view;
 	// it is satisfied once per round by flushAck, the sequencer's copy
-	// piggybacked on an outgoing REQBATCH when there is one. ackSince
-	// anchors the AckDelay window; ackArmed tracks whether ackTimer is
-	// set.
+	// piggybacked on an outgoing REQBATCH when there is one.
 	ackPending bool
-	ackSince   time.Time
-	ackArmed   bool
-	ackTimer   *time.Timer
 
 	// flush state (see flush.go)
 	fl flushState
@@ -699,12 +681,6 @@ func (p *Process) run() {
 	tick := time.NewTicker(p.cfg.Heartbeat)
 	defer tick.Stop()
 
-	p.ackTimer = time.NewTimer(time.Hour)
-	if !p.ackTimer.Stop() {
-		<-p.ackTimer.C
-	}
-	defer p.ackTimer.Stop()
-
 	now := time.Now()
 	for m := range p.cfg.Peers {
 		p.lastHeard[m] = now // grace period at startup
@@ -723,8 +699,6 @@ func (p *Process) run() {
 			p.handleDatagram(msg)
 		case <-tick.C:
 			p.onTick()
-		case <-p.ackTimer.C:
-			p.ackArmed = false // flushRound sends the now-due ack
 		}
 		p.drainInputs()
 		p.flushRound()
@@ -734,10 +708,9 @@ func (p *Process) run() {
 // drainInputs opportunistically processes whatever input is already
 // queued before the round's output goes out, so a burst of commands
 // or datagrams coalesces into batched frames instead of paying one
-// frame each. The bound keeps the ticker (failure detector,
-// retransmission) responsive under sustained load.
+// frame each, up to drainPerRound inputs.
 func (p *Process) drainInputs() {
-	for i := 0; i < 4*p.cfg.MaxBatch; i++ {
+	for i := 0; i < drainPerRound; i++ {
 		select {
 		case <-p.done:
 			return
@@ -773,20 +746,26 @@ func (p *Process) flushRound() {
 	p.caughtUp.Store(p.st == statusNormal && p.nextDeliver > p.tailSeq)
 }
 
+// batchLen returns how many of msgs (at least one) the next frame
+// carries under the maxBatchMsgs and maxBatchBytes caps.
+func batchLen(msgs []dataMsg) int {
+	n, bytes := 0, 0
+	for n < len(msgs) && n < maxBatchMsgs {
+		sz := len(msgs[n].Payload)
+		if n > 0 && bytes+sz > maxBatchBytes {
+			break
+		}
+		bytes += sz
+		n++
+	}
+	return n
+}
+
 // flushOutData multicasts the messages sequenced this round, packing
-// up to MaxBatch of them into each BATCH frame. A lone message uses
-// the plain DATA frame, identical to the unbatched protocol.
+// them into BATCH frames. A lone message uses the plain DATA frame.
 func (p *Process) flushOutData() {
 	for len(p.outData) > 0 {
-		n, bytes := 0, 0
-		for n < len(p.outData) && n < p.cfg.MaxBatch {
-			sz := len(p.outData[n].Payload)
-			if n > 0 && bytes+sz > maxBatchBytes {
-				break
-			}
-			bytes += sz
-			n++
-		}
+		n := batchLen(p.outData)
 		var m *message
 		if n == 1 {
 			m = &message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: p.outData[0]}
@@ -809,7 +788,7 @@ func (p *Process) flushOutData() {
 }
 
 // flushReqOut sends the ordering requests queued this round to the
-// sequencer, packing up to MaxBatch into each REQBATCH frame with the
+// sequencer, packing them into REQBATCH frames with the
 // current delivery/receipt watermarks piggybacked (which is the
 // sequencer's copy of any pending receipt ack; the other members get
 // theirs standalone). Requests queued by the time a
@@ -825,15 +804,7 @@ func (p *Process) flushReqOut() {
 	}
 	seqr := p.view.Sequencer()
 	for len(p.reqOut) > 0 {
-		n, bytes := 0, 0
-		for n < len(p.reqOut) && n < p.cfg.MaxBatch {
-			sz := len(p.reqOut[n].Payload)
-			if n > 0 && bytes+sz > maxBatchBytes {
-				break
-			}
-			bytes += sz
-			n++
-		}
+		n := batchLen(p.reqOut)
 		var m *message
 		if n == 1 && !p.ackPending {
 			m = &message{Kind: kindReq, From: p.cfg.Self, ViewID: p.view.ID, Data: p.reqOut[0]}
@@ -865,22 +836,11 @@ func (p *Process) flushReqOut() {
 	p.reqOut = nil
 }
 
-// flushAck sends the coalesced receipt ack owed to the view, or
-// arms the delay timer when AckDelay postpones it past this round.
+// flushAck sends the coalesced receipt ack still owed to the view.
 func (p *Process) flushAck() {
-	if !p.ackPending {
-		return
+	if p.ackPending {
+		p.sendAck(p.view.Members)
 	}
-	if p.cfg.AckDelay > 0 {
-		if wait := p.cfg.AckDelay - time.Since(p.ackSince); wait > 0 {
-			if !p.ackArmed {
-				p.ackArmed = true
-				p.ackTimer.Reset(wait)
-			}
-			return
-		}
-	}
-	p.sendAck(p.view.Members)
 }
 
 // handleDatagram decodes and dispatches one incoming datagram.
@@ -1018,14 +978,8 @@ func (p *Process) transmitPending(pm *pendingMsg) {
 		p.sequence(dataMsg{Sender: p.cfg.Self, SenderSeq: pm.senderSeq, Payload: pm.payload})
 		return
 	}
-	d := dataMsg{Sender: p.cfg.Self, SenderSeq: pm.senderSeq, Payload: pm.payload}
-	if p.cfg.MaxBatch > 1 {
-		// Queue for the round's REQBATCH; flushReqOut sends it.
-		p.reqOut = append(p.reqOut, d)
-		return
-	}
-	m := &message{Kind: kindReq, From: p.cfg.Self, ViewID: p.view.ID, Data: d}
-	p.sendTo(p.view.Sequencer(), m)
+	// Queue for the round's REQBATCH; flushReqOut sends it.
+	p.reqOut = append(p.reqOut, dataMsg{Sender: p.cfg.Self, SenderSeq: pm.senderSeq, Payload: pm.payload})
 }
 
 // sequence assigns the next global sequence number (sequencer only)
@@ -1064,13 +1018,9 @@ func (p *Process) sequence(d dataMsg) {
 	// safe-delivery rule takes the sequencer's copy for granted.
 	p.acceptData(&d)
 	p.deliverReady()
-	if p.cfg.MaxBatch > 1 {
-		// Defer the multicast to flushOutData so messages sequenced in
-		// the same round share a frame.
-		p.outData = append(p.outData, d)
-		return
-	}
-	p.sendToMembers(&message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: d})
+	// Defer the multicast to flushOutData so messages sequenced in the
+	// same round share a frame.
+	p.outData = append(p.outData, d)
 }
 
 // onBatch handles a coalesced frame of sequenced messages.
@@ -1134,11 +1084,7 @@ func (p *Process) acceptData(d *dataMsg) {
 	if _, ok := p.ordered[d.Seq]; !ok {
 		p.ordered[d.Seq] = d
 		if p.cfg.SafeDelivery && p.st == statusNormal && p.view.Sequencer() != p.cfg.Self {
-			if p.cfg.AckDelay < 0 {
-				p.sendAck(p.view.Members) // per-message acks, Transis-faithful
-			} else {
-				p.scheduleAck()
-			}
+			p.scheduleAck()
 		}
 	}
 }
@@ -1156,15 +1102,14 @@ func (p *Process) contiguousReceived() uint64 {
 }
 
 // scheduleAck marks a receipt ack owed to the view; flushRound
-// satisfies it once per round (or per AckDelay window), the
-// sequencer's copy piggybacked on an outgoing REQBATCH if there is one.
+// satisfies it once per round, the sequencer's copy piggybacked on an
+// outgoing REQBATCH if there is one.
 func (p *Process) scheduleAck() {
 	if p.ackPending {
 		p.bumpStat(func(st *Stats) { st.AcksCoalesced++ })
 		return
 	}
 	p.ackPending = true
-	p.ackSince = time.Now()
 }
 
 // sendAck multicasts this member's cumulative receipt and delivery

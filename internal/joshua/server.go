@@ -29,39 +29,22 @@ package joshua
 import (
 	"errors"
 	"fmt"
-	"log"
 	"sync/atomic"
-	"time"
 
 	"joshua/internal/codec"
 	"joshua/internal/gcs"
 	"joshua/internal/pbs"
 	"joshua/internal/rsm"
-	"joshua/internal/transport"
-	"joshua/internal/wal"
 )
 
-// Config parameterizes a JOSHUA head-node server.
+// Config parameterizes a JOSHUA head-node server. The embedded
+// rsm.Config carries every replication-engine setting (identity,
+// endpoints, group formation, durability, leases, pool sizes, TuneGCS,
+// Logger); StartServer fills its Service, Classify, ReadCacheHits,
+// RejectNotPrimary and RejectShutdown on a copy, so whatever the caller
+// puts there is ignored.
 type Config struct {
-	// Self is this head node's member identity (e.g. "head0").
-	Self gcs.MemberID
-	// GroupEndpoint carries group communication; the server owns it.
-	GroupEndpoint transport.Endpoint
-	// ClientEndpoint receives control-command RPCs; the server owns
-	// it.
-	ClientEndpoint transport.Endpoint
-	// Peers maps every potential head node to its group address.
-	Peers map[gcs.MemberID]transport.Addr
-
-	// Group formation: exactly one of InitialMembers (static
-	// bootstrap), Bootstrap (found a new group), or neither (join an
-	// existing group through Peers).
-	InitialMembers []gcs.MemberID
-	Bootstrap      bool
-
-	// PartitionPolicy is forwarded to the group layer. The default
-	// FailStop matches the paper's fail-stop model.
-	PartitionPolicy gcs.PartitionPolicy
+	rsm.Config
 
 	// Daemon is the local batch service (the TORQUE+Maui equivalent
 	// of this head node). Required.
@@ -89,65 +72,6 @@ type Config struct {
 	// be lifted in the future if deterministic allocation behavior
 	// can be assured".
 	OrderedCompletions bool
-
-	// DedupLimit bounds the client-request deduplication table.
-	// Default 4096 entries.
-	DedupLimit int
-
-	// ReplyQueueLen bounds the engine's asynchronous reply queue; zero
-	// selects the engine default.
-	ReplyQueueLen int
-
-	// ApplyConcurrency sizes the engine's apply-worker pool: commands
-	// on disjoint conflict domains (independent jobs) apply in parallel
-	// while each round's WAL fsync overlaps their execution. Zero
-	// selects the engine default (GOMAXPROCS); 1 applies serially.
-	ApplyConcurrency int
-
-	// DataDir, when set, enables the replication engine's durability
-	// layer for this head: applied commands are written through a
-	// write-ahead log, the full state (batch service + lock table +
-	// dedup table) is checkpointed every CheckpointEvery commands, and
-	// a restart recovers locally before rejoining the group. Empty
-	// keeps the head purely in-memory.
-	DataDir string
-	// SyncPolicy selects the WAL fsync policy (always/interval/none);
-	// the default is wal.SyncInterval.
-	SyncPolicy wal.SyncPolicy
-	// SyncInterval is the fsync cadence under wal.SyncInterval; zero
-	// uses the wal default.
-	SyncInterval time.Duration
-	// CheckpointEvery is the applied-command cadence between
-	// checkpoints; zero selects the engine default.
-	CheckpointEvery uint64
-	// CheckpointCompress enables flate (level 1) compression of
-	// checkpoint files.
-	CheckpointCompress bool
-	// DeltaMaxBytes caps the WAL-suffix (delta) state transfer size;
-	// larger gaps fall back to checkpoint+suffix or full snapshot
-	// transfer. Zero selects the engine default (64 MiB); negative
-	// means unlimited.
-	DeltaMaxBytes int64
-	// WALSegmentBytes overrides the log segment rotation size; zero
-	// uses the wal default.
-	WALSegmentBytes int64
-
-	// LeaseDuration controls sequencer-granted read leases: a head
-	// holding a live lease serves ordered (jstat -ordered) reads from
-	// local state instead of broadcasting them, falling back to the
-	// total order automatically whenever the lease is stale or a view
-	// change is in progress. Zero (the default) enables leasing with
-	// the group layer's default duration; negative disables it — the
-	// broadcast-ordered ablation. Forwarded to rsm.Config.
-	LeaseDuration time.Duration
-
-	// TuneGCS, when non-nil, may adjust group communication timings
-	// before the group process starts (tests and benchmarks shorten
-	// them).
-	TuneGCS func(*gcs.Config)
-
-	// Logger receives diagnostics; nil disables logging.
-	Logger *log.Logger
 }
 
 // Server is one JOSHUA head node: the PBS batch service and the
@@ -215,40 +139,20 @@ func StartServer(cfg Config) (*Server, error) {
 		Register(svcPBS, &pbsService{daemon: cfg.Daemon}).
 		Register(svcLocks, s.locks)
 
-	rep, err := rsm.Start(rsm.Config{
-		Self:               cfg.Self,
-		GroupEndpoint:      cfg.GroupEndpoint,
-		ClientEndpoint:     cfg.ClientEndpoint,
-		Peers:              cfg.Peers,
-		InitialMembers:     cfg.InitialMembers,
-		Bootstrap:          cfg.Bootstrap,
-		PartitionPolicy:    cfg.PartitionPolicy,
-		Service:            services,
-		Classify:           s.classify,
-		DedupLimit:         cfg.DedupLimit,
-		ReplyQueueLen:      cfg.ReplyQueueLen,
-		ApplyConcurrency:   cfg.ApplyConcurrency,
-		DataDir:            cfg.DataDir,
-		SyncPolicy:         cfg.SyncPolicy,
-		SyncInterval:       cfg.SyncInterval,
-		CheckpointEvery:    cfg.CheckpointEvery,
-		CheckpointCompress: cfg.CheckpointCompress,
-		DeltaMaxBytes:      cfg.DeltaMaxBytes,
-		WALSegmentBytes:    cfg.WALSegmentBytes,
-		LeaseDuration:      cfg.LeaseDuration,
-		ReadCacheHits: func() uint64 {
-			hits, _ := cfg.Daemon.Server().ReadCacheStats()
-			return hits
-		},
-		RejectNotPrimary: func(reqID string) []byte {
-			return (&rpcResponse{ReqID: reqID, OK: false, ErrMsg: ErrNotPrimary.Error()}).encode()
-		},
-		RejectShutdown: func(reqID string) []byte {
-			return (&rpcResponse{ReqID: reqID, OK: false, ErrMsg: "head node shutting down"}).encode()
-		},
-		TuneGCS: cfg.TuneGCS,
-		Logger:  cfg.Logger,
-	})
+	rc := cfg.Config
+	rc.Service = services
+	rc.Classify = s.classify
+	rc.ReadCacheHits = func() uint64 {
+		hits, _ := cfg.Daemon.Server().ReadCacheStats()
+		return hits
+	}
+	rc.RejectNotPrimary = func(reqID string) []byte {
+		return (&rpcResponse{ReqID: reqID, OK: false, ErrMsg: ErrNotPrimary.Error()}).encode()
+	}
+	rc.RejectShutdown = func(reqID string) []byte {
+		return (&rpcResponse{ReqID: reqID, OK: false, ErrMsg: "head node shutting down"}).encode()
+	}
+	rep, err := rsm.Start(rc)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"joshua/internal/gcs"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 	"joshua/internal/simnet"
 	"joshua/internal/transport"
 )
@@ -41,16 +42,18 @@ func newRawRig(t testing.TB, heads int, mutate func(*Config)) *rawRig {
 			Moms:     map[string]transport.Addr{},
 		})
 		cfg := Config{
-			Self:           member(i),
-			GroupEndpoint:  groupEP,
-			ClientEndpoint: clientEP,
-			Peers:          peers,
-			InitialMembers: initial,
-			Daemon:         daemon,
-			TuneGCS: func(g *gcs.Config) {
-				g.Heartbeat = 10 * time.Millisecond
-				g.FailTimeout = 80 * time.Millisecond
+			Config: rsm.Config{
+				Self:           member(i),
+				GroupEndpoint:  groupEP,
+				ClientEndpoint: clientEP,
+				Peers:          peers,
+				InitialMembers: initial,
+				TuneGCS: func(g *gcs.Config) {
+					g.Heartbeat = 10 * time.Millisecond
+					g.FailTimeout = 80 * time.Millisecond
+				},
 			},
+			Daemon: daemon,
 		}
 		if mutate != nil {
 			mutate(&cfg)
@@ -247,7 +250,7 @@ func TestStartServerValidation(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
 	ep, _ := net.Endpoint("h/x")
-	if _, err := StartServer(Config{ClientEndpoint: ep}); err == nil {
+	if _, err := StartServer(Config{Config: rsm.Config{ClientEndpoint: ep}}); err == nil {
 		t.Error("missing Daemon should fail")
 	}
 	srv := pbs.NewServer(pbs.Config{ServerName: "c", Nodes: []string{"n"}})

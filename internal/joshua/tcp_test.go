@@ -7,6 +7,7 @@ import (
 
 	"joshua/internal/gcs"
 	"joshua/internal/pbs"
+	"joshua/internal/rsm"
 	"joshua/internal/transport"
 	"joshua/internal/transport/tcpnet"
 )
@@ -89,17 +90,19 @@ func newTCPCluster(t *testing.T, n int) *tcpCluster {
 			ResendInterval: 100 * time.Millisecond,
 		})
 		head, err := StartServer(Config{
-			Self:           member(i),
-			GroupEndpoint:  groupEPs[i],
-			ClientEndpoint: clientEPs[i],
-			Peers:          peers,
-			InitialMembers: initial,
-			Daemon:         daemon,
-			TuneGCS: func(g *gcs.Config) {
-				g.Heartbeat = 15 * time.Millisecond
-				g.FailTimeout = 120 * time.Millisecond
-				g.FlushTimeout = 200 * time.Millisecond
+			Config: rsm.Config{
+				Self:           member(i),
+				GroupEndpoint:  groupEPs[i],
+				ClientEndpoint: clientEPs[i],
+				Peers:          peers,
+				InitialMembers: initial,
+				TuneGCS: func(g *gcs.Config) {
+					g.Heartbeat = 15 * time.Millisecond
+					g.FailTimeout = 120 * time.Millisecond
+					g.FlushTimeout = 200 * time.Millisecond
+				},
 			},
+			Daemon: daemon,
 		})
 		if err != nil {
 			t.Fatal(err)

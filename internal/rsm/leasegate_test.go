@@ -10,8 +10,9 @@ import (
 )
 
 // startLeaseReplica runs a one-member durable replica of benchSvc over
-// simnet with the given lease duration (negative disables leasing). A
-// long failure timeout keeps a granted lease live for the whole test.
+// simnet with the given group-layer lease duration (negative grants no
+// lease). A long failure timeout keeps a granted lease live for the
+// whole test.
 func startLeaseReplica(t *testing.T, lease time.Duration) *Replica {
 	t.Helper()
 	net := simnet.New(simnet.Config{})
@@ -32,8 +33,10 @@ func startLeaseReplica(t *testing.T, lease time.Duration) *Replica {
 		Service:        newBenchSvc(),
 		Classify:       func([]byte) Classification { return Classification{Verdict: Ignore} },
 		DataDir:        t.TempDir(),
-		LeaseDuration:  lease,
-		TuneGCS:        func(g *gcs.Config) { g.FailTimeout = 10 * time.Second },
+		TuneGCS: func(g *gcs.Config) {
+			g.FailTimeout = 10 * time.Second
+			g.LeaseDuration = lease
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +66,7 @@ func TestLeasedReadGateCounters(t *testing.T) {
 	// Gate 1: a replica that never holds a lease.
 	r := startLeaseReplica(t, -1)
 	if r.TryLeasedRead() {
-		t.Fatal("leased read served with leasing disabled")
+		t.Fatal("leased read served without a lease")
 	}
 	if got, want := read(r), (counts{noLease: 1, fallbacks: 1}); got != want {
 		t.Errorf("no lease: counters %+v, want %+v", got, want)

@@ -443,7 +443,8 @@ func TestBatchedCommandsDedupExactlyOnce(t *testing.T) {
 	r.waitConverged(want, 5*time.Second)
 }
 
-// TestStartValidation pins the required-config and pool-size errors.
+// TestStartValidation pins the required-config, pool-size and lease
+// errors.
 func TestStartValidation(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
@@ -458,10 +459,11 @@ func TestStartValidation(t *testing.T) {
 	if _, err := rsm.Start(rsm.Config{Service: store, Classify: kvstore.Classifier(store)}); err == nil {
 		t.Error("missing ClientEndpoint should fail")
 	}
-	for _, cfg := range []rsm.Config{{ReadConcurrency: -1}, {ApplyConcurrency: -1}} {
+	for _, cfg := range []rsm.Config{{ReadConcurrency: -1}, {ApplyConcurrency: -1}, {LeaseDuration: -1}} {
 		cfg.ClientEndpoint, cfg.Service, cfg.Classify = ep, store, kvstore.Classifier(store)
 		if _, err := rsm.Start(cfg); err == nil {
-			t.Errorf("negative pool size should fail: read %d, apply %d", cfg.ReadConcurrency, cfg.ApplyConcurrency)
+			t.Errorf("negative pool size or lease should fail: read %d, apply %d, lease %v",
+				cfg.ReadConcurrency, cfg.ApplyConcurrency, cfg.LeaseDuration)
 		}
 	}
 }

@@ -222,10 +222,6 @@ type Config struct {
 	// the event loop. Zero selects the default, runtime.GOMAXPROCS(0);
 	// negative is a Start error.
 	ReadConcurrency int
-	// ReadQueueLen bounds the queue feeding the read workers. When it
-	// fills, the intercept goroutine serves the datagram inline rather
-	// than dropping it. Default 256.
-	ReadQueueLen int
 	// ReplyQueueLen bounds the asynchronous reply queue through which
 	// every clientEP.Send flows (command output, local reads, dedup
 	// hits, rejections). When it fills, the reply is dropped and
@@ -242,16 +238,15 @@ type Config struct {
 	// negative is a Start error.
 	ApplyConcurrency int
 
-	// LeaseDuration controls sequencer-granted read leases, which let
-	// this replica serve linearizable (ordered) reads from local state
-	// without a broadcast — see TryLeasedRead. Zero (the default)
-	// enables leasing with the group layer's default duration;
-	// positive values set the lease length explicitly; negative
-	// disables leasing, the broadcast-ordered ablation. Enabling
-	// leases forces safe delivery in the group layer (the grant is
-	// only sound when an acked command is known received at every
-	// holder); TuneGCS may still override that for ablations, which
-	// simply stops grants and falls back to broadcast-ordered reads.
+	// LeaseDuration is the length of the sequencer-granted read leases
+	// that let this replica serve linearizable (ordered) reads from
+	// local state without a broadcast — see TryLeasedRead. Zero selects
+	// the group layer's default length; negative is a Start error.
+	// Leases need safe delivery in the group layer (the grant is only
+	// sound when an acked command is known received at every holder),
+	// so the replica always turns it on; a TuneGCS that turns it off
+	// simply stops grants, and ordered reads fall back to the
+	// broadcast path.
 	LeaseDuration time.Duration
 
 	// ReadCacheHits, when non-nil, reports the service's read-cache
@@ -278,12 +273,9 @@ type Config struct {
 	// whole-cluster restart loses nothing. Empty keeps the replica
 	// purely in-memory (the paper's model).
 	DataDir string
-	// SyncPolicy selects the WAL fsync policy (wal.SyncAlways,
-	// wal.SyncInterval, wal.SyncNone). Default wal.SyncInterval.
+	// SyncPolicy selects the WAL fsync policy; the zero value is the
+	// wal package's default interval policy.
 	SyncPolicy wal.SyncPolicy
-	// SyncInterval is the fsync cadence under wal.SyncInterval; zero
-	// uses the wal default.
-	SyncInterval time.Duration
 	// CheckpointEvery is the applied-command cadence between
 	// checkpoints. Default 1024.
 	CheckpointEvery uint64
@@ -295,9 +287,6 @@ type Config struct {
 	// checkpoint-plus-suffix or full transfer instead. Zero selects
 	// the default, 64 MiB; negative means unlimited.
 	DeltaMaxBytes int64
-	// WALSegmentBytes overrides the log segment rotation size; zero
-	// uses the wal default (tests shrink it to exercise rotation).
-	WALSegmentBytes int64
 
 	// TuneGCS, when non-nil, may adjust group communication timings
 	// before the group process starts (tests and benchmarks shorten
@@ -377,6 +366,9 @@ type Stats struct {
 	NumGC          uint32  // completed GC cycles
 	AllocsPerCmd   float64 // process mallocs since Start per applied command
 }
+
+// readQueueLen bounds the queue feeding the read workers.
+const readQueueLen = 256
 
 // readTask is one classified client datagram handed to a read worker.
 type readTask struct {
@@ -484,7 +476,8 @@ type Replica struct {
 	// stream.
 	dedup *dedupTable
 
-	// readQ feeds the read-worker pool.
+	// readQ feeds the read-worker pool. When it fills, the intercept
+	// goroutine serves the datagram inline rather than dropping it.
 	readQ chan readTask
 	// replyQ carries every outbound client response; a dedicated
 	// replier goroutine drains it so no protocol goroutine ever blocks
@@ -580,14 +573,14 @@ func Start(cfg Config) (*Replica, error) {
 		return nil, fmt.Errorf("rsm: negative pool size (ReadConcurrency %d, ApplyConcurrency %d)",
 			cfg.ReadConcurrency, cfg.ApplyConcurrency)
 	}
+	if cfg.LeaseDuration < 0 {
+		return nil, fmt.Errorf("rsm: negative LeaseDuration %v", cfg.LeaseDuration)
+	}
 	if cfg.DedupLimit <= 0 {
 		cfg.DedupLimit = 4096
 	}
 	if cfg.ReadConcurrency == 0 {
 		cfg.ReadConcurrency = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ReadQueueLen <= 0 {
-		cfg.ReadQueueLen = 256
 	}
 	if cfg.ReplyQueueLen <= 0 {
 		cfg.ReplyQueueLen = 1024
@@ -640,12 +633,10 @@ func Start(cfg Config) (*Replica, error) {
 	// serve an incremental state transfer.
 	if cfg.DataDir != "" {
 		l, err := wal.Open(wal.Options{
-			Dir:          cfg.DataDir,
-			Policy:       cfg.SyncPolicy,
-			Interval:     cfg.SyncInterval,
-			SegmentBytes: cfg.WALSegmentBytes,
-			Compress:     cfg.CheckpointCompress,
-			Logger:       cfg.Logger,
+			Dir:      cfg.DataDir,
+			Policy:   cfg.SyncPolicy,
+			Compress: cfg.CheckpointCompress,
+			Logger:   cfg.Logger,
 		})
 		if err != nil {
 			return fail(err)
@@ -667,15 +658,11 @@ func Start(cfg Config) (*Replica, error) {
 		Bootstrap:       cfg.Bootstrap,
 		PartitionPolicy: cfg.PartitionPolicy,
 		StateSince:      r.appliedIdx,
-		LeaseDuration:   cfg.LeaseDuration,
-		Logger:          cfg.Logger,
-	}
-	if cfg.LeaseDuration >= 0 {
 		// Leases are only sound under safe delivery: a client ack then
 		// implies every lease holder already received the command.
-		// TuneGCS may still clear this for ablations — grants simply
-		// cease and ordered reads fall back to the broadcast path.
-		gcfg.SafeDelivery = true
+		SafeDelivery:  true,
+		LeaseDuration: cfg.LeaseDuration,
+		Logger:        cfg.Logger,
 	}
 	if cfg.TuneGCS != nil {
 		cfg.TuneGCS(&gcfg)
@@ -691,7 +678,7 @@ func Start(cfg Config) (*Replica, error) {
 	r.mallocs0 = ms.Mallocs
 
 	go r.replier()
-	r.readQ = make(chan readTask, cfg.ReadQueueLen)
+	r.readQ = make(chan readTask, readQueueLen)
 	for i := 0; i < cfg.ReadConcurrency; i++ {
 		go r.readWorker()
 	}
