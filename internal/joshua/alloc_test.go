@@ -4,12 +4,16 @@ import (
 	"testing"
 	"time"
 
+	"joshua/internal/pbs"
 	"joshua/internal/rsm"
+	"joshua/internal/simnet"
+	"joshua/internal/transport"
 )
 
-// This file is the allocation gate for the client's submit encode and
-// the server's read replies (leased ordered listing, jstat <id>); the
-// client's listing decode is gated in listing_test.go. The
+// This file is the allocation gate for the client's submit encode, the
+// heads' apply of a replicated command (held jsub, repeated jmutex)
+// and the server's read replies (leased ordered listing, jstat <id>);
+// the client's listing decode is gated in listing_test.go. The
 // AllocsPerRun tests fail the ordinary test run on any regression; the
 // benchmarks report allocs/op for the CI -benchmem threshold check.
 // "Zero" means zero at the codec boundary: pooled encoders in,
@@ -23,6 +27,23 @@ func benchSubmitReq() *rpcRequest {
 		Op:    OpSubmit,
 		Args:  cmdArgs{Name: "bench", Owner: "bench", Script: "#!/bin/sh\ntrue\n", Hold: true},
 	}
+}
+
+// newApplyDaemon returns a batch daemon with no moms, closed at the end
+// of the test: the state a head's services apply commands to.
+func newApplyDaemon(t testing.TB) *pbs.Daemon {
+	net := simnet.New(simnet.Config{})
+	ep, err := net.Endpoint("head/pbs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := pbs.NewServer(pbs.Config{ServerName: "cluster", Nodes: []string{"c0", "c1"}, Exclusive: true})
+	d := pbs.NewDaemon(srv, pbs.DaemonConfig{Endpoint: ep, Moms: map[string]transport.Addr{}})
+	t.Cleanup(func() {
+		d.Close()
+		net.Close()
+	})
+	return d
 }
 
 // leaseRig boots a single head and waits for it to grant itself a
@@ -111,6 +132,42 @@ func TestStatServeAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("jstat <id> serve: %v allocs/op, want <= 1", allocs)
+	}
+}
+
+// TestApplyAllocs pins what every head pays to apply a replicated
+// command. A held jsub allocates the one string behind Name, Owner and
+// Script, the job and its ID (pbs's own two), and the reply the engine
+// keeps; a jmutex for a lock already held allocates only the reply.
+func TestApplyAllocs(t *testing.T) {
+	svc := &pbsService{daemon: newApplyDaemon(t)}
+	submit := rsm.Command{Payload: benchSubmitReq().encode()}
+	if _, resp, err := decodeRPC(svc.Apply(submit)); err != nil || !resp.OK || len(resp.Jobs) != 1 {
+		t.Fatalf("held jsub reply: %+v, %v", resp, err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { svc.Apply(submit) }); allocs > 4 {
+		t.Errorf("held jsub apply: %v allocs/op, want <= 4", allocs)
+	}
+
+	locks := newLockService()
+	jmutex := rsm.Command{Payload: (&rpcRequest{ReqID: "head0/mom#7", Op: OpJMutex,
+		Args: cmdArgs{JobID: "1.cluster", AttemptID: "head0/pbs+c0"}}).encode()}
+	if _, resp, err := decodeRPC(locks.Apply(jmutex)); err != nil || !resp.Granted {
+		t.Fatalf("first jmutex reply: %+v, %v", resp, err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { locks.Apply(jmutex) }); allocs > 1 {
+		t.Errorf("repeated jmutex apply: %v allocs/op, want <= 1", allocs)
+	}
+}
+
+func BenchmarkApplySubmit(b *testing.B) {
+	svc := &pbsService{daemon: newApplyDaemon(b)}
+	submit := rsm.Command{Payload: benchSubmitReq().encode()}
+	svc.Apply(submit)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc.Apply(submit)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -339,13 +340,24 @@ func (c *Client) callOrdered(s int, op Op, args cmdArgs) (*rpcResponse, error) {
 	return c.callReq(s, &rpcRequest{Op: op, Ordered: true, Args: args})
 }
 
+// mintReqID renders a request ID, "<addr>#<tag><seq>", into a stack
+// buffer: the returned string is the only allocation.
+func mintReqID(addr transport.Addr, tag string, seq uint64) string {
+	var buf [96]byte
+	b := append(buf[:0], addr...)
+	b = append(b, '#')
+	b = append(b, tag...)
+	b = strconv.AppendUint(b, seq, 10)
+	return string(b)
+}
+
 // callReq runs the per-shard failover loop. A req whose ReqID is
 // already set keeps it — the cross-shard fan-out path reuses one
 // request ID so every shard's deduplication table collapses retries
 // of the same logical command.
 func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
 	if req.ReqID == "" {
-		req.ReqID = fmt.Sprintf("%s#%d", c.ep.Addr(), c.reqSeq.Add(1))
+		req.ReqID = mintReqID(c.ep.Addr(), "", c.reqSeq.Add(1))
 	}
 	// One pooled encode serves every failover attempt; the transport
 	// does not retain payloads after Send, so the buffer goes back to
@@ -535,7 +547,7 @@ func (c *Client) probeLoop() {
 func (c *Client) probe(s, i int) {
 	hs := c.shards[s]
 	req := &rpcRequest{
-		ReqID: fmt.Sprintf("%s#probe%d", c.ep.Addr(), c.reqSeq.Add(1)),
+		ReqID: mintReqID(c.ep.Addr(), "probe", c.reqSeq.Add(1)),
 		Op:    OpInfoLocal,
 	}
 	w, err := c.register(req.ReqID, hs, false)

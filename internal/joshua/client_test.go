@@ -518,3 +518,25 @@ func TestClientDeadHeadStaysOutOfReadRotation(t *testing.T) {
 		}
 	}
 }
+
+// TestMintReqIDMatchesSprintf pins the request IDs the client mints to
+// the fmt form they replaced, for calls and probes, over short, long
+// and empty addresses and sequence numbers up to the largest uint64.
+func TestMintReqIDMatchesSprintf(t *testing.T) {
+	addrs := []transport.Addr{"", "user/cli", "login1/jsub-4242", "127.0.0.1:7601",
+		transport.Addr(strings.Repeat("node-with-a-long-name/", 6))}
+	seqs := []uint64{0, 1, 9, 10, 42, 1 << 20, 1<<63 + 7, ^uint64(0)}
+	for _, a := range addrs {
+		for _, seq := range seqs {
+			if got, want := mintReqID(a, "", seq), fmt.Sprintf("%s#%d", a, seq); got != want {
+				t.Errorf("mintReqID(%q, %d) = %q, want %q", a, seq, got, want)
+			}
+			if got, want := mintReqID(a, "probe", seq), fmt.Sprintf("%s#probe%d", a, seq); got != want {
+				t.Errorf("mintReqID(%q, probe, %d) = %q, want %q", a, seq, got, want)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = mintReqID("login1/jsub-4242", "", 1234567) }); allocs > 1 {
+		t.Errorf("mintReqID: %v allocs, want <= 1", allocs)
+	}
+}

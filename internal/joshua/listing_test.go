@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"joshua/internal/codec"
 	"joshua/internal/pbs"
 	"joshua/internal/rsm"
 )
@@ -47,7 +48,8 @@ func TestListingFramingProperty(t *testing.T) {
 			if v != srv.Version() {
 				t.Fatalf("%s: listing stamped %d, version %d", label, v, srv.Version())
 			}
-			enc := listingResponse(reqID, body, v)
+			enc := codec.GetEncoder(64)
+			putListing(enc, reqID, body, v)
 			want := (&rpcResponse{ReqID: string(reqID), OK: true, Jobs: jobs, Epoch: srv.Version()}).encode()
 			if !bytes.Equal(enc.Bytes(), want) {
 				t.Fatalf("%s: framed listing differs from the encoded StatusAll", label)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"joshua/internal/codec"
 	"joshua/internal/pbs"
 	"joshua/internal/transport"
 )
@@ -44,10 +45,10 @@ func (s *PlainServer) Close() {
 func (s *PlainServer) Daemon() *pbs.Daemon { return s.daemon }
 
 func (s *PlainServer) run() {
-	// The plain baseline has no group, hence no jmutex service: the
-	// lock table still answers so the mom prologue works unchanged
-	// with a single head.
-	locks := make(map[pbs.JobID]string)
+	// The plain baseline has no group, hence no replicated lock
+	// service: the same lock table answers locally so the mom prologue
+	// works unchanged with a single head.
+	locks := newLockService()
 	for {
 		select {
 		case <-s.done:
@@ -56,36 +57,27 @@ func (s *PlainServer) run() {
 			if !ok {
 				return
 			}
-			req, _, err := decodeRPC(dg.Payload)
-			if err != nil || req == nil {
+			var v view
+			if !v.parse(dg.Payload) {
 				continue
 			}
-			var resp *rpcResponse
-			switch req.Op {
-			case OpJMutex:
-				owner, held := locks[req.Args.JobID]
-				if !held {
-					locks[req.Args.JobID] = req.Args.AttemptID
-					owner = req.Args.AttemptID
-				}
-				resp = &rpcResponse{ReqID: req.ReqID, OK: true, Granted: owner == req.Args.AttemptID}
-			case OpJDone:
-				delete(locks, req.Args.JobID)
-				resp = &rpcResponse{ReqID: req.ReqID, OK: true}
+			e := codec.GetEncoder(256)
+			switch v.op {
+			case OpJMutex, OpJDone:
+				locks.apply(e, &v)
 			case OpInfoLocal:
 				waiting, running, completed := s.daemon.Server().QueueLengths()
-				resp = &rpcResponse{ReqID: req.ReqID, OK: true, Info: map[string]string{
+				putResponse(e, v.reqID, &rpcResponse{OK: true, Info: map[string]string{
 					"mode":           "plain",
 					"jobs_waiting":   fmt.Sprintf("%d", waiting),
 					"jobs_running":   fmt.Sprintf("%d", running),
 					"jobs_completed": fmt.Sprintf("%d", completed),
-				}}
-			case OpStatLocal, OpNodesLocal:
-				resp = executeLocalOn(s.daemon, req.Op, &req.Args, req.ReqID)
+				}})
 			default:
-				resp = executeOn(s.daemon, req.Op, &req.Args, req.ReqID)
+				execute(e, s.daemon, &v)
 			}
-			_ = s.ep.Send(dg.From, resp.encode())
+			_ = s.ep.Send(dg.From, e.Bytes())
+			e.Release()
 		}
 	}
 }

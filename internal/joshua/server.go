@@ -171,26 +171,20 @@ func StartServer(cfg Config) (*Server, error) {
 // so it only peeks at the request header (kind, ReqID, op, ordered);
 // the full argument decode is deferred to the worker.
 func (s *Server) classify(payload []byte) rsm.Classification {
-	d := codec.NewDecoder(payload)
-	if d.Byte() != rpcKindRequest {
-		return rsm.Classification{Verdict: rsm.Ignore}
-	}
 	// The ReqID stays a zero-copy view: read verdicts never need it,
 	// and only the broadcast path below materializes the string.
-	reqID := d.Bytes()
-	op := Op(d.Byte())
-	ordered := d.Bool()
-	if d.Err() != nil {
+	var v view
+	if !v.header(codec.NewDecoder(payload)) {
 		return rsm.Classification{Verdict: rsm.Ignore}
 	}
-	if op == OpJobDone {
+	if v.op == OpJobDone {
 		// Internal operation: heads originate it themselves from mom
 		// reports; it is not part of the user-facing PBS interface.
-		resp := &rpcResponse{ReqID: string(reqID), OK: false, ErrMsg: "joshua: jobdone is not a client operation"}
+		resp := &rpcResponse{ReqID: string(v.reqID), OK: false, ErrMsg: "joshua: jobdone is not a client operation"}
 		return rsm.Classification{Verdict: rsm.Reply, Response: resp.encode()}
 	}
-	if !op.mutating() {
-		if !ordered {
+	if !v.op.mutating() {
+		if !v.ordered {
 			return rsm.Classification{Verdict: rsm.Reply, RespondEnc: s.serveReadFn}
 		}
 		// Ordered read under a live lease: serve it locally. The lease
@@ -203,7 +197,7 @@ func (s *Server) classify(payload []byte) rsm.Classification {
 			return rsm.Classification{Verdict: rsm.Reply, RespondEnc: s.serveReadFn}
 		}
 	}
-	return rsm.Classification{Verdict: rsm.Replicate, ReqID: string(reqID)}
+	return rsm.Classification{Verdict: rsm.Replicate, ReqID: string(v.reqID)}
 }
 
 // interceptDone replicates a mom completion report through the total
@@ -298,79 +292,24 @@ func (s *Server) Close() {
 // so sharded clients can reject snapshots that regress behind one they
 // already saw (per-shard monotonic reads).
 func (s *Server) serveRead(payload []byte) *codec.Encoder {
-	// Peek the header without the full argument decode: jstat, with or
-	// without a job ID, needs nothing beyond the ReqID and the ID, and
-	// is answered straight into a pooled encoder. Decoder.Bytes
-	// aliases payload (no copy) and is wire-compatible with the string
-	// the client encoded.
-	d := codec.NewDecoder(payload)
-	d.Byte() // rpcKindRequest; classify already checked it
-	reqID := d.Bytes()
-	op := Op(d.Byte())
-	d.Bool() // ordered: the classification already chose this path
-	if d.Err() != nil {
+	var v view
+	if !v.parse(payload) {
 		return nil
 	}
-	switch op {
-	case OpStatAll:
-		return s.statAllResponse(reqID)
-	case OpStat, OpStatLocal:
-		id := peekJobID(d)
-		if d.Err() != nil {
-			return nil
-		}
-		if len(id) == 0 && op == OpStatLocal {
-			return s.statAllResponse(reqID)
-		}
-		return s.statResponse(reqID, pbs.JobID(id))
-	}
-
-	req, _, err := decodeRPC(payload)
-	if err != nil || req == nil {
-		return nil
-	}
-	resp := &rpcResponse{ReqID: req.ReqID, OK: true, Epoch: s.daemon.Server().Version()}
-	switch req.Op {
-	case OpNodesLocal:
-		resp.Nodes = s.daemon.Server().NodesStatus()
-	case OpInfoLocal:
-		resp.Info = s.infoLocked()
-	default:
-		resp.OK = false
-		resp.ErrMsg = fmt.Sprintf("joshua: operation %v is not a local read", req.Op)
-	}
-	e := codec.GetEncoder(128)
-	e.PutByte(rpcKindResponse)
-	e.PutString(resp.ReqID)
-	resp.encodeBody(e)
-	return e
-}
-
-// statAllResponse answers a full jstat listing by framing the batch
-// server's encoded listing, which it rebuilds at most once per state
-// version, behind the caller's ReqID. The epoch is the version that
-// listing was built at.
-func (s *Server) statAllResponse(reqID []byte) *codec.Encoder {
-	body, epoch := s.daemon.Server().Listing()
-	return listingResponse(reqID, body, epoch)
-}
-
-// statResponse answers jstat <id> straight from the live job table:
-// the bytes of the rpcResponse carrying that one job (or the error),
-// with no response value or job slice built.
-func (s *Server) statResponse(reqID []byte, id pbs.JobID) *codec.Encoder {
-	epoch := s.daemon.Server().Version()
-	j, err := s.daemon.StatusView(id)
 	e := codec.GetEncoder(256)
-	if err != nil {
-		putResponseHead(e, reqID, err.Error())
-		e.PutUint(0)
-	} else {
-		putResponseHead(e, reqID, "")
-		e.PutUint(1)
-		pbs.EncodeJob(e, j)
+	switch {
+	case v.op == OpInfoLocal:
+		putResponse(e, v.reqID, &rpcResponse{OK: true, Info: s.infoLocked(), Epoch: s.daemon.Server().Version()})
+	case v.op.mutating():
+		putResponse(e, v.reqID, &rpcResponse{
+			ErrMsg: fmt.Sprintf("joshua: operation %v is not a local read", v.op),
+			Epoch:  s.daemon.Server().Version(),
+		})
+	default:
+		// jstat, with or without a job ID, and the node listing: the
+		// same reply an ordered read gets, built on the live table.
+		execute(e, s.daemon, &v)
 	}
-	putResponseTail(e, epoch)
 	return e
 }
 
@@ -452,129 +391,4 @@ func (s *Server) infoLocked() map[string]string {
 		info["transfer_stream_chunks"] = fmt.Sprintf("%d", st.TransferStreamChunks)
 	}
 	return info
-}
-
-// executeOn applies one PBS interface operation to a batch service.
-// Every reply carries the post-apply batch-state version so a sharded
-// client can use its own acked mutations as an epoch floor for later
-// local reads (read-your-writes per shard). Version counts applied
-// mutations under the state lock, so the stamp is deterministic
-// across replicas — safe to record in the replicated dedup table.
-func executeOn(d *pbs.Daemon, op Op, a *cmdArgs, reqID string) *rpcResponse {
-	resp := &rpcResponse{ReqID: reqID, OK: true}
-	fail := func(err error) *rpcResponse {
-		resp.OK = false
-		resp.ErrMsg = err.Error()
-		resp.Epoch = d.Server().Version()
-		return resp
-	}
-	switch op {
-	case OpSubmit:
-		req := pbs.SubmitRequest{
-			Name:      a.Name,
-			Owner:     a.Owner,
-			Script:    a.Script,
-			NodeCount: a.NodeCount,
-			WallTime:  a.WallTime,
-			Hold:      a.Hold,
-			Resources: pbs.ResourceSpec{NCPUs: a.NCPUs, Mem: a.Mem},
-			Priority:  a.Priority,
-		}
-		if a.ArraySet {
-			// Job array (jsub -t): one command, one scheduler pass,
-			// sub-jobs named "seq[idx].server".
-			req.Array = pbs.ArraySpec{Set: true, Start: a.ArrayStart, End: a.ArrayEnd}
-			jobs, err := d.SubmitArray(req)
-			if err != nil {
-				return fail(err)
-			}
-			resp.Jobs = jobs
-			break
-		}
-		count := a.Count
-		if count <= 0 {
-			count = 1
-		}
-		// A submission may carry several jobs in one command — the
-		// batching remedy for total-order throughput overhead that
-		// the paper points to ("a command line job submission to
-		// contain a number of individual jobs").
-		for i := 0; i < count; i++ {
-			j, err := d.Submit(req)
-			if err != nil {
-				return fail(err)
-			}
-			resp.Jobs = append(resp.Jobs, j)
-		}
-	case OpDelete:
-		j, err := d.Delete(a.JobID)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Jobs = []pbs.Job{j}
-	case OpHold:
-		j, err := d.Hold(a.JobID)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Jobs = []pbs.Job{j}
-	case OpRelease:
-		j, err := d.Release(a.JobID)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Jobs = []pbs.Job{j}
-	case OpSignal:
-		j, err := d.Signal(a.JobID, a.Signal)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Jobs = []pbs.Job{j}
-	case OpStat:
-		j, err := d.Status(a.JobID)
-		if err != nil {
-			return fail(err)
-		}
-		resp.Jobs = []pbs.Job{j}
-	case OpStatAll:
-		resp.Jobs = d.StatusAll()
-	case OpNodeOffline:
-		if err := d.Server().SetNodeOffline(a.Node, true); err != nil {
-			return fail(err)
-		}
-	case OpNodeOnline:
-		if err := d.Server().SetNodeOffline(a.Node, false); err != nil {
-			return fail(err)
-		}
-		d.FlushActions()
-	default:
-		return fail(fmt.Errorf("joshua: unknown operation %v", op))
-	}
-	resp.Epoch = d.Server().Version()
-	return resp
-}
-
-// executeLocalOn serves non-replicated reads from local state.
-func executeLocalOn(d *pbs.Daemon, op Op, a *cmdArgs, reqID string) *rpcResponse {
-	resp := &rpcResponse{ReqID: reqID, OK: true}
-	switch op {
-	case OpNodesLocal:
-		resp.Nodes = d.Server().NodesStatus()
-	case OpStatLocal:
-		if a.JobID != "" {
-			j, err := d.Status(a.JobID)
-			if err != nil {
-				resp.OK = false
-				resp.ErrMsg = err.Error()
-				return resp
-			}
-			resp.Jobs = []pbs.Job{j}
-		} else {
-			resp.Jobs = d.StatusAll()
-		}
-	default:
-		resp.OK = false
-		resp.ErrMsg = fmt.Sprintf("joshua: operation %v is not a local read", op)
-	}
-	return resp
 }

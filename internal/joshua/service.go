@@ -1,6 +1,8 @@
 package joshua
 
 import (
+	"bytes"
+	"fmt"
 	"sort"
 	"sync"
 
@@ -17,26 +19,13 @@ const (
 	svcLocks = "locks"
 )
 
-// requestOp peeks at the operation of an encoded rpcRequest without a
-// full decode (the Mux route runs on every delivered command).
-func requestOp(payload []byte) (Op, bool) {
-	d := codec.NewDecoder(payload)
-	if d.Byte() != rpcKindRequest {
-		return 0, false
-	}
-	_ = d.String() // skip ReqID
-	op := Op(d.Byte())
-	if d.Err() != nil {
-		return 0, false
-	}
-	return op, true
-}
-
 // routeRequest maps each totally ordered command to the sub-service
 // that applies it: the launch mutual exclusion is its own replicated
-// service, everything else is the batch system.
+// service, everything else is the batch system. It reads the header
+// only; the sub-service parses the rest.
 func routeRequest(cmd rsm.Command) string {
-	if op, ok := requestOp(cmd.Payload); ok && (op == OpJMutex || op == OpJDone) {
+	var v view
+	if v.header(codec.NewDecoder(cmd.Payload)) && (v.op == OpJMutex || v.op == OpJDone) {
 		return svcLocks
 	}
 	return svcPBS
@@ -50,18 +39,25 @@ type pbsService struct {
 	daemon *pbs.Daemon
 }
 
+// Apply parses the command in place and encodes the reply straight
+// from the result into a pooled encoder; the one copy returned is what
+// the engine keeps in its deduplication table.
 func (s *pbsService) Apply(cmd rsm.Command) []byte {
-	req, _, err := decodeRPC(cmd.Payload)
-	if err != nil || req == nil {
+	var v view
+	if !v.parse(cmd.Payload) {
 		return nil
 	}
-	if req.Op == OpJobDone {
+	e := codec.GetEncoder(256)
+	defer e.Release()
+	if v.op == OpJobDone {
 		// Internally originated (ordered completions): apply the mom
 		// report at this point in the command stream.
-		s.daemon.ApplyDone(req.Args.JobID, req.Args.ExitCode, req.Args.Output)
-		return (&rpcResponse{ReqID: req.ReqID, OK: true}).encode()
+		s.daemon.ApplyDone(pbs.JobID(v.jobID), v.exitCode, string(v.output))
+		putAck(e, v.reqID, false)
+	} else {
+		execute(e, s.daemon, &v)
 	}
-	return executeOn(s.daemon, req.Op, &req.Args, req.ReqID).encode()
+	return bytes.Clone(e.Bytes())
 }
 
 // ConflictKey classifies the batch-system conflict domains for the
@@ -81,13 +77,13 @@ func (s *pbsService) ConflictKey(cmd rsm.Command) string { return s.PrefixedConf
 // PrefixedConflictKey implements rsm.PrefixedKeyer: the Mux's service
 // prefix and "job/<id>" in one string.
 func (s *pbsService) PrefixedConflictKey(prefix string, cmd rsm.Command) string {
-	op, id, ok := requestJobID(cmd.Payload)
-	if !ok || len(id) == 0 {
+	var v view
+	if !v.parse(cmd.Payload) || len(v.jobID) == 0 {
 		return ""
 	}
-	switch op {
+	switch v.op {
 	case OpSignal, OpStat:
-		return prefix + "job/" + string(id)
+		return prefix + "job/" + string(v.jobID)
 	default:
 		return ""
 	}
@@ -100,6 +96,96 @@ func (s *pbsService) Snapshot() []byte { return s.daemon.Server().Snapshot() }
 func (s *pbsService) Fork() func() []byte { return s.daemon.Server().Fork() }
 
 func (s *pbsService) Restore(state []byte) error { return s.daemon.Restore(state) }
+
+// execute applies one PBS interface operation to a batch service and
+// writes its reply into e, the bytes of the rpcResponse it stands for.
+// Every reply carries the batch-state version so a sharded client can
+// use its own acked mutations as an epoch floor for later local reads
+// (read-your-writes per shard): mutations the version after they
+// applied, reads the version they were served at. Version counts
+// applied mutations under the state lock, so the stamp is
+// deterministic across replicas — safe to record in the replicated
+// dedup table. Reads answer exactly as the local read path does, so
+// ordered listings frame the cached Listing like local ones.
+func execute(e *codec.Encoder, d *pbs.Daemon, v *view) {
+	srv, reqID := d.Server(), v.reqID
+	id := pbs.JobID(v.jobID)
+	var (
+		j   pbs.Job
+		err error
+	)
+	switch v.op {
+	case OpSubmit:
+		submit(e, d, v)
+		return
+	case OpStatAll, OpStatLocal:
+		if v.op == OpStatAll || id == "" {
+			body, epoch := srv.Listing()
+			putListing(e, reqID, body, epoch)
+			return
+		}
+		fallthrough
+	case OpStat:
+		// The epoch is read before the job, so it never claims a
+		// version newer than the state it stamps.
+		epoch := srv.Version()
+		j, err = d.StatusView(id)
+		putJobReply(e, reqID, j, err, epoch)
+		return
+	case OpNodesLocal:
+		putResponse(e, reqID, &rpcResponse{OK: true, Nodes: srv.NodesStatus(), Epoch: srv.Version()})
+		return
+	case OpNodeOffline:
+		err = srv.SetNodeOffline(string(v.node), true)
+		putReply(e, reqID, err, srv.Version())
+		return
+	case OpNodeOnline:
+		if err = srv.SetNodeOffline(string(v.node), false); err == nil {
+			d.FlushActions()
+		}
+		putReply(e, reqID, err, srv.Version())
+		return
+	case OpDelete:
+		j, err = d.Delete(id)
+	case OpHold:
+		j, err = d.Hold(id)
+	case OpRelease:
+		j, err = d.Release(id)
+	case OpSignal:
+		j, err = d.Signal(id, string(v.signal))
+	default:
+		putReply(e, reqID, fmt.Errorf("joshua: unknown operation %v", v.op), srv.Version())
+		return
+	}
+	putJobReply(e, reqID, j, err, srv.Version())
+}
+
+// submit runs qsub for one OpSubmit and writes its reply. A submission
+// may carry several jobs in one command — the batching remedy for
+// total-order throughput overhead that the paper points to ("a command
+// line job submission to contain a number of individual jobs") — or a
+// job array (jsub -t), one command and one scheduler pass whose
+// sub-jobs are named "seq[idx].server". A failure part-way reports the
+// jobs submitted before it.
+func submit(e *codec.Encoder, d *pbs.Daemon, v *view) {
+	req, reqID := v.submitRequest(), v.reqID
+	if req.Array.Set {
+		jobs, err := d.SubmitArray(req)
+		putReply(e, reqID, err, d.Server().Version(), jobs...)
+		return
+	}
+	var one [1]pbs.Job
+	jobs := one[:0]
+	var err error
+	for i := 0; i < max(v.count, 1); i++ {
+		var j pbs.Job
+		if j, err = d.Submit(req); err != nil {
+			break
+		}
+		jobs = append(jobs, j)
+	}
+	putReply(e, reqID, err, d.Server().Version(), jobs...)
+}
 
 // lockService is the jmutex/jdone distributed mutual exclusion the
 // paper runs in the PBS mom job prologue — a second replicated
@@ -118,25 +204,35 @@ func newLockService() *lockService {
 }
 
 func (s *lockService) Apply(cmd rsm.Command) []byte {
-	req, _, err := decodeRPC(cmd.Payload)
-	if err != nil || req == nil {
+	var v view
+	if !v.parse(cmd.Payload) || (v.op != OpJMutex && v.op != OpJDone) {
 		return nil
 	}
+	e := codec.GetEncoder(64)
+	defer e.Release()
+	s.apply(e, &v)
+	return bytes.Clone(e.Bytes())
+}
+
+// apply runs one jmutex or jdone and writes its reply. The lookups
+// convert nothing; only a newly won lock copies its job ID and
+// attempt ID out of the payload.
+func (s *lockService) apply(e *codec.Encoder, v *view) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch req.Op {
+	granted := false
+	switch v.op {
 	case OpJMutex:
-		owner, held := s.locks[req.Args.JobID]
+		owner, held := s.locks[pbs.JobID(v.jobID)]
 		if !held {
-			s.locks[req.Args.JobID] = req.Args.AttemptID
-			owner = req.Args.AttemptID
+			owner = string(v.attemptID)
+			s.locks[pbs.JobID(v.jobID)] = owner
 		}
-		return (&rpcResponse{ReqID: req.ReqID, OK: true, Granted: owner == req.Args.AttemptID}).encode()
+		granted = owner == string(v.attemptID)
 	case OpJDone:
-		delete(s.locks, req.Args.JobID)
-		return (&rpcResponse{ReqID: req.ReqID, OK: true}).encode()
+		delete(s.locks, pbs.JobID(v.jobID))
 	}
-	return nil
+	s.mu.Unlock()
+	putAck(e, v.reqID, granted)
 }
 
 // ConflictKey partitions the lock table by job: jmutex/jdone commands
@@ -148,11 +244,11 @@ func (s *lockService) ConflictKey(cmd rsm.Command) string { return s.PrefixedCon
 // PrefixedConflictKey implements rsm.PrefixedKeyer: the Mux's service
 // prefix and "job/<id>" in one string.
 func (s *lockService) PrefixedConflictKey(prefix string, cmd rsm.Command) string {
-	_, id, ok := requestJobID(cmd.Payload)
-	if !ok || len(id) == 0 {
+	var v view
+	if !v.parse(cmd.Payload) || len(v.jobID) == 0 {
 		return ""
 	}
-	return prefix + "job/" + string(id)
+	return prefix + "job/" + string(v.jobID)
 }
 
 func (s *lockService) Snapshot() []byte {

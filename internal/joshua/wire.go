@@ -180,52 +180,6 @@ func getArgs(d *codec.Decoder) cmdArgs {
 	return a
 }
 
-// peekJobID reads only the JobID of an argument record written by
-// putArgs, skipping the fields before it without converting them. The
-// returned bytes alias the decoder's input.
-func peekJobID(d *codec.Decoder) []byte {
-	d.Bytes()    // Name
-	d.Bytes()    // Owner
-	d.Bytes()    // Script
-	d.Uint()     // NodeCount
-	d.Duration() // WallTime
-	d.Bool()     // Hold
-	d.Uint()     // Count
-	return d.Bytes()
-}
-
-// requestJobID reads the operation and JobID of an encoded rpcRequest
-// without decoding it, skipping every other field in place. ok is
-// false exactly when decodeRPC would not return a request, so a
-// classifier built on it treats malformed payloads as one built on
-// decodeRPC did. The returned bytes alias payload.
-func requestJobID(payload []byte) (op Op, id []byte, ok bool) {
-	d := codec.NewDecoder(payload)
-	if d.Byte() != rpcKindRequest {
-		return 0, nil, false
-	}
-	d.Bytes() // ReqID
-	op = Op(d.Byte())
-	d.Bool() // Ordered
-	id = peekJobID(d)
-	// The rest of the argument record, in getArgs order.
-	d.Bytes() // Signal
-	d.Bytes() // AttemptID
-	d.Int()   // ExitCode
-	d.Bytes() // Output
-	d.Bytes() // Node
-	d.Int()   // NCPUs
-	d.Int()   // Mem
-	d.Int()   // Priority
-	d.Bool()  // ArraySet
-	d.Int()   // ArrayStart
-	d.Int()   // ArrayEnd
-	if d.Finish() != nil {
-		return 0, nil, false
-	}
-	return op, id, true
-}
-
 // Client RPC message kinds.
 const (
 	rpcKindRequest byte = iota + 1
@@ -299,9 +253,9 @@ func (r *rpcResponse) encode() []byte {
 	return e.Bytes()
 }
 
-// encodeBody appends everything after the ReqID field. The server's
-// jstat paths write the same bytes without building an rpcResponse
-// (putResponseHead, a job list, putResponseTail).
+// encodeBody appends everything after the ReqID field. The heads'
+// replies to PBS operations write the same bytes without building an
+// rpcResponse (putResponseHead, a job list, putResponseTail).
 func (r *rpcResponse) encodeBody(e *codec.Encoder) {
 	e.PutBool(r.OK)
 	e.PutString(r.ErrMsg)
@@ -340,28 +294,67 @@ func putResponseHead(e *codec.Encoder, reqID []byte, errMsg string) {
 }
 
 // putResponseTail writes what rpcResponse.encode writes after the job
-// list of a response with no grant, nodes or info.
-func putResponseTail(e *codec.Encoder, epoch uint64) {
-	e.PutBool(false) // Granted
-	e.PutUint(0)     // Nodes
-	e.PutUint(0)     // Info
+// list of a response with no nodes or info.
+func putResponseTail(e *codec.Encoder, granted bool, epoch uint64) {
+	e.PutBool(granted)
+	e.PutUint(0) // Nodes
+	e.PutUint(0) // Info
 	e.PutUint(epoch)
 }
 
-// listingResponse frames a pre-encoded job list (pbs.Server.Listing)
-// behind a per-request ReqID, into a pooled encoder released by the
-// replier after the send: the bytes of rpcResponse{ReqID, OK: true,
-// Jobs, Epoch: epoch}.encode().
-func listingResponse(reqID, jobs []byte, epoch uint64) *codec.Encoder {
-	e := codec.GetEncoder(32 + len(reqID) + len(jobs))
+// putReply writes the bytes of rpcResponse{ReqID, OK: err == nil,
+// ErrMsg, Jobs: jobs, Epoch: epoch}.encode().
+func putReply(e *codec.Encoder, reqID []byte, err error, epoch uint64, jobs ...pbs.Job) {
+	msg := ""
+	if err != nil {
+		msg = err.Error()
+	}
+	putResponseHead(e, reqID, msg)
+	e.PutUint(uint64(len(jobs)))
+	for i := range jobs {
+		pbs.EncodeJob(e, jobs[i])
+	}
+	putResponseTail(e, false, epoch)
+}
+
+// putJobReply writes the reply of a one-job operation: j, or err.
+func putJobReply(e *codec.Encoder, reqID []byte, j pbs.Job, err error, epoch uint64) {
+	if err != nil {
+		putReply(e, reqID, err, epoch)
+		return
+	}
+	putReply(e, reqID, nil, epoch, j)
+}
+
+// putAck writes the bytes of rpcResponse{ReqID, OK: true, Granted:
+// granted}.encode(): the reply of jmutex, jdone and an ordered
+// completion, which carry no epoch.
+func putAck(e *codec.Encoder, reqID []byte, granted bool) {
+	putResponseHead(e, reqID, "")
+	e.PutUint(0) // Jobs
+	putResponseTail(e, granted, 0)
+}
+
+// putListing frames a pre-encoded job list (pbs.Server.Listing) behind
+// a per-request ReqID: the bytes of rpcResponse{ReqID, OK: true, Jobs,
+// Epoch: epoch}.encode().
+func putListing(e *codec.Encoder, reqID, jobs []byte, epoch uint64) {
 	putResponseHead(e, reqID, "")
 	e.PutRaw(jobs)
-	putResponseTail(e, epoch)
-	return e
+	putResponseTail(e, false, epoch)
+}
+
+// putResponse writes a response built as a value, for the replies that
+// carry nodes or info.
+func putResponse(e *codec.Encoder, reqID []byte, r *rpcResponse) {
+	e.PutByte(rpcKindResponse)
+	e.PutBytes(reqID)
+	r.encodeBody(e)
 }
 
 // decodeRPC decodes either RPC message; exactly one of the returns is
-// non-nil on success.
+// non-nil on success. The client decodes responses with it; heads read
+// requests through a view, which the tests hold to decodeRPC.
 func decodeRPC(b []byte) (*rpcRequest, *rpcResponse, error) {
 	d := codec.NewDecoder(b)
 	switch kind := d.Byte(); kind {
@@ -414,4 +407,85 @@ func decodeRPC(b []byte) (*rpcRequest, *rpcResponse, error) {
 	default:
 		return nil, nil, fmt.Errorf("joshua: unknown rpc kind %d", kind)
 	}
+}
+
+// view is a request read in place: the header and every field of the
+// argument record, with the strings left as views into the payload.
+// parse accepts exactly the payloads decodeRPC accepts (the same
+// fields, then the same Finish check), so a head classifies, routes
+// and applies a command without building an rpcRequest or a string
+// per argument. The engine recycles the payload after the apply
+// (DESIGN §6.8), so what pbs or the lock table keeps is copied out:
+// submitRequest's one string, and a conversion at each call that
+// needs a string.
+type view struct {
+	reqID   []byte
+	op      Op
+	ordered bool
+	// sub holds the qsub arguments but Name, Owner and Script, which
+	// strs spans, length prefixes included (see submitRequest).
+	sub       pbs.SubmitRequest
+	strs      []byte
+	count     int
+	jobID     []byte
+	signal    []byte
+	attemptID []byte
+	exitCode  int
+	output    []byte
+	node      []byte
+}
+
+// header reads the request header (kind, ReqID, operation, Ordered)
+// into v. It reports false for anything but a request.
+func (v *view) header(d *codec.Decoder) bool {
+	if d.Byte() != rpcKindRequest {
+		return false
+	}
+	v.reqID = d.Bytes()
+	v.op = Op(d.Byte())
+	v.ordered = d.Bool()
+	return d.Err() == nil
+}
+
+// parse reads a whole request into v, in getArgs order. It reports
+// false exactly when decodeRPC would not return a request.
+func (v *view) parse(payload []byte) bool {
+	d := codec.NewDecoder(payload)
+	if !v.header(d) {
+		return false
+	}
+	at := len(payload) - d.Remaining()
+	d.Bytes() // Name
+	d.Bytes() // Owner
+	d.Bytes() // Script
+	v.strs = payload[at : len(payload)-d.Remaining()]
+	v.sub.NodeCount = int(d.Uint())
+	v.sub.WallTime = d.Duration()
+	v.sub.Hold = d.Bool()
+	v.count = int(d.Uint())
+	v.jobID = d.Bytes()
+	v.signal = d.Bytes()
+	v.attemptID = d.Bytes()
+	v.exitCode = int(d.Int())
+	v.output = d.Bytes()
+	v.node = d.Bytes()
+	v.sub.Resources.NCPUs = int(d.Int())
+	v.sub.Resources.Mem = d.Int()
+	v.sub.Priority = int(d.Int())
+	v.sub.Array.Set = d.Bool()
+	v.sub.Array.Start = int(d.Int())
+	v.sub.Array.End = int(d.Int())
+	return d.Finish() == nil
+}
+
+// submitRequest returns the qsub arguments. Name, Owner and Script are
+// substrings of one copy of strs, the only allocation.
+func (v *view) submitRequest() pbs.SubmitRequest {
+	d := codec.NewDecoder(v.strs)
+	d.ShareStrings()
+	req := v.sub
+	req.Name = d.Text()
+	req.Owner = d.Text()
+	req.Script = d.Text()
+	return req
 }

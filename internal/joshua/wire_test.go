@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"joshua/internal/codec"
 	"joshua/internal/pbs"
 	"joshua/internal/rsm"
 )
@@ -75,22 +76,29 @@ func TestRPCDecodeGarbage(t *testing.T) {
 	}
 }
 
+// TestRequestOpPeek checks that the Mux route reads the operation from
+// the request header alone: jmutex goes to the lock table, whatever is
+// not a request to the batch system.
 func TestRequestOpPeek(t *testing.T) {
 	req := &rpcRequest{
 		ReqID: "c#9",
 		Op:    OpJMutex,
 		Args:  cmdArgs{JobID: "3.cluster", AttemptID: "head1/pbs+compute0"},
 	}
-	op, ok := requestOp(req.encode())
-	if !ok || op != OpJMutex {
-		t.Fatalf("requestOp = %v, %v; want OpJMutex, true", op, ok)
+	p := req.encode()
+	var v view
+	if !v.header(codec.NewDecoder(p)) || v.op != OpJMutex || string(v.reqID) != "c#9" {
+		t.Fatalf("header = %q %v; want c#9 jmutex", v.reqID, v.op)
 	}
-	if _, ok := requestOp(nil); ok {
-		t.Error("requestOp(nil) should fail")
+	if got := routeRequest(rsm.Command{Payload: p}); got != svcLocks {
+		t.Errorf("route(jmutex) = %q, want %q", got, svcLocks)
+	}
+	if got := routeRequest(rsm.Command{}); got != svcPBS {
+		t.Errorf("route(nil) = %q, want %q", got, svcPBS)
 	}
 	resp := &rpcResponse{ReqID: "c#9", OK: true}
-	if _, ok := requestOp(resp.encode()); ok {
-		t.Error("requestOp on a response should fail")
+	if got := routeRequest(rsm.Command{Payload: resp.encode()}); got != svcPBS {
+		t.Errorf("route(response) = %q, want %q", got, svcPBS)
 	}
 }
 
@@ -101,18 +109,34 @@ func decodedConflictKeys(payload []byte) (pbsKey, lockKey string) {
 	req, _, err := decodeRPC(payload)
 	if err == nil && req != nil && req.Args.JobID != "" {
 		lockKey = "job/" + string(req.Args.JobID)
-	}
-	if op, ok := requestOp(payload); ok && (op == OpSignal || op == OpStat) {
-		pbsKey = lockKey
+		if req.Op == OpSignal || req.Op == OpStat {
+			pbsKey = lockKey
+		}
 	}
 	return pbsKey, lockKey
+}
+
+// viewRequest rebuilds the request a view read, for comparison with
+// decodeRPC's.
+func viewRequest(v *view) *rpcRequest {
+	sr := v.submitRequest()
+	return &rpcRequest{ReqID: string(v.reqID), Op: v.op, Ordered: v.ordered, Args: cmdArgs{
+		Name: sr.Name, Owner: sr.Owner, Script: sr.Script,
+		NodeCount: sr.NodeCount, WallTime: sr.WallTime, Hold: sr.Hold, Count: v.count,
+		NCPUs: sr.Resources.NCPUs, Mem: sr.Resources.Mem, Priority: sr.Priority,
+		ArraySet: sr.Array.Set, ArrayStart: sr.Array.Start, ArrayEnd: sr.Array.End,
+		JobID: pbs.JobID(v.jobID), Signal: string(v.signal), AttemptID: string(v.attemptID),
+		ExitCode: v.exitCode, Output: string(v.output), Node: string(v.node),
+	}}
 }
 
 // TestConflictKeyMatchesDecode compares both services' ConflictKey,
 // and the head's Mux key (the routed service's name, a slash and that
 // key), with the decodeRPC-derived key over every operation, with and
-// without a job ID, and over every truncation of each payload, a
-// payload with a trailing byte and a response.
+// without a job ID, and over every truncation of each payload, every
+// single-byte corruption of it, a payload with a trailing byte and a
+// response. The request view must accept exactly the payloads
+// decodeRPC accepts and read the same request from them.
 func TestConflictKeyMatchesDecode(t *testing.T) {
 	full := cmdArgs{
 		Name: "n", Owner: "o", Script: "#!/bin/sh\n", NodeCount: 2, WallTime: time.Second,
@@ -132,6 +156,11 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 				for n := 0; n <= len(p); n++ {
 					payloads = append(payloads, p[:n])
 				}
+				for i := range p {
+					bad := bytes.Clone(p)
+					bad[i] = 0xFF
+					payloads = append(payloads, bad)
+				}
 				payloads = append(payloads, append(append([]byte(nil), p...), 0))
 			}
 		}
@@ -141,7 +170,18 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 	pbsSvc, locks := &pbsService{}, newLockService()
 	mux := rsm.NewMux(routeRequest).Register(svcPBS, pbsSvc).Register(svcLocks, locks)
 	var pbsKeyed, lockKeyed int
+	var accepted int
 	for _, p := range payloads {
+		req, _, err := decodeRPC(p)
+		var v view
+		if ok := v.parse(p); ok != (err == nil && req != nil) {
+			t.Fatalf("view.parse(%x) = %v, decodeRPC: %v, %v", p, ok, req, err)
+		} else if ok {
+			accepted++
+			if got := viewRequest(&v); !reflect.DeepEqual(got, req) {
+				t.Fatalf("view of %x:\n got %+v\nwant %+v", p, got, req)
+			}
+		}
 		cmd := rsm.Command{Payload: p}
 		wantPBS, wantLock := decodedConflictKeys(p)
 		if got := pbsSvc.ConflictKey(cmd); got != wantPBS {
@@ -166,6 +206,9 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 		if wantLock != "" {
 			lockKeyed++
 		}
+	}
+	if accepted == 0 || accepted == len(payloads) {
+		t.Fatalf("view accepted %d of %d payloads", accepted, len(payloads))
 	}
 	if pbsKeyed == 0 || lockKeyed == 0 {
 		t.Fatalf("table never produced a job key (pbs %d, locks %d)", pbsKeyed, lockKeyed)
