@@ -14,9 +14,11 @@ import (
 // captures every datagram flushRound sends.
 
 // recorder is a transport.Endpoint that keeps a copy of every sent
-// datagram.
+// datagram, or with discard set only counts them.
 type recorder struct {
-	sent []sent
+	sent    []sent
+	discard bool
+	n       int
 }
 
 type sent struct {
@@ -28,6 +30,10 @@ func (r *recorder) Addr() transport.Addr           { return "" }
 func (r *recorder) Recv() <-chan transport.Message { return nil }
 func (r *recorder) Close() error                   { return nil }
 func (r *recorder) Send(to transport.Addr, b []byte) error {
+	r.n++
+	if r.discard {
+		return nil
+	}
 	m, err := decodeMessage(bytes.Clone(b))
 	if err != nil {
 		return err
@@ -58,6 +64,7 @@ func wiredProcess(self MemberID) (*Process, *recorder) {
 	for _, m := range members {
 		p.cfg.Peers[m] = transport.Addr(m)
 	}
+	p.ids = internIDs(p.cfg.Peers)
 	return p, rec
 }
 

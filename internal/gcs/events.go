@@ -5,14 +5,14 @@ import "sync"
 // eventQueue is an unbounded FIFO feeding the public Events channel.
 // The protocol loop must never block on a slow consumer — blocking
 // would stall heartbeats and get this member falsely suspected — so
-// pushes append to a slice and a dispatcher goroutine drains it into
-// the channel.
+// pushes go to a ring buffer, which grows only while the consumer
+// falls behind, and a dispatcher goroutine drains it into the channel.
 type eventQueue struct {
 	ch chan Event
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	items  []Event
+	items  fifo[Event]
 	closed bool
 }
 
@@ -31,7 +31,7 @@ func (q *eventQueue) push(e Event) {
 		q.mu.Unlock()
 		return
 	}
-	q.items = append(q.items, e)
+	q.items.push(e)
 	q.mu.Unlock()
 	q.cond.Signal()
 }
@@ -48,16 +48,15 @@ func (q *eventQueue) close() {
 func (q *eventQueue) dispatch() {
 	for {
 		q.mu.Lock()
-		for len(q.items) == 0 && !q.closed {
+		for q.items.len() == 0 && !q.closed {
 			q.cond.Wait()
 		}
-		if len(q.items) == 0 && q.closed {
+		if q.items.len() == 0 && q.closed {
 			q.mu.Unlock()
 			close(q.ch)
 			return
 		}
-		e := q.items[0]
-		q.items = q.items[1:]
+		e := q.items.pop()
 		q.mu.Unlock()
 		q.ch <- e
 	}

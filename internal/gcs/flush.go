@@ -134,11 +134,7 @@ func (p *Process) beginFlush(attempt uint64) {
 // makeFlushStateMsg snapshots this member's unstable messages and
 // delivery progress for the coordinator.
 func (p *Process) makeFlushStateMsg(attempt uint64) *message {
-	msgs := make([]dataMsg, 0, len(p.ordered))
-	for _, d := range p.ordered {
-		msgs = append(msgs, *d)
-	}
-	sort.Slice(msgs, func(i, j int) bool { return msgs[i].Seq < msgs[j].Seq })
+	msgs := p.ordered.appendTo(make([]dataMsg, 0, p.ordered.len()))
 	table := make(map[MemberID]uint64, len(p.delivered))
 	for m, s := range p.delivered {
 		table[m] = s
@@ -319,8 +315,7 @@ func (p *Process) completeFlush() {
 
 	// Deliver the final prefix locally so the snapshot reflects it.
 	for i := range msgs {
-		d := msgs[i]
-		p.acceptData(&d)
+		p.acceptData(&msgs[i])
 	}
 	p.deliverTo(finalSeq)
 
@@ -461,8 +456,7 @@ func (p *Process) onNewView(m *message) {
 	}
 	// Deliver the agreed final prefix of the old view.
 	for i := range m.Msgs {
-		d := m.Msgs[i]
-		p.acceptData(&d)
+		p.acceptData(&m.Msgs[i])
 	}
 	p.deliverTo(m.FinalSeq)
 	p.lastNewView = m // cache for retransmission to stragglers
@@ -481,8 +475,8 @@ func (p *Process) onNewView(m *message) {
 // sequence is known to every survivor.
 func (p *Process) deliverTo(seq uint64) {
 	for p.nextDeliver <= seq {
-		d, ok := p.ordered[p.nextDeliver]
-		if !ok {
+		d := p.ordered.get(p.nextDeliver)
+		if d == nil {
 			return
 		}
 		p.deliverOne(d)
@@ -512,14 +506,14 @@ func (p *Process) adoptView(v View) {
 	// sequencer, transmitting self-sequences and delivers synchronously,
 	// which pops entries off p.pending — so walk by sender sequence
 	// number, not by index.
-	seqs := make([]uint64, len(p.pending))
-	for i, pm := range p.pending {
-		seqs[i] = pm.senderSeq
+	seqs := make([]uint64, p.pending.len())
+	for i := range seqs {
+		seqs[i] = p.pending.at(i).senderSeq
 	}
 	for _, s := range seqs {
-		for i := range p.pending {
-			if p.pending[i].senderSeq == s {
-				p.transmitPending(&p.pending[i])
+		for i := 0; i < p.pending.len(); i++ {
+			if pm := p.pending.at(i); pm.senderSeq == s {
+				p.transmitPending(pm)
 				break
 			}
 		}
@@ -548,8 +542,8 @@ func (p *Process) joinerInstall(m *message) {
 	// does not swallow our new messages; shift anything we queued
 	// while joining.
 	if base := p.delivered[p.cfg.Self]; base > 0 {
-		for i := range p.pending {
-			p.pending[i].senderSeq += base
+		for i := 0; i < p.pending.len(); i++ {
+			p.pending.at(i).senderSeq += base
 		}
 		p.senderSeq += base
 	}

@@ -55,7 +55,8 @@ type View struct {
 	// partition components may reuse numbers; (ID, Members) is unique
 	// in practice.
 	ID uint64
-	// Members is sorted ascending.
+	// Members is sorted ascending. It is shared by every copy of the
+	// view the Process hands out (View, ViewEvent) and is read-only.
 	Members []MemberID
 	// Primary reports whether this component may make progress under
 	// the configured PartitionPolicy. JOSHUA only executes commands
@@ -315,6 +316,9 @@ type Process struct {
 	ep  transport.Endpoint
 
 	actions chan func() // API requests executed on the loop goroutine
+	// bcast carries Broadcast's payload copies to the loop, buffered
+	// like actions so a burst of broadcasts coalesces into one round.
+	bcast   chan []byte
 	done    chan struct{}
 	stopped sync.Once
 	events  *eventQueue
@@ -347,17 +351,21 @@ type Process struct {
 	joiners   map[MemberID]bool
 	leavers   map[MemberID]bool
 
+	// rx is the message steady-state datagrams decode into; ids interns
+	// the member IDs of cfg.Peers (see handleDatagram).
+	rx  message
+	ids map[string]MemberID
+
 	// sender side
 	senderSeq uint64
-	pending   []pendingMsg
+	pending   fifo[pendingMsg]
 
 	// total order (per current view)
 	nextSeq     uint64              // sequencer: next global seq to assign
 	nextDeliver uint64              // next global seq to deliver
 	stable      uint64              // GC watermark
-	ordered     map[uint64]*dataMsg // received sequenced messages > stable
+	ordered     seqRing             // received sequenced messages > stable
 	lastSeqd    map[MemberID]uint64 // sequencer: highest SenderSeq ordered per member
-	reqSeq      map[MemberID]map[uint64]uint64
 	acked       map[MemberID]uint64 // sequencer: cumulative acks
 	delivered   map[MemberID]uint64 // highest SenderSeq delivered per member
 	gapSince    time.Time           // when the current delivery gap appeared
@@ -432,6 +440,7 @@ func Start(cfg Config) (*Process, error) {
 		cfg:       cfg,
 		ep:        cfg.Endpoint,
 		actions:   make(chan func(), 64),
+		bcast:     make(chan []byte, 64),
 		done:      make(chan struct{}),
 		events:    newEventQueue(),
 		window:    make(chan struct{}, cfg.Window),
@@ -440,9 +449,8 @@ func Start(cfg Config) (*Process, error) {
 		joiners:   make(map[MemberID]bool),
 		joinSince: make(map[MemberID]uint64),
 		leavers:   make(map[MemberID]bool),
-		ordered:   make(map[uint64]*dataMsg),
+		ids:       internIDs(cfg.Peers),
 		lastSeqd:  make(map[MemberID]uint64),
-		reqSeq:    make(map[MemberID]map[uint64]uint64),
 		acked:     make(map[MemberID]uint64),
 		delivered: make(map[MemberID]uint64),
 		recvAcked: make(map[MemberID]uint64),
@@ -471,6 +479,16 @@ func Start(cfg Config) (*Process, error) {
 	return p, nil
 }
 
+// internIDs maps every peer's ID, as the string the wire carries, to
+// the ID itself, so decoding a known sender allocates nothing.
+func internIDs(peers map[MemberID]transport.Addr) map[string]MemberID {
+	ids := make(map[string]MemberID, len(peers))
+	for m := range peers {
+		ids[string(m)] = m
+	}
+	return ids
+}
+
 // Events returns the ordered event stream. The channel is closed when
 // the process stops. The internal queue is unbounded, so a slow
 // consumer never stalls the protocol, but it must eventually drain.
@@ -479,13 +497,12 @@ func (p *Process) Events() <-chan Event { return p.events.ch }
 // Self returns this process's member ID.
 func (p *Process) Self() MemberID { return p.cfg.Self }
 
-// View returns the most recently installed view.
+// View returns the most recently installed view. Its Members slice is
+// shared and must not be written.
 func (p *Process) View() View {
 	p.viewMu.Lock()
 	defer p.viewMu.Unlock()
-	v := p.viewSnap
-	v.Members = append([]MemberID(nil), v.Members...)
-	return v
+	return p.viewSnap
 }
 
 // Stats counts protocol activity since the process started.
@@ -518,7 +535,7 @@ func (p *Process) Stats() Stats {
 // tests assert that. Returns 0 after Close.
 func (p *Process) Buffered() int {
 	reply := make(chan int, 1)
-	if err := p.do(func() { reply <- len(p.ordered) }); err != nil {
+	if err := p.do(func() { reply <- p.ordered.len() }); err != nil {
 		return 0
 	}
 	select {
@@ -616,7 +633,12 @@ func (p *Process) Broadcast(payload []byte) error {
 	}
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
-	return p.do(func() { p.startBroadcast(buf) })
+	select {
+	case p.bcast <- buf:
+		return nil
+	case <-p.done:
+		return ErrClosed
+	}
 }
 
 // Leave announces a voluntary departure and stops the process. Per the
@@ -692,6 +714,8 @@ func (p *Process) run() {
 			return
 		case fn := <-p.actions:
 			fn()
+		case buf := <-p.bcast:
+			p.startBroadcast(buf)
 		case msg, ok := <-p.ep.Recv():
 			if !ok {
 				return
@@ -716,6 +740,8 @@ func (p *Process) drainInputs() {
 			return
 		case fn := <-p.actions:
 			fn()
+		case buf := <-p.bcast:
+			p.startBroadcast(buf)
 		case msg, ok := <-p.ep.Recv():
 			if !ok {
 				return
@@ -764,13 +790,13 @@ func batchLen(msgs []dataMsg) int {
 // flushOutData multicasts the messages sequenced this round, packing
 // them into BATCH frames. A lone message uses the plain DATA frame.
 func (p *Process) flushOutData() {
-	for len(p.outData) > 0 {
-		n := batchLen(p.outData)
+	for out := p.outData; len(out) > 0; {
+		n := batchLen(out)
 		var m *message
 		if n == 1 {
-			m = &message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: p.outData[0]}
+			m = &message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: out[0]}
 		} else {
-			m = &message{Kind: kindBatch, From: p.cfg.Self, ViewID: p.view.ID, Msgs: p.outData[:n]}
+			m = &message{Kind: kindBatch, From: p.cfg.Self, ViewID: p.view.ID, Msgs: out[:n]}
 			// Piggyback a lease grant so holders under sustained
 			// write load renew from the data stream itself.
 			m.LeaseDur = p.leaseGrant()
@@ -782,9 +808,16 @@ func (p *Process) flushOutData() {
 			})
 		}
 		p.sendToMembers(m)
-		p.outData = p.outData[n:]
+		out = out[n:]
 	}
-	p.outData = nil
+	p.outData = resetOut(p.outData)
+}
+
+// resetOut empties a round's output buffer for the next round, keeping
+// its capacity and dropping its payload references.
+func resetOut(out []dataMsg) []dataMsg {
+	clear(out)
+	return out[:0]
 }
 
 // flushReqOut sends the ordering requests queued this round to the
@@ -799,21 +832,21 @@ func (p *Process) flushReqOut() {
 		return
 	}
 	if p.st != statusNormal || p.view.Sequencer() == p.cfg.Self {
-		p.reqOut = nil
+		p.reqOut = resetOut(p.reqOut)
 		return
 	}
 	seqr := p.view.Sequencer()
-	for len(p.reqOut) > 0 {
-		n := batchLen(p.reqOut)
+	for out := p.reqOut; len(out) > 0; {
+		n := batchLen(out)
 		var m *message
 		if n == 1 && !p.ackPending {
-			m = &message{Kind: kindReq, From: p.cfg.Self, ViewID: p.view.ID, Data: p.reqOut[0]}
+			m = &message{Kind: kindReq, From: p.cfg.Self, ViewID: p.view.ID, Data: out[0]}
 		} else {
 			m = &message{
 				Kind:      kindReqBatch,
 				From:      p.cfg.Self,
 				ViewID:    p.view.ID,
-				Msgs:      p.reqOut[:n],
+				Msgs:      out[:n],
 				Delivered: p.nextDeliver - 1,
 				Received:  p.contiguousReceived(),
 			}
@@ -831,9 +864,9 @@ func (p *Process) flushReqOut() {
 			}
 		}
 		p.sendTo(seqr, m)
-		p.reqOut = p.reqOut[n:]
+		out = out[n:]
 	}
-	p.reqOut = nil
+	p.reqOut = resetOut(p.reqOut)
 }
 
 // flushAck sends the coalesced receipt ack still owed to the view.
@@ -843,10 +876,18 @@ func (p *Process) flushAck() {
 	}
 }
 
-// handleDatagram decodes and dispatches one incoming datagram.
+// handleDatagram decodes and dispatches one incoming datagram. The
+// steady-state kinds decode into p.rx, reused for every datagram, so no
+// handler of theirs may keep the message or its slices past its
+// return; the membership kinds get a fresh message, which their
+// handlers may keep (flush states, the cached NEWVIEW). Payloads alias
+// the datagram, which the transport hands over (transport.Message).
 func (p *Process) handleDatagram(dg transport.Message) {
-	m, err := decodeMessage(dg.Payload)
-	if err != nil {
+	m := &p.rx
+	if len(dg.Payload) > 0 && membershipKind(dg.Payload[0]) {
+		m = new(message)
+	}
+	if err := m.decode(dg.Payload, p.ids); err != nil {
 		p.logf("dropping datagram from %s: %v", dg.From, err)
 		return
 	}
@@ -896,8 +937,8 @@ func (p *Process) handleDatagram(dg transport.Message) {
 // only in normal operation: what arrives during a flush is buffered
 // after our flush state was reported, and a peer must not deliver on a
 // receipt the flush may never hear of.
-func (p *Process) heartbeat() *message {
-	hb := &message{Kind: kindHeartbeat, From: p.cfg.Self, ViewID: p.view.ID, Tail: p.tailSeq}
+func (p *Process) heartbeat() message {
+	hb := message{Kind: kindHeartbeat, From: p.cfg.Self, ViewID: p.view.ID, Tail: p.tailSeq}
 	if p.st == statusNormal {
 		hb.Delivered, hb.Received = p.nextDeliver-1, p.contiguousReceived()
 	}
@@ -925,7 +966,7 @@ func (p *Process) onTick() {
 		p.renewLease(dur) // the sequencer's own lease rides its grant
 		p.bumpStat(func(st *Stats) { st.LeaseGrants++ })
 	}
-	p.sendToMembers(hb)
+	p.sendToMembers(&hb)
 
 	// Failure detection.
 	var newlySuspected []MemberID
@@ -961,10 +1002,9 @@ func (p *Process) onTick() {
 func (p *Process) startBroadcast(payload []byte) {
 	p.bumpStat(func(st *Stats) { st.Broadcasts++ })
 	p.senderSeq++
-	pm := pendingMsg{senderSeq: p.senderSeq, payload: payload}
-	p.pending = append(p.pending, pm)
+	p.pending.push(pendingMsg{senderSeq: p.senderSeq, payload: payload})
 	if p.st == statusNormal {
-		p.transmitPending(&p.pending[len(p.pending)-1])
+		p.transmitPending(p.pending.at(p.pending.len() - 1))
 	}
 	// While flushing or joining, the message stays queued; it is
 	// (re)transmitted when a view is installed.
@@ -989,13 +1029,9 @@ func (p *Process) sequence(d dataMsg) {
 	if d.SenderSeq <= last {
 		// Duplicate request: the DATA we sent may have been lost on
 		// the way back to the sender. Retransmit it if still buffered.
-		if seqs, ok := p.reqSeq[d.Sender]; ok {
-			if gseq, ok := seqs[d.SenderSeq]; ok {
-				if dm, ok := p.ordered[gseq]; ok {
-					p.bumpStat(func(st *Stats) { st.Retransmits++ })
-					p.sendTo(d.Sender, &message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: *dm})
-				}
-			}
+		if dm := p.ordered.find(d.Sender, d.SenderSeq); dm != nil {
+			p.bumpStat(func(st *Stats) { st.Retransmits++ })
+			p.sendTo(d.Sender, &message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: *dm})
 		}
 		return
 	}
@@ -1009,10 +1045,6 @@ func (p *Process) sequence(d dataMsg) {
 	d.Seq = p.nextSeq
 	p.bumpStat(func(st *Stats) { st.Sequenced++ })
 	p.lastSeqd[d.Sender] = d.SenderSeq
-	if p.reqSeq[d.Sender] == nil {
-		p.reqSeq[d.Sender] = make(map[uint64]uint64)
-	}
-	p.reqSeq[d.Sender][d.SenderSeq] = d.Seq
 
 	// Local receipt is immediate, and precedes the send: the members'
 	// safe-delivery rule takes the sequencer's copy for granted.
@@ -1029,8 +1061,7 @@ func (p *Process) onBatch(m *message) {
 		return
 	}
 	for i := range m.Msgs {
-		d := m.Msgs[i]
-		p.acceptData(&d)
+		p.acceptData(&m.Msgs[i])
 	}
 	p.deliverReady()
 	if m.LeaseDur > 0 && p.st == statusNormal && m.From == p.view.Sequencer() {
@@ -1059,13 +1090,12 @@ func (p *Process) onData(m *message) {
 	if m.ViewID != p.view.ID || p.st == statusJoining {
 		return
 	}
-	d := m.Data
-	p.acceptData(&d)
+	p.acceptData(&m.Data)
 	p.deliverReady()
 }
 
-// acceptData buffers a sequenced message and owes the view a receipt
-// ack for it. Delivery is the caller's next step: deliverReady in
+// acceptData buffers a copy of a sequenced message and owes the view a
+// receipt ack for it. Delivery is the caller's next step: deliverReady in
 // normal operation (once per frame, however many messages it carried),
 // while during a flush messages are only buffered and the coordinator's
 // agreed final sequence (deliverTo) decides what gets delivered,
@@ -1074,6 +1104,9 @@ func (p *Process) acceptData(d *dataMsg) {
 	if d.Seq <= p.stable {
 		return // already delivered everywhere and garbage-collected
 	}
+	if d.Seq-p.stable > maxRingSpan && p.view.Sequencer() != p.cfg.Self {
+		return // too far past a gap (or corrupt); NACKed once the gap closes
+	}
 	if d.Seq > p.tailSeq {
 		p.tailSeq = d.Seq
 		// Close the leased-read gate before this receipt is reported
@@ -1081,8 +1114,7 @@ func (p *Process) acceptData(d *dataMsg) {
 		// strength of it. flushRound reopens it once we have delivered.
 		p.caughtUp.Store(false)
 	}
-	if _, ok := p.ordered[d.Seq]; !ok {
-		p.ordered[d.Seq] = d
+	if p.ordered.put(d) {
 		if p.cfg.SafeDelivery && p.st == statusNormal && p.view.Sequencer() != p.cfg.Self {
 			p.scheduleAck()
 		}
@@ -1093,12 +1125,10 @@ func (p *Process) acceptData(d *dataMsg) {
 // member holds (or has delivered) every message.
 func (p *Process) contiguousReceived() uint64 {
 	r := p.nextDeliver - 1
-	for {
-		if _, ok := p.ordered[r+1]; !ok {
-			return r
-		}
+	for p.ordered.get(r+1) != nil {
 		r++
 	}
+	return r
 }
 
 // scheduleAck marks a receipt ack owed to the view; flushRound
@@ -1154,7 +1184,7 @@ func (p *Process) deliverReady() {
 		return
 	}
 	for limit := p.deliverLimit(); p.nextDeliver <= limit; p.nextDeliver++ {
-		p.deliverOne(p.ordered[p.nextDeliver])
+		p.deliverOne(p.ordered.get(p.nextDeliver))
 	}
 }
 
@@ -1165,8 +1195,8 @@ func (p *Process) deliverOne(d *dataMsg) {
 	}
 	if d.Sender == p.cfg.Self {
 		// Drop from pending and release the window slot.
-		for len(p.pending) > 0 && p.pending[0].senderSeq <= d.SenderSeq {
-			p.pending = p.pending[1:]
+		for p.pending.len() > 0 && p.pending.at(0).senderSeq <= d.SenderSeq {
+			p.pending.pop()
 			select {
 			case <-p.window:
 			default:
@@ -1182,19 +1212,6 @@ func (p *Process) deliverOne(d *dataMsg) {
 		SenderSeq: d.SenderSeq,
 		Payload:   d.Payload,
 	})
-}
-
-// maxOrdered returns the highest buffered sequence and whether a gap
-// exists between nextDeliver and it.
-func (p *Process) maxOrdered() (uint64, bool) {
-	var max uint64
-	for s := range p.ordered {
-		if s > max {
-			max = s
-		}
-	}
-	return max, max >= p.nextDeliver && len(p.ordered) > 0 &&
-		p.ordered[p.nextDeliver] == nil
 }
 
 // onReq handles an ordering request (sequencer only).
@@ -1213,8 +1230,8 @@ func (p *Process) onReq(m *message) {
 
 // resendPending retransmits our not-yet-delivered messages.
 func (p *Process) resendPending(now time.Time) {
-	for i := range p.pending {
-		pm := &p.pending[i]
+	for i := 0; i < p.pending.len(); i++ {
+		pm := p.pending.at(i)
 		if now.Sub(pm.lastSent) >= p.cfg.ResendInterval {
 			p.transmitPending(pm)
 		}
@@ -1226,7 +1243,7 @@ func (p *Process) resendPending(now time.Time) {
 func (p *Process) nackGaps(now time.Time) {
 	var missing []uint64
 	for s := p.nextDeliver; s <= p.tailSeq && len(missing) < 64; s++ {
-		if _, ok := p.ordered[s]; !ok {
+		if p.ordered.get(s) == nil {
 			missing = append(missing, s)
 		}
 	}
@@ -1253,7 +1270,7 @@ func (p *Process) onNack(m *message) {
 		return
 	}
 	for _, seq := range m.Missing {
-		if d, ok := p.ordered[seq]; ok {
+		if d := p.ordered.get(seq); d != nil {
 			p.bumpStat(func(st *Stats) { st.Retransmits++ })
 			p.sendTo(m.From, &message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: *d})
 		}
@@ -1331,14 +1348,7 @@ func (p *Process) applyStable(w uint64) {
 	if w > p.nextDeliver-1 {
 		w = p.nextDeliver - 1
 	}
-	for s := p.stable + 1; s <= w; s++ {
-		if d, ok := p.ordered[s]; ok {
-			if seqs, ok2 := p.reqSeq[d.Sender]; ok2 {
-				delete(seqs, d.SenderSeq)
-			}
-			delete(p.ordered, s)
-		}
-	}
+	p.ordered.gc(w)
 	p.stable = w
 }
 
@@ -1351,21 +1361,20 @@ func (p *Process) installView(v View) {
 	p.nextSeq = 0
 	p.nextDeliver = 1
 	p.stable = 0
-	p.ordered = make(map[uint64]*dataMsg)
+	p.ordered.reset()
 	p.lastSeqd = make(map[MemberID]uint64)
 	for m, s := range p.delivered {
 		p.lastSeqd[m] = s
 	}
-	p.reqSeq = make(map[MemberID]map[uint64]uint64)
 	p.acked = make(map[MemberID]uint64)
 	p.recvAcked = make(map[MemberID]uint64)
 	p.gapSince = time.Time{}
 	p.tailSeq = 0
 	// Unflushed round output belongs to the old view: sequenced
-	// messages live on in p.ordered (the flush reconciled them) and
-	// queued requests are retransmitted by adoptView.
-	p.outData = nil
-	p.reqOut = nil
+	// messages were reconciled by the flush and queued requests are
+	// retransmitted by adoptView.
+	p.outData = resetOut(p.outData)
+	p.reqOut = resetOut(p.reqOut)
 	p.ackPending = false
 
 	now := time.Now()
@@ -1373,6 +1382,8 @@ func (p *Process) installView(v View) {
 		p.lastHeard[m] = now
 	}
 
+	// The snapshot gets its own Members slice: View hands it out as is,
+	// and v.Members may be a decoded NEWVIEW's or a flush's candidates.
 	p.viewMu.Lock()
 	p.viewSnap = View{ID: v.ID, Members: append([]MemberID(nil), v.Members...), Primary: v.Primary}
 	p.stats.Views++

@@ -20,11 +20,9 @@ func safeProcess(self MemberID, members []MemberID) *Process {
 	p.cfg.SafeDelivery = true
 	p.st = statusNormal
 	p.nextDeliver = 1
-	p.ordered = make(map[uint64]*dataMsg)
 	p.recvAcked = make(map[MemberID]uint64)
 	p.acked = make(map[MemberID]uint64)
 	p.lastSeqd = make(map[MemberID]uint64)
-	p.reqSeq = make(map[MemberID]map[uint64]uint64)
 	p.lastHeard = make(map[MemberID]time.Time)
 	p.events = &eventQueue{}
 	p.events.cond = sync.NewCond(&p.events.mu)
@@ -93,8 +91,8 @@ func TestSafeDeliveryRule(t *testing.T) {
 				if len(others) > 0 && p.nextDeliver != 3 {
 					t.Fatal("delivered 3 on stale acks")
 				}
-				if len(p.events.items) != int(p.nextDeliver-1) {
-					t.Fatalf("%d DeliverEvents for %d deliveries", len(p.events.items), p.nextDeliver-1)
+				if p.events.items.len() != int(p.nextDeliver-1) {
+					t.Fatalf("%d DeliverEvents for %d deliveries", p.events.items.len(), p.nextDeliver-1)
 				}
 			})
 		}

@@ -2,6 +2,7 @@ package gcs
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"joshua/internal/codec"
@@ -26,6 +27,11 @@ const (
 	kindBatch           // sequencer -> all: several sequenced messages in one frame
 	kindReqBatch        // sender -> sequencer: several ordering requests + piggybacked ack
 )
+
+// membershipKind reports whether a kind belongs to membership and view
+// change (kindJoin through kindStateSnap) rather than to the
+// steady-state message stream.
+func membershipKind(k byte) bool { return k >= kindJoin && k <= kindStateSnap }
 
 // dataMsg is one sequenced application message. Seq is the global
 // total-order position within the view; SenderSeq is the sender's own
@@ -112,14 +118,31 @@ func putMembers(e *codec.Encoder, ms []MemberID) {
 	}
 }
 
-func getMembers(d *codec.Decoder) []MemberID {
+// getID decodes a member ID, returning the interned copy from ids when
+// there is one and a fresh string otherwise.
+func getID(d *codec.Decoder, ids map[string]MemberID) MemberID {
+	b := d.Bytes()
+	if id, ok := ids[string(b)]; ok {
+		return id
+	}
+	return MemberID(b)
+}
+
+// getPayload decodes a payload as a view into the datagram, capped so
+// an append to it can never write into the next field.
+func getPayload(d *codec.Decoder) []byte {
+	b := d.Bytes()
+	return b[:len(b):len(b)]
+}
+
+func getMembers(d *codec.Decoder, ids map[string]MemberID) []MemberID {
 	n := d.Uint()
 	if d.Err() != nil || n > uint64(d.Remaining()) {
 		return nil
 	}
 	ms := make([]MemberID, 0, n)
 	for i := uint64(0); i < n; i++ {
-		ms = append(ms, MemberID(d.String()))
+		ms = append(ms, getID(d, ids))
 	}
 	return ms
 }
@@ -131,17 +154,11 @@ func putDataMsg(e *codec.Encoder, m dataMsg) {
 	e.PutBytes(m.Payload)
 }
 
-func getDataMsg(d *codec.Decoder) dataMsg {
-	m := dataMsg{
-		Seq:       d.Uint(),
-		Sender:    MemberID(d.String()),
-		SenderSeq: d.Uint(),
-	}
-	// Copy the payload out of the decode buffer: dataMsg outlives the
-	// datagram (it sits in retransmission buffers).
-	b := d.Bytes()
-	m.Payload = make([]byte, len(b))
-	copy(m.Payload, b)
+func getDataMsg(d *codec.Decoder, ids map[string]MemberID) dataMsg {
+	m := dataMsg{Seq: d.Uint()}
+	m.Sender = getID(d, ids)
+	m.SenderSeq = d.Uint()
+	m.Payload = getPayload(d)
 	return m
 }
 
@@ -152,14 +169,15 @@ func putDataMsgs(e *codec.Encoder, ms []dataMsg) {
 	}
 }
 
-func getDataMsgs(d *codec.Decoder) []dataMsg {
+// getDataMsgs appends the decoded messages to ms.
+func getDataMsgs(d *codec.Decoder, ids map[string]MemberID, ms []dataMsg) []dataMsg {
 	n := d.Uint()
 	if d.Err() != nil || n > uint64(d.Remaining()) {
-		return nil
+		return ms
 	}
-	ms := make([]dataMsg, 0, n)
+	ms = slices.Grow(ms, int(n))
 	for i := uint64(0); i < n; i++ {
-		ms = append(ms, getDataMsg(d))
+		ms = append(ms, getDataMsg(d, ids))
 	}
 	return ms
 }
@@ -174,14 +192,14 @@ func putDelivTable(e *codec.Encoder, t map[MemberID]uint64) {
 	}
 }
 
-func getDelivTable(d *codec.Decoder) map[MemberID]uint64 {
+func getDelivTable(d *codec.Decoder, ids map[string]MemberID) map[MemberID]uint64 {
 	n := d.Uint()
 	if d.Err() != nil || n > uint64(d.Remaining()) {
 		return nil
 	}
 	t := make(map[MemberID]uint64, n)
 	for i := uint64(0); i < n; i++ {
-		m := MemberID(d.String())
+		m := getID(d, ids)
 		t[m] = d.Uint()
 	}
 	return t
@@ -283,16 +301,29 @@ func (m *message) marshal(e *codec.Encoder) {
 	}
 }
 
-// decodeMessage unmarshals one datagram. Unknown kinds and malformed
-// messages return an error; callers drop such datagrams.
+// decodeMessage unmarshals one datagram into a new message. Unknown
+// kinds and malformed messages return an error; callers drop such
+// datagrams.
 func decodeMessage(b []byte) (*message, error) {
-	d := codec.NewDecoder(b)
-	m := &message{
-		Kind:    d.Byte(),
-		From:    MemberID(d.String()),
-		ViewID:  d.Uint(),
-		Attempt: d.Uint(),
+	var m message
+	if err := m.decode(b, nil); err != nil {
+		return nil, err
 	}
+	return &m, nil
+}
+
+// decode unmarshals one datagram into m, overwriting every field. It
+// keeps the backing arrays of m.Msgs and m.Missing (emptied) whatever
+// the kind, so a message the loop decodes into again and again stops
+// allocating for them. Payloads and the application state alias b;
+// member IDs found in ids come from it (nil interns nothing).
+func (m *message) decode(b []byte, ids map[string]MemberID) error {
+	clear(m.Msgs) // drop the previous datagram's payloads
+	d := codec.NewDecoder(b)
+	*m = message{Kind: d.Byte(), Msgs: m.Msgs[:0], Missing: m.Missing[:0]}
+	m.From = getID(d, ids)
+	m.ViewID = d.Uint()
+	m.Attempt = d.Uint()
 	switch m.Kind {
 	case kindLeave:
 	case kindJoin:
@@ -303,17 +334,15 @@ func decodeMessage(b []byte) (*message, error) {
 		m.Received = d.Uint()
 		m.LeaseDur = d.Duration()
 	case kindData:
-		m.Data = getDataMsg(d)
+		m.Data = getDataMsg(d, ids)
 	case kindReq:
 		m.Data.Sender = m.From
 		m.Data.SenderSeq = d.Uint()
-		b := d.Bytes()
-		m.Data.Payload = make([]byte, len(b))
-		copy(m.Data.Payload, b)
+		m.Data.Payload = getPayload(d)
 	case kindNack:
 		n := d.Uint()
 		if d.Err() == nil && n <= uint64(d.Remaining())+1 {
-			m.Missing = make([]uint64, 0, n)
+			m.Missing = slices.Grow(m.Missing, int(n))
 			for i := uint64(0); i < n; i++ {
 				m.Missing = append(m.Missing, d.Uint())
 			}
@@ -324,50 +353,46 @@ func decodeMessage(b []byte) (*message, error) {
 	case kindStable:
 		m.Stable = d.Uint()
 	case kindSuspect:
-		m.Suspects = getMembers(d)
+		m.Suspects = getMembers(d, ids)
 	case kindPropose:
-		m.Members = getMembers(d)
+		m.Members = getMembers(d, ids)
 	case kindFlushState:
 		m.NextDeliver = d.Uint()
 		m.StableSeen = d.Uint()
-		m.DelivTable = getDelivTable(d)
-		m.Msgs = getDataMsgs(d)
+		m.DelivTable = getDelivTable(d, ids)
+		m.Msgs = getDataMsgs(d, ids, m.Msgs)
 	case kindNewView:
 		m.NewViewID = d.Uint()
-		m.Members = getMembers(d)
+		m.Members = getMembers(d, ids)
 		m.Primary = d.Bool()
 		m.FinalSeq = d.Uint()
-		m.Msgs = getDataMsgs(d)
+		m.Msgs = getDataMsgs(d, ids, m.Msgs)
 	case kindStateSnap:
 		m.NewViewID = d.Uint()
-		m.DelivTable = getDelivTable(d)
+		m.DelivTable = getDelivTable(d, ids)
 		m.ChunkIdx = d.Uint()
 		m.ChunkCnt = d.Uint()
-		b := d.Bytes()
-		m.AppState = make([]byte, len(b))
-		copy(m.AppState, b)
+		m.AppState = getPayload(d)
 	case kindBatch:
 		m.LeaseDur = d.Duration()
-		m.Msgs = getDataMsgs(d)
+		m.Msgs = getDataMsgs(d, ids, m.Msgs)
 	case kindReqBatch:
 		m.Delivered = d.Uint()
 		m.Received = d.Uint()
 		n := d.Uint()
 		if d.Err() == nil && n <= uint64(d.Remaining())+1 {
-			m.Msgs = make([]dataMsg, 0, n)
+			m.Msgs = slices.Grow(m.Msgs, int(n))
 			for i := uint64(0); i < n; i++ {
 				dm := dataMsg{Sender: m.From, SenderSeq: d.Uint()}
-				b := d.Bytes()
-				dm.Payload = make([]byte, len(b))
-				copy(dm.Payload, b)
+				dm.Payload = getPayload(d)
 				m.Msgs = append(m.Msgs, dm)
 			}
 		}
 	default:
-		return nil, fmt.Errorf("gcs: unknown message kind %d", m.Kind)
+		return fmt.Errorf("gcs: unknown message kind %d", m.Kind)
 	}
 	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("gcs: decoding kind %d: %w", m.Kind, err)
+		return fmt.Errorf("gcs: decoding kind %d: %w", m.Kind, err)
 	}
-	return m, nil
+	return nil
 }

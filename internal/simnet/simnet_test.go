@@ -83,6 +83,44 @@ func TestPayloadIsolation(t *testing.T) {
 	}
 }
 
+// TestReceivedPayloadIsOwned pins the transport.Message contract the
+// group layer's zero-copy decode relies on: a received payload survives
+// the sender overwriting and resending its buffer, on both delivery
+// paths, and no two received payloads share memory.
+func TestReceivedPayloadIsOwned(t *testing.T) {
+	for _, lat := range []Latency{{}, {Remote: time.Millisecond}} {
+		n := New(Config{Latency: lat})
+		a, _ := n.Endpoint("h1/a")
+		b, _ := n.Endpoint("h2/b")
+		buf := []byte("first!")
+		if err := a.Send("h2/b", buf); err != nil {
+			t.Fatal(err)
+		}
+		first, ok := recvWithin(t, b, time.Second)
+		if !ok {
+			t.Fatal("no delivery")
+		}
+		copy(buf, "second")
+		if err := a.Send("h2/b", buf); err != nil {
+			t.Fatal(err)
+		}
+		second, ok := recvWithin(t, b, time.Second)
+		if !ok {
+			t.Fatal("no second delivery")
+		}
+		if string(first.Payload) != "first!" || string(second.Payload) != "second" {
+			t.Fatalf("latency %+v: payloads %q, %q", lat, first.Payload, second.Payload)
+		}
+		// Overwrite the first payload up to its capacity.
+		for i, all := 0, first.Payload[:cap(first.Payload)]; i < len(all); i++ {
+			all[i] = 'X'
+		}
+		if string(second.Payload) != "second" || string(buf) != "second" {
+			t.Fatalf("latency %+v: received payloads share memory", lat)
+		}
+	}
+}
+
 func TestLatencyLocalVsRemote(t *testing.T) {
 	n := New(Config{Latency: Latency{Local: 0, Remote: 50 * time.Millisecond}})
 	a, _ := n.Endpoint("h1/a")

@@ -60,6 +60,40 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReceivedPayloadIsOwned pins the transport.Message contract the
+// group layer's zero-copy decode relies on: a received payload survives
+// the sender overwriting and resending its buffer, and no two received
+// payloads share memory.
+func TestReceivedPayloadIsOwned(t *testing.T) {
+	a, b := pair(t)
+	buf := []byte("first!")
+	if err := a.Send("h2/b", buf); err != nil {
+		t.Fatal(err)
+	}
+	first, ok := recvWithin(t, b, 2*time.Second)
+	if !ok {
+		t.Fatal("no delivery")
+	}
+	copy(buf, "second")
+	if err := a.Send("h2/b", buf); err != nil {
+		t.Fatal(err)
+	}
+	second, ok := recvWithin(t, b, 2*time.Second)
+	if !ok {
+		t.Fatal("no second delivery")
+	}
+	if string(first.Payload) != "first!" || string(second.Payload) != "second" {
+		t.Fatalf("payloads %q, %q", first.Payload, second.Payload)
+	}
+	// Overwrite the first payload up to its capacity.
+	for i, all := 0, first.Payload[:cap(first.Payload)]; i < len(all); i++ {
+		all[i] = 'X'
+	}
+	if string(second.Payload) != "second" || string(buf) != "second" {
+		t.Fatal("received payloads share memory")
+	}
+}
+
 func TestManyMessagesInOrder(t *testing.T) {
 	a, b := pair(t)
 	const count = 500

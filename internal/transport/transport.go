@@ -35,8 +35,12 @@ func (a Addr) Host() string {
 
 // Message is one datagram delivered to an endpoint.
 type Message struct {
-	From    Addr
-	To      Addr
+	From Addr
+	To   Addr
+	// Payload is a fresh buffer owned by the receiver: no other
+	// delivered Message shares its memory, and the sender's later
+	// writes to the buffer it passed to Send never reach it. Receivers
+	// may therefore keep slices of it without copying.
 	Payload []byte
 }
 
