@@ -47,9 +47,12 @@ var perHeadKeys = []string{
 	"lease_reads", "lease_fallbacks", "lease_revocations",
 	"lease_fb_no_lease", "lease_fb_apply_lag", "lease_fb_durable",
 	// ckpt_inflight is a per-head boolean gauge; duration/bytes are
-	// per-head last-observed values, failures/chunks are counters.
+	// per-head last-observed values, failures are a counter.
 	"ckpt_last_duration_ns", "ckpt_bytes", "ckpt_failures",
-	"transfer_stream_chunks",
+	// State transfers by direction and shape (base only, suffix only,
+	// both).
+	"transfer_in_full", "transfer_in_delta", "transfer_in_hybrid",
+	"transfer_out_full", "transfer_out_delta", "transfer_out_hybrid",
 }
 
 func main() {

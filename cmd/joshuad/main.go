@@ -134,7 +134,6 @@ func main() {
 			SyncPolicy:         conf.SyncPolicy,
 			CheckpointEvery:    conf.CheckpointEvery,
 			CheckpointCompress: conf.CheckpointCompress,
-			DeltaMaxBytes:      conf.DeltaMaxBytes,
 			ApplyConcurrency:   conf.ApplyConcurrency,
 			LeaseDuration:      conf.LeaseDuration,
 		},

@@ -72,10 +72,6 @@ type ClusterFile struct {
 	// CheckpointCompress enables flate compression of checkpoint
 	// files ("checkpoint_compress").
 	CheckpointCompress bool
-	// DeltaMaxBytes caps the WAL-suffix state-transfer size
-	// ("delta_max_bytes"; 0 = engine default 64 MiB, negative =
-	// unlimited).
-	DeltaMaxBytes int64
 	// ApplyConcurrency sizes each head's apply-worker pool
 	// ("apply_concurrency"; 0 = engine default, 1 = serial apply;
 	// negative values are rejected).
@@ -98,8 +94,8 @@ var clusterKeys = map[string]bool{
 	"sched_weight_user": true, "sched_weight_fair": true, "fairshare_half_life": true,
 	"node_cpus": true, "node_mem": true, "time_scale": true, "client_bind": true,
 	"data_dir": true, "sync_policy": true, "checkpoint_every": true,
-	"checkpoint_compress": true, "delta_max_bytes": true,
-	"apply_concurrency": true, "lease_duration": true,
+	"checkpoint_compress": true,
+	"apply_concurrency":   true, "lease_duration": true,
 }
 
 // HeadDecl is one "[head <name>]" section.
@@ -270,7 +266,6 @@ func ClusterFromFile(f *File) (*ClusterFile, error) {
 		SyncPolicy:         parsed(r, "sync_policy", wal.ParseSyncPolicy),
 		CheckpointEvery:    r.uint("checkpoint_every"),
 		CheckpointCompress: r.bool("checkpoint_compress", false),
-		DeltaMaxBytes:      r.int("delta_max_bytes"),
 		ApplyConcurrency:   int(r.uint("apply_concurrency")),
 		LeaseDuration:      parsed(r, "lease_duration", nonNegative),
 	}

@@ -181,8 +181,8 @@ func (s *Section) Float(key string, def float64) (float64, error) {
 }
 
 // Int parses a (possibly negative) integer key, returning def when
-// absent. Knobs whose negative values mean something (delta_max_bytes:
-// unlimited) need the signed form.
+// absent. Knobs whose negative values mean something (a negative
+// sched_weight_* factor inverts its term) need the signed form.
 func (s *Section) Int(key string, def int64) (int64, error) {
 	v, ok := s.Keys[key]
 	if !ok || v == "" {

@@ -281,12 +281,12 @@ func TestClusterEngineOptions(t *testing.T) {
 		return ClusterFromFile(f)
 	}
 
-	c, err := cluster(head + "[options]\napply_concurrency = 4\ndelta_max_bytes = -1\n")
+	c, err := cluster(head + "[options]\napply_concurrency = 4\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ApplyConcurrency != 4 || c.DeltaMaxBytes != -1 {
-		t.Errorf("ApplyConcurrency/DeltaMaxBytes = %d/%d, want 4/-1", c.ApplyConcurrency, c.DeltaMaxBytes)
+	if c.ApplyConcurrency != 4 {
+		t.Errorf("ApplyConcurrency = %d, want 4", c.ApplyConcurrency)
 	}
 	// A pool size is never negative.
 	if _, err := cluster(head + "[options]\napply_concurrency = -1\n"); err == nil {

@@ -374,6 +374,14 @@ func (s *Server) infoLocked() map[string]string {
 		"gcs_retransmits":    fmt.Sprintf("%d", gst.Retransmits),
 		"gcs_views":          fmt.Sprintf("%d", gst.Views),
 	}
+	// State transfers by direction and shape: base only (full), log
+	// suffix only (delta), or both (hybrid).
+	info["transfer_in_full"] = fmt.Sprintf("%d", st.TransferInFull)
+	info["transfer_in_delta"] = fmt.Sprintf("%d", st.TransferInDelta)
+	info["transfer_in_hybrid"] = fmt.Sprintf("%d", st.TransferInHybrid)
+	info["transfer_out_full"] = fmt.Sprintf("%d", st.TransferOutFull)
+	info["transfer_out_delta"] = fmt.Sprintf("%d", st.TransferOutDelta)
+	info["transfer_out_hybrid"] = fmt.Sprintf("%d", st.TransferOutHybrid)
 	if s.cfg.DataDir != "" {
 		info["wal_dir"] = s.cfg.DataDir
 		info["wal_policy"] = s.cfg.SyncPolicy.String()
@@ -388,7 +396,6 @@ func (s *Server) infoLocked() map[string]string {
 		info["ckpt_last_duration_ns"] = fmt.Sprintf("%d", st.CkptLastDurationNs)
 		info["ckpt_bytes"] = fmt.Sprintf("%d", st.CkptBytes)
 		info["ckpt_failures"] = fmt.Sprintf("%d", st.CheckpointFailures)
-		info["transfer_stream_chunks"] = fmt.Sprintf("%d", st.TransferStreamChunks)
 	}
 	return info
 }

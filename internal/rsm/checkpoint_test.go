@@ -146,38 +146,44 @@ func TestCheckpointFailureBacksOffAndRetries(t *testing.T) {
 	}
 }
 
-// TestJoinUsesHybridTransfer pins the re-layered state transfer: with
-// the delta path disabled by a tiny size cap, a fresh joiner receives
-// the donor's newest durable checkpoint file plus the WAL suffix after
-// it, and replays the suffix through the normal apply path.
+// TestJoinUsesHybridTransfer pins the checkpoint-plus-suffix transfer:
+// a fresh joiner advertises no applied index, so it cannot be served a
+// log suffix alone; it receives the donor's newest durable checkpoint
+// file as its base plus the WAL suffix after it, and replays the
+// suffix through the normal apply path.
 func TestJoinUsesHybridTransfer(t *testing.T) {
-	tiny := durableIn(t.TempDir(), func(c *rsm.Config) {
-		c.CheckpointEvery = 4
-		c.DeltaMaxBytes = 1 // refuse every delta: forces checkpoint+suffix
-	})
-	r := newKVRig(t, 2, tiny)
+	durable := durableIn(t.TempDir(), func(c *rsm.Config) { c.CheckpointEvery = 4 })
+	r := newKVRig(t, 2, durable)
 
 	want := map[string]string{}
-	for i := 0; i < 10; i++ {
+	put := func(i int) {
+		t.Helper()
 		req := &kvstore.Request{ReqID: r.reqID(), Op: kvstore.OpAppend, Key: fmt.Sprintf("k%d", i), Value: "v"}
 		if resp, _ := r.call(0, req, 5*time.Second); !resp.OK {
 			t.Fatalf("append %d: %+v", i, resp)
 		}
 		want[req.Key] = "v"
 	}
+	for i := 0; i < 10; i++ {
+		put(i)
+	}
 	r.waitConverged(want, 5*time.Second)
 	r.waitCheckpoint(0, 5*time.Second)
 	r.waitCheckpoint(1, 5*time.Second)
+	// One more command after the newest checkpoint, so the suffix
+	// behind it is never empty (a base alone counts as full).
+	put(10)
+	r.waitConverged(want, 5*time.Second)
 
-	r.join(2, tiny)
+	r.join(2, durable)
 	r.waitConverged(want, 10*time.Second)
 
 	jst := r.reps[2].Stats()
 	if jst.TransferInHybrid != 1 || jst.TransferInFull != 0 || jst.TransferInDelta != 0 {
 		t.Errorf("joiner transfer stats = %+v, want exactly one hybrid transfer", jst)
 	}
-	if jst.TransferStreamChunks == 0 {
-		t.Errorf("joiner recorded no stream chunks: %+v", jst)
+	if jst.TransferReplayed == 0 {
+		t.Errorf("joiner replayed no suffix records: %+v", jst)
 	}
 	var outHybrid uint64
 	for i := 0; i < 2; i++ {
@@ -191,9 +197,9 @@ func TestJoinUsesHybridTransfer(t *testing.T) {
 	// crash and restart recovers locally without replaying the full
 	// history.
 	r.crash(2)
-	r.restart(2, nil, tiny)
+	r.restart(2, nil, durable)
 	r.waitConverged(want, 10*time.Second)
-	if rst := r.reps[2].Stats(); rst.RecoveryReplayed >= 10 {
+	if rst := r.reps[2].Stats(); rst.RecoveryReplayed >= 11 {
 		t.Errorf("joiner replayed %d records after restart; the transferred checkpoint was not installed", rst.RecoveryReplayed)
 	}
 }

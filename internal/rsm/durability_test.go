@@ -183,3 +183,39 @@ func TestRejoinAfterRestartUsesDeltaTransfer(t *testing.T) {
 		t.Errorf("donor stats = %+v, want one delta served", donor)
 	}
 }
+
+// TestRecoveryReplayEvictsLikeLiveExecution pins dedup eviction across
+// a restart: a retry re-executed after its table entry was evicted is
+// in the log as a fresh command, so replay must look it up only after
+// the inserts before it have evicted what they evicted live — and
+// re-execute it again.
+func TestRecoveryReplayEvictsLikeLiveExecution(t *testing.T) {
+	durable := durableIn(t.TempDir(), func(c *rsm.Config) {
+		c.DedupLimit = 4
+		c.CheckpointEvery = 1000
+	})
+	r := newKVRig(t, 1, durable)
+
+	victim := &kvstore.Request{ReqID: "user/kv#victim", Op: kvstore.OpAppend, Key: "k", Value: "x"}
+	if resp, _ := r.call(0, victim, 5*time.Second); resp.Value != "x" {
+		t.Fatalf("first execution: %+v", resp)
+	}
+	for i := 0; i < 4; i++ {
+		fill := &kvstore.Request{ReqID: r.reqID(), Op: kvstore.OpAppend, Key: fmt.Sprintf("fill%d", i), Value: "f"}
+		if resp, _ := r.call(0, fill, 5*time.Second); !resp.OK {
+			t.Fatalf("fill %d: %+v", i, resp)
+		}
+	}
+	if resp, _ := r.call(0, victim, 5*time.Second); resp.Value != "xx" {
+		t.Fatalf("post-eviction retry: %+v, want value xx", resp)
+	}
+
+	r.crash(0)
+	r.restart(0, []gcs.MemberID{repMember(0)}, durable)
+
+	if got, _ := r.stores[0].Get("k"); got != "xx" {
+		st := r.reps[0].Stats()
+		t.Fatalf("recovered k = %q, want xx as live execution left it (applied %d, replayed %d)",
+			got, st.AppliedIndex, st.RecoveryReplayed)
+	}
+}

@@ -282,11 +282,6 @@ type Config struct {
 	// CheckpointCompress flate-compresses checkpoint files (level 1);
 	// see wal.Options.Compress.
 	CheckpointCompress bool
-	// DeltaMaxBytes caps the WAL suffix served as an incremental
-	// (delta) state transfer; a joiner lagging further behind gets a
-	// checkpoint-plus-suffix or full transfer instead. Zero selects
-	// the default, 64 MiB; negative means unlimited.
-	DeltaMaxBytes int64
 
 	// TuneGCS, when non-nil, may adjust group communication timings
 	// before the group process starts (tests and benchmarks shorten
@@ -334,16 +329,16 @@ type Stats struct {
 	CkptLastDurationNs uint64 // wall time of the newest completed checkpoint
 	CkptBytes          uint64 // encoded size of the newest completed checkpoint
 
-	// State transfer accounting (both directions).
-	TransferInBytes      uint64 // transfer bytes received when joining
-	TransferInFull       uint64 // full-snapshot transfers received
-	TransferInDelta      uint64 // log-delta transfers received
-	TransferInHybrid     uint64 // checkpoint+suffix transfers received
-	TransferReplayed     uint64 // delta records applied while joining
-	TransferOutFull      uint64 // full-snapshot transfers served
-	TransferOutDelta     uint64 // log-delta transfers served
-	TransferOutHybrid    uint64 // checkpoint+suffix transfers served off-loop
-	TransferStreamChunks uint64 // sections streamed in off-loop transfers (checkpoint + suffix records)
+	// State transfer accounting (both directions), classed by shape:
+	// base image only (full), log suffix only (delta), or both (hybrid).
+	TransferInBytes   uint64 // transfer bytes received when joining
+	TransferInFull    uint64 // base-only transfers received
+	TransferInDelta   uint64 // suffix-only transfers received
+	TransferInHybrid  uint64 // base+suffix transfers received
+	TransferReplayed  uint64 // suffix records applied while joining
+	TransferOutFull   uint64 // base-only transfers served
+	TransferOutDelta  uint64 // suffix-only transfers served
+	TransferOutHybrid uint64 // base+suffix transfers served
 
 	// Leased linearizable reads (see Config.LeaseDuration).
 	LeaseHeld        bool   // a read lease is currently live (gauge)
@@ -591,9 +586,6 @@ func Start(cfg Config) (*Replica, error) {
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 1024
 	}
-	if cfg.DeltaMaxBytes == 0 {
-		cfg.DeltaMaxBytes = 64 << 20
-	}
 
 	r := &Replica{
 		cfg:      cfg,
@@ -607,17 +599,22 @@ func Start(cfg Config) (*Replica, error) {
 	r.stats.ReadWorkers = cfg.ReadConcurrency
 	r.stats.ApplyWorkers = cfg.ApplyConcurrency
 
-	// The apply workers start before local recovery so replay can run
-	// post-checkpoint log records through the same conflict-keyed pool
-	// live rounds use; failure paths below close applyQ to let them
-	// drain and exit (run() owns the close once it starts).
+	// The apply stage's workers and consumers start before local
+	// recovery, which replays the log suffix through applyBatch like a
+	// live round; failure paths below stop them again (run() owns the
+	// applyQ close once it starts).
 	if n := cfg.ApplyConcurrency; n > 1 {
 		r.applyQ = make(chan applyRun, n*2)
 		for i := 0; i < n; i++ {
 			go r.applyWorker()
 		}
 	}
+	r.relQ = make(chan releaseBatch, 64)
+	r.envFree = make(chan []*envelope, 4)
+	r.replyFree = make(chan []reply, 4)
+	go r.releaser()
 	fail := func(err error) (*Replica, error) {
+		close(r.done)
 		if r.applyQ != nil {
 			close(r.applyQ)
 		}
@@ -627,10 +624,10 @@ func Start(cfg Config) (*Replica, error) {
 		return nil, err
 	}
 
-	// Local recovery runs before the group is joined: restore the
-	// newest checkpoint, replay the log suffix through the dedup
-	// table, and advertise the recovered applied index so peers can
-	// serve an incremental state transfer.
+	// Local recovery runs before the group is joined: install the
+	// newest checkpoint and the log suffix after it, and advertise the
+	// recovered applied index so peers can serve an incremental state
+	// transfer.
 	if cfg.DataDir != "" {
 		l, err := wal.Open(wal.Options{
 			Dir:      cfg.DataDir,
@@ -642,6 +639,8 @@ func Start(cfg Config) (*Replica, error) {
 			return fail(err)
 		}
 		r.log = l
+		r.ckptQ = make(chan ckptJob, 1)
+		go r.checkpointer()
 		if err := r.recoverLocal(); err != nil {
 			return fail(err)
 		}
@@ -683,14 +682,6 @@ func Start(cfg Config) (*Replica, error) {
 		go r.readWorker()
 	}
 	go r.intercept()
-	r.relQ = make(chan releaseBatch, 64)
-	r.envFree = make(chan []*envelope, 4)
-	r.replyFree = make(chan []reply, 4)
-	go r.releaser()
-	if r.log != nil {
-		r.ckptQ = make(chan ckptJob, 1)
-		go r.checkpointer()
-	}
 	go r.run()
 	return r, nil
 }
@@ -1064,13 +1055,13 @@ func (r *Replica) takeEnvSlice() []*envelope {
 // applyBatch runs one collected round through the three pipeline
 // stages. Stage 1 (in total order, on the loop): classify each
 // delivery against the dedup table, assign applied indices, and append
-// fresh commands to the WAL; then issue the round's group-commit fsync
-// asynchronously. Stage 2 (concurrent with the fsync): execute the
-// batch, partitioned by ConflictKey into per-key runs on the bounded
-// worker pool. Stage 3: hand the round's replies to the releaser,
-// which holds them until the fsync lands. Dedup inserts and eviction
-// happen back on the loop in total order, so the table stays identical
-// across replicas.
+// fresh commands the WAL does not already hold to it; then issue the
+// round's group-commit fsync asynchronously. Stage 2 (concurrent with
+// the fsync): execute the batch, partitioned by ConflictKey into
+// per-key runs on the bounded worker pool. Stage 3: hand the round's
+// replies to the releaser, which holds them until the fsync lands.
+// Dedup inserts and eviction happen back on the loop in total order,
+// so the table stays identical across replicas.
 func (r *Replica) applyBatch(batch []*envelope) {
 	if len(batch) == 0 {
 		return
@@ -1091,6 +1082,13 @@ func (r *Replica) applyBatch(batch []*envelope) {
 	pos := r.posIdx // ReqID → first copy this round
 	fresh := 0
 	dirty := false // the round appended to the log
+	// Records at or below the log's last index are already on disk:
+	// local recovery replays them through here without logging them
+	// twice, while live and transferred commands lie above it.
+	var logged uint64
+	if r.log != nil {
+		logged = r.log.LastIndex()
+	}
 	for _, env := range batch {
 		cmds = append(cmds, pendingApply{env: env, dupOf: -1, next: -1})
 		pa := &cmds[len(cmds)-1]
@@ -1104,11 +1102,11 @@ func (r *Replica) applyBatch(batch []*envelope) {
 			pa.index = r.appliedIdx
 			pa.cmd = Command{ReqID: env.ReqID, Payload: env.Payload, Origin: env.Origin, Client: env.Client}
 			pa.key = r.service.ConflictKey(pa.cmd)
-			if r.log != nil {
+			if r.log != nil && pa.index > logged {
 				// Write-ahead: the record hits the log before Apply
-				// runs. Recovery replay is dedup-checked and replays
-				// the log in index order, so a record that outlives a
-				// crash mid-apply is simply (re)applied at restart.
+				// runs. Recovery replays the log in index order, so a
+				// record that outlives a crash mid-apply is simply
+				// (re)applied at restart.
 				// The staged frame shares the envelope's wire buffer
 				// (no copy); the ref is dropped by the flush.
 				env.ref()
@@ -1582,15 +1580,6 @@ func (r *Replica) loadState(st *replicaState) error {
 	return nil
 }
 
-// deltaMax resolves Config.DeltaMaxBytes for wal.ReadSince (whose 0
-// means unlimited, spelled negative in the config).
-func (r *Replica) deltaMax() int {
-	if r.cfg.DeltaMaxBytes < 0 {
-		return 0
-	}
-	return int(r.cfg.DeltaMaxBytes)
-}
-
 // serveTransfer answers a join-time snapshot request. The loop only
 // captures a copy-on-write image and the dedup snapshot, and a
 // background goroutine assembles the transfer and calls ev.Reply — the
@@ -1602,184 +1591,132 @@ func (r *Replica) serveTransfer(ev gcs.SnapshotRequestEvent) {
 	go r.buildTransfer(ev, r.fork())
 }
 
-// tryDeltaTransfer serves the log suffix (since, applied] when the WAL
-// fully retains it within the configured size cap. Concurrency-safe
-// (the log guards itself); applied is the flush point, frozen for the
-// duration of the transfer.
-func (r *Replica) tryDeltaTransfer(since, applied uint64) ([]byte, bool) {
-	if r.log == nil || since == 0 || since > applied {
-		return nil, false
-	}
-	recs, ok := r.log.ReadSince(since, r.deltaMax())
-	if !ok {
-		return nil, false
-	}
-	drecs := make([]deltaRecord, len(recs))
-	for i, rec := range recs {
-		drecs[i] = deltaRecord{Index: rec.Index, Data: rec.Data}
-	}
-	out := frameTransfer(transferDelta, encodeDelta(applied, drecs))
-	r.bump(func(st *Stats) { st.TransferOutDelta++ })
-	r.logf("serving delta transfer: %d records after index %d", len(recs), since)
-	return out, true
-}
-
 // buildTransfer assembles a join-time transfer off the event loop. The
 // group is quiescent for the duration of the flush — appliedIdx cannot
 // advance before Reply — but the background checkpointer may prune WAL
-// segments and checkpoint generations concurrently, so each strategy
-// validates and falls through: the bounded log-suffix delta first,
-// then the newest durable checkpoint file plus the WAL suffix after it
-// (retried against concurrent pruning), and finally a full transfer
-// encoded from the image the loop captured at dispatch — which needs
-// no disk state at all and therefore cannot lose a race. An in-memory
-// donor (no log) has only the last.
+// segments and checkpoint generations concurrently, so each source is
+// validated and falls through: the log suffix after the joiner's
+// advertised index alone; else the newest durable checkpoint plus the
+// suffix after it (retried against concurrent pruning); else the image
+// the loop forked at dispatch, which needs no disk state and therefore
+// cannot lose a race. An in-memory donor (no log) has only the last.
 func (r *Replica) buildTransfer(ev gcs.SnapshotRequestEvent, job ckptJob) {
 	labelStage("transfer_builder")
-	if out, ok := r.tryDeltaTransfer(ev.Since, job.index); ok {
-		ev.Reply(out)
-		return
+	t := &transfer{Applied: job.index}
+	ok := false
+	if r.log != nil && ev.Since > 0 {
+		t.Records, ok = r.suffix(ev.Since, job.index)
 	}
-	for attempt := 0; r.log != nil && attempt < 3; attempt++ {
-		out, retry := r.tryHybridTransfer(job.index)
-		if out != nil {
-			ev.Reply(out)
-			return
+	for attempt := 0; !ok && r.log != nil && attempt < 3; attempt++ {
+		var ckptIdx uint64
+		if ckptIdx, t.Base = r.log.Checkpoint(); t.Base == nil || ckptIdx > job.index {
+			break // no checkpoint yet, or one past the flush point
 		}
-		if !retry {
+		t.Records, ok = r.suffix(ckptIdx, job.index)
+	}
+	if !ok {
+		st := &replicaState{Applied: job.index, Service: job.encode(), DedupIDs: job.ids, DedupResp: job.resps}
+		t.Base, t.Records = st.encode(), nil
+	}
+	r.bump(func(st *Stats) { t.tally(&st.TransferOutFull, &st.TransferOutDelta, &st.TransferOutHybrid) })
+	r.logf("serving transfer to index %d: %d-byte base + %d records", job.index, len(t.Base), len(t.Records))
+	ev.Reply(t.encode())
+}
+
+// suffix reads the log records (since, applied] for a transfer. False
+// means the log does not hold all of them — pruned beneath a
+// concurrent checkpoint, or never written.
+func (r *Replica) suffix(since, applied uint64) ([]wal.Record, bool) {
+	if since > applied {
+		return nil, false
+	}
+	recs, ok := r.log.ReadSince(since)
+	if !ok {
+		return nil, false
+	}
+	for i, rec := range recs {
+		if rec.Index > applied {
+			recs = recs[:i]
 			break
 		}
 	}
-	st := &replicaState{Applied: job.index, Service: job.encode(), DedupIDs: job.ids, DedupResp: job.resps}
-	r.bump(func(s *Stats) { s.TransferOutFull++ })
-	r.logf("serving full transfer at index %d", job.index)
-	ev.Reply(frameTransfer(transferFull, st.encode()))
+	return recs, since+uint64(len(recs)) == applied
 }
 
-// tryHybridTransfer reads the newest durable checkpoint and the WAL
-// suffix (ckptIdx, applied] and packs them as one transfer. A nil
-// result with retry=true means a concurrent checkpoint pruned state
-// beneath the read; retry=false means the strategy cannot apply (no
-// checkpoint yet, or one past the flush point).
-func (r *Replica) tryHybridTransfer(applied uint64) (out []byte, retry bool) {
-	ckptIdx, state := r.log.Checkpoint()
-	if state == nil || ckptIdx > applied {
-		return nil, false
-	}
-	var drecs []deltaRecord
-	if ckptIdx < applied {
-		recs, ok := r.log.ReadSince(ckptIdx, 0)
-		if !ok {
-			return nil, true // pruned beneath us; rescan for the newer checkpoint
-		}
-		drecs = make([]deltaRecord, 0, len(recs))
-		for _, rec := range recs {
-			if rec.Index > applied {
-				break
-			}
-			drecs = append(drecs, deltaRecord{Index: rec.Index, Data: rec.Data})
-		}
-		if ckptIdx+uint64(len(drecs)) != applied {
-			return nil, true
-		}
-	}
-	out = frameTransfer(transferHybrid, encodeHybrid(state, applied, drecs))
-	r.bump(func(st *Stats) {
-		st.TransferOutHybrid++
-		st.TransferStreamChunks += uint64(len(drecs)) + 1
-	})
-	r.logf("serving hybrid transfer: checkpoint %d + %d records to %d", ckptIdx, len(drecs), applied)
-	return out, false
-}
-
-// restoreTransfer applies a join-time state transfer. A full transfer
-// replaces everything (and resets the local log: the discarded local
-// suffix may diverge from the group's history); a delta replays the
-// donor's log records after our recovered applied index through
-// applyBatch, which also writes them to our own log.
+// restoreTransfer installs a join-time state transfer.
 func (r *Replica) restoreTransfer(b []byte) error {
-	kind, payload, err := unframeTransfer(b)
+	t, err := decodeTransfer(b)
 	if err != nil {
 		return err
 	}
 	r.bump(func(st *Stats) { st.TransferInBytes += uint64(len(b)) })
-	switch kind {
-	case transferDelta:
-		donorApplied, recs, err := decodeDelta(payload)
-		if err != nil {
-			return err
-		}
-		replayed, err := r.replayDeltaRecords(recs, donorApplied)
-		if err != nil {
-			return err
-		}
-		r.bump(func(st *Stats) {
-			st.TransferInDelta++
-			st.TransferReplayed += replayed
-		})
-		return nil
-	case transferHybrid:
-		// Checkpoint + suffix: install the donor's durable checkpoint
-		// as our own base (full-restore semantics, including the log
-		// reset — the local suffix may diverge from the group's
-		// history), then replay the donor's post-checkpoint records
-		// through applyBatch.
-		stateBytes, donorApplied, recs, err := decodeHybrid(payload)
-		if err != nil {
-			return err
-		}
-		st, err := decodeReplicaState(stateBytes)
-		if err != nil {
-			return err
-		}
-		if err := r.loadState(st); err != nil {
-			return err
-		}
-		r.sinceCkpt = 0
-		if r.log != nil {
-			if err := r.log.Reset(st.Applied, stateBytes); err != nil {
-				r.logf("wal reset after hybrid transfer failed: %v", err)
-			}
-		}
-		replayed, err := r.replayDeltaRecords(recs, donorApplied)
-		if err != nil {
-			return err
-		}
-		r.bump(func(s *Stats) {
-			s.TransferInHybrid++
-			s.TransferReplayed += replayed
-			s.TransferStreamChunks += replayed + 1
-		})
-		return nil
-	default: // transferFull
-		st, err := decodeReplicaState(payload)
-		if err != nil {
-			return err
-		}
-		if err := r.loadState(st); err != nil {
-			return err
-		}
-		r.sinceCkpt = 0
-		if r.log != nil {
-			if err := r.log.Reset(st.Applied, payload); err != nil {
-				r.logf("wal reset after full transfer failed: %v", err)
-			}
-		}
-		r.bump(func(s *Stats) { s.TransferInFull++ })
-		return nil
+	replayed, err := r.install(t, true)
+	if err != nil {
+		return err
 	}
+	r.bump(func(st *Stats) {
+		t.tally(&st.TransferInFull, &st.TransferInDelta, &st.TransferInHybrid)
+		st.TransferReplayed += replayed
+	})
+	return nil
 }
 
-// replayDeltaRecords feeds a donor's log suffix through applyBatch like
-// a live round (which also writes the records to our own log) and
-// checks the end position against the donor's applied index. Records
-// at or below our applied index are skipped — a shared delta for
-// several joiners, or a hybrid whose checkpoint already covers a
-// prefix. The donor logged every record as fresh, so a batch is cut
-// before any record whose ReqID the dedup table still holds: the
-// pending batch's inserts evict it exactly as the donor's did, and its
-// size cap (see replayBatchMax) keeps two copies of one ReqID apart.
-func (r *Replica) replayDeltaRecords(recs []deltaRecord, donorApplied uint64) (uint64, error) {
+// recoverLocal rebuilds the replica from its data directory before it
+// joins the group: the newest checkpoint is the base, and every log
+// record after it the suffix.
+func (r *Replica) recoverLocal() error {
+	ckptIdx, base := r.log.Checkpoint()
+	recs, ok := r.log.ReadSince(ckptIdx)
+	if !ok {
+		return fmt.Errorf("rsm: log does not hold a readable suffix after checkpoint %d", ckptIdx)
+	}
+	replayed, err := r.install(&transfer{Applied: r.log.LastIndex(), Base: base, Records: recs}, false)
+	if err != nil {
+		return fmt.Errorf("rsm: recovering checkpoint %d + %d records: %w", ckptIdx, len(recs), err)
+	}
+	r.bump(func(st *Stats) { st.RecoveryReplayed = replayed })
+	if replayed > 0 || base != nil {
+		r.logf("recovered locally to applied index %d (checkpoint %d + %d replayed)",
+			r.appliedIdx, ckptIdx, replayed)
+	}
+	return nil
+}
+
+// install rebuilds the replica from t. A base, when present, replaces
+// the service state, the dedup table and the applied index; a received
+// one also becomes the local log's durable base, discarding the local
+// suffix, which may diverge from the group's history. The records
+// after it then replay through applyBatch, which logs only records
+// above the log's last index: a received suffix is written to the
+// local log, a recovered one is not written twice.
+func (r *Replica) install(t *transfer, received bool) (uint64, error) {
+	if len(t.Base) > 0 {
+		st, err := decodeReplicaState(t.Base)
+		if err != nil {
+			return 0, err
+		}
+		if err := r.loadState(st); err != nil {
+			return 0, err
+		}
+		r.sinceCkpt = 0
+		if received && r.log != nil {
+			if err := r.log.Reset(st.Applied, t.Base); err != nil {
+				r.logf("wal reset after state transfer failed: %v", err)
+			}
+		}
+	}
+	return r.replay(t.Records, t.Applied)
+}
+
+// replay feeds log records through applyBatch like live rounds and
+// checks that they end at applied. Records at or below the applied
+// index are skipped — a suffix shared by several joiners, or one whose
+// prefix the base already covers. Every record was fresh when first
+// applied, so a batch is cut before any record whose ReqID the dedup
+// table still holds: the pending batch's inserts evict it exactly as
+// live execution did before that record's lookup. The batch cap (see
+// replayBatchMax) keeps two copies of one ReqID in separate batches.
+func (r *Replica) replay(recs []wal.Record, applied uint64) (uint64, error) {
 	var replayed uint64
 	batchMax := r.replayBatchMax()
 	batch := make([]*envelope, 0, min(batchMax, len(recs)))
@@ -1787,24 +1724,24 @@ func (r *Replica) replayDeltaRecords(recs []deltaRecord, donorApplied uint64) (u
 		r.applyBatch(batch) // the releaser drops the envelopes
 		batch = batch[:0]
 	}
+	fail := func(err error) (uint64, error) {
+		for _, env := range batch {
+			env.release()
+		}
+		return replayed, err
+	}
 	for _, rec := range recs {
-		applied := r.appliedIdx + uint64(len(batch))
-		if rec.Index <= applied {
+		at := r.appliedIdx + uint64(len(batch))
+		if rec.Index <= at {
 			continue
 		}
-		if rec.Index != applied+1 {
-			for _, env := range batch {
-				env.release()
-			}
-			return replayed, fmt.Errorf("rsm: delta gap: record %d after applied %d", rec.Index, applied)
+		if rec.Index != at+1 {
+			return fail(fmt.Errorf("rsm: log gap: record %d after applied %d", rec.Index, at))
 		}
 		env := getEnvelope()
 		if err := r.decodeEnvelopeInto(env, rec.Data); err != nil {
 			env.release()
-			for _, env := range batch {
-				env.release()
-			}
-			return replayed, fmt.Errorf("rsm: delta record %d: %w", rec.Index, err)
+			return fail(fmt.Errorf("rsm: log record %d: %w", rec.Index, err))
 		}
 		if _, _, seen := r.dedup.lookup(env.ReqID); seen || len(batch) >= batchMax {
 			flush()
@@ -1813,8 +1750,8 @@ func (r *Replica) replayDeltaRecords(recs []deltaRecord, donorApplied uint64) (u
 		replayed++
 	}
 	flush()
-	if r.appliedIdx != donorApplied {
-		return replayed, fmt.Errorf("rsm: delta ends at %d, donor applied %d", r.appliedIdx, donorApplied)
+	if r.appliedIdx != applied {
+		return replayed, fmt.Errorf("rsm: replay ends at %d, want %d", r.appliedIdx, applied)
 	}
 	return replayed, nil
 }
@@ -1823,115 +1760,7 @@ func (r *Replica) replayDeltaRecords(recs []deltaRecord, donorApplied uint64) (u
 // DedupLimit records: a ReqID logged twice implies more than DedupLimit
 // fresh inserts between the two copies (the first entry had to be
 // evicted before the retry could re-log), so a batch this size never
-// holds a same-ReqID pair, and per-batch dedup inserts in index order
-// keep the table's FIFO eviction identical to live execution.
+// holds a same-ReqID pair.
 func (r *Replica) replayBatchMax() int {
 	return min(512, r.cfg.DedupLimit)
-}
-
-// recoverLocal rebuilds the replica from its data directory before it
-// joins the group: newest checkpoint first, then every log record
-// after it, replayed through the normal dedup-checked apply path.
-func (r *Replica) recoverLocal() error {
-	ckptIdx, ckptState := r.log.Checkpoint()
-	if ckptState != nil {
-		st, err := decodeReplicaState(ckptState)
-		if err != nil {
-			return fmt.Errorf("rsm: corrupt checkpoint at %d: %w", ckptIdx, err)
-		}
-		if err := r.loadState(st); err != nil {
-			return fmt.Errorf("rsm: restoring checkpoint at %d: %w", ckptIdx, err)
-		}
-	}
-	// Replay the post-checkpoint suffix through the conflict-keyed
-	// apply pool instead of serially: records are collected into
-	// batches (see replayBatchMax) and each batch partitions into
-	// per-key runs exactly like a live round.
-	batchMax := r.replayBatchMax()
-	var replayed uint64
-	batch := make([]*envelope, 0, batchMax)
-	err := r.log.Replay(r.appliedIdx, func(index uint64, data []byte) error {
-		if index != r.appliedIdx+uint64(len(batch))+1 {
-			return fmt.Errorf("rsm: log gap: record %d after applied %d", index, r.appliedIdx+uint64(len(batch)))
-		}
-		env := getEnvelope()
-		if err := r.decodeEnvelopeInto(env, data); err != nil {
-			env.release()
-			return fmt.Errorf("rsm: log record %d: %w", index, err)
-		}
-		batch = append(batch, env)
-		replayed++
-		if len(batch) >= batchMax {
-			r.replayBatch(batch)
-			batch = batch[:0]
-		}
-		return nil
-	})
-	if err != nil {
-		for _, env := range batch {
-			env.release()
-		}
-		return err
-	}
-	r.replayBatch(batch)
-	r.bump(func(st *Stats) {
-		st.RecoveryReplayed = replayed
-		st.AppliedIndex = r.appliedIdx
-	})
-	if replayed > 0 || ckptState != nil {
-		r.logf("recovered locally to applied index %d (checkpoint %d + %d replayed)",
-			r.appliedIdx, ckptIdx, replayed)
-	}
-	return nil
-}
-
-// replayBatch applies one batch of recovered log records through the
-// conflict-keyed apply pool. It mirrors applyBatch's dedup/partition
-// stage but never re-appends to the log (the records are already
-// durable), never produces replies, and releases the envelopes at the
-// end. The caller caps the batch at replayBatchMax, so no ReqID occurs
-// twice within it and dupOf chaining is unnecessary.
-func (r *Replica) replayBatch(batch []*envelope) {
-	if len(batch) == 0 {
-		return
-	}
-	cmds := r.paBuf
-	if cap(cmds) < len(batch) {
-		cmds = make([]pendingApply, 0, len(batch)+64)
-	}
-	cmds = cmds[:0]
-	fresh := 0
-	for _, env := range batch {
-		r.appliedIdx++
-		cmds = append(cmds, pendingApply{env: env, dupOf: -1, next: -1})
-		pa := &cmds[len(cmds)-1]
-		pa.index = r.appliedIdx
-		if _, _, seen := r.dedup.lookup(env.ReqID); seen {
-			pa.seen = true // logged before its dedup entry checkpointed
-			continue
-		}
-		pa.cmd = Command{ReqID: env.ReqID, Payload: env.Payload, Origin: env.Origin, Client: env.Client}
-		pa.key = r.service.ConflictKey(pa.cmd)
-		fresh++
-	}
-	r.paBuf = cmds
-
-	r.applySections(cmds)
-
-	for i := range cmds {
-		pa := &cmds[i]
-		if !pa.seen {
-			r.dedupInsert(pa.env.ReqID, pa.resp, pa.index)
-		}
-	}
-	r.appliedPub.Store(r.appliedIdx)
-	if fresh > 0 {
-		r.bump(func(st *Stats) {
-			st.Applied += uint64(fresh)
-			st.AppliedIndex = r.appliedIdx
-		})
-	}
-	for _, env := range batch {
-		env.release()
-	}
 }

@@ -5,12 +5,13 @@ import (
 	"hash/crc32"
 
 	"joshua/internal/codec"
+	"joshua/internal/wal"
 )
 
 // The envelope type and its pooled encode/decode live in envelope.go.
 
-// replicaState is the engine state carried by full state transfers
-// and checkpoint files: the service snapshot, the applied command
+// replicaState is the engine state carried by a transfer's base image
+// and by checkpoint files: the service snapshot, the applied command
 // index it reflects, and the request deduplication table.
 type replicaState struct {
 	Applied   uint64
@@ -75,128 +76,91 @@ func decodeReplicaState(b []byte) (*replicaState, error) {
 	return s, nil
 }
 
-// State transfers travel as a framed payload: a kind byte selecting
-// full (a complete replicaState) or delta (the donor's log suffix
-// after the joiner's applied index), a length, and a CRC over the
-// payload. The guard rejects corrupt or truncated transfer bytes with
-// a clear error instead of letting them reach a service decoder.
-const (
-	transferFull   byte = 1
-	transferDelta  byte = 2
-	transferHybrid byte = 3 // durable checkpoint image + WAL suffix
-)
-
-// deltaRecord is one logged command inside a delta transfer.
-type deltaRecord struct {
-	Index uint64
-	Data  []byte
+// transfer is the one shape every rebuild of a replica takes: an
+// optional base image (an encoded replicaState — a checkpoint file's
+// payload, or a donor's forked image) plus the log suffix after it. A
+// donor builds one for a joiner, and local recovery builds one from
+// the data directory; both install it through Replica.install.
+type transfer struct {
+	Applied uint64       // the index the replica reaches once installed
+	Base    []byte       // encoded replicaState; empty extends the local state
+	Records []wal.Record // the suffix after the base (or the joiner's index)
 }
 
-func frameTransfer(kind byte, payload []byte) []byte {
+// transferFormat opens every framed transfer. Earlier engines used
+// kind bytes 1–3 for three separate layouts; their transfers fail the
+// format check with a clear error instead of mis-decoding.
+const transferFormat byte = 4
+
+// encode frames the transfer for the wire: the format byte, the
+// payload length, and a CRC over the payload. The guard rejects
+// corrupt or truncated transfer bytes with a clear error instead of
+// letting them reach a service decoder.
+func (t *transfer) encode() []byte {
+	size := len(t.Base) + 32
+	for _, rec := range t.Records {
+		size += 16 + len(rec.Data)
+	}
+	p := codec.NewEncoder(size)
+	p.PutUint(t.Applied)
+	p.PutBytes(t.Base)
+	p.PutUint(uint64(len(t.Records)))
+	for _, rec := range t.Records {
+		p.PutUint(rec.Index)
+		p.PutBytes(rec.Data)
+	}
+	payload := p.Bytes()
 	e := codec.NewEncoder(len(payload) + 16)
-	e.PutByte(kind)
+	e.PutByte(transferFormat)
 	e.PutUint(uint64(len(payload)))
 	e.PutUint(uint64(crc32.ChecksumIEEE(payload)))
 	e.PutRaw(payload)
 	return e.Bytes()
 }
 
-func unframeTransfer(b []byte) (kind byte, payload []byte, err error) {
+// decodeTransfer checks the frame and decodes the transfer. The base
+// and the records alias b, which the caller hands over.
+func decodeTransfer(b []byte) (*transfer, error) {
 	d := codec.NewDecoder(b)
-	kind = d.Byte()
+	format := d.Byte()
 	n := d.Uint()
 	crc := d.Uint()
 	if d.Err() != nil || n != uint64(d.Remaining()) {
-		return 0, nil, fmt.Errorf("rsm: malformed state transfer frame (%v)", d.Err())
+		return nil, fmt.Errorf("rsm: malformed state transfer frame (%v)", d.Err())
 	}
-	payload = b[len(b)-int(n):]
+	payload := b[len(b)-int(n):]
 	if uint64(crc32.ChecksumIEEE(payload)) != crc {
-		return 0, nil, fmt.Errorf("rsm: state transfer fails CRC (corrupt or truncated)")
+		return nil, fmt.Errorf("rsm: state transfer fails CRC (corrupt or truncated)")
 	}
-	if kind != transferFull && kind != transferDelta && kind != transferHybrid {
-		return 0, nil, fmt.Errorf("rsm: unknown state transfer kind %d", kind)
+	if format != transferFormat {
+		return nil, fmt.Errorf("rsm: unknown state transfer format %d", format)
 	}
-	return kind, payload, nil
-}
-
-// encodeDelta packs a log suffix: the donor's applied index followed
-// by each (index, envelope) record.
-func encodeDelta(donorApplied uint64, recs []deltaRecord) []byte {
-	size := 16
-	for _, rec := range recs {
-		size += 16 + len(rec.Data)
+	d = codec.NewDecoder(payload)
+	t := &transfer{Applied: d.Uint(), Base: d.Bytes()}
+	n = d.Uint()
+	if d.Err() != nil || n > uint64(d.Remaining()) {
+		return nil, fmt.Errorf("rsm: corrupt state transfer: %v", d.Err())
 	}
-	e := codec.NewEncoder(size)
-	e.PutUint(donorApplied)
-	e.PutUint(uint64(len(recs)))
-	for _, rec := range recs {
-		e.PutUint(rec.Index)
-		e.PutBytes(rec.Data)
-	}
-	return e.Bytes()
-}
-
-// encodeHybrid packs a durable checkpoint image (an encoded
-// replicaState, exactly the bytes stored in the checkpoint file)
-// followed by the donor's post-checkpoint log suffix. The joiner
-// installs the image as a full restore and then replays the suffix.
-func encodeHybrid(state []byte, donorApplied uint64, recs []deltaRecord) []byte {
-	size := len(state) + 32
-	for _, rec := range recs {
-		size += 16 + len(rec.Data)
-	}
-	e := codec.NewEncoder(size)
-	e.PutBytes(state)
-	e.PutUint(donorApplied)
-	e.PutUint(uint64(len(recs)))
-	for _, rec := range recs {
-		e.PutUint(rec.Index)
-		e.PutBytes(rec.Data)
-	}
-	return e.Bytes()
-}
-
-func decodeHybrid(b []byte) (state []byte, donorApplied uint64, recs []deltaRecord, err error) {
-	d := codec.NewDecoder(b)
-	sb := d.Bytes()
-	state = make([]byte, len(sb))
-	copy(state, sb)
-	donorApplied = d.Uint()
-	n := d.Uint()
-	if d.Err() != nil || n > uint64(d.Remaining())+1 {
-		return nil, 0, nil, fmt.Errorf("rsm: corrupt hybrid transfer: %v", d.Err())
-	}
-	recs = make([]deltaRecord, 0, n)
+	t.Records = make([]wal.Record, 0, n)
 	for i := uint64(0); i < n; i++ {
-		rec := deltaRecord{Index: d.Uint()}
-		rb := d.Bytes()
-		rec.Data = make([]byte, len(rb))
-		copy(rec.Data, rb)
-		recs = append(recs, rec)
+		t.Records = append(t.Records, wal.Record{Index: d.Uint(), Data: d.Bytes()})
 	}
 	if err := d.Finish(); err != nil {
-		return nil, 0, nil, err
+		return nil, err
 	}
-	return state, donorApplied, recs, nil
+	return t, nil
 }
 
-func decodeDelta(b []byte) (donorApplied uint64, recs []deltaRecord, err error) {
-	d := codec.NewDecoder(b)
-	donorApplied = d.Uint()
-	n := d.Uint()
-	if d.Err() != nil || n > uint64(d.Remaining())+1 {
-		return 0, nil, fmt.Errorf("rsm: corrupt delta transfer: %v", d.Err())
+// tally bumps the Stats counter for the transfer's shape: a base with
+// records is a checkpoint-plus-suffix (hybrid) transfer, a base alone a
+// full one, records alone a delta.
+func (t *transfer) tally(full, delta, hybrid *uint64) {
+	switch {
+	case len(t.Base) == 0:
+		*delta++
+	case len(t.Records) == 0:
+		*full++
+	default:
+		*hybrid++
 	}
-	recs = make([]deltaRecord, 0, n)
-	for i := uint64(0); i < n; i++ {
-		rec := deltaRecord{Index: d.Uint()}
-		rb := d.Bytes()
-		rec.Data = make([]byte, len(rb))
-		copy(rec.Data, rb)
-		recs = append(recs, rec)
-	}
-	if err := d.Finish(); err != nil {
-		return 0, nil, err
-	}
-	return donorApplied, recs, nil
 }

@@ -1030,7 +1030,8 @@ func (l *Log) LastIndex() uint64 {
 }
 
 // Replay streams every record with index > from, in order. The staged
-// buffer is flushed first so replay sees all appended records.
+// buffer is flushed first so replay sees all appended records. data
+// is a view into a buffer read for this call alone; fn may keep it.
 func (l *Log) Replay(from uint64, fn func(index uint64, data []byte) error) error {
 	l.mu.Lock()
 	if l.closed {
@@ -1089,21 +1090,15 @@ func (l *Log) CanServe(since uint64) bool {
 	return l.firstIdx != 0 && l.firstIdx <= since+1
 }
 
-// ReadSince collects the records in (since, LastIndex] for an
-// incremental state transfer. ok is false when the suffix is not fully
-// retained or exceeds maxBytes (0 = unlimited); callers then fall back
-// to a full snapshot.
-func (l *Log) ReadSince(since uint64, maxBytes int) (recs []Record, ok bool) {
+// ReadSince collects the records in (since, LastIndex] for a state
+// transfer or local recovery. ok is false when the suffix is not fully
+// retained (or not readable); callers then fall back to an older base.
+func (l *Log) ReadSince(since uint64) (recs []Record, ok bool) {
 	if !l.CanServe(since) {
 		return nil, false
 	}
-	var total int
 	err := l.Replay(since, func(index uint64, data []byte) error {
-		total += len(data)
-		if maxBytes > 0 && total > maxBytes {
-			return errors.New("wal: delta too large")
-		}
-		recs = append(recs, Record{Index: index, Data: append([]byte(nil), data...)})
+		recs = append(recs, Record{Index: index, Data: data})
 		return nil
 	})
 	if err != nil {

@@ -208,17 +208,17 @@ func TestReadSinceAndCanServe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, ok := l.ReadSince(15, 0)
+	recs, ok := l.ReadSince(15)
 	if !ok || len(recs) != 5 {
 		t.Fatalf("ReadSince(15) = %d records ok=%v, want 5 true", len(recs), ok)
 	}
 	if recs[0].Index != 16 || recs[4].Index != 20 {
 		t.Fatalf("delta range [%d,%d], want [16,20]", recs[0].Index, recs[4].Index)
 	}
-	if recs, ok := l.ReadSince(20, 0); !ok || len(recs) != 0 {
+	if recs, ok := l.ReadSince(20); !ok || len(recs) != 0 {
 		t.Fatalf("ReadSince(at tip) = %d records ok=%v, want empty true", len(recs), ok)
 	}
-	if _, ok := l.ReadSince(21, 0); ok {
+	if _, ok := l.ReadSince(21); ok {
 		t.Fatal("ReadSince beyond tip should fail")
 	}
 	// Retention dropped the oldest segments: a peer that far behind
@@ -227,12 +227,8 @@ func TestReadSinceAndCanServe(t *testing.T) {
 	if first <= 1 {
 		t.Skipf("retention kept everything (FirstIndex=%d)", first)
 	}
-	if _, ok := l.ReadSince(first-2, 0); ok {
+	if _, ok := l.ReadSince(first - 2); ok {
 		t.Fatalf("ReadSince(%d) served despite FirstIndex=%d", first-2, first)
-	}
-	// A byte cap forces the full-snapshot fallback.
-	if _, ok := l.ReadSince(10, 8); ok {
-		t.Fatal("ReadSince with tiny maxBytes should refuse")
 	}
 }
 
