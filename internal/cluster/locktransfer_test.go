@@ -7,8 +7,8 @@ import (
 	"joshua/internal/pbs"
 )
 
-// TestJoinHeadReceivesLockTable pins the second replicated service's
-// join contract: the jmutex/jdone lock table travels through state
+// TestJoinHeadReceivesLockTable pins the join contract of the
+// jmutex/jdone lock table: it travels through state
 // transfer alongside the batch-system snapshot, so a joiner denies a
 // launch attempt for a job whose lock was granted before it joined
 // (without this, a replicated job could start twice after maintenance

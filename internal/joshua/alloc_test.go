@@ -140,7 +140,7 @@ func TestStatServeAllocs(t *testing.T) {
 // Script, the job and its ID (pbs's own two), and the reply the engine
 // keeps; a jmutex for a lock already held allocates only the reply.
 func TestApplyAllocs(t *testing.T) {
-	svc := &pbsService{daemon: newApplyDaemon(t)}
+	svc := newHeadService(newApplyDaemon(t))
 	submit := rsm.Command{Payload: benchSubmitReq().encode()}
 	if _, resp, err := decodeRPC(svc.Apply(submit)); err != nil || !resp.OK || len(resp.Jobs) != 1 {
 		t.Fatalf("held jsub reply: %+v, %v", resp, err)
@@ -149,19 +149,18 @@ func TestApplyAllocs(t *testing.T) {
 		t.Errorf("held jsub apply: %v allocs/op, want <= 4", allocs)
 	}
 
-	locks := newLockService()
 	jmutex := rsm.Command{Payload: (&rpcRequest{ReqID: "head0/mom#7", Op: OpJMutex,
 		Args: cmdArgs{JobID: "1.cluster", AttemptID: "head0/pbs+c0"}}).encode()}
-	if _, resp, err := decodeRPC(locks.Apply(jmutex)); err != nil || !resp.Granted {
+	if _, resp, err := decodeRPC(svc.Apply(jmutex)); err != nil || !resp.Granted {
 		t.Fatalf("first jmutex reply: %+v, %v", resp, err)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { locks.Apply(jmutex) }); allocs > 1 {
+	if allocs := testing.AllocsPerRun(200, func() { svc.Apply(jmutex) }); allocs > 1 {
 		t.Errorf("repeated jmutex apply: %v allocs/op, want <= 1", allocs)
 	}
 }
 
 func BenchmarkApplySubmit(b *testing.B) {
-	svc := &pbsService{daemon: newApplyDaemon(b)}
+	svc := newHeadService(newApplyDaemon(b))
 	submit := rsm.Command{Payload: benchSubmitReq().encode()}
 	svc.Apply(submit)
 	b.ReportAllocs()

@@ -117,14 +117,6 @@ func (o *oracle) apply(payload []byte) []byte {
 	return resp.encode()
 }
 
-// newHeadMux composes a daemon and a fresh lock table behind the head's
-// Mux, as StartServer does.
-func newHeadMux(d *pbs.Daemon) *rsm.Mux {
-	return rsm.NewMux(routeRequest).
-		Register(svcPBS, &pbsService{daemon: d}).
-		Register(svcLocks, newLockService())
-}
-
 // applyScript is a command stream over every operation: success and
 // error paths, Count 0/1/3 and an array, ordered reads, node state,
 // completions, and the jmutex grant/deny/release cycle.
@@ -204,23 +196,24 @@ func applyScript() []rpcRequest {
 	return reqs
 }
 
-// TestApplyReplyMatchesEncode drives the head's Mux and the oracle on
-// twin daemons through applyScript and checks every reply byte for
+// TestApplyReplyMatchesEncode drives the head service and the oracle
+// on twin daemons through applyScript and checks every reply byte for
 // byte, then the twins' whole state. Truncated copies of each command,
-// fed to the Mux alone, must produce no reply and change nothing.
+// fed to the head service alone, must produce no reply and change
+// nothing.
 func TestApplyReplyMatchesEncode(t *testing.T) {
-	mux := newHeadMux(newApplyDaemon(t))
+	svc := newHeadService(newApplyDaemon(t))
 	ref := &oracle{d: newApplyDaemon(t), locks: map[pbs.JobID]string{}}
 	var failed, granted, denied int
 	for _, req := range applyScript() {
 		payload := req.encode()
 		for _, n := range []int{0, 1, len(payload) / 2, len(payload) - 1} {
-			if got := mux.Apply(rsm.Command{Payload: payload[:n]}); got != nil {
+			if got := svc.Apply(rsm.Command{Payload: payload[:n]}); got != nil {
 				t.Fatalf("%v %s truncated to %d bytes: reply %x, want none", req.Op, req.ReqID, n, got)
 			}
 		}
 		want := ref.apply(payload)
-		got := mux.Apply(rsm.Command{Payload: payload})
+		got := svc.Apply(rsm.Command{Payload: payload})
 		if !bytes.Equal(got, want) {
 			_, g, _ := decodeRPC(got)
 			_, w, _ := decodeRPC(want)
@@ -242,25 +235,25 @@ func TestApplyReplyMatchesEncode(t *testing.T) {
 	if failed < 10 || granted < 3 || denied < 1 {
 		t.Errorf("script exercised %d errors, %d grants, %d denials; want at least 10, 3, 1", failed, granted, denied)
 	}
-	refLocks := &lockService{locks: ref.locks}
-	want := rsm.NewMux(routeRequest).Register(svcPBS, &pbsService{daemon: ref.d}).Register(svcLocks, refLocks)
-	if !bytes.Equal(mux.Snapshot(), want.Snapshot()) {
+	want := &headService{daemon: ref.d, locks: &lockTable{held: ref.locks}}
+	if !bytes.Equal(svc.Snapshot(), want.Snapshot()) {
 		t.Error("state after the script differs from the oracle twin's")
 	}
 }
 
 // TestAppliedStateOwnsItsStrings applies submits, completions and
-// jmutex through the Mux and then overwrites every byte of every
-// payload, as the engine's envelope recycling may: the state must be
-// byte-identical to a twin fed fresh copies, and no job may change.
+// jmutex through the head service and then overwrites every byte of
+// every payload, as the engine's envelope recycling may: the state
+// must be byte-identical to a twin fed fresh copies, and no job may
+// change.
 func TestAppliedStateOwnsItsStrings(t *testing.T) {
 	daemon := newApplyDaemon(t)
-	mux, twin := newHeadMux(daemon), newHeadMux(newApplyDaemon(t))
+	svc, twin := newHeadService(daemon), newHeadService(newApplyDaemon(t))
 	var payloads [][]byte
 	for _, req := range applyScript() {
 		p := req.encode()
 		payloads = append(payloads, p)
-		mux.Apply(rsm.Command{Payload: p})
+		svc.Apply(rsm.Command{Payload: p})
 		twin.Apply(rsm.Command{Payload: bytes.Clone(p)})
 	}
 	before := daemon.StatusAll()
@@ -280,7 +273,7 @@ func TestAppliedStateOwnsItsStrings(t *testing.T) {
 			p[i] = 0xA5
 		}
 	}
-	if !bytes.Equal(mux.Snapshot(), twin.Snapshot()) {
+	if !bytes.Equal(svc.Snapshot(), twin.Snapshot()) {
 		t.Error("state changed with the recycled payloads")
 	}
 	for _, want := range statuses {

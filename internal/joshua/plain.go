@@ -46,9 +46,9 @@ func (s *PlainServer) Daemon() *pbs.Daemon { return s.daemon }
 
 func (s *PlainServer) run() {
 	// The plain baseline has no group, hence no replicated lock
-	// service: the same lock table answers locally so the mom prologue
+	// table: the same lock table answers locally so the mom prologue
 	// works unchanged with a single head.
-	locks := newLockService()
+	locks := newLockTable()
 	for {
 		select {
 		case <-s.done:

@@ -12,14 +12,16 @@
 // against the local batch service (internal/pbs, the TORQUE+Maui
 // equivalent), and relays the output back to the user exactly once.
 // The jmutex/jdone distributed mutual exclusion that the paper runs
-// in the PBS mom job prologue is a second replicated service composed
-// behind the same engine; MomHooks wires it to the moms.
+// in the PBS mom job prologue is a lock table replicated through the
+// same total order, as part of the same service; MomHooks wires it to
+// the moms.
 //
 // The service-independent machinery — total order, request
 // deduplication, the output rule, join-time state transfer —
 // lives entirely in internal/rsm; this package contributes only the
-// PBS protocol (wire.go), the two service adapters (service.go), and
-// the head-node assembly below.
+// PBS protocol (wire.go), the one service adapter holding the batch
+// daemon and the lock table (service.go), and the head-node assembly
+// below.
 //
 // As long as one head node survives, the service remains available
 // with no interruption and no loss of state: there is no failover,
@@ -85,7 +87,7 @@ type Server struct {
 	// torn write.
 	rep    atomic.Pointer[rsm.Replica]
 	daemon *pbs.Daemon
-	locks  *lockService
+	locks  *lockTable
 	// serveReadFn is serveRead bound once at construction; handing the
 	// same func value to every read Classification avoids a per-request
 	// method-value allocation on the hot path.
@@ -129,18 +131,16 @@ func StartServer(cfg Config) (*Server, error) {
 		return nil, errors.New("joshua: Config.ClientEndpoint required")
 	}
 
+	svc := newHeadService(cfg.Daemon)
 	s := &Server{
 		cfg:    cfg,
 		daemon: cfg.Daemon,
-		locks:  newLockService(),
+		locks:  svc.locks,
 	}
 	s.serveReadFn = s.serveRead
-	services := rsm.NewMux(routeRequest).
-		Register(svcPBS, &pbsService{daemon: cfg.Daemon}).
-		Register(svcLocks, s.locks)
 
 	rc := cfg.Config
-	rc.Service = services
+	rc.Service = svc
 	rc.Classify = s.classify
 	rc.ReadCacheHits = func() uint64 {
 		hits, _ := cfg.Daemon.Server().ReadCacheStats()

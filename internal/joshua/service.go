@@ -3,7 +3,8 @@ package joshua
 import (
 	"bytes"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 
 	"joshua/internal/codec"
@@ -11,91 +12,131 @@ import (
 	"joshua/internal/rsm"
 )
 
-// Sub-service names under the head node's rsm.Mux. Part of the
-// replicated contract: every head registers the same names in the
-// same order.
-const (
-	svcPBS   = "pbs"
-	svcLocks = "locks"
-)
-
-// routeRequest maps each totally ordered command to the sub-service
-// that applies it: the launch mutual exclusion is its own replicated
-// service, everything else is the batch system. It reads the header
-// only; the sub-service parses the rest.
-func routeRequest(cmd rsm.Command) string {
-	var v view
-	if v.header(codec.NewDecoder(cmd.Payload)) && (v.op == OpJMutex || v.op == OpJDone) {
-		return svcLocks
-	}
-	return svcPBS
-}
-
-// pbsService adapts the local batch daemon (the TORQUE+Maui
-// equivalent) to the engine's Service interface: one deterministic
-// state machine behind the PBS command interface, exactly the
-// paper's "service replicated externally, unmodified".
-type pbsService struct {
+// headService is a head node's one replicated state machine: the local
+// batch daemon (the TORQUE+Maui equivalent, "replicated externally,
+// unmodified") and the jmutex/jdone lock table the paper runs in the
+// mom job prologue, both driven by the same total order.
+type headService struct {
 	daemon *pbs.Daemon
+	locks  *lockTable
 }
 
-// Apply parses the command in place and encodes the reply straight
-// from the result into a pooled encoder; the one copy returned is what
-// the engine keeps in its deduplication table.
-func (s *pbsService) Apply(cmd rsm.Command) []byte {
+func newHeadService(d *pbs.Daemon) *headService {
+	return &headService{daemon: d, locks: newLockTable()}
+}
+
+// Apply parses the command in place, applies it to the lock table or
+// the batch daemon, and encodes the reply straight from the result
+// into a pooled encoder; the one copy returned is what the engine
+// keeps in its deduplication table.
+func (s *headService) Apply(cmd rsm.Command) []byte {
 	var v view
 	if !v.parse(cmd.Payload) {
 		return nil
 	}
 	e := codec.GetEncoder(256)
 	defer e.Release()
-	if v.op == OpJobDone {
+	switch v.op {
+	case OpJMutex, OpJDone:
+		s.locks.apply(e, &v)
+	case OpJobDone:
 		// Internally originated (ordered completions): apply the mom
 		// report at this point in the command stream.
 		s.daemon.ApplyDone(pbs.JobID(v.jobID), v.exitCode, string(v.output))
 		putAck(e, v.reqID, false)
-	} else {
+	default:
 		execute(e, s.daemon, &v)
 	}
 	return bytes.Clone(e.Bytes())
 }
 
-// ConflictKey classifies the batch-system conflict domains for the
-// engine's parallel apply stage. Only operations that touch a single
-// job's record and never enter the scheduler are job-local: qsig
-// bumps one running job's signal count and an ordered qstat reads one
-// job. Every resource-consuming operation — submit, delete, hold,
-// release, completions, node state — runs the scheduling pipeline
-// over the shared node pool and advances its logical clock, so it
-// stays on the global scheduler barrier. (qhold moved there when the
-// pipeline landed: holding a queued job now frees the jobs behind it
-// immediately, which is a scheduler pass.) Accounting-sink line order
-// across distinct jobs is unspecified under parallel apply; the sink
-// is local observability, not replicated state.
-func (s *pbsService) ConflictKey(cmd rsm.Command) string { return s.PrefixedConflictKey("", cmd) }
-
-// PrefixedConflictKey implements rsm.PrefixedKeyer: the Mux's service
-// prefix and "job/<id>" in one string.
-func (s *pbsService) PrefixedConflictKey(prefix string, cmd rsm.Command) string {
+// ConflictKey classifies the conflict domains for the engine's
+// parallel apply stage. Only operations that touch a single job's
+// record and never enter the scheduler are job-local: qsig bumps one
+// running job's signal count and an ordered qstat reads one job
+// ("job/<id>"). jmutex/jdone for distinct jobs touch distinct lock
+// entries and commute, so prologue races for different jobs resolve
+// in parallel; within one job the log order decides the winner. Lock
+// keys live in their own space ("lock/<id>"), so a lock command never
+// serializes behind a qsig or qstat of the same job. Every resource-
+// consuming operation — submit, delete, hold, release, completions,
+// node state — runs the scheduling pipeline over the shared node pool
+// and advances its logical clock, so it stays on the global barrier
+// (""). Accounting-sink line order across distinct jobs is unspecified
+// under parallel apply; the sink is local observability, not
+// replicated state.
+func (s *headService) ConflictKey(cmd rsm.Command) string {
 	var v view
 	if !v.parse(cmd.Payload) || len(v.jobID) == 0 {
 		return ""
 	}
 	switch v.op {
 	case OpSignal, OpStat:
-		return prefix + "job/" + string(v.jobID)
+		return "job/" + string(v.jobID)
+	case OpJMutex, OpJDone:
+		return "lock/" + string(v.jobID)
 	default:
 		return ""
 	}
 }
 
-func (s *pbsService) Snapshot() []byte { return s.daemon.Server().Snapshot() }
+// headSnapshotFormat opens every head snapshot. The layout is
+//
+//	[format byte] [len-prefixed pbs snapshot] [uvarint n] n × ([job ID] [attempt])
+//
+// with the lock entries in job-ID order. It carries no checksum of its
+// own: the engine hands Restore only bytes that already passed the
+// state-transfer frame CRC or the checkpoint chunk CRCs. The earlier
+// sectioned layout opened with its section count, 2, so it fails the
+// format check.
+const headSnapshotFormat = 1
 
-// Fork delegates to the batch server's copy-on-write image capture so
-// the engine can serialize checkpoints off the event loop.
-func (s *pbsService) Fork() func() []byte { return s.daemon.Server().Fork() }
+// Snapshot encodes the state exactly as a Fork taken now would.
+func (s *headService) Snapshot() []byte { return s.Fork()() }
 
-func (s *pbsService) Restore(state []byte) error { return s.daemon.Restore(state) }
+// Fork captures the batch server's copy-on-write image and a copy of
+// the lock table, and defers the encode.
+func (s *headService) Fork() func() []byte {
+	image := s.daemon.Server().Fork()
+	locks := s.locks.clone()
+	return func() []byte {
+		pbsState := image()
+		e := codec.NewEncoder(len(pbsState) + 32*len(locks) + 16)
+		e.PutByte(headSnapshotFormat)
+		e.PutBytes(pbsState)
+		putLocks(e, locks)
+		return e.Bytes()
+	}
+}
+
+// Restore decodes the whole snapshot before touching any state, so a
+// malformed lock table leaves the daemon as it was.
+func (s *headService) Restore(state []byte) error {
+	d := codec.NewDecoder(state)
+	if f := d.Byte(); d.Err() == nil && f != headSnapshotFormat {
+		return fmt.Errorf("joshua: head snapshot format %d, want %d", f, headSnapshotFormat)
+	}
+	pbsState := d.Bytes()
+	n := d.Uint()
+	if d.Err() != nil || n > uint64(d.Remaining()) {
+		return fmt.Errorf("joshua: corrupt head snapshot: %v", d.Err())
+	}
+	locks := make(map[pbs.JobID]string, n)
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		id := pbs.JobID(d.String())
+		locks[id] = d.String()
+	}
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("joshua: corrupt head snapshot: %w", err)
+	}
+	if err := s.daemon.Restore(pbsState); err != nil {
+		return err
+	}
+	s.locks.mu.Lock()
+	s.locks.held = locks
+	s.locks.mu.Unlock()
+	return nil
+}
 
 // execute applies one PBS interface operation to a batch service and
 // writes its reply into e, the bytes of the rpcResponse it stands for.
@@ -187,133 +228,61 @@ func submit(e *codec.Encoder, d *pbs.Daemon, v *view) {
 	putReply(e, reqID, err, d.Server().Version(), jobs...)
 }
 
-// lockService is the jmutex/jdone distributed mutual exclusion the
-// paper runs in the PBS mom job prologue — a second replicated
-// service composed with the batch system behind the same engine. The
-// first acquire in the total order wins; release clears the entry.
-// Apply/Snapshot/Restore run on the replica's event loop goroutine;
-// Len is also called from read workers (the jadmin report), so the
-// table is guarded by an RWMutex.
-type lockService struct {
-	mu    sync.RWMutex
-	locks map[pbs.JobID]string // job ID -> winning attempt
+// lockTable is the jmutex/jdone distributed mutual exclusion: the
+// first acquire in the total order wins, and release clears the entry.
+// Apply and Restore run on the engine's goroutines; Len is also called
+// from read workers (the jadmin report), so the table is guarded by an
+// RWMutex.
+type lockTable struct {
+	mu   sync.RWMutex
+	held map[pbs.JobID]string // job ID -> winning attempt
 }
 
-func newLockService() *lockService {
-	return &lockService{locks: make(map[pbs.JobID]string)}
-}
-
-func (s *lockService) Apply(cmd rsm.Command) []byte {
-	var v view
-	if !v.parse(cmd.Payload) || (v.op != OpJMutex && v.op != OpJDone) {
-		return nil
-	}
-	e := codec.GetEncoder(64)
-	defer e.Release()
-	s.apply(e, &v)
-	return bytes.Clone(e.Bytes())
+func newLockTable() *lockTable {
+	return &lockTable{held: make(map[pbs.JobID]string)}
 }
 
 // apply runs one jmutex or jdone and writes its reply. The lookups
 // convert nothing; only a newly won lock copies its job ID and
 // attempt ID out of the payload.
-func (s *lockService) apply(e *codec.Encoder, v *view) {
-	s.mu.Lock()
+func (t *lockTable) apply(e *codec.Encoder, v *view) {
+	t.mu.Lock()
 	granted := false
 	switch v.op {
 	case OpJMutex:
-		owner, held := s.locks[pbs.JobID(v.jobID)]
+		owner, held := t.held[pbs.JobID(v.jobID)]
 		if !held {
 			owner = string(v.attemptID)
-			s.locks[pbs.JobID(v.jobID)] = owner
+			t.held[pbs.JobID(v.jobID)] = owner
 		}
 		granted = owner == string(v.attemptID)
 	case OpJDone:
-		delete(s.locks, pbs.JobID(v.jobID))
+		delete(t.held, pbs.JobID(v.jobID))
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 	putAck(e, v.reqID, granted)
 }
 
-// ConflictKey partitions the lock table by job: jmutex/jdone commands
-// for distinct jobs touch distinct entries and commute, so prologue
-// races for different jobs may resolve in parallel. Within one job the
-// log order decides the winner, exactly as before.
-func (s *lockService) ConflictKey(cmd rsm.Command) string { return s.PrefixedConflictKey("", cmd) }
-
-// PrefixedConflictKey implements rsm.PrefixedKeyer: the Mux's service
-// prefix and "job/<id>" in one string.
-func (s *lockService) PrefixedConflictKey(prefix string, cmd rsm.Command) string {
-	var v view
-	if !v.parse(cmd.Payload) || len(v.jobID) == 0 {
-		return ""
-	}
-	return prefix + "job/" + string(v.jobID)
-}
-
-func (s *lockService) Snapshot() []byte {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]string, 0, len(s.locks))
-	for id := range s.locks {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	e := codec.NewEncoder(32)
-	e.PutUint(uint64(len(ids)))
-	for _, id := range ids {
-		e.PutString(id)
-		e.PutString(s.locks[pbs.JobID(id)])
-	}
-	return e.Bytes()
-}
-
-// Fork copies the lock table under the read lock and defers the
-// sorted encode, producing the same bytes Snapshot would have at
-// capture time.
-func (s *lockService) Fork() func() []byte {
-	s.mu.RLock()
-	locks := make(map[pbs.JobID]string, len(s.locks))
-	for id, owner := range s.locks {
-		locks[id] = owner
-	}
-	s.mu.RUnlock()
-	return func() []byte {
-		ids := make([]string, 0, len(locks))
-		for id := range locks {
-			ids = append(ids, string(id))
-		}
-		sort.Strings(ids)
-		e := codec.NewEncoder(32)
-		e.PutUint(uint64(len(ids)))
-		for _, id := range ids {
-			e.PutString(id)
-			e.PutString(locks[pbs.JobID(id)])
-		}
-		return e.Bytes()
-	}
-}
-
-func (s *lockService) Restore(state []byte) error {
-	d := codec.NewDecoder(state)
-	n := d.Uint()
-	locks := make(map[pbs.JobID]string, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		id := pbs.JobID(d.String())
-		locks[id] = d.String()
-	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.locks = locks
-	s.mu.Unlock()
-	return nil
+func (t *lockTable) clone() map[pbs.JobID]string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return maps.Clone(t.held)
 }
 
 // Len reports the held-lock count; safe from any goroutine.
-func (s *lockService) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.locks)
+func (t *lockTable) Len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.held)
+}
+
+// putLocks writes a lock table in job-ID order, so equal tables encode
+// to equal bytes.
+func putLocks(e *codec.Encoder, locks map[pbs.JobID]string) {
+	ids := slices.Sorted(maps.Keys(locks))
+	e.PutUint(uint64(len(ids)))
+	for _, id := range ids {
+		e.PutString(string(id))
+		e.PutString(locks[id])
+	}
 }

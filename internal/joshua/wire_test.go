@@ -3,6 +3,7 @@ package joshua
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -76,9 +77,8 @@ func TestRPCDecodeGarbage(t *testing.T) {
 	}
 }
 
-// TestRequestOpPeek checks that the Mux route reads the operation from
-// the request header alone: jmutex goes to the lock table, whatever is
-// not a request to the batch system.
+// TestRequestOpPeek checks that the header peek the classifier runs
+// on the receive path reads the request ID and operation alone.
 func TestRequestOpPeek(t *testing.T) {
 	req := &rpcRequest{
 		ReqID: "c#9",
@@ -90,30 +90,30 @@ func TestRequestOpPeek(t *testing.T) {
 	if !v.header(codec.NewDecoder(p)) || v.op != OpJMutex || string(v.reqID) != "c#9" {
 		t.Fatalf("header = %q %v; want c#9 jmutex", v.reqID, v.op)
 	}
-	if got := routeRequest(rsm.Command{Payload: p}); got != svcLocks {
-		t.Errorf("route(jmutex) = %q, want %q", got, svcLocks)
-	}
-	if got := routeRequest(rsm.Command{}); got != svcPBS {
-		t.Errorf("route(nil) = %q, want %q", got, svcPBS)
+	if v.header(codec.NewDecoder(nil)) {
+		t.Error("header(nil) accepted")
 	}
 	resp := &rpcResponse{ReqID: "c#9", OK: true}
-	if got := routeRequest(rsm.Command{Payload: resp.encode()}); got != svcPBS {
-		t.Errorf("route(response) = %q, want %q", got, svcPBS)
+	if v.header(codec.NewDecoder(resp.encode())) {
+		t.Error("header(response) accepted")
 	}
 }
 
-// decodedConflictKeys are the conflict keys as both services derived
-// them from a full decodeRPC: the reference the header peeks must
+// decodedConflictKey is the conflict key as derived from a full
+// decodeRPC: the reference the head service's view parse must
 // reproduce byte for byte.
-func decodedConflictKeys(payload []byte) (pbsKey, lockKey string) {
+func decodedConflictKey(payload []byte) string {
 	req, _, err := decodeRPC(payload)
-	if err == nil && req != nil && req.Args.JobID != "" {
-		lockKey = "job/" + string(req.Args.JobID)
-		if req.Op == OpSignal || req.Op == OpStat {
-			pbsKey = lockKey
-		}
+	if err != nil || req == nil || req.Args.JobID == "" {
+		return ""
 	}
-	return pbsKey, lockKey
+	switch req.Op {
+	case OpSignal, OpStat:
+		return "job/" + string(req.Args.JobID)
+	case OpJMutex, OpJDone:
+		return "lock/" + string(req.Args.JobID)
+	}
+	return ""
 }
 
 // viewRequest rebuilds the request a view read, for comparison with
@@ -130,13 +130,12 @@ func viewRequest(v *view) *rpcRequest {
 	}}
 }
 
-// TestConflictKeyMatchesDecode compares both services' ConflictKey,
-// and the head's Mux key (the routed service's name, a slash and that
-// key), with the decodeRPC-derived key over every operation, with and
-// without a job ID, and over every truncation of each payload, every
-// single-byte corruption of it, a payload with a trailing byte and a
-// response. The request view must accept exactly the payloads
-// decodeRPC accepts and read the same request from them.
+// TestConflictKeyMatchesDecode compares the head service's
+// ConflictKey with the decodeRPC-derived key over every operation,
+// with and without a job ID, and over every truncation of each
+// payload, every single-byte corruption of it, a payload with a
+// trailing byte and a response. The request view must accept exactly
+// the payloads decodeRPC accepts and read the same request from them.
 func TestConflictKeyMatchesDecode(t *testing.T) {
 	full := cmdArgs{
 		Name: "n", Owner: "o", Script: "#!/bin/sh\n", NodeCount: 2, WallTime: time.Second,
@@ -167,9 +166,8 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 	}
 	payloads = append(payloads, (&rpcResponse{ReqID: "c#1", OK: true}).encode())
 
-	pbsSvc, locks := &pbsService{}, newLockService()
-	mux := rsm.NewMux(routeRequest).Register(svcPBS, pbsSvc).Register(svcLocks, locks)
-	var pbsKeyed, lockKeyed int
+	svc := &headService{}
+	var jobKeyed, lockKeyed int
 	var accepted int
 	for _, p := range payloads {
 		req, _, err := decodeRPC(p)
@@ -182,72 +180,28 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 				t.Fatalf("view of %x:\n got %+v\nwant %+v", p, got, req)
 			}
 		}
-		cmd := rsm.Command{Payload: p}
-		wantPBS, wantLock := decodedConflictKeys(p)
-		if got := pbsSvc.ConflictKey(cmd); got != wantPBS {
-			t.Fatalf("pbs ConflictKey(%x) = %q, decodeRPC-derived %q", p, got, wantPBS)
+		want := decodedConflictKey(p)
+		if got := svc.ConflictKey(rsm.Command{Payload: p}); got != want {
+			t.Fatalf("ConflictKey(%x) = %q, decodeRPC-derived %q", p, got, want)
 		}
-		if got := locks.ConflictKey(cmd); got != wantLock {
-			t.Fatalf("locks ConflictKey(%x) = %q, decodeRPC-derived %q", p, got, wantLock)
-		}
-		wantMux := wantPBS
-		if routeRequest(cmd) == svcLocks {
-			wantMux = wantLock
-		}
-		if wantMux != "" {
-			wantMux = routeRequest(cmd) + "/" + wantMux
-		}
-		if got := mux.ConflictKey(cmd); got != wantMux {
-			t.Fatalf("Mux ConflictKey(%x) = %q, decodeRPC-derived %q", p, got, wantMux)
-		}
-		if wantPBS != "" {
-			pbsKeyed++
-		}
-		if wantLock != "" {
+		switch {
+		case strings.HasPrefix(want, "job/"):
+			jobKeyed++
+		case strings.HasPrefix(want, "lock/"):
 			lockKeyed++
 		}
 	}
 	if accepted == 0 || accepted == len(payloads) {
 		t.Fatalf("view accepted %d of %d payloads", accepted, len(payloads))
 	}
-	if pbsKeyed == 0 || lockKeyed == 0 {
-		t.Fatalf("table never produced a job key (pbs %d, locks %d)", pbsKeyed, lockKeyed)
+	if jobKeyed == 0 || lockKeyed == 0 {
+		t.Fatalf("table never produced a key (job %d, lock %d)", jobKeyed, lockKeyed)
 	}
 
-	// Classifying a jmutex costs only the key string, namespaced or not.
+	// Classifying a jmutex costs only the key string.
 	cmd := rsm.Command{Payload: (&rpcRequest{ReqID: "c#2", Op: OpJMutex, Args: cmdArgs{JobID: "3.cluster", AttemptID: "a"}}).encode()}
-	if allocs := testing.AllocsPerRun(200, func() { _ = locks.ConflictKey(cmd) }); allocs > 1 {
-		t.Errorf("locks ConflictKey: %v allocs/op, want <= 1", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() { _ = mux.ConflictKey(cmd) }); allocs > 1 {
-		t.Errorf("Mux ConflictKey: %v allocs/op, want <= 1", allocs)
-	}
-}
-
-func TestLockServiceSnapshotRoundTrip(t *testing.T) {
-	src := newLockService()
-	src.locks = map[pbs.JobID]string{
-		"1.cluster": "head0/pbs+compute0",
-		"2.cluster": "head1/pbs+compute1",
-	}
-	dst := newLockService()
-	if err := dst.Restore(src.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dst.locks, src.locks) {
-		t.Errorf("locks mismatch:\n got %+v\nwant %+v", dst.locks, src.locks)
-	}
-	if dst.Len() != 2 {
-		t.Errorf("Len = %d, want 2", dst.Len())
-	}
-}
-
-func TestLockServiceSnapshotDeterministic(t *testing.T) {
-	s := newLockService()
-	s.locks = map[pbs.JobID]string{"b": "2", "a": "1", "c": "3"}
-	b1, b2 := s.Snapshot(), s.Snapshot()
-	if !bytes.Equal(b1, b2) {
-		t.Error("lock table snapshot is nondeterministic")
+	if allocs := testing.AllocsPerRun(200, func() { _ = svc.ConflictKey(cmd) }); allocs > 1 {
+		t.Errorf("jmutex ConflictKey: %v allocs/op, want <= 1", allocs)
 	}
 }
 

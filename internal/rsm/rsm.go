@@ -38,9 +38,9 @@
 // The paper's central claim is that this machinery is *external*: it
 // wraps any deterministic service behind its command interface, with
 // TORQUE merely the instance evaluated. Accordingly the PBS batch
-// system (internal/joshua wires it up) and the key-value demo store
-// (internal/rsm/kvstore) run on this identical engine; composing
-// several services behind one Replica is what Mux is for.
+// system with its jmutex/jdone lock table (internal/joshua wires them
+// up as one Service) and the key-value demo store (internal/rsm/kvstore)
+// run on this identical engine.
 package rsm
 
 import (

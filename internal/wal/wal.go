@@ -14,9 +14,7 @@
 //	ckpt-<index>.ckpt        checkpoints (the newest two are kept)
 //
 // Each log record is framed [len u32][crc32 u32][uvarint index][data].
-// Checkpoints come in two formats: the legacy v1 layout
-// [crc32 u32][uvarint index][state] (still readable), and the v2
-// streaming layout written by SaveCheckpointFrom —
+// A checkpoint is the streaming layout written by SaveCheckpointFrom —
 //
 //	"JCKP" [version u8] [flags u8] [uvarint index]
 //	([len u32][crc32 u32][payload])... [len u32 = 0]
@@ -144,8 +142,8 @@ const (
 	// by a crash mid-rename (rename is atomic, but cheap insurance).
 	checkpointsKept = 2
 
-	// ckptMagic opens every v2 checkpoint file. A v1 file starts with a
-	// raw CRC32, so the magic doubles as the format discriminator.
+	// ckptMagic and ckptVersion open every checkpoint file; a file
+	// without both is not read.
 	ckptMagic   = "JCKP"
 	ckptVersion = 2
 	// ckptFlagCompressed marks the chunk payload stream as flate-
@@ -311,7 +309,7 @@ func (l *Log) loadCheckpoint() error {
 		if err != nil {
 			continue
 		}
-		idx, _, ok := decodeCheckpointAny(b)
+		idx, _, ok := decodeCheckpointV2(b)
 		if !ok {
 			l.logf("checkpoint %s corrupt; trying older", filepath.Base(name))
 			continue
@@ -322,40 +320,13 @@ func (l *Log) loadCheckpoint() error {
 	return nil
 }
 
-// decodeCheckpointAny decodes either checkpoint format, dispatching on
-// the v2 magic (a v1 file opens with a CRC32, which collides with the
-// magic only if the checksum happens to spell "JCKP" — and then the v2
-// parse fails and the v1 parse is retried).
-func decodeCheckpointAny(b []byte) (index uint64, state []byte, ok bool) {
-	if len(b) >= len(ckptMagic) && string(b[:len(ckptMagic)]) == ckptMagic {
-		if index, state, ok = decodeCheckpointV2(b); ok {
-			return index, state, true
-		}
-	}
-	return decodeCheckpoint(b)
-}
-
-func decodeCheckpoint(b []byte) (index uint64, state []byte, ok bool) {
-	if len(b) < 4 {
-		return 0, nil, false
-	}
-	if crc32.ChecksumIEEE(b[4:]) != binary.BigEndian.Uint32(b) {
-		return 0, nil, false
-	}
-	idx, n := binary.Uvarint(b[4:])
-	if n <= 0 {
-		return 0, nil, false
-	}
-	return idx, b[4+n:], true
-}
-
 // decodeCheckpointV2 parses the chunked streaming format written by
 // SaveCheckpointFrom. Every chunk's CRC must validate and the chunk
 // list must end with the zero-length terminator; anything else is a
 // torn or corrupt file.
 func decodeCheckpointV2(b []byte) (index uint64, state []byte, ok bool) {
 	off := len(ckptMagic)
-	if len(b) < off+2 || b[off] != ckptVersion {
+	if len(b) < off+2 || string(b[:off]) != ckptMagic || b[off] != ckptVersion {
 		return 0, nil, false
 	}
 	flags := b[off+1]
@@ -1006,7 +977,7 @@ func (l *Log) Checkpoint() (uint64, []byte) {
 		if err != nil {
 			continue
 		}
-		if idx, state, ok := decodeCheckpointAny(b); ok {
+		if idx, state, ok := decodeCheckpointV2(b); ok {
 			return idx, state
 		}
 	}

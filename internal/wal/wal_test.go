@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -576,34 +575,6 @@ func TestCheckpointCompression(t *testing.T) {
 	defer l.Close()
 	if idx, got := l.Checkpoint(); idx != 2 || !bytes.Equal(got, state) {
 		t.Fatalf("Checkpoint = (%d, %d bytes), want decompressed original", idx, len(got))
-	}
-}
-
-func TestCheckpointV1ReadCompat(t *testing.T) {
-	dir := t.TempDir()
-	l := openT(t, dir, nil)
-	appendN(t, l, 1, 5)
-	l.Close()
-
-	// Hand-write a v1 checkpoint file: [crc32][uvarint index][state].
-	state := []byte("legacy-state")
-	var idxBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(idxBuf[:], 5)
-	body := append(idxBuf[:n], state...)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], crc32.ChecksumIEEE(body))
-	path := filepath.Join(dir, fmt.Sprintf("%s%020d%s", ckptPrefix, 5, ckptSuffix))
-	if err := os.WriteFile(path, append(hdr[:], body...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l = openT(t, dir, nil)
-	defer l.Close()
-	if idx, got := l.Checkpoint(); idx != 5 || !bytes.Equal(got, state) {
-		t.Fatalf("Checkpoint = (%d, %q), want v1 (5, legacy-state)", idx, got)
-	}
-	if l.CheckpointIndex() != 5 {
-		t.Fatalf("CheckpointIndex = %d, want 5", l.CheckpointIndex())
 	}
 }
 
