@@ -1046,9 +1046,10 @@ func (c *Client) InfoShard(s int) (map[string]string, error) {
 
 // JMutex runs the jmutex script's distributed mutual exclusion:
 // acquire the launch lock for a job on its owning shard. The first
-// acquire in that shard's total order wins; it returns true exactly
-// once per job across all attempts, which is what guarantees a
-// replicated job starts on the compute nodes only once.
+// acquire in that shard's total order wins, and only its attemptID is
+// granted again (a retry after a lost reply), which is what guarantees
+// a replicated job starts on the compute nodes only once. MomHooks
+// uses the mom's name as the attemptID.
 func (c *Client) JMutex(id pbs.JobID, attemptID string) (bool, error) {
 	resp, err := c.call(c.routeJob(id), OpJMutex, cmdArgs{JobID: id, AttemptID: attemptID})
 	if err != nil {
@@ -1069,21 +1070,19 @@ func (c *Client) JDone(id pbs.JobID) error {
 
 // MomHooks builds the prologue/epilogue pair that wires a pbs.Mom
 // into JOSHUA's job-launch mutual exclusion, as the paper's
-// jmutex/jdone scripts do from the PBS mom job prologue. In a sharded
+// jmutex/jdone scripts do from the PBS mom job prologue. The mom runs
+// the prologue once per job, whichever head's start reaches it first,
+// and the lock's owner is the mom's name: a retry after a lost reply
+// is the same owner and is granted again, while another mom is
+// refused. An unreachable lock service is an error, so the mom
+// retries on the heads' next start instead of emulating; the job is
+// not lost and is not run by anyone meanwhile. In a sharded
 // deployment each mom belongs to exactly one shard and its client is
 // configured with only that shard's heads — every job reaching the
 // mom is owned by that shard by construction.
-func MomHooks(c *Client, momName string) (prologue func(pbs.Job, transport.Addr) bool, epilogue func(pbs.Job)) {
-	prologue = func(j pbs.Job, head transport.Addr) bool {
-		attemptID := fmt.Sprintf("%s+%s", head, momName)
-		granted, err := c.JMutex(j.ID, attemptID)
-		if err != nil {
-			// The lock service is unreachable (all heads down):
-			// emulate. The job stays queued at the heads and is not
-			// lost; the next surviving head's start attempt retries.
-			return false
-		}
-		return granted
+func MomHooks(c *Client, momName string) (prologue func(pbs.Job) (bool, error), epilogue func(pbs.Job)) {
+	prologue = func(j pbs.Job) (bool, error) {
+		return c.JMutex(j.ID, momName)
 	}
 	epilogue = func(j pbs.Job) {
 		_ = c.JDone(j.ID)

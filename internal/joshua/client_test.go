@@ -308,9 +308,10 @@ func TestClientConcurrentCalls(t *testing.T) {
 }
 
 func TestMomHooksEmulateWhenHeadsUnreachable(t *testing.T) {
-	// With every head dead, the prologue must emulate (return false)
-	// rather than execute unilaterally — the job is not lost, it stays
-	// queued at whatever heads exist.
+	// With every head dead, the prologue must not execute
+	// unilaterally. It returns an error, not a refusal, so the mom
+	// retries on the heads' next start instead of emulating for good;
+	// the job is not lost, it stays queued at whatever heads exist.
 	net := newRawRig(t, 1, nil) // gives us a simnet
 	net.net.CrashHost("head0")
 	net.heads[0].Close()
@@ -331,8 +332,12 @@ func TestMomHooksEmulateWhenHeadsUnreachable(t *testing.T) {
 	defer cli.Close()
 
 	prologue, _ := MomHooks(cli, "compute9")
-	if prologue(pbs.Job{ID: "1.cluster"}, "head0/pbs") {
+	execute, err := prologue(pbs.Job{ID: "1.cluster"})
+	if execute {
 		t.Fatal("prologue executed with no reachable lock service")
+	}
+	if err == nil {
+		t.Fatal("prologue refused with no reachable lock service, want an error so the mom retries")
 	}
 }
 

@@ -235,7 +235,7 @@ func submit(e *codec.Encoder, d *pbs.Daemon, v *view) {
 // RWMutex.
 type lockTable struct {
 	mu   sync.RWMutex
-	held map[pbs.JobID]string // job ID -> winning attempt
+	held map[pbs.JobID]string // job ID -> winning attempt (a mom's name)
 }
 
 func newLockTable() *lockTable {

@@ -2,10 +2,12 @@ package pbs
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 	"sync"
 	"time"
 
+	"joshua/internal/codec"
 	"joshua/internal/transport"
 )
 
@@ -15,16 +17,27 @@ import (
 // the paper's prototype relies on so one set of moms can serve all
 // active head nodes.
 //
-// Every start request runs the Prologue hook; JOSHUA installs its
-// jmutex distributed mutual exclusion there, so when several head
-// nodes each try to launch the same replicated job, exactly one
-// attempt actually executes and the rest are emulated — precisely the
+// Every head of a replicated group sends its own start request for a
+// job. The first one this node receives runs the Prologue hook once,
+// and every later start for that job, from any head, folds onto it.
+// JOSHUA installs its jmutex there under this node's name, so a job
+// replicated on N heads costs one lock acquire per node it reaches,
+// exactly one node executes it and the rest emulate the start — the
 // paper's job-launch mechanism.
 type Mom struct {
 	cfg MomConfig
+	// allServers has bit i set for every cfg.Servers[i]: the heads a
+	// fresh completion report is owed to.
+	allServers uint64
+	// resend is resendReports' output buffer, kept between ticks; only
+	// the receive loop touches it.
+	resend []pendingReport
 
-	mu         sync.Mutex
-	jobs       map[JobID]*momJob
+	mu   sync.Mutex
+	jobs map[JobID]*momJob
+	// owed holds the finished jobs whose report some head has not
+	// acknowledged yet; the report resend tick walks only these.
+	owed       map[JobID]*momJob
 	executions int // jobs actually executed (not emulated) on this node
 	done       chan struct{}
 	once       sync.Once
@@ -38,21 +51,23 @@ type MomConfig struct {
 	// it.
 	Endpoint transport.Endpoint
 	// Servers are the head-node daemon addresses that receive
-	// completion reports.
+	// completion reports; at most 64.
 	Servers []transport.Addr
-	// Prologue runs before a job executes; head is the head-node
-	// daemon whose start request triggered this attempt, so distinct
-	// heads' attempts are distinguishable (JOSHUA keys its jmutex on
-	// job and attempt). Returning false emulates the start instead of
-	// executing — the job is executed via another attempt. Nil always
-	// executes, with duplicate suppression per job. It may block
-	// (JOSHUA's jmutex performs group communication); it runs outside
-	// the Mom's lock.
-	Prologue func(job Job, head transport.Addr) bool
+	// Prologue runs once per job on this node, for the first start
+	// request any head sends; later starts fold onto it. It reports
+	// whether this node executes the job. (true, nil) executes;
+	// (false, nil) emulates the start, finally — the job executes
+	// elsewhere; an error (JOSHUA's lock service unreachable) leaves
+	// the job as if no start had arrived, so the heads' next start
+	// retransmission runs the prologue again. Nil always executes. It
+	// may block (JOSHUA's jmutex performs group communication); it
+	// runs outside the Mom's lock.
+	Prologue func(job Job) (bool, error)
 	// Epilogue runs after a job finishes executing, once the completion
 	// report has been sent to every head (JOSHUA's jdone releases the
 	// mutex here, so the lock outlives the announced completion). Nil
-	// is a no-op. Only the executing attempt runs it.
+	// is a no-op. It runs once per job, on a node that reported it: the
+	// executing node, or one a kill reached before it executed.
 	Epilogue func(job Job)
 	// TimeScale multiplies job WallTime to get real execution time;
 	// 0 means 1.0. Benchmarks use small scales.
@@ -66,19 +81,34 @@ type MomConfig struct {
 	ReportInterval time.Duration
 }
 
+// momState is where a job stands on this node:
+//
+//	none → acquiring → executing | emulated → finished
+//
+// A failed prologue goes from acquiring back to none; a kill finishes
+// the job from any state but executing, whose run reports the kill.
+type momState uint8
+
+const (
+	momNone      momState = iota // no prologue running or decided
+	momAcquiring                 // the prologue is running
+	momExecuting                 // this node runs the job
+	momEmulated                  // another node runs the job
+	momFinished                  // the completion report exists
+)
+
 // momJob tracks one job's lifecycle on this node.
 type momJob struct {
-	job       Job
-	attempts  map[transport.Addr]bool // head daemons that requested a start
-	executing bool
-	finished  bool
-	killed    chan struct{} // closed to interrupt execution
+	job    Job
+	state  momState
+	killed chan struct{} // closed to interrupt execution
 	// report is the encoded completion report, set when the job
 	// finishes and sent as is: every transport copies a payload before
 	// Send returns.
 	report []byte
-	// unacked head daemons still owed a completion report.
-	unacked map[transport.Addr]bool
+	// unacked has bit i set while cfg.Servers[i] is still owed the
+	// completion report.
+	unacked uint64
 	// The retransmission schedule: the next resend is due at resendAt,
 	// resendGap after the previous one, and nothing is resent after
 	// abandonAt, so reports to permanently dead heads stop.
@@ -95,8 +125,12 @@ const (
 	reportHorizon = 100
 )
 
-// StartMom creates and runs a Mom.
+// StartMom creates and runs a Mom. It panics if cfg lists more than 64
+// servers, as the JOSHUA client refuses more than 64 heads per group.
 func StartMom(cfg MomConfig) *Mom {
+	if len(cfg.Servers) > 64 {
+		panic(fmt.Sprintf("pbs: mom %s lists %d servers, at most 64", cfg.Name, len(cfg.Servers)))
+	}
 	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1.0
 	}
@@ -104,9 +138,11 @@ func StartMom(cfg MomConfig) *Mom {
 		cfg.ReportInterval = 200 * time.Millisecond
 	}
 	m := &Mom{
-		cfg:  cfg,
-		jobs: make(map[JobID]*momJob),
-		done: make(chan struct{}),
+		cfg:        cfg,
+		allServers: 1<<len(cfg.Servers) - 1, // all ones at 64: 1<<64 is 0
+		jobs:       make(map[JobID]*momJob),
+		owed:       make(map[JobID]*momJob),
+		done:       make(chan struct{}),
 	}
 	go m.run()
 	return m
@@ -126,7 +162,7 @@ func (m *Mom) Name() string { return m.cfg.Name }
 // Executions reports how many jobs actually executed (rather than
 // being emulated) on this node — the observable that verifies JOSHUA's
 // launch mutual exclusion: a replicated job must execute exactly once
-// across all heads' start attempts.
+// across all heads' start requests.
 func (m *Mom) Executions() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -139,7 +175,7 @@ func (m *Mom) RunningJobs() []JobID {
 	defer m.mu.Unlock()
 	var ids []JobID
 	for id, j := range m.jobs {
-		if j.executing && !j.finished {
+		if j.state == momExecuting {
 			ids = append(ids, id)
 		}
 	}
@@ -157,29 +193,47 @@ func (m *Mom) run() {
 			if !ok {
 				return
 			}
-			msg, err := decodeMomMsg(dg.Payload)
-			if err != nil {
-				continue
-			}
-			switch msg.Kind {
-			case momKindStart:
-				m.onStart(msg, dg.From)
-			case momKindKill:
-				m.onKill(msg.JobID)
-			case momKindDoneAck:
-				m.onDoneAck(msg.JobID, dg.From)
-			}
+			m.handle(dg)
 		case now := <-tick.C:
 			m.resendReports(now)
 		}
 	}
 }
 
-// onStart handles one head node's request to start a job.
-func (m *Mom) onStart(msg *momMsg, from transport.Addr) {
+// handle dispatches one datagram from a head. Every kind leads with its
+// kind byte and job ID, and a done-ack or a start for a job this node
+// already knows needs nothing else, so only the first start for a job
+// decodes (and copies) the rest.
+func (m *Mom) handle(dg transport.Message) {
+	d := codec.NewDecoder(dg.Payload)
+	kind := d.Byte()
+	id := d.Bytes()
+	if d.Err() != nil {
+		return
+	}
+	switch kind {
+	case momKindStart:
+		m.onStart(id, dg)
+	case momKindKill:
+		m.onKill(id)
+	case momKindDoneAck:
+		if d.Finish() == nil {
+			m.onDoneAck(id, dg.From)
+		}
+	}
+}
+
+// onStart handles one head node's request to start a job. It runs only
+// on the receive loop, which is also the only writer of m.jobs.
+func (m *Mom) onStart(id []byte, dg transport.Message) {
 	m.mu.Lock()
-	j, ok := m.jobs[msg.JobID]
-	if !ok {
+	j := m.jobs[JobID(id)]
+	if j == nil {
+		m.mu.Unlock()
+		msg, err := decodeMomMsg(dg.Payload)
+		if err != nil {
+			return
+		}
 		j = &momJob{
 			job: Job{
 				ID:       msg.JobID,
@@ -189,83 +243,72 @@ func (m *Mom) onStart(msg *momMsg, from transport.Addr) {
 				WallTime: msg.WallTime,
 				Nodes:    msg.Nodes,
 			},
-			attempts: make(map[transport.Addr]bool),
-			killed:   make(chan struct{}),
-			unacked:  make(map[transport.Addr]bool),
+			killed: make(chan struct{}),
 		}
-		m.jobs[msg.JobID] = j
+		m.mu.Lock()
+		m.jobs[j.job.ID] = j
 	}
-	if j.finished {
+	switch j.state {
+	case momNone:
+		// The first start, or the first since a prologue failed: run
+		// it (again, under the same identity) off the receive loop,
+		// as JOSHUA's jmutex performs group communication in there.
+		j.state = momAcquiring
+		m.mu.Unlock()
+		go m.attempt(j)
+	case momFinished:
 		// Late or retransmitted start for a finished job: the head
 		// may have missed the report; resend it directly.
 		report := j.report
 		m.mu.Unlock()
-		_ = m.cfg.Endpoint.Send(from, report)
-		return
-	}
-	if j.attempts[from] {
+		_ = m.cfg.Endpoint.Send(dg.From, report)
+	default:
+		// Acquiring, executing or emulated: this start folds onto the
+		// one already under way.
 		m.mu.Unlock()
-		return // duplicate start retransmission from the same head
 	}
-	j.attempts[from] = true
-	job := j.job
-	m.mu.Unlock()
-
-	// Run the prologue (and possibly the job) off the receive loop:
-	// JOSHUA's jmutex performs group communication in here.
-	go m.attempt(job, from)
 }
 
-// attempt runs the prologue for one head's start request and executes
-// the job if the prologue elects this attempt.
-func (m *Mom) attempt(job Job, from transport.Addr) {
-	execute := true
+// attempt runs the prologue for j and executes the job if the prologue
+// elects this node. j.job is immutable, so it is read without m.mu.
+func (m *Mom) attempt(j *momJob) {
+	execute, err := true, error(nil)
 	if m.cfg.Prologue != nil {
-		execute = m.cfg.Prologue(job, from)
+		execute, err = m.cfg.Prologue(j.job)
 	}
 
 	m.mu.Lock()
-	j, ok := m.jobs[job.ID]
-	if !ok || j.finished {
+	if j.state != momAcquiring {
 		m.mu.Unlock()
-		return
+		return // killed while the prologue ran; the kill reported
 	}
-	if execute && m.cfg.Prologue == nil && j.executing {
-		execute = false // built-in duplicate suppression without a prologue
-	}
-	if execute && j.executing {
-		// A prologue elected two attempts; tolerate by suppressing
-		// the second. (JOSHUA's jmutex makes this unreachable.)
-		execute = false
-	}
-	if execute {
-		j.executing = true
+	switch {
+	case err != nil:
+		j.state = momNone // the next start retransmission retries
+	case execute:
+		j.state = momExecuting
 		m.executions++
+	default:
+		j.state = momEmulated // the electing node will report
 	}
 	m.mu.Unlock()
 
-	if !execute {
-		return // emulated start: the electing attempt will report
+	if err == nil && execute {
+		m.execute(j)
 	}
-	m.execute(job)
 }
 
-// execute simulates running the job for its (scaled) wall time,
+// execute simulates running j's job for its (scaled) wall time,
 // reports completion to every head node, then runs the epilogue.
-func (m *Mom) execute(job Job) {
+func (m *Mom) execute(j *momJob) {
+	job := j.job
 	d := time.Duration(float64(job.WallTime) * m.cfg.TimeScale)
 	exit := 0
-
-	m.mu.Lock()
-	j := m.jobs[job.ID]
-	killed := j.killed
-	m.mu.Unlock()
-
 	if d > 0 {
 		t := time.NewTimer(d)
 		select {
 		case <-t.C:
-		case <-killed:
+		case <-j.killed:
 			t.Stop()
 			exit = ExitCodeKilled
 		case <-m.done:
@@ -274,7 +317,7 @@ func (m *Mom) execute(job Job) {
 		}
 	} else {
 		select {
-		case <-killed:
+		case <-j.killed:
 			exit = ExitCodeKilled
 		default:
 		}
@@ -288,9 +331,7 @@ func (m *Mom) execute(job Job) {
 	report := m.finishLocked(j, exit, output)
 	m.mu.Unlock()
 
-	if report != nil {
-		m.sendReport(report)
-	}
+	m.sendReport(report)
 	// The epilogue (JOSHUA's jdone, one ordered write) only releases
 	// the launch lock, so it follows the report instead of delaying it.
 	if m.cfg.Epilogue != nil {
@@ -299,10 +340,10 @@ func (m *Mom) execute(job Job) {
 }
 
 // onKill terminates a running job (qdel relayed by a head node).
-func (m *Mom) onKill(id JobID) {
+func (m *Mom) onKill(id []byte) {
 	m.mu.Lock()
-	j, ok := m.jobs[id]
-	if !ok || j.finished {
+	j := m.jobs[JobID(id)]
+	if j == nil || j.state == momFinished {
 		m.mu.Unlock()
 		return
 	}
@@ -311,33 +352,30 @@ func (m *Mom) onKill(id JobID) {
 	default:
 		close(j.killed)
 	}
-	if j.executing {
+	if j.state == momExecuting {
 		m.mu.Unlock()
-		return // the executing attempt reports the kill
+		return // the executing run reports the kill
 	}
-	// Killed before any attempt executed: report the kill directly so
+	// Killed before this node executed it: report the kill directly so
 	// the heads converge, then run the epilogue as execute does.
 	report := m.finishLocked(j, ExitCodeKilled, "")
-	job := j.job
 	m.mu.Unlock()
 
 	m.sendReport(report)
 	if m.cfg.Epilogue != nil {
-		m.cfg.Epilogue(job)
+		m.cfg.Epilogue(j.job)
 	}
 }
 
-// finishLocked marks j finished, encodes its completion report once
-// and starts the report's retransmission schedule to every head. It
-// returns the report, or nil if j had already finished. m.mu is held.
+// finishLocked marks j finished, encodes its completion report once,
+// owes it to every head and starts its retransmission schedule. It
+// returns the report. m.mu is held, and j is not finished yet.
 func (m *Mom) finishLocked(j *momJob, exitCode int, output string) []byte {
-	if j.finished {
-		return nil
-	}
-	j.finished = true
+	j.state = momFinished
 	j.report = (&momMsg{Kind: momKindDone, JobID: j.job.ID, ExitCode: exitCode, Output: output}).encode()
-	for _, s := range m.cfg.Servers {
-		j.unacked[s] = true
+	j.unacked = m.allServers
+	if j.unacked != 0 {
+		m.owed[j.job.ID] = j
 	}
 	now := time.Now()
 	j.resendGap = m.cfg.ReportInterval
@@ -373,12 +411,29 @@ func runScript(job Job, node string) string {
 }
 
 // onDoneAck stops retransmission to one head.
-func (m *Mom) onDoneAck(id JobID, from transport.Addr) {
+func (m *Mom) onDoneAck(id []byte, from transport.Addr) {
+	var bit uint64
+	for i, s := range m.cfg.Servers {
+		if s == from {
+			bit |= 1 << i
+		}
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if j, ok := m.jobs[id]; ok {
-		delete(j.unacked, from)
+	j := m.owed[JobID(id)]
+	if j == nil {
+		return
 	}
+	j.unacked &^= bit
+	if j.unacked == 0 {
+		delete(m.owed, j.job.ID)
+	}
+}
+
+// pendingReport is one completion report resend.
+type pendingReport struct {
+	report []byte
+	to     transport.Addr
 }
 
 // resendReports retransmits completion reports that heads have not
@@ -390,24 +445,27 @@ func (m *Mom) onDoneAck(id JobID, from transport.Addr) {
 // rather than one per tick. A resend is due relative to the previous
 // deadline, not to when the tick noticed it, so the gaps a head sees
 // keep their doubling shape whatever the tick's phase.
+//
+// It walks only the jobs still owing a report. The job table itself is
+// never pruned: a start that arrives after its job was pruned would
+// run the job again, and the heads' launch lock forgets a job at jdone,
+// so nothing could refuse it until that lock keeps a tombstone of
+// finished jobs.
 func (m *Mom) resendReports(now time.Time) {
-	type pending struct {
-		report []byte
-		to     transport.Addr
-	}
-	var out []pending
+	out := m.resend[:0]
 	maxGap := maxReportGap * m.cfg.ReportInterval
 	m.mu.Lock()
-	for _, j := range m.jobs {
-		if !j.finished || len(j.unacked) == 0 || now.Before(j.resendAt) {
+	for id, j := range m.owed {
+		if now.Before(j.resendAt) {
 			continue
 		}
 		if !now.Before(j.abandonAt) {
-			clear(j.unacked)
+			j.unacked = 0
+			delete(m.owed, id)
 			continue
 		}
-		for s := range j.unacked {
-			out = append(out, pending{j.report, s})
+		for u := j.unacked; u != 0; u &= u - 1 {
+			out = append(out, pendingReport{j.report, m.cfg.Servers[bits.TrailingZeros64(u)]})
 		}
 		j.resendGap = min(2*j.resendGap, maxGap)
 		j.resendAt = j.resendAt.Add(j.resendGap)
@@ -416,4 +474,6 @@ func (m *Mom) resendReports(now time.Time) {
 	for _, p := range out {
 		_ = m.cfg.Endpoint.Send(p.to, p.report)
 	}
+	clear(out)
+	m.resend = out[:0]
 }

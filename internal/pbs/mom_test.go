@@ -144,22 +144,25 @@ func TestPrologueElectsSingleExecution(t *testing.T) {
 	var mu sync.Mutex
 	elected := map[JobID]bool{}
 	r := newRig(t, 1, func(i int, c *MomConfig) {
-		c.Prologue = func(job Job, head transport.Addr) bool {
+		c.Prologue = func(job Job) (bool, error) {
 			attempts.Add(1)
 			mu.Lock()
 			defer mu.Unlock()
 			if elected[job.ID] {
-				return false
+				return false, nil
 			}
 			elected[job.ID] = true
 			executions.Add(1)
-			return true
+			return true, nil
 		}
 	})
 	j, _ := r.daemon.Submit(SubmitRequest{WallTime: 5 * time.Millisecond})
 	waitState(t, r.daemon, j.ID, StateCompleted, 5*time.Second)
 	if executions.Load() != 1 {
 		t.Errorf("executions = %d, want 1", executions.Load())
+	}
+	if attempts.Load() != 1 {
+		t.Errorf("prologue ran %d times, want 1", attempts.Load())
 	}
 }
 
@@ -211,12 +214,12 @@ func TestReportPrecedesEpilogue(t *testing.T) {
 			r := newRig(t, 1, func(i int, c *MomConfig) {
 				c.Servers = append(c.Servers, "observer/pbs")
 				c.ReportInterval = time.Hour
-				c.Prologue = func(Job, transport.Addr) bool {
+				c.Prologue = func(Job) (bool, error) {
 					prologueEntered <- struct{}{}
 					if killed {
 						<-releasePrologue
 					}
-					return true
+					return true, nil
 				}
 				c.Epilogue = func(Job) {
 					entered.Add(1)
@@ -386,7 +389,7 @@ func TestLateHeadStillHearsReport(t *testing.T) {
 		mom.mu.Lock()
 		defer mom.mu.Unlock()
 		j, ok := mom.jobs[job.ID]
-		return ok && j.finished
+		return ok && j.state == momFinished
 	})
 	// Into the capped part of the schedule, where gaps are longest.
 	time.Sleep(2 * maxReportGap * interval)
