@@ -1,5 +1,6 @@
-// Package cli holds the plumbing shared by the JOSHUA command-line
-// binaries (joshuad, jmomd, jsub, jdel, jstat): loading the cluster
+// Package cli holds the plumbing shared by the JOSHUA commands (the
+// one cmd/joshua binary, answering as joshuad, jmomd, jsub, jdel,
+// jhold, jrls, jsig, jstat, jnodes and jadmin): loading the cluster
 // configuration and building TCP-backed clients and endpoints from it.
 package cli
 
@@ -44,23 +45,25 @@ func BindAddr(explicit string, conf *config.ClusterFile) string {
 	return "127.0.0.1:0"
 }
 
-// NewClient builds a control-command client talking TCP to the
-// cluster's head nodes, listening on the configured bind address (see
-// BindAddr) under a process-unique logical address; servers reply
-// over the inbound connection.
-func NewClient(conf *config.ClusterFile, timeout time.Duration) (*joshua.Client, error) {
-	return NewClientBind(conf, timeout, "")
-}
-
-// NewClientBind is NewClient with an explicit bind address (normally
-// the -bind flag), overriding JOSHUA_BIND and the configuration.
-func NewClientBind(conf *config.ClusterFile, timeout time.Duration, bind string) (*joshua.Client, error) {
+// Listen opens a command's reply endpoint on BindAddr(bind, conf)
+// under a process-unique logical address; servers reply over the
+// inbound connection. A process holding several endpoints at once
+// tells them apart by tag.
+func Listen(conf *config.ClusterFile, bind, tag string) (*tcpnet.Endpoint, error) {
 	host, _ := os.Hostname()
 	if host == "" {
 		host = "client"
 	}
-	logical := transport.Addr(fmt.Sprintf("cli-%s-%d/client", host, os.Getpid()))
-	ep, err := tcpnet.Listen(logical, BindAddr(bind, conf), conf.Resolver())
+	logical := transport.Addr(fmt.Sprintf("cli-%s-%d%s/client", host, os.Getpid(), tag))
+	return tcpnet.Listen(logical, BindAddr(bind, conf), conf.Resolver())
+}
+
+// NewClient builds a control-command client talking TCP to the
+// cluster's head nodes, listening on a Listen endpoint; bind
+// (normally the -bind flag) overrides JOSHUA_BIND and the
+// configuration when set.
+func NewClient(conf *config.ClusterFile, timeout time.Duration, bind string) (*joshua.Client, error) {
+	ep, err := Listen(conf, bind, "")
 	if err != nil {
 		return nil, err
 	}
@@ -86,10 +89,4 @@ func NewClientBind(conf *config.ClusterFile, timeout time.Duration, bind string)
 		return nil, err
 	}
 	return cli, nil
-}
-
-// Fatalf prints an error in the PBS client style and exits nonzero.
-func Fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }

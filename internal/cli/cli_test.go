@@ -94,7 +94,7 @@ pbs    = 127.0.0.1:1
 		t.Fatal(err)
 	}
 	t.Setenv("JOSHUA_BIND", "")
-	cli, err := NewClient(conf, 2*time.Second)
+	cli, err := NewClient(conf, 2*time.Second, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +105,8 @@ pbs    = 127.0.0.1:1
 
 	// And an unusable bind address fails loudly instead of silently
 	// falling back to loopback.
-	if _, err := NewClientBind(conf, time.Second, "203.0.113.1:1"); err == nil {
-		t.Error("NewClientBind with an unbindable address should fail")
+	if _, err := NewClient(conf, time.Second, "203.0.113.1:1"); err == nil {
+		t.Error("NewClient with an unbindable address should fail")
 	}
 }
 
@@ -137,7 +137,7 @@ pbs    = 127.0.0.1:1
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := NewClient(conf, 2*time.Second)
+	cli, err := NewClient(conf, 2*time.Second, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ pbs    = 127.0.0.1:1
 }
 
 // TestCLIFirstWriteToNonSequencer runs the command-line shape over
-// TCP: a client built by NewClientBind, whose own address is in no
+// TCP: a client built by NewClient, whose own address is in no
 // resolver table, submits to three replicated heads. Its first jsub
 // reaches a head that is not the sequencer, and the sequencer cannot
 // open a connection to such a client, so the origin's reply is the one
@@ -257,7 +257,7 @@ func TestCLIFirstWriteToNonSequencer(t *testing.T) {
 	})
 	defer mom.Close()
 
-	cli, err := NewClientBind(conf, attempt, "127.0.0.1:0")
+	cli, err := NewClient(conf, attempt, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

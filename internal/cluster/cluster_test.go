@@ -466,13 +466,6 @@ func TestStatAllAndLocal(t *testing.T) {
 	if len(jobs) != 3 {
 		t.Fatalf("StatAll returned %d jobs", len(jobs))
 	}
-	local, err := cli.StatLocal("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(local) != 3 {
-		t.Fatalf("StatLocal returned %d jobs", len(local))
-	}
 }
 
 func TestSignalReplicated(t *testing.T) {

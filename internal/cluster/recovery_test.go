@@ -89,7 +89,7 @@ func TestClusterRecoversAfterFullOutage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs, err := headCli.StatLocal("")
+		jobs, err := headCli.StatAll()
 		if err != nil {
 			t.Fatalf("head %d listing: %v", i, err)
 		}
@@ -311,7 +311,7 @@ func TestRecoveryAfterTornCheckpointTmp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs, err := headCli.StatLocal("")
+	jobs, err := headCli.StatAll()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,6 +165,24 @@ func TestShardedJobsRouteAndReplicatePerShard(t *testing.T) {
 	if len(listed) != len(ids)-1 {
 		t.Fatalf("merged listing has %d jobs, want %d:\n%s", len(listed), len(ids)-1, dumpJobs(listed))
 	}
+
+	// Whole-cluster jnodes: every shard's nodes once, in shard order.
+	var want, got []string
+	for s := 0; s < c.Shards(); s++ {
+		for _, n := range c.HeadOf(s, c.LiveHeadsOf(s)[0]).Daemon().Server().NodesStatus() {
+			want = append(want, n.Name)
+		}
+	}
+	nodes, err := cli.Nodes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		got = append(got, n.Name)
+	}
+	if len(want) != 4 || strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("jnodes lists %v, want each shard's nodes in shard order %v", got, want)
+	}
 }
 
 // TestShardedJobsExecuteOncePerShard runs real (non-hold) jobs through

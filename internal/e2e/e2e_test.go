@@ -1,8 +1,8 @@
-// Package e2e builds the real command binaries (joshuad, jmomd, jsub,
-// jstat, jdel, jhold, jrls) and drives a two-head deployment over
-// actual TCP sockets and OS processes — the closest this repository
-// gets to the paper's physical test cluster, including a kill -9 of a
-// head node mid-service.
+// Package e2e builds the one command binary, links it under the
+// paper's command names (joshuad, jmomd, jsub, jstat, jdel, ...), and
+// drives a two-head deployment over actual TCP sockets and OS
+// processes — the closest this repository gets to the paper's physical
+// test cluster, including a kill -9 of a head node mid-service.
 package e2e
 
 import (
@@ -19,8 +19,12 @@ import (
 	"time"
 )
 
-// binDir holds the built binaries, shared across tests in this
-// package.
+// commandNames are the names the joshua binary answers to, one link
+// each in the bin directory.
+var commandNames = []string{"joshuad", "jmomd", "jsub", "jdel", "jhold", "jrls", "jsig", "jstat", "jnodes", "jadmin"}
+
+// binDir holds the built binary and its links, shared across tests in
+// this package.
 var (
 	binOnce sync.Once
 	binDir  string
@@ -34,11 +38,17 @@ func buildBinaries(t *testing.T) string {
 		if binErr != nil {
 			return
 		}
-		cmd := exec.Command("go", "build", "-o", binDir+string(os.PathSeparator), "./cmd/...")
+		cmd := exec.Command("go", "build", "-o", filepath.Join(binDir, "joshua"), "./cmd/joshua")
 		cmd.Dir = repoRoot()
 		out, err := cmd.CombinedOutput()
 		if err != nil {
 			binErr = fmt.Errorf("go build: %v\n%s", err, out)
+			return
+		}
+		for _, name := range commandNames {
+			if binErr = os.Symlink("joshua", filepath.Join(binDir, name)); binErr != nil {
+				return
+			}
 		}
 	})
 	if binErr != nil {
@@ -329,5 +339,37 @@ func TestBinariesDirectivesAndNodes(t *testing.T) {
 	out, err = d.run("jnodes")
 	if err != nil || strings.Contains(out, "offline") {
 		t.Fatalf("node still offline: %v\n%s", err, out)
+	}
+}
+
+// TestCommandDispatch checks that the one binary answers to each
+// command's name, both through its link and as "joshua <name>", and
+// that an unknown command lists the table and fails.
+func TestCommandDispatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs real processes")
+	}
+	bin := buildBinaries(t)
+	joshua := filepath.Join(bin, "joshua")
+	for _, name := range commandNames {
+		for _, argv := range [][]string{{filepath.Join(bin, name), "-h"}, {joshua, name, "-h"}} {
+			out, err := exec.Command(argv[0], argv[1:]...).CombinedOutput()
+			if err != nil {
+				t.Errorf("%v: %v\n%s", argv, err, out)
+			}
+			if !strings.HasPrefix(string(out), "usage: "+name+" -config") || !strings.Contains(string(out), "-config string") {
+				t.Errorf("%v printed another command's usage:\n%s", argv, out)
+			}
+		}
+	}
+
+	out, err := exec.Command(joshua, "nosuch").CombinedOutput()
+	if err == nil {
+		t.Fatalf("joshua nosuch succeeded:\n%s", out)
+	}
+	for _, name := range commandNames {
+		if !strings.Contains(string(out), "\n  "+name+" ") {
+			t.Errorf("joshua nosuch does not list %s:\n%s", name, out)
+		}
 	}
 }

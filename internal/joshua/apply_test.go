@@ -92,11 +92,6 @@ func (o *oracle) apply(payload []byte) []byte {
 		return one(o.d.Signal(a.JobID, a.Signal))
 	case OpStat:
 		return one(o.d.Status(a.JobID))
-	case OpStatLocal:
-		if a.JobID != "" {
-			return one(o.d.Status(a.JobID))
-		}
-		resp.Jobs = o.d.StatusAll()
 	case OpStatAll:
 		resp.Jobs = o.d.StatusAll()
 	case OpNodesLocal:
@@ -156,9 +151,6 @@ func applyScript() []rpcRequest {
 		{Op: OpStat, Ordered: true, Args: id("3.cluster")},
 		{Op: OpStat},
 		{Op: OpStatAll, Ordered: true},
-		{Op: OpStatLocal, Ordered: true},
-		{Op: OpStatLocal, Ordered: true, Args: id("4.cluster")},
-		{Op: OpStatLocal, Ordered: true, Args: id("99.cluster")},
 		{Op: OpHold, Args: id("3.cluster")},
 		{Op: OpHold, Args: id("1.cluster")},
 		{Op: OpHold, Args: id("99.cluster")},

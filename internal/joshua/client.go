@@ -828,15 +828,27 @@ func (c *Client) StatAllOrdered() ([]pbs.Job, error) {
 // statAllShards gathers every shard's listing concurrently and merges
 // by submission sequence.
 func (c *Client) statAllShards(ordered bool) ([]pbs.Job, error) {
-	lists := make([][]pbs.Job, len(c.shards))
-	errs := make([]error, len(c.shards))
+	lists, err := gatherShards(len(c.shards), func(s int) ([]pbs.Job, error) {
+		return c.statShard(s, ordered)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return mergeJobs(lists), nil
+}
+
+// gatherShards runs fetch for shards 0..n-1 concurrently and returns
+// their results in shard order, or the lowest-numbered shard's error.
+func gatherShards[T any](n int, fetch func(s int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for s := range c.shards {
+	for s := 0; s < n; s++ {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			lists[s], errs[s] = c.statShard(s, ordered)
-		}(s)
+			out[s], errs[s] = fetch(s)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -844,7 +856,7 @@ func (c *Client) statAllShards(ordered bool) ([]pbs.Job, error) {
 			return nil, err
 		}
 	}
-	return mergeJobs(lists), nil
+	return out, nil
 }
 
 // statShard fetches one shard's full listing, retrying past heads
@@ -898,44 +910,6 @@ func mergeJobs(lists [][]pbs.Job) []pbs.Job {
 		return merged[i].ID < merged[j].ID
 	})
 	return merged
-}
-
-// StatLocal reads one head's local state without total ordering — the
-// fast, possibly slightly stale read (ablation of ordered reads).
-// Pass an empty ID for all jobs (scatter-gathered across shards).
-func (c *Client) StatLocal(id pbs.JobID) ([]pbs.Job, error) {
-	if id == "" && len(c.shards) > 1 {
-		lists := make([][]pbs.Job, len(c.shards))
-		errs := make([]error, len(c.shards))
-		var wg sync.WaitGroup
-		for s := range c.shards {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				resp, err := c.call(s, OpStatLocal, cmdArgs{})
-				if err == nil {
-					err = rpcErr(resp)
-				}
-				if err != nil {
-					errs[s] = err
-					return
-				}
-				lists[s] = resp.Jobs
-			}(s)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return mergeJobs(lists), nil
-	}
-	resp, err := c.call(c.routeJob(id), OpStatLocal, cmdArgs{JobID: id})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Jobs, rpcErr(resp)
 }
 
 // callNode routes a node-management command to the shard scheduling
@@ -994,33 +968,17 @@ func (c *Client) Nodes() ([]pbs.NodeStatus, error) {
 		}
 		return resp.Nodes, rpcErr(resp)
 	}
-	lists := make([][]pbs.NodeStatus, len(c.shards))
-	errs := make([]error, len(c.shards))
-	var wg sync.WaitGroup
-	for s := range c.shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			resp, err := c.call(s, OpNodesLocal, cmdArgs{})
-			if err == nil {
-				err = rpcErr(resp)
-			}
-			if err != nil {
-				errs[s] = err
-				return
-			}
-			lists[s] = resp.Nodes
-		}(s)
-	}
-	wg.Wait()
-	var out []pbs.NodeStatus
-	for s := range c.shards {
-		if errs[s] != nil {
-			return nil, errs[s]
+	lists, err := gatherShards(len(c.shards), func(s int) ([]pbs.NodeStatus, error) {
+		resp, err := c.call(s, OpNodesLocal, cmdArgs{})
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, lists[s]...)
+		return resp.Nodes, rpcErr(resp)
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return slices.Concat(lists...), nil
 }
 
 // Info queries one head's operator report (jadmin): view, protocol

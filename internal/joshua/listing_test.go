@@ -120,8 +120,7 @@ func randomPBSOp(rng *rand.Rand, srv *pbs.Server, history [][]byte) string {
 
 // TestStatServeBytes pins the head's jstat replies, built straight
 // into the pooled encoder, to the bytes of the rpcResponse they stand
-// for: one job, an unknown job, jstat-local with and without an ID,
-// and the full listing.
+// for: one job, an unknown job and the full listing.
 func TestStatServeBytes(t *testing.T) {
 	r := newRawRig(t, 1, nil)
 	s := r.heads[0]
@@ -150,8 +149,6 @@ func TestStatServeBytes(t *testing.T) {
 		{"jstat <held>", rpcRequest{Op: OpStat, Args: cmdArgs{JobID: "2.cluster"}}, rpcResponse{OK: true, Jobs: one(held)}},
 		{"jstat <unknown>", rpcRequest{Op: OpStat, Args: cmdArgs{JobID: "9.cluster"}}, rpcResponse{ErrMsg: unknownErr.Error()}},
 		{"jstat <empty id>", rpcRequest{Op: OpStat}, rpcResponse{ErrMsg: (&pbs.Error{Op: "qstat", Msg: "Unknown Job Id"}).Error()}},
-		{"jstat-local <id>", rpcRequest{Op: OpStatLocal, Args: cmdArgs{JobID: "2.cluster", Name: "x", Script: "y"}}, rpcResponse{OK: true, Jobs: one(held)}},
-		{"jstat-local", rpcRequest{Op: OpStatLocal}, rpcResponse{OK: true, Jobs: srv.StatusAll()}},
 		{"jstat", rpcRequest{Op: OpStatAll}, rpcResponse{OK: true, Jobs: srv.StatusAll()}},
 	}
 	for i, c := range cases {

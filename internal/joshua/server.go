@@ -7,7 +7,7 @@
 // Each head node runs a Server, which plays the role of the joshua
 // server process: it intercepts PBS user commands arriving from the
 // control commands (jsub, jdel, jstat — see the Client type and
-// cmd/jsub et al.), pushes them through the generic replication
+// cmd/joshua), pushes them through the generic replication
 // engine (internal/rsm) for reliable totally ordered execution
 // against the local batch service (internal/pbs, the TORQUE+Maui
 // equivalent), and relays the output back to the user exactly once.

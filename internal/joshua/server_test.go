@@ -358,8 +358,8 @@ func TestPlainServerServesAllOps(t *testing.T) {
 	if err := cli.JDone(j.ID); err != nil {
 		t.Error(err)
 	}
-	if local, err := cli.StatLocal(""); err != nil || len(local) != 1 {
-		t.Errorf("StatLocal = %v, %v", local, err)
+	if all, err := cli.StatAll(); err != nil || len(all) != 1 {
+		t.Errorf("StatAll = %v, %v", all, err)
 	}
 	if info, err := cli.Info(); err != nil || info["mode"] != "plain" || info["jobs_waiting"] != "1" {
 		t.Errorf("Info = %v, %v", info, err)

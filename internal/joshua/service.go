@@ -159,13 +159,10 @@ func execute(e *codec.Encoder, d *pbs.Daemon, v *view) {
 	case OpSubmit:
 		submit(e, d, v)
 		return
-	case OpStatAll, OpStatLocal:
-		if v.op == OpStatAll || id == "" {
-			body, epoch := srv.Listing()
-			putListing(e, reqID, body, epoch)
-			return
-		}
-		fallthrough
+	case OpStatAll:
+		body, epoch := srv.Listing()
+		putListing(e, reqID, body, epoch)
+		return
 	case OpStat:
 		// The epoch is read before the job, so it never claims a
 		// version newer than the state it stamps.

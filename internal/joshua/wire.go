@@ -12,16 +12,16 @@ import (
 // Op identifies one PBS service-interface operation carried by the
 // JOSHUA command protocol. The same operation encoding is used on the
 // client RPC leg (jsub/jdel/jstat -> joshua server) and inside the
-// replicated command stream (joshua server -> group).
+// replicated command stream (joshua server -> group). WAL records and
+// replicated dedup replies carry these bytes, so a retired operation
+// keeps its value reserved.
 type Op byte
 
 // Operations. OpSubmit/OpDelete/OpStat mirror the paper's
 // jsub/jdel/jstat control commands; OpHold/OpRelease/OpSignal complete
 // the PBS interface (holds are possible here because state transfer is
 // snapshot-based, see DESIGN.md); OpJMutex/OpJDone are the distributed
-// mutual exclusion the jmutex/jdone scripts perform during job launch;
-// OpStatLocal is a non-replicated read served from the receiving
-// head's local state (an ablation of ordered reads).
+// mutual exclusion the jmutex/jdone scripts perform during job launch.
 const (
 	OpSubmit Op = iota + 1
 	OpDelete
@@ -32,7 +32,7 @@ const (
 	OpSignal
 	OpJMutex
 	OpJDone
-	OpStatLocal
+	_ // 10: retired local-state read; unordered OpStat/OpStatAll serve it
 	// OpJobDone is internal: a mom completion report replicated
 	// through the total order (ordered-completions mode). Heads
 	// originate it themselves; client requests carrying it are
@@ -67,8 +67,6 @@ func (o Op) String() string {
 		return "jmutex"
 	case OpJDone:
 		return "jdone"
-	case OpStatLocal:
-		return "jstat-local"
 	case OpJobDone:
 		return "jobdone"
 	case OpNodeOffline:
@@ -91,7 +89,7 @@ func (o Op) String() string {
 // linearizable-read ablation).
 func (o Op) mutating() bool {
 	switch o {
-	case OpStat, OpStatAll, OpStatLocal, OpNodesLocal, OpInfoLocal:
+	case OpStat, OpStatAll, OpNodesLocal, OpInfoLocal:
 		return false
 	default:
 		return true

@@ -208,7 +208,7 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 func TestOpStrings(t *testing.T) {
 	cases := map[Op]string{
 		OpSubmit: "jsub", OpDelete: "jdel", OpStat: "jstat",
-		OpJMutex: "jmutex", OpJDone: "jdone", OpStatLocal: "jstat-local",
+		OpJMutex: "jmutex", OpJDone: "jdone", Op(10): "op(10)",
 		Op(200): "op(200)",
 	}
 	for op, want := range cases {
@@ -216,8 +216,28 @@ func TestOpStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", op, got, want)
 		}
 	}
-	if OpStatLocal.mutating() || !OpSubmit.mutating() || !OpJMutex.mutating() {
+	if OpStatAll.mutating() || !OpSubmit.mutating() || !OpJMutex.mutating() {
 		t.Error("mutating classification wrong")
+	}
+}
+
+// TestOpValues pins every operation's byte: WAL records and replicated
+// dedup replies carry it, so renumbering one would make a head misread
+// its own log. Value 10 stays reserved for the retired local-state read.
+func TestOpValues(t *testing.T) {
+	want := []struct {
+		op   Op
+		wire byte
+	}{
+		{OpSubmit, 1}, {OpDelete, 2}, {OpStat, 3}, {OpStatAll, 4},
+		{OpHold, 5}, {OpRelease, 6}, {OpSignal, 7}, {OpJMutex, 8},
+		{OpJDone, 9}, {OpJobDone, 11}, {OpNodeOffline, 12},
+		{OpNodeOnline, 13}, {OpNodesLocal, 14}, {OpInfoLocal, 15},
+	}
+	for _, w := range want {
+		if byte(w.op) != w.wire {
+			t.Errorf("%v = %d, want %d", w.op, byte(w.op), w.wire)
+		}
 	}
 }
 
