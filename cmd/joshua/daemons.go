@@ -119,11 +119,6 @@ func runJoshuad(c *command, args []string) error {
 		Daemon: daemon,
 		Shard:  head.Shard,
 		Shards: conf.Shards,
-		// Non-FIFO policies advance the scheduler's logical clock on
-		// every completion, so completion reports must take the same
-		// totally ordered path as everything else or replica clocks —
-		// and therefore schedules — would drift apart.
-		OrderedCompletions: conf.SchedPolicy != pbs.PolicyFIFO,
 	}
 	if *verbose {
 		cfg.Logger = log.New(os.Stderr, "", log.Ltime|log.Lmicroseconds)
@@ -176,12 +171,14 @@ func runJoshuad(c *command, args []string) error {
 	return nil
 }
 
-// runJmomd runs one compute node's PBS mom daemon with the JOSHUA
-// jmutex/jdone prologue hooks, over real TCP sockets. The mom accepts
-// job-start requests from every head node, elects a single execution
-// per job via the replicated jmutex, simulates the job for its wall
-// time, and reports completion to all heads (the TORQUE v2.0p1
-// multi-server reporting the paper relies on).
+// runJmomd runs one compute node's PBS mom daemon over real TCP
+// sockets. The mom accepts job-start requests from every head node of
+// its shard and executes a job iff it is the job's first node (PBS's
+// mother superior; every head's start carries the same node list), so
+// each job runs once with no lock round. It simulates the job for its
+// wall time and ends it with the jdone epilogue: one command in the
+// shard's total order that every head applies, in place of the
+// TORQUE v2.0p1 multi-server report the paper's moms sent each head.
 func runJmomd(c *command, args []string) error {
 	f := newFlags(c, true)
 	id := f.String("id", "", "this compute node's name (a [compute <name>] section)")
@@ -198,28 +195,21 @@ func runJmomd(c *command, args []string) error {
 	if err != nil {
 		return fmt.Errorf("mom endpoint: %v", err)
 	}
-	lockClient, err := cli.NewClient(conf, 2*time.Second, f.bind)
+	// The client routes each jdone by job ID to the shard that owns the
+	// job, which is the shard that schedules this mom.
+	doneClient, err := cli.NewClient(conf, 2*time.Second, f.bind)
 	if err != nil {
-		return fmt.Errorf("jmutex client: %v", err)
+		return fmt.Errorf("jdone client: %v", err)
 	}
-	defer lockClient.Close()
-	prologue, epilogue := joshua.MomHooks(lockClient, node.Name)
-
-	// The mom reports to (and is driven by) only the heads of the
-	// shard that schedules it; in the single-group deployment that is
-	// every head. The lock client above routes jmutex/jdone by job ID,
-	// so it works unchanged under sharding.
-	servers := conf.ShardHeadPBSAddrs(node.Shard)
+	defer doneClient.Close()
 	mom := pbs.StartMom(pbs.MomConfig{
 		Name:      node.Name,
 		Endpoint:  momEP,
-		Servers:   servers,
-		Prologue:  prologue,
-		Epilogue:  epilogue,
+		Complete:  joshua.MomHooks(doneClient, node.Name),
 		TimeScale: conf.TimeScale,
 	})
 	defer mom.Close()
-	fmt.Printf("jmomd %s: serving %d head nodes (shard %d)\n", node.Name, len(servers), node.Shard)
+	fmt.Printf("jmomd %s: serving shard %d\n", node.Name, node.Shard)
 	awaitSignal()
 	return nil
 }

@@ -237,23 +237,19 @@ func TestCLIFirstWriteToNonSequencer(t *testing.T) {
 		t.Fatalf("first listed head %s, sequencer %s: want head0/joshua ahead of head1 (m0)", first, seq)
 	}
 
-	lockEP, err := tcpnet.Listen("compute0/jmutex", "127.0.0.1:0", res)
+	doneEP, err := tcpnet.Listen("compute0/jdone", "127.0.0.1:0", res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lockCli, err := joshua.NewClient(joshua.ClientConfig{Endpoint: lockEP, Heads: conf.HeadClientAddrs(), AttemptTimeout: attempt})
+	doneCli, err := joshua.NewClient(joshua.ClientConfig{Endpoint: doneEP, Heads: conf.HeadClientAddrs(), AttemptTimeout: attempt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lockCli.Close()
-	prologue, epilogue := joshua.MomHooks(lockCli, "compute0")
+	defer doneCli.Close()
 	mom := pbs.StartMom(pbs.MomConfig{
-		Name:           "compute0",
-		Endpoint:       momEP,
-		Servers:        conf.HeadPBSAddrs(),
-		Prologue:       prologue,
-		Epilogue:       epilogue,
-		ReportInterval: 100 * time.Millisecond,
+		Name:     "compute0",
+		Endpoint: momEP,
+		Complete: joshua.MomHooks(doneCli, "compute0"),
 	})
 	defer mom.Close()
 

@@ -1,8 +1,9 @@
 // Package cluster assembles complete simulated JOSHUA deployments —
 // N head nodes running the replicated batch service, M compute nodes
-// running PBS moms with the jmutex prologue, and any number of
-// clients — on the simulated network, with the paper's failure
-// injection (cable pulls and forced process shutdown) scriptable.
+// running PBS moms that end each job with an ordered jdone, and any
+// number of clients — on the simulated network, with the paper's
+// failure injection (cable pulls and forced process shutdown)
+// scriptable.
 //
 // A deployment may run several independent replication groups
 // ("shards", Options.Shards): each shard gets its own head set, its
@@ -67,8 +68,6 @@ type Options struct {
 	Exclusive bool
 	// SchedPolicy selects the scheduling pipeline's ordering and
 	// placement stages (fifo, priority, backfill); see pbs.SchedPolicy.
-	// Non-FIFO policies advance the logical clock on completions, so
-	// deployments using them should also set OrderedCompletions.
 	SchedPolicy pbs.SchedPolicy
 	// SchedWeights parameterizes the priority score (zero value
 	// selects pbs.DefaultSchedWeights under non-FIFO policies).
@@ -93,9 +92,6 @@ type Options struct {
 	// Plain replaces the JOSHUA group with the paper's unreplicated
 	// single-head baseline (requires Heads == 1 and a single shard).
 	Plain bool
-	// OrderedCompletions routes mom completion reports through the
-	// total order (see joshua.Config.OrderedCompletions).
-	OrderedCompletions bool
 	// LeaseDuration is each head's sequencer-granted read-lease length
 	// (see rsm.Config.LeaseDuration; 0 = the group layer's default).
 	LeaseDuration time.Duration
@@ -187,16 +183,6 @@ func shardClientAddrs(s int) []transport.Addr {
 	addrs := make([]transport.Addr, 0, MaxHeads)
 	for i := 0; i < MaxHeads; i++ {
 		addrs = append(addrs, ShardHeadClientAddr(s, i))
-	}
-	return addrs
-}
-
-// shardPBSAddrs lists every potential head's mom-facing address in
-// shard s.
-func shardPBSAddrs(s int) []transport.Addr {
-	addrs := make([]transport.Addr, 0, MaxHeads)
-	for i := 0; i < MaxHeads; i++ {
-		addrs = append(addrs, headPBSAddr(s, i))
 	}
 	return addrs
 }
@@ -349,10 +335,9 @@ func (c *Cluster) startHead(s, i int, initial []gcs.MemberID, join bool) error {
 			TuneGCS:         c.opts.TuneGCS,
 			Logger:          c.opts.Logger,
 		},
-		Daemon:             daemon,
-		OrderedCompletions: c.opts.OrderedCompletions,
-		Shard:              s,
-		Shards:             c.shards,
+		Daemon: daemon,
+		Shard:  s,
+		Shards: c.shards,
 	}
 	if !join {
 		cfg.InitialMembers = initial
@@ -372,17 +357,17 @@ func (c *Cluster) startHead(s, i int, initial []gcs.MemberID, join bool) error {
 // matching shard.PartitionNodes).
 func (c *Cluster) momShard(j int) int { return j % c.shards }
 
-// startMom starts compute node j with the JOSHUA jmutex/jdone hooks.
-// The mom belongs to exactly one shard: it reports to that shard's
-// heads and its lock client speaks only to them (every job reaching
-// the mom is owned by that shard by construction).
+// startMom starts compute node j with the JOSHUA jdone hook. The mom
+// belongs to exactly one shard: its client speaks only to that shard's
+// heads (every job reaching the mom is owned by that shard by
+// construction).
 func (c *Cluster) startMom(j int) error {
 	s := c.momShard(j)
 	momEP, err := c.Net.Endpoint(momAddr(j))
 	if err != nil {
 		return err
 	}
-	cliEP, err := c.Net.Endpoint(transport.Addr(fmt.Sprintf("compute%d/jmutex", j)))
+	cliEP, err := c.Net.Endpoint(transport.Addr(fmt.Sprintf("compute%d/jdone", j)))
 	if err != nil {
 		momEP.Close()
 		return err
@@ -397,15 +382,11 @@ func (c *Cluster) startMom(j int) error {
 		cliEP.Close()
 		return err
 	}
-	prologue, epilogue := joshua.MomHooks(cli, computeName(j))
 	mom := pbs.StartMom(pbs.MomConfig{
-		Name:           computeName(j),
-		Endpoint:       momEP,
-		Servers:        shardPBSAddrs(s),
-		Prologue:       prologue,
-		Epilogue:       epilogue,
-		TimeScale:      c.opts.TimeScale,
-		ReportInterval: 200 * time.Millisecond,
+		Name:      computeName(j),
+		Endpoint:  momEP,
+		Complete:  joshua.MomHooks(cli, computeName(j)),
+		TimeScale: c.opts.TimeScale,
 	})
 	c.moms = append(c.moms, mom)
 	c.momClients = append(c.momClients, cli)

@@ -162,7 +162,7 @@ func TestReplicatedSubmissionConsistency(t *testing.T) {
 
 func TestJobExecutesOnceDespiteThreeHeads(t *testing.T) {
 	// Three heads each instruct the mom to start the replicated job;
-	// jmutex elects exactly one execution.
+	// the mom runs it once, as the job's first node.
 	c := newCluster(t, testOptions(3, 1))
 	cli, _ := c.Client()
 	j, err := cli.Submit(pbs.SubmitRequest{WallTime: 5 * time.Millisecond})
@@ -637,12 +637,12 @@ func fullDump(jobs []pbs.Job) string {
 }
 
 func TestOrderedCompletionsDeterministicAllocation(t *testing.T) {
-	// With first-fit packing AND ordered completions, every head makes
-	// identical scheduling decisions including node allocations — the
-	// extension that lifts the paper's exclusive-access restriction.
+	// With first-fit packing, every head still makes identical
+	// scheduling decisions including node allocations, because every
+	// completion is ordered — the extension that lifts the paper's
+	// exclusive-access restriction.
 	opts := testOptions(3, 3)
 	opts.Exclusive = false
-	opts.OrderedCompletions = true
 	c := newCluster(t, opts)
 	cli, _ := c.Client()
 
@@ -681,9 +681,7 @@ func TestOrderedCompletionsDeterministicAllocation(t *testing.T) {
 }
 
 func TestOrderedCompletionsSurviveHeadFailure(t *testing.T) {
-	opts := testOptions(3, 1)
-	opts.OrderedCompletions = true
-	c := newCluster(t, opts)
+	c := newCluster(t, testOptions(3, 1))
 	cli, _ := c.Client()
 
 	j1, err := cli.Submit(pbs.SubmitRequest{WallTime: 50 * time.Millisecond})

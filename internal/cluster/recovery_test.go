@@ -28,7 +28,7 @@ func durableOptions(t *testing.T, heads, computes int) Options {
 // TestClusterRecoversAfterFullOutage is the paper-scenario the
 // in-memory seed could not survive: every head node fail-stops at
 // once, and the cluster comes back from disk with the job listings,
-// the jmutex lock table, and the dedup table intact.
+// and the dedup table intact.
 func TestClusterRecoversAfterFullOutage(t *testing.T) {
 	c := newCluster(t, durableOptions(t, 3, 1))
 	cli, err := c.ClientFor(0, 1, 2)
@@ -43,14 +43,6 @@ func TestClusterRecoversAfterFullOutage(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 		ids[j.ID] = true
-	}
-	var lockID pbs.JobID
-	for id := range ids {
-		lockID = id
-		break
-	}
-	if granted, err := cli.JMutex(lockID, "winner"); err != nil || !granted {
-		t.Fatalf("pre-outage acquire = %v, %v", granted, err)
 	}
 
 	// The whole head group fail-stops.
@@ -105,16 +97,6 @@ func TestClusterRecoversAfterFullOutage(t *testing.T) {
 				t.Errorf("head %d lost job %s across the outage", i, id)
 			}
 		}
-	}
-
-	// The lock table survived: the pre-outage winner still holds the
-	// launch lock, a competitor still loses, and the winner's retry is
-	// still granted (dedup + lock state both recovered).
-	if granted, err := cli2.JMutex(lockID, "other"); err != nil || granted {
-		t.Fatalf("competing acquire after recovery = %v, %v; lock state lost", granted, err)
-	}
-	if granted, err := cli2.JMutex(lockID, "winner"); err != nil || !granted {
-		t.Fatalf("winner retry after recovery = %v, %v", granted, err)
 	}
 
 	// And the recovery actually came from disk, not thin air.
@@ -253,14 +235,6 @@ func TestRecoveryAfterTornCheckpointTmp(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	var lockID pbs.JobID
-	for id := range ids {
-		lockID = id
-		break
-	}
-	if granted, err := cli.JMutex(lockID, "winner"); err != nil || !granted {
-		t.Fatalf("pre-crash acquire = %v, %v", granted, err)
-	}
 
 	// Wait until head 1's background checkpointer has committed a
 	// durable generation and gone idle.
@@ -305,8 +279,7 @@ func TestRecoveryAfterTornCheckpointTmp(t *testing.T) {
 	}
 
 	// Exactly-once across the crash: every job is present exactly once
-	// on the restarted head, and the launch lock still belongs to the
-	// pre-crash winner.
+	// on the restarted head.
 	headCli, err := c.ClientFor(1)
 	if err != nil {
 		t.Fatal(err)
@@ -324,15 +297,5 @@ func TestRecoveryAfterTornCheckpointTmp(t *testing.T) {
 			t.Errorf("job %s listed twice after recovery", j.ID)
 		}
 		seen[j.ID] = true
-	}
-	cli2, err := c.ClientFor(0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if granted, err := cli2.JMutex(lockID, "other"); err != nil || granted {
-		t.Fatalf("competing acquire after torn-checkpoint recovery = %v, %v; lock state lost", granted, err)
-	}
-	if granted, err := cli2.JMutex(lockID, "winner"); err != nil || !granted {
-		t.Fatalf("winner retry after recovery = %v, %v", granted, err)
 	}
 }

@@ -15,14 +15,13 @@ import (
 // race their submissions (shuffled arrival), yet once the totally
 // ordered command stream quiesces, every head's state-machine
 // snapshot — jobs, allocations, fairshare ledger, logical clock,
-// reservation — is byte-identical. Completions take the ordered path
-// (OrderedCompletions) so replica logical clocks advance in lockstep.
+// reservation — is byte-identical. Completions are ordered (jdone), so
+// replica logical clocks advance in lockstep.
 func TestSchedulerDeterminismAcrossReplicas(t *testing.T) {
 	for _, policy := range []pbs.SchedPolicy{pbs.PolicyFIFO, pbs.PolicyPriority, pbs.PolicyBackfill} {
 		t.Run(policy.String(), func(t *testing.T) {
 			opts := testOptions(3, 4)
 			opts.Exclusive = false
-			opts.OrderedCompletions = true
 			opts.SchedPolicy = policy
 			opts.NodeCPUs = 2
 			opts.FairshareHalfLife = 1 << 20
@@ -113,7 +112,6 @@ func TestSchedulerDeterminismAcrossReplicas(t *testing.T) {
 func TestBackfillClusterEndToEnd(t *testing.T) {
 	opts := testOptions(3, 4)
 	opts.Exclusive = false
-	opts.OrderedCompletions = true
 	opts.SchedPolicy = pbs.PolicyBackfill
 	c := newCluster(t, opts)
 	cli, err := c.Client()

@@ -468,15 +468,6 @@ func (c *ClusterFile) HeadClientAddrs() []transport.Addr {
 	return addrs
 }
 
-// HeadPBSAddrs lists every head's mom-facing address.
-func (c *ClusterFile) HeadPBSAddrs() []transport.Addr {
-	addrs := make([]transport.Addr, 0, len(c.Heads))
-	for _, h := range c.Heads {
-		addrs = append(addrs, h.PBSAddr())
-	}
-	return addrs
-}
-
 // NodeNames lists the compute node names in order.
 func (c *ClusterFile) NodeNames() []string {
 	names := make([]string, 0, len(c.Computes))
@@ -553,17 +544,6 @@ func (c *ClusterFile) ShardGroupPeers(s int) map[gcs.MemberID]transport.Addr {
 		}
 	}
 	return peers
-}
-
-// ShardHeadPBSAddrs lists one shard's head mom-facing addresses.
-func (c *ClusterFile) ShardHeadPBSAddrs(s int) []transport.Addr {
-	var addrs []transport.Addr
-	for _, h := range c.Heads {
-		if h.Shard == s {
-			addrs = append(addrs, h.PBSAddr())
-		}
-	}
-	return addrs
 }
 
 // MomAddrs maps compute node names to mom logical addresses.

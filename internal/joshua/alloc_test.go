@@ -11,7 +11,7 @@ import (
 )
 
 // This file is the allocation gate for the client's submit encode, the
-// heads' apply of a replicated command (held jsub, repeated jmutex)
+// heads' apply of a replicated command (held jsub, repeated jdone)
 // and the server's read replies (leased ordered listing, jstat <id>);
 // the client's listing decode is gated in listing_test.go. The
 // AllocsPerRun tests fail the ordinary test run on any regression; the
@@ -138,7 +138,8 @@ func TestStatServeAllocs(t *testing.T) {
 // TestApplyAllocs pins what every head pays to apply a replicated
 // command. A held jsub allocates the one string behind Name, Owner and
 // Script, the job and its ID (pbs's own two), and the reply the engine
-// keeps; a jmutex for a lock already held allocates only the reply.
+// keeps; a repeated jdone for a completed job allocates the job ID,
+// the reporting node and the output as strings, and the reply.
 func TestApplyAllocs(t *testing.T) {
 	svc := newHeadService(newApplyDaemon(t))
 	submit := rsm.Command{Payload: benchSubmitReq().encode()}
@@ -149,13 +150,19 @@ func TestApplyAllocs(t *testing.T) {
 		t.Errorf("held jsub apply: %v allocs/op, want <= 4", allocs)
 	}
 
-	jmutex := rsm.Command{Payload: (&rpcRequest{ReqID: "head0/mom#7", Op: OpJMutex,
-		Args: cmdArgs{JobID: "1.cluster", AttemptID: "head0/pbs+c0"}}).encode()}
-	if _, resp, err := decodeRPC(svc.Apply(jmutex)); err != nil || !resp.Granted {
-		t.Fatalf("first jmutex reply: %+v, %v", resp, err)
+	run := (&rpcRequest{ReqID: "user/cli#run", Op: OpSubmit, Args: cmdArgs{Name: "run", WallTime: time.Minute}}).encode()
+	_, resp, err := decodeRPC(svc.Apply(rsm.Command{Payload: run}))
+	if err != nil || !resp.OK || resp.Jobs[0].Nodes[0] != "c0" {
+		t.Fatalf("jsub of a job to run on c0: %+v, %v", resp, err)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { svc.Apply(jmutex) }); allocs > 1 {
-		t.Errorf("repeated jmutex apply: %v allocs/op, want <= 1", allocs)
+	id := resp.Jobs[0].ID
+	jdone := rsm.Command{Payload: (&rpcRequest{ReqID: "jdone/" + string(id), Op: OpJDone,
+		Args: cmdArgs{JobID: id, Node: "c0", Output: "hi\n"}}).encode()}
+	if _, resp, err := decodeRPC(svc.Apply(jdone)); err != nil || !resp.OK {
+		t.Fatalf("first jdone reply: %+v, %v", resp, err)
+	}
+	if allocs := testing.AllocsPerRun(200, func() { svc.Apply(jdone) }); allocs > 4 {
+		t.Errorf("repeated jdone apply: %v allocs/op, want <= 4", allocs)
 	}
 }
 

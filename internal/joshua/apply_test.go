@@ -16,8 +16,7 @@ import (
 // the decoded strings, and the reply built as an rpcResponse value and
 // encoded.
 type oracle struct {
-	d     *pbs.Daemon
-	locks map[pbs.JobID]string
+	d *pbs.Daemon
 }
 
 func (o *oracle) apply(payload []byte) []byte {
@@ -27,22 +26,6 @@ func (o *oracle) apply(payload []byte) []byte {
 	}
 	a := &req.Args
 	resp := &rpcResponse{ReqID: req.ReqID, OK: true}
-	switch req.Op {
-	case OpJMutex:
-		owner, held := o.locks[a.JobID]
-		if !held {
-			o.locks[a.JobID] = a.AttemptID
-			owner = a.AttemptID
-		}
-		resp.Granted = owner == a.AttemptID
-		return resp.encode()
-	case OpJDone:
-		delete(o.locks, a.JobID)
-		return resp.encode()
-	case OpJobDone:
-		o.d.ApplyDone(a.JobID, a.ExitCode, a.Output)
-		return resp.encode()
-	}
 	srv := o.d.Server()
 	fail := func(err error) []byte {
 		resp.OK = false
@@ -105,6 +88,10 @@ func (o *oracle) apply(payload []byte) []byte {
 			return fail(err)
 		}
 		o.d.FlushActions()
+	case OpJDone:
+		if err := o.d.ApplyDone(a.JobID, a.Node, a.ExitCode, a.Output); err != nil {
+			return fail(err)
+		}
 	default:
 		return fail(fmt.Errorf("joshua: unknown operation %v", req.Op))
 	}
@@ -114,7 +101,7 @@ func (o *oracle) apply(payload []byte) []byte {
 
 // applyScript is a command stream over every operation: success and
 // error paths, Count 0/1/3 and an array, ordered reads, node state,
-// completions, and the jmutex grant/deny/release cycle.
+// and completions: accepted, refused, duplicate and unknown.
 func applyScript() []rpcRequest {
 	sub := cmdArgs{Name: "job", Owner: "alice", Script: "#!/bin/sh\necho hi\n", WallTime: time.Minute}
 	held := sub
@@ -133,7 +120,9 @@ func applyScript() []rpcRequest {
 	prio.Name, prio.Owner, prio.Script = "", "", ""
 	prio.NCPUs, prio.Mem, prio.Priority, prio.NodeCount = 1, 1<<20, -3, 2
 	id := func(s string) cmdArgs { return cmdArgs{JobID: pbs.JobID(s)} }
-	lock := func(job, attempt string) cmdArgs { return cmdArgs{JobID: pbs.JobID(job), AttemptID: attempt} }
+	done := func(job, node string, exit int, output string) cmdArgs {
+		return cmdArgs{JobID: pbs.JobID(job), Node: node, ExitCode: exit, Output: output}
+	}
 
 	reqs := []rpcRequest{
 		{Op: Op(0)},
@@ -165,19 +154,14 @@ func applyScript() []rpcRequest {
 		{Op: OpNodeOffline, Args: cmdArgs{Node: "c1"}},
 		{Op: OpNodeOffline, Args: cmdArgs{Node: "c9"}},
 		{Op: OpNodesLocal, Ordered: true},
-		{Op: OpJobDone, Args: cmdArgs{JobID: "1.cluster", ExitCode: 0, Output: "hi\n"}},
-		{Op: OpJobDone, Args: cmdArgs{JobID: "2.cluster", ExitCode: -271, Output: "killed\n"}},
-		{Op: OpJobDone, Args: cmdArgs{JobID: "1.cluster", ExitCode: 0, Output: "again\n"}},
-		{Op: OpJobDone, Args: id("99.cluster")},
+		{Op: OpJDone, Args: done("1.cluster", "c1", 0, "wrong node\n")},
+		{Op: OpJDone, Args: done("1.cluster", "c0", 0, "hi\n")},
+		{Op: OpJDone, Args: done("2.cluster", "c1", -271, "killed\n")},
+		{Op: OpJDone, Args: done("1.cluster", "c0", 0, "again\n")},
+		{Op: OpJDone, Args: done("99.cluster", "c0", 0, "")},
 		{Op: OpNodeOnline, Args: cmdArgs{Node: "c1"}},
 		{Op: OpNodeOnline, Args: cmdArgs{Node: "c9"}},
-		{Op: OpJMutex, Args: lock("3.cluster", "head0/pbs+c0")},
-		{Op: OpJMutex, Args: lock("3.cluster", "head1/pbs+c0")},
-		{Op: OpJMutex, Args: lock("3.cluster", "head0/pbs+c0")},
-		{Op: OpJMutex, Args: lock("4.cluster", "head1/pbs+c1")},
-		{Op: OpJDone, Args: id("3.cluster")},
-		{Op: OpJMutex, Args: lock("3.cluster", "head1/pbs+c0")},
-		{Op: OpJDone, Args: id("99.cluster")},
+		{Op: OpJDone, Args: done("3.cluster", "c0", 0, "")},
 		{Op: OpInfoLocal, Ordered: true},
 		{Op: OpStatAll, Ordered: true},
 		{Op: OpNodesLocal, Ordered: true},
@@ -195,8 +179,8 @@ func applyScript() []rpcRequest {
 // nothing.
 func TestApplyReplyMatchesEncode(t *testing.T) {
 	svc := newHeadService(newApplyDaemon(t))
-	ref := &oracle{d: newApplyDaemon(t), locks: map[pbs.JobID]string{}}
-	var failed, granted, denied int
+	ref := &oracle{d: newApplyDaemon(t)}
+	var failed, done int
 	for _, req := range applyScript() {
 		payload := req.encode()
 		for _, n := range []int{0, 1, len(payload) / 2, len(payload) - 1} {
@@ -218,23 +202,21 @@ func TestApplyReplyMatchesEncode(t *testing.T) {
 		switch {
 		case !resp.OK:
 			failed++
-		case req.Op == OpJMutex && resp.Granted:
-			granted++
-		case req.Op == OpJMutex:
-			denied++
+		case req.Op == OpJDone:
+			done++
 		}
 	}
-	if failed < 10 || granted < 3 || denied < 1 {
-		t.Errorf("script exercised %d errors, %d grants, %d denials; want at least 10, 3, 1", failed, granted, denied)
+	if failed < 10 || done < 3 {
+		t.Errorf("script exercised %d errors and %d accepted completions; want at least 10 and 3", failed, done)
 	}
-	want := &headService{daemon: ref.d, locks: &lockTable{held: ref.locks}}
+	want := &headService{daemon: ref.d}
 	if !bytes.Equal(svc.Snapshot(), want.Snapshot()) {
 		t.Error("state after the script differs from the oracle twin's")
 	}
 }
 
-// TestAppliedStateOwnsItsStrings applies submits, completions and
-// jmutex through the head service and then overwrites every byte of
+// TestAppliedStateOwnsItsStrings applies submits and completions
+// through the head service and then overwrites every byte of
 // every payload, as the engine's envelope recycling may: the state
 // must be byte-identical to a twin fed fresh copies, and no job may
 // change.

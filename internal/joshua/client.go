@@ -18,7 +18,7 @@ import (
 )
 
 // Client is the control-command library behind jsub, jdel, and jstat
-// (and the jmutex/jdone scripts). It connects to the JOSHUA server
+// (and the mom's jdone epilogue). It connects to the JOSHUA server
 // group over the network and may be pointed at any or all of the
 // active head nodes: requests are retried against the next head when
 // one stops answering, and the servers' deduplication table makes
@@ -1002,48 +1002,34 @@ func (c *Client) InfoShard(s int) (map[string]string, error) {
 	return resp.Info, rpcErr(resp)
 }
 
-// JMutex runs the jmutex script's distributed mutual exclusion:
-// acquire the launch lock for a job on its owning shard. The first
-// acquire in that shard's total order wins, and only its attemptID is
-// granted again (a retry after a lost reply), which is what guarantees
-// a replicated job starts on the compute nodes only once. MomHooks
-// uses the mom's name as the attemptID.
-func (c *Client) JMutex(id pbs.JobID, attemptID string) (bool, error) {
-	resp, err := c.call(c.routeJob(id), OpJMutex, cmdArgs{JobID: id, AttemptID: attemptID})
-	if err != nil {
-		return false, err
-	}
-	return resp.Granted, rpcErr(resp)
-}
-
-// JDone runs the jdone script: release the launch lock after the job
-// finished.
-func (c *Client) JDone(id pbs.JobID) error {
-	resp, err := c.call(c.routeJob(id), OpJDone, cmdArgs{JobID: id})
+// JDone runs the jdone script for a job that node executed: its exit
+// code and output become one command in the owning shard's total order,
+// applied on every head. The request ID is derived from the job ID, so
+// a retry, whichever head it reaches, applies once. A refusal because
+// node is not the job's first node wraps pbs.ErrNotFirstNode.
+func (c *Client) JDone(id pbs.JobID, node string, exitCode int, output string) error {
+	resp, err := c.callReq(c.routeJob(id), &rpcRequest{
+		ReqID: "jdone/" + string(id),
+		Op:    OpJDone,
+		Args:  cmdArgs{JobID: id, Node: node, ExitCode: exitCode, Output: output},
+	})
 	if err != nil {
 		return err
+	}
+	if rest, refused := strings.CutPrefix(resp.ErrMsg, pbs.ErrNotFirstNode.Error()); refused {
+		return fmt.Errorf("%w%s", pbs.ErrNotFirstNode, rest)
 	}
 	return rpcErr(resp)
 }
 
-// MomHooks builds the prologue/epilogue pair that wires a pbs.Mom
-// into JOSHUA's job-launch mutual exclusion, as the paper's
-// jmutex/jdone scripts do from the PBS mom job prologue. The mom runs
-// the prologue once per job, whichever head's start reaches it first,
-// and the lock's owner is the mom's name: a retry after a lost reply
-// is the same owner and is granted again, while another mom is
-// refused. An unreachable lock service is an error, so the mom
-// retries on the heads' next start instead of emulating; the job is
-// not lost and is not run by anyone meanwhile. In a sharded
-// deployment each mom belongs to exactly one shard and its client is
-// configured with only that shard's heads — every job reaching the
-// mom is owned by that shard by construction.
-func MomHooks(c *Client, momName string) (prologue func(pbs.Job) (bool, error), epilogue func(pbs.Job)) {
-	prologue = func(j pbs.Job) (bool, error) {
-		return c.JMutex(j.ID, momName)
+// MomHooks builds the Complete hook that wires a pbs.Mom into JOSHUA,
+// as the paper's jdone script does from the PBS mom job epilogue: each
+// job the mom executed ends with one JDone under the mom's name. In a
+// sharded deployment each mom belongs to exactly one shard and its
+// client is configured with only that shard's heads — every job
+// reaching the mom is owned by that shard by construction.
+func MomHooks(c *Client, momName string) func(pbs.Job, int, string) error {
+	return func(j pbs.Job, exitCode int, output string) error {
+		return c.JDone(j.ID, momName, exitCode, output)
 	}
-	epilogue = func(j pbs.Job) {
-		_ = c.JDone(j.ID)
-	}
-	return prologue, epilogue
 }

@@ -308,15 +308,14 @@ func TestClientConcurrentCalls(t *testing.T) {
 }
 
 func TestMomHooksEmulateWhenHeadsUnreachable(t *testing.T) {
-	// With every head dead, the prologue must not execute
-	// unilaterally. It returns an error, not a refusal, so the mom
-	// retries on the heads' next start instead of emulating for good;
-	// the job is not lost, it stays queued at whatever heads exist.
+	// With every head dead, the mom's completion hook returns an error,
+	// not a refusal, so the mom retries the jdone instead of dropping
+	// it; the job is not lost, it completes once a head answers.
 	net := newRawRig(t, 1, nil) // gives us a simnet
 	net.net.CrashHost("head0")
 	net.heads[0].Close()
 
-	cliEP, err := net.net.Endpoint("compute9/jmutex")
+	cliEP, err := net.net.Endpoint("compute9/jdone")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,13 +330,10 @@ func TestMomHooksEmulateWhenHeadsUnreachable(t *testing.T) {
 	}
 	defer cli.Close()
 
-	prologue, _ := MomHooks(cli, "compute9")
-	execute, err := prologue(pbs.Job{ID: "1.cluster"})
-	if execute {
-		t.Fatal("prologue executed with no reachable lock service")
-	}
-	if err == nil {
-		t.Fatal("prologue refused with no reachable lock service, want an error so the mom retries")
+	complete := MomHooks(cli, "compute9")
+	err = complete(pbs.Job{ID: "1.cluster"}, 0, "")
+	if err == nil || errors.Is(err, pbs.ErrNotFirstNode) {
+		t.Fatalf("jdone with no reachable head = %v, want an error that is not a refusal, so the mom retries", err)
 	}
 }
 

@@ -45,10 +45,6 @@ func (s *PlainServer) Close() {
 func (s *PlainServer) Daemon() *pbs.Daemon { return s.daemon }
 
 func (s *PlainServer) run() {
-	// The plain baseline has no group, hence no replicated lock
-	// table: the same lock table answers locally so the mom prologue
-	// works unchanged with a single head.
-	locks := newLockTable()
 	for {
 		select {
 		case <-s.done:
@@ -63,8 +59,6 @@ func (s *PlainServer) run() {
 			}
 			e := codec.GetEncoder(256)
 			switch v.op {
-			case OpJMutex, OpJDone:
-				locks.apply(e, &v)
 			case OpInfoLocal:
 				waiting, running, completed := s.daemon.Server().QueueLengths()
 				putResponse(e, v.reqID, &rpcResponse{OK: true, Info: map[string]string{

@@ -11,17 +11,17 @@
 // engine (internal/rsm) for reliable totally ordered execution
 // against the local batch service (internal/pbs, the TORQUE+Maui
 // equivalent), and relays the output back to the user exactly once.
-// The jmutex/jdone distributed mutual exclusion that the paper runs
-// in the PBS mom job prologue is a lock table replicated through the
-// same total order, as part of the same service; MomHooks wires it to
-// the moms.
+// A job's end is one more command in that order: the jdone its first
+// node's mom sends (MomHooks wires it). With completions ordered,
+// every head places, and so launches, each job identically; that is
+// what the paper's jmutex lock round in the mom prologue had to decide,
+// and this design no longer needs it.
 //
 // The service-independent machinery — total order, request
 // deduplication, the output rule, join-time state transfer —
 // lives entirely in internal/rsm; this package contributes only the
 // PBS protocol (wire.go), the one service adapter holding the batch
-// daemon and the lock table (service.go), and the head-node assembly
-// below.
+// daemon (service.go), and the head-node assembly below.
 //
 // As long as one head node survives, the service remains available
 // with no interruption and no loss of state: there is no failover,
@@ -61,23 +61,10 @@ type Config struct {
 	// single-group deployment.
 	Shard  int
 	Shards int
-
-	// OrderedCompletions routes mom completion reports through the
-	// total order instead of applying them directly at each head.
-	// The paper's design lets every head react to mom reports
-	// independently, which is deterministic under the Maui
-	// FIFO/exclusive policy it mandates; ordering the completions
-	// makes *every* scheduling policy (e.g. first-fit packing)
-	// deterministic across replicas, with identical node allocations
-	// everywhere — at the cost of one total-order round per
-	// completion. An extension of the paper's "this restriction may
-	// be lifted in the future if deterministic allocation behavior
-	// can be assured".
-	OrderedCompletions bool
 }
 
-// Server is one JOSHUA head node: the PBS batch service and the
-// jmutex lock table composed behind a generic replication engine.
+// Server is one JOSHUA head node: the PBS batch service behind a
+// generic replication engine.
 type Server struct {
 	cfg Config
 	// rep is assigned after rsm.NewReplica returns, but the replica
@@ -87,7 +74,6 @@ type Server struct {
 	// torn write.
 	rep    atomic.Pointer[rsm.Replica]
 	daemon *pbs.Daemon
-	locks  *lockTable
 	// serveReadFn is serveRead bound once at construction; handing the
 	// same func value to every read Classification avoids a per-request
 	// method-value allocation on the hot path.
@@ -131,16 +117,11 @@ func StartServer(cfg Config) (*Server, error) {
 		return nil, errors.New("joshua: Config.ClientEndpoint required")
 	}
 
-	svc := newHeadService(cfg.Daemon)
-	s := &Server{
-		cfg:    cfg,
-		daemon: cfg.Daemon,
-		locks:  svc.locks,
-	}
+	s := &Server{cfg: cfg, daemon: cfg.Daemon}
 	s.serveReadFn = s.serveRead
 
 	rc := cfg.Config
-	rc.Service = svc
+	rc.Service = newHeadService(cfg.Daemon)
 	rc.Classify = s.classify
 	rc.ReadCacheHits = func() uint64 {
 		hits, _ := cfg.Daemon.Server().ReadCacheStats()
@@ -157,10 +138,6 @@ func StartServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.rep.Store(rep)
-
-	if cfg.OrderedCompletions {
-		s.daemon.SetDoneInterceptor(s.interceptDone)
-	}
 	return s, nil
 }
 
@@ -177,12 +154,6 @@ func (s *Server) classify(payload []byte) rsm.Classification {
 	if !v.header(codec.NewDecoder(payload)) {
 		return rsm.Classification{Verdict: rsm.Ignore}
 	}
-	if v.op == OpJobDone {
-		// Internal operation: heads originate it themselves from mom
-		// reports; it is not part of the user-facing PBS interface.
-		resp := &rpcResponse{ReqID: string(v.reqID), OK: false, ErrMsg: "joshua: jobdone is not a client operation"}
-		return rsm.Classification{Verdict: rsm.Reply, Response: resp.encode()}
-	}
 	if !v.op.mutating() {
 		if !v.ordered {
 			return rsm.Classification{Verdict: rsm.Reply, RespondEnc: s.serveReadFn}
@@ -198,32 +169,6 @@ func (s *Server) classify(payload []byte) rsm.Classification {
 		}
 	}
 	return rsm.Classification{Verdict: rsm.Replicate, ReqID: string(v.reqID)}
-}
-
-// interceptDone replicates a mom completion report through the total
-// order (ordered-completions mode). The request ID is derived from the
-// report contents alone, so the copies every head broadcasts (each
-// hears the mom independently) collapse in the deduplication table and
-// the completion applies exactly once, at the same point in the
-// command stream on every head.
-func (s *Server) interceptDone(id pbs.JobID, exitCode int, output string) bool {
-	reqID := fmt.Sprintf("jobdone/%s/%d", id, exitCode)
-	req := &rpcRequest{
-		ReqID: reqID,
-		Op:    OpJobDone,
-		Args:  cmdArgs{JobID: id, ExitCode: exitCode, Output: output},
-	}
-	// Propose may block briefly on the send window; the daemon's
-	// receive loop tolerates that, and the mom keeps retransmitting
-	// until its report is acknowledged (which the daemon already did).
-	rep := s.rep.Load()
-	if rep == nil {
-		return false // still starting: fall back to direct application
-	}
-	if err := rep.Propose(reqID, req.encode()); err != nil {
-		return false // shutting down: fall back to direct application
-	}
-	return true
 }
 
 // Ready is closed once the head has joined (or formed) the group and
@@ -285,8 +230,8 @@ func (s *Server) Close() {
 // a pooled encoder (released by the replica's replier after the
 // send). It runs on a read-worker goroutine, concurrently with command
 // application, so it touches only concurrency-safe state: the batch
-// server behind its RWMutex and its per-version listing, the lock
-// table behind its RWMutex, and the replica's counter snapshots.
+// server behind its RWMutex and its per-version listing, and the
+// replica's counter snapshots.
 //
 // Every local read carries the batch-state version it was served at,
 // so sharded clients can reject snapshots that regress behind one they
@@ -368,7 +313,6 @@ func (s *Server) infoLocked() map[string]string {
 		"lease_fb_apply_lag": fmt.Sprintf("%d", st.LeaseFallbackApplyLag),
 		"lease_fb_durable":   fmt.Sprintf("%d", st.LeaseFallbackDurability),
 		"lease_revocations":  fmt.Sprintf("%d", st.LeaseRevocations),
-		"locks_held":         fmt.Sprintf("%d", s.locks.Len()),
 		"gcs_broadcasts":     fmt.Sprintf("%d", gst.Broadcasts),
 		"gcs_delivered":      fmt.Sprintf("%d", gst.Delivered),
 		"gcs_retransmits":    fmt.Sprintf("%d", gst.Retransmits),

@@ -1,7 +1,8 @@
 package joshua
 
 import (
-	"fmt"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,36 +214,64 @@ func TestServerStatsProgress(t *testing.T) {
 	}
 }
 
-func TestJMutexFirstAcquireWins(t *testing.T) {
+// TestJDoneRefusedUnlessFirstNode: every head refuses a completion
+// from a node other than the job's first, which leaves the job
+// running everywhere, and applies the first node's.
+func TestJDoneRefusedUnlessFirstNode(t *testing.T) {
 	r := newRawRig(t, 2, nil)
-	seq := 0
-	acquire := func(head int, id, attempt string) bool {
-		seq++
-		resp := r.sendReq(t, head, &rpcRequest{
-			ReqID: fmt.Sprintf("user/raw#%s-%d", attempt, seq),
-			Op:    OpJMutex,
-			Args:  cmdArgs{JobID: pbs.JobID(id), AttemptID: attempt},
-		}, 5*time.Second)
-		return resp.Granted
+	sub := r.sendReq(t, 0, &rpcRequest{ReqID: "user/raw#sub", Op: OpSubmit, Args: cmdArgs{WallTime: time.Hour}}, 5*time.Second)
+	if !sub.OK || len(sub.Jobs) != 1 || len(sub.Jobs[0].Nodes) == 0 || sub.Jobs[0].Nodes[0] != "c0" {
+		t.Fatalf("jsub: %+v", sub)
 	}
-	if !acquire(0, "1.cluster", "attemptA") {
-		t.Error("first acquire should win")
+	id := sub.Jobs[0].ID
+	states := func() []pbs.JobState {
+		var out []pbs.JobState
+		for _, h := range r.heads {
+			j, err := h.Daemon().Status(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, j.State)
+		}
+		return out
 	}
-	if acquire(1, "1.cluster", "attemptB") {
-		t.Error("second acquire should lose")
+
+	resp := r.sendReq(t, 1, &rpcRequest{ReqID: "user/raw#wrong", Op: OpJDone, Args: cmdArgs{JobID: id, Node: "c9", Output: "x"}}, 5*time.Second)
+	if resp.OK || !strings.HasPrefix(resp.ErrMsg, pbs.ErrNotFirstNode.Error()) {
+		t.Fatalf("jdone from c9: %+v, want a refusal", resp)
 	}
-	// Same attempt retried: still granted (idempotent).
-	if !acquire(1, "1.cluster", "attemptA") {
-		t.Error("winner's retry should remain granted")
+	// A read on each head after a later ordered command has applied there
+	// sees what the refusal left.
+	r.sendReq(t, 0, &rpcRequest{ReqID: "user/raw#fence", Op: OpStatAll, Ordered: true}, 5*time.Second)
+	for i, st := range states() {
+		if st != pbs.StateRunning {
+			t.Errorf("head%d: job %s is %v after a refused jdone, want running", i, id, st)
+		}
 	}
-	// Release, then a new acquire wins.
-	r.sendReq(t, 0, &rpcRequest{ReqID: "user/raw#rel", Op: OpJDone, Args: cmdArgs{JobID: "1.cluster"}}, 5*time.Second)
-	if !acquire(1, "1.cluster", "attemptC") {
-		t.Error("acquire after release should win")
+
+	resp = r.sendReq(t, 1, &rpcRequest{ReqID: "jdone/" + string(id), Op: OpJDone, Args: cmdArgs{JobID: id, Node: "c0", Output: "hi\n"}}, 5*time.Second)
+	if !resp.OK {
+		t.Fatalf("jdone from c0: %+v", resp)
 	}
-	// Different job: independent lock.
-	if !acquire(0, "2.cluster", "attemptB") {
-		t.Error("different job should have its own lock")
+	waitHeads(t, "the completion on every head", func() bool {
+		for _, st := range states() {
+			if st != pbs.StateCompleted {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// waitHeads polls cond for up to five seconds.
+func waitHeads(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -349,14 +378,9 @@ func TestPlainServerServesAllOps(t *testing.T) {
 	if got, err := cli.Stat(j.ID); err != nil || got.Name != "solo-job" {
 		t.Errorf("Stat = %+v, %v", got, err)
 	}
-	if granted, err := cli.JMutex(j.ID, "a1"); err != nil || !granted {
-		t.Errorf("JMutex = %v, %v", granted, err)
-	}
-	if granted, _ := cli.JMutex(j.ID, "a2"); granted {
-		t.Error("second acquire should lose on plain server too")
-	}
-	if err := cli.JDone(j.ID); err != nil {
-		t.Error(err)
+	// A held job has no first node, so any jdone for it is refused.
+	if err := cli.JDone(j.ID, "c0", 0, ""); !errors.Is(err, pbs.ErrNotFirstNode) {
+		t.Errorf("JDone for a held job = %v, want ErrNotFirstNode", err)
 	}
 	if all, err := cli.StatAll(); err != nil || len(all) != 1 {
 		t.Errorf("StatAll = %v, %v", all, err)

@@ -3,32 +3,30 @@ package joshua
 import (
 	"bytes"
 	"fmt"
-	"maps"
-	"slices"
-	"sync"
 
 	"joshua/internal/codec"
 	"joshua/internal/pbs"
 	"joshua/internal/rsm"
 )
 
-// headService is a head node's one replicated state machine: the local
-// batch daemon (the TORQUE+Maui equivalent, "replicated externally,
-// unmodified") and the jmutex/jdone lock table the paper runs in the
-// mom job prologue, both driven by the same total order.
+// headService is a head node's one replicated state machine: the
+// local batch daemon (the TORQUE+Maui equivalent, "replicated
+// externally, unmodified"), driven by the total order. Completions are
+// part of that order (jdone), so placement is a pure function of it and
+// every head starts each job on the same first node: the launch needs
+// no lock round.
 type headService struct {
 	daemon *pbs.Daemon
-	locks  *lockTable
 }
 
 func newHeadService(d *pbs.Daemon) *headService {
-	return &headService{daemon: d, locks: newLockTable()}
+	return &headService{daemon: d}
 }
 
-// Apply parses the command in place, applies it to the lock table or
-// the batch daemon, and encodes the reply straight from the result
-// into a pooled encoder; the one copy returned is what the engine
-// keeps in its deduplication table.
+// Apply parses the command in place, applies it to the batch daemon,
+// and encodes the reply straight from the result into a pooled
+// encoder; the one copy returned is what the engine keeps in its
+// deduplication table.
 func (s *headService) Apply(cmd rsm.Command) []byte {
 	var v view
 	if !v.parse(cmd.Payload) {
@@ -36,17 +34,7 @@ func (s *headService) Apply(cmd rsm.Command) []byte {
 	}
 	e := codec.GetEncoder(256)
 	defer e.Release()
-	switch v.op {
-	case OpJMutex, OpJDone:
-		s.locks.apply(e, &v)
-	case OpJobDone:
-		// Internally originated (ordered completions): apply the mom
-		// report at this point in the command stream.
-		s.daemon.ApplyDone(pbs.JobID(v.jobID), v.exitCode, string(v.output))
-		putAck(e, v.reqID, false)
-	default:
-		execute(e, s.daemon, &v)
-	}
+	execute(e, s.daemon, &v)
 	return bytes.Clone(e.Bytes())
 }
 
@@ -54,17 +42,12 @@ func (s *headService) Apply(cmd rsm.Command) []byte {
 // parallel apply stage. Only operations that touch a single job's
 // record and never enter the scheduler are job-local: qsig bumps one
 // running job's signal count and an ordered qstat reads one job
-// ("job/<id>"). jmutex/jdone for distinct jobs touch distinct lock
-// entries and commute, so prologue races for different jobs resolve
-// in parallel; within one job the log order decides the winner. Lock
-// keys live in their own space ("lock/<id>"), so a lock command never
-// serializes behind a qsig or qstat of the same job. Every resource-
-// consuming operation — submit, delete, hold, release, completions,
-// node state — runs the scheduling pipeline over the shared node pool
-// and advances its logical clock, so it stays on the global barrier
-// (""). Accounting-sink line order across distinct jobs is unspecified
-// under parallel apply; the sink is local observability, not
-// replicated state.
+// ("job/<id>"). Every resource-consuming operation — submit, delete,
+// hold, release, completions (jdone), node state — runs the scheduling
+// pipeline over the shared node pool and advances its logical clock,
+// so it stays on the global barrier (""). Accounting-sink line order
+// across distinct jobs is unspecified under parallel apply; the sink
+// is local observability, not replicated state.
 func (s *headService) ConflictKey(cmd rsm.Command) string {
 	var v view
 	if !v.parse(cmd.Payload) || len(v.jobID) == 0 {
@@ -73,8 +56,6 @@ func (s *headService) ConflictKey(cmd rsm.Command) string {
 	switch v.op {
 	case OpSignal, OpStat:
 		return "job/" + string(v.jobID)
-	case OpJMutex, OpJDone:
-		return "lock/" + string(v.jobID)
 	default:
 		return ""
 	}
@@ -82,60 +63,36 @@ func (s *headService) ConflictKey(cmd rsm.Command) string {
 
 // headSnapshotFormat opens every head snapshot. The layout is
 //
-//	[format byte] [len-prefixed pbs snapshot] [uvarint n] n × ([job ID] [attempt])
+//	[format byte] [pbs snapshot]
 //
-// with the lock entries in job-ID order. It carries no checksum of its
-// own: the engine hands Restore only bytes that already passed the
-// state-transfer frame CRC or the checkpoint chunk CRCs. The earlier
-// sectioned layout opened with its section count, 2, so it fails the
-// format check.
-const headSnapshotFormat = 1
+// It carries no checksum of its own: the engine hands Restore only
+// bytes that already passed the state-transfer frame CRC or the
+// checkpoint chunk CRCs. Format 1 also carried the jmutex lock table.
+const headSnapshotFormat = 2
 
 // Snapshot encodes the state exactly as a Fork taken now would.
 func (s *headService) Snapshot() []byte { return s.Fork()() }
 
-// Fork captures the batch server's copy-on-write image and a copy of
-// the lock table, and defers the encode.
+// Fork captures the batch server's copy-on-write image and defers the
+// encode.
 func (s *headService) Fork() func() []byte {
 	image := s.daemon.Server().Fork()
-	locks := s.locks.clone()
 	return func() []byte {
 		pbsState := image()
-		e := codec.NewEncoder(len(pbsState) + 32*len(locks) + 16)
-		e.PutByte(headSnapshotFormat)
-		e.PutBytes(pbsState)
-		putLocks(e, locks)
-		return e.Bytes()
+		out := make([]byte, 1+len(pbsState))
+		out[0] = headSnapshotFormat
+		copy(out[1:], pbsState)
+		return out
 	}
 }
 
-// Restore decodes the whole snapshot before touching any state, so a
-// malformed lock table leaves the daemon as it was.
+// Restore checks the format byte and restores the batch server from
+// the rest.
 func (s *headService) Restore(state []byte) error {
-	d := codec.NewDecoder(state)
-	if f := d.Byte(); d.Err() == nil && f != headSnapshotFormat {
-		return fmt.Errorf("joshua: head snapshot format %d, want %d", f, headSnapshotFormat)
+	if len(state) == 0 || state[0] != headSnapshotFormat {
+		return fmt.Errorf("joshua: head snapshot is not format %d", headSnapshotFormat)
 	}
-	pbsState := d.Bytes()
-	n := d.Uint()
-	if d.Err() != nil || n > uint64(d.Remaining()) {
-		return fmt.Errorf("joshua: corrupt head snapshot: %v", d.Err())
-	}
-	locks := make(map[pbs.JobID]string, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		id := pbs.JobID(d.String())
-		locks[id] = d.String()
-	}
-	if err := d.Finish(); err != nil {
-		return fmt.Errorf("joshua: corrupt head snapshot: %w", err)
-	}
-	if err := s.daemon.Restore(pbsState); err != nil {
-		return err
-	}
-	s.locks.mu.Lock()
-	s.locks.held = locks
-	s.locks.mu.Unlock()
-	return nil
+	return s.daemon.Restore(state[1:])
 }
 
 // execute applies one PBS interface operation to a batch service and
@@ -191,6 +148,10 @@ func execute(e *codec.Encoder, d *pbs.Daemon, v *view) {
 		j, err = d.Release(id)
 	case OpSignal:
 		j, err = d.Signal(id, string(v.signal))
+	case OpJDone:
+		err = d.ApplyDone(id, string(v.node), v.exitCode, string(v.output))
+		putReply(e, reqID, err, srv.Version())
+		return
 	default:
 		putReply(e, reqID, fmt.Errorf("joshua: unknown operation %v", v.op), srv.Version())
 		return
@@ -223,63 +184,4 @@ func submit(e *codec.Encoder, d *pbs.Daemon, v *view) {
 		jobs = append(jobs, j)
 	}
 	putReply(e, reqID, err, d.Server().Version(), jobs...)
-}
-
-// lockTable is the jmutex/jdone distributed mutual exclusion: the
-// first acquire in the total order wins, and release clears the entry.
-// Apply and Restore run on the engine's goroutines; Len is also called
-// from read workers (the jadmin report), so the table is guarded by an
-// RWMutex.
-type lockTable struct {
-	mu   sync.RWMutex
-	held map[pbs.JobID]string // job ID -> winning attempt (a mom's name)
-}
-
-func newLockTable() *lockTable {
-	return &lockTable{held: make(map[pbs.JobID]string)}
-}
-
-// apply runs one jmutex or jdone and writes its reply. The lookups
-// convert nothing; only a newly won lock copies its job ID and
-// attempt ID out of the payload.
-func (t *lockTable) apply(e *codec.Encoder, v *view) {
-	t.mu.Lock()
-	granted := false
-	switch v.op {
-	case OpJMutex:
-		owner, held := t.held[pbs.JobID(v.jobID)]
-		if !held {
-			owner = string(v.attemptID)
-			t.held[pbs.JobID(v.jobID)] = owner
-		}
-		granted = owner == string(v.attemptID)
-	case OpJDone:
-		delete(t.held, pbs.JobID(v.jobID))
-	}
-	t.mu.Unlock()
-	putAck(e, v.reqID, granted)
-}
-
-func (t *lockTable) clone() map[pbs.JobID]string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return maps.Clone(t.held)
-}
-
-// Len reports the held-lock count; safe from any goroutine.
-func (t *lockTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.held)
-}
-
-// putLocks writes a lock table in job-ID order, so equal tables encode
-// to equal bytes.
-func putLocks(e *codec.Encoder, locks map[pbs.JobID]string) {
-	ids := slices.Sorted(maps.Keys(locks))
-	e.PutUint(uint64(len(ids)))
-	for _, id := range ids {
-		e.PutString(string(id))
-		e.PutString(locks[id])
-	}
 }

@@ -3,42 +3,11 @@ package joshua
 import (
 	"bytes"
 	"hash/crc32"
-	"reflect"
 	"testing"
 
 	"joshua/internal/codec"
-	"joshua/internal/pbs"
 	"joshua/internal/rsm"
 )
-
-func TestLockServiceSnapshotRoundTrip(t *testing.T) {
-	src := newHeadService(newApplyDaemon(t))
-	src.locks.held = map[pbs.JobID]string{
-		"1.cluster": "head0/pbs+compute0",
-		"2.cluster": "head1/pbs+compute1",
-	}
-	dst := newHeadService(newApplyDaemon(t))
-	if err := dst.Restore(src.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(dst.locks.held, src.locks.held) {
-		t.Errorf("locks mismatch:\n got %+v\nwant %+v", dst.locks.held, src.locks.held)
-	}
-	if dst.locks.Len() != 2 {
-		t.Errorf("Len = %d, want 2", dst.locks.Len())
-	}
-}
-
-func TestLockServiceSnapshotDeterministic(t *testing.T) {
-	s := newHeadService(newApplyDaemon(t))
-	s.locks.held = map[pbs.JobID]string{"b": "2", "a": "1", "c": "3"}
-	twin := newHeadService(newApplyDaemon(t))
-	twin.locks.held = map[pbs.JobID]string{"c": "3", "a": "1", "b": "2"}
-	b := s.Snapshot()
-	if !bytes.Equal(b, s.Snapshot()) || !bytes.Equal(b, twin.Snapshot()) {
-		t.Error("lock table snapshot is nondeterministic")
-	}
-}
 
 // TestHeadForkMatchesSnapshot walks applyScript and, before each
 // command, forks the head service and takes a Snapshot. The fork is
@@ -84,14 +53,11 @@ func TestHeadForkMatchesSnapshot(t *testing.T) {
 	if !bytes.Equal(dst.Snapshot(), image) {
 		t.Error("restored service's Snapshot differs from the forked image")
 	}
-	if dst.locks.Len() == 0 || !reflect.DeepEqual(dst.locks.held, svc.locks.held) {
-		t.Errorf("restored locks %+v, want %+v", dst.locks.held, svc.locks.held)
-	}
 }
 
 // TestHeadSnapshotRestoreRoundTrip restores the Snapshot of a service
-// that ran applyScript into a fresh service: both parts of the head
-// state, the PBS server and the lock table, must come across.
+// that ran applyScript into a fresh service: the PBS server state must
+// come across.
 func TestHeadSnapshotRestoreRoundTrip(t *testing.T) {
 	src := newHeadService(newApplyDaemon(t))
 	for _, req := range applyScript() {
@@ -103,9 +69,6 @@ func TestHeadSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(dst.daemon.Server().Snapshot(), src.daemon.Server().Snapshot()) {
 		t.Error("restored PBS server state differs from the source's")
-	}
-	if src.locks.Len() == 0 || !reflect.DeepEqual(dst.locks.held, src.locks.held) {
-		t.Errorf("restored locks %+v, want %+v", dst.locks.held, src.locks.held)
 	}
 	if !bytes.Equal(dst.Snapshot(), src.Snapshot()) {
 		t.Error("restored service's Snapshot differs from the source's")
@@ -124,14 +87,13 @@ func TestHeadRestoreRejectsForeignSnapshot(t *testing.T) {
 	}
 	good := src.Snapshot()
 
-	lockSection := codec.NewEncoder(64)
-	putLocks(lockSection, src.locks.clone())
+	lockSection := []byte{0} // no locks held
 	sectioned := codec.NewEncoder(len(good) + 64)
 	sectioned.PutUint(2)
 	for _, sec := range []struct {
 		name string
 		b    []byte
-	}{{"pbs", src.daemon.Server().Snapshot()}, {"locks", lockSection.Bytes()}} {
+	}{{"pbs", src.daemon.Server().Snapshot()}, {"locks", lockSection}} {
 		sectioned.PutString(sec.name)
 		sectioned.PutUint(uint64(crc32.ChecksumIEEE(sec.b)))
 		sectioned.PutBytes(sec.b)
@@ -162,5 +124,28 @@ func TestHeadRestoreRejectsForeignSnapshot(t *testing.T) {
 	}
 	if !bytes.Equal(dst.Snapshot(), good) {
 		t.Error("restored state differs from the source's")
+	}
+}
+
+// TestHeadRestoreRejectsFormat1 feeds Restore the previous layout,
+// which carried the jmutex lock table after the batch state: format 1,
+// the length-prefixed PBS snapshot, and an empty lock section. It must
+// fail and leave the state as it was.
+func TestHeadRestoreRejectsFormat1(t *testing.T) {
+	src := newHeadService(newApplyDaemon(t))
+	for _, req := range applyScript() {
+		src.Apply(rsm.Command{Payload: req.encode()})
+	}
+	v1 := codec.NewEncoder(64)
+	v1.PutByte(1)
+	v1.PutBytes(src.daemon.Server().Snapshot())
+	v1.PutUint(0)
+	dst := newHeadService(newApplyDaemon(t))
+	before := dst.Snapshot()
+	if err := dst.Restore(v1.Bytes()); err == nil {
+		t.Fatal("Restore accepted a format-1 snapshot")
+	}
+	if !bytes.Equal(dst.Snapshot(), before) {
+		t.Fatal("a rejected format-1 snapshot changed the state")
 	}
 }

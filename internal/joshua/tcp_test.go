@@ -19,7 +19,7 @@ type tcpCluster struct {
 	res     tcpnet.StaticResolver
 	heads   []*Server
 	mom     *pbs.Mom
-	lockCli *Client
+	doneCli *Client
 	client  *Client
 }
 
@@ -36,7 +36,7 @@ func newTCPCluster(t *testing.T, n int) *tcpCluster {
 	}
 
 	// Listen on every endpoint and fill the resolver before anything
-	// starts: the mom, the lock client and every head's group layer
+	// starts: the mom, the jdone client and every head's group layer
 	// resolve addresses from their own goroutines as soon as they run,
 	// and a StaticResolver is a plain map.
 	listen := func(addr transport.Addr) *tcpnet.Endpoint {
@@ -55,27 +55,23 @@ func newTCPCluster(t *testing.T, n int) *tcpCluster {
 		clientEPs = append(clientEPs, listen(clientAddr(i)))
 		pbsEPs = append(pbsEPs, listen(pbsAddr(i)))
 	}
-	lockEP, err := tcpnet.Listen("compute0/jmutex", "127.0.0.1:0", tc.res)
+	doneEP, err := tcpnet.Listen("compute0/jdone", "127.0.0.1:0", tc.res)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	tc.lockCli, err = NewClient(ClientConfig{
-		Endpoint:       lockEP,
+	tc.doneCli, err = NewClient(ClientConfig{
+		Endpoint:       doneEP,
 		Heads:          headClientAddrs,
 		AttemptTimeout: 500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prologue, epilogue := MomHooks(tc.lockCli, "compute0")
 	tc.mom = pbs.StartMom(pbs.MomConfig{
-		Name:           "compute0",
-		Endpoint:       momEP,
-		Servers:        headPBSAddrs,
-		Prologue:       prologue,
-		Epilogue:       epilogue,
-		ReportInterval: 100 * time.Millisecond,
+		Name:     "compute0",
+		Endpoint: momEP,
+		Complete: MomHooks(tc.doneCli, "compute0"),
 	})
 
 	var initial []gcs.MemberID
@@ -132,7 +128,7 @@ func newTCPCluster(t *testing.T, n int) *tcpCluster {
 
 	t.Cleanup(func() {
 		tc.client.Close()
-		tc.lockCli.Close()
+		tc.doneCli.Close()
 		tc.mom.Close()
 		for _, h := range tc.heads {
 			h.Close()

@@ -20,8 +20,8 @@ type Op byte
 // Operations. OpSubmit/OpDelete/OpStat mirror the paper's
 // jsub/jdel/jstat control commands; OpHold/OpRelease/OpSignal complete
 // the PBS interface (holds are possible here because state transfer is
-// snapshot-based, see DESIGN.md); OpJMutex/OpJDone are the distributed
-// mutual exclusion the jmutex/jdone scripts perform during job launch.
+// snapshot-based, see DESIGN.md); OpJDone is the completion a job's
+// first node hands the heads, the paper's jdone.
 const (
 	OpSubmit Op = iota + 1
 	OpDelete
@@ -30,14 +30,10 @@ const (
 	OpHold
 	OpRelease
 	OpSignal
-	OpJMutex
+	_ // 8: retired jmutex launch lock; the placement is the launch grant
 	OpJDone
 	_ // 10: retired local-state read; unordered OpStat/OpStatAll serve it
-	// OpJobDone is internal: a mom completion report replicated
-	// through the total order (ordered-completions mode). Heads
-	// originate it themselves; client requests carrying it are
-	// rejected.
-	OpJobDone
+	_ // 11: retired head-originated completion; OpJDone carries them
 	// Node management (the pbsnodes interface): offline/online are
 	// replicated state changes; the listing is a local read.
 	OpNodeOffline
@@ -63,12 +59,8 @@ func (o Op) String() string {
 		return "jrls"
 	case OpSignal:
 		return "jsig"
-	case OpJMutex:
-		return "jmutex"
 	case OpJDone:
 		return "jdone"
-	case OpJobDone:
-		return "jobdone"
 	case OpNodeOffline:
 		return "jnodes -o"
 	case OpNodeOnline:
@@ -122,12 +114,10 @@ type cmdArgs struct {
 	JobID pbs.JobID
 	// OpSignal.
 	Signal string
-	// OpJMutex / OpJDone.
-	AttemptID string
-	// OpJobDone (ordered completions).
+	// OpJDone.
 	ExitCode int
 	Output   string
-	// OpNodeOffline / OpNodeOnline.
+	// OpNodeOffline / OpNodeOnline, and OpJDone's reporting node.
 	Node string
 }
 
@@ -141,7 +131,7 @@ func putArgs(e *codec.Encoder, a *cmdArgs) {
 	e.PutUint(uint64(a.Count))
 	e.PutString(string(a.JobID))
 	e.PutString(a.Signal)
-	e.PutString(a.AttemptID)
+	e.PutString("") // retired jmutex attempt ID; old records still decode
 	e.PutInt(int64(a.ExitCode))
 	e.PutString(a.Output)
 	e.PutString(a.Node)
@@ -164,11 +154,11 @@ func getArgs(d *codec.Decoder) cmdArgs {
 		Count:     int(d.Uint()),
 		JobID:     pbs.JobID(d.String()),
 		Signal:    d.String(),
-		AttemptID: d.String(),
-		ExitCode:  int(d.Int()),
-		Output:    d.String(),
-		Node:      d.String(),
 	}
+	d.Bytes() // retired jmutex attempt ID
+	a.ExitCode = int(d.Int())
+	a.Output = d.String()
+	a.Node = d.String()
 	a.NCPUs = int(d.Int())
 	a.Mem = d.Int()
 	a.Priority = int(d.Int())
@@ -225,13 +215,12 @@ func (r *rpcRequest) encodeInto(e *codec.Encoder) {
 // sent to and, when that head is not the sequencer, by the sequencer
 // too (byte-identical copies; the client keeps the first).
 type rpcResponse struct {
-	ReqID   string
-	OK      bool
-	ErrMsg  string
-	Jobs    []pbs.Job
-	Granted bool // OpJMutex
-	Nodes   []pbs.NodeStatus
-	Info    map[string]string // OpInfoLocal
+	ReqID  string
+	OK     bool
+	ErrMsg string
+	Jobs   []pbs.Job
+	Nodes  []pbs.NodeStatus
+	Info   map[string]string // OpInfoLocal
 	// Epoch stamps responses with the answering head's batch-state
 	// version (pbs.Server.Version): local reads carry the version the
 	// snapshot was served at, replicated (ordered) commands the
@@ -261,7 +250,7 @@ func (r *rpcResponse) encodeBody(e *codec.Encoder) {
 	for _, j := range r.Jobs {
 		pbs.EncodeJob(e, j)
 	}
-	e.PutBool(r.Granted)
+	e.PutBool(false) // retired jmutex grant; old replies still decode
 	e.PutUint(uint64(len(r.Nodes)))
 	for _, n := range r.Nodes {
 		pbs.EncodeNodeStatus(e, n)
@@ -293,10 +282,10 @@ func putResponseHead(e *codec.Encoder, reqID []byte, errMsg string) {
 
 // putResponseTail writes what rpcResponse.encode writes after the job
 // list of a response with no nodes or info.
-func putResponseTail(e *codec.Encoder, granted bool, epoch uint64) {
-	e.PutBool(granted)
-	e.PutUint(0) // Nodes
-	e.PutUint(0) // Info
+func putResponseTail(e *codec.Encoder, epoch uint64) {
+	e.PutBool(false) // retired jmutex grant
+	e.PutUint(0)     // Nodes
+	e.PutUint(0)     // Info
 	e.PutUint(epoch)
 }
 
@@ -312,7 +301,7 @@ func putReply(e *codec.Encoder, reqID []byte, err error, epoch uint64, jobs ...p
 	for i := range jobs {
 		pbs.EncodeJob(e, jobs[i])
 	}
-	putResponseTail(e, false, epoch)
+	putResponseTail(e, epoch)
 }
 
 // putJobReply writes the reply of a one-job operation: j, or err.
@@ -324,22 +313,13 @@ func putJobReply(e *codec.Encoder, reqID []byte, j pbs.Job, err error, epoch uin
 	putReply(e, reqID, nil, epoch, j)
 }
 
-// putAck writes the bytes of rpcResponse{ReqID, OK: true, Granted:
-// granted}.encode(): the reply of jmutex, jdone and an ordered
-// completion, which carry no epoch.
-func putAck(e *codec.Encoder, reqID []byte, granted bool) {
-	putResponseHead(e, reqID, "")
-	e.PutUint(0) // Jobs
-	putResponseTail(e, granted, 0)
-}
-
 // putListing frames a pre-encoded job list (pbs.Server.Listing) behind
 // a per-request ReqID: the bytes of rpcResponse{ReqID, OK: true, Jobs,
 // Epoch: epoch}.encode().
 func putListing(e *codec.Encoder, reqID, jobs []byte, epoch uint64) {
 	putResponseHead(e, reqID, "")
 	e.PutRaw(jobs)
-	putResponseTail(e, false, epoch)
+	putResponseTail(e, epoch)
 }
 
 // putResponse writes a response built as a value, for the replies that
@@ -384,7 +364,7 @@ func decodeRPC(b []byte) (*rpcRequest, *rpcResponse, error) {
 				pbs.DecodeJobInto(d, &resp.Jobs[i])
 			}
 		}
-		resp.Granted = d.Bool()
+		d.Bool() // retired jmutex grant
 		nn := d.Uint()
 		for i := uint64(0); i < nn && d.Err() == nil; i++ {
 			resp.Nodes = append(resp.Nodes, pbs.DecodeNodeStatus(d))
@@ -422,15 +402,14 @@ type view struct {
 	ordered bool
 	// sub holds the qsub arguments but Name, Owner and Script, which
 	// strs spans, length prefixes included (see submitRequest).
-	sub       pbs.SubmitRequest
-	strs      []byte
-	count     int
-	jobID     []byte
-	signal    []byte
-	attemptID []byte
-	exitCode  int
-	output    []byte
-	node      []byte
+	sub      pbs.SubmitRequest
+	strs     []byte
+	count    int
+	jobID    []byte
+	signal   []byte
+	exitCode int
+	output   []byte
+	node     []byte
 }
 
 // header reads the request header (kind, ReqID, operation, Ordered)
@@ -463,7 +442,7 @@ func (v *view) parse(payload []byte) bool {
 	v.count = int(d.Uint())
 	v.jobID = d.Bytes()
 	v.signal = d.Bytes()
-	v.attemptID = d.Bytes()
+	d.Bytes() // retired jmutex attempt ID
 	v.exitCode = int(d.Int())
 	v.output = d.Bytes()
 	v.node = d.Bytes()

@@ -2,6 +2,7 @@ package joshua
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -38,9 +39,8 @@ func TestRPCRequestRoundTrip(t *testing.T) {
 
 func TestRPCResponseRoundTrip(t *testing.T) {
 	resp := &rpcResponse{
-		ReqID:   "x#1",
-		OK:      true,
-		Granted: true,
+		ReqID: "x#1",
+		OK:    true,
 		Jobs: []pbs.Job{
 			{ID: "1.cluster", Seq: 1, Name: "a", Owner: "u", State: pbs.StateRunning, NodeCount: 1, Nodes: []string{"c0"}},
 			{ID: "2.cluster", Seq: 2, Name: "b", State: pbs.StateCompleted, ExitCode: -271},
@@ -50,7 +50,7 @@ func TestRPCResponseRoundTrip(t *testing.T) {
 	if err != nil || gotReq != nil {
 		t.Fatalf("decode: %v (req %v)", err, gotReq)
 	}
-	if gotResp.ReqID != resp.ReqID || !gotResp.OK || !gotResp.Granted {
+	if gotResp.ReqID != resp.ReqID || !gotResp.OK {
 		t.Errorf("header mismatch: %+v", gotResp)
 	}
 	if len(gotResp.Jobs) != 2 || gotResp.Jobs[0].ID != "1.cluster" || gotResp.Jobs[1].ExitCode != -271 {
@@ -82,13 +82,13 @@ func TestRPCDecodeGarbage(t *testing.T) {
 func TestRequestOpPeek(t *testing.T) {
 	req := &rpcRequest{
 		ReqID: "c#9",
-		Op:    OpJMutex,
-		Args:  cmdArgs{JobID: "3.cluster", AttemptID: "head1/pbs+compute0"},
+		Op:    OpJDone,
+		Args:  cmdArgs{JobID: "3.cluster", Node: "compute0", Output: "hi\n"},
 	}
 	p := req.encode()
 	var v view
-	if !v.header(codec.NewDecoder(p)) || v.op != OpJMutex || string(v.reqID) != "c#9" {
-		t.Fatalf("header = %q %v; want c#9 jmutex", v.reqID, v.op)
+	if !v.header(codec.NewDecoder(p)) || v.op != OpJDone || string(v.reqID) != "c#9" {
+		t.Fatalf("header = %q %v; want c#9 jdone", v.reqID, v.op)
 	}
 	if v.header(codec.NewDecoder(nil)) {
 		t.Error("header(nil) accepted")
@@ -110,8 +110,6 @@ func decodedConflictKey(payload []byte) string {
 	switch req.Op {
 	case OpSignal, OpStat:
 		return "job/" + string(req.Args.JobID)
-	case OpJMutex, OpJDone:
-		return "lock/" + string(req.Args.JobID)
 	}
 	return ""
 }
@@ -125,7 +123,7 @@ func viewRequest(v *view) *rpcRequest {
 		NodeCount: sr.NodeCount, WallTime: sr.WallTime, Hold: sr.Hold, Count: v.count,
 		NCPUs: sr.Resources.NCPUs, Mem: sr.Resources.Mem, Priority: sr.Priority,
 		ArraySet: sr.Array.Set, ArrayStart: sr.Array.Start, ArrayEnd: sr.Array.End,
-		JobID: pbs.JobID(v.jobID), Signal: string(v.signal), AttemptID: string(v.attemptID),
+		JobID: pbs.JobID(v.jobID), Signal: string(v.signal),
 		ExitCode: v.exitCode, Output: string(v.output), Node: string(v.node),
 	}}
 }
@@ -141,7 +139,7 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 		Name: "n", Owner: "o", Script: "#!/bin/sh\n", NodeCount: 2, WallTime: time.Second,
 		Hold: true, Count: 3, NCPUs: 4, Mem: 1 << 30, Priority: -5,
 		ArraySet: true, ArrayStart: 1, ArrayEnd: 9,
-		Signal: "SIGUSR1", AttemptID: "head0/pbs+compute0", ExitCode: -271,
+		Signal: "SIGUSR1", ExitCode: -271,
 		Output: "out\n", Node: "compute0",
 	}
 	var payloads [][]byte
@@ -167,7 +165,7 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 	payloads = append(payloads, (&rpcResponse{ReqID: "c#1", OK: true}).encode())
 
 	svc := &headService{}
-	var jobKeyed, lockKeyed int
+	var jobKeyed int
 	var accepted int
 	for _, p := range payloads {
 		req, _, err := decodeRPC(p)
@@ -184,59 +182,62 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 		if got := svc.ConflictKey(rsm.Command{Payload: p}); got != want {
 			t.Fatalf("ConflictKey(%x) = %q, decodeRPC-derived %q", p, got, want)
 		}
-		switch {
-		case strings.HasPrefix(want, "job/"):
+		if strings.HasPrefix(want, "job/") {
 			jobKeyed++
-		case strings.HasPrefix(want, "lock/"):
-			lockKeyed++
 		}
 	}
 	if accepted == 0 || accepted == len(payloads) {
 		t.Fatalf("view accepted %d of %d payloads", accepted, len(payloads))
 	}
-	if jobKeyed == 0 || lockKeyed == 0 {
-		t.Fatalf("table never produced a key (job %d, lock %d)", jobKeyed, lockKeyed)
+	if jobKeyed == 0 {
+		t.Fatal("table never produced a job key")
 	}
 
-	// Classifying a jmutex costs only the key string.
-	cmd := rsm.Command{Payload: (&rpcRequest{ReqID: "c#2", Op: OpJMutex, Args: cmdArgs{JobID: "3.cluster", AttemptID: "a"}}).encode()}
+	// Classifying a jsig costs only the key string.
+	cmd := rsm.Command{Payload: (&rpcRequest{ReqID: "c#2", Op: OpSignal, Args: cmdArgs{JobID: "3.cluster", Signal: "SIGUSR1"}}).encode()}
 	if allocs := testing.AllocsPerRun(200, func() { _ = svc.ConflictKey(cmd) }); allocs > 1 {
-		t.Errorf("jmutex ConflictKey: %v allocs/op, want <= 1", allocs)
+		t.Errorf("jsig ConflictKey: %v allocs/op, want <= 1", allocs)
 	}
 }
 
 func TestOpStrings(t *testing.T) {
 	cases := map[Op]string{
 		OpSubmit: "jsub", OpDelete: "jdel", OpStat: "jstat",
-		OpJMutex: "jmutex", OpJDone: "jdone", Op(10): "op(10)",
-		Op(200): "op(200)",
+		OpJDone: "jdone", Op(8): "op(8)", Op(10): "op(10)",
+		Op(11): "op(11)", Op(200): "op(200)",
 	}
 	for op, want := range cases {
 		if got := op.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", op, got, want)
 		}
 	}
-	if OpStatAll.mutating() || !OpSubmit.mutating() || !OpJMutex.mutating() {
+	if OpStatAll.mutating() || !OpSubmit.mutating() || !OpJDone.mutating() {
 		t.Error("mutating classification wrong")
 	}
 }
 
 // TestOpValues pins every operation's byte: WAL records and replicated
 // dedup replies carry it, so renumbering one would make a head misread
-// its own log. Value 10 stays reserved for the retired local-state read.
+// its own log. Values 8, 10 and 11 stay reserved for the retired
+// jmutex, local-state read and head-originated completion.
 func TestOpValues(t *testing.T) {
 	want := []struct {
 		op   Op
 		wire byte
 	}{
 		{OpSubmit, 1}, {OpDelete, 2}, {OpStat, 3}, {OpStatAll, 4},
-		{OpHold, 5}, {OpRelease, 6}, {OpSignal, 7}, {OpJMutex, 8},
-		{OpJDone, 9}, {OpJobDone, 11}, {OpNodeOffline, 12},
-		{OpNodeOnline, 13}, {OpNodesLocal, 14}, {OpInfoLocal, 15},
+		{OpHold, 5}, {OpRelease, 6}, {OpSignal, 7}, {OpJDone, 9},
+		{OpNodeOffline, 12}, {OpNodeOnline, 13}, {OpNodesLocal, 14},
+		{OpInfoLocal, 15},
 	}
 	for _, w := range want {
 		if byte(w.op) != w.wire {
 			t.Errorf("%v = %d, want %d", w.op, byte(w.op), w.wire)
+		}
+	}
+	for _, reserved := range []Op{8, 10, 11} {
+		if got, want := reserved.String(), fmt.Sprintf("op(%d)", reserved); got != want {
+			t.Errorf("reserved byte %d names %q, want %q", reserved, got, want)
 		}
 	}
 }
@@ -244,7 +245,7 @@ func TestOpValues(t *testing.T) {
 // Property: arbitrary command args survive the round trip through a
 // client request (the same bytes the engine replicates verbatim).
 func TestQuickRPCRequest(t *testing.T) {
-	f := func(reqID, name, owner, script, jobID, attempt string, nodes uint8, wall int64, hold bool, count uint8) bool {
+	f := func(reqID, name, owner, script, jobID, node string, nodes uint8, wall int64, hold bool, count uint8) bool {
 		req := &rpcRequest{
 			ReqID: reqID,
 			Op:    OpSubmit,
@@ -252,7 +253,7 @@ func TestQuickRPCRequest(t *testing.T) {
 				Name: name, Owner: owner, Script: script,
 				NodeCount: int(nodes), WallTime: time.Duration(wall),
 				Hold: hold, Count: int(count),
-				JobID: pbs.JobID(jobID), AttemptID: attempt,
+				JobID: pbs.JobID(jobID), Node: node,
 			},
 		}
 		got, _, err := decodeRPC(req.encode())

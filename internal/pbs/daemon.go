@@ -9,7 +9,7 @@ import (
 
 // Daemon binds a Server state machine to the network: it relays the
 // server's scheduling decisions (start/kill) to the compute-node moms
-// and feeds mom completion reports back into the state machine. It is
+// and applies the completions its head hands it (ApplyDone). It is
 // the piece of a TORQUE head node that talks RPP to the moms.
 //
 // A standalone Daemon is a complete single-head batch system — the
@@ -22,28 +22,22 @@ type Daemon struct {
 
 	mu sync.Mutex
 	// outstanding start/kill requests not yet resolved by a
-	// completion report, for retransmission over the lossy datagram
+	// completion, for retransmission over the lossy datagram
 	// transport.
 	outstanding map[JobID]*outstandingJob
-	interceptor DoneInterceptor
 	done        chan struct{}
 	once        sync.Once
 }
 
-// SetDoneInterceptor installs (or clears) the completion interceptor.
-// Safe to call after the daemon started; JOSHUA installs it when
-// ordered completions are enabled.
-func (d *Daemon) SetDoneInterceptor(f DoneInterceptor) {
-	d.mu.Lock()
-	d.interceptor = f
-	d.mu.Unlock()
-}
-
-// ApplyDone applies a completion that was diverted by the
-// interceptor (after it has been totally ordered). OnJobDone fires
-// only for the report that actually ended the job.
-func (d *Daemon) ApplyDone(id JobID, exitCode int, output string) {
-	ended := d.srv.JobDone(id, exitCode, output)
+// ApplyDone applies the completion that node reports for job id (see
+// Server.JobDoneOn, whose refusal it returns): JOSHUA's heads call it
+// in total order for each jdone, the plain server directly. OnJobDone
+// fires only for the report that actually ended the job.
+func (d *Daemon) ApplyDone(id JobID, node string, exitCode int, output string) error {
+	ended, err := d.srv.JobDoneOn(id, node, exitCode, output)
+	if err != nil {
+		return err
+	}
 	d.mu.Lock()
 	delete(d.outstanding, id)
 	d.mu.Unlock()
@@ -51,6 +45,7 @@ func (d *Daemon) ApplyDone(id JobID, exitCode int, output string) {
 		d.cfg.OnJobDone(id, exitCode)
 	}
 	d.flush()
+	return nil
 }
 
 type outstandingJob struct {
@@ -61,7 +56,8 @@ type outstandingJob struct {
 
 // DaemonConfig parameterizes a Daemon.
 type DaemonConfig struct {
-	// Endpoint receives mom reports; the daemon owns and closes it.
+	// Endpoint sends starts and kills to the moms, which answer
+	// nothing on it; the daemon owns and closes it.
 	Endpoint transport.Endpoint
 	// Moms maps compute-node names (Server Config.Nodes) to mom
 	// transport addresses.
@@ -73,12 +69,6 @@ type DaemonConfig struct {
 	// is applied (JOSHUA uses it to track job turnaround).
 	OnJobDone func(id JobID, exitCode int)
 }
-
-// DoneInterceptor diverts mom completion reports away from direct
-// application: return true to claim the report (JOSHUA's ordered-
-// completions mode replicates it through the total order and applies
-// it later via ApplyDone); return false for the default direct path.
-type DoneInterceptor func(id JobID, exitCode int, output string) bool
 
 // NewDaemon creates and runs a daemon for srv.
 func NewDaemon(srv *Server, cfg DaemonConfig) *Daemon {
@@ -167,9 +157,8 @@ func (d *Daemon) StatusAll() []Job { return d.srv.StatusAll() }
 // Restore replaces server state from a snapshot (JOSHUA state
 // transfer for a joining head node). Outstanding requests are
 // dropped: running jobs were started by the established head nodes,
-// whose daemons keep retransmitting if needed; this daemon only needs
-// to hear the completion reports, which the moms address to every
-// configured head.
+// whose daemons keep retransmitting if needed; their completions reach
+// this daemon through ApplyDone like everyone else's.
 func (d *Daemon) Restore(snapshot []byte) error {
 	if err := d.srv.Restore(snapshot); err != nil {
 		return err
@@ -187,34 +176,10 @@ func (d *Daemon) run() {
 		select {
 		case <-d.done:
 			return
-		case dg, ok := <-d.cfg.Endpoint.Recv():
-			if !ok {
-				return
-			}
-			msg, err := decodeMomMsg(dg.Payload)
-			if err != nil || msg.Kind != momKindDone {
-				continue
-			}
-			d.onJobDone(msg, dg.From)
 		case <-tick.C:
 			d.resend()
 		}
 	}
-}
-
-func (d *Daemon) onJobDone(msg *momMsg, from transport.Addr) {
-	// Acknowledge first: even a duplicate report deserves an ack so
-	// the mom stops retransmitting.
-	ack := &momMsg{Kind: momKindDoneAck, JobID: msg.JobID}
-	_ = d.cfg.Endpoint.Send(from, ack.encode())
-
-	d.mu.Lock()
-	intercept := d.interceptor
-	d.mu.Unlock()
-	if intercept != nil && intercept(msg.JobID, msg.ExitCode, msg.Output) {
-		return // the interceptor owns this report (ordered completions)
-	}
-	d.ApplyDone(msg.JobID, msg.ExitCode, msg.Output)
 }
 
 // flush drains the server's action outbox onto the wire.

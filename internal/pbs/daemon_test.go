@@ -2,7 +2,6 @@ package pbs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -59,68 +58,6 @@ func TestDaemonRestoreRejectsCorrupt(t *testing.T) {
 	if err := d.Restore([]byte{1, 2, 3}); err == nil {
 		t.Fatal("corrupt snapshot should fail")
 	}
-}
-
-func TestDoneInterceptorDivertsAndApplies(t *testing.T) {
-	r := newRig(t, 1, nil)
-	var mu sync.Mutex
-	type rec struct {
-		id     JobID
-		exit   int
-		output string
-	}
-	var intercepted []rec
-	r.daemon.SetDoneInterceptor(func(id JobID, exitCode int, output string) bool {
-		mu.Lock()
-		intercepted = append(intercepted, rec{id, exitCode, output})
-		mu.Unlock()
-		return true // claim the report
-	})
-
-	j, err := r.daemon.Submit(SubmitRequest{Script: "echo diverted", WallTime: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The interceptor sees the report; the job must NOT complete yet.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := len(intercepted)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("interceptor never called")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	got, _ := r.daemon.Status(j.ID)
-	if got.State != StateRunning {
-		t.Fatalf("intercepted job state = %v, want still Running", got.State)
-	}
-
-	// Applying the diverted report completes the job with its output.
-	mu.Lock()
-	first := intercepted[0]
-	mu.Unlock()
-	if first.output != "diverted\n" {
-		t.Errorf("intercepted output = %q", first.output)
-	}
-	r.daemon.ApplyDone(first.id, first.exit, first.output)
-	got, _ = r.daemon.Status(j.ID)
-	if got.State != StateCompleted || got.Output != "diverted\n" {
-		t.Fatalf("after ApplyDone: %+v", got)
-	}
-}
-
-func TestDoneInterceptorDecline(t *testing.T) {
-	r := newRig(t, 1, nil)
-	r.daemon.SetDoneInterceptor(func(id JobID, exitCode int, output string) bool {
-		return false // decline: default direct path applies
-	})
-	j, _ := r.daemon.Submit(SubmitRequest{WallTime: time.Millisecond})
-	waitState(t, r.daemon, j.ID, StateCompleted, 5*time.Second)
 }
 
 func TestRunScript(t *testing.T) {

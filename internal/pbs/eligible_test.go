@@ -2,6 +2,7 @@ package pbs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -168,7 +169,7 @@ func TestEligibleIndexProperty(t *testing.T) {
 // TestApplyDoneSkipsStatusRebuild pins the completion path: applying
 // a completion must not rebuild the status snapshot (no read-cache
 // miss), fires OnJobDone exactly once for the report that ends the
-// job, and never for a duplicate or an unknown job.
+// job, and never for a refused, a duplicate or an unknown job's one.
 func TestApplyDoneSkipsStatusRebuild(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
@@ -194,16 +195,31 @@ func TestApplyDoneSkipsStatusRebuild(t *testing.T) {
 		t.Fatalf("running = %d, want 1", running)
 	}
 	_, misses := srv.ReadCacheStats()
+	version := srv.Version()
 
-	d.ApplyDone(j.ID, 0, "out")
+	if err := d.ApplyDone(j.ID, "n1", 0, "out"); !errors.Is(err, ErrNotFirstNode) {
+		t.Fatalf("completion from n1 for a job on n0: %v, want ErrNotFirstNode", err)
+	}
+	if fired.Load() != 0 || srv.Version() != version {
+		t.Fatal("a refused completion changed the state or fired OnJobDone")
+	}
+	if err := d.ApplyDone(j.ID, "n0", 0, "out"); err != nil {
+		t.Fatal(err)
+	}
 	if _, after := srv.ReadCacheStats(); after != misses {
 		t.Errorf("ApplyDone rebuilt the status snapshot: misses %d -> %d", misses, after)
 	}
 	if n := fired.Load(); n != 1 {
 		t.Errorf("OnJobDone fired %d times for one completion, want 1", n)
 	}
-	d.ApplyDone(j.ID, 0, "out") // duplicate report
-	d.ApplyDone("99.c", 0, "")  // unknown job
+	// A duplicate report and one for an unknown job are stale, not
+	// refused.
+	if err := d.ApplyDone(j.ID, "n0", 0, "out"); err != nil {
+		t.Errorf("duplicate report: %v", err)
+	}
+	if err := d.ApplyDone("99.c", "n0", 0, ""); err != nil {
+		t.Errorf("report for an unknown job: %v", err)
+	}
 	if n := fired.Load(); n != 1 {
 		t.Errorf("OnJobDone fired %d times after a duplicate and an unknown report, want 1", n)
 	}

@@ -3,6 +3,7 @@ package pbs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -12,8 +13,10 @@ import (
 
 // The tests in this file drive a Mom through a stub endpoint whose
 // receive channel is unbuffered: once the test has handed the mom one
-// datagram, the mom has finished handling every earlier one. So they
-// need no sleeps and assert no durations.
+// datagram, the mom has finished handling every earlier one. Its
+// Complete hook is scripted and signals each call. So they assert no
+// durations, and wait a fixed time only to see that a retry does not
+// come.
 
 var launchHeads = []transport.Addr{"head0/pbs", "head1/pbs", "head2/pbs"}
 
@@ -39,26 +42,67 @@ func (e *stubEndpoint) Close() error {
 	return nil
 }
 
-// launchRig is one mom serving launchHeads, with report resends an
-// hour apart so that every report it sends answers a test's message.
+// scriptedComplete answers the Complete calls in order, repeating its
+// last answer, and signals each call on calls.
+type scriptedComplete struct {
+	answers []func() error
+	calls   chan struct{}
+
+	mu sync.Mutex
+	n  int
+}
+
+func newScriptedComplete(answers ...func() error) *scriptedComplete {
+	// calls holds more signals than any test here waits for, so the hook
+	// never blocks the mom.
+	return &scriptedComplete{answers: answers, calls: make(chan struct{}, 64)}
+}
+
+func (c *scriptedComplete) run(Job, int, string) error {
+	c.mu.Lock()
+	answer := c.answers[min(c.n, len(c.answers)-1)]
+	c.n++
+	c.mu.Unlock()
+	err := answer()
+	c.calls <- struct{}{}
+	return err
+}
+
+func (c *scriptedComplete) count() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.n
+}
+
+// await waits for the hook's next return.
+func (c *scriptedComplete) await(t *testing.T) {
+	t.Helper()
+	select {
+	case <-c.calls:
+	case <-time.After(10 * time.Second):
+		t.Fatal("timed out waiting for the Complete hook")
+	}
+}
+
+func accept() error      { return nil }
+func unreachable() error { return errors.New("heads unreachable") }
+func refuseOtherNode() error {
+	return fmt.Errorf("%w: compute0 reported job 1.cluster", ErrNotFirstNode)
+}
+
+// launchRig is one mom, compute0, serving launchHeads.
 type launchRig struct {
 	mom *Mom
 	ep  *stubEndpoint
 	job Job
 }
 
-func newLaunchRig(t *testing.T, prologue func(Job) (bool, error)) *launchRig {
+func newLaunchRig(t *testing.T, complete *scriptedComplete) *launchRig {
 	t.Helper()
-	// sent holds more than any test here sends, so Send never blocks
-	// the mom.
+	// sent holds more than any test here could send, so Send never
+	// blocks the mom.
 	ep := &stubEndpoint{in: make(chan transport.Message), sent: make(chan transport.Message, 64)}
-	mom := StartMom(MomConfig{
-		Name:           "compute0",
-		Endpoint:       ep,
-		Servers:        launchHeads,
-		Prologue:       prologue,
-		ReportInterval: time.Hour,
-	})
+	mom := StartMom(MomConfig{Name: "compute0", Endpoint: ep, Complete: complete.run})
 	t.Cleanup(mom.Close)
 	return &launchRig{mom: mom, ep: ep, job: Job{ID: "1.cluster", Name: "j", Script: "echo hi", Nodes: []string{"compute0"}}}
 }
@@ -73,220 +117,175 @@ func (r *launchRig) start(from transport.Addr) {
 	r.deliver(from, &momMsg{Kind: momKindStart, JobID: j.ID, Name: j.Name, Script: j.Script, Nodes: j.Nodes})
 }
 
-func (r *launchRig) ack(from transport.Addr) {
-	r.deliver(from, &momMsg{Kind: momKindDoneAck, JobID: r.job.ID})
-}
-
 // sync returns once the mom has handled everything delivered before:
-// an ack for a job it never saw changes nothing.
+// a kill for a job it never saw changes nothing.
 func (r *launchRig) sync() {
-	r.deliver(launchHeads[0], &momMsg{Kind: momKindDoneAck, JobID: "0.none"})
+	r.deliver(launchHeads[0], &momMsg{Kind: momKindKill, JobID: "0.none"})
 }
 
-// nextSend waits for the mom's next datagram.
-func (r *launchRig) nextSend(t *testing.T) transport.Message {
-	t.Helper()
-	select {
-	case m := <-r.ep.sent:
-		return m
-	case <-time.After(5 * time.Second):
-		t.Fatal("timed out waiting for the mom to send")
-		return transport.Message{}
-	}
-}
-
-// reportsToAll waits for the completion report to every head and
-// returns it.
-func (r *launchRig) reportsToAll(t *testing.T) []byte {
-	t.Helper()
-	var report []byte
-	for range launchHeads {
-		m := r.nextSend(t)
-		msg, err := decodeMomMsg(m.Payload)
-		if err != nil || msg.Kind != momKindDone || msg.JobID != r.job.ID {
-			t.Fatalf("mom sent %+v (%v), want the completion report", msg, err)
-		}
-		report = m.Payload
-	}
-	return report
-}
-
-// state reads the job's state; a job the mom has not handled a start
-// for yet reads as none.
-func (r *launchRig) state() momState {
+// state reads the job's state; ok is false for a job the mom has not
+// handled a start for.
+func (r *launchRig) state() (st momState, ok bool) {
 	r.mom.mu.Lock()
 	defer r.mom.mu.Unlock()
 	if j := r.mom.jobs[r.job.ID]; j != nil {
-		return j.state
+		return j.state, true
 	}
-	return momNone
+	return 0, false
 }
 
-func (r *launchRig) owed() int {
-	r.mom.mu.Lock()
-	defer r.mom.mu.Unlock()
-	return len(r.mom.owed)
+// noSends fails the test if the mom sent anything: it never answers a
+// head on the start/kill channel.
+func (r *launchRig) noSends(t *testing.T) {
+	t.Helper()
+	select {
+	case m := <-r.ep.sent:
+		t.Errorf("the mom sent %d bytes to %s", len(m.Payload), m.To)
+	default:
+	}
 }
 
-// scriptedPrologue answers the calls in order and counts them.
-type scriptedPrologue struct {
-	mu      sync.Mutex
-	calls   int
-	answers []func() (bool, error)
-}
-
-func (p *scriptedPrologue) run(Job) (bool, error) {
-	p.mu.Lock()
-	answer := p.answers[min(p.calls, len(p.answers)-1)]
-	p.calls++
-	p.mu.Unlock()
-	return answer()
-}
-
-func (p *scriptedPrologue) count() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.calls
-}
-
-func grant() (bool, error)  { return true, nil }
-func refuse() (bool, error) { return false, nil }
-
-// TestStartsFoldOntoOnePrologue: every head's start arrives while the
-// prologue blocks; the job costs one prologue call and runs once.
+// TestStartsFoldOntoOnePrologue: every head's start arrives before the
+// job's completion returns, and one more after; the job executes once
+// and completes once. (The name is from when the fold ran a prologue;
+// the fold is the same, onto the first start's run.)
 func TestStartsFoldOntoOnePrologue(t *testing.T) {
-	entered, release := make(chan struct{}), make(chan struct{})
-	p := &scriptedPrologue{answers: []func() (bool, error){func() (bool, error) {
-		close(entered)
-		<-release
-		return true, nil
-	}}}
-	r := newLaunchRig(t, p.run)
+	release := make(chan struct{})
+	c := newScriptedComplete(func() error { <-release; return nil })
+	r := newLaunchRig(t, c)
 	r.start(launchHeads[0])
-	<-entered
 	r.start(launchHeads[1])
 	r.start(launchHeads[2])
 	r.start(launchHeads[0]) // the first head's own retransmission
 	r.sync()
 	close(release)
-	r.reportsToAll(t)
-	if n := p.count(); n != 1 {
-		t.Errorf("prologue ran %d times for 4 starts, want 1", n)
-	}
-	if n := r.mom.Executions(); n != 1 {
-		t.Errorf("executions = %d, want 1", n)
-	}
-}
-
-// TestPrologueErrorRetriesOnNextStart: an unreachable lock service
-// leaves the job as if no start had arrived, so the heads' next start
-// retransmission runs the prologue again, and the job runs once.
-func TestPrologueErrorRetriesOnNextStart(t *testing.T) {
-	p := &scriptedPrologue{answers: []func() (bool, error){
-		func() (bool, error) { return false, errors.New("lock service unreachable") },
-		grant,
-	}}
-	r := newLaunchRig(t, p.run)
-	r.start(launchHeads[0])
-	waitFor(t, "the failed prologue to return the job to none", func() bool {
-		return p.count() == 1 && r.state() == momNone
-	})
-	if n := r.mom.Executions(); n != 0 {
-		t.Fatalf("executions = %d after a failed prologue, want 0", n)
-	}
+	c.await(t)
 	r.start(launchHeads[1])
-	r.reportsToAll(t)
-	r.start(launchHeads[2])
 	r.sync()
-	if n := p.count(); n != 2 {
-		t.Errorf("prologue ran %d times, want 2 (the failure and its retry)", n)
+	if n := c.count(); n != 1 {
+		t.Errorf("Complete ran %d times for 5 starts, want 1", n)
 	}
 	if n := r.mom.Executions(); n != 1 {
 		t.Errorf("executions = %d, want 1", n)
 	}
+	r.noSends(t)
 }
 
-// TestPrologueRefusalIsFinal: once another node holds the lock, no
-// later start from any head runs the prologue again.
-func TestPrologueRefusalIsFinal(t *testing.T) {
-	p := &scriptedPrologue{answers: []func() (bool, error){refuse, grant}}
-	r := newLaunchRig(t, p.run)
+// TestSisterNodeEmulates: a node that is not the job's first emulates
+// every head's start, ignores the kill, and never completes the job.
+func TestSisterNodeEmulates(t *testing.T) {
+	c := newScriptedComplete(accept)
+	r := newLaunchRig(t, c)
+	r.job.Nodes = []string{"compute1", "compute0"}
+	for _, h := range launchHeads {
+		r.start(h)
+	}
+	r.deliver(launchHeads[0], &momMsg{Kind: momKindKill, JobID: r.job.ID})
+	r.sync()
+	if st, ok := r.state(); !ok || st != momEmulated {
+		t.Errorf("state = %d (known %v), want emulated", st, ok)
+	}
+	if n := r.mom.Executions(); n != 0 {
+		t.Errorf("executions = %d on a sister node, want 0", n)
+	}
+	if n := c.count(); n != 0 {
+		t.Errorf("Complete ran %d times on a sister node, want 0", n)
+	}
+	if ids := r.mom.RunningJobs(); len(ids) != 0 {
+		t.Errorf("RunningJobs = %v on a sister node, want none", ids)
+	}
+	r.noSends(t)
+}
+
+// TestStartAfterFinishSendsNothing: a head retransmitting its start
+// after the job finished gets nothing back, and the job neither runs
+// nor completes again; its completion travels the total order.
+func TestStartAfterFinishSendsNothing(t *testing.T) {
+	c := newScriptedComplete(accept)
+	r := newLaunchRig(t, c)
 	r.start(launchHeads[0])
-	waitFor(t, "the refusal", func() bool { return r.state() == momEmulated })
+	c.await(t)
 	for _, h := range launchHeads {
 		r.start(h)
 	}
 	r.sync()
-	if n := p.count(); n != 1 {
-		t.Errorf("prologue ran %d times, want 1", n)
+	if st, _ := r.state(); st != momFinished {
+		t.Errorf("state = %d, want finished", st)
 	}
-	if n := r.mom.Executions(); n != 0 {
-		t.Errorf("executions = %d on the refused node, want 0", n)
+	if n := c.count(); n != 1 {
+		t.Errorf("Complete ran %d times, want 1", n)
 	}
-	select {
-	case m := <-r.ep.sent:
-		t.Errorf("the refused node sent %d bytes to %s", len(m.Payload), m.To)
-	default:
+	if n := r.mom.Executions(); n != 1 {
+		t.Errorf("executions = %d, want 1", n)
 	}
+	r.noSends(t)
 }
 
-// TestStartAfterFinishResendsReport: a head that missed the report and
-// retransmits its start gets the report back directly.
-func TestStartAfterFinishResendsReport(t *testing.T) {
-	p := &scriptedPrologue{answers: []func() (bool, error){grant}}
-	r := newLaunchRig(t, p.run)
+// TestReportRetransmitBackoff: a completion the heads did not answer
+// is retried, at doubling gaps, until one answers; the job still runs
+// once.
+func TestReportRetransmitBackoff(t *testing.T) {
+	c := newScriptedComplete(unreachable, unreachable, accept)
+	r := newLaunchRig(t, c)
 	r.start(launchHeads[0])
-	report := r.reportsToAll(t)
+	for range 3 {
+		c.await(t)
+	}
 	r.start(launchHeads[1])
-	m := r.nextSend(t)
-	if m.To != launchHeads[1] || !bytes.Equal(m.Payload, report) {
-		t.Errorf("late start got %q to %s, want the report to %s", m.Payload, m.To, launchHeads[1])
+	r.sync()
+	if n := c.count(); n != 3 {
+		t.Errorf("Complete ran %d times, want 3 (two failures, then the answer)", n)
 	}
-	if n := p.count(); n != 1 {
-		t.Errorf("prologue ran %d times, want 1", n)
+	if n := r.mom.Executions(); n != 1 {
+		t.Errorf("executions = %d, want 1", n)
 	}
 }
 
-// TestOwedReportsEmptyOnceAcked: a finished job stays in the set the
-// resend tick walks until every head has acked its report, and leaves
-// it then; duplicate and unknown acks change nothing.
-func TestOwedReportsEmptyOnceAcked(t *testing.T) {
-	r := newLaunchRig(t, nil)
+// TestCompletionRefusalIsFinal: once the heads refuse a completion, the
+// mom does not send it again.
+func TestCompletionRefusalIsFinal(t *testing.T) {
+	c := newScriptedComplete(refuseOtherNode, accept)
+	r := newLaunchRig(t, c)
 	r.start(launchHeads[0])
-	r.reportsToAll(t)
-	r.ack(launchHeads[0])
-	r.ack(launchHeads[0])
-	r.ack(launchHeads[2])
-	r.ack("stranger/pbs")
-	r.sync()
-	if n := r.owed(); n != 1 {
-		t.Fatalf("owed = %d with head1 unacked, want 1", n)
+	c.await(t)
+	// A retry would come one completeRetry after the refusal.
+	select {
+	case <-c.calls:
+		t.Errorf("Complete ran %d times after a refusal, want 1", c.count())
+	case <-time.After(3 * completeRetry):
 	}
-	r.ack(launchHeads[1])
-	r.sync()
-	if n := r.owed(); n != 0 {
-		t.Fatalf("owed = %d after every head acked, want 0", n)
-	}
-	if st := r.state(); st != momFinished {
-		t.Fatalf("state = %d, want finished", st)
+}
+
+// TestCloseStopsCompletionRetry: closing the mom ends the retries of a
+// completion no head answers.
+func TestCloseStopsCompletionRetry(t *testing.T) {
+	c := newScriptedComplete(unreachable)
+	r := newLaunchRig(t, c)
+	r.start(launchHeads[0])
+	c.await(t)
+	c.await(t)
+	r.mom.Close()
+	n := c.count()
+	// The next retry would come 2 × completeRetry after the second call.
+	time.Sleep(4 * completeRetry)
+	if got := c.count(); got != n {
+		t.Errorf("Complete ran %d more times after Close, want 0", got-n)
 	}
 }
 
 // TestDuplicateStartAndAckAllocs: a start for a job already under way
-// and a done-ack are handled from the kind and the job ID alone,
-// without copying the job out of the datagram.
+// is handled from the kind and the job ID alone, without copying the
+// job out of the datagram. (The done-ack it also measured is gone; the
+// name is kept.)
 func TestDuplicateStartAndAckAllocs(t *testing.T) {
-	r := newLaunchRig(t, func(Job) (bool, error) { return refuse() })
+	r := newLaunchRig(t, newScriptedComplete(accept))
+	r.job.Nodes = []string{"compute1", "compute0"} // emulated: no run to race
 	r.start(launchHeads[0])
-	waitFor(t, "the refusal", func() bool { return r.state() == momEmulated })
+	r.sync()
 	j := r.job
 	start := transport.Message{From: launchHeads[1], Payload: (&momMsg{Kind: momKindStart, JobID: j.ID, Name: j.Name, Script: j.Script, Nodes: j.Nodes}).encode()}
-	ack := transport.Message{From: launchHeads[1], Payload: (&momMsg{Kind: momKindDoneAck, JobID: j.ID}).encode()}
 	// The receive loop is idle, so handling here races nothing.
 	if n := testing.AllocsPerRun(100, func() { r.mom.handle(start) }); n != 0 {
 		t.Errorf("duplicate start: %.1f allocations, want 0", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { r.mom.handle(ack) }); n != 0 {
-		t.Errorf("done-ack: %.1f allocations, want 0", n)
 	}
 }

@@ -1,7 +1,7 @@
 package pbs
 
 import (
-	"sync"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -48,10 +48,9 @@ func newRig(t *testing.T, nodes int, momCfg func(i int, c *MomConfig)) *rig {
 			t.Fatal(err)
 		}
 		cfg := MomConfig{
-			Name:           nodeNames[i],
-			Endpoint:       ep,
-			Servers:        []transport.Addr{"head0/pbs"},
-			ReportInterval: 50 * time.Millisecond,
+			Name:     nodeNames[i],
+			Endpoint: ep,
+			Complete: applyTo(daemon, nodeNames[i]),
 		}
 		if momCfg != nil {
 			momCfg(i, &cfg)
@@ -66,6 +65,24 @@ func newRig(t *testing.T, nodes int, momCfg func(i int, c *MomConfig)) *rig {
 		net.Close()
 	})
 	return r
+}
+
+// applyTo is the Complete hook of a mom named node reporting straight
+// to one head's daemon.
+func applyTo(d *Daemon, node string) func(Job, int, string) error {
+	return func(j Job, exitCode int, output string) error {
+		return d.ApplyDone(j.ID, node, exitCode, output)
+	}
+}
+
+// countCompletions wraps a mom's Complete hook so that n counts its
+// calls.
+func countCompletions(c *MomConfig, n *atomic.Int32) {
+	next := c.Complete
+	c.Complete = func(j Job, exitCode int, output string) error {
+		n.Add(1)
+		return next(j, exitCode, output)
+	}
 }
 
 func nodeName(i int) string {
@@ -138,46 +155,42 @@ func TestKillRunningJob(t *testing.T) {
 	}
 }
 
+// TestPrologueElectsSingleExecution: of a two-node job's moms, only
+// the first node, the mother superior, executes it and completes it;
+// the sister emulates the start and never completes. (The name is from
+// when a prologue elected the run; the job's node list elects it now.)
 func TestPrologueElectsSingleExecution(t *testing.T) {
-	var executions atomic.Int32
-	var attempts atomic.Int32
-	var mu sync.Mutex
-	elected := map[JobID]bool{}
-	r := newRig(t, 1, func(i int, c *MomConfig) {
-		c.Prologue = func(job Job) (bool, error) {
-			attempts.Add(1)
-			mu.Lock()
-			defer mu.Unlock()
-			if elected[job.ID] {
-				return false, nil
-			}
-			elected[job.ID] = true
-			executions.Add(1)
-			return true, nil
-		}
-	})
-	j, _ := r.daemon.Submit(SubmitRequest{WallTime: 5 * time.Millisecond})
-	waitState(t, r.daemon, j.ID, StateCompleted, 5*time.Second)
-	if executions.Load() != 1 {
-		t.Errorf("executions = %d, want 1", executions.Load())
+	completions := make([]atomic.Int32, 2)
+	r := newRig(t, 2, func(i int, c *MomConfig) { countCompletions(c, &completions[i]) })
+	j, err := r.daemon.Submit(SubmitRequest{NodeCount: 2, WallTime: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if attempts.Load() != 1 {
-		t.Errorf("prologue ran %d times, want 1", attempts.Load())
+	waitState(t, r.daemon, j.ID, StateCompleted, 5*time.Second)
+	got, _ := r.daemon.Status(j.ID)
+	for i, m := range r.moms {
+		want := 0
+		if m.Name() == got.Nodes[0] {
+			want = 1
+		}
+		if n := m.Executions(); n != want {
+			t.Errorf("%s (job nodes %v): executions = %d, want %d", m.Name(), got.Nodes, n, want)
+		}
+		if n := completions[i].Load(); int(n) != want {
+			t.Errorf("%s (job nodes %v): completions = %d, want %d", m.Name(), got.Nodes, n, want)
+		}
 	}
 }
 
+// TestEpilogueRuns: the Complete hook, the mom's job epilogue, runs
+// exactly once for an executed job.
 func TestEpilogueRuns(t *testing.T) {
-	var epilogues atomic.Int32
-	r := newRig(t, 1, func(i int, c *MomConfig) {
-		c.Epilogue = func(job Job) { epilogues.Add(1) }
-	})
+	var completions atomic.Int32
+	r := newRig(t, 1, func(i int, c *MomConfig) { countCompletions(c, &completions) })
 	j, _ := r.daemon.Submit(SubmitRequest{WallTime: time.Millisecond})
 	waitState(t, r.daemon, j.ID, StateCompleted, 5*time.Second)
-	// The epilogue follows the completion report, so it may still be
-	// on its way when the head has the job completed.
-	waitFor(t, "the epilogue", func() bool { return epilogues.Load() > 0 })
-	if epilogues.Load() != 1 {
-		t.Errorf("epilogues = %d, want 1", epilogues.Load())
+	if n := completions.Load(); n != 1 {
+		t.Errorf("completions = %d, want 1", n)
 	}
 }
 
@@ -192,182 +205,34 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestReportPrecedesEpilogue: the heads hear of a finished job before
-// the epilogue (JOSHUA's jdone) runs, and the epilogue still runs
-// exactly once: for an executed job, and for one killed before any
-// attempt executed.
-func TestReportPrecedesEpilogue(t *testing.T) {
-	for _, killed := range []bool{false, true} {
-		name := "executed"
-		if killed {
-			name = "killed-before-execution"
-		}
-		t.Run(name, func(t *testing.T) {
-			var entered, exited atomic.Int32
-			releaseEpilogue := make(chan struct{})
-			releasePrologue := make(chan struct{})
-			prologueEntered := make(chan struct{}, 1)
-			// The observer hears only the mom's first send: it never
-			// asks for a report, and resends are an hour apart. (The
-			// head also hears one when its start retransmission finds
-			// the job finished.)
-			r := newRig(t, 1, func(i int, c *MomConfig) {
-				c.Servers = append(c.Servers, "observer/pbs")
-				c.ReportInterval = time.Hour
-				c.Prologue = func(Job) (bool, error) {
-					prologueEntered <- struct{}{}
-					if killed {
-						<-releasePrologue
-					}
-					return true, nil
-				}
-				c.Epilogue = func(Job) {
-					entered.Add(1)
-					<-releaseEpilogue
-					exited.Add(1)
-				}
-			})
-			// Registered after the rig, so it runs before the rig's
-			// cleanup and no hook is left blocked.
-			var once sync.Once
-			release := func() {
-				once.Do(func() {
-					close(releasePrologue)
-					close(releaseEpilogue)
-				})
-			}
-			t.Cleanup(release)
-			observer, err := r.net.Endpoint("observer/pbs")
-			if err != nil {
-				t.Fatal(err)
-			}
-			reports := recordReports(observer)
-
-			wall := time.Millisecond
-			if killed {
-				wall = 10 * time.Second
-			}
-			j, err := r.daemon.Submit(SubmitRequest{WallTime: wall})
-			if err != nil {
-				t.Fatal(err)
-			}
-			<-prologueEntered
-			if killed {
-				if _, err := r.daemon.Delete(j.ID); err != nil {
-					t.Fatal(err)
-				}
-			}
-			waitState(t, r.daemon, j.ID, StateCompleted, 5*time.Second)
-			waitFor(t, "the report at the observer", func() bool { return len(reports()) > 0 })
-			if got := exited.Load(); got != 0 {
-				t.Fatalf("epilogue returned %d times before its release; the report must not wait for it", got)
-			}
-			if killed {
-				got, _ := r.daemon.Status(j.ID)
-				if got.ExitCode != ExitCodeKilled {
-					t.Errorf("exit code = %d, want %d", got.ExitCode, ExitCodeKilled)
-				}
-			}
-			release()
-			waitFor(t, "the epilogue to return", func() bool { return exited.Load() > 0 })
-			if n := entered.Load(); n != 1 {
-				t.Errorf("epilogue ran %d times, want 1", n)
-			}
-		})
-	}
-}
-
-// recordReports collects the arrival times of completion reports at ep,
-// which never acknowledges them.
-func recordReports(ep transport.Endpoint) func() []time.Time {
-	var mu sync.Mutex
-	var at []time.Time
-	go func() {
-		for dg := range ep.Recv() {
-			if msg, err := decodeMomMsg(dg.Payload); err == nil && msg.Kind == momKindDone {
-				mu.Lock()
-				at = append(at, time.Now())
-				mu.Unlock()
-			}
-		}
-	}()
-	return func() []time.Time {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]time.Time(nil), at...)
-	}
-}
-
-// TestReportRetransmitBackoff: a head that is listed but never acks
-// (down, or never started) gets a backed-off series of resends that
-// stops at the horizon, not one resend per tick.
-func TestReportRetransmitBackoff(t *testing.T) {
-	const interval = 10 * time.Millisecond
-	const slack = interval + 10*time.Millisecond
-	r := newRig(t, 1, func(i int, c *MomConfig) {
-		c.Servers = append(c.Servers, "silent/pbs")
-		c.ReportInterval = interval
-	})
-	silent, err := r.net.Endpoint("silent/pbs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	reports := recordReports(silent)
-
-	j, _ := r.daemon.Submit(SubmitRequest{WallTime: time.Millisecond})
-	waitState(t, r.daemon, j.ID, StateCompleted, 5*time.Second)
-	waitFor(t, "the first report at the silent head", func() bool { return len(reports()) > 0 })
-	first := reports()[0]
-	// Past the horizon by a margin wider than the longest gap.
-	time.Sleep(time.Until(first.Add((reportHorizon + 2*maxReportGap) * interval)))
-
-	at := reports()
-	gaps := make([]time.Duration, 0, len(at))
-	for i := 1; i < len(at); i++ {
-		gaps = append(gaps, at[i].Sub(at[i-1]).Round(time.Millisecond))
-	}
-	t.Logf("%d reports at the silent head, gaps %v", len(at), gaps)
-	if len(at) > 12 {
-		t.Fatalf("silent head got %d reports in %d intervals, want <= 12", len(at), reportHorizon)
-	}
-	if len(at) < 4 {
-		t.Fatalf("silent head got %d reports, want the report retransmitted", len(at))
-	}
-	for i, gap := range gaps {
-		if i > 0 && gap+slack < gaps[i-1] {
-			t.Errorf("gap %d is %v after a gap of %v: gaps must not shrink", i, gap, gaps[i-1])
-		}
-		if gap > maxReportGap*interval+slack {
-			t.Errorf("gap %d is %v, want <= %v", i, gap, maxReportGap*interval)
-		}
-	}
-	if last := at[len(at)-1].Sub(first); last > reportHorizon*interval+slack {
-		t.Errorf("report resent %v after the first, past the %v horizon", last, reportHorizon*interval)
-	}
-}
-
-// TestLateHeadStillHearsReport: a head that comes up after the job
-// finished, and never asks the mom again, hears the report within one
-// capped gap.
+// TestLateHeadStillHearsReport: a head that is down when its job
+// finishes still hears the completion once it comes up, because the
+// mom retries the completion until a head answers.
 func TestLateHeadStillHearsReport(t *testing.T) {
-	const interval = 10 * time.Millisecond
 	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
 	defer net.Close()
+	var head atomic.Pointer[Daemon]
+	var calls atomic.Int32
 	momEp, err := net.Endpoint("compute0/mom")
 	if err != nil {
 		t.Fatal(err)
 	}
 	mom := StartMom(MomConfig{
-		Name:           "compute0",
-		Endpoint:       momEp,
-		Servers:        []transport.Addr{"head0/pbs"},
-		ReportInterval: interval,
+		Name:     "compute0",
+		Endpoint: momEp,
+		Complete: func(j Job, exitCode int, output string) error {
+			calls.Add(1)
+			d := head.Load()
+			if d == nil {
+				return errors.New("head0 unreachable")
+			}
+			return d.ApplyDone(j.ID, "compute0", exitCode, output)
+		},
 	})
 	defer mom.Close()
 
 	// The head's state machine schedules the job, but its start request
-	// goes out from another address before the head's endpoint exists,
-	// so every report until then is lost.
+	// goes out from another address before the head's daemon exists.
 	srv := NewServer(Config{ServerName: "cluster", Nodes: []string{"compute0"}, Exclusive: true})
 	job, err := srv.Submit(SubmitRequest{WallTime: time.Millisecond})
 	if err != nil {
@@ -385,29 +250,22 @@ func TestLateHeadStillHearsReport(t *testing.T) {
 			}
 		}
 	}
-	waitFor(t, "the job to finish", func() bool {
-		mom.mu.Lock()
-		defer mom.mu.Unlock()
-		j, ok := mom.jobs[job.ID]
-		return ok && j.state == momFinished
-	})
-	// Into the capped part of the schedule, where gaps are longest.
-	time.Sleep(2 * maxReportGap * interval)
+	waitFor(t, "the first completion attempt to fail", func() bool { return calls.Load() > 0 })
 
 	headEp, err := net.Endpoint("head0/pbs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	up := time.Now()
 	daemon := NewDaemon(srv, DaemonConfig{
 		Endpoint:       headEp,
 		Moms:           map[string]transport.Addr{"compute0": "compute0/mom"},
 		ResendInterval: time.Hour,
 	})
 	defer daemon.Close()
+	head.Store(daemon)
 	waitState(t, daemon, job.ID, StateCompleted, 5*time.Second)
-	if took, limit := time.Since(up), (maxReportGap+4)*interval; took > limit {
-		t.Errorf("late head heard the report after %v, want <= %v", took, limit)
+	if n := mom.Executions(); n != 1 {
+		t.Errorf("executions = %d, want 1", n)
 	}
 }
 
@@ -422,8 +280,8 @@ func TestMultiNodeJob(t *testing.T) {
 }
 
 func TestStartSurvivesDatagramLoss(t *testing.T) {
-	// Heavy loss: daemon retransmission and mom report retransmission
-	// must still complete the job.
+	// Heavy loss on the start path: the daemon's retransmission must
+	// still get the job to its mom, whose completion then applies.
 	net := simnet.New(simnet.Config{
 		Latency:  simnet.Latency{Remote: time.Millisecond},
 		DropRate: 0.4,
@@ -439,12 +297,7 @@ func TestStartSurvivesDatagramLoss(t *testing.T) {
 	})
 	defer daemon.Close()
 	momEp, _ := net.Endpoint("compute0/mom")
-	mom := StartMom(MomConfig{
-		Name:           "compute0",
-		Endpoint:       momEp,
-		Servers:        []transport.Addr{"head0/pbs"},
-		ReportInterval: 20 * time.Millisecond,
-	})
+	mom := StartMom(MomConfig{Name: "compute0", Endpoint: momEp, Complete: applyTo(daemon, "compute0")})
 	defer mom.Close()
 
 	j, _ := daemon.Submit(SubmitRequest{WallTime: time.Millisecond})
@@ -481,17 +334,16 @@ func TestOnJobDoneCallback(t *testing.T) {
 	})
 	defer daemon.Close()
 	momEp, _ := net.Endpoint("compute0/mom")
-	mom := StartMom(MomConfig{
-		Name: "compute0", Endpoint: momEp,
-		Servers:        []transport.Addr{"head0/pbs"},
-		ReportInterval: 20 * time.Millisecond,
-	})
+	mom := StartMom(MomConfig{Name: "compute0", Endpoint: momEp, Complete: applyTo(daemon, "compute0")})
 	defer mom.Close()
 
 	j, _ := daemon.Submit(SubmitRequest{WallTime: time.Millisecond})
 	waitState(t, daemon, j.ID, StateCompleted, 5*time.Second)
-	// Duplicate reports must not double-fire the callback.
-	time.Sleep(100 * time.Millisecond)
+	waitFor(t, "the OnJobDone callback", func() bool { return calls.Load() > 0 })
+	// A duplicate report must not double-fire the callback.
+	if err := daemon.ApplyDone(j.ID, "compute0", 0, ""); err != nil {
+		t.Fatal(err)
+	}
 	if calls.Load() != 1 {
 		t.Errorf("OnJobDone calls = %d, want 1", calls.Load())
 	}

@@ -1,6 +1,7 @@
 package pbs
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -542,14 +543,36 @@ func (s *Server) encodeListingLocked() []byte {
 	return e.Bytes()
 }
 
+// ErrNotFirstNode refuses a completion reported by a node other than
+// the job's first. Only the first node, PBS's mother superior, runs a
+// job, so any other report means the replicas placed it differently.
+var ErrNotFirstNode = errors.New("pbs: completion from a node other than the job's first")
+
+// JobDoneOn applies the completion that node reports for job id: a
+// known job refuses it with ErrNotFirstNode unless node is the job's
+// first node, and otherwise it is JobDone.
+func (s *Server) JobDoneOn(id JobID, node string, exitCode int, output string) (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if j, ok := s.jobs[id]; ok && (len(j.Nodes) == 0 || j.Nodes[0] != node) {
+		return false, fmt.Errorf("%w: %s reported job %s", ErrNotFirstNode, node, id)
+	}
+	return s.jobDoneLocked(id, exitCode, output), nil
+}
+
 // JobDone applies a completion report from a mom. Duplicate reports
-// (each head node hears every mom, and retransmissions happen) are
-// idempotent. output is the job's captured standard output. JobDone
-// reports whether this report ended the job: false for an unknown job
-// and for a duplicate or stale report.
+// (a mom retries until its report is answered) are idempotent. output
+// is the job's captured standard output. JobDone reports whether this
+// report ended the job: false for an unknown job and for a duplicate
+// or stale report.
 func (s *Server) JobDone(id JobID, exitCode int, output string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.jobDoneLocked(id, exitCode, output)
+}
+
+// jobDoneLocked is JobDone with s.mu held.
+func (s *Server) jobDoneLocked(id JobID, exitCode int, output string) bool {
 	defer s.dirty()
 	s.tick()
 	j, ok := s.jobs[id]

@@ -7,16 +7,14 @@ import (
 	"joshua/internal/codec"
 )
 
-// Server <-> mom wire protocol. One datagram per message, tagged with
+// Server -> mom wire protocol. One datagram per message, tagged with
 // a kind byte, mirroring the TORQUE server/mom RPP protocol at the
-// granularity this reproduction needs: job start, job kill, completion
-// report, and the completion acknowledgment that lets the mom stop
-// retransmitting.
+// granularity this reproduction needs: job start and job kill. A mom
+// answers nothing on this channel; its completion goes out through
+// MomConfig.Complete.
 const (
 	momKindStart byte = iota + 1
 	momKindKill
-	momKindDone
-	momKindDoneAck
 )
 
 // momMsg is the union of mom protocol messages.
@@ -30,9 +28,6 @@ type momMsg struct {
 	Script   string
 	WallTime time.Duration
 	Nodes    []string
-	// momKindDone.
-	ExitCode int
-	Output   string
 }
 
 func (m *momMsg) encode() []byte {
@@ -46,10 +41,7 @@ func (m *momMsg) encode() []byte {
 		e.PutString(m.Script)
 		e.PutDuration(m.WallTime)
 		e.PutStringSlice(m.Nodes)
-	case momKindKill, momKindDoneAck:
-	case momKindDone:
-		e.PutInt(int64(m.ExitCode))
-		e.PutString(m.Output)
+	case momKindKill:
 	default:
 		panic(fmt.Sprintf("pbs: encoding unknown mom message kind %d", m.Kind))
 	}
@@ -69,10 +61,7 @@ func decodeMomMsg(b []byte) (*momMsg, error) {
 		m.Script = d.String()
 		m.WallTime = d.Duration()
 		m.Nodes = d.StringSlice()
-	case momKindKill, momKindDoneAck:
-	case momKindDone:
-		m.ExitCode = int(d.Int())
-		m.Output = d.String()
+	case momKindKill:
 	default:
 		return nil, fmt.Errorf("pbs: unknown mom message kind %d", m.Kind)
 	}

@@ -38,9 +38,9 @@
 // The paper's central claim is that this machinery is *external*: it
 // wraps any deterministic service behind its command interface, with
 // TORQUE merely the instance evaluated. Accordingly the PBS batch
-// system with its jmutex/jdone lock table (internal/joshua wires them
-// up as one Service) and the key-value demo store (internal/rsm/kvstore)
-// run on this identical engine.
+// system (internal/joshua wires it up as one Service, completions
+// included) and the key-value demo store (internal/rsm/kvstore) run on
+// this identical engine.
 package rsm
 
 import (

@@ -437,7 +437,7 @@ func (e *Endpoint) readLoop(conn net.Conn, owner *peerSender) {
 		}
 		if owner == nil && adopted == nil && from != "" {
 			// Learn the inbound peer so replies can reuse this
-			// connection — clients (jsub, jstat, the mom's jmutex)
+			// connection — clients (jsub, jstat, the mom's jdone)
 			// are not in the static resolver table. The adopted
 			// sender cannot redial (dialAddr empty): when this
 			// connection dies it retires, and the next Send goes back
