@@ -89,7 +89,7 @@ func (o *oracle) apply(payload []byte) []byte {
 		}
 		o.d.FlushActions()
 	case OpJDone:
-		if err := o.d.ApplyDone(a.JobID, a.Node, a.ExitCode, a.Output); err != nil {
+		if err := o.d.ApplyDone([]byte(a.JobID), []byte(a.Node), a.ExitCode, []byte(a.Output)); err != nil {
 			return fail(err)
 		}
 	default:
@@ -184,12 +184,12 @@ func TestApplyReplyMatchesEncode(t *testing.T) {
 	for _, req := range applyScript() {
 		payload := req.encode()
 		for _, n := range []int{0, 1, len(payload) / 2, len(payload) - 1} {
-			if got := svc.Apply(rsm.Command{Payload: payload[:n]}); got != nil {
+			if got := applied(svc, rsm.Command{Payload: payload[:n]}); got != nil {
 				t.Fatalf("%v %s truncated to %d bytes: reply %x, want none", req.Op, req.ReqID, n, got)
 			}
 		}
 		want := ref.apply(payload)
-		got := svc.Apply(rsm.Command{Payload: payload})
+		got := applied(svc, rsm.Command{Payload: payload})
 		if !bytes.Equal(got, want) {
 			_, g, _ := decodeRPC(got)
 			_, w, _ := decodeRPC(want)
@@ -227,8 +227,8 @@ func TestAppliedStateOwnsItsStrings(t *testing.T) {
 	for _, req := range applyScript() {
 		p := req.encode()
 		payloads = append(payloads, p)
-		svc.Apply(rsm.Command{Payload: p})
-		twin.Apply(rsm.Command{Payload: bytes.Clone(p)})
+		applied(svc, rsm.Command{Payload: p})
+		applied(twin, rsm.Command{Payload: bytes.Clone(p)})
 	}
 	before := daemon.StatusAll()
 	var statuses []pbs.Job

@@ -60,7 +60,10 @@ type Client struct {
 
 	mu      sync.Mutex
 	waiters map[string]*waiter
-	closed  bool
+	// free holds retired waiters for reuse: nothing can reach them, and
+	// their channel is empty and their timer stopped.
+	free   []*waiter
+	closed bool
 
 	done chan struct{}
 	once sync.Once
@@ -94,9 +97,16 @@ type headSet struct {
 // every ordered command, and so does the head that intercepted it
 // (rsm's output rule), so a reply from a head the request was never
 // sent to names the sequencer.
+//
+// A waiter, with its channel and its attempt timer, is recycled once
+// its call has retired it (unregister): by then it is out of the
+// waiters map, so the receive loop cannot reach it, and retire drains
+// whatever reply reached it late (a hedged duplicate, the sequencer's
+// trailing copy, an answer after the attempt timeout).
 type waiter struct {
 	reqID    string
 	ch       chan *rpcResponse
+	timer    *time.Timer // the call's attempt timer; stopped when idle
 	hs       *headSet
 	sent     uint64 // bit i: sent to hs.addrs[i]
 	mutating bool
@@ -247,10 +257,13 @@ func (c *Client) Close() {
 	})
 }
 
+// recvLoop decodes each reply into a recycled response and hands it to
+// its waiter; a reply nobody takes goes straight back.
 func (c *Client) recvLoop() {
 	for dg := range c.ep.Recv() {
-		_, resp, err := decodeRPC(dg.Payload)
-		if err != nil || resp == nil {
+		resp := getResponse()
+		if decodeResponse(dg.Payload, resp) != nil {
+			releaseResponse(resp)
 			continue
 		}
 		c.mu.Lock()
@@ -258,10 +271,14 @@ func (c *Client) recvLoop() {
 			c.learnLocked(w, dg.From, resp)
 			select {
 			case w.ch <- resp:
+				resp = nil
 			default: // duplicate reply; the first one won
 			}
 		}
 		c.mu.Unlock()
+		if resp != nil {
+			releaseResponse(resp)
+		}
 	}
 }
 
@@ -287,31 +304,60 @@ func (c *Client) learnLocked(w *waiter, from transport.Addr, resp *rpcResponse) 
 	}
 }
 
-// register adds a waiter for reqID on shard hs.
+// register adds a waiter for reqID on shard hs, recycling a retired
+// one when there is one.
 func (c *Client) register(reqID string, hs *headSet, mutating bool) (*waiter, error) {
-	w := &waiter{reqID: reqID, ch: make(chan *rpcResponse, 1), hs: hs, mutating: mutating}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, ErrClosed
 	}
+	var w *waiter
+	if n := len(c.free); n > 0 {
+		w = c.free[n-1]
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	} else {
+		w = &waiter{ch: make(chan *rpcResponse, 1), timer: time.NewTimer(time.Hour)}
+		w.timer.Stop()
+	}
+	*w = waiter{reqID: reqID, ch: w.ch, timer: w.timer, hs: hs, mutating: mutating}
 	c.waiters[reqID] = w
 	return w, nil
 }
 
-// unregister retires a finished call; a mutation's waiter lingers as
-// its shard's lastMut. The identity check matters because a cross-shard
-// fan-out reuses one ReqID.
+// unregister ends a finished call: its timer stops, and the waiter is
+// retired, except that a mutation's waiter lingers as its shard's
+// lastMut and retires the previous one.
 func (c *Client) unregister(w *waiter) {
+	w.timer.Stop()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	retire := w
 	if w.mutating {
 		retire, w.hs.lastMut = w.hs.lastMut, w
 	}
-	if retire != nil && c.waiters[retire.reqID] == retire {
-		delete(c.waiters, retire.reqID)
+	if retire != nil {
+		c.retireLocked(retire)
 	}
+}
+
+// retireLocked takes a waiter out of the map and onto the free list,
+// dropping any reply that reached it after its call took the first.
+// The identity check matters because a cross-shard fan-out reuses one
+// ReqID. The receive loop sends only under c.mu to a registered
+// waiter, so once retired nothing can reach it. Callers hold c.mu.
+func (c *Client) retireLocked(w *waiter) {
+	if c.waiters[w.reqID] == w {
+		delete(c.waiters, w.reqID)
+	}
+	select {
+	case resp := <-w.ch:
+		releaseResponse(resp)
+	default:
+	}
+	*w = waiter{ch: w.ch, timer: w.timer}
+	c.free = append(c.free, w)
 }
 
 // send transmits a request to head idx, recording the target first so
@@ -399,8 +445,7 @@ func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
 	var lastErr error
 	replies := 0
 	attempts := c.cfg.Rounds * n
-	timer := time.NewTimer(c.cfg.AttemptTimeout)
-	defer timer.Stop()
+	timer := w.timer
 	for i := 0; i < attempts; i++ {
 		idx := c.nextHead(hs, start, &tried)
 		if err := c.send(w, idx, payload); err != nil {
@@ -426,6 +471,7 @@ func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
 					c.observeEpoch(s, resp.Epoch)
 					return resp, nil
 				}
+				releaseResponse(resp)
 				break await // alive but outside the primary component
 			case <-timer.C:
 				if !hedge {
@@ -487,7 +533,8 @@ func (c *Client) nextHead(hs *headSet, start int, tried *uint64) int {
 // itself, so reads don't pay timeouts re-probing dead heads.
 // Callers hold c.mu.
 func (c *Client) readStartLocked(hs *headSet) int {
-	alive := make([]int, 0, len(hs.healthy))
+	var buf [64]int // a shard has at most 64 heads (see NewClient)
+	alive := buf[:0]
 	for i, ok := range hs.healthy {
 		if ok {
 			alive = append(alive, i)
@@ -562,11 +609,11 @@ func (c *Client) probe(s, i int) {
 		return
 	}
 	// The receive loop marks the head healthy when it answers.
-	timer := time.NewTimer(c.cfg.AttemptTimeout)
-	defer timer.Stop()
+	w.timer.Reset(c.cfg.AttemptTimeout)
 	select {
-	case <-w.ch:
-	case <-timer.C:
+	case resp := <-w.ch:
+		releaseResponse(resp)
+	case <-w.timer.C:
 		c.markHealth(hs, i, false)
 	case <-c.done:
 	}
@@ -597,11 +644,31 @@ func rpcErr(resp *rpcResponse) error {
 	return errors.New(resp.ErrMsg)
 }
 
-func firstJob(resp *rpcResponse) pbs.Job {
-	if len(resp.Jobs) > 0 {
-		return resp.Jobs[0]
+// jobReply is the outcome of a one-job command: the job, whose strings
+// share the reply's one copy, and the error. The response goes back
+// for reuse, so nothing else of it may be kept.
+func jobReply(resp *rpcResponse, err error) (pbs.Job, error) {
+	if err != nil {
+		return pbs.Job{}, err
 	}
-	return pbs.Job{}
+	var j pbs.Job
+	if len(resp.Jobs) > 0 {
+		j = resp.Jobs[0]
+	}
+	err = rpcErr(resp)
+	releaseResponse(resp)
+	return j, err
+}
+
+// replyErr is the outcome of a command answered by OK or an error; the
+// response goes back for reuse.
+func replyErr(resp *rpcResponse, err error) error {
+	if err != nil {
+		return err
+	}
+	err = rpcErr(resp)
+	releaseResponse(resp)
+	return err
 }
 
 // isUnknownJob matches the batch service's qdel/qsig/qstat diagnosis
@@ -651,11 +718,7 @@ func (c *Client) callJob(op Op, args cmdArgs) (*rpcResponse, error) {
 // routes back to it.
 func (c *Client) Submit(req pbs.SubmitRequest) (pbs.Job, error) {
 	s := int(c.submitRR.Add(1) % uint64(len(c.shards)))
-	resp, err := c.call(s, OpSubmit, submitArgs(req))
-	if err != nil {
-		return pbs.Job{}, err
-	}
-	return firstJob(resp), rpcErr(resp)
+	return jobReply(c.call(s, OpSubmit, submitArgs(req)))
 }
 
 // submitArgs maps a SubmitRequest onto the wire argument record.
@@ -727,38 +790,22 @@ func (c *Client) SubmitBatch(req pbs.SubmitRequest, n int) ([]pbs.Job, error) {
 
 // Delete runs jdel, routed to the shard owning the job.
 func (c *Client) Delete(id pbs.JobID) (pbs.Job, error) {
-	resp, err := c.callJob(OpDelete, cmdArgs{JobID: id})
-	if err != nil {
-		return pbs.Job{}, err
-	}
-	return firstJob(resp), rpcErr(resp)
+	return jobReply(c.callJob(OpDelete, cmdArgs{JobID: id}))
 }
 
 // Hold runs jhold (qhold equivalent).
 func (c *Client) Hold(id pbs.JobID) (pbs.Job, error) {
-	resp, err := c.callJob(OpHold, cmdArgs{JobID: id})
-	if err != nil {
-		return pbs.Job{}, err
-	}
-	return firstJob(resp), rpcErr(resp)
+	return jobReply(c.callJob(OpHold, cmdArgs{JobID: id}))
 }
 
 // Release runs jrls (qrls equivalent).
 func (c *Client) Release(id pbs.JobID) (pbs.Job, error) {
-	resp, err := c.callJob(OpRelease, cmdArgs{JobID: id})
-	if err != nil {
-		return pbs.Job{}, err
-	}
-	return firstJob(resp), rpcErr(resp)
+	return jobReply(c.callJob(OpRelease, cmdArgs{JobID: id}))
 }
 
 // Signal runs jsig (qsig equivalent).
 func (c *Client) Signal(id pbs.JobID, sig string) (pbs.Job, error) {
-	resp, err := c.callJob(OpSignal, cmdArgs{JobID: id, Signal: sig})
-	if err != nil {
-		return pbs.Job{}, err
-	}
-	return firstJob(resp), rpcErr(resp)
+	return jobReply(c.callJob(OpSignal, cmdArgs{JobID: id, Signal: sig}))
 }
 
 // Stat runs jstat for one job. Queries stay outside the total order
@@ -767,11 +814,7 @@ func (c *Client) Signal(id pbs.JobID, sig string) (pbs.Job, error) {
 // group, and may trail a mutation still in flight. Use StatOrdered
 // for a linearizable read.
 func (c *Client) Stat(id pbs.JobID) (pbs.Job, error) {
-	resp, err := c.callJob(OpStat, cmdArgs{JobID: id})
-	if err != nil {
-		return pbs.Job{}, err
-	}
-	return firstJob(resp), rpcErr(resp)
+	return jobReply(c.callJob(OpStat, cmdArgs{JobID: id}))
 }
 
 // StatAll runs jstat with no arguments; same read semantics as Stat.
@@ -803,11 +846,7 @@ func (c *Client) StatAll() ([]pbs.Job, error) {
 // order, so the result is serialized with every mutation of that job
 // (a linearizable read, at one total-order round of cost).
 func (c *Client) StatOrdered(id pbs.JobID) (pbs.Job, error) {
-	resp, err := c.callOrdered(c.routeJob(id), OpStat, cmdArgs{JobID: id})
-	if err != nil {
-		return pbs.Job{}, err
-	}
-	return firstJob(resp), rpcErr(resp)
+	return jobReply(c.callOrdered(c.routeJob(id), OpStat, cmdArgs{JobID: id}))
 }
 
 // StatAllOrdered is the linearizable variant of StatAll: each shard's
@@ -942,20 +981,12 @@ func (c *Client) callNode(op Op, node string) (*rpcResponse, error) {
 // (pbsnodes -o), replicated so every head of the owning shard
 // excludes it from new allocations.
 func (c *Client) SetNodeOffline(node string) error {
-	resp, err := c.callNode(OpNodeOffline, node)
-	if err != nil {
-		return err
-	}
-	return rpcErr(resp)
+	return replyErr(c.callNode(OpNodeOffline, node))
 }
 
 // SetNodeOnline clears a node's offline state (pbsnodes -c).
 func (c *Client) SetNodeOnline(node string) error {
-	resp, err := c.callNode(OpNodeOnline, node)
-	if err != nil {
-		return err
-	}
-	return rpcErr(resp)
+	return replyErr(c.callNode(OpNodeOnline, node))
 }
 
 // Nodes lists the compute nodes with state and allocation (pbsnodes),
@@ -1019,7 +1050,7 @@ func (c *Client) JDone(id pbs.JobID, node string, exitCode int, output string) e
 	if rest, refused := strings.CutPrefix(resp.ErrMsg, pbs.ErrNotFirstNode.Error()); refused {
 		return fmt.Errorf("%w%s", pbs.ErrNotFirstNode, rest)
 	}
-	return rpcErr(resp)
+	return replyErr(resp, nil)
 }
 
 // MomHooks builds the Complete hook that wires a pbs.Mom into JOSHUA,

@@ -1,7 +1,6 @@
 package joshua
 
 import (
-	"bytes"
 	"fmt"
 
 	"joshua/internal/codec"
@@ -24,18 +23,14 @@ func newHeadService(d *pbs.Daemon) *headService {
 }
 
 // Apply parses the command in place, applies it to the batch daemon,
-// and encodes the reply straight from the result into a pooled
-// encoder; the one copy returned is what the engine keeps in its
-// deduplication table.
-func (s *headService) Apply(cmd rsm.Command) []byte {
+// and encodes the reply straight from the result into the engine's
+// encoder, which the engine copies into its deduplication table and
+// sends from.
+func (s *headService) Apply(cmd rsm.Command, reply *codec.Encoder) {
 	var v view
-	if !v.parse(cmd.Payload) {
-		return nil
+	if v.parse(cmd.Payload) {
+		execute(reply, s.daemon, &v)
 	}
-	e := codec.GetEncoder(256)
-	defer e.Release()
-	execute(e, s.daemon, &v)
-	return bytes.Clone(e.Bytes())
 }
 
 // ConflictKey classifies the conflict domains for the engine's
@@ -107,7 +102,6 @@ func (s *headService) Restore(state []byte) error {
 // ordered listings frame the cached Listing like local ones.
 func execute(e *codec.Encoder, d *pbs.Daemon, v *view) {
 	srv, reqID := d.Server(), v.reqID
-	id := pbs.JobID(v.jobID)
 	var (
 		j   pbs.Job
 		err error
@@ -124,7 +118,7 @@ func execute(e *codec.Encoder, d *pbs.Daemon, v *view) {
 		// The epoch is read before the job, so it never claims a
 		// version newer than the state it stamps.
 		epoch := srv.Version()
-		j, err = d.StatusView(id)
+		j, err = d.StatusView(v.jobID)
 		putJobReply(e, reqID, j, err, epoch)
 		return
 	case OpNodesLocal:
@@ -141,15 +135,15 @@ func execute(e *codec.Encoder, d *pbs.Daemon, v *view) {
 		putReply(e, reqID, err, srv.Version())
 		return
 	case OpDelete:
-		j, err = d.Delete(id)
+		j, err = d.Delete(pbs.JobID(v.jobID))
 	case OpHold:
-		j, err = d.Hold(id)
+		j, err = d.Hold(pbs.JobID(v.jobID))
 	case OpRelease:
-		j, err = d.Release(id)
+		j, err = d.Release(pbs.JobID(v.jobID))
 	case OpSignal:
-		j, err = d.Signal(id, string(v.signal))
+		j, err = d.Signal(pbs.JobID(v.jobID), string(v.signal))
 	case OpJDone:
-		err = d.ApplyDone(id, string(v.node), v.exitCode, string(v.output))
+		err = d.ApplyDone(v.jobID, v.node, v.exitCode, v.output)
 		putReply(e, reqID, err, srv.Version())
 		return
 	default:

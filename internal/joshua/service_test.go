@@ -28,10 +28,10 @@ func TestHeadForkMatchesSnapshot(t *testing.T) {
 				defer close(done)
 				got = enc()
 			}()
-			svc.Apply(cmd)
+			applied(svc, cmd)
 			<-done
 		} else {
-			svc.Apply(cmd)
+			applied(svc, cmd)
 			got = enc()
 		}
 		if !bytes.Equal(got, want) {
@@ -61,7 +61,7 @@ func TestHeadForkMatchesSnapshot(t *testing.T) {
 func TestHeadSnapshotRestoreRoundTrip(t *testing.T) {
 	src := newHeadService(newApplyDaemon(t))
 	for _, req := range applyScript() {
-		src.Apply(rsm.Command{Payload: req.encode()})
+		applied(src, rsm.Command{Payload: req.encode()})
 	}
 	dst := newHeadService(newApplyDaemon(t))
 	if err := dst.Restore(src.Snapshot()); err != nil {
@@ -83,7 +83,7 @@ func TestHeadSnapshotRestoreRoundTrip(t *testing.T) {
 func TestHeadRestoreRejectsForeignSnapshot(t *testing.T) {
 	src := newHeadService(newApplyDaemon(t))
 	for _, req := range applyScript() {
-		src.Apply(rsm.Command{Payload: req.encode()})
+		applied(src, rsm.Command{Payload: req.encode()})
 	}
 	good := src.Snapshot()
 
@@ -134,7 +134,7 @@ func TestHeadRestoreRejectsForeignSnapshot(t *testing.T) {
 func TestHeadRestoreRejectsFormat1(t *testing.T) {
 	src := newHeadService(newApplyDaemon(t))
 	for _, req := range applyScript() {
-		src.Apply(rsm.Command{Payload: req.encode()})
+		applied(src, rsm.Command{Payload: req.encode()})
 	}
 	v1 := codec.NewEncoder(64)
 	v1.PutByte(1)
@@ -148,4 +148,16 @@ func TestHeadRestoreRejectsFormat1(t *testing.T) {
 	if !bytes.Equal(dst.Snapshot(), before) {
 		t.Fatal("a rejected format-1 snapshot changed the state")
 	}
+}
+
+// applied runs one command through svc.Apply, as the engine does, and
+// returns a copy of the reply it wrote, nil for none.
+func applied(svc *headService, cmd rsm.Command) []byte {
+	e := codec.GetEncoder(256)
+	defer e.Release()
+	svc.Apply(cmd, e)
+	if e.Len() == 0 {
+		return nil
+	}
+	return bytes.Clone(e.Bytes())
 }

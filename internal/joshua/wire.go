@@ -3,6 +3,7 @@ package joshua
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"joshua/internal/codec"
@@ -230,6 +231,22 @@ type rpcResponse struct {
 	// from a head whose epoch regressed below the floor is re-fetched
 	// from another head (per-shard prefix-consistent scatter-gather).
 	Epoch uint64
+	// one backs Jobs for a one-job reply, so decoding one allocates no
+	// job slice.
+	one [1]pbs.Job
+}
+
+// respPool recycles the client's decoded responses (see jobReply).
+var respPool = sync.Pool{New: func() any { return new(rpcResponse) }}
+
+// getResponse returns an empty response to decode into.
+func getResponse() *rpcResponse { return respPool.Get().(*rpcResponse) }
+
+// releaseResponse clears resp and returns it to the pool. Nothing of
+// it may be used afterwards: Jobs may be its inline slot.
+func releaseResponse(resp *rpcResponse) {
+	*resp = rpcResponse{}
+	respPool.Put(resp)
 }
 
 func (r *rpcResponse) encode() []byte {
@@ -348,43 +365,57 @@ func decodeRPC(b []byte) (*rpcRequest, *rpcResponse, error) {
 		}
 		return req, nil, nil
 	case rpcKindResponse:
-		// One string copy of the datagram backs the ReqID, the error and
-		// every job's strings, and the jobs land in one slice: a listing
-		// of n jobs costs three allocations, not a few per job.
-		d.ShareStrings()
-		resp := &rpcResponse{
-			ReqID:  d.Text(),
-			OK:     d.Bool(),
-			ErrMsg: d.Text(),
-		}
-		n := d.Uint()
-		if d.Err() == nil && n <= uint64(d.Remaining())+1 {
-			resp.Jobs = make([]pbs.Job, n)
-			for i := range resp.Jobs {
-				pbs.DecodeJobInto(d, &resp.Jobs[i])
-			}
-		}
-		d.Bool() // retired jmutex grant
-		nn := d.Uint()
-		for i := uint64(0); i < nn && d.Err() == nil; i++ {
-			resp.Nodes = append(resp.Nodes, pbs.DecodeNodeStatus(d))
-		}
-		in := d.Uint()
-		if in > 0 && d.Err() == nil {
-			resp.Info = make(map[string]string, in)
-			for i := uint64(0); i < in && d.Err() == nil; i++ {
-				k := d.String()
-				resp.Info[k] = d.String()
-			}
-		}
-		resp.Epoch = d.Uint()
-		if err := d.Finish(); err != nil {
+		resp := new(rpcResponse)
+		if err := decodeResponse(b, resp); err != nil {
 			return nil, nil, err
 		}
 		return nil, resp, nil
 	default:
 		return nil, nil, fmt.Errorf("joshua: unknown rpc kind %d", kind)
 	}
+}
+
+// decodeResponse decodes a response datagram into resp, which must be
+// empty. One string copy of the datagram backs the ReqID, the error
+// and every job's strings, and the jobs land in one slice, resp's own
+// slot for a one-job reply: a listing of n jobs costs three
+// allocations, not a few per job, and a one-job reply into a recycled
+// resp one, or two if the job has nodes.
+func decodeResponse(b []byte, resp *rpcResponse) error {
+	d := codec.NewDecoder(b)
+	if kind := d.Byte(); kind != rpcKindResponse {
+		return fmt.Errorf("joshua: rpc kind %d is not a response", kind)
+	}
+	d.ShareStrings()
+	resp.ReqID = d.Text()
+	resp.OK = d.Bool()
+	resp.ErrMsg = d.Text()
+	n := d.Uint()
+	if d.Err() == nil && n <= uint64(d.Remaining())+1 {
+		if n == 1 {
+			resp.Jobs = resp.one[:]
+		} else {
+			resp.Jobs = make([]pbs.Job, n)
+		}
+		for i := range resp.Jobs {
+			pbs.DecodeJobInto(d, &resp.Jobs[i])
+		}
+	}
+	d.Bool() // retired jmutex grant
+	nn := d.Uint()
+	for i := uint64(0); i < nn && d.Err() == nil; i++ {
+		resp.Nodes = append(resp.Nodes, pbs.DecodeNodeStatus(d))
+	}
+	in := d.Uint()
+	if in > 0 && d.Err() == nil {
+		resp.Info = make(map[string]string, in)
+		for i := uint64(0); i < in && d.Err() == nil; i++ {
+			k := d.String()
+			resp.Info[k] = d.String()
+		}
+	}
+	resp.Epoch = d.Uint()
+	return d.Finish()
 }
 
 // view is a request read in place: the header and every field of the

@@ -21,37 +21,47 @@ type Daemon struct {
 	cfg DaemonConfig
 
 	mu sync.Mutex
-	// outstanding start/kill requests not yet resolved by a
-	// completion, for retransmission over the lossy datagram
-	// transport.
-	outstanding map[JobID]*outstandingJob
-	done        chan struct{}
-	once        sync.Once
+	// outstanding holds the start or kill of every job not yet
+	// resolved by a completion, for retransmission over the lossy
+	// datagram transport. Each is encoded once, and a resend sends the
+	// same frame.
+	outstanding map[JobID]outstanding
+	// resends is the resend tick's scratch list (run goroutine only).
+	resends []outstanding
+	done    chan struct{}
+	once    sync.Once
 }
 
-// ApplyDone applies the completion that node reports for job id (see
-// Server.JobDoneOn, whose refusal it returns): JOSHUA's heads call it
-// in total order for each jdone, the plain server directly. OnJobDone
-// fires only for the report that actually ended the job.
-func (d *Daemon) ApplyDone(id JobID, node string, exitCode int, output string) error {
-	ended, err := d.srv.JobDoneOn(id, node, exitCode, output)
+// outstanding is one unresolved start or kill: the frame and the nodes
+// it goes to (the job's Nodes, never written in place).
+type outstanding struct {
+	frame    []byte
+	nodes    []string
+	lastSent time.Time
+}
+
+// ApplyDone applies the completion that node reports for job id: a
+// known job refuses it with ErrNotFirstNode unless node is the job's
+// first node. OnJobDone fires only for the report that actually ended
+// the job. The report is read in place from a request buffer, the form
+// JOSHUA's heads apply each jdone in total order: the job ID and node
+// are only looked up and compared, so the output, which the job keeps,
+// is the one copy it makes.
+func (d *Daemon) ApplyDone(id, node []byte, exitCode int, output []byte) error {
+	known, ended, err := d.srv.jobDoneOn(id, node, exitCode, string(output))
 	if err != nil {
 		return err
 	}
-	d.mu.Lock()
-	delete(d.outstanding, id)
-	d.mu.Unlock()
+	if known != "" {
+		d.mu.Lock()
+		delete(d.outstanding, known)
+		d.mu.Unlock()
+	}
 	if ended && d.cfg.OnJobDone != nil {
-		d.cfg.OnJobDone(id, exitCode)
+		d.cfg.OnJobDone(known, exitCode)
 	}
 	d.flush()
 	return nil
-}
-
-type outstandingJob struct {
-	job      Job
-	kill     bool
-	lastSent time.Time
 }
 
 // DaemonConfig parameterizes a Daemon.
@@ -78,7 +88,7 @@ func NewDaemon(srv *Server, cfg DaemonConfig) *Daemon {
 	d := &Daemon{
 		srv:         srv,
 		cfg:         cfg,
-		outstanding: make(map[JobID]*outstandingJob),
+		outstanding: make(map[JobID]outstanding),
 		done:        make(chan struct{}),
 	}
 	go d.run()
@@ -149,7 +159,7 @@ func (d *Daemon) Status(id JobID) (Job, error) { return d.srv.Status(id) }
 // StatusView is the clone-free variant of Status (see
 // Server.StatusView): the returned job's Nodes aliases the live job
 // and must be treated as read-only.
-func (d *Daemon) StatusView(id JobID) (Job, error) { return d.srv.StatusView(id) }
+func (d *Daemon) StatusView(id []byte) (Job, error) { return d.srv.StatusView(id) }
 
 // StatusAll runs qstat for all jobs.
 func (d *Daemon) StatusAll() []Job { return d.srv.StatusAll() }
@@ -164,7 +174,7 @@ func (d *Daemon) Restore(snapshot []byte) error {
 		return err
 	}
 	d.mu.Lock()
-	d.outstanding = make(map[JobID]*outstandingJob)
+	d.outstanding = make(map[JobID]outstanding)
 	d.mu.Unlock()
 	return nil
 }
@@ -182,48 +192,39 @@ func (d *Daemon) run() {
 	}
 }
 
-// flush drains the server's action outbox onto the wire.
+// flush drains the server's action outbox onto the wire: each start
+// or kill is encoded once into the frame its resends reuse.
 func (d *Daemon) flush() {
-	for _, a := range d.srv.TakeActions() {
+	acts := d.srv.TakeActions()
+	if acts == nil {
+		return
+	}
+	now := time.Now()
+	for _, a := range acts {
+		var (
+			j     *Job
+			frame []byte
+		)
 		switch act := a.(type) {
 		case StartAction:
-			d.mu.Lock()
-			d.outstanding[act.Job.ID] = &outstandingJob{job: act.Job, lastSent: time.Now()}
-			d.mu.Unlock()
-			d.sendStart(act.Job)
+			j, frame = act.Job, encodeStart(act.Job)
 		case KillAction:
-			d.mu.Lock()
-			d.outstanding[act.Job.ID] = &outstandingJob{job: act.Job, kill: true, lastSent: time.Now()}
-			d.mu.Unlock()
-			d.sendKill(act.Job)
+			j, frame = act.Job, encodeKill(act.Job.ID)
 		}
+		o := outstanding{frame: frame, nodes: j.Nodes, lastSent: now}
+		d.mu.Lock()
+		d.outstanding[j.ID] = o
+		d.mu.Unlock()
+		d.send(o)
 	}
+	d.srv.recycleActions(acts)
 }
 
-func (d *Daemon) sendStart(j Job) {
-	msg := &momMsg{
-		Kind:     momKindStart,
-		JobID:    j.ID,
-		Name:     j.Name,
-		Owner:    j.Owner,
-		Script:   j.Script,
-		WallTime: j.WallTime,
-		Nodes:    j.Nodes,
-	}
-	b := msg.encode()
-	for _, node := range j.Nodes {
+// send transmits one frame to each of its nodes' moms.
+func (d *Daemon) send(o outstanding) {
+	for _, node := range o.nodes {
 		if addr, ok := d.cfg.Moms[node]; ok {
-			_ = d.cfg.Endpoint.Send(addr, b)
-		}
-	}
-}
-
-func (d *Daemon) sendKill(j Job) {
-	msg := &momMsg{Kind: momKindKill, JobID: j.ID}
-	b := msg.encode()
-	for _, node := range j.Nodes {
-		if addr, ok := d.cfg.Moms[node]; ok {
-			_ = d.cfg.Endpoint.Send(addr, b)
+			_ = d.cfg.Endpoint.Send(addr, o.frame)
 		}
 	}
 }
@@ -231,24 +232,20 @@ func (d *Daemon) sendKill(j Job) {
 // resend retransmits unresolved start/kill requests.
 func (d *Daemon) resend() {
 	now := time.Now()
-	var starts, kills []Job
+	due := d.resends[:0]
 	d.mu.Lock()
-	for _, o := range d.outstanding {
+	for id, o := range d.outstanding {
 		if now.Sub(o.lastSent) < d.cfg.ResendInterval {
 			continue
 		}
 		o.lastSent = now
-		if o.kill {
-			kills = append(kills, o.job)
-		} else {
-			starts = append(starts, o.job)
-		}
+		d.outstanding[id] = o
+		due = append(due, o)
 	}
 	d.mu.Unlock()
-	for _, j := range starts {
-		d.sendStart(j)
+	for _, o := range due {
+		d.send(o)
 	}
-	for _, j := range kills {
-		d.sendKill(j)
-	}
+	clear(due)
+	d.resends = due
 }

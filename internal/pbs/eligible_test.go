@@ -197,13 +197,13 @@ func TestApplyDoneSkipsStatusRebuild(t *testing.T) {
 	_, misses := srv.ReadCacheStats()
 	version := srv.Version()
 
-	if err := d.ApplyDone(j.ID, "n1", 0, "out"); !errors.Is(err, ErrNotFirstNode) {
+	if err := d.ApplyDone([]byte(j.ID), []byte("n1"), 0, []byte("out")); !errors.Is(err, ErrNotFirstNode) {
 		t.Fatalf("completion from n1 for a job on n0: %v, want ErrNotFirstNode", err)
 	}
 	if fired.Load() != 0 || srv.Version() != version {
 		t.Fatal("a refused completion changed the state or fired OnJobDone")
 	}
-	if err := d.ApplyDone(j.ID, "n0", 0, "out"); err != nil {
+	if err := d.ApplyDone([]byte(j.ID), []byte("n0"), 0, []byte("out")); err != nil {
 		t.Fatal(err)
 	}
 	if _, after := srv.ReadCacheStats(); after != misses {
@@ -214,10 +214,10 @@ func TestApplyDoneSkipsStatusRebuild(t *testing.T) {
 	}
 	// A duplicate report and one for an unknown job are stale, not
 	// refused.
-	if err := d.ApplyDone(j.ID, "n0", 0, "out"); err != nil {
+	if err := d.ApplyDone([]byte(j.ID), []byte("n0"), 0, []byte("out")); err != nil {
 		t.Errorf("duplicate report: %v", err)
 	}
-	if err := d.ApplyDone("99.c", "n0", 0, ""); err != nil {
+	if err := d.ApplyDone([]byte("99.c"), []byte("n0"), 0, nil); err != nil {
 		t.Errorf("report for an unknown job: %v", err)
 	}
 	if n := fired.Load(); n != 1 {

@@ -154,15 +154,17 @@ type Action interface{ action() }
 
 // StartAction directs the daemon to start a job on its allocated
 // nodes (the PBS server "connects to a PBS mom server ... to start
-// the job").
+// the job"). Job is the server's live record (see TakeActions); a
+// one-pointer struct, the action boxes into an Action without
+// allocating.
 type StartAction struct {
-	Job Job
+	Job *Job
 }
 
 // KillAction directs the daemon to terminate a running job on its
 // nodes (qdel of a running job).
 type KillAction struct {
-	Job Job
+	Job *Job
 }
 
 func (StartAction) action() {}

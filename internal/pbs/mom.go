@@ -66,12 +66,21 @@ const (
 	momFinished                  // the run ended and went to Complete
 )
 
-// momJob tracks one job's lifecycle on this node.
+// momJob tracks one job's lifecycle on this node. Only an executing
+// job has its own: every emulated job shares sisterJob and every
+// finished one finishedJob, which the mom never writes, so a job this
+// node does not run, or no longer runs, keeps nothing but its table
+// key.
 type momJob struct {
 	job    Job
 	state  momState
-	killed chan struct{} // closed to interrupt execution; nil if emulated
+	killed chan struct{} // closed to interrupt execution; nil if shared
 }
+
+var (
+	sisterJob   = &momJob{state: momEmulated}
+	finishedJob = &momJob{state: momFinished}
+)
 
 // Complete's retry schedule after an error: the first retry comes
 // completeRetry later, and each later gap doubles up to maxCompleteGap.
@@ -156,53 +165,45 @@ func (m *Mom) handle(dg transport.Message) {
 	}
 	switch kind {
 	case momKindStart:
-		m.onStart(id, dg)
+		m.onStart(id, dg.Payload)
 	case momKindKill:
 		m.onKill(id)
 	}
 }
 
 // onStart handles one head node's request to start a job. It runs only
-// on the receive loop, which is also the only writer of m.jobs. A start
-// for a known job, in any state, folds onto the first and sends
-// nothing: a finished job's completion is already on its way to every
-// head through the total order.
-func (m *Mom) onStart(id []byte, dg transport.Message) {
+// on the receive loop, which is the only goroutine that adds keys to
+// m.jobs; execute replaces a finished job's entry under m.mu, but only
+// for a key already present, so the unlocked check-then-insert below
+// for an unknown ID cannot race it. A start for a known job, in any
+// state, folds onto the first and sends nothing: a finished job's
+// completion is already on its way to every head through the total
+// order. The first start decodes the job into one string and one node
+// slice; a sister node then keeps only the job ID.
+func (m *Mom) onStart(id, payload []byte) {
 	m.mu.Lock()
 	_, known := m.jobs[JobID(id)]
 	m.mu.Unlock()
 	if known {
 		return
 	}
-	msg, err := decodeMomMsg(dg.Payload)
-	if err != nil {
+	job, ok := decodeStart(payload)
+	if !ok {
 		return
 	}
-	j := &momJob{
-		job: Job{
-			ID:       msg.JobID,
-			Name:     msg.Name,
-			Owner:    msg.Owner,
-			Script:   msg.Script,
-			WallTime: msg.WallTime,
-			Nodes:    msg.Nodes,
-		},
-		state: momEmulated,
+	if len(job.Nodes) == 0 || job.Nodes[0] != m.cfg.Name {
+		key := JobID(id)
+		m.mu.Lock()
+		m.jobs[key] = sisterJob
+		m.mu.Unlock()
+		return
 	}
-	first := len(msg.Nodes) > 0 && msg.Nodes[0] == m.cfg.Name
-	if first {
-		j.state = momExecuting
-		j.killed = make(chan struct{})
-	}
+	j := &momJob{job: job, state: momExecuting, killed: make(chan struct{})}
 	m.mu.Lock()
-	m.jobs[j.job.ID] = j
-	if first {
-		m.executions++
-	}
+	m.jobs[job.ID] = j
+	m.executions++
 	m.mu.Unlock()
-	if first {
-		go m.execute(j)
-	}
+	go m.execute(j)
 }
 
 // execute simulates running j's job for its (scaled) wall time, then
@@ -235,8 +236,13 @@ func (m *Mom) execute(j *momJob) {
 	if exit == 0 {
 		output = runScript(job, m.cfg.Name)
 	}
+	// The finished entry is the shared tombstone under a key of its
+	// own, so the table keeps neither the job nor the datagram copy
+	// its ID is a substring of.
+	key := JobID(strings.Clone(string(job.ID)))
 	m.mu.Lock()
-	j.state = momFinished
+	delete(m.jobs, job.ID)
+	m.jobs[key] = finishedJob
 	m.mu.Unlock()
 	m.complete(job, exit, output)
 }
@@ -284,10 +290,11 @@ func (m *Mom) onKill(id []byte) {
 // through the replication path without running real code.
 func runScript(job Job, node string) string {
 	var out strings.Builder
-	for _, line := range strings.Split(job.Script, "\n") {
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "echo "); ok {
-			out.WriteString(strings.Trim(rest, `"'`))
+	for rest := job.Script; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if echo, ok := strings.CutPrefix(strings.TrimSpace(line), "echo "); ok {
+			out.WriteString(strings.Trim(echo, `"'`))
 			out.WriteByte('\n')
 		}
 	}

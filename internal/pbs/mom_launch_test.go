@@ -108,19 +108,18 @@ func newLaunchRig(t *testing.T, complete *scriptedComplete) *launchRig {
 }
 
 // deliver hands the mom one datagram from a head.
-func (r *launchRig) deliver(from transport.Addr, msg *momMsg) {
-	r.ep.in <- transport.Message{From: from, To: r.ep.Addr(), Payload: msg.encode()}
+func (r *launchRig) deliver(from transport.Addr, frame []byte) {
+	r.ep.in <- transport.Message{From: from, To: r.ep.Addr(), Payload: frame}
 }
 
 func (r *launchRig) start(from transport.Addr) {
-	j := r.job
-	r.deliver(from, &momMsg{Kind: momKindStart, JobID: j.ID, Name: j.Name, Script: j.Script, Nodes: j.Nodes})
+	r.deliver(from, encodeStart(&r.job))
 }
 
 // sync returns once the mom has handled everything delivered before:
 // a kill for a job it never saw changes nothing.
 func (r *launchRig) sync() {
-	r.deliver(launchHeads[0], &momMsg{Kind: momKindKill, JobID: "0.none"})
+	r.deliver(launchHeads[0], encodeKill("0.none"))
 }
 
 // state reads the job's state; ok is false for a job the mom has not
@@ -180,7 +179,7 @@ func TestSisterNodeEmulates(t *testing.T) {
 	for _, h := range launchHeads {
 		r.start(h)
 	}
-	r.deliver(launchHeads[0], &momMsg{Kind: momKindKill, JobID: r.job.ID})
+	r.deliver(launchHeads[0], encodeKill(r.job.ID))
 	r.sync()
 	if st, ok := r.state(); !ok || st != momEmulated {
 		t.Errorf("state = %d (known %v), want emulated", st, ok)
@@ -282,8 +281,7 @@ func TestDuplicateStartAndAckAllocs(t *testing.T) {
 	r.job.Nodes = []string{"compute1", "compute0"} // emulated: no run to race
 	r.start(launchHeads[0])
 	r.sync()
-	j := r.job
-	start := transport.Message{From: launchHeads[1], Payload: (&momMsg{Kind: momKindStart, JobID: j.ID, Name: j.Name, Script: j.Script, Nodes: j.Nodes}).encode()}
+	start := transport.Message{From: launchHeads[1], Payload: encodeStart(&r.job)}
 	// The receive loop is idle, so handling here races nothing.
 	if n := testing.AllocsPerRun(100, func() { r.mom.handle(start) }); n != 0 {
 		t.Errorf("duplicate start: %.1f allocations, want 0", n)

@@ -71,7 +71,7 @@ func newRig(t *testing.T, nodes int, momCfg func(i int, c *MomConfig)) *rig {
 // to one head's daemon.
 func applyTo(d *Daemon, node string) func(Job, int, string) error {
 	return func(j Job, exitCode int, output string) error {
-		return d.ApplyDone(j.ID, node, exitCode, output)
+		return d.ApplyDone([]byte(j.ID), []byte(node), exitCode, []byte(output))
 	}
 }
 
@@ -226,7 +226,7 @@ func TestLateHeadStillHearsReport(t *testing.T) {
 			if d == nil {
 				return errors.New("head0 unreachable")
 			}
-			return d.ApplyDone(j.ID, "compute0", exitCode, output)
+			return d.ApplyDone([]byte(j.ID), []byte("compute0"), exitCode, []byte(output))
 		},
 	})
 	defer mom.Close()
@@ -244,8 +244,8 @@ func TestLateHeadStillHearsReport(t *testing.T) {
 	}
 	for _, a := range srv.TakeActions() {
 		if s, ok := a.(StartAction); ok {
-			msg := &momMsg{Kind: momKindStart, JobID: s.Job.ID, WallTime: s.Job.WallTime, Nodes: s.Job.Nodes}
-			if err := starter.Send("compute0/mom", msg.encode()); err != nil {
+			start := encodeStart(&Job{ID: s.Job.ID, WallTime: s.Job.WallTime, Nodes: s.Job.Nodes})
+			if err := starter.Send("compute0/mom", start); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -341,7 +341,7 @@ func TestOnJobDoneCallback(t *testing.T) {
 	waitState(t, daemon, j.ID, StateCompleted, 5*time.Second)
 	waitFor(t, "the OnJobDone callback", func() bool { return calls.Load() > 0 })
 	// A duplicate report must not double-fire the callback.
-	if err := daemon.ApplyDone(j.ID, "compute0", 0, ""); err != nil {
+	if err := daemon.ApplyDone([]byte(j.ID), []byte("compute0"), 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 1 {

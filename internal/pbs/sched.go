@@ -74,9 +74,10 @@ type nodeCap struct {
 }
 
 // freeCaps builds the free-capacity view of the online nodes, in
-// configuration order. Must be called with s.mu held.
+// configuration order, in the server's scratch buffer: the view lives
+// for one pass. Must be called with s.mu held.
 func (s *Server) freeCaps(online []string) []nodeCap {
-	caps := make([]nodeCap, 0, len(online))
+	caps := s.capsBuf[:0]
 	for _, n := range online {
 		c := nodeCap{name: n, cpus: s.cfg.NodeCPUs, mem: s.cfg.NodeMem}
 		if a, ok := s.alloc[n]; ok {
@@ -85,18 +86,20 @@ func (s *Server) freeCaps(online []string) []nodeCap {
 		}
 		caps = append(caps, c)
 	}
+	s.capsBuf = caps
 	return caps
 }
 
 // fitJob is the resource stage's placement test: first-fit over caps
 // (configuration order), claiming NodeCount distinct nodes that each
 // still hold the job's per-node request. On success the chosen
-// capacity is deducted from caps and the node names are returned; nil
-// means the job does not fit right now. avoid, when non-nil, excludes
-// nodes (backfill keeps long jobs off reserved nodes).
-func fitJob(j *Job, caps []nodeCap, nodeMem int64, avoid map[string]bool) []string {
+// capacity is deducted from caps and the node names are returned, in
+// the one slice the job keeps as its Nodes; nil means the job does not
+// fit right now. avoid, when non-nil, excludes nodes (backfill keeps
+// long jobs off reserved nodes). Must be called with s.mu held.
+func (s *Server) fitJob(j *Job, caps []nodeCap, avoid map[string]bool) []string {
 	need := j.Res.withDefaults()
-	var picked []int
+	picked := s.pickBuf[:0]
 	for i := range caps {
 		if avoid != nil && avoid[caps[i].name] {
 			continue
@@ -104,7 +107,7 @@ func fitJob(j *Job, caps []nodeCap, nodeMem int64, avoid map[string]bool) []stri
 		if caps[i].cpus < need.NCPUs {
 			continue
 		}
-		if nodeMem > 0 && caps[i].mem < need.Mem {
+		if s.cfg.NodeMem > 0 && caps[i].mem < need.Mem {
 			continue
 		}
 		picked = append(picked, i)
@@ -112,6 +115,7 @@ func fitJob(j *Job, caps []nodeCap, nodeMem int64, avoid map[string]bool) []stri
 			break
 		}
 	}
+	s.pickBuf = picked
 	if len(picked) < j.NodeCount {
 		return nil
 	}
@@ -244,7 +248,7 @@ func (s *Server) placeStrict(cands []*Job, online []string) int {
 		if s.cfg.Exclusive {
 			nodes = s.exclusiveFit(j, online)
 		} else {
-			nodes = fitJob(j, caps, s.cfg.NodeMem, nil)
+			nodes = s.fitJob(j, caps, nil)
 		}
 		if nodes == nil {
 			return i
@@ -269,7 +273,7 @@ func (s *Server) placeBackfill(cands []*Job, online []string) {
 	var reserved map[string]bool
 	for _, j := range cands {
 		if rv == nil {
-			if nodes := fitJob(j, caps, s.cfg.NodeMem, nil); nodes != nil {
+			if nodes := s.fitJob(j, caps, nil); nodes != nil {
 				s.startJob(j, nodes)
 				continue
 			}
@@ -286,9 +290,9 @@ func (s *Server) placeBackfill(cands []*Job, online []string) {
 		end := s.vnow() + int64(j.WallTime)
 		var nodes []string
 		if end <= rv.Shadow {
-			nodes = fitJob(j, caps, s.cfg.NodeMem, nil)
+			nodes = s.fitJob(j, caps, nil)
 		} else {
-			nodes = fitJob(j, caps, s.cfg.NodeMem, reserved)
+			nodes = s.fitJob(j, caps, reserved)
 		}
 		if nodes != nil {
 			s.startJob(j, nodes)
@@ -313,10 +317,16 @@ func (s *Server) schedule() {
 	// same for the whole pass.
 	online := s.onlineNodes()
 	if s.cfg.Policy == PolicyFIFO {
-		// Strict placement starts a prefix of the index; drop it.
+		// Strict placement starts a prefix of the index; drop it. An
+		// index that empties keeps its whole buffer, so the next
+		// submission appends without growing it.
 		n := s.placeStrict(s.eligible, online)
 		clear(s.eligible[:n])
-		s.eligible = s.eligible[n:]
+		if n == len(s.eligible) {
+			s.eligible = s.eligible[:0]
+		} else {
+			s.eligible = s.eligible[n:]
+		}
 		return
 	}
 	cands := slices.Clone(s.eligible)
@@ -362,7 +372,7 @@ func (s *Server) startJob(j *Job, nodes []string) {
 	for _, n := range nodes {
 		a := s.alloc[n]
 		if a == nil {
-			a = &nodeAlloc{}
+			a = s.newAlloc()
 			s.alloc[n] = a
 		}
 		a.jobs = append(a.jobs, j.ID)
@@ -372,7 +382,20 @@ func (s *Server) startJob(j *Job, nodes []string) {
 	s.running++
 	s.fairshareCharge(j)
 	s.account(AcctStarted, j)
-	s.actions = append(s.actions, StartAction{Job: j.clone()})
+	s.actions = append(s.actions, StartAction{Job: j})
+}
+
+// newAlloc returns an empty nodeAlloc, recycled from a node that
+// drained (releaseAlloc) when one is free. Must be called with s.mu
+// held.
+func (s *Server) newAlloc() *nodeAlloc {
+	if n := len(s.freeAllocs); n > 0 {
+		a := s.freeAllocs[n-1]
+		s.freeAllocs[n-1] = nil
+		s.freeAllocs = s.freeAllocs[:n-1]
+		return a
+	}
+	return &nodeAlloc{}
 }
 
 // releaseAlloc returns a finished job's per-node share to the pool.
@@ -386,7 +409,7 @@ func (s *Server) releaseAlloc(j *Job) {
 		}
 		for i, id := range a.jobs {
 			if id == j.ID {
-				a.jobs = append(a.jobs[:i], a.jobs[i+1:]...)
+				a.jobs = slices.Delete(a.jobs, i, i+1)
 				a.cpus -= res.NCPUs
 				a.mem -= res.Mem
 				break
@@ -394,6 +417,8 @@ func (s *Server) releaseAlloc(j *Job) {
 		}
 		if len(a.jobs) == 0 {
 			delete(s.alloc, n)
+			*a = nodeAlloc{jobs: a.jobs}
+			s.freeAllocs = append(s.freeAllocs, a)
 		}
 	}
 	if s.running > 0 {

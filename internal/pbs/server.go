@@ -120,8 +120,16 @@ type Server struct {
 	// resv is the backfill stage's current reservation (nil when no
 	// job is blocked).
 	resv *reservation
-	// actions is the outbox drained by TakeActions.
-	actions []Action
+	// actions is the outbox drained by TakeActions; spareActions is a
+	// drained outbox handed back (recycleActions) for the next one.
+	actions      []Action
+	spareActions []Action
+	// freeAllocs holds the nodeAllocs of drained nodes for reuse, and
+	// capsBuf and pickBuf are one scheduling pass's scratch (freeCaps,
+	// fitJob). None of them is replicated state.
+	freeAllocs []*nodeAlloc
+	capsBuf    []nodeCap
+	pickBuf    []int
 	// sigCount counts qsig deliveries per job (the paper notes qsig
 	// does not change service state; we track it only for tests).
 	sigCount map[JobID]int
@@ -314,7 +322,9 @@ func (s *Server) enqueueJob(req SubmitRequest, id JobID, seq uint64, arrayIdx in
 	return j
 }
 
-// Submit enqueues a job (qsub). It returns the assigned job.
+// Submit enqueues a job (qsub). It returns the assigned job, whose
+// Nodes, if the submission started it, aliases the live job's (see
+// Job.Nodes) and must be treated as read-only.
 func (s *Server) Submit(req SubmitRequest) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -327,7 +337,7 @@ func (s *Server) Submit(req SubmitRequest) (Job, error) {
 	id := s.nextID()
 	j := s.enqueueJob(req, id, s.nextSeq, -1)
 	s.schedule()
-	return j.clone(), nil
+	return *j, nil
 }
 
 // SubmitArray expands a job-array submission (qsub -t start-end) into
@@ -397,7 +407,7 @@ func (s *Server) Delete(id JobID) (Job, error) {
 	case StateRunning:
 		j.State = StateExiting
 		s.account(AcctDeleted, j)
-		s.actions = append(s.actions, KillAction{Job: j.clone()})
+		s.actions = append(s.actions, KillAction{Job: j})
 		return j.clone(), nil
 	case StateExiting:
 		return j.clone(), nil // kill already in flight
@@ -495,13 +505,15 @@ func (s *Server) Status(id JobID) (Job, error) {
 // StatusView is Status without the defensive Nodes copy, for callers
 // that only read or encode the job: the returned value's Nodes aliases
 // the live job's slice, which the server never writes into (see
-// Job.Nodes), and must be treated as read-only.
-func (s *Server) StatusView(id JobID) (Job, error) {
+// Job.Nodes), and must be treated as read-only. The ID is read in
+// place from a request buffer: the lookup converts nothing, and only a
+// miss copies the ID, into its error.
+func (s *Server) StatusView(id []byte) (Job, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	j, ok := s.jobs[id]
+	j, ok := s.jobs[JobID(id)]
 	if !ok {
-		return Job{}, errUnknownJob("qstat", id)
+		return Job{}, errUnknownJob("qstat", JobID(id))
 	}
 	return *j, nil
 }
@@ -548,16 +560,22 @@ func (s *Server) encodeListingLocked() []byte {
 // job, so any other report means the replicas placed it differently.
 var ErrNotFirstNode = errors.New("pbs: completion from a node other than the job's first")
 
-// JobDoneOn applies the completion that node reports for job id: a
-// known job refuses it with ErrNotFirstNode unless node is the job's
-// first node, and otherwise it is JobDone.
-func (s *Server) JobDoneOn(id JobID, node string, exitCode int, output string) (bool, error) {
+// jobDoneOn applies the completion that node reports for job id, both
+// read in place from a request buffer: they are only looked up and
+// compared. A known job refuses the report with ErrNotFirstNode unless
+// node is the job's first node, and otherwise it is JobDone. known is
+// the job table's own copy of the ID, empty for an unknown job.
+func (s *Server) jobDoneOn(id, node []byte, exitCode int, output string) (known JobID, ended bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok && (len(j.Nodes) == 0 || j.Nodes[0] != node) {
-		return false, fmt.Errorf("%w: %s reported job %s", ErrNotFirstNode, node, id)
+	j := s.jobs[JobID(id)]
+	if j != nil {
+		if len(j.Nodes) == 0 || j.Nodes[0] != string(node) {
+			return "", false, fmt.Errorf("%w: %s reported job %s", ErrNotFirstNode, node, id)
+		}
+		known = j.ID
 	}
-	return s.jobDoneLocked(id, exitCode, output), nil
+	return known, s.jobDoneLocked(j, exitCode, output), nil
 }
 
 // JobDone applies a completion report from a mom. Duplicate reports
@@ -568,15 +586,15 @@ func (s *Server) JobDoneOn(id JobID, node string, exitCode int, output string) (
 func (s *Server) JobDone(id JobID, exitCode int, output string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.jobDoneLocked(id, exitCode, output)
+	return s.jobDoneLocked(s.jobs[id], exitCode, output)
 }
 
-// jobDoneLocked is JobDone with s.mu held.
-func (s *Server) jobDoneLocked(id JobID, exitCode int, output string) bool {
+// jobDoneLocked is JobDone for the job j (nil if unknown) with s.mu
+// held.
+func (s *Server) jobDoneLocked(j *Job, exitCode int, output string) bool {
 	defer s.dirty()
 	s.tick()
-	j, ok := s.jobs[id]
-	if !ok {
+	if j == nil {
 		return false
 	}
 	if j.State != StateRunning && j.State != StateExiting {
@@ -598,7 +616,7 @@ func (s *Server) jobDoneLocked(id JobID, exitCode int, output string) bool {
 	s.account(AcctEnded, j)
 	s.releaseAlloc(j)
 	s.removeFromQueue(j)
-	s.completed = append(s.completed, id)
+	s.completed = append(s.completed, j.ID)
 	if s.cfg.KeepCompleted > 0 {
 		for len(s.completed) > s.cfg.KeepCompleted {
 			victim := s.completed[0]
@@ -612,13 +630,28 @@ func (s *Server) jobDoneLocked(id JobID, exitCode int, output string) bool {
 }
 
 // TakeActions drains the action outbox. The host daemon performs the
-// returned actions (starting and killing jobs on moms) in order.
+// returned actions (starting and killing jobs on moms) in order. Each
+// action's Job points at the live record, whose ID, Name, Owner,
+// Script, WallTime and Nodes never change once the action is emitted.
 func (s *Server) TakeActions() []Action {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	a := s.actions
-	s.actions = nil
+	if len(a) == 0 {
+		return nil
+	}
+	s.actions, s.spareActions = s.spareActions, nil
 	return a
+}
+
+// recycleActions hands a drained outbox back for a later one to reuse.
+func (s *Server) recycleActions(a []Action) {
+	clear(a)
+	s.mu.Lock()
+	if s.spareActions == nil {
+		s.spareActions = a[:0]
+	}
+	s.mu.Unlock()
 }
 
 // removeFromQueue drops j from the queue, finding it by binary search

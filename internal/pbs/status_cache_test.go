@@ -42,7 +42,7 @@ func TestStatusCacheInvalidation(t *testing.T) {
 		if _, err := s.Status(j.ID); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.StatusView(j.ID); err != nil {
+		if _, err := s.StatusView([]byte(j.ID)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Status("99.cluster"); err == nil {
@@ -135,7 +135,7 @@ func TestStatusViewAliasesOnlyNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := s.StatusView(j.ID)
+	view, err := s.StatusView([]byte(j.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestStatusCacheConcurrentAccess(t *testing.T) {
 				}
 				for _, j := range s.StatusAll() {
 					_, _ = s.Status(j.ID)
-					_, _ = s.StatusView(j.ID)
+					_, _ = s.StatusView([]byte(j.ID))
 				}
 				body, _ := s.Listing()
 				d := codec.NewDecoder(body)

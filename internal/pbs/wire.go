@@ -1,72 +1,63 @@
 package pbs
 
-import (
-	"fmt"
-	"time"
-
-	"joshua/internal/codec"
-)
+import "joshua/internal/codec"
 
 // Server -> mom wire protocol. One datagram per message, tagged with
 // a kind byte, mirroring the TORQUE server/mom RPP protocol at the
 // granularity this reproduction needs: job start and job kill. A mom
 // answers nothing on this channel; its completion goes out through
 // MomConfig.Complete.
+//
+//	start: kind, job ID, name, owner, script, walltime, nodes
+//	kill:  kind, job ID
 const (
 	momKindStart byte = iota + 1
 	momKindKill
 )
 
-// momMsg is the union of mom protocol messages.
-type momMsg struct {
-	Kind byte
-	// All kinds.
-	JobID JobID
-	// momKindStart.
-	Name     string
-	Owner    string
-	Script   string
-	WallTime time.Duration
-	Nodes    []string
-}
-
-func (m *momMsg) encode() []byte {
-	e := codec.NewEncoder(64 + len(m.Script))
-	e.PutByte(m.Kind)
-	e.PutString(string(m.JobID))
-	switch m.Kind {
-	case momKindStart:
-		e.PutString(m.Name)
-		e.PutString(m.Owner)
-		e.PutString(m.Script)
-		e.PutDuration(m.WallTime)
-		e.PutStringSlice(m.Nodes)
-	case momKindKill:
-	default:
-		panic(fmt.Sprintf("pbs: encoding unknown mom message kind %d", m.Kind))
+// encodeStart encodes the start of j. The daemon keeps the frame for
+// resends, so it is sized to fit.
+func encodeStart(j *Job) []byte {
+	n := 32 + len(j.ID) + len(j.Name) + len(j.Owner) + len(j.Script)
+	for _, node := range j.Nodes {
+		n += 2 + len(node)
 	}
+	e := codec.NewEncoder(n)
+	e.PutByte(momKindStart)
+	e.PutString(string(j.ID))
+	e.PutString(j.Name)
+	e.PutString(j.Owner)
+	e.PutString(j.Script)
+	e.PutDuration(j.WallTime)
+	e.PutStringSlice(j.Nodes)
 	return e.Bytes()
 }
 
-func decodeMomMsg(b []byte) (*momMsg, error) {
-	d := codec.NewDecoder(b)
-	m := &momMsg{
-		Kind:  d.Byte(),
-		JobID: JobID(d.String()),
+// encodeKill encodes the kill of job id.
+func encodeKill(id JobID) []byte {
+	e := codec.NewEncoder(8 + len(id))
+	e.PutByte(momKindKill)
+	e.PutString(string(id))
+	return e.Bytes()
+}
+
+// decodeStart decodes a start datagram into a Job whose strings are
+// substrings of one copy of the datagram: that copy and the Nodes slice
+// are its only allocations. ok is false for anything but a well-formed
+// start.
+func decodeStart(payload []byte) (j Job, ok bool) {
+	d := codec.NewDecoder(payload)
+	d.ShareStrings()
+	if d.Byte() != momKindStart {
+		return Job{}, false
 	}
-	switch m.Kind {
-	case momKindStart:
-		m.Name = d.String()
-		m.Owner = d.String()
-		m.Script = d.String()
-		m.WallTime = d.Duration()
-		m.Nodes = d.StringSlice()
-	case momKindKill:
-	default:
-		return nil, fmt.Errorf("pbs: unknown mom message kind %d", m.Kind)
+	j = Job{
+		ID:       JobID(d.Text()),
+		Name:     d.Text(),
+		Owner:    d.Text(),
+		Script:   d.Text(),
+		WallTime: d.Duration(),
+		Nodes:    d.StringSlice(),
 	}
-	if err := d.Finish(); err != nil {
-		return nil, fmt.Errorf("pbs: decoding mom message kind %d: %w", m.Kind, err)
-	}
-	return m, nil
+	return j, d.Finish() == nil
 }

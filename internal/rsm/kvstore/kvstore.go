@@ -87,13 +87,17 @@ func DecodeRequest(b []byte) (*Request, error) {
 // EncodeResponse serializes a response datagram.
 func EncodeResponse(r *Response) []byte {
 	e := codec.NewEncoder(32 + len(r.Err) + len(r.Value))
+	r.encodeTo(e)
+	return e.Bytes()
+}
+
+func (r *Response) encodeTo(e *codec.Encoder) {
 	e.PutByte(kindResponse)
 	e.PutString(r.ReqID)
 	e.PutBool(r.OK)
 	e.PutString(r.Err)
 	e.PutString(r.Value)
 	e.PutBool(r.Found)
-	return e.Bytes()
 }
 
 // DecodeResponse parses a response datagram.
@@ -128,11 +132,12 @@ func NewStore() *Store {
 	return &Store{data: make(map[string]string)}
 }
 
-// Apply executes one totally ordered mutation.
-func (s *Store) Apply(cmd rsm.Command) []byte {
+// Apply executes one totally ordered mutation and writes its response
+// into reply.
+func (s *Store) Apply(cmd rsm.Command, reply *codec.Encoder) {
 	req, err := DecodeRequest(cmd.Payload)
 	if err != nil {
-		return nil
+		return
 	}
 	if d := s.applyCost.Load(); d > 0 {
 		// Simulated execution cost burns outside the lock, so
@@ -156,7 +161,7 @@ func (s *Store) Apply(cmd rsm.Command) []byte {
 		resp.OK = false
 		resp.Err = fmt.Sprintf("kvstore: op %d is not replicable", req.Op)
 	}
-	return EncodeResponse(resp)
+	resp.encodeTo(reply)
 }
 
 // ConflictKey names the key a mutation touches: mutations on distinct

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"joshua/internal/codec"
 	"joshua/internal/rsm"
 )
 
@@ -65,7 +66,7 @@ func TestStoreApplySnapshotRestore(t *testing.T) {
 	apply := func(op Op, key, value string) *Response {
 		t.Helper()
 		payload := EncodeRequest(&Request{ReqID: "r", Op: op, Key: key, Value: value})
-		resp, err := DecodeResponse(src.Apply(rsm.Command{ReqID: "r", Payload: payload}))
+		resp, err := DecodeResponse(applied(src, rsm.Command{ReqID: "r", Payload: payload}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +83,7 @@ func TestStoreApplySnapshotRestore(t *testing.T) {
 	if resp := apply(OpGet, "a", ""); resp.OK {
 		t.Errorf("replicating a get should fail, got %+v", resp)
 	}
-	if src.Apply(rsm.Command{ReqID: "r", Payload: []byte{0xFF}}) != nil {
+	if len(applied(src, rsm.Command{ReqID: "r", Payload: []byte{0xFF}})) != 0 {
 		t.Error("malformed payload should produce no response")
 	}
 
@@ -99,4 +100,11 @@ func TestStoreApplySnapshotRestore(t *testing.T) {
 	if err := dst.Restore([]byte{0xFF, 0xFF, 0xFF}); err == nil {
 		t.Error("restoring garbage should fail")
 	}
+}
+
+// applied runs cmd through Apply and returns the reply it wrote.
+func applied(s *Store, cmd rsm.Command) []byte {
+	e := codec.NewEncoder(64)
+	s.Apply(cmd, e)
+	return e.Bytes()
 }

@@ -96,10 +96,13 @@ type Command struct {
 // see internal/pbs for the pattern).
 type Service interface {
 	// Apply executes one totally ordered command against local state
-	// and returns the encoded response to relay to the client. A nil
-	// return means the command produces no reply (internal commands,
-	// malformed payloads); it is still recorded in the dedup table.
-	Apply(cmd Command) []byte
+	// and writes the encoded response to relay to the client into
+	// reply, an empty pooled encoder the engine owns: the engine copies
+	// the bytes into its deduplication table and sends the reply from
+	// reply itself, so Apply must not keep it. Writing nothing means
+	// the command produces no reply (internal commands, malformed
+	// payloads); it is still recorded in the dedup table.
+	Apply(cmd Command, reply *codec.Encoder)
 	// ConflictKey names the conflict domain cmd belongs to. Two
 	// commands with distinct non-empty keys must commute — applying
 	// them in either order (or concurrently) yields the same final
@@ -391,10 +394,22 @@ type pendingApply struct {
 	cmd   Command
 	key   string // conflict key (fresh commands only)
 	index uint64 // applied index (fresh commands only)
-	resp  []byte
-	seen  bool  // already in the dedup table (cross-round duplicate)
-	dupOf int32 // >= 0: duplicate of cmds[dupOf] within this round; -1 otherwise
-	next  int32 // next command in the same per-key run; -1 ends the run
+	// enc holds a fresh command's reply from the apply stage until the
+	// round's first reply of it takes it to the replier, or the round
+	// releases it.
+	enc     *codec.Encoder
+	replied bool  // enc went out with a reply
+	seen    bool  // already in the dedup table (cross-round duplicate)
+	dupOf   int32 // >= 0: duplicate of cmds[dupOf] within this round; -1 otherwise
+	next    int32 // next command in the same per-key run; -1 ends the run
+}
+
+// resp is the reply Apply wrote, nil if it wrote none.
+func (pa *pendingApply) resp() []byte {
+	if pa.enc == nil || pa.enc.Len() == 0 {
+		return nil
+	}
+	return pa.enc.Bytes()
 }
 
 // releaseBatch is one round's output, handed to the releaser
@@ -1141,10 +1156,14 @@ func (r *Replica) applyBatch(batch []*envelope) {
 	r.applySections(cmds)
 	applyEnd := time.Now()
 
-	// Post-apply bookkeeping, in total order on the loop. Dedup-hit
-	// replies are copied out of the table under its lock (fetch): the
-	// entry's buffer recycles on eviction, so handing out a view would
-	// race with later rounds.
+	// Post-apply bookkeeping, in total order on the loop. The dedup
+	// table copies each fresh reply into an entry-owned buffer, and the
+	// reply leaves from the apply stage's encoder, which the replier
+	// releases after the send; a second reply of the same command
+	// (an in-round duplicate) copies it first. Dedup-hit replies are
+	// copied out of the table under its lock (fetch): the entry's
+	// buffer recycles on eviction, so handing out a view would race
+	// with later rounds.
 	replies := r.takeReplySlice()
 	for i := range cmds {
 		pa := &cmds[i]
@@ -1152,7 +1171,7 @@ func (r *Replica) applyBatch(batch []*envelope) {
 		if pa.dupOf >= 0 {
 			src = &cmds[pa.dupOf]
 		} else if !pa.seen {
-			r.dedupInsert(pa.env.ReqID, pa.resp, pa.index)
+			r.dedupInsert(pa.env.ReqID, pa.resp(), pa.index)
 		}
 		// The output rule, and no output outside the primary
 		// component: a minority fragment may keep its local state
@@ -1164,8 +1183,22 @@ func (r *Replica) applyBatch(batch []*envelope) {
 			if enc, _, ok := r.dedup.fetch(pa.env.ReqID); ok && enc != nil {
 				replies = append(replies, reply{to: pa.env.Client, payload: enc.Bytes(), enc: enc})
 			}
-		} else if src.resp != nil {
-			replies = append(replies, reply{to: pa.env.Client, payload: src.resp})
+		} else if b := src.resp(); b != nil {
+			enc := src.enc
+			if src.replied {
+				enc = codec.GetEncoder(len(b))
+				enc.PutRaw(b)
+			}
+			src.replied = true
+			replies = append(replies, reply{to: pa.env.Client, payload: enc.Bytes(), enc: enc})
+		}
+	}
+	for i := range cmds {
+		if pa := &cmds[i]; pa.enc != nil {
+			if !pa.replied {
+				pa.enc.Release()
+			}
+			pa.enc = nil
 		}
 	}
 	if fresh > 0 {
@@ -1196,7 +1229,7 @@ func (r *Replica) applySections(cmds []pendingApply) {
 			continue
 		}
 		if pa.key == "" {
-			pa.resp = r.service.Apply(pa.cmd)
+			r.apply(pa)
 			barriers++
 			i++
 			continue
@@ -1232,8 +1265,7 @@ func (r *Replica) applySections(cmds []pendingApply) {
 		if len(heads) == 1 || r.applyQ == nil {
 			for _, h := range heads {
 				for k := h; k >= 0; k = cmds[k].next {
-					q := &cmds[k]
-					q.resp = r.service.Apply(q.cmd)
+					r.apply(&cmds[k])
 				}
 			}
 		} else {
@@ -1254,6 +1286,12 @@ func (r *Replica) applySections(cmds []pendingApply) {
 	}
 }
 
+// apply executes one fresh command into a pooled reply encoder.
+func (r *Replica) apply(pa *pendingApply) {
+	pa.enc = codec.GetEncoder(256)
+	r.service.Apply(pa.cmd, pa.enc)
+}
+
 // applyWorker executes per-key runs for applySections. The channel is
 // closed by the event loop on shutdown; every queued run drains first,
 // so applyWG.Wait cannot hang on an abandoned run.
@@ -1261,8 +1299,7 @@ func (r *Replica) applyWorker() {
 	labelStage("apply_worker")
 	for run := range r.applyQ {
 		for k := run.head; k >= 0; k = run.cmds[k].next {
-			q := &run.cmds[k]
-			q.resp = r.service.Apply(q.cmd)
+			r.apply(&run.cmds[k])
 		}
 		r.applyWG.Done()
 	}

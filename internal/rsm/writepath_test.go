@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"joshua/internal/codec"
 	"joshua/internal/gcs"
 	"joshua/internal/transport"
 	"joshua/internal/wal"
@@ -44,7 +45,7 @@ func newBenchSvc() *benchSvc {
 	return s
 }
 
-func (s *benchSvc) Apply(cmd Command) []byte { return s.resp }
+func (s *benchSvc) Apply(cmd Command, reply *codec.Encoder) { reply.PutRaw(s.resp) }
 func (s *benchSvc) ConflictKey(cmd Command) string {
 	if len(cmd.Payload) == 0 {
 		return ""
@@ -181,7 +182,7 @@ type echoSvc struct {
 	total   int
 }
 
-func (s *echoSvc) Apply(cmd Command) []byte {
+func (s *echoSvc) Apply(cmd Command, reply *codec.Encoder) {
 	key := s.ConflictKey(cmd)
 	s.mu.Lock()
 	if s.applied == nil {
@@ -190,7 +191,7 @@ func (s *echoSvc) Apply(cmd Command) []byte {
 	s.applied[key] = append(s.applied[key], cmd.ReqID)
 	s.total++
 	s.mu.Unlock()
-	return []byte("resp:" + cmd.ReqID)
+	reply.PutRaw([]byte("resp:" + cmd.ReqID))
 }
 func (s *echoSvc) ConflictKey(cmd Command) string {
 	if len(cmd.Payload) == 0 {
