@@ -380,11 +380,13 @@ func WriteFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one length-prefixed frame written by WriteFrame. It
-// returns io.EOF when the stream ends cleanly at a frame boundary and
+// ReadFrame reads one length-prefixed frame written by WriteFrame into
+// a fresh buffer, reading the length prefix into hdr: a reader of many
+// frames passes one hdr for all of them, where a header of its own
+// would escape through r and cost an allocation per frame. It returns
+// io.EOF when the stream ends cleanly at a frame boundary and
 // io.ErrUnexpectedEOF when it ends mid-frame.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
+func ReadFrame(r io.Reader, hdr *[4]byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}

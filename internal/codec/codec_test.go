@@ -182,7 +182,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for _, want := range payloads {
-		got, err := ReadFrame(&buf)
+		got, err := ReadFrame(&buf, new([4]byte))
 		if err != nil {
 			t.Fatalf("ReadFrame: %v", err)
 		}
@@ -190,7 +190,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame = %q, want %q", got, want)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := ReadFrame(&buf, new([4]byte)); err != io.EOF {
 		t.Errorf("final ReadFrame err = %v, want io.EOF", err)
 	}
 }
@@ -202,7 +202,7 @@ func TestFrameTooLarge(t *testing.T) {
 	}
 	// A forged header with an absurd length must be rejected on read.
 	hdr := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := ReadFrame(bytes.NewReader(hdr)); err == nil {
+	if _, err := ReadFrame(bytes.NewReader(hdr), new([4]byte)); err == nil {
 		t.Error("ReadFrame should reject oversized header")
 	}
 }
@@ -213,7 +213,7 @@ func TestFrameMidStreamEOF(t *testing.T) {
 		t.Fatal(err)
 	}
 	cut := buf.Bytes()[:buf.Len()-3]
-	if _, err := ReadFrame(bytes.NewReader(cut)); err != io.ErrUnexpectedEOF {
+	if _, err := ReadFrame(bytes.NewReader(cut), new([4]byte)); err != io.ErrUnexpectedEOF {
 		t.Errorf("err = %v, want ErrUnexpectedEOF", err)
 	}
 }
@@ -279,12 +279,12 @@ func TestQuickFrameStream(t *testing.T) {
 			if len(want) > MaxFrameSize {
 				want = want[:MaxFrameSize]
 			}
-			got, err := ReadFrame(&buf)
+			got, err := ReadFrame(&buf, new([4]byte))
 			if err != nil || !bytes.Equal(got, want) {
 				return false
 			}
 		}
-		_, err := ReadFrame(&buf)
+		_, err := ReadFrame(&buf, new([4]byte))
 		return err == io.EOF
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

@@ -108,14 +108,20 @@ const (
 // totally ordered sequence per member.
 type Event interface{ event() }
 
-// DeliverEvent carries one totally ordered application message.
-type DeliverEvent struct {
+// Delivery is one totally ordered application message.
+type Delivery struct {
 	ViewID    uint64
 	Seq       uint64 // global order within the view, starting at 1
 	Sender    MemberID
 	SenderSeq uint64 // the sender's FIFO counter
 	Payload   []byte
 }
+
+// DeliverEvent carries one delivery. It is one pointer wide, so
+// queueing it as an Event allocates nothing, and its fields read as
+// the Delivery's (ev.Payload, ev.Seq). The Delivery is never written
+// after the event is queued.
+type DeliverEvent struct{ *Delivery }
 
 // ViewEvent announces an installed view. The application observes it
 // after every delivery of the previous view and before any delivery of
@@ -378,6 +384,9 @@ type Process struct {
 	// this view (from received DATA and heartbeat advertisements); it
 	// lets a member that missed the tail of the stream NACK it.
 	tailSeq uint64
+	// delivBlock is the unused tail of the block deliverOne carves
+	// Delivery records from, deliveryBlock at a time.
+	delivBlock []Delivery
 
 	// Batching (see flushRound): output accumulated during one
 	// event-loop round and emitted as coalesced frames at its end.
@@ -1188,6 +1197,11 @@ func (p *Process) deliverReady() {
 	}
 }
 
+// deliveryBlock is how many Delivery records deliverOne allocates at
+// once. A block is written once, record by record, and freed when the
+// application has dropped every record in it.
+const deliveryBlock = 64
+
 // deliverOne emits one DeliverEvent and updates sender bookkeeping.
 func (p *Process) deliverOne(d *dataMsg) {
 	if d.SenderSeq > p.delivered[d.Sender] {
@@ -1205,13 +1219,19 @@ func (p *Process) deliverOne(d *dataMsg) {
 	}
 	p.bumpStat(func(st *Stats) { st.Delivered++ })
 	p.delivCount.Add(1)
-	p.events.push(DeliverEvent{
+	if len(p.delivBlock) == 0 {
+		p.delivBlock = make([]Delivery, deliveryBlock)
+	}
+	dv := &p.delivBlock[0]
+	p.delivBlock = p.delivBlock[1:]
+	*dv = Delivery{
 		ViewID:    p.view.ID,
 		Seq:       d.Seq,
 		Sender:    d.Sender,
 		SenderSeq: d.SenderSeq,
 		Payload:   d.Payload,
-	})
+	}
+	p.events.push(DeliverEvent{dv})
 }
 
 // onReq handles an ordering request (sequencer only).

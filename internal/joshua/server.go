@@ -127,11 +127,11 @@ func StartServer(cfg Config) (*Server, error) {
 		hits, _ := cfg.Daemon.Server().ReadCacheStats()
 		return hits
 	}
-	rc.RejectNotPrimary = func(reqID string) []byte {
-		return (&rpcResponse{ReqID: reqID, OK: false, ErrMsg: ErrNotPrimary.Error()}).encode()
+	rc.RejectNotPrimary = func(reqID []byte) []byte {
+		return (&rpcResponse{ReqID: string(reqID), OK: false, ErrMsg: ErrNotPrimary.Error()}).encode()
 	}
-	rc.RejectShutdown = func(reqID string) []byte {
-		return (&rpcResponse{ReqID: reqID, OK: false, ErrMsg: "head node shutting down"}).encode()
+	rc.RejectShutdown = func(reqID []byte) []byte {
+		return (&rpcResponse{ReqID: string(reqID), OK: false, ErrMsg: "head node shutting down"}).encode()
 	}
 	rep, err := rsm.Start(rc)
 	if err != nil {
@@ -148,8 +148,8 @@ func StartServer(cfg Config) (*Server, error) {
 // so it only peeks at the request header (kind, ReqID, op, ordered);
 // the full argument decode is deferred to the worker.
 func (s *Server) classify(payload []byte) rsm.Classification {
-	// The ReqID stays a zero-copy view: read verdicts never need it,
-	// and only the broadcast path below materializes the string.
+	// The ReqID stays a zero-copy view into the datagram, which the
+	// replica holds for as long as it reads the ID.
 	var v view
 	if !v.header(codec.NewDecoder(payload)) {
 		return rsm.Classification{Verdict: rsm.Ignore}
@@ -168,7 +168,7 @@ func (s *Server) classify(payload []byte) rsm.Classification {
 			return rsm.Classification{Verdict: rsm.Reply, RespondEnc: s.serveReadFn}
 		}
 	}
-	return rsm.Classification{Verdict: rsm.Replicate, ReqID: string(v.reqID)}
+	return rsm.Classification{Verdict: rsm.Replicate, ReqID: v.reqID}
 }
 
 // Ready is closed once the head has joined (or formed) the group and

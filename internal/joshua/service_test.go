@@ -2,10 +2,13 @@ package joshua
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"testing"
+	"time"
 
 	"joshua/internal/codec"
+	"joshua/internal/pbs"
 	"joshua/internal/rsm"
 )
 
@@ -14,6 +17,9 @@ import (
 // encoded only once the command has applied — on every other step
 // while it applies — and must still give the Snapshot's bytes. The
 // last image restores into a fresh service with the same Snapshot.
+// Last, a fork taken while a job runs, which shares the job's node
+// list, is encoded after that job completes and the next one starts,
+// is deleted and completes.
 func TestHeadForkMatchesSnapshot(t *testing.T) {
 	svc := newHeadService(newApplyDaemon(t))
 	changed := 0
@@ -52,6 +58,36 @@ func TestHeadForkMatchesSnapshot(t *testing.T) {
 	}
 	if !bytes.Equal(dst.Snapshot(), image) {
 		t.Error("restored service's Snapshot differs from the forked image")
+	}
+
+	svc = newHeadService(newApplyDaemon(t))
+	seq := 0
+	apply := func(op Op, args cmdArgs) {
+		seq++
+		applied(svc, rsm.Command{Payload: (&rpcRequest{ReqID: fmt.Sprintf("user/cli#%d", seq), Op: op, Args: args}).encode()})
+	}
+	firstNode := func(id pbs.JobID) string {
+		j, err := svc.daemon.Server().Status(id)
+		if err != nil || j.State != pbs.StateRunning || len(j.Nodes) == 0 {
+			t.Fatalf("%s is %v on %v (%v), want running", id, j.State, j.Nodes, err)
+		}
+		return j.Nodes[0]
+	}
+	sub := cmdArgs{Name: "job", Owner: "alice", Script: "#!/bin/sh\necho hi\n", WallTime: time.Minute}
+	apply(OpSubmit, sub) // 1.cluster runs
+	apply(OpSubmit, sub) // 2.cluster waits for it
+	node := firstNode("1.cluster")
+	want := svc.Snapshot()
+	enc := svc.Fork()
+	apply(OpJDone, cmdArgs{JobID: "1.cluster", Node: node, Output: "hi\n"})
+	node = firstNode("2.cluster")
+	apply(OpDelete, cmdArgs{JobID: "2.cluster"})
+	apply(OpJDone, cmdArgs{JobID: "2.cluster", Node: node, ExitCode: pbs.ExitCodeKilled})
+	if j, _ := svc.daemon.Server().Status("2.cluster"); j.State != pbs.StateCompleted {
+		t.Fatalf("2.cluster is %v, want completed", j.State)
+	}
+	if !bytes.Equal(enc(), want) {
+		t.Fatal("fork encoded after its running job completed differs from the Snapshot at fork time")
 	}
 }
 

@@ -14,7 +14,7 @@ func TestForkMatchesSnapshot(t *testing.T) {
 	s := testServer()
 	done, _ := s.Submit(SubmitRequest{Name: "done", Owner: "u", WallTime: time.Second})
 	running, _ := s.Submit(SubmitRequest{Name: "running", Owner: "v"})
-	s.Submit(SubmitRequest{Name: "queued", Owner: "u"})
+	queued, _ := s.Submit(SubmitRequest{Name: "queued", Owner: "u"})
 	held, _ := s.Submit(SubmitRequest{Name: "held", Owner: "w"})
 	s.Hold(held.ID)
 	s.TakeActions()
@@ -23,6 +23,9 @@ func TestForkMatchesSnapshot(t *testing.T) {
 	s.Signal(running.ID, "SIGUSR1")
 	s.SetNodeOffline("c1", true)
 
+	if j, _ := s.Status(running.ID); j.State != StateRunning || len(j.Nodes) == 0 {
+		t.Fatalf("%s is %v on %v at the fork, want running", j.ID, j.State, j.Nodes)
+	}
 	want := s.Snapshot()
 	enc := s.Fork()
 
@@ -30,6 +33,16 @@ func TestForkMatchesSnapshot(t *testing.T) {
 	s.Submit(SubmitRequest{Name: "late", Owner: "u"})
 	s.SetNodeOffline("c1", false)
 	s.Release(held.ID)
+	s.TakeActions()
+	// The image shares each job's node list. The job running at the
+	// fork completes; the queued one starts on its node, is deleted
+	// while running and completes: none of it may reach the image.
+	s.JobDone(running.ID, 0, "out")
+	if j, _ := s.Status(queued.ID); j.State != StateRunning {
+		t.Fatalf("%s is %v after the running job's end, want running", j.ID, j.State)
+	}
+	s.Delete(queued.ID)
+	s.JobDone(queued.ID, ExitCodeKilled, "")
 	s.TakeActions()
 
 	got := enc()

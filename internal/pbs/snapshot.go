@@ -100,9 +100,11 @@ func (s *Server) captureImage() *serverImage {
 		fairTick:     s.fairTick,
 	}
 
+	// A value copy shares the job's Nodes: the server replaces a job's
+	// node list and never writes into one (see Job.Nodes).
 	img.jobs = make([]Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
-		img.jobs = append(img.jobs, j.clone())
+		img.jobs = append(img.jobs, *j)
 	}
 	sort.Slice(img.jobs, func(i, k int) bool { return img.jobs[i].Seq < img.jobs[k].Seq })
 

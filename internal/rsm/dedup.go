@@ -1,357 +1,347 @@
 package rsm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"hash/maphash"
 	"sync"
 
 	"joshua/internal/codec"
 )
 
-// dedupShards fixes the shard count of the deduplication table. A
-// power of two so the shard pick is a mask, sized so that read workers
-// probing retries rarely contend with the event loop inserting fresh
-// responses.
-const dedupShards = 16
+// The request-deduplication table remembers, for the last DedupLimit
+// applied commands, the applied index and the reply a retry is
+// answered with. It is one FIFO byte ring plus an index:
+//
+//   - The ring holds one record per command, appended in apply order:
+//     a header (key length, reply length, applied index), the ReqID
+//     bytes, then the reply bytes. A reply length of dedupSuppressed
+//     marks a command that produced no reply. Eviction pops the ring
+//     head, so every replica — and recovery replay — evicts the same
+//     commands in the same order.
+//   - The index is open-addressed (linear probing, backward-shift
+//     deletion, no tombstones) and maps a key's hash to its record's
+//     ring offset.
+//
+// Recording a command copies its key and reply into the ring. Once the
+// ring and the index have grown to hold DedupLimit records, nothing
+// allocates; before that, each doubling is amortized over the records
+// that filled it. Only the event loop writes (put, reset); the read
+// workers' lookup and fetch take the read lock, so the dedup-retry
+// fast path is servable off the loop.
+type dedupTable struct {
+	mu    sync.RWMutex
+	limit int
 
-// dedupInlineKey is how many ReqID bytes an entry stores inline.
-// Request IDs are "<client-addr>#<seq>" and fit comfortably; the rare
-// longer ID falls back to retaining the string.
-const dedupInlineKey = 48
+	// The records live in [head, end) followed, once the ring has
+	// wrapped, by [0, tail); unwrapped, end == tail. A record never
+	// straddles the end of the ring: one that does not fit there
+	// starts over at offset 0.
+	ring    []byte
+	head    int
+	tail    int
+	end     int
+	wrapped bool
+	count   int
+
+	index []dedupSlot
+	mask  uint64
+}
+
+// dedupSlot is one index entry; at is the record's ring offset plus
+// one, so the zero slot is empty.
+type dedupSlot struct {
+	hash uint64
+	at   int
+}
+
+// A record header: key length, reply length, applied index. The index
+// tags the reply so the read path can gate dedup-hit retries on the
+// durability watermark (index 0 = always durable: checkpointed or
+// transferred state).
+const (
+	dedupHeader     = 16
+	dedupSuppressed = ^uint32(0)
+	dedupMinRing    = 4 << 10
+	dedupMinIndex   = 64
+)
 
 var dedupSeed = maphash.MakeSeed()
 
-// dedupTable is the request-deduplication table: open-addressed
-// shards with inline keys and entry-owned response buffers, behind
-// RWMutexes so the dedup-retry fast path is servable off the event
-// loop. Recording one applied command allocates nothing in steady
-// state — the key bytes are copied inline, the response is copied
-// into a buffer recycled from evicted entries, and FIFO eviction
-// order lives in a fixed ring of the (already allocated) ReqID
-// strings. Only the event loop inserts and evicts, so the ring needs
-// no lock; reads take the owning shard's RLock.
-type dedupTable struct {
-	shards [dedupShards]dedupShard
-	limit  int
-
-	// FIFO eviction ring, event-loop-only: insertion order of live
-	// entries in [head, tail) modulo len(fifo).
-	fifo  []string
-	head  int
-	tail  int
-	count int
-}
-
-// dedupEntry is one recorded response, tagged with the applied index
-// of the command that produced it so the read path can gate dedup-hit
-// retries on the durability watermark (index 0 = always durable:
-// checkpointed or transferred state). The key is stored inline up to
-// dedupInlineKey bytes; longer keys retain the ReqID string instead.
-type dedupEntry struct {
-	hash    uint64
-	idx     uint64
-	klen    uint16
-	used    bool
-	hasResp bool
-	key     [dedupInlineKey]byte
-	longKey string
-	resp    []byte // entry-owned, recycled through the shard freelist
-}
-
-func (e *dedupEntry) match(h uint64, id string) bool {
-	if !e.used || e.hash != h || int(e.klen) != len(id) {
-		return false
-	}
-	if len(id) <= dedupInlineKey {
-		return string(e.key[:e.klen]) == id // no-alloc comparison
-	}
-	return e.longKey == id
-}
-
-type dedupShard struct {
-	mu      sync.RWMutex
-	entries []dedupEntry
-	mask    uint64
-	n       int
-	free    [][]byte // recycled response buffers from evicted entries
-}
-
-// Freelist bounds: buffers beyond these are left to the GC so one
-// giant response doesn't pin memory for the life of the process.
-const (
-	dedupFreeListMax = 64
-	dedupFreeBufMax  = 64 << 10
-)
+func dedupHash(reqID []byte) uint64 { return maphash.Bytes(dedupSeed, reqID) }
 
 func newDedupTable(limit int) *dedupTable {
 	if limit < 1 {
 		limit = 1
 	}
 	t := &dedupTable{limit: limit}
-	for i := range t.shards {
-		t.shards[i].init(64)
-	}
+	t.initIndex(dedupMinIndex)
 	return t
 }
 
-func (s *dedupShard) init(slots int) {
-	s.entries = make([]dedupEntry, slots)
-	s.mask = uint64(slots - 1)
-	s.n = 0
+func (t *dedupTable) initIndex(slots int) {
+	t.index = make([]dedupSlot, slots)
+	t.mask = uint64(slots - 1)
 }
 
-func dedupHash(reqID string) uint64 { return maphash.String(dedupSeed, reqID) }
-
-// The shard pick uses the top hash bits; probing uses the low bits,
-// so entries spread independently within and across shards.
-func (t *dedupTable) shard(h uint64) *dedupShard {
-	return &t.shards[h>>(64-4)]
+// dedupRecord decodes the record at offset off of ring. key and resp
+// alias ring; resp is nil for a reply-suppressed command.
+func dedupRecord(ring []byte, off int) (key, resp []byte, idx uint64, size int) {
+	b := ring[off:]
+	klen := int(binary.LittleEndian.Uint32(b))
+	rlen := binary.LittleEndian.Uint32(b[4:])
+	idx = binary.LittleEndian.Uint64(b[8:])
+	key = b[dedupHeader : dedupHeader+klen : dedupHeader+klen]
+	size = dedupHeader + klen
+	if rlen != dedupSuppressed {
+		resp = b[size : size+int(rlen) : size+int(rlen)]
+		size += int(rlen)
+	}
+	return key, resp, idx, size
 }
 
-// find probes for id under the caller's lock; -1 if absent.
-func (s *dedupShard) find(h uint64, id string) int {
-	i := h & s.mask
-	for {
-		e := &s.entries[i]
-		if !e.used {
+// find probes for key under the caller's lock; -1 if absent.
+func (t *dedupTable) find(h uint64, key []byte) int {
+	for i := h & t.mask; ; i = (i + 1) & t.mask {
+		s := &t.index[i]
+		if s.at == 0 {
 			return -1
 		}
-		if e.match(h, id) {
-			return int(i)
+		if s.hash == h {
+			if k, _, _, _ := dedupRecord(t.ring, s.at-1); bytes.Equal(k, key) {
+				return s.at - 1
+			}
 		}
-		i = (i + 1) & s.mask
 	}
 }
 
 // lookup reports the applied index and whether a response is recorded
 // for reqID; safe from any goroutine. The response bytes themselves
-// are not returned — they are entry-owned and may be recycled by a
-// later eviction, so callers that need them use fetch.
-func (t *dedupTable) lookup(reqID string) (idx uint64, hasResp, ok bool) {
+// are not returned — they live in the ring, which a later eviction
+// overwrites, so callers that need them use fetch.
+func (t *dedupTable) lookup(reqID []byte) (idx uint64, hasResp, ok bool) {
 	h := dedupHash(reqID)
-	s := t.shard(h)
-	s.mu.RLock()
-	if i := s.find(h, reqID); i >= 0 {
-		idx, hasResp, ok = s.entries[i].idx, s.entries[i].hasResp, true
+	t.mu.RLock()
+	if off := t.find(h, reqID); off >= 0 {
+		_, resp, i, _ := dedupRecord(t.ring, off)
+		idx, hasResp, ok = i, resp != nil, true
 	}
-	s.mu.RUnlock()
+	t.mu.RUnlock()
 	return
 }
 
 // fetch copies the recorded response for reqID into a pooled encoder
-// while holding the shard lock — the copy is what makes handing the
-// bytes to the async reply path safe against the entry's buffer being
-// recycled by a concurrent-looking eviction. enc is nil for a
+// while holding the read lock — the copy is what makes handing the
+// bytes to the async reply path safe against the ring slot being
+// overwritten once the record is evicted. enc is nil for a
 // recorded-but-reply-suppressed command; the caller owns (and must
 // Release) a non-nil encoder. Safe from any goroutine.
-func (t *dedupTable) fetch(reqID string) (enc *codec.Encoder, idx uint64, ok bool) {
+func (t *dedupTable) fetch(reqID []byte) (enc *codec.Encoder, idx uint64, ok bool) {
 	h := dedupHash(reqID)
-	s := t.shard(h)
-	s.mu.RLock()
-	if i := s.find(h, reqID); i >= 0 {
-		e := &s.entries[i]
-		idx, ok = e.idx, true
-		if e.hasResp {
-			enc = codec.GetEncoder(len(e.resp))
-			enc.PutRaw(e.resp)
+	t.mu.RLock()
+	if off := t.find(h, reqID); off >= 0 {
+		var resp []byte
+		_, resp, idx, _ = dedupRecord(t.ring, off)
+		ok = true
+		if resp != nil {
+			enc = codec.GetEncoder(len(resp))
+			enc.PutRaw(resp)
 		}
 	}
-	s.mu.RUnlock()
+	t.mu.RUnlock()
 	return
 }
 
 // put records a response under its applied index, evicting the oldest
-// entry once the table is at its limit. It reports false if the ID was
-// already present (the existing record wins, matching apply-in-total-
-// order semantics). Event loop only.
-func (t *dedupTable) put(reqID string, resp []byte, idx uint64) bool {
+// record once the table is at its limit. It reports false if the ID
+// was already present (the existing record wins, matching apply-in-
+// total-order semantics). reqID and resp are copied. Event loop only.
+func (t *dedupTable) put(reqID, resp []byte, idx uint64) bool {
 	h := dedupHash(reqID)
-	s := t.shard(h)
-	s.mu.Lock()
-	if s.find(h, reqID) >= 0 {
-		s.mu.Unlock()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.find(h, reqID) >= 0 {
 		return false
 	}
-	s.insert(h, reqID, resp, idx)
-	s.mu.Unlock()
-
-	if t.fifo == nil {
-		t.fifo = make([]string, t.limit+1)
+	if t.count == t.limit {
+		t.pop()
 	}
-	t.fifo[t.tail] = reqID
-	t.tail = (t.tail + 1) % len(t.fifo)
+	size := dedupHeader + len(reqID) + len(resp)
+	off := t.reserve(size)
+	b := t.ring[off : off+size]
+	rlen := uint32(len(resp))
+	if resp == nil {
+		rlen = dedupSuppressed
+	}
+	binary.LittleEndian.PutUint32(b, uint32(len(reqID)))
+	binary.LittleEndian.PutUint32(b[4:], rlen)
+	binary.LittleEndian.PutUint64(b[8:], idx)
+	copy(b[dedupHeader:], reqID)
+	copy(b[dedupHeader+len(reqID):], resp)
 	t.count++
-	if t.count > t.limit {
-		victim := t.fifo[t.head]
-		t.fifo[t.head] = ""
-		t.head = (t.head + 1) % len(t.fifo)
-		t.count--
-		t.removeKey(victim)
+	if t.count*4 > len(t.index)*3 {
+		t.growIndex()
 	}
+	i := h & t.mask
+	for t.index[i].at != 0 {
+		i = (i + 1) & t.mask
+	}
+	t.index[i] = dedupSlot{hash: h, at: off + 1}
 	return true
 }
 
-// insert places a fresh entry under the caller's write lock, copying
-// the key inline and the response into a recycled buffer.
-func (s *dedupShard) insert(h uint64, reqID string, resp []byte, idx uint64) {
-	if (s.n+1)*4 > len(s.entries)*3 {
-		s.grow()
+// reserve claims size bytes at the ring's tail, growing the ring when
+// the free space cannot hold them. Caller holds the write lock.
+func (t *dedupTable) reserve(size int) int {
+	switch {
+	case !t.wrapped && t.tail+size <= len(t.ring):
+	case !t.wrapped && size <= t.head:
+		t.wrapped, t.tail = true, 0
+	case t.wrapped && t.tail+size <= t.head:
+	default:
+		t.growRing(size)
 	}
-	i := h & s.mask
-	for s.entries[i].used {
-		i = (i + 1) & s.mask
+	off := t.tail
+	t.tail += size
+	if !t.wrapped {
+		t.end = t.tail
 	}
-	e := &s.entries[i]
-	e.hash = h
-	e.idx = idx
-	e.used = true
-	e.klen = uint16(len(reqID))
-	if len(reqID) <= dedupInlineKey {
-		copy(e.key[:], reqID)
-		e.longKey = ""
-	} else {
-		e.longKey = reqID
-	}
-	if resp == nil {
-		e.hasResp = false
-		e.resp = nil
-	} else {
-		e.hasResp = true
-		buf := e.resp
-		if buf == nil && len(s.free) > 0 {
-			buf = s.free[len(s.free)-1]
-			s.free = s.free[:len(s.free)-1]
-		}
-		e.resp = append(buf[:0], resp...)
-	}
-	s.n++
+	return off
 }
 
-func (s *dedupShard) grow() {
-	old := s.entries
-	s.init(len(old) * 2)
-	for i := range old {
-		e := &old[i]
-		if !e.used {
+// growRing doubles the ring until it holds the live records plus size
+// more bytes, unwrapping the records to its start and moving every
+// index entry with them. Caller holds the write lock.
+func (t *dedupTable) growRing(size int) {
+	live, upper := t.liveSize()
+	n := max(len(t.ring)*2, dedupMinRing)
+	for n < live+size {
+		n *= 2
+	}
+	ring := make([]byte, n)
+	t.copyLive(ring)
+	for i := range t.index {
+		s := &t.index[i]
+		if s.at == 0 {
 			continue
 		}
-		j := e.hash & s.mask
-		for s.entries[j].used {
-			j = (j + 1) & s.mask
+		if off := s.at - 1; off >= t.head {
+			s.at -= t.head
+		} else {
+			s.at += upper
 		}
-		s.entries[j] = *e
-		s.n++
+	}
+	t.ring = ring
+	t.head, t.tail, t.end, t.wrapped = 0, live, live, false
+}
+
+// liveSize returns how many ring bytes the records take, and how many
+// of them lie in [head, end).
+func (t *dedupTable) liveSize() (live, upper int) {
+	upper = t.end - t.head
+	live = upper
+	if t.wrapped {
+		live += t.tail
+	}
+	return live, upper
+}
+
+// copyLive copies the records, oldest first, to the start of dst.
+func (t *dedupTable) copyLive(dst []byte) {
+	n := copy(dst, t.ring[t.head:t.end])
+	if t.wrapped {
+		copy(dst[n:], t.ring[:t.tail])
 	}
 }
 
-// removeKey evicts one entry, recycling its response buffer.
-func (t *dedupTable) removeKey(reqID string) {
-	h := dedupHash(reqID)
-	s := t.shard(h)
-	s.mu.Lock()
-	if i := s.find(h, reqID); i >= 0 {
-		s.deleteAt(uint64(i))
+func (t *dedupTable) growIndex() {
+	old := t.index
+	t.initIndex(len(old) * 2)
+	for _, s := range old {
+		if s.at == 0 {
+			continue
+		}
+		i := s.hash & t.mask
+		for t.index[i].at != 0 {
+			i = (i + 1) & t.mask
+		}
+		t.index[i] = s
 	}
-	s.mu.Unlock()
 }
 
-// deleteAt removes the entry at slot i using backward-shift deletion
-// (no tombstones, so probe chains stay short under FIFO churn).
-// Caller holds the write lock.
-func (s *dedupShard) deleteAt(i uint64) {
-	if e := &s.entries[i]; e.resp != nil && cap(e.resp) <= dedupFreeBufMax && len(s.free) < dedupFreeListMax {
-		s.free = append(s.free, e.resp)
+// pop evicts the oldest record. Caller holds the write lock.
+func (t *dedupTable) pop() {
+	key, _, _, size := dedupRecord(t.ring, t.head)
+	i := dedupHash(key) & t.mask
+	for t.index[i].at != t.head+1 {
+		i = (i + 1) & t.mask
 	}
-	s.n--
-	j := i
-	for {
-		j = (j + 1) & s.mask
-		e := &s.entries[j]
-		if !e.used {
+	t.deleteAt(i)
+	t.head += size
+	t.count--
+	switch {
+	case t.count == 0:
+		t.head, t.tail, t.end, t.wrapped = 0, 0, 0, false
+	case t.wrapped && t.head == t.end:
+		t.head, t.end, t.wrapped = 0, t.tail, false
+	}
+}
+
+// deleteAt removes index slot i by backward-shift deletion, so probe
+// chains stay short under FIFO churn. Caller holds the write lock.
+func (t *dedupTable) deleteAt(i uint64) {
+	for j := i; ; {
+		j = (j + 1) & t.mask
+		s := &t.index[j]
+		if s.at == 0 {
 			break
 		}
-		k := e.hash & s.mask
-		// e can fill the hole at i unless its ideal slot k lies
+		k := s.hash & t.mask
+		// s can fill the hole at i unless its ideal slot k lies
 		// cyclically inside (i, j] — then it must stay put.
 		if (j > i && (k <= i || k > j)) || (j < i && (k <= i && k > j)) {
-			s.entries[i] = *e
+			t.index[i] = *s
 			i = j
 		}
 	}
-	s.entries[i] = dedupEntry{}
+	t.index[i] = dedupSlot{}
 }
 
-// snapshot copies the table in FIFO insertion order for checkpoints
-// and state transfers. Every response is copied into one arena, so a
-// fork costs three allocations whatever the table holds, and no
-// returned response aliases an entry buffer that eviction recycles.
-// Event loop only: the first pass collects the live entries' buffers,
-// which stay unchanged until the copy pass because only the event loop
-// writes them.
-func (t *dedupTable) snapshot() (ids []string, resps [][]byte) {
+// snapshot copies the table in FIFO order for checkpoints and state
+// transfers: the live ring is copied once, and every ID and response
+// is a slice of that copy, so a fork costs three allocations whatever
+// the table holds and nothing returned aliases the ring. A nil
+// response is a reply-suppressed command; an empty one is non-nil.
+// Event loop only: the loop is the sole writer, so it reads unlocked.
+func (t *dedupTable) snapshot() (ids, resps [][]byte) {
 	if t.count == 0 {
 		return nil, nil
 	}
-	ids = make([]string, 0, t.count)
+	live, _ := t.liveSize()
+	ring := make([]byte, live)
+	t.copyLive(ring)
+	ids = make([][]byte, 0, t.count)
 	resps = make([][]byte, 0, t.count)
-	size := 0
-	for i := t.head; i != t.tail; i = (i + 1) % len(t.fifo) {
-		id := t.fifo[i]
-		h := dedupHash(id)
-		s := t.shard(h)
-		s.mu.RLock()
-		if j := s.find(h, id); j >= 0 {
-			e := &s.entries[j]
-			var resp []byte
-			if e.hasResp {
-				// Non-nil even when empty: nil means reply-suppressed.
-				if resp = e.resp; resp == nil {
-					resp = []byte{}
-				}
-				size += len(resp)
-			}
-			ids = append(ids, id)
-			resps = append(resps, resp)
-		}
-		s.mu.RUnlock()
-	}
-	arena := make([]byte, 0, size)
-	for i, resp := range resps {
-		if resp != nil {
-			off := len(arena)
-			arena = append(arena, resp...)
-			resps[i] = arena[off:len(arena):len(arena)]
-		}
+	for off := 0; off < live; {
+		key, resp, _, size := dedupRecord(ring, off)
+		ids = append(ids, key)
+		resps = append(resps, resp)
+		off += size
 	}
 	return ids, resps
 }
 
-// reset empties the table (join-time state transfer reload), shrinking
-// each shard back to its initial footprint so a transfer-bloated table
-// is not pinned.
+// reset empties the table (join-time state transfer reload), dropping
+// the ring and shrinking the index back to its initial footprint so a
+// transfer-bloated table is not pinned.
 func (t *dedupTable) reset() {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		s.init(64)
-		s.free = nil
-		s.mu.Unlock()
-	}
-	t.fifo = nil
-	t.head, t.tail, t.count = 0, 0, 0
+	t.mu.Lock()
+	t.ring = nil
+	t.head, t.tail, t.end, t.wrapped, t.count = 0, 0, 0, false, 0
+	t.initIndex(dedupMinIndex)
+	t.mu.Unlock()
 }
 
-// live is the FIFO ring's live-entry count. Event loop only (the sole
-// inserter), so no locks.
+// live is the number of recorded commands. Event loop only (the sole
+// writer), so no lock.
 func (t *dedupTable) live() int { return t.count }
-
-// size counts entries across shards.
-func (t *dedupTable) size() int {
-	n := 0
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.RLock()
-		n += s.n
-		s.mu.RUnlock()
-	}
-	return n
-}

@@ -15,17 +15,18 @@ import (
 // answer the client).
 //
 // Envelopes are pooled and refcounted. A decoded envelope adopts the
-// delivered wire buffer as its backing store (raw) and every field
-// except ReqID is a view into it or an interned string, so decoding
-// one command costs a single allocation (the ReqID, which outlives
-// the envelope inside the dedup table and Command). The write path
-// takes one reference per concurrent consumer — the apply/reply
-// pipeline and the WAL stage each hold their own — and the envelope
-// returns to the pool only when the last reference drops, which is
-// what makes the PR 5 stage overlap (round N+1 staged while round N
-// executes, replies released later still) safe under recycling.
+// delivered wire buffer as its backing store (raw): ReqID and Payload
+// are views into it, and Origin and Client are interned strings, so
+// decoding a command allocates nothing. Whatever outlives the envelope
+// is copied by its keeper — the dedup table copies the ReqID and the
+// reply into its ring. The write path takes one reference per
+// concurrent consumer — the apply/reply pipeline and the WAL stage
+// each hold their own — and the envelope returns to the pool only when
+// the last reference drops, which is what makes the stage overlap
+// (round N+1 staged while round N executes, replies released later
+// still) safe under recycling.
 type envelope struct {
-	ReqID   string
+	ReqID   []byte         // view into raw
 	Origin  gcs.MemberID   // replica that intercepted the command
 	Client  transport.Addr // where the reply goes; empty for internal
 	Payload []byte         // view into raw; never mutated
@@ -57,7 +58,7 @@ func (e *envelope) release() {
 	if n < 0 {
 		panic("rsm: envelope released more times than referenced")
 	}
-	e.ReqID = ""
+	e.ReqID = nil
 	e.Origin = ""
 	e.Client = ""
 	e.Payload = nil
@@ -73,8 +74,8 @@ func (e *envelope) ReleaseWAL() { e.release() }
 // encodeEnvelopeTo writes the wire form of an envelope into enc.
 // The origin side uses this with a pooled encoder so broadcasting a
 // command allocates nothing.
-func encodeEnvelopeTo(enc *codec.Encoder, reqID string, origin gcs.MemberID, client transport.Addr, payload []byte) {
-	enc.PutString(reqID)
+func encodeEnvelopeTo(enc *codec.Encoder, reqID []byte, origin gcs.MemberID, client transport.Addr, payload []byte) {
+	enc.PutBytes(reqID)
 	enc.PutString(string(origin))
 	enc.PutString(string(client))
 	enc.PutBytes(payload)
@@ -101,7 +102,7 @@ func (e *envelope) wire() []byte {
 // layer hands each delivery an independently owned payload copy, so
 // adoption is a true zero-copy handoff. Origin and Client repeat
 // across commands (one value per replica, one per client endpoint)
-// and are interned; only ReqID is allocated per command.
+// and are interned, so decoding allocates nothing.
 func (r *Replica) decodeEnvelopeInto(e *envelope, b []byte) error {
 	d := codec.NewDecoder(b)
 	id := d.Bytes()
@@ -111,7 +112,7 @@ func (r *Replica) decodeEnvelopeInto(e *envelope, b []byte) error {
 	if err := d.Finish(); err != nil {
 		return err
 	}
-	e.ReqID = string(id)
+	e.ReqID = id
 	e.Origin = gcs.MemberID(r.originIntern.intern(origin))
 	e.Client = transport.Addr(r.clientIntern.intern(client))
 	e.Payload = payload

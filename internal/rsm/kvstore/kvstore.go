@@ -289,14 +289,14 @@ func Classifier(s *Store) rsm.Classifier {
 				return EncodeResponse(resp)
 			}}
 		}
-		return rsm.Classification{Verdict: rsm.Replicate, ReqID: req.ReqID}
+		return rsm.Classification{Verdict: rsm.Replicate, ReqID: []byte(req.ReqID)}
 	}
 }
 
 // RejectNotPrimary builds the engine's outside-primary-component
 // rejection in this service's wire format.
-func RejectNotPrimary(reqID string) []byte {
-	return EncodeResponse(&Response{ReqID: reqID, Err: ErrNotPrimary.Error()})
+func RejectNotPrimary(reqID []byte) []byte {
+	return EncodeResponse(&Response{ReqID: string(reqID), Err: ErrNotPrimary.Error()})
 }
 
 // Errors.

@@ -66,7 +66,7 @@ func TestStoreApplySnapshotRestore(t *testing.T) {
 	apply := func(op Op, key, value string) *Response {
 		t.Helper()
 		payload := EncodeRequest(&Request{ReqID: "r", Op: op, Key: key, Value: value})
-		resp, err := DecodeResponse(applied(src, rsm.Command{ReqID: "r", Payload: payload}))
+		resp, err := DecodeResponse(applied(src, rsm.Command{ReqID: []byte("r"), Payload: payload}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestStoreApplySnapshotRestore(t *testing.T) {
 	if resp := apply(OpGet, "a", ""); resp.OK {
 		t.Errorf("replicating a get should fail, got %+v", resp)
 	}
-	if len(applied(src, rsm.Command{ReqID: "r", Payload: []byte{0xFF}})) != 0 {
+	if len(applied(src, rsm.Command{ReqID: []byte("r"), Payload: []byte{0xFF}})) != 0 {
 		t.Error("malformed payload should produce no response")
 	}
 

@@ -44,6 +44,7 @@
 package rsm
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -73,7 +74,9 @@ func labelStage(name string) {
 // is opaque to the engine.
 type Command struct {
 	// ReqID is the client request identifier, the deduplication key.
-	ReqID string
+	// Like Payload it is a view into the delivered command and valid
+	// only while Apply runs.
+	ReqID []byte
 	// Payload is the service-defined command encoding (for request-
 	// originated commands, the client datagram verbatim).
 	Payload []byte
@@ -153,8 +156,10 @@ const (
 // Classification is the Classifier's decision for one datagram.
 type Classification struct {
 	Verdict Verdict
-	// ReqID is the deduplication key; required for Replicate.
-	ReqID string
+	// ReqID is the deduplication key; required for Replicate. It may
+	// be a view into the datagram: the replica reads it only while it
+	// holds the payload.
+	ReqID []byte
 	// Response is the encoded reply, built inline on the receive
 	// path. For anything heavier than a fixed rejection, prefer
 	// Respond so the construction runs on a read worker.
@@ -261,11 +266,11 @@ type Config struct {
 	// classified request arriving at a replica outside the primary
 	// component. Nil drops such requests silently (the client's retry
 	// finds a primary replica by failover).
-	RejectNotPrimary func(reqID string) []byte
+	RejectNotPrimary func(reqID []byte) []byte
 	// RejectShutdown builds the response sent when the group layer
 	// refuses a broadcast because the replica is shutting down. Nil
 	// drops the request silently.
-	RejectShutdown func(reqID string) []byte
+	RejectShutdown func(reqID []byte) []byte
 
 	// DataDir, when set, enables the durability layer: every applied
 	// command is written through a write-ahead log in this directory,
@@ -444,7 +449,7 @@ type applyRun struct {
 type ckptJob struct {
 	index  uint64
 	encode func() []byte
-	ids    []string
+	ids    [][]byte
 	resps  [][]byte
 }
 
@@ -539,12 +544,12 @@ type Replica struct {
 	originIntern internTable
 	clientIntern internTable
 	// batchBuf collects one round's envelopes; paBuf is the round's
-	// pendingApply slab; posIdx maps ReqID → first copy this round;
-	// runHeads/runTails/runIdx build the per-key runs. All are reused
-	// across rounds.
+	// pendingApply slab; posIdx maps a ReqID's dedup hash → its first
+	// copy this round; runHeads/runTails/runIdx build the per-key runs.
+	// All are reused across rounds.
 	batchBuf []*envelope
 	paBuf    []pendingApply
-	posIdx   map[string]int
+	posIdx   map[uint64]int
 	runHeads []int32
 	runTails []int32
 	runIdx   map[string]int
@@ -800,7 +805,7 @@ func (r *Replica) Stats() Stats {
 // proposed by several replicas collapse in the deduplication table.
 func (r *Replica) Propose(reqID string, payload []byte) error {
 	enc := codec.GetEncoder(64 + len(reqID) + len(payload))
-	encodeEnvelopeTo(enc, reqID, r.cfg.Self, "", payload)
+	encodeEnvelopeTo(enc, []byte(reqID), r.cfg.Self, "", payload)
 	err := r.group.Broadcast(enc.Bytes())
 	enc.Release() // Broadcast copies the payload before queueing
 	return err
@@ -1091,10 +1096,10 @@ func (r *Replica) applyBatch(batch []*envelope) {
 	}
 	cmds = cmds[:0]
 	if r.posIdx == nil {
-		r.posIdx = make(map[string]int, 256)
+		r.posIdx = make(map[uint64]int, 256)
 	}
 	clear(r.posIdx)
-	pos := r.posIdx // ReqID → first copy this round
+	pos := r.posIdx // ReqID hash → first copy this round
 	fresh := 0
 	dirty := false // the round appended to the log
 	// Records at or below the log's last index are already on disk:
@@ -1107,11 +1112,17 @@ func (r *Replica) applyBatch(batch []*envelope) {
 	for _, env := range batch {
 		cmds = append(cmds, pendingApply{env: env, dupOf: -1, next: -1})
 		pa := &cmds[len(cmds)-1]
-		if j, ok := pos[env.ReqID]; ok {
+		h := dedupHash(env.ReqID)
+		j, ok := pos[h]
+		if !ok {
+			pos[h] = len(cmds) - 1
+		} else if !bytes.Equal(cmds[j].env.ReqID, env.ReqID) {
+			j, ok = firstCopy(cmds[:len(cmds)-1], env.ReqID) // hash collision
+		}
+		if ok {
 			pa.dupOf = int32(j)
 		} else if _, _, seen := r.dedup.lookup(env.ReqID); seen {
 			pa.seen = true
-			pos[env.ReqID] = len(cmds) - 1
 		} else {
 			r.appliedIdx++
 			pa.index = r.appliedIdx
@@ -1133,7 +1144,6 @@ func (r *Replica) applyBatch(batch []*envelope) {
 					r.sinceCkpt++
 				}
 			}
-			pos[env.ReqID] = len(cmds) - 1
 			fresh++
 		}
 	}
@@ -1157,13 +1167,12 @@ func (r *Replica) applyBatch(batch []*envelope) {
 	applyEnd := time.Now()
 
 	// Post-apply bookkeeping, in total order on the loop. The dedup
-	// table copies each fresh reply into an entry-owned buffer, and the
-	// reply leaves from the apply stage's encoder, which the replier
-	// releases after the send; a second reply of the same command
-	// (an in-round duplicate) copies it first. Dedup-hit replies are
-	// copied out of the table under its lock (fetch): the entry's
-	// buffer recycles on eviction, so handing out a view would race
-	// with later rounds.
+	// table copies each fresh reply into its ring, and the reply leaves
+	// from the apply stage's encoder, which the replier releases after
+	// the send; a second reply of the same command (an in-round
+	// duplicate) copies it first. Dedup-hit replies are copied out of
+	// the table under its lock (fetch): an evicted record's bytes are
+	// overwritten, so handing out a view would race with later rounds.
 	replies := r.takeReplySlice()
 	for i := range cmds {
 		pa := &cmds[i]
@@ -1211,6 +1220,17 @@ func (r *Replica) applyBatch(batch []*envelope) {
 	r.dispatch(releaseBatch{tk: tk, maxIndex: maxIndex, replies: replies, envs: envs, t0: t0, applyEnd: applyEnd})
 
 	r.maybeCheckpoint()
+}
+
+// firstCopy finds the first copy of reqID among a round's commands,
+// for the rare round in which two ReqIDs share a dedup hash.
+func firstCopy(cmds []pendingApply, reqID []byte) (int, bool) {
+	for j := range cmds {
+		if cmds[j].dupOf < 0 && bytes.Equal(cmds[j].env.ReqID, reqID) {
+			return j, true
+		}
+	}
+	return 0, false
 }
 
 // applySections executes one collected round. Commands with an empty
@@ -1588,7 +1608,7 @@ func (r *Replica) shouldReply(env *envelope) bool {
 // its limit internally. Because every replica applies the same
 // commands in the same order, the table (and its eviction) is
 // identical everywhere.
-func (r *Replica) dedupInsert(reqID string, resp []byte, index uint64) {
+func (r *Replica) dedupInsert(reqID, resp []byte, index uint64) {
 	if !r.dedup.put(reqID, resp, index) {
 		return
 	}
@@ -1596,8 +1616,8 @@ func (r *Replica) dedupInsert(reqID string, resp []byte, index uint64) {
 }
 
 // loadState installs a decoded replicaState: service, dedup table,
-// applied index. reset shrinks the shards back to their initial
-// footprint, so a transfer-bloated table is not pinned.
+// applied index. reset drops the ring and shrinks the index back to
+// its initial footprint, so a transfer-bloated table is not pinned.
 func (r *Replica) loadState(st *replicaState) error {
 	if err := r.service.Restore(st.Service); err != nil {
 		return err
@@ -1611,7 +1631,7 @@ func (r *Replica) loadState(st *replicaState) error {
 	r.appliedIdx = st.Applied
 	r.appliedPub.Store(r.appliedIdx)
 	r.bump(func(s *Stats) {
-		s.DedupEntries = r.dedup.size()
+		s.DedupEntries = r.dedup.live()
 		s.AppliedIndex = r.appliedIdx
 	})
 	return nil

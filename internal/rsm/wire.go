@@ -15,7 +15,7 @@ import (
 // index it reflects, and the request deduplication table.
 type replicaState struct {
 	Applied   uint64
-	DedupIDs  []string
+	DedupIDs  [][]byte
 	DedupResp [][]byte
 	Service   []byte
 }
@@ -40,7 +40,7 @@ func (s *replicaState) encodeSplit() (prefix, tail []byte) {
 	e := codec.NewEncoder(256)
 	e.PutUint(uint64(len(s.DedupIDs)))
 	for i, id := range s.DedupIDs {
-		e.PutString(id)
+		e.PutBytes(id)
 		// A nil response (reply-suppressed command) must survive the
 		// round trip as nil, not as an empty reply to send.
 		e.PutBool(s.DedupResp[i] != nil)
@@ -49,6 +49,9 @@ func (s *replicaState) encodeSplit() (prefix, tail []byte) {
 	return p.Bytes(), e.Bytes()
 }
 
+// decodeReplicaState decodes b. The dedup IDs and responses alias b,
+// which the caller keeps unchanged while it uses them; loadState
+// copies them into the dedup table.
 func decodeReplicaState(b []byte) (*replicaState, error) {
 	d := codec.NewDecoder(b)
 	s := &replicaState{Applied: d.Uint()}
@@ -60,13 +63,11 @@ func decodeReplicaState(b []byte) (*replicaState, error) {
 		return nil, fmt.Errorf("rsm: corrupt state: %v", d.Err())
 	}
 	for i := uint64(0); i < n; i++ {
-		s.DedupIDs = append(s.DedupIDs, d.String())
+		s.DedupIDs = append(s.DedupIDs, d.Bytes())
 		hasResp := d.Bool()
-		rb := d.Bytes()
-		var resp []byte
-		if hasResp {
-			resp = make([]byte, len(rb))
-			copy(resp, rb)
+		resp := d.Bytes()
+		if !hasResp {
+			resp = nil
 		}
 		s.DedupResp = append(s.DedupResp, resp)
 	}

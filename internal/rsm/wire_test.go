@@ -15,7 +15,7 @@ func TestTransferCodec(t *testing.T) {
 	base := (&replicaState{
 		Applied:   7,
 		Service:   []byte("service state"),
-		DedupIDs:  []string{"user#1", "user#2"},
+		DedupIDs:  [][]byte{[]byte("user#1"), []byte("user#2")},
 		DedupResp: [][]byte{[]byte("reply"), nil},
 	}).encode()
 	recs := []wal.Record{{Index: 8, Data: []byte("command eight")}, {Index: 9, Data: []byte("nine")}}

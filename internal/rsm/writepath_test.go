@@ -131,8 +131,8 @@ func drainReleaser(tb testing.TB, r *Replica) {
 // envelope decode, shared-buffer WAL stage, conflict-keyed apply,
 // dedup insert, reply handoff — per delivered command, batched 64 per
 // round as the event loop would. CI gates allocs/op on this benchmark
-// (the zero-alloc write-path budget: the ReqID string is the one
-// intended allocation per command).
+// at zero: the ReqID stays a view into the delivered command and the
+// dedup table copies it and the reply into its ring.
 func BenchmarkSubmitApply(b *testing.B) {
 	r := startBenchReplica(b, newBenchSvc(), 4)
 
@@ -146,7 +146,7 @@ func BenchmarkSubmitApply(b *testing.B) {
 	for i := range wires {
 		payload[0] = byte(i)
 		env := &envelope{
-			ReqID:   fmt.Sprintf("user%05d/cli#%08d", i%1000, i),
+			ReqID:   fmt.Appendf(nil, "user%05d/cli#%08d", i%1000, i),
 			Origin:  r.cfg.Self,
 			Client:  "user/cli",
 			Payload: payload,
@@ -188,10 +188,10 @@ func (s *echoSvc) Apply(cmd Command, reply *codec.Encoder) {
 	if s.applied == nil {
 		s.applied = make(map[string][]string)
 	}
-	s.applied[key] = append(s.applied[key], cmd.ReqID)
+	s.applied[key] = append(s.applied[key], string(cmd.ReqID))
 	s.total++
 	s.mu.Unlock()
-	reply.PutRaw([]byte("resp:" + cmd.ReqID))
+	reply.PutRaw([]byte("resp:" + string(cmd.ReqID)))
 }
 func (s *echoSvc) ConflictKey(cmd Command) string {
 	if len(cmd.Payload) == 0 {
@@ -247,7 +247,7 @@ func (s *echoSvc) Restore(b []byte) error {
 }
 
 func wireFor(reqID string, origin gcs.MemberID, client transport.Addr, payload []byte) []byte {
-	return (&envelope{ReqID: reqID, Origin: origin, Client: client, Payload: payload}).encode()
+	return (&envelope{ReqID: []byte(reqID), Origin: origin, Client: client, Payload: payload}).encode()
 }
 
 // TestRecyclingSnapshotsIdentical feeds two replicas the identical
@@ -343,7 +343,7 @@ func TestDedupFetchUnderChurn(t *testing.T) {
 			default:
 			}
 			for _, id := range ids {
-				enc, _, ok := r.dedup.fetch(id)
+				enc, _, ok := r.dedup.fetch([]byte(id))
 				if !ok || enc == nil {
 					continue // evicted by churn: a miss, never a wrong hit
 				}

@@ -219,6 +219,14 @@ type peerSender struct {
 	err    error // sticky: reported by the next enqueue, then cleared
 	conn   net.Conn
 	closed bool
+
+	// The writer's scratch, reused by every writev: the frames taken
+	// off the queue, their length headers, and the [hdr, frame] run.
+	// wv is the copy of bufs that WriteTo consumes.
+	batch [maxWritev]*codec.Encoder
+	hdrs  [4 * maxWritev]byte
+	bufs  net.Buffers
+	wv    net.Buffers
 }
 
 // enqueue appends a frame, shedding the oldest when the queue is
@@ -354,29 +362,33 @@ func (s *peerSender) writeLoop() {
 			go s.ep.readLoop(c, s)
 		}
 
+		// Take up to maxWritev frames and shift the rest down in
+		// place, so the queue reuses one backing array instead of
+		// creeping along it and reallocating.
 		s.mu.Lock()
-		n := len(s.queue)
-		if n > maxWritev {
-			n = maxWritev
-		}
-		batch := s.queue[:n:n]
-		s.queue = s.queue[n:]
+		n := copy(s.batch[:], s.queue)
+		rest := copy(s.queue, s.queue[n:])
+		clear(s.queue[rest:])
+		s.queue = s.queue[:rest]
 		s.mu.Unlock()
 
 		// One writev for the whole run of frames: [hdr, payload]
 		// pairs, each header a 4-byte big-endian length.
-		hdrs := make([]byte, 4*n)
-		bufs := make(net.Buffers, 0, 2*n)
+		batch := s.batch[:n]
+		s.bufs = s.bufs[:0]
 		for i, f := range batch {
 			b := f.Bytes()
-			hdr := hdrs[4*i : 4*i+4]
+			hdr := s.hdrs[4*i : 4*i+4]
 			binary.BigEndian.PutUint32(hdr, uint32(len(b)))
-			bufs = append(bufs, hdr, b)
+			s.bufs = append(s.bufs, hdr, b)
 		}
-		_, err := bufs.WriteTo(conn)
+		s.wv = s.bufs
+		_, err := s.wv.WriteTo(conn)
 		for _, f := range batch {
 			f.Release()
 		}
+		clear(batch)
+		clear(s.bufs)
 		if err != nil {
 			s.ep.writeFailures.Add(1)
 			conn.Close()
@@ -423,17 +435,24 @@ func (e *Endpoint) readLoop(conn net.Conn, owner *peerSender) {
 			adopted.connBroken(conn)
 		}
 	}()
+	// One length-prefix buffer per connection, and the sender's
+	// address, converted again only when a frame names another.
+	hdr := new([4]byte)
+	var from transport.Addr
 	for {
-		frame, err := codec.ReadFrame(conn)
+		frame, err := codec.ReadFrame(conn, hdr)
 		if err != nil {
 			return
 		}
 		dec := codec.NewDecoder(frame)
-		from := transport.Addr(dec.String())
-		to := transport.Addr(dec.String())
+		fromB := dec.Bytes()
+		to := dec.Bytes()
 		payload := dec.Bytes()
-		if dec.Finish() != nil || to != e.addr {
+		if dec.Finish() != nil || string(to) != string(e.addr) {
 			continue // malformed or misrouted: drop
+		}
+		if string(fromB) != string(from) {
+			from = transport.Addr(fromB)
 		}
 		if owner == nil && adopted == nil && from != "" {
 			// Learn the inbound peer so replies can reuse this
@@ -450,8 +469,6 @@ func (e *Endpoint) readLoop(conn net.Conn, owner *peerSender) {
 			}
 			e.mu.Unlock()
 		}
-		p := make([]byte, len(payload))
-		copy(p, payload)
 
 		// The closed check and the channel send share the mutex with
 		// Close, which closes e.recv under the same lock; this keeps
@@ -461,8 +478,10 @@ func (e *Endpoint) readLoop(conn net.Conn, owner *peerSender) {
 			e.mu.Unlock()
 			return
 		}
+		// The payload aliases the frame, which this read allocated
+		// and no other Message shares.
 		select {
-		case e.recv <- transport.Message{From: from, To: to, Payload: p}:
+		case e.recv <- transport.Message{From: from, To: e.addr, Payload: payload}:
 		default:
 			// Receive queue full: drop, as a UDP socket would.
 		}

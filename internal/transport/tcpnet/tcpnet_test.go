@@ -433,3 +433,35 @@ func TestReplyToUnregisteredPeer(t *testing.T) {
 		}
 	}
 }
+
+// TestSendRecvAllocs sends datagrams one at a time over loopback and
+// counts the allocations of the whole round — Send, the writer, the
+// reader — per datagram: the frame the reader reads into, which the
+// received payload aliases, is the budget. Under -race, where
+// allocation counts mean nothing, it checks only the payloads.
+func TestSendRecvAllocs(t *testing.T) {
+	a, b := pair(t)
+	payload := make([]byte, 256)
+	for i := range payload {
+		payload[i] = byte(i)
+	}
+	var bad error
+	round := func() {
+		if err := a.Send("h2/b", payload); err != nil && bad == nil {
+			bad = err
+		}
+		m, ok := <-b.Recv()
+		if (!ok || m.From != "h1/a" || m.To != "h2/b" || string(m.Payload) != string(payload)) && bad == nil {
+			bad = fmt.Errorf("received %q from %q to %q (open %v)", m.Payload, m.From, m.To, ok)
+		}
+	}
+	round() // dial and learn the peer outside the count
+	got := testing.AllocsPerRun(5000, round)
+	if bad != nil {
+		t.Fatal(bad)
+	}
+	if !raceEnabled && got > 1 {
+		t.Errorf("%v allocations per datagram, want <= 1", got)
+	}
+	t.Logf("%v allocations per datagram", got)
+}
