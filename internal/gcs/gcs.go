@@ -195,7 +195,11 @@ type Config struct {
 	// Default 25ms.
 	Heartbeat time.Duration
 	// FailTimeout is how long a member may be silent before it is
-	// suspected. Default 8×Heartbeat.
+	// suspected. Default 8×Heartbeat. A member the transport reports a
+	// lost connection to (transport.Message.Lost) is suspected sooner:
+	// once it has then been silent for 2×Heartbeat, so a killed process
+	// is excluded in about two heartbeats while a cut cable, which
+	// raises no hint, still waits out FailTimeout.
 	FailTimeout time.Duration
 	// ResendInterval is how long a sender waits for its own message
 	// to come back sequenced before retransmitting the request, and
@@ -236,8 +240,11 @@ type Config struct {
 	// flush begins, and holders revoke synchronously when they enter
 	// a flush or install a view. Zero selects the default,
 	// FailTimeout/2; values above FailTimeout are clamped to it (a
-	// suspected member's lease must not outlive failure detection);
-	// negative disables leasing.
+	// member suspected by the timeout must not still hold a lease);
+	// negative disables leasing. A member suspected on a connection-loss
+	// hint may be excluded before its lease expires: under FailStop that
+	// is safe only because exclusion means a crash, and under Majority
+	// the coordinator waits the lease out (leaseBarrierWait).
 	LeaseDuration time.Duration
 
 	// Logger receives protocol diagnostics. Nil disables logging.
@@ -351,16 +358,21 @@ type Process struct {
 	st   status
 	view View
 
-	// failure detection
+	// failure detection. lostAt records when the transport last hinted
+	// that a member's connection was lost; the hint stands until a
+	// frame from the member moves lastHeard past it (see onTick).
 	lastHeard map[MemberID]time.Time
+	lostAt    map[MemberID]time.Time
 	suspected map[MemberID]bool
 	joiners   map[MemberID]bool
 	leavers   map[MemberID]bool
 
 	// rx is the message steady-state datagrams decode into; ids interns
-	// the member IDs of cfg.Peers (see handleDatagram).
-	rx  message
-	ids map[string]MemberID
+	// the member IDs of cfg.Peers (see handleDatagram), and byAddr maps
+	// their transport addresses back to them.
+	rx     message
+	ids    map[string]MemberID
+	byAddr map[transport.Addr]MemberID
 
 	// sender side
 	senderSeq uint64
@@ -454,16 +466,21 @@ func Start(cfg Config) (*Process, error) {
 		events:    newEventQueue(),
 		window:    make(chan struct{}, cfg.Window),
 		lastHeard: make(map[MemberID]time.Time),
+		lostAt:    make(map[MemberID]time.Time),
 		suspected: make(map[MemberID]bool),
 		joiners:   make(map[MemberID]bool),
 		joinSince: make(map[MemberID]uint64),
 		leavers:   make(map[MemberID]bool),
 		ids:       internIDs(cfg.Peers),
+		byAddr:    make(map[transport.Addr]MemberID, len(cfg.Peers)),
 		lastSeqd:  make(map[MemberID]uint64),
 		acked:     make(map[MemberID]uint64),
 		delivered: make(map[MemberID]uint64),
 		recvAcked: make(map[MemberID]uint64),
 		flushMiss: make(map[MemberID]int),
+	}
+	for m, addr := range cfg.Peers {
+		p.byAddr[addr] = m
 	}
 
 	switch {
@@ -529,6 +546,7 @@ type Stats struct {
 	SendQueueDrops   uint64 // datagrams the transport reported dropped on send
 	LeaseGrants      uint64 // read-lease grant rounds issued (sequencer role)
 	LeaseRevocations uint64 // read leases revoked (flush entry, view change)
+	HintSuspicions   uint64 // members suspected on a connection-loss hint before FailTimeout
 }
 
 // Stats returns a snapshot of the protocol counters.
@@ -890,8 +908,15 @@ func (p *Process) flushAck() {
 // handler of theirs may keep the message or its slices past its
 // return; the membership kinds get a fresh message, which their
 // handlers may keep (flush states, the cached NEWVIEW). Payloads alias
-// the datagram, which the transport hands over (transport.Message).
+// the datagram, which the transport hands over (transport.Message). A
+// connection-loss hint only records when it arrived (see onTick).
 func (p *Process) handleDatagram(dg transport.Message) {
+	if dg.Lost {
+		if m, ok := p.byAddr[dg.From]; ok && m != p.cfg.Self {
+			p.lostAt[m] = time.Now()
+		}
+		return
+	}
 	m := &p.rx
 	if len(dg.Payload) > 0 && membershipKind(dg.Payload[0]) {
 		m = new(message)
@@ -977,19 +1002,31 @@ func (p *Process) onTick() {
 	}
 	p.sendToMembers(&hb)
 
-	// Failure detection.
+	// Failure detection: silence beyond FailTimeout, or beyond two
+	// heartbeats once the transport hinted that the connection was lost
+	// and nothing has been heard since.
 	var newlySuspected []MemberID
+	hinted := 0
 	for _, m := range p.view.Members {
 		if m == p.cfg.Self || p.suspected[m] {
 			continue
 		}
-		if now.Sub(p.lastHeard[m]) > p.cfg.FailTimeout {
-			p.suspected[m] = true
-			newlySuspected = append(newlySuspected, m)
+		silent := now.Sub(p.lastHeard[m])
+		switch {
+		case silent > p.cfg.FailTimeout:
+		case silent > 2*p.cfg.Heartbeat && p.lostAt[m].After(p.lastHeard[m]):
+			hinted++
+		default:
+			continue
 		}
+		p.suspected[m] = true
+		newlySuspected = append(newlySuspected, m)
 	}
 	if len(newlySuspected) > 0 {
-		p.logf("suspecting %v", newlySuspected)
+		p.logf("suspecting %v (%d on a connection-loss hint)", newlySuspected, hinted)
+		if hinted > 0 {
+			p.bumpStat(func(st *Stats) { st.HintSuspicions += uint64(hinted) })
+		}
 		p.shareSuspicions()
 	}
 

@@ -1,0 +1,216 @@
+package gcs
+
+import (
+	"testing"
+	"time"
+
+	"joshua/internal/simnet"
+	"joshua/internal/transport"
+)
+
+// hintTimings is fastTimings with a FailTimeout far above what the
+// connection-loss hint needs, so the two detection paths cannot be
+// confused.
+func hintTimings(c *Config) {
+	c.FailTimeout = time.Second
+}
+
+// hintSuspicions sums the members' HintSuspicions.
+func hintSuspicions(obs []*observer) uint64 {
+	var n uint64
+	for _, o := range obs {
+		n += o.p.Stats().HintSuspicions
+	}
+	return n
+}
+
+// waitThreeMembers waits for every observer's first three-member view.
+func waitThreeMembers(t *testing.T, obs []*observer) {
+	t.Helper()
+	waitFor(t, 5*time.Second, "three-member view", func() bool {
+		for _, o := range obs {
+			if v, ok := o.lastView(); !ok || len(v.Members) != 3 {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// waitExcluded waits up to d for obs to install a view without m and
+// returns how long that took from t0.
+func waitExcluded(t *testing.T, obs []*observer, m MemberID, t0 time.Time, d time.Duration) time.Duration {
+	t.Helper()
+	waitFor(t, d, "view without "+string(m), func() bool {
+		for _, o := range obs {
+			if v, ok := o.lastView(); !ok || v.Includes(m) {
+				return false
+			}
+		}
+		return true
+	})
+	return time.Since(t0)
+}
+
+// TestCrashHintShortensDetection: a crashed member's hint gets it
+// excluded in a fraction of FailTimeout.
+func TestCrashHintShortensDetection(t *testing.T) {
+	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
+	defer net.Close()
+	obs := group(t, net, 3, func(_ int, c *Config) { hintTimings(c) })
+	waitThreeMembers(t, obs)
+
+	t0 := time.Now()
+	net.CrashHost("host2")
+	obs[2].p.Close()
+	took := waitExcluded(t, obs[:2], "m2", t0, 10*time.Second)
+	if limit := time.Second / 2; took >= limit {
+		t.Errorf("crashed member excluded after %v, want under FailTimeout/2 = %v", took, limit)
+	}
+	if n := hintSuspicions(obs[:2]); n < 1 {
+		t.Errorf("HintSuspicions = %d, want >= 1", n)
+	}
+	t.Logf("crash to view without it: %v", took)
+}
+
+// TestPartitionRaisesNoHint: a cut cable is silent, so the isolated
+// member is excluded by the timeout and not before.
+func TestPartitionRaisesNoHint(t *testing.T) {
+	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
+	defer net.Close()
+	obs := group(t, net, 3, func(_ int, c *Config) { hintTimings(c) })
+	waitThreeMembers(t, obs)
+	views := obs[0].viewCount()
+
+	t0 := time.Now()
+	net.Isolate("host2")
+	took := waitExcluded(t, obs[:2], "m2", t0, 10*time.Second)
+	// FailTimeout runs from m2's last frame, which may precede the cut
+	// by a heartbeat or more under load; a hint would have taken two.
+	if limit := 3 * time.Second / 4; took < limit {
+		t.Errorf("isolated member excluded after %v, well before FailTimeout", took)
+	}
+	if got := obs[0].viewCount(); got != views+1 {
+		t.Errorf("%d view changes, want 1", got-views)
+	}
+	if n := hintSuspicions(obs); n != 0 {
+		t.Errorf("HintSuspicions = %d, want 0", n)
+	}
+}
+
+// hintingEndpoint lets a test inject connection-loss hints into an
+// endpoint's receive stream, as a transport whose connection to a live
+// peer breaks and is redialed would.
+type hintingEndpoint struct {
+	transport.Endpoint
+	recv chan transport.Message
+	lost chan transport.Addr
+}
+
+func newHintingEndpoint(inner transport.Endpoint) *hintingEndpoint {
+	h := &hintingEndpoint{
+		Endpoint: inner,
+		recv:     make(chan transport.Message, 256),
+		lost:     make(chan transport.Addr),
+	}
+	go func() {
+		defer close(h.recv)
+		in := inner.Recv()
+		for {
+			var m transport.Message
+			select {
+			case dg, ok := <-in:
+				if !ok {
+					return
+				}
+				m = dg
+			case from := <-h.lost:
+				m = transport.Message{From: from, To: inner.Addr(), Lost: true}
+			}
+			select {
+			case h.recv <- m:
+			default: // full: dropped, as a transport would
+			}
+		}
+	}()
+	return h
+}
+
+func (h *hintingEndpoint) Recv() <-chan transport.Message { return h.recv }
+
+// TestHintForLivePeerExpelsNobody: a hint about a member that keeps
+// heartbeating is cancelled by its next frame, so nobody is suspected —
+// not while the hints keep coming, and not when the member later falls
+// silent for longer than the hint window but less than FailTimeout.
+func TestHintForLivePeerExpelsNobody(t *testing.T) {
+	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
+	defer net.Close()
+	const heartbeat = 40 * time.Millisecond
+	var ep *hintingEndpoint
+	obs := group(t, net, 3, func(i int, c *Config) {
+		hintTimings(c)
+		c.Heartbeat = heartbeat
+		if i == 0 {
+			ep = newHintingEndpoint(c.Endpoint)
+			c.Endpoint = ep
+		}
+	})
+	waitThreeMembers(t, obs)
+	views := obs[0].viewCount()
+
+	for i := 0; i < 40; i++ { // 20 heartbeats
+		ep.lost <- "host1/gcs"
+		time.Sleep(heartbeat / 2)
+	}
+	time.Sleep(5 * heartbeat) // m1's frames overtake the last hint
+	net.Partition("host0", "host1")
+	time.Sleep(5 * heartbeat)
+	net.HealAll()
+	time.Sleep(2 * heartbeat)
+
+	for i, o := range obs {
+		if got := o.viewCount(); got != views {
+			v, _ := o.lastView()
+			t.Errorf("member %d installed %d more views (now %v)", i, got-views, v.Members)
+		}
+	}
+	if n := hintSuspicions(obs); n != 0 {
+		t.Errorf("HintSuspicions = %d, want 0", n)
+	}
+}
+
+// TestMajorityHintWaitsLeaseFence: under Majority an excluded member
+// may be alive across a partition and still hold a read lease, so a
+// view that excludes a hinted member waits out the lease fence even
+// though the hint made the suspicion early.
+func TestMajorityHintWaitsLeaseFence(t *testing.T) {
+	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
+	defer net.Close()
+	const lease = 300 * time.Millisecond
+	obs := group(t, net, 3, func(_ int, c *Config) {
+		hintTimings(c)
+		c.PartitionPolicy = Majority
+		c.SafeDelivery = true
+		c.LeaseDuration = lease
+		c.FlushTimeout = 2 * lease // one attempt outlasts the fence
+	})
+	waitThreeMembers(t, obs)
+	waitFor(t, 5*time.Second, "read leases granted", func() bool {
+		return obs[0].p.Stats().LeaseGrants > 0 && obs[2].p.LeaseValid()
+	})
+
+	t0 := time.Now()
+	net.CrashHost("host2")
+	obs[2].p.Close()
+	took := waitExcluded(t, obs[:2], "m2", t0, 10*time.Second)
+	if took < lease {
+		t.Errorf("view without the hinted member installed after %v, before the %v lease fence", took, lease)
+	}
+	if took >= time.Second {
+		t.Errorf("view installed after %v, not before FailTimeout", took)
+	}
+	if n := hintSuspicions(obs[:2]); n < 1 {
+		t.Errorf("HintSuspicions = %d, want >= 1", n)
+	}
+	t.Logf("crash to view without it: %v (lease %v)", took, lease)
+}

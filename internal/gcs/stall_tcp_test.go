@@ -196,3 +196,52 @@ func TestStalledHeadDoesNotBlockSequencing(t *testing.T) {
 	}
 	t.Logf("delivered %d×32KiB past a stalled member in %v", burst, elapsed)
 }
+
+// TestTCPProcessExitDetectedByHint: over TCP, a member whose process
+// exits closes its connections, and the survivors' transports turn
+// that into connection-loss hints, so the member is excluded in a
+// fraction of FailTimeout.
+func TestTCPProcessExitDetectedByHint(t *testing.T) {
+	ids := []MemberID{"c0", "c1", "c2"}
+	logical := map[MemberID]transport.Addr{
+		"c0": "chost0/gcs", "c1": "chost1/gcs", "c2": "chost2/gcs",
+	}
+	res := tcpnet.StaticResolver{}
+	eps := make(map[MemberID]*tcpnet.Endpoint, len(ids))
+	for _, id := range ids {
+		ep, err := tcpnet.Listen(logical[id], "127.0.0.1:0", res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ep.Close() })
+		eps[id] = ep
+		res[logical[id]] = ep.TCPAddr()
+	}
+	var obs []*observer
+	for _, id := range ids {
+		cfg := Config{Self: id, Endpoint: eps[id], Peers: logical, InitialMembers: ids}
+		fastTimings(&cfg)
+		cfg.FailTimeout = 2 * time.Second
+		p, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		obs = append(obs, observe(p))
+	}
+	waitThreeMembers(t, obs)
+	// Let every member hear every other, so each inbound connection
+	// names its peer.
+	time.Sleep(100 * time.Millisecond)
+
+	t0 := time.Now()
+	obs[2].p.Close() // the process exits: its endpoint closes every connection
+	took := waitExcluded(t, obs[:2], "c2", t0, 10*time.Second)
+	if limit := 500 * time.Millisecond; took >= limit {
+		t.Errorf("exited member excluded after %v, want under %v", took, limit)
+	}
+	if n := hintSuspicions(obs[:2]); n < 1 {
+		t.Errorf("HintSuspicions = %d, want >= 1", n)
+	}
+	t.Logf("process exit to view without it: %v", took)
+}

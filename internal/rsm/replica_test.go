@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -441,6 +442,68 @@ func TestBatchedCommandsDedupExactlyOnce(t *testing.T) {
 		t.Fatalf("burst tail: %+v", resp)
 	}
 	r.waitConverged(want, 5*time.Second)
+}
+
+// hintCounter forwards an endpoint's receive stream, counting the
+// connection-loss hints in it.
+type hintCounter struct {
+	transport.Endpoint
+	recv  chan transport.Message
+	hints atomic.Int64
+}
+
+func countHints(inner transport.Endpoint) *hintCounter {
+	h := &hintCounter{Endpoint: inner, recv: make(chan transport.Message, 64)}
+	go func() {
+		defer close(h.recv)
+		for m := range inner.Recv() {
+			if m.Lost {
+				h.hints.Add(1)
+			}
+			select {
+			case h.recv <- m:
+			default: // full: dropped, as a transport would
+			}
+		}
+	}()
+	return h
+}
+
+func (h *hintCounter) Recv() <-chan transport.Message { return h.recv }
+
+// TestConnectionLossHintIsNotIntercepted: a client's crash hands the
+// replica's client endpoint a connection-loss hint, which the intercept
+// drops like any datagram it cannot classify.
+func TestConnectionLossHintIsNotIntercepted(t *testing.T) {
+	var ep *hintCounter
+	r := newKVRig(t, 2, func(c *rsm.Config) {
+		if c.Self == repMember(0) {
+			ep = countHints(c.ClientEndpoint)
+			c.ClientEndpoint = ep
+		}
+	})
+	if resp, _ := r.call(0, &kvstore.Request{ReqID: r.reqID(), Op: kvstore.OpAppend, Key: "k", Value: "a"}, 5*time.Second); !resp.OK {
+		t.Fatalf("first request: %+v", resp)
+	}
+	before := r.reps[0].Stats().Intercepted
+
+	r.net.CrashHost("user")
+	deadline := time.Now().Add(5 * time.Second)
+	for ep.hints.Load() == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if ep.hints.Load() == 0 {
+		t.Fatal("the client's crash raised no hint at the replica")
+	}
+	// A request from another client queues behind the hint, so once it
+	// is answered the hint has been through the intercept.
+	r.cli, _ = r.net.Endpoint("user2/kv")
+	if resp, _ := r.call(0, &kvstore.Request{ReqID: "user2/kv#1", Op: kvstore.OpAppend, Key: "k", Value: "b"}, 5*time.Second); !resp.OK {
+		t.Fatalf("second request: %+v", resp)
+	}
+	if got := r.reps[0].Stats().Intercepted - before; got != 1 {
+		t.Errorf("Intercepted rose by %d across a hint and one request, want 1", got)
+	}
 }
 
 // TestStartValidation pins the required-config, pool-size and lease

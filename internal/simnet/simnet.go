@@ -12,7 +12,11 @@
 // Failure injection mirrors the paper's methodology ("failures were
 // simulated by unplugging network cables and by forcibly shutting down
 // individual processes"): Partition corresponds to the former and
-// CrashHost to the latter.
+// CrashHost to the latter. The two differ in what the survivors see. A
+// cut cable is silent: the peer's datagrams just stop. A killed
+// process's kernel resets its connections, so CrashHost also hands
+// every live endpoint elsewhere a connection-loss hint
+// (transport.Message.Lost) for each endpoint on the crashed host.
 package simnet
 
 import (
@@ -139,11 +143,11 @@ func (f *flow) run(deliver func(transport.Message)) {
 // with (*Network).Stats.
 type Stats struct {
 	Sent        uint64 // datagrams accepted by Send
-	Delivered   uint64 // datagrams handed to a receive queue
+	Delivered   uint64 // datagrams and connection-loss hints handed to a receive queue
 	DroppedLoss uint64 // lost to random loss
 	DroppedCut  uint64 // lost to partitions
 	DroppedDown uint64 // lost to crashed hosts or closed endpoints
-	DroppedFull uint64 // lost to full receive queues
+	DroppedFull uint64 // lost to full receive queues, hints included
 	Bytes       uint64 // payload bytes accepted by Send
 }
 
@@ -263,12 +267,45 @@ func (n *Network) HealAll() {
 
 // CrashHost fail-stops every endpoint on a host: in-flight and future
 // datagrams to and from the host are discarded until RestartHost. The
-// endpoints themselves remain attached (their owners are presumed
-// dead and will not observe anything).
+// endpoints themselves remain attached; their owners are presumed dead
+// and receive nothing.
+//
+// As a killed process's kernel resets its connections, every live
+// endpoint on another host receives one connection-loss hint
+// (transport.Message.Lost) per endpoint on the crashed host. All the
+// hints go out together one Latency.Remote later (at once on a
+// zero-latency network). A hint crosses no severed link, reaches no
+// crashed or closed endpoint, and is dropped at a full receive queue
+// like any datagram. Crashing a host that is already down raises none.
 func (n *Network) CrashHost(host string) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	var hints []transport.Message
+	if !n.downHosts[host] {
+		for from := range n.endpoints {
+			if from.Host() != host {
+				continue
+			}
+			for to := range n.endpoints {
+				if h := to.Host(); h != host && !n.downHosts[h] {
+					hints = append(hints, transport.Message{From: from, To: to, Lost: true})
+				}
+			}
+		}
+	}
 	n.downHosts[host] = true
+	delay := n.cfg.Latency.Remote
+	n.mu.Unlock()
+
+	send := func() {
+		for _, m := range hints {
+			n.deliverAddr(m)
+		}
+	}
+	if delay <= 0 {
+		send()
+		return
+	}
+	time.AfterFunc(delay, send)
 }
 
 // RestartHost undoes CrashHost. The host's endpoints resume receiving;
@@ -371,9 +408,12 @@ func (n *Network) deliverAddr(msg transport.Message) {
 	n.deliver(dst, msg)
 }
 
+// deliver hands msg to dst's receive queue unless the network lost it
+// on the way. A connection-loss hint comes from a crashed host by
+// design, so only a datagram is dropped for its sender being down.
 func (n *Network) deliver(dst *endpoint, msg transport.Message) {
 	n.mu.Lock()
-	if dst.closed || n.downHosts[msg.To.Host()] || n.downHosts[msg.From.Host()] {
+	if dst.closed || n.downHosts[msg.To.Host()] || (n.downHosts[msg.From.Host()] && !msg.Lost) {
 		n.stats.DroppedDown++
 		n.mu.Unlock()
 		return

@@ -242,7 +242,11 @@ func TestCrashAndRestartHost(t *testing.T) {
 	if _, ok := recvWithin(t, b, 50*time.Millisecond); ok {
 		t.Fatal("crashed host received datagram")
 	}
-	// A crashed host cannot send either.
+	// A crashed host cannot send either: a sees the crash's one
+	// connection-loss hint, never the datagram.
+	if m, ok := recvWithin(t, a, 50*time.Millisecond); !ok || !m.Lost || m.From != "h2/b" {
+		t.Fatalf("want the crash's connection-loss hint from h2/b, got %+v (ok %v)", m, ok)
+	}
 	b.Send("h1/a", []byte("ghost"))
 	if _, ok := recvWithin(t, a, 50*time.Millisecond); ok {
 		t.Fatal("crashed host sent datagram")
@@ -358,4 +362,124 @@ func TestStatsCounts(t *testing.T) {
 	if st.Sent != 1 || st.Delivered != 1 || st.Bytes != 4 {
 		t.Errorf("stats = %+v", st)
 	}
+}
+
+// drain returns everything ep receives within d.
+func drain(ep transport.Endpoint, d time.Duration) []transport.Message {
+	var got []transport.Message
+	deadline := time.After(d)
+	for {
+		select {
+		case m := <-ep.Recv():
+			got = append(got, m)
+		case <-deadline:
+			return got
+		}
+	}
+}
+
+// TestCrashHostHintsPeers checks the crash's connection-loss hints:
+// one per (live endpoint elsewhere, crashed endpoint) pair, none
+// earlier than one remote hop, none from the silent failures, and at
+// once on a zero-latency network.
+func TestCrashHostHintsPeers(t *testing.T) {
+	t.Run("one per pair after one hop", func(t *testing.T) {
+		const remote = 40 * time.Millisecond
+		n := New(Config{Latency: Latency{Local: time.Millisecond, Remote: remote}})
+		defer n.Close()
+		// h3 goes down before the others attach, so its own crash hints
+		// nobody.
+		down, _ := n.Endpoint("h3/down")
+		n.CrashHost("h3")
+		for _, a := range []transport.Addr{"dead/a", "dead/b"} {
+			if _, err := n.Endpoint(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		x, _ := n.Endpoint("h1/x")
+		y, _ := n.Endpoint("h1/y")
+		z, _ := n.Endpoint("h2/z")
+		closed, _ := n.Endpoint("h4/closed")
+		closed.Close()
+
+		t0 := time.Now()
+		n.CrashHost("dead")
+		n.CrashHost("dead") // already down: no second round
+		for _, ep := range []transport.Endpoint{x, y, z} {
+			from := map[transport.Addr]int{}
+			for i := 0; i < 2; i++ {
+				m, ok := recvWithin(t, ep, time.Second)
+				if !ok {
+					t.Fatalf("%s: hint %d never arrived", ep.Addr(), i)
+				}
+				if early := remote - time.Since(t0); early > 0 {
+					t.Errorf("%s: hint arrived %v before one remote hop", ep.Addr(), early)
+				}
+				if !m.Lost || m.Payload != nil || m.To != ep.Addr() {
+					t.Errorf("%s: got %+v, want a hint", ep.Addr(), m)
+				}
+				from[m.From]++
+			}
+			if from["dead/a"] != 1 || from["dead/b"] != 1 {
+				t.Errorf("%s: hints from %v, want one each from dead/a and dead/b", ep.Addr(), from)
+			}
+			if extra := drain(ep, 2*remote); len(extra) != 0 {
+				t.Errorf("%s: %d messages beyond the two hints: %+v", ep.Addr(), len(extra), extra)
+			}
+		}
+		if got := drain(down, 0); len(got) != 0 {
+			t.Errorf("an endpoint on a crashed host received %+v", got)
+		}
+	})
+
+	t.Run("silent failures raise none", func(t *testing.T) {
+		n := New(Config{})
+		defer n.Close()
+		a, _ := n.Endpoint("h1/a")
+		b, _ := n.Endpoint("h2/b")
+		c, _ := n.Endpoint("h3/c")
+		n.Partition("h1", "h2")
+		n.Isolate("h3")
+		n.Heal("h1", "h2")
+		n.HealAll()
+		n.CrashHost("h3")
+		drain(a, 10*time.Millisecond) // the crash's own hints
+		drain(b, 10*time.Millisecond)
+		n.RestartHost("h3")
+		c.Close()
+		for _, ep := range []transport.Endpoint{a, b} {
+			if got := drain(ep, 50*time.Millisecond); len(got) != 0 {
+				t.Errorf("%s received %+v", ep.Addr(), got)
+			}
+		}
+	})
+
+	t.Run("zero latency hints at once", func(t *testing.T) {
+		n := New(Config{})
+		defer n.Close()
+		a, _ := n.Endpoint("h1/a")
+		n.Endpoint("h2/b")
+		n.CrashHost("h2")
+		select {
+		case m := <-a.Recv():
+			if !m.Lost || m.From != "h2/b" {
+				t.Fatalf("got %+v, want a hint from h2/b", m)
+			}
+		default:
+			t.Fatal("no hint queued when CrashHost returned")
+		}
+	})
+
+	t.Run("full queue drops the hint", func(t *testing.T) {
+		n := New(Config{QueueLen: 1})
+		defer n.Close()
+		a, _ := n.Endpoint("h1/a")
+		b, _ := n.Endpoint("h2/b")
+		b.Send("h1/a", []byte("fills the queue"))
+		n.CrashHost("h2")
+		got := drain(a, 20*time.Millisecond)
+		if len(got) != 1 || got[0].Lost {
+			t.Fatalf("got %+v, want only the datagram", got)
+		}
+	})
 }

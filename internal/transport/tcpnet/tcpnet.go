@@ -19,6 +19,12 @@
 // attempt instead of waiting out a timeout, even though the failure
 // now belongs to an earlier datagram.
 //
+// When a connection ends because the peer closed or reset it, as a
+// dead process's kernel does, the endpoint hands its receiver a
+// connection-loss hint (transport.Message.Lost) for that peer. A local
+// close — Close, a dead connection being dropped, the writer giving up
+// after a failed write — and a framing error raise none.
+//
 // Logical addresses ("host/service") are mapped to TCP addresses by a
 // Resolver, typically a static table loaded from the cluster
 // configuration file, mirroring how the original JOSHUA prototype
@@ -27,10 +33,13 @@ package tcpnet
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"joshua/internal/codec"
@@ -420,10 +429,37 @@ func (e *Endpoint) acceptLoop() {
 	}
 }
 
+// push hands one message to the receiver, dropping it when the receive
+// queue is full, as a UDP socket would. The closed check and the
+// channel send share the mutex with Close, which closes e.recv under
+// the same lock; this keeps the send from racing a channel close. It
+// reports false once the endpoint is closed.
+func (e *Endpoint) push(m transport.Message) bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return false
+	}
+	select {
+	case e.recv <- m:
+	default:
+	}
+	return true
+}
+
+// peerClosed reports whether a read failed because the peer closed or
+// reset the connection, rather than because this side closed it or the
+// stream was malformed.
+func peerClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, syscall.ECONNRESET)
+}
+
 // readLoop consumes frames from one connection. owner is the sender
 // that dialed it, nil for inbound connections; either way the bound
 // sender is told when the connection dies so a later Send redials
-// instead of writing into a dead socket.
+// instead of writing into a dead socket. When the peer closed or reset
+// the connection, the receiver gets a connection-loss hint for it; an
+// inbound connection names its peer only once a frame has arrived.
 func (e *Endpoint) readLoop(conn net.Conn, owner *peerSender) {
 	var adopted *peerSender
 	defer func() {
@@ -439,9 +475,15 @@ func (e *Endpoint) readLoop(conn net.Conn, owner *peerSender) {
 	// address, converted again only when a frame names another.
 	hdr := new([4]byte)
 	var from transport.Addr
+	if owner != nil {
+		from = owner.to
+	}
 	for {
 		frame, err := codec.ReadFrame(conn, hdr)
 		if err != nil {
+			if from != "" && peerClosed(err) {
+				e.push(transport.Message{From: from, To: e.addr, Lost: true})
+			}
 			return
 		}
 		dec := codec.NewDecoder(frame)
@@ -470,21 +512,10 @@ func (e *Endpoint) readLoop(conn net.Conn, owner *peerSender) {
 			e.mu.Unlock()
 		}
 
-		// The closed check and the channel send share the mutex with
-		// Close, which closes e.recv under the same lock; this keeps
-		// the send from racing a channel close.
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			return
-		}
 		// The payload aliases the frame, which this read allocated
 		// and no other Message shares.
-		select {
-		case e.recv <- transport.Message{From: from, To: e.addr, Payload: payload}:
-		default:
-			// Receive queue full: drop, as a UDP socket would.
+		if !e.push(transport.Message{From: from, To: e.addr, Payload: payload}) {
+			return
 		}
-		e.mu.Unlock()
 	}
 }

@@ -2,6 +2,7 @@ package tcpnet
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -464,4 +465,181 @@ func TestSendRecvAllocs(t *testing.T) {
 		t.Errorf("%v allocations per datagram, want <= 1", got)
 	}
 	t.Logf("%v allocations per datagram", got)
+}
+
+// lostWithin returns the first connection-loss hint ep receives within
+// d, skipping datagrams.
+func lostWithin(ep *Endpoint, d time.Duration) (transport.Message, bool) {
+	deadline := time.After(d)
+	for {
+		select {
+		case m, ok := <-ep.Recv():
+			if !ok {
+				return transport.Message{}, false
+			}
+			if m.Lost {
+				return m, true
+			}
+		case <-deadline:
+			return transport.Message{}, false
+		}
+	}
+}
+
+// TestPeerExitRaisesLost: a peer whose endpoint closes, as its process
+// exiting would, is reported lost, over a connection either side
+// dialed.
+func TestPeerExitRaisesLost(t *testing.T) {
+	for _, dir := range []string{"a dialed", "b dialed"} {
+		t.Run(dir, func(t *testing.T) {
+			a, b := pair(t)
+			if dir == "a dialed" {
+				a.Send("h2/b", []byte("hello"))
+				if _, ok := recvWithin(t, b, 2*time.Second); !ok {
+					t.Fatal("no delivery")
+				}
+			} else {
+				b.Send("h1/a", []byte("hello"))
+				if _, ok := recvWithin(t, a, 2*time.Second); !ok {
+					t.Fatal("no delivery")
+				}
+			}
+			b.Close()
+			m, ok := lostWithin(a, 2*time.Second)
+			if !ok {
+				t.Fatal("no connection-loss hint after the peer closed")
+			}
+			if m.From != "h2/b" || m.To != "h1/a" || m.Payload != nil {
+				t.Errorf("hint = %+v, want From h2/b, To h1/a, no payload", m)
+			}
+		})
+	}
+}
+
+// holdPeer is a raw TCP peer that accepts connections and keeps each
+// open, reading and discarding, until the test ends: a live peer that
+// never closes or resets a connection.
+type holdPeer struct {
+	ln    net.Listener
+	conns chan net.Conn
+}
+
+func newHoldPeer(t *testing.T) *holdPeer {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &holdPeer{ln: ln, conns: make(chan net.Conn, 16)}
+	var mu sync.Mutex
+	var held []net.Conn
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			held = append(held, c)
+			mu.Unlock()
+			h.conns <- c
+			go io.Copy(io.Discard, c)
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range held {
+			c.Close()
+		}
+	})
+	return h
+}
+
+// dialedConn waits for e's sender to peer to hold a connection and
+// returns it.
+func dialedConn(t *testing.T, e *Endpoint, peer transport.Addr) net.Conn {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		e.mu.Lock()
+		s := e.senders[peer]
+		e.mu.Unlock()
+		if s != nil {
+			s.mu.Lock()
+			c := s.conn
+			s.mu.Unlock()
+			if c != nil {
+				return c
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("no connection to %s", peer)
+	return nil
+}
+
+// TestLocalCloseRaisesNoLost: a connection this side closes — by Close,
+// by dropping it as broken, or after a failed write — or abandons on a
+// framing error raises no hint; the peer is still alive.
+func TestLocalCloseRaisesNoLost(t *testing.T) {
+	const peer = "h9/peer"
+	setup := func(t *testing.T) (*Endpoint, *holdPeer, net.Conn) {
+		h := newHoldPeer(t)
+		e, err := Listen("h1/a", "127.0.0.1:0", StaticResolver{peer: h.ln.Addr().String()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		if err := e.Send(peer, []byte("hello")); err != nil {
+			t.Fatal(err)
+		}
+		return e, h, dialedConn(t, e, peer)
+	}
+	noLost := func(t *testing.T, e *Endpoint) {
+		t.Helper()
+		if m, ok := lostWithin(e, 200*time.Millisecond); ok {
+			t.Errorf("hint %+v raised for a live peer", m)
+		}
+	}
+
+	t.Run("Close", func(t *testing.T) {
+		e, _, _ := setup(t)
+		e.Close()
+		noLost(t, e)
+	})
+	t.Run("connBroken", func(t *testing.T) {
+		e, _, c := setup(t)
+		e.mu.Lock()
+		s := e.senders[peer]
+		e.mu.Unlock()
+		s.connBroken(c)
+		noLost(t, e)
+	})
+	t.Run("failed write", func(t *testing.T) {
+		e, _, c := setup(t)
+		// Shut our sending half, so the writer's next write fails and it
+		// closes the connection; the peer keeps its side open.
+		if err := c.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(2 * time.Second)
+		for e.Stats().WriteFailures == 0 && time.Now().Before(deadline) {
+			e.Send(peer, []byte("into a shut socket"))
+			time.Sleep(5 * time.Millisecond)
+		}
+		if e.Stats().WriteFailures == 0 {
+			t.Fatal("no write failed")
+		}
+		noLost(t, e)
+	})
+	t.Run("framing error", func(t *testing.T) {
+		e, h, _ := setup(t)
+		c := <-h.conns
+		if _, err := c.Write([]byte{0xff, 0xff, 0xff, 0xff}); err != nil { // oversized frame
+			t.Fatal(err)
+		}
+		noLost(t, e)
+	})
 }

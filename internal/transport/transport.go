@@ -11,6 +11,13 @@
 // peers, FIFO per (sender, receiver) pair — because the group
 // communication layer supplies reliability and total order itself,
 // exactly as Transis did over UDP in the original JOSHUA prototype.
+//
+// Beside datagrams, an endpoint may receive a connection-loss hint
+// (Message.Lost): the transport saw its peer's side of the connection
+// go away, as a crashed process's kernel resets its sockets. A hint is
+// best-effort in both directions — a peer can die without one (a cut
+// cable raises none) and a live peer can raise one (it redials) — so
+// it may hasten a failure detector's suspicion but never decide it.
 package transport
 
 import "errors"
@@ -42,6 +49,11 @@ type Message struct {
 	// writes to the buffer it passed to Send never reach it. Receivers
 	// may therefore keep slices of it without copying.
 	Payload []byte
+	// Lost reports that the transport lost its connection to From;
+	// Payload is nil. It is a hint, not a verdict: From may be alive
+	// and heard from again. A receiver that only decodes payloads
+	// drops it like any datagram it cannot decode.
+	Lost bool
 }
 
 // Endpoint is one attachment point on a network.
