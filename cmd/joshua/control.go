@@ -274,6 +274,9 @@ var perHeadKeys = []string{
 	// both).
 	"transfer_in_full", "transfer_in_delta", "transfer_in_hybrid",
 	"transfer_out_full", "transfer_out_delta", "transfer_out_hybrid",
+	// Start and kill traffic with the moms: only the sequencer's
+	// daemon sends, so the sums are the cluster's traffic.
+	"mom_sent", "mom_resent", "mom_acks", "mom_adopted",
 }
 
 // runJadmin reports the operational state of every head node: group

@@ -172,10 +172,10 @@ func runJoshuad(c *command, args []string) error {
 }
 
 // runJmomd runs one compute node's PBS mom daemon over real TCP
-// sockets. The mom accepts job-start requests from every head node of
-// its shard and executes a job iff it is the job's first node (PBS's
-// mother superior; every head's start carries the same node list), so
-// each job runs once with no lock round. It simulates the job for its
+// sockets. The mom accepts job-start requests from its shard's
+// sequencer, acks a repeated one, and executes a job iff it is the
+// job's first node (PBS's mother superior; every head places the job on
+// the same nodes), so each job runs once with no lock round. It simulates the job for its
 // wall time and ends it with the jdone epilogue: one command in the
 // shard's total order that every head applies, in place of the
 // TORQUE v2.0p1 multi-server report the paper's moms sent each head.

@@ -26,9 +26,9 @@ func TestBacklogDrainsIdentically(t *testing.T) {
 }
 
 // TestOneLaunchLockPerJobPerMom is the backlog test without jitter:
-// every head's start for a job folds onto one run on its first node,
-// and the job costs two ordered commands with no launch lock among
-// them. (The name is from when a jmutex per job and mom was the third.)
+// the sequencer's start for a job, and any repeat, folds onto one run
+// on its first node, and the job costs two ordered commands with no
+// launch lock among them. (The name is from when a jmutex per job and mom was the third.)
 func TestOneLaunchLockPerJobPerMom(t *testing.T) {
 	drainBacklog(t, 0)
 }
@@ -90,5 +90,106 @@ func drainBacklog(t *testing.T, jitter time.Duration) {
 	t.Logf("head0 applied %.3f commands per job", perJob)
 	if perJob > 2.05 {
 		t.Errorf("head0 applied %.3f commands per job, want <= 2.05", perJob)
+	}
+}
+
+// TestIdleTrafficIndependentOfRunningJobs: once every job's start has
+// been resent and acked, a thousand running jobs cost the network
+// nothing. The datagrams sent over two idle seconds with the jobs
+// running stay within 1.2 × those sent with none: only the group's
+// heartbeats remain.
+func TestIdleTrafficIndependentOfRunningJobs(t *testing.T) {
+	const (
+		jobs     = 1000
+		resend   = 200 * time.Millisecond // Cluster's daemon ResendInterval
+		window   = 2 * time.Second
+		maxRatio = 1.2
+	)
+	opts := testOptions(3, 4)
+	opts.TuneGCS = nil // the default heartbeat, so the baseline is the deployed one
+	opts.Exclusive = false
+	opts.NodeCPUs = jobs
+	c := newCluster(t, opts)
+	cli, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each window starts 2 × resend after the last change, when the
+	// boot's, or the launch's, traffic has settled.
+	sentOver := func() uint64 {
+		time.Sleep(2 * resend)
+		before := c.Net.Stats().Sent
+		time.Sleep(window)
+		return c.Net.Stats().Sent - before
+	}
+	baseline := sentOver()
+
+	for n := 0; n < jobs; n += 100 {
+		if _, err := cli.SubmitBatch(pbs.SubmitRequest{WallTime: time.Hour}, 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 30*time.Second, "every job to run on every head", func() bool {
+		for _, i := range c.LiveHeads() {
+			if _, running, _ := c.Head(i).Daemon().Server().QueueLengths(); running != jobs {
+				return false
+			}
+		}
+		return true
+	})
+	loaded := sentOver()
+
+	t.Logf("datagrams over %v: %d with no job, %d with %d running jobs", window, baseline, loaded, jobs)
+	for _, i := range c.LiveHeads() {
+		t.Logf("head%d's daemon: %+v", i, c.Head(i).Daemon().Stats())
+	}
+	if ratio := float64(loaded) / float64(baseline); ratio > maxRatio {
+		t.Errorf("idle traffic with %d running jobs is %.2f× the no-job baseline, want <= %.1f×", jobs, ratio, maxRatio)
+	}
+}
+
+// TestSequencerCrashAdoptsLaunch: the sequencer applies a job's start
+// but its datagram never reaches the mom, and then the sequencer
+// crashes. The next sequencer adopts the launched job on its first
+// resend tick, so the job runs once and completes, and the surviving
+// heads' batch states are identical.
+func TestSequencerCrashAdoptsLaunch(t *testing.T) {
+	c := newCluster(t, testOptions(3, 1))
+	cli, err := c.ClientFor(1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Only head0, the sequencer, sends the start: cut it off from the
+	// mom so the start is lost as if it were in flight at the crash.
+	c.Net.Partition("head0", "compute0")
+	j, err := cli.Submit(pbs.SubmitRequest{WallTime: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "head0 to apply the start", func() bool {
+		got, err := c.Head(0).Daemon().Status(j.ID)
+		return err == nil && got.State == pbs.StateRunning
+	})
+	if n := totalExecutions(c); n != 0 {
+		t.Fatalf("executions = %d before the crash, want 0", n)
+	}
+	c.CrashHead(0)
+	waitFor(t, 20*time.Second, "the job to complete on the survivors", func() bool {
+		for _, i := range c.LiveHeads() {
+			got, err := c.Head(i).Daemon().Status(j.ID)
+			if err != nil || got.State != pbs.StateCompleted {
+				return false
+			}
+		}
+		return true
+	})
+	if n := totalExecutions(c); n != 1 {
+		t.Errorf("executions = %d, want 1", n)
+	}
+	if n := c.Head(1).Daemon().Stats().Adopted; n != 1 {
+		t.Errorf("head1 adopted %d jobs, want 1", n)
+	}
+	if a, b := c.Head(1).Daemon().Server().Snapshot(), c.Head(2).Daemon().Server().Snapshot(); !bytes.Equal(a, b) {
+		t.Errorf("head1's and head2's batch states differ (%d vs %d bytes)", len(a), len(b))
 	}
 }

@@ -119,6 +119,14 @@ func StartServer(cfg Config) (*Server, error) {
 
 	s := &Server{cfg: cfg, daemon: cfg.Daemon}
 	s.serveReadFn = s.serveRead
+	// Every head applies the same placements, and the view's sequencer
+	// alone relays them to the moms, as it alone answers a command
+	// whose origin has left. A head in no view yet — recovering its
+	// log, or joining — is not the sender.
+	cfg.Daemon.SetSender(func() bool {
+		rep := s.rep.Load()
+		return rep != nil && rep.View().Sequencer() == cfg.Self
+	})
 
 	rc := cfg.Config
 	rc.Service = newHeadService(cfg.Daemon)
@@ -270,6 +278,7 @@ func (s *Server) infoLocked() map[string]string {
 		return map[string]string{"head": string(s.cfg.Self), "mode": "starting"}
 	}
 	waiting, running, completed := s.daemon.Server().QueueLengths()
+	dst := s.daemon.Stats()
 	st := rep.Stats()
 	gst := rep.GroupStats()
 	view := rep.View()
@@ -317,6 +326,10 @@ func (s *Server) infoLocked() map[string]string {
 		"gcs_delivered":      fmt.Sprintf("%d", gst.Delivered),
 		"gcs_retransmits":    fmt.Sprintf("%d", gst.Retransmits),
 		"gcs_views":          fmt.Sprintf("%d", gst.Views),
+		"mom_sent":           fmt.Sprintf("%d", dst.Sent),
+		"mom_resent":         fmt.Sprintf("%d", dst.Resent),
+		"mom_acks":           fmt.Sprintf("%d", dst.Acks),
+		"mom_adopted":        fmt.Sprintf("%d", dst.Adopted),
 	}
 	// State transfers by direction and shape: base only (full), log
 	// suffix only (delta), or both (hybrid).

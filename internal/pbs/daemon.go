@@ -1,7 +1,9 @@
 package pbs
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"joshua/internal/transport"
@@ -15,29 +17,55 @@ import (
 // A standalone Daemon is a complete single-head batch system — the
 // baseline of the paper's evaluation. The JOSHUA server wraps a
 // Daemon per head node and routes the command interface through the
-// group communication system.
+// group communication system. Every head applies the same placements,
+// but only the one its sender rule names (SetSender: the view's
+// sequencer) relays them; the others drain their outbox unsent.
 type Daemon struct {
 	srv *Server
 	cfg DaemonConfig
+	// nodeOf maps each mom's address back to its node, to attribute
+	// the acks that arrive on the endpoint.
+	nodeOf map[transport.Addr]string
+	// sender is the rule installed by SetSender; nil always sends.
+	sender atomic.Pointer[func() bool]
 
 	mu sync.Mutex
-	// outstanding holds the start or kill of every job not yet
+	// outstanding holds, on the sender only, the start of every job
+	// some node has not acknowledged and the kill of every job not yet
 	// resolved by a completion, for retransmission over the lossy
 	// datagram transport. Each is encoded once, and a resend sends the
 	// same frame.
 	outstanding map[JobID]outstanding
+	// adopted reports that outstanding covers every launched job: the
+	// resend tick derived it from the server's state since this daemon
+	// last was not the sender, or last restored a snapshot.
+	adopted bool
 	// resends is the resend tick's scratch list (run goroutine only).
 	resends []outstanding
+	stats   daemonCounters
 	done    chan struct{}
 	once    sync.Once
 }
 
 // outstanding is one unresolved start or kill: the frame and the nodes
-// it goes to (the job's Nodes, never written in place).
+// it goes to. A start's nodes are those that have not acknowledged it,
+// a kill's are all the job's; the slice is never written in place.
 type outstanding struct {
 	frame    []byte
 	nodes    []string
 	lastSent time.Time
+}
+
+// DaemonStats counts a daemon's traffic with the moms.
+type DaemonStats struct {
+	Sent    uint64 // start and kill datagrams relayed once, adoptions included
+	Resent  uint64 // datagrams the resend tick sent again
+	Acks    uint64 // repeated starts the moms acknowledged
+	Adopted uint64 // launched jobs taken over on becoming the sender
+}
+
+type daemonCounters struct {
+	sent, resent, acks, adopted atomic.Uint64
 }
 
 // ApplyDone applies the completion that node reports for job id: a
@@ -66,8 +94,8 @@ func (d *Daemon) ApplyDone(id, node []byte, exitCode int, output []byte) error {
 
 // DaemonConfig parameterizes a Daemon.
 type DaemonConfig struct {
-	// Endpoint sends starts and kills to the moms, which answer
-	// nothing on it; the daemon owns and closes it.
+	// Endpoint sends starts and kills to the moms and receives their
+	// acks of repeated starts; the daemon owns and closes it.
 	Endpoint transport.Endpoint
 	// Moms maps compute-node names (Server Config.Nodes) to mom
 	// transport addresses.
@@ -88,11 +116,40 @@ func NewDaemon(srv *Server, cfg DaemonConfig) *Daemon {
 	d := &Daemon{
 		srv:         srv,
 		cfg:         cfg,
+		nodeOf:      make(map[transport.Addr]string, len(cfg.Moms)),
 		outstanding: make(map[JobID]outstanding),
 		done:        make(chan struct{}),
 	}
+	for node, addr := range cfg.Moms {
+		d.nodeOf[addr] = node
+	}
 	go d.run()
 	return d
+}
+
+// SetSender installs the rule that decides whether this daemon talks
+// to the moms. A daemon the rule refuses drains its server's actions
+// without sending them and keeps nothing to resend; one the rule
+// accepts relays them, and on the first resend tick after it became
+// the sender it adopts every launched job: it sends each Running job's
+// start and each Exiting job's kill once, then resends them like its
+// own. Nil, the default, always sends.
+func (d *Daemon) SetSender(rule func() bool) { d.sender.Store(&rule) }
+
+// isSender applies the sender rule.
+func (d *Daemon) isSender() bool {
+	rule := d.sender.Load()
+	return rule == nil || *rule == nil || (*rule)()
+}
+
+// Stats returns a snapshot of the daemon's counters.
+func (d *Daemon) Stats() DaemonStats {
+	return DaemonStats{
+		Sent:    d.stats.sent.Load(),
+		Resent:  d.stats.resent.Load(),
+		Acks:    d.stats.acks.Load(),
+		Adopted: d.stats.adopted.Load(),
+	}
 }
 
 // Server exposes the underlying state machine (status queries,
@@ -165,16 +222,16 @@ func (d *Daemon) StatusView(id []byte) (Job, error) { return d.srv.StatusView(id
 func (d *Daemon) StatusAll() []Job { return d.srv.StatusAll() }
 
 // Restore replaces server state from a snapshot (JOSHUA state
-// transfer for a joining head node). Outstanding requests are
-// dropped: running jobs were started by the established head nodes,
-// whose daemons keep retransmitting if needed; their completions reach
-// this daemon through ApplyDone like everyone else's.
+// transfer for a joining head node, or a restarted one's recovery).
+// The outstanding requests go with the old state; if this daemon is
+// the sender, its next resend tick adopts the restored launched jobs.
 func (d *Daemon) Restore(snapshot []byte) error {
 	if err := d.srv.Restore(snapshot); err != nil {
 		return err
 	}
 	d.mu.Lock()
-	d.outstanding = make(map[JobID]outstanding)
+	clear(d.outstanding)
+	d.adopted = false
 	d.mu.Unlock()
 	return nil
 }
@@ -187,49 +244,113 @@ func (d *Daemon) run() {
 		case <-d.done:
 			return
 		case <-tick.C:
-			d.resend()
+			d.tick()
+		case dg, ok := <-d.cfg.Endpoint.Recv():
+			if !ok {
+				return
+			}
+			d.onAck(dg)
 		}
 	}
 }
 
-// flush drains the server's action outbox onto the wire: each start
-// or kill is encoded once into the frame its resends reuse.
+// flush drains the server's action outbox. The sender puts it on the
+// wire, encoding each start or kill once into the frame its resends
+// reuse; any other daemon only drops it.
 func (d *Daemon) flush() {
 	acts := d.srv.TakeActions()
 	if acts == nil {
 		return
 	}
-	now := time.Now()
-	for _, a := range acts {
-		var (
-			j     *Job
-			frame []byte
-		)
-		switch act := a.(type) {
-		case StartAction:
-			j, frame = act.Job, encodeStart(act.Job)
-		case KillAction:
-			j, frame = act.Job, encodeKill(act.Job.ID)
+	if d.isSender() {
+		now := time.Now()
+		for _, a := range acts {
+			var (
+				j     *Job
+				frame []byte
+			)
+			switch act := a.(type) {
+			case StartAction:
+				j, frame = act.Job, encodeStart(act.Job)
+			case KillAction:
+				j, frame = act.Job, encodeKill(act.Job.ID)
+			}
+			o := outstanding{frame: frame, nodes: j.Nodes, lastSent: now}
+			d.mu.Lock()
+			d.outstanding[j.ID] = o
+			d.mu.Unlock()
+			d.stats.sent.Add(d.send(o))
 		}
-		o := outstanding{frame: frame, nodes: j.Nodes, lastSent: now}
-		d.mu.Lock()
-		d.outstanding[j.ID] = o
-		d.mu.Unlock()
-		d.send(o)
 	}
 	d.srv.recycleActions(acts)
 }
 
-// send transmits one frame to each of its nodes' moms.
-func (d *Daemon) send(o outstanding) {
+// send transmits one frame to each of its nodes' moms and returns how
+// many datagrams it sent.
+func (d *Daemon) send(o outstanding) uint64 {
+	var n uint64
 	for _, node := range o.nodes {
 		if addr, ok := d.cfg.Moms[node]; ok {
 			_ = d.cfg.Endpoint.Send(addr, o.frame)
+			n++
 		}
 	}
+	return n
 }
 
-// resend retransmits unresolved start/kill requests.
+// tick re-reads the sender rule. A daemon that is not the sender
+// forgets its outstanding requests; one that has just become it adopts
+// the launched jobs; the sender then resends what is due.
+func (d *Daemon) tick() {
+	if !d.isSender() {
+		d.mu.Lock()
+		clear(d.outstanding)
+		d.adopted = false
+		d.mu.Unlock()
+		return
+	}
+	d.adopt()
+	d.resend()
+}
+
+// adopt derives the outstanding set from the server's state, once per
+// spell as the sender: a start for every Running job and a kill for
+// every Exiting one, each sent once. A job this daemon relayed itself
+// since it became the sender is already outstanding and is left as it
+// is. The server's read lock is held while the set is filled, so a
+// completion applied concurrently either precedes the job's adoption
+// or removes it afterwards.
+func (d *Daemon) adopt() {
+	d.mu.Lock()
+	if d.adopted {
+		d.mu.Unlock()
+		return
+	}
+	d.adopted = true
+	now := time.Now()
+	due := d.resends[:0]
+	d.srv.eachLaunched(func(j *Job) {
+		if _, ok := d.outstanding[j.ID]; ok {
+			return
+		}
+		frame := encodeKill(j.ID)
+		if j.State == StateRunning {
+			frame = encodeStart(j)
+		}
+		o := outstanding{frame: frame, nodes: j.Nodes, lastSent: now}
+		d.outstanding[j.ID] = o
+		due = append(due, o)
+	})
+	d.mu.Unlock()
+	d.stats.adopted.Add(uint64(len(due)))
+	for _, o := range due {
+		d.stats.sent.Add(d.send(o))
+	}
+	clear(due)
+	d.resends = due
+}
+
+// resend retransmits the outstanding requests that are due.
 func (d *Daemon) resend() {
 	now := time.Now()
 	due := d.resends[:0]
@@ -244,8 +365,37 @@ func (d *Daemon) resend() {
 	}
 	d.mu.Unlock()
 	for _, o := range due {
-		d.send(o)
+		d.stats.resent.Add(d.send(o))
 	}
 	clear(due)
 	d.resends = due
+}
+
+// onAck takes one mom's acknowledgement of a repeated start: that node
+// need not hear the start again, and once every node of the job has
+// acked, the start is no longer outstanding. A kill is never acked; it
+// is resent until the job's completion.
+func (d *Daemon) onAck(dg transport.Message) {
+	id, ok := decodeStarted(dg.Payload)
+	node, known := d.nodeOf[dg.From]
+	if !ok || !known {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	o, ok := d.outstanding[JobID(id)]
+	if !ok || o.frame[0] != momKindStart {
+		return
+	}
+	i := slices.Index(o.nodes, node)
+	if i < 0 {
+		return
+	}
+	d.stats.acks.Add(1)
+	if len(o.nodes) == 1 {
+		delete(d.outstanding, JobID(id))
+		return
+	}
+	o.nodes = slices.Concat(o.nodes[:i:i], o.nodes[i+1:])
+	d.outstanding[JobID(id)] = o
 }

@@ -15,15 +15,23 @@ import (
 // nodes, simulates their execution, and hands each completion to its
 // Complete hook.
 //
-// Every head of a replicated group sends its own start request for a
-// job, all with the same node list. The first one this node receives
-// decides the job, and every later start for it, from any head, folds
-// onto that decision: the job's first node — PBS's mother superior —
-// executes it, and every other node of a multi-node job emulates the
-// start. So a job replicated on N heads executes exactly once with no
-// lock round: the placement the heads agree on is the launch grant.
+// One head of a replicated group, the view's sequencer, sends a job's
+// start, and resends it until this node acknowledges it; after a view
+// change the new sequencer sends it again, and two heads may briefly
+// both send. The first start this node receives decides the job, and
+// every later start for it, from any head, folds onto that decision:
+// the job's first node — PBS's mother superior — executes it, and
+// every other node of a multi-node job emulates the start. So a job
+// replicated on N heads executes exactly once with no lock round: the
+// placement the heads agree on is the launch grant. A repeated start
+// for a job still executing or emulated here is acked to its sender,
+// which then stops resending; the first start is not, so a job that
+// ends within one resend interval costs one datagram.
 type Mom struct {
 	cfg MomConfig
+	// ackBuf is the receive loop's scratch for encoding acks (the
+	// transport does not keep a payload after Send returns).
+	ackBuf []byte
 
 	mu         sync.Mutex
 	jobs       map[JobID]*momJob
@@ -155,7 +163,7 @@ func (m *Mom) run() {
 // handle dispatches one datagram from a head. Both kinds lead with
 // their kind byte and job ID, and a start for a job this node already
 // knows needs nothing else, so only the first start for a job decodes
-// (and copies) the rest.
+// (and copies) the rest; the ack of a repeat is encoded into ackBuf.
 func (m *Mom) handle(dg transport.Message) {
 	d := codec.NewDecoder(dg.Payload)
 	kind := d.Byte()
@@ -165,7 +173,7 @@ func (m *Mom) handle(dg transport.Message) {
 	}
 	switch kind {
 	case momKindStart:
-		m.onStart(id, dg.Payload)
+		m.onStart(id, dg)
 	case momKindKill:
 		m.onKill(id)
 	}
@@ -176,18 +184,24 @@ func (m *Mom) handle(dg transport.Message) {
 // m.jobs; execute replaces a finished job's entry under m.mu, but only
 // for a key already present, so the unlocked check-then-insert below
 // for an unknown ID cannot race it. A start for a known job, in any
-// state, folds onto the first and sends nothing: a finished job's
-// completion is already on its way to every head through the total
-// order. The first start decodes the job into one string and one node
-// slice; a sister node then keeps only the job ID.
-func (m *Mom) onStart(id, payload []byte) {
+// state, folds onto the first. It is acked to its sender while the job
+// executes or is emulated here; a finished job's repeat gets nothing,
+// as its completion is already on its way to every head through the
+// total order. The first start decodes the job into one string and
+// one node slice; a sister node then keeps only the job ID.
+func (m *Mom) onStart(id []byte, dg transport.Message) {
 	m.mu.Lock()
-	_, known := m.jobs[JobID(id)]
+	prev, known := m.jobs[JobID(id)]
+	finished := known && prev.state == momFinished
 	m.mu.Unlock()
 	if known {
+		if !finished {
+			m.ackBuf = appendStarted(m.ackBuf[:0], id)
+			_ = m.cfg.Endpoint.Send(dg.From, m.ackBuf)
+		}
 		return
 	}
-	job, ok := decodeStart(payload)
+	job, ok := decodeStart(dg.Payload)
 	if !ok {
 		return
 	}

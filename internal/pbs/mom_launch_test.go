@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,16 +22,20 @@ import (
 var launchHeads = []transport.Addr{"head0/pbs", "head1/pbs", "head2/pbs"}
 
 // stubEndpoint feeds the mom's receive loop by hand and records what
-// the mom sends.
+// the mom sends, unless discard is set.
 type stubEndpoint struct {
-	in   chan transport.Message
-	sent chan transport.Message
-	once sync.Once
+	in      chan transport.Message
+	sent    chan transport.Message
+	discard atomic.Bool
+	once    sync.Once
 }
 
 func (e *stubEndpoint) Addr() transport.Addr { return "compute0/mom" }
 
 func (e *stubEndpoint) Send(to transport.Addr, payload []byte) error {
+	if e.discard.Load() {
+		return nil
+	}
 	e.sent <- transport.Message{From: e.Addr(), To: to, Payload: bytes.Clone(payload)}
 	return nil
 }
@@ -133,8 +138,24 @@ func (r *launchRig) state() (st momState, ok bool) {
 	return 0, false
 }
 
-// noSends fails the test if the mom sent anything: it never answers a
-// head on the start/kill channel.
+// acks checks that the mom sent exactly one started frame for the job
+// to each of heads, in order, and nothing else.
+func (r *launchRig) acks(t *testing.T, heads ...transport.Addr) {
+	t.Helper()
+	for _, h := range heads {
+		select {
+		case m := <-r.ep.sent:
+			if id, ok := decodeStarted(m.Payload); !ok || JobID(id) != r.job.ID || m.To != h {
+				t.Errorf("the mom sent %q to %s, want the ack of %s to %s", m.Payload, m.To, r.job.ID, h)
+			}
+		default:
+			t.Errorf("no ack of %s to %s", r.job.ID, h)
+		}
+	}
+	r.noSends(t)
+}
+
+// noSends fails the test if the mom sent anything more.
 func (r *launchRig) noSends(t *testing.T) {
 	t.Helper()
 	select {
@@ -144,20 +165,23 @@ func (r *launchRig) noSends(t *testing.T) {
 	}
 }
 
-// TestStartsFoldOntoOnePrologue: every head's start arrives before the
-// job's completion returns, and one more after; the job executes once
-// and completes once. (The name is from when the fold ran a prologue;
-// the fold is the same, onto the first start's run.)
+// TestStartsFoldOntoOnePrologue: a start from each of three heads, as
+// across a view change, and a retransmission arrive while the job
+// runs, and one more after it ends; the job executes once and
+// completes once, and each repeat that came while it ran is acked to
+// its sender. (The name is from when the fold ran a prologue; the fold
+// is the same, onto the first start's run.)
 func TestStartsFoldOntoOnePrologue(t *testing.T) {
-	release := make(chan struct{})
-	c := newScriptedComplete(func() error { <-release; return nil })
+	c := newScriptedComplete(accept)
 	r := newLaunchRig(t, c)
+	r.job.WallTime = time.Hour
 	r.start(launchHeads[0])
 	r.start(launchHeads[1])
 	r.start(launchHeads[2])
 	r.start(launchHeads[0]) // the first head's own retransmission
 	r.sync()
-	close(release)
+	r.acks(t, launchHeads[1], launchHeads[2], launchHeads[0])
+	r.deliver(launchHeads[0], encodeKill(r.job.ID))
 	c.await(t)
 	r.start(launchHeads[1])
 	r.sync()
@@ -171,7 +195,8 @@ func TestStartsFoldOntoOnePrologue(t *testing.T) {
 }
 
 // TestSisterNodeEmulates: a node that is not the job's first emulates
-// every head's start, ignores the kill, and never completes the job.
+// the starts from every head, acks each repeat, ignores the kill, and never
+// completes the job.
 func TestSisterNodeEmulates(t *testing.T) {
 	c := newScriptedComplete(accept)
 	r := newLaunchRig(t, c)
@@ -193,7 +218,7 @@ func TestSisterNodeEmulates(t *testing.T) {
 	if ids := r.mom.RunningJobs(); len(ids) != 0 {
 		t.Errorf("RunningJobs = %v on a sister node, want none", ids)
 	}
-	r.noSends(t)
+	r.acks(t, launchHeads[1], launchHeads[2])
 }
 
 // TestStartAfterFinishSendsNothing: a head retransmitting its start
@@ -274,16 +299,17 @@ func TestCloseStopsCompletionRetry(t *testing.T) {
 
 // TestDuplicateStartAndAckAllocs: a start for a job already under way
 // is handled from the kind and the job ID alone, without copying the
-// job out of the datagram. (The done-ack it also measured is gone; the
-// name is kept.)
+// job out of the datagram, and acked from a reused buffer. The stub
+// discards the acks, so only the mom's own allocations count.
 func TestDuplicateStartAndAckAllocs(t *testing.T) {
 	r := newLaunchRig(t, newScriptedComplete(accept))
 	r.job.Nodes = []string{"compute1", "compute0"} // emulated: no run to race
 	r.start(launchHeads[0])
 	r.sync()
+	r.ep.discard.Store(true)
 	start := transport.Message{From: launchHeads[1], Payload: encodeStart(&r.job)}
 	// The receive loop is idle, so handling here races nothing.
 	if n := testing.AllocsPerRun(100, func() { r.mom.handle(start) }); n != 0 {
-		t.Errorf("duplicate start: %.1f allocations, want 0", n)
+		t.Errorf("duplicate start and ack: %.1f allocations, want 0", n)
 	}
 }

@@ -644,6 +644,24 @@ func (s *Server) TakeActions() []Action {
 	return a
 }
 
+// eachLaunched calls fn, under the read lock, on every job that holds
+// nodes: the Running and Exiting jobs, a multi-node job once per node.
+// It walks the allocation table in node order, so the waiting jobs of
+// a long queue cost nothing.
+func (s *Server) eachLaunched(fn func(*Job)) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, n := range s.cfg.Nodes {
+		if a := s.alloc[n]; a != nil {
+			for _, id := range a.jobs {
+				if j := s.jobs[id]; j != nil {
+					fn(j)
+				}
+			}
+		}
+	}
+}
+
 // recycleActions hands a drained outbox back for a later one to reuse.
 func (s *Server) recycleActions(a []Action) {
 	clear(a)

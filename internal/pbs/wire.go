@@ -1,18 +1,26 @@
 package pbs
 
-import "joshua/internal/codec"
+import (
+	"encoding/binary"
 
-// Server -> mom wire protocol. One datagram per message, tagged with
+	"joshua/internal/codec"
+)
+
+// Server <-> mom wire protocol. One datagram per message, tagged with
 // a kind byte, mirroring the TORQUE server/mom RPP protocol at the
-// granularity this reproduction needs: job start and job kill. A mom
-// answers nothing on this channel; its completion goes out through
-// MomConfig.Complete.
+// granularity this reproduction needs: job start and job kill from the
+// sending head, and the mom's ack of a repeated start. A mom answers a
+// start only when it repeats one for a job it is executing or
+// emulating, so a job that ends before its first resend costs its node
+// one datagram; the completion goes out through MomConfig.Complete.
 //
-//	start: kind, job ID, name, owner, script, walltime, nodes
-//	kill:  kind, job ID
+//	start:   kind, job ID, name, owner, script, walltime, nodes
+//	kill:    kind, job ID
+//	started: kind, job ID
 const (
 	momKindStart byte = iota + 1
 	momKindKill
+	momKindStarted
 )
 
 // encodeStart encodes the start of j. The daemon keeps the frame for
@@ -60,4 +68,24 @@ func decodeStart(payload []byte) (j Job, ok bool) {
 		Nodes:    d.StringSlice(),
 	}
 	return j, d.Finish() == nil
+}
+
+// appendStarted appends the ack of a repeated start for job id to b,
+// the ID laid out as codec's PutString, without an Encoder, so the mom
+// can reuse one buffer.
+func appendStarted(b, id []byte) []byte {
+	b = append(b, momKindStarted)
+	b = binary.AppendUvarint(b, uint64(len(id)))
+	return append(b, id...)
+}
+
+// decodeStarted returns the job ID of a started frame, a view into
+// payload; ok is false for anything else.
+func decodeStarted(payload []byte) (id []byte, ok bool) {
+	d := codec.NewDecoder(payload)
+	if d.Byte() != momKindStarted {
+		return nil, false
+	}
+	id = d.Bytes()
+	return id, d.Finish() == nil
 }
