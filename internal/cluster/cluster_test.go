@@ -231,6 +231,82 @@ func TestHeadFailureContinuousAvailability(t *testing.T) {
 	}
 }
 
+// TestSequencerCrashExpelledWithinHeartbeat: with writes running, the
+// crashed sequencer's connections drop at every survivor at once, so
+// the survivors agree it is gone and install the view without it
+// within one heartbeat, and no write is lost or applied twice.
+func TestSequencerCrashExpelledWithinHeartbeat(t *testing.T) {
+	const heartbeat = 200 * time.Millisecond
+	opts := testOptions(3, 1)
+	opts.TuneGCS = func(c *gcs.Config) { c.Heartbeat = heartbeat } // the rest scale with it
+	c := newCluster(t, opts)
+	cli, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var acked int
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if _, err := cli.Submit(pbs.SubmitRequest{Name: fmt.Sprintf("w%d", acked), Hold: true}); err != nil {
+				done <- err
+				return
+			}
+			acked++
+		}
+	}()
+	time.Sleep(100 * time.Millisecond)
+
+	old := c.Head(1).View()
+	seq := old.Sequencer()
+	var victim int
+	fmt.Sscanf(string(seq), "head%d", &victim)
+	t0 := time.Now()
+	c.CrashHead(victim)
+	for {
+		installed := true
+		for _, i := range c.LiveHeads() {
+			if v := c.Head(i).View(); v.ID <= old.ID || v.Includes(seq) {
+				installed = false
+			}
+		}
+		if installed {
+			break
+		}
+		if time.Since(t0) > 10*time.Second {
+			t.Fatal("survivors never installed a view without the crashed sequencer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if took := time.Since(t0); took >= heartbeat {
+		t.Errorf("view without the crashed sequencer after %v, want within one Heartbeat = %v", took, heartbeat)
+	} else {
+		t.Logf("crash to view without %s: %v", seq, took)
+	}
+
+	time.Sleep(100 * time.Millisecond)
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatalf("write during the failover: %v", err)
+	}
+	waitFor(t, 10*time.Second, "every acked write held on every survivor", func() bool {
+		for _, i := range c.LiveHeads() {
+			if held, _, _ := c.Head(i).Daemon().Server().QueueLengths(); held != acked {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 func TestMultipleSimultaneousHeadFailures(t *testing.T) {
 	c := newCluster(t, testOptions(4, 1))
 	cli, _ := c.Client()

@@ -56,7 +56,12 @@ func (r *recorder) to(addr transport.Addr) []*message {
 // wiredProcess is a safeProcess of the view {a, b, c} ("a" sequences)
 // whose sends land in a recorder.
 func wiredProcess(self MemberID) (*Process, *recorder) {
-	members := []MemberID{"a", "b", "c"}
+	return wiredView(self, []MemberID{"a", "b", "c"})
+}
+
+// wiredView is wiredProcess for any view; each member's address is its
+// ID.
+func wiredView(self MemberID, members []MemberID) (*Process, *recorder) {
 	p := safeProcess(self, members)
 	rec := &recorder{}
 	p.ep = rec

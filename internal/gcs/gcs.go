@@ -192,14 +192,21 @@ type Config struct {
 	TransferChunk int
 
 	// Heartbeat is the failure-detector probe interval.
-	// Default 25ms.
+	// Default 25ms. It bounds detection only where no connection-loss
+	// hint is corroborated (see FailTimeout): a crash that every
+	// survivor's transport sees is detected within a hop or two, not a
+	// heartbeat.
 	Heartbeat time.Duration
 	// FailTimeout is how long a member may be silent before it is
 	// suspected. Default 8×Heartbeat. A member the transport reports a
-	// lost connection to (transport.Message.Lost) is suspected sooner:
-	// once it has then been silent for 2×Heartbeat, so a killed process
-	// is excluded in about two heartbeats while a cut cable, which
-	// raises no hint, still waits out FailTimeout.
+	// lost connection to (transport.Message.Lost) is suspected sooner.
+	// When every other unsuspected member of a view of three or more
+	// reports a hint of its own for it, each newer than its last frame,
+	// it is suspected at once: only a process exit resets every
+	// survivor's connection together. A lone hint, as in a two-member
+	// view or during a flush, gets it suspected once it has then been
+	// silent for 2×Heartbeat. A cut cable raises no hint and still
+	// waits out FailTimeout.
 	FailTimeout time.Duration
 	// ResendInterval is how long a sender waits for its own message
 	// to come back sequenced before retransmitting the request, and
@@ -361,8 +368,11 @@ type Process struct {
 	// failure detection. lostAt records when the transport last hinted
 	// that a member's connection was lost; the hint stands until a
 	// frame from the member moves lastHeard past it (see onTick).
+	// lostBy[m][r] records when member r's report of its own hint for m
+	// (kindLost) arrived, and stands the same way (see checkLost).
 	lastHeard map[MemberID]time.Time
 	lostAt    map[MemberID]time.Time
+	lostBy    map[MemberID]map[MemberID]time.Time
 	suspected map[MemberID]bool
 	joiners   map[MemberID]bool
 	leavers   map[MemberID]bool
@@ -467,6 +477,7 @@ func Start(cfg Config) (*Process, error) {
 		window:    make(chan struct{}, cfg.Window),
 		lastHeard: make(map[MemberID]time.Time),
 		lostAt:    make(map[MemberID]time.Time),
+		lostBy:    make(map[MemberID]map[MemberID]time.Time),
 		suspected: make(map[MemberID]bool),
 		joiners:   make(map[MemberID]bool),
 		joinSince: make(map[MemberID]uint64),
@@ -547,6 +558,9 @@ type Stats struct {
 	LeaseGrants      uint64 // read-lease grant rounds issued (sequencer role)
 	LeaseRevocations uint64 // read leases revoked (flush entry, view change)
 	HintSuspicions   uint64 // members suspected on a connection-loss hint before FailTimeout
+	// CorroboratedSuspicions counts the HintSuspicions made at once
+	// because every other member reported a hint of its own.
+	CorroboratedSuspicions uint64
 }
 
 // Stats returns a snapshot of the protocol counters.
@@ -909,11 +923,11 @@ func (p *Process) flushAck() {
 // return; the membership kinds get a fresh message, which their
 // handlers may keep (flush states, the cached NEWVIEW). Payloads alias
 // the datagram, which the transport hands over (transport.Message). A
-// connection-loss hint only records when it arrived (see onTick).
+// connection-loss hint goes to onHint.
 func (p *Process) handleDatagram(dg transport.Message) {
 	if dg.Lost {
 		if m, ok := p.byAddr[dg.From]; ok && m != p.cfg.Self {
-			p.lostAt[m] = time.Now()
+			p.onHint(m)
 		}
 		return
 	}
@@ -961,7 +975,88 @@ func (p *Process) handleDatagram(dg transport.Message) {
 		p.onBatch(m)
 	case kindReqBatch:
 		p.onReqBatch(m)
+	case kindLost:
+		p.onLost(m)
 	}
+}
+
+// onHint records a connection-loss hint for m, which onTick weighs
+// against m's silence. In normal operation a hint about another member
+// of the view is also reported to the view, so that the members can
+// corroborate it (checkLost); a further hint while one stands (a
+// transport may lose two connections to m) is not reported again.
+func (p *Process) onHint(m MemberID) {
+	standing := p.lostAt[m].After(p.lastHeard[m])
+	p.lostAt[m] = time.Now()
+	if standing || p.st != statusNormal || !p.view.Includes(m) {
+		return
+	}
+	p.sendToMembers(&message{Kind: kindLost, From: p.cfg.Self, ViewID: p.view.ID, Suspects: []MemberID{m}})
+	p.checkLost(m)
+}
+
+// onLost records a member's report of its own hint. Reports from
+// another view or from a non-member are void, so an old view's report
+// or an old incarnation's can never corroborate. A report naming this
+// member is answered with a heartbeat at once: a live member's frame
+// reaches the others before they can corroborate the hint.
+func (p *Process) onLost(m *message) {
+	if m.ViewID != p.view.ID || p.st == statusJoining || !p.view.Includes(m.From) {
+		return
+	}
+	for _, s := range m.Suspects {
+		switch {
+		case s == p.cfg.Self:
+			hb := p.heartbeat()
+			p.sendToMembers(&hb)
+		case p.view.Includes(s):
+			by := p.lostBy[s]
+			if by == nil {
+				by = make(map[MemberID]time.Time)
+				p.lostBy[s] = by
+			}
+			by[m.From] = time.Now()
+			p.checkLost(s)
+		}
+	}
+}
+
+// checkLost suspects m at once when its loss hint is corroborated:
+// this member holds a hint for m, and so does every other unsuspected
+// member of the view, each newer than m's last frame here. A dead
+// process's kernel resets all of its connections at the same moment;
+// a live member that redials breaks one, and a partition raises no
+// hint at all. At least one other member must corroborate, so a
+// two-member view, like a lone hint or a flush in progress, keeps
+// onTick's rules.
+func (p *Process) checkLost(m MemberID) {
+	if p.st != statusNormal || p.suspected[m] {
+		return
+	}
+	last := p.lastHeard[m]
+	if !p.lostAt[m].After(last) {
+		return
+	}
+	others := 0
+	for _, r := range p.view.Members {
+		if r == p.cfg.Self || r == m || p.suspected[r] {
+			continue
+		}
+		if !p.lostBy[m][r].After(last) {
+			return
+		}
+		others++
+	}
+	if others == 0 {
+		return
+	}
+	p.suspected[m] = true
+	p.logf("suspecting [%s] (a connection-loss hint every member corroborated)", m)
+	p.bumpStat(func(st *Stats) {
+		st.HintSuspicions++
+		st.CorroboratedSuspicions++
+	})
+	p.shareSuspicions()
 }
 
 // heartbeat builds the frame sent to every view member each tick. It
@@ -1004,7 +1099,8 @@ func (p *Process) onTick() {
 
 	// Failure detection: silence beyond FailTimeout, or beyond two
 	// heartbeats once the transport hinted that the connection was lost
-	// and nothing has been heard since.
+	// and nothing has been heard since. A corroborated hint needs no
+	// tick: checkLost acts on it as the reports arrive.
 	var newlySuspected []MemberID
 	hinted := 0
 	for _, m := range p.view.Members {
@@ -1437,6 +1533,25 @@ func (p *Process) installView(v View) {
 	now := time.Now()
 	for _, m := range v.Members {
 		p.lastHeard[m] = now
+	}
+	// Loss hints and reports about members that left, or reported by
+	// them, are dropped: the maps stay bounded by the view, and a
+	// departed member's rejoined incarnation starts clean.
+	for m := range p.lostAt {
+		if !v.Includes(m) {
+			delete(p.lostAt, m)
+		}
+	}
+	for m, by := range p.lostBy {
+		if !v.Includes(m) {
+			delete(p.lostBy, m)
+			continue
+		}
+		for r := range by {
+			if !v.Includes(r) {
+				delete(by, r)
+			}
+		}
 	}
 
 	// The snapshot gets its own Members slice: View hands it out as is,

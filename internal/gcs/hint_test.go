@@ -1,6 +1,7 @@
 package gcs
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -213,4 +214,195 @@ func TestMajorityHintWaitsLeaseFence(t *testing.T) {
 		t.Errorf("HintSuspicions = %d, want >= 1", n)
 	}
 	t.Logf("crash to view without it: %v (lease %v)", took, lease)
+}
+
+// TestCorroboratedHintExpelsWithinOneHeartbeat: when every survivor's
+// transport hints that the crashed member's connection is gone, the
+// member is suspected as the reports arrive, so the view without it
+// comes within one heartbeat. The two-heartbeat rule alone needs more
+// than one heartbeat of silence before it even suspects.
+func TestCorroboratedHintExpelsWithinOneHeartbeat(t *testing.T) {
+	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
+	defer net.Close()
+	const heartbeat = 200 * time.Millisecond
+	obs := group(t, net, 3, func(_ int, c *Config) {
+		hintTimings(c)
+		c.Heartbeat = heartbeat
+		c.FailTimeout = 5 * time.Second
+	})
+	waitThreeMembers(t, obs)
+
+	t0 := time.Now()
+	net.CrashHost("host2")
+	obs[2].p.Close()
+	took := waitExcluded(t, obs[:2], "m2", t0, 10*time.Second)
+	if took >= heartbeat {
+		t.Errorf("crashed member excluded after %v, want under one Heartbeat = %v", took, heartbeat)
+	}
+	var n uint64
+	for _, o := range obs[:2] {
+		n += o.p.Stats().CorroboratedSuspicions
+	}
+	if n < 1 {
+		t.Errorf("CorroboratedSuspicions = %d, want >= 1", n)
+	}
+	t.Logf("crash to view without it: %v", took)
+}
+
+// TestTwoMemberViewKeepsHeartbeatRule: with no other member to
+// corroborate it, a hint gets the crashed member suspected only after
+// two heartbeats of silence. m1 heartbeats every 10 ms, so its last
+// frame precedes the crash by no more than that; the rule under test
+// runs on m0's own 200 ms Heartbeat.
+func TestTwoMemberViewKeepsHeartbeatRule(t *testing.T) {
+	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
+	defer net.Close()
+	const heartbeat = 200 * time.Millisecond
+	obs := group(t, net, 2, func(i int, c *Config) {
+		hintTimings(c)
+		c.FailTimeout = 5 * time.Second
+		if i == 0 {
+			c.Heartbeat = heartbeat
+		}
+	})
+	waitFor(t, 5*time.Second, "two-member view", func() bool {
+		for _, o := range obs {
+			if v, ok := o.lastView(); !ok || len(v.Members) != 2 {
+				return false
+			}
+		}
+		return true
+	})
+
+	t0 := time.Now()
+	net.CrashHost("host1")
+	obs[1].p.Close()
+	took := waitExcluded(t, obs[:1], "m1", t0, 10*time.Second)
+	if limit := 3 * heartbeat / 2; took < limit {
+		t.Errorf("crashed member excluded after %v, want at least 1.5 × Heartbeat = %v", took, limit)
+	}
+	if took >= time.Second {
+		t.Errorf("crashed member excluded after %v, not on its hint", took)
+	}
+	if n := obs[0].p.Stats().CorroboratedSuspicions; n != 0 {
+		t.Errorf("CorroboratedSuspicions = %d, want 0", n)
+	}
+	t.Logf("crash to view without it: %v", took)
+}
+
+// lostProcess is a loop-less member "d" of the view {a, b, c, d}
+// ("a" sequences and coordinates) whose sends land in a recorder.
+func lostProcess() (*Process, *recorder) {
+	p, rec := wiredView("d", []MemberID{"a", "b", "c", "d"})
+	p.lostAt = make(map[MemberID]time.Time)
+	p.lostBy = make(map[MemberID]map[MemberID]time.Time)
+	return p, rec
+}
+
+// lostReport is member from's kindLost naming who, in view viewID.
+func lostReport(from, who MemberID, viewID uint64) transport.Message {
+	m := &message{Kind: kindLost, From: from, ViewID: viewID, Suspects: []MemberID{who}}
+	return transport.Message{From: transport.Addr(from), Payload: m.encode()}
+}
+
+// kinds lists the kinds of the frames rec holds for addr.
+func kinds(rec *recorder, addr transport.Addr) []byte {
+	var ks []byte
+	for _, m := range rec.to(addr) {
+		ks = append(ks, m.Kind)
+	}
+	return ks
+}
+
+// TestLostReportNamingSelfSendsHeartbeat: a member named in a peer's
+// loss report heartbeats to the whole view at once, and reports from
+// another view or from a non-member are ignored.
+func TestLostReportNamingSelfSendsHeartbeat(t *testing.T) {
+	p, rec := lostProcess()
+	p.handleDatagram(lostReport("a", "d", p.view.ID+1))
+	p.handleDatagram(lostReport("z", "d", p.view.ID))
+	if len(rec.sent) != 0 {
+		t.Fatalf("void reports answered with %d frames", len(rec.sent))
+	}
+	p.handleDatagram(lostReport("a", "d", p.view.ID))
+	for _, m := range []transport.Addr{"a", "b", "c"} {
+		if got := kinds(rec, m); !slices.Equal(got, []byte{kindHeartbeat}) {
+			t.Errorf("frames to %s = %v, want one heartbeat", m, got)
+		}
+	}
+	if len(p.lostBy) != 0 || p.suspected["d"] {
+		t.Errorf("a report naming self recorded %v, suspected %v", p.lostBy, p.suspected)
+	}
+}
+
+// TestLostReportsCorroborate: a standing hint is reported once, and it
+// suspects at once only with a report from every other unsuspected
+// member, each newer than the member's last frame; void reports never
+// count, and a view install forgets every entry about or by a departed
+// member.
+func TestLostReportsCorroborate(t *testing.T) {
+	p, rec := lostProcess()
+	p.onHint("b")
+	p.onHint("b") // a second connection to b drops: reported once
+	for _, m := range []transport.Addr{"a", "b", "c"} {
+		if got := kinds(rec, m); !slices.Equal(got, []byte{kindLost}) {
+			t.Errorf("frames to %s = %v, want one loss report", m, got)
+		}
+	}
+	p.handleDatagram(lostReport("a", "b", p.view.ID))
+	p.handleDatagram(lostReport("c", "b", p.view.ID+1)) // another view's
+	p.handleDatagram(lostReport("z", "b", p.view.ID))   // a non-member's
+	if p.suspected["b"] {
+		t.Fatal("b suspected without c's report")
+	}
+	p.handleDatagram(lostReport("c", "b", p.view.ID))
+	if !p.suspected["b"] || p.Stats().CorroboratedSuspicions != 1 {
+		t.Fatalf("b not suspected on corroborated hint (suspected %v)", p.suspected)
+	}
+
+	// A frame from the member outdates every hint and report before it.
+	p, _ = lostProcess()
+	p.onHint("b")
+	p.handleDatagram(lostReport("a", "b", p.view.ID))
+	hb := &message{Kind: kindHeartbeat, From: "b", ViewID: p.view.ID}
+	p.handleDatagram(transport.Message{From: "b", Payload: hb.encode()})
+	time.Sleep(time.Millisecond) // later stamps differ from the frame's
+	p.handleDatagram(lostReport("c", "b", p.view.ID))
+	if p.suspected["b"] {
+		t.Error("b suspected on a hint older than its last frame")
+	}
+	p.onHint("b")
+	if p.suspected["b"] {
+		t.Error("b suspected on a report older than its last frame")
+	}
+	p.handleDatagram(lostReport("a", "b", p.view.ID))
+	if !p.suspected["b"] {
+		t.Error("b not suspected once every hint is newer than its last frame")
+	}
+
+	// A suspected member's report is not needed.
+	p, _ = lostProcess()
+	p.suspected["c"] = true
+	p.onHint("b")
+	p.handleDatagram(lostReport("a", "b", p.view.ID))
+	if !p.suspected["b"] {
+		t.Error("b not suspected with every unsuspected member's report")
+	}
+
+	// A view install drops what is about or by a departed member.
+	p, _ = lostProcess()
+	p.onHint("b")
+	p.onHint("c")
+	p.handleDatagram(lostReport("b", "c", p.view.ID))
+	p.handleDatagram(lostReport("a", "c", p.view.ID))
+	p.installView(View{ID: p.view.ID + 1, Members: []MemberID{"a", "c", "d"}})
+	if _, ok := p.lostAt["b"]; ok {
+		t.Error("hint for departed b kept")
+	}
+	if _, ok := p.lostBy["c"]["b"]; ok {
+		t.Error("departed b's report kept")
+	}
+	if _, ok := p.lostBy["c"]["a"]; !ok {
+		t.Error("member a's report dropped")
+	}
 }

@@ -26,6 +26,7 @@ const (
 	kindStateSnap       // coordinator -> joiner: state transfer before first view
 	kindBatch           // sequencer -> all: several sequenced messages in one frame
 	kindReqBatch        // sender -> sequencer: several ordering requests + piggybacked ack
+	kindLost            // member -> all: the transport hinted a lost connection to these members
 )
 
 // membershipKind reports whether a kind belongs to membership and view
@@ -72,7 +73,7 @@ type message struct {
 	// kindStable
 	Stable uint64
 
-	// kindSuspect
+	// kindSuspect, kindLost
 	Suspects []MemberID
 
 	// kindPropose, kindNewView
@@ -261,7 +262,7 @@ func (m *message) marshal(e *codec.Encoder) {
 		e.PutUint(m.Received)
 	case kindStable:
 		e.PutUint(m.Stable)
-	case kindSuspect:
+	case kindSuspect, kindLost:
 		putMembers(e, m.Suspects)
 	case kindPropose:
 		putMembers(e, m.Members)
@@ -352,7 +353,7 @@ func (m *message) decode(b []byte, ids map[string]MemberID) error {
 		m.Received = d.Uint()
 	case kindStable:
 		m.Stable = d.Uint()
-	case kindSuspect:
+	case kindSuspect, kindLost:
 		m.Suspects = getMembers(d, ids)
 	case kindPropose:
 		m.Members = getMembers(d, ids)

@@ -22,6 +22,7 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		{Kind: kindAck, From: "c", ViewID: 2, Delivered: 42},
 		{Kind: kindStable, From: "a", ViewID: 2, Stable: 40},
 		{Kind: kindSuspect, From: "a", ViewID: 2, Suspects: []MemberID{"b", "c"}},
+		{Kind: kindLost, From: "b", ViewID: 2, Suspects: []MemberID{"c"}},
 		{Kind: kindPropose, From: "a", ViewID: 2, Attempt: 3, Members: []MemberID{"a", "c"}},
 		{
 			Kind: kindFlushState, From: "c", ViewID: 2, Attempt: 3,

@@ -78,10 +78,11 @@ type headSet struct {
 	// has named it (see waiter), else the last head that answered one.
 	preferred int
 	// healthy marks which heads have been answering: down on a send
-	// error or attempt timeout, up on any reply. Reads rotate over
-	// healthy heads only, the failover walk visits down-marked heads
-	// last, and the background prober (ClientConfig.RedeemAfter)
-	// re-probes them so a recovered head rejoins the read rotation.
+	// error, an attempt timeout or a connection-loss hint, up on any
+	// reply. Reads rotate over healthy heads only, the failover walk
+	// visits down-marked heads last, and the background prober
+	// (ClientConfig.RedeemAfter) re-probes them so a recovered head
+	// rejoins the read rotation.
 	healthy []bool
 	// minEpoch is the highest batch-state version this client has
 	// observed from the shard — raised by both reads and acked
@@ -98,14 +99,15 @@ type headSet struct {
 // (rsm's output rule), so a reply from a head the request was never
 // sent to names the sequencer.
 //
-// A waiter, with its channel and its attempt timer, is recycled once
+// A waiter, with its channels and its attempt timer, is recycled once
 // its call has retired it (unregister): by then it is out of the
 // waiters map, so the receive loop cannot reach it, and retire drains
-// whatever reply reached it late (a hedged duplicate, the sequencer's
-// trailing copy, an answer after the attempt timeout).
+// whatever reached it late (a hedged duplicate, the sequencer's
+// trailing copy, an answer after the attempt timeout, a loss hint).
 type waiter struct {
 	reqID    string
 	ch       chan *rpcResponse
+	lost     chan int    // index of a head the call was sent to whose connection was lost
 	timer    *time.Timer // the call's attempt timer; stopped when idle
 	hs       *headSet
 	sent     uint64 // bit i: sent to hs.addrs[i]
@@ -134,7 +136,8 @@ type ClientConfig struct {
 	ShardNodes [][]string
 	// AttemptTimeout bounds one head's answer before the client marks
 	// it down and moves to the next head. A mutation is also hedged to
-	// the next head after AttemptTimeout/16. Default 1s.
+	// the next head after AttemptTimeout/16, or at once when the
+	// transport reports the connection to its head lost. Default 1s.
 	AttemptTimeout time.Duration
 	// Rounds is how many times the full head list is tried before
 	// giving up. Default 3.
@@ -258,9 +261,14 @@ func (c *Client) Close() {
 }
 
 // recvLoop decodes each reply into a recycled response and hands it to
-// its waiter; a reply nobody takes goes straight back.
+// its waiter; a reply nobody takes goes straight back. A
+// connection-loss hint goes to headLost.
 func (c *Client) recvLoop() {
 	for dg := range c.ep.Recv() {
+		if dg.Lost {
+			c.headLost(dg.From)
+			continue
+		}
 		resp := getResponse()
 		if decodeResponse(dg.Payload, resp) != nil {
 			releaseResponse(resp)
@@ -278,6 +286,44 @@ func (c *Client) recvLoop() {
 		c.mu.Unlock()
 		if resp != nil {
 			releaseResponse(resp)
+		}
+	}
+}
+
+// headLost acts on a connection-loss hint for a head, as its crash
+// raises: the head is marked down, mutations move to the next healthy
+// head, and every unanswered call that was sent to it is told, so that
+// it hedges or moves on now rather than when its timer fires (see
+// callReq). A live head the hint wronged is revived by its next reply
+// or by the prober.
+func (c *Client) headLost(from transport.Addr) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, hs := range c.shards {
+		idx := slices.Index(hs.addrs, from)
+		if idx < 0 {
+			continue
+		}
+		hs.healthy[idx] = false
+		if hs.preferred == idx {
+			n := len(hs.addrs)
+			hs.preferred = (idx + 1) % n
+			for j := 1; j < n; j++ {
+				if k := (idx + j) % n; hs.healthy[k] {
+					hs.preferred = k
+					break
+				}
+			}
+		}
+	}
+	for _, w := range c.waiters {
+		idx := slices.Index(w.hs.addrs, from)
+		if idx < 0 || w.sent&(1<<idx) == 0 || w.answered {
+			continue
+		}
+		select {
+		case w.lost <- idx:
+		default: // the call has yet to take an earlier one
 		}
 	}
 }
@@ -318,10 +364,10 @@ func (c *Client) register(reqID string, hs *headSet, mutating bool) (*waiter, er
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
 	} else {
-		w = &waiter{ch: make(chan *rpcResponse, 1), timer: time.NewTimer(time.Hour)}
+		w = &waiter{ch: make(chan *rpcResponse, 1), lost: make(chan int, 1), timer: time.NewTimer(time.Hour)}
 		w.timer.Stop()
 	}
-	*w = waiter{reqID: reqID, ch: w.ch, timer: w.timer, hs: hs, mutating: mutating}
+	*w = waiter{reqID: reqID, ch: w.ch, lost: w.lost, timer: w.timer, hs: hs, mutating: mutating}
 	c.waiters[reqID] = w
 	return w, nil
 }
@@ -356,7 +402,11 @@ func (c *Client) retireLocked(w *waiter) {
 		releaseResponse(resp)
 	default:
 	}
-	*w = waiter{ch: w.ch, timer: w.timer}
+	select {
+	case <-w.lost:
+	default:
+	}
+	*w = waiter{ch: w.ch, lost: w.lost, timer: w.timer}
 	c.free = append(c.free, w)
 }
 
@@ -436,11 +486,15 @@ func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
 	// sixteenth of the attempt timeout is hedged: the same payload, whose
 	// ReqID keeps it exactly-once, goes to the next head while the call
 	// keeps waiting on the first; only the full timeout marks the silent
-	// head down. The short delay matters when the sequencer crashes after
-	// the survivors applied a write it intercepted but before it replied:
-	// the hedge fetches that answer from a survivor's dedup table at the
-	// start of the outage rather than in its middle.
+	// head down. The hedge matters when the sequencer crashes after the
+	// survivors applied a write it intercepted but before it replied: it
+	// fetches that answer from a survivor's dedup table. A loss hint for
+	// the head an attempt waits on (headLost) sends the hedge at once,
+	// and moves a call that has no hedge to the next head; survivors
+	// expel a crashed head within milliseconds, so even the short delay
+	// would be most of the outage.
 	n := len(hs.addrs)
+	hedges := !readOnly && n > 1
 	var tried uint64
 	var lastErr error
 	replies := 0
@@ -455,7 +509,7 @@ func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
 			lastErr = err
 			continue
 		}
-		wait, hedge := c.cfg.AttemptTimeout, !readOnly && n > 1
+		wait, hedge := c.cfg.AttemptTimeout, hedges
 		if hedge {
 			wait /= 16
 		}
@@ -478,14 +532,22 @@ func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
 					c.markHealth(hs, idx, false) // silent: try the next head
 					break await
 				}
-				hedge = false
-				if err := c.send(w, c.nextHead(hs, start, &tried), payload); err != nil {
-					lastErr = err
+			case h := <-w.lost:
+				switch {
+				case h != idx || n == 1 || (hedges && !hedge):
+					continue // not this attempt's head, no other head, or hedged already
+				case !hedge:
+					break await // headLost marked it down: try the next head
 				}
-				timer.Reset(c.cfg.AttemptTimeout - wait)
 			case <-c.done:
 				return nil, ErrClosed
 			}
+			// The hedge is due.
+			hedge = false
+			if err := c.send(w, c.nextHead(hs, start, &tried), payload); err != nil {
+				lastErr = err
+			}
+			timer.Reset(c.cfg.AttemptTimeout - wait)
 		}
 	}
 	if replies == 0 {

@@ -541,3 +541,45 @@ func TestMintReqIDMatchesSprintf(t *testing.T) {
 		t.Errorf("mintReqID: %v allocs, want <= 1", allocs)
 	}
 }
+
+// TestLostHintReroutesInFlightWrite: a connection-loss hint for the
+// head a write waits on sends the write's hedge at once instead of
+// after AttemptTimeout/16, marks the head down, and moves later writes
+// to the next head.
+func TestLostHintReroutesInFlightWrite(t *testing.T) {
+	var ep *scriptedEndpoint
+	ep = newScriptedEndpoint(func(to transport.Addr, _ *rpcRequest) *rpcResponse {
+		if to == clientAddr(0) {
+			// The head dies before it answers; its closed socket is
+			// the hint.
+			ep.recv <- transport.Message{From: to, To: ep.Addr(), Lost: true}
+			return nil
+		}
+		return &rpcResponse{OK: true}
+	})
+	cli, err := NewClient(ClientConfig{
+		Endpoint:       ep,
+		Heads:          []transport.Addr{clientAddr(0), clientAddr(1), clientAddr(2)},
+		AttemptTimeout: 8 * time.Second, // hedge after 500 ms
+		RedeemAfter:    -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	t0 := time.Now()
+	if _, err := cli.Delete("1.cluster"); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(t0); took >= 100*time.Millisecond {
+		t.Errorf("write returned after %v, want well under the 500 ms hedge delay", took)
+	}
+	ep.resetSends()
+	if _, err := cli.Delete("2.cluster"); err != nil {
+		t.Fatal(err)
+	}
+	if s := ep.sent(); len(s) != 1 || s[0].to != clientAddr(1) {
+		t.Errorf("next write sent %v, want it to start at the next head %s", s, clientAddr(1))
+	}
+}
