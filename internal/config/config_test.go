@@ -316,6 +316,7 @@ func TestClusterRejectsUnknownKeys(t *testing.T) {
 		"server_name = x\napply_concurency = 4\n" + head:             "line 2:",
 		head + "[options]\nexclusive = true\napply_concurency = 4\n": "line 7:",
 		head + "[options]\nsync-policy = always\n":                   "line 6:",
+		"checkpoint_compress = true\n" + head:                        "line 1:",
 	} {
 		f, err := Parse(strings.NewReader(input))
 		if err != nil {

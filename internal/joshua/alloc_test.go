@@ -76,10 +76,10 @@ func leaseRig(t testing.TB) (*Server, []byte) {
 // measured operation.
 func leasedServe(t testing.TB, s *Server, payload []byte) {
 	cls := s.classify(payload)
-	if cls.Verdict != rsm.Reply || cls.RespondEnc == nil {
+	if cls.Verdict != rsm.Reply || cls.Respond == nil {
 		t.Fatal("ordered read fell back to broadcast: lease lost mid-measurement")
 	}
-	enc := cls.RespondEnc(payload)
+	enc := cls.Respond(payload)
 	if enc == nil {
 		t.Fatal("read handler returned no encoder")
 	}
@@ -118,17 +118,17 @@ func TestStatServeAllocs(t *testing.T) {
 	payload := (&rpcRequest{ReqID: "user/raw#stat", Op: OpStat, Args: cmdArgs{JobID: "1.cluster"}}).encode()
 	// Check the reply once, which also warms the encoder pool.
 	cls := s.classify(payload)
-	if cls.Verdict != rsm.Reply || cls.RespondEnc == nil {
+	if cls.Verdict != rsm.Reply || cls.Respond == nil {
 		t.Fatal("jstat <id> not classified as a local read")
 	}
-	enc := cls.RespondEnc(payload)
+	enc := cls.Respond(payload)
 	if _, resp, err := decodeRPC(enc.Bytes()); err != nil || !resp.OK || len(resp.Jobs) != 1 {
 		t.Fatalf("jstat <id> reply: %+v, %v", resp, err)
 	}
 	enc.Release()
 	allocs := testing.AllocsPerRun(200, func() {
 		cls := s.classify(payload)
-		cls.RespondEnc(payload).Release()
+		cls.Respond(payload).Release()
 	})
 	if allocs != 0 {
 		t.Errorf("jstat <id> serve: %v allocs/op, want 0", allocs)

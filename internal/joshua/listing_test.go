@@ -157,10 +157,10 @@ func TestStatServeBytes(t *testing.T) {
 		c.want.Epoch = srv.Version()
 		payload := c.req.encode()
 		cls := s.classify(payload)
-		if cls.Verdict != rsm.Reply || cls.RespondEnc == nil {
+		if cls.Verdict != rsm.Reply || cls.Respond == nil {
 			t.Fatalf("%s: not classified as a local read", c.name)
 		}
-		enc := cls.RespondEnc(payload)
+		enc := cls.Respond(payload)
 		if got, want := enc.Bytes(), c.want.encode(); !bytes.Equal(got, want) {
 			_, gotResp, err := decodeRPC(got)
 			t.Errorf("%s: reply bytes differ\n got %+v (%v)\nwant %+v", c.name, gotResp, err, c.want)

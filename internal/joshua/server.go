@@ -42,8 +42,8 @@ import (
 // Config parameterizes a JOSHUA head-node server. The embedded
 // rsm.Config carries every replication-engine setting (identity,
 // endpoints, group formation, durability, leases, pool sizes, TuneGCS,
-// Logger); StartServer fills its Service, Classify, ReadCacheHits,
-// RejectNotPrimary and RejectShutdown on a copy, so whatever the caller
+// Logger); StartServer fills its Service, Classify, RejectNotPrimary
+// and RejectShutdown on a copy, so whatever the caller
 // puts there is ignored.
 type Config struct {
 	rsm.Config
@@ -80,28 +80,6 @@ type Server struct {
 	serveReadFn func(payload []byte) *codec.Encoder
 }
 
-// Stats counts server activity.
-type Stats struct {
-	Intercepted     uint64 // client requests received
-	Applied         uint64 // replicated commands applied
-	Replied         uint64 // responses sent to clients
-	DedupHits       uint64 // retried requests answered from the table
-	LocalReads      uint64 // queries served outside the total order
-	ReadCacheHits   uint64 // listings answered from the batch server's per-version caches
-	ReplyQueueDrops uint64 // responses dropped on a full reply queue
-	Views           uint64 // views installed
-
-	LeaseHeld        bool   // a read lease is currently live (gauge)
-	LeaseReads       uint64 // ordered reads served locally under a lease
-	LeaseFallbacks   uint64 // ordered reads broadcast for lack of a lease (sum of the three below)
-	LeaseRevocations uint64 // leases revoked by flush entry or view change
-
-	// Why leased reads fell back, one counter per TryLeasedRead gate.
-	LeaseFallbackNoLease    uint64 // no live lease, or the group layer not caught up
-	LeaseFallbackApplyLag   uint64 // deliveries not yet applied
-	LeaseFallbackDurability uint64 // applied state ahead of the fsync watermark
-}
-
 // Errors.
 var (
 	ErrNotPrimary = errors.New("joshua: head node not in primary component")
@@ -131,10 +109,6 @@ func StartServer(cfg Config) (*Server, error) {
 	rc := cfg.Config
 	rc.Service = newHeadService(cfg.Daemon)
 	rc.Classify = s.classify
-	rc.ReadCacheHits = func() uint64 {
-		hits, _ := cfg.Daemon.Server().ReadCacheStats()
-		return hits
-	}
 	rc.RejectNotPrimary = func(reqID []byte) []byte {
 		return (&rpcResponse{ReqID: string(reqID), OK: false, ErrMsg: ErrNotPrimary.Error()}).encode()
 	}
@@ -149,12 +123,11 @@ func StartServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// classify sorts one control-command datagram: query operations go to
-// the replica's read-worker pool (a deferred Respond closure),
-// mutations — and queries carrying the Ordered flag — flow through
-// the total order. It runs on the replica's event-loop receive path,
-// so it only peeks at the request header (kind, ReqID, op, ordered);
-// the full argument decode is deferred to the worker.
+// classify sorts one control-command datagram: queries are answered
+// locally (serveRead, the Respond hook), mutations — and queries
+// carrying the Ordered flag — flow through the total order. It only
+// peeks at the request header (kind, ReqID, op, ordered); a read's
+// full argument decode happens in serveRead.
 func (s *Server) classify(payload []byte) rsm.Classification {
 	// The ReqID stays a zero-copy view into the datagram, which the
 	// replica holds for as long as it reads the ID.
@@ -164,7 +137,7 @@ func (s *Server) classify(payload []byte) rsm.Classification {
 	}
 	if !v.op.mutating() {
 		if !v.ordered {
-			return rsm.Classification{Verdict: rsm.Reply, RespondEnc: s.serveReadFn}
+			return rsm.Classification{Verdict: rsm.Reply, Respond: s.serveReadFn}
 		}
 		// Ordered read under a live lease: serve it locally. The lease
 		// gates pass at this instant — that is the read's linearization
@@ -173,7 +146,7 @@ func (s *Server) classify(payload []byte) rsm.Classification {
 		// gate failing) falls through to the broadcast path below,
 		// exactly as ordered reads worked before leases existed.
 		if rep := s.rep.Load(); rep != nil && rep.TryLeasedRead() {
-			return rsm.Classification{Verdict: rsm.Reply, RespondEnc: s.serveReadFn}
+			return rsm.Classification{Verdict: rsm.Reply, Respond: s.serveReadFn}
 		}
 	}
 	return rsm.Classification{Verdict: rsm.Replicate, ReqID: v.reqID}
@@ -197,29 +170,8 @@ func (s *Server) Daemon() *pbs.Daemon { return s.daemon }
 // in tests and status tooling).
 func (s *Server) Replica() *rsm.Replica { return s.rep.Load() }
 
-// Stats returns a snapshot of the server counters.
-func (s *Server) Stats() Stats {
-	st := s.rep.Load().Stats()
-	return Stats{
-		Intercepted:     st.Intercepted,
-		Applied:         st.Applied,
-		Replied:         st.Replied,
-		DedupHits:       st.DedupHits,
-		LocalReads:      st.LocalReads,
-		ReadCacheHits:   st.ReadCacheHits,
-		ReplyQueueDrops: st.ReplyQueueDrops,
-		Views:           st.Views,
-
-		LeaseHeld:        st.LeaseHeld,
-		LeaseReads:       st.LeaseReads,
-		LeaseFallbacks:   st.LeaseFallbacks,
-		LeaseRevocations: st.LeaseRevocations,
-
-		LeaseFallbackNoLease:    st.LeaseFallbackNoLease,
-		LeaseFallbackApplyLag:   st.LeaseFallbackApplyLag,
-		LeaseFallbackDurability: st.LeaseFallbackDurability,
-	}
-}
+// Stats returns a snapshot of the replica counters.
+func (s *Server) Stats() rsm.Stats { return s.rep.Load().Stats() }
 
 // Leave announces a voluntary departure (the paper handles it as a
 // forced failure) and shuts the head down.
@@ -235,8 +187,7 @@ func (s *Server) Close() {
 }
 
 // serveRead builds the response for one read-classified request into
-// a pooled encoder (released by the replica's replier after the
-// send). It runs on a read-worker goroutine, concurrently with command
+// a pooled encoder (released by the replica once the send returns). It runs on a read-worker goroutine, concurrently with command
 // application, so it touches only concurrency-safe state: the batch
 // server behind its RWMutex and its per-version listing, and the
 // replica's counter snapshots.
@@ -281,6 +232,7 @@ func (s *Server) infoLocked() map[string]string {
 	dst := s.daemon.Stats()
 	st := rep.Stats()
 	gst := rep.GroupStats()
+	cacheHits, _ := s.daemon.Server().ReadCacheStats()
 	view := rep.View()
 	shards := s.cfg.Shards
 	if shards <= 0 {
@@ -302,10 +254,10 @@ func (s *Server) infoLocked() map[string]string {
 		"dedup_entries":      fmt.Sprintf("%d", st.DedupEntries),
 		"dedup_hits":         fmt.Sprintf("%d", st.DedupHits),
 		"local_reads":        fmt.Sprintf("%d", st.LocalReads),
-		"read_cache_hits":    fmt.Sprintf("%d", st.ReadCacheHits),
+		"read_cache_hits":    fmt.Sprintf("%d", cacheHits),
 		"read_workers":       fmt.Sprintf("%d", st.ReadWorkers),
 		"read_queue_depth":   fmt.Sprintf("%d", st.ReadQueueDepth),
-		"reply_queue_drops":  fmt.Sprintf("%d", st.ReplyQueueDrops),
+		"reply_queue_drops":  fmt.Sprintf("%d", st.ReplyQueueDrops), // failed Sends; the transport's per-peer queue drops the rest
 		"apply_workers":      fmt.Sprintf("%d", st.ApplyWorkers),
 		"apply_parallel":     fmt.Sprintf("%d", st.ApplyParallelRuns),
 		"apply_barriers":     fmt.Sprintf("%d", st.ApplyBarriers),

@@ -273,24 +273,34 @@ func (s *Store) Len() int {
 }
 
 // Classifier builds the rsm.Classifier for a store: gets are local
-// reads served on the engine's read workers (the deferred Respond
-// closure keeps the map probe and response encoding off the event
-// loop), mutations are replicated.
+// reads served on the engine's read workers, mutations are replicated.
 func Classifier(s *Store) rsm.Classifier {
+	serveGet := s.serveGet // bound once, not per request
 	return func(payload []byte) rsm.Classification {
 		req, err := DecodeRequest(payload)
 		if err != nil {
 			return rsm.Classification{Verdict: rsm.Ignore}
 		}
 		if req.Op == OpGet {
-			return rsm.Classification{Verdict: rsm.Reply, Respond: func() []byte {
-				resp := &Response{ReqID: req.ReqID, OK: true}
-				resp.Value, resp.Found = s.Get(req.Key)
-				return EncodeResponse(resp)
-			}}
+			return rsm.Classification{Verdict: rsm.Reply, Respond: serveGet}
 		}
 		return rsm.Classification{Verdict: rsm.Replicate, ReqID: []byte(req.ReqID)}
 	}
+}
+
+// serveGet answers a get on a read worker. It re-reads the request from
+// the payload, so the classifier hands out one bound method instead of
+// a closure per request.
+func (s *Store) serveGet(payload []byte) *codec.Encoder {
+	req, err := DecodeRequest(payload)
+	if err != nil {
+		return nil
+	}
+	resp := &Response{ReqID: req.ReqID, OK: true}
+	resp.Value, resp.Found = s.Get(req.Key)
+	e := codec.GetEncoder(32 + len(resp.ReqID) + len(resp.Value))
+	resp.encodeTo(e)
+	return e
 }
 
 // RejectNotPrimary builds the engine's outside-primary-component

@@ -11,9 +11,10 @@ import (
 
 // startLeaseReplica runs a one-member durable replica of benchSvc over
 // simnet with the given group-layer lease duration (negative grants no
-// lease). A long failure timeout keeps a granted lease live for the
-// whole test.
-func startLeaseReplica(t *testing.T, lease time.Duration) *Replica {
+// lease), replicating every client datagram under its own bytes as the
+// ReqID. A long failure timeout keeps a granted lease live for the
+// whole test. It returns the network so the test can attach a client.
+func startLeaseReplica(t *testing.T, lease time.Duration) (*Replica, *simnet.Network) {
 	t.Helper()
 	net := simnet.New(simnet.Config{})
 	groupEP, err := net.Endpoint("rep0/gcs")
@@ -31,7 +32,7 @@ func startLeaseReplica(t *testing.T, lease time.Duration) *Replica {
 		Peers:          map[gcs.MemberID]transport.Addr{"rep0": "rep0/gcs"},
 		InitialMembers: []gcs.MemberID{"rep0"},
 		Service:        newBenchSvc(),
-		Classify:       func([]byte) Classification { return Classification{Verdict: Ignore} },
+		Classify:       func(p []byte) Classification { return Classification{Verdict: Replicate, ReqID: p} },
 		DataDir:        t.TempDir(),
 		TuneGCS: func(g *gcs.Config) {
 			g.FailTimeout = 10 * time.Second
@@ -50,7 +51,7 @@ func startLeaseReplica(t *testing.T, lease time.Duration) *Replica {
 	case <-time.After(10 * time.Second):
 		t.Fatal("replica not ready")
 	}
-	return r
+	return r, net
 }
 
 // TestLeasedReadGateCounters drives each TryLeasedRead gate once and
@@ -64,7 +65,7 @@ func TestLeasedReadGateCounters(t *testing.T) {
 	}
 
 	// Gate 1: a replica that never holds a lease.
-	r := startLeaseReplica(t, -1)
+	r, _ := startLeaseReplica(t, -1)
 	if r.TryLeasedRead() {
 		t.Fatal("leased read served without a lease")
 	}
@@ -74,8 +75,12 @@ func TestLeasedReadGateCounters(t *testing.T) {
 
 	// Gates 2 and 3 on a leased replica that has applied one durable
 	// command, so every gate passes until the test holds one back.
-	r = startLeaseReplica(t, 5*time.Second)
-	if err := r.Propose("gate#1", []byte{1}); err != nil {
+	r, net := startLeaseReplica(t, 5*time.Second)
+	client, err := net.Endpoint("cl/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Send("rep0/cli", []byte("gate#1")); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)

@@ -1,6 +1,7 @@
 package rsm_test
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -171,11 +172,11 @@ func TestSameClientReplyOrderUnderParallelApply(t *testing.T) {
 	}
 }
 
-// TestReplyAccountingBalances checks the reply-queue bookkeeping under
-// a read burst against a tiny queue: every served read is either sent
-// (Replied) or dropped-and-counted (ReplyQueueDrops) — none vanish.
+// TestReplyAccountingBalances checks the reply bookkeeping under a
+// read burst: every served read is either sent (Replied) or counted as
+// a drop (ReplyQueueDrops) — none vanish.
 func TestReplyAccountingBalances(t *testing.T) {
-	r := newKVRig(t, 1, func(c *rsm.Config) { c.ReplyQueueLen = 1 })
+	r := newKVRig(t, 1, nil)
 
 	const burst = 64
 	for k := 0; k < burst; k++ {
@@ -190,6 +191,41 @@ func TestReplyAccountingBalances(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("accounting never balanced: LocalReads=%d Replied=%d Drops=%d (want %d total)",
+				st.LocalReads, st.Replied, st.ReplyQueueDrops, burst)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// refusingEP is a client endpoint whose every Send fails, as a send to
+// a refused peer does over TCP. Datagrams still arrive through the
+// embedded endpoint.
+type refusingEP struct{ transport.Endpoint }
+
+func (refusingEP) Send(transport.Addr, []byte) error { return errors.New("refused") }
+
+// TestRefusedReplyCounted checks that a reply the transport refuses is
+// counted as a drop, not as sent: every read served over a client
+// endpoint whose Send fails adds one ReplyQueueDrops and no Replied.
+func TestRefusedReplyCounted(t *testing.T) {
+	r := newKVRig(t, 1, func(c *rsm.Config) { c.ClientEndpoint = refusingEP{c.ClientEndpoint} })
+
+	const burst = 16
+	for k := 0; k < burst; k++ {
+		get := &kvstore.Request{ReqID: fmt.Sprintf("user/kv#r%d", k), Op: kvstore.OpGet, Key: "missing"}
+		r.send(0, get)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		st := r.reps[0].Stats()
+		if st.LocalReads == burst && st.ReplyQueueDrops == burst {
+			if st.Replied != 0 {
+				t.Fatalf("Replied = %d for %d refused replies, want 0", st.Replied, burst)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("LocalReads=%d Replied=%d Drops=%d, want %d reads all counted as drops",
 				st.LocalReads, st.Replied, st.ReplyQueueDrops, burst)
 		}
 		time.Sleep(5 * time.Millisecond)

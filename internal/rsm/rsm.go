@@ -12,13 +12,15 @@
 // engine splits the two paths: totally ordered commands apply on the
 // single event-loop goroutine (determinism), while Reply-classified
 // datagrams — local reads and protocol-level rejections — are served
-// by a pool of read workers against a concurrency-safe service view,
-// and every response leaves through a bounded asynchronous reply
-// queue so a slow client socket never stalls command application.
+// by a pool of read workers that receive straight from the client
+// endpoint and read a concurrency-safe service view. Every response
+// goes to the transport from the goroutine that built it: Send never
+// blocks (each transport queues per peer), so a slow client socket
+// never stalls command application.
 //
 // The write path itself is pipelined: each event-loop round appends
 // its commands to the write-ahead log and issues the group-commit
-// fsync asynchronously (wal.CommitAsync), then executes the round's
+// fsync asynchronously (wal.CommitTicket), then executes the round's
 // batch while the fsync is in flight — partitioned by
 // Service.ConflictKey into per-key runs so commands on disjoint
 // conflict domains (independent jobs, distinct keys) apply in
@@ -93,9 +95,9 @@ type Command struct {
 // that within one event-loop round, commands whose ConflictKeys are
 // distinct and non-empty may be executed concurrently on apply-worker
 // goroutines (Config.ApplyConcurrency), so Apply must be safe to call
-// from multiple goroutines. Any state a Classifier's deferred Respond
-// closure reads also runs on read-worker goroutines concurrently with
-// Apply, and must be guarded (an RWMutex or a copy-on-write snapshot;
+// from multiple goroutines. Any state a Classification's Respond hook
+// reads is read on read-worker goroutines concurrently with Apply, and
+// must be guarded (an RWMutex or a copy-on-write snapshot;
 // see internal/pbs for the pattern).
 type Service interface {
 	// Apply executes one totally ordered command against local state
@@ -160,32 +162,22 @@ type Classification struct {
 	// be a view into the datagram: the replica reads it only while it
 	// holds the payload.
 	ReqID []byte
-	// Response is the encoded reply, built inline on the receive
-	// path. For anything heavier than a fixed rejection, prefer
-	// Respond so the construction runs on a read worker.
-	Response []byte
-	// Respond, when non-nil, builds the reply lazily on a read-worker
-	// goroutine. It must be safe to call from any goroutine: it runs
-	// concurrently with Service.Apply. It takes precedence over
-	// Response.
-	Respond func() []byte
-	// RespondEnc, when non-nil, builds the reply into a pooled encoder
-	// (codec.GetEncoder); the replier returns the encoder to the pool
-	// after the send, so the whole read reply path allocates nothing.
-	// It receives the datagram payload back from the replica, so the
+	// Respond builds a Reply verdict's response into a pooled encoder
+	// (codec.GetEncoder), which the replica returns to the pool once
+	// the send returns, so the read reply path allocates nothing. It
+	// receives the datagram payload back from the replica, so the
 	// classifier can install one long-lived function (e.g. a bound
 	// method) instead of allocating a capturing closure per request.
-	// Same concurrency contract as Respond; takes precedence over both
-	// Respond and Response.
-	RespondEnc func(payload []byte) *codec.Encoder
+	// It runs on a read worker, concurrently with Service.Apply. A nil
+	// Respond, or a nil encoder, sends nothing.
+	Respond func(payload []byte) *codec.Encoder
 }
 
 // Classifier inspects one inbound client datagram and returns the
-// verdict plus either a prebuilt response or a deferred Respond
-// closure. It runs on the Replica's receive path — the intercept
-// goroutine, concurrent with Service.Apply — so it must be safe to
-// call from any goroutine and should stay cheap: parse the verdict and
-// request ID, and push response construction into Respond.
+// verdict plus, for a Reply, the Respond hook that builds the answer.
+// It runs on a read worker, concurrently with Service.Apply and with
+// the other read workers, so it must be safe to call from any
+// goroutine.
 //
 // Replicate-classified requests are broadcast by the read-worker pool,
 // so two requests one client has outstanding at the same time may
@@ -225,18 +217,12 @@ type Config struct {
 	// entries.
 	DedupLimit int
 
-	// ReadConcurrency sizes the read-worker pool that serves
-	// Reply-classified datagrams, dedup-retry probes and broadcasts off
-	// the event loop. Zero selects the default, runtime.GOMAXPROCS(0);
-	// negative is a Start error.
+	// ReadConcurrency sizes the read-worker pool. Every worker receives
+	// from ClientEndpoint and classifies and serves what it gets (local
+	// reads, dedup-retry probes, broadcasts) off the event loop. Zero
+	// selects the default, runtime.GOMAXPROCS(0); negative is a Start
+	// error.
 	ReadConcurrency int
-	// ReplyQueueLen bounds the asynchronous reply queue through which
-	// every clientEP.Send flows (command output, local reads, dedup
-	// hits, rejections). When it fills, the reply is dropped and
-	// counted in Stats.ReplyQueueDrops; the client's retry recovers it
-	// (reads re-execute, command responses come from the dedup
-	// table). Default 1024.
-	ReplyQueueLen int
 
 	// ApplyConcurrency sizes the bounded worker pool that executes
 	// non-conflicting per-key runs of one round's batch in parallel
@@ -256,11 +242,6 @@ type Config struct {
 	// simply stops grants, and ordered reads fall back to the
 	// broadcast path.
 	LeaseDuration time.Duration
-
-	// ReadCacheHits, when non-nil, reports the service's read-cache
-	// hit counter; Stats folds it in so one Stats() call describes the
-	// whole read path.
-	ReadCacheHits func() uint64
 
 	// RejectNotPrimary builds the response sent for a replicate-
 	// classified request arriving at a replica outside the primary
@@ -287,9 +268,6 @@ type Config struct {
 	// CheckpointEvery is the applied-command cadence between
 	// checkpoints. Default 1024.
 	CheckpointEvery uint64
-	// CheckpointCompress flate-compresses checkpoint files (level 1);
-	// see wal.Options.Compress.
-	CheckpointCompress bool
 
 	// TuneGCS, when non-nil, may adjust group communication timings
 	// before the group process starts (tests and benchmarks shorten
@@ -302,17 +280,22 @@ type Config struct {
 
 // Stats counts replica activity.
 type Stats struct {
-	Intercepted     uint64 // client requests received
-	Applied         uint64 // replicated commands applied
-	Replied         uint64 // responses sent to clients
-	DedupHits       uint64 // retried requests answered from the table
-	LocalReads      uint64 // Reply-classified datagrams served locally
-	ReadCacheHits   uint64 // service read-cache hits (Config.ReadCacheHits)
-	ReplyQueueDrops uint64 // replies dropped on a full reply queue
-	Views           uint64 // views installed
-	DedupEntries    int    // current deduplication-table size (gauge)
-	ReadQueueDepth  int    // datagrams waiting for a read worker (gauge)
-	ReadWorkers     int    // read-worker pool size
+	Intercepted    uint64 // client requests received
+	Applied        uint64 // replicated commands applied
+	Replied        uint64 // responses sent to clients
+	DedupHits      uint64 // retried requests answered from the table
+	LocalReads     uint64 // Reply-classified datagrams served locally
+	Views          uint64 // views installed
+	DedupEntries   int    // current deduplication-table size (gauge)
+	ReadQueueDepth int    // datagrams waiting in the client endpoint's receive queue (gauge)
+	ReadWorkers    int    // read-worker pool size
+
+	// ReplyQueueDrops counts replies whose Send returned an error: a
+	// closed endpoint, or a drop the transport detected locally (an
+	// unknown or refused peer, or tcpnet's per-peer send queue
+	// overflowing). A drop the transport does not detect is counted
+	// nowhere; the client's retry recovers the reply either way.
+	ReplyQueueDrops uint64
 
 	// Apply pipeline.
 	ApplyWorkers      int    // apply-worker pool size (1 = serial execution)
@@ -370,24 +353,12 @@ type Stats struct {
 	AllocsPerCmd   float64 // process mallocs since Start per applied command
 }
 
-// readQueueLen bounds the queue feeding the read workers.
-const readQueueLen = 256
-
-// readTask is one classified client datagram handed to a read worker.
-type readTask struct {
-	from    transport.Addr
-	payload []byte
-	cls     Classification
-}
-
-// reply is one queued outbound response. When enc is non-nil, payload
-// aliases enc's buffer and the replier releases enc to the codec pool
-// once the send is done (the transport contract: Send does not retain
-// the payload after it returns).
+// reply is one held command response. The releaser sends enc's bytes
+// and then returns enc to the codec pool (the transport contract: Send
+// does not retain the payload after it returns).
 type reply struct {
-	to      transport.Addr
-	payload []byte
-	enc     *codec.Encoder
+	to  transport.Addr
+	enc *codec.Encoder
 }
 
 // pendingApply is one delivery of a round. The round's commands live
@@ -400,7 +371,7 @@ type pendingApply struct {
 	key   string // conflict key (fresh commands only)
 	index uint64 // applied index (fresh commands only)
 	// enc holds a fresh command's reply from the apply stage until the
-	// round's first reply of it takes it to the replier, or the round
+	// round's first reply of it takes it to the releaser, or the round
 	// releases it.
 	enc     *codec.Encoder
 	replied bool  // enc went out with a reply
@@ -490,14 +461,6 @@ type Replica struct {
 	// every replica builds the same table from the same command
 	// stream.
 	dedup *dedupTable
-
-	// readQ feeds the read-worker pool. When it fills, the intercept
-	// goroutine serves the datagram inline rather than dropping it.
-	readQ chan readTask
-	// replyQ carries every outbound client response; a dedicated
-	// replier goroutine drains it so no protocol goroutine ever blocks
-	// in clientEP.Send.
-	replyQ chan reply
 
 	// applyQ feeds the persistent apply workers one per-key run at a
 	// time (created only when ApplyConcurrency > 1). The event loop is
@@ -597,9 +560,6 @@ func Start(cfg Config) (*Replica, error) {
 	if cfg.ReadConcurrency == 0 {
 		cfg.ReadConcurrency = runtime.GOMAXPROCS(0)
 	}
-	if cfg.ReplyQueueLen <= 0 {
-		cfg.ReplyQueueLen = 1024
-	}
 	if cfg.ApplyConcurrency == 0 {
 		cfg.ApplyConcurrency = runtime.GOMAXPROCS(0)
 	}
@@ -614,7 +574,6 @@ func Start(cfg Config) (*Replica, error) {
 		done:     make(chan struct{}),
 		ready:    make(chan struct{}),
 		dedup:    newDedupTable(cfg.DedupLimit),
-		replyQ:   make(chan reply, cfg.ReplyQueueLen),
 	}
 	r.stats.ReadWorkers = cfg.ReadConcurrency
 	r.stats.ApplyWorkers = cfg.ApplyConcurrency
@@ -650,10 +609,9 @@ func Start(cfg Config) (*Replica, error) {
 	// transfer.
 	if cfg.DataDir != "" {
 		l, err := wal.Open(wal.Options{
-			Dir:      cfg.DataDir,
-			Policy:   cfg.SyncPolicy,
-			Compress: cfg.CheckpointCompress,
-			Logger:   cfg.Logger,
+			Dir:    cfg.DataDir,
+			Policy: cfg.SyncPolicy,
+			Logger: cfg.Logger,
 		})
 		if err != nil {
 			return fail(err)
@@ -696,12 +654,9 @@ func Start(cfg Config) (*Replica, error) {
 	runtime.ReadMemStats(&ms)
 	r.mallocs0 = ms.Mallocs
 
-	go r.replier()
-	r.readQ = make(chan readTask, readQueueLen)
 	for i := 0; i < cfg.ReadConcurrency; i++ {
 		go r.readWorker()
 	}
-	go r.intercept()
 	go r.run()
 	return r, nil
 }
@@ -775,10 +730,7 @@ func (r *Replica) Stats() Stats {
 	st.LeaseFallbackDurability = r.leaseDurability.Load()
 	st.LeaseFallbacks = st.LeaseFallbackNoLease + st.LeaseFallbackApplyLag + st.LeaseFallbackDurability
 	st.LeaseRevocations = r.group.Stats().LeaseRevocations
-	st.ReadQueueDepth = len(r.readQ)
-	if r.cfg.ReadCacheHits != nil {
-		st.ReadCacheHits = r.cfg.ReadCacheHits()
-	}
+	st.ReadQueueDepth = len(r.clientEP.Recv())
 	if r.log != nil {
 		ws := r.log.Stats()
 		st.WALAppends = ws.Appends
@@ -797,18 +749,6 @@ func (r *Replica) Stats() Stats {
 		st.AllocsPerCmd = float64(ms.Mallocs-r.mallocs0) / float64(st.Applied)
 	}
 	return st
-}
-
-// Propose replicates an internally originated command (one with no
-// client to answer) through the total order. The request ID must be
-// derived deterministically from the command contents so that copies
-// proposed by several replicas collapse in the deduplication table.
-func (r *Replica) Propose(reqID string, payload []byte) error {
-	enc := codec.GetEncoder(64 + len(reqID) + len(payload))
-	encodeEnvelopeTo(enc, []byte(reqID), r.cfg.Self, "", payload)
-	err := r.group.Broadcast(enc.Bytes())
-	enc.Release() // Broadcast copies the payload before queueing
-	return err
 }
 
 // Leave announces a voluntary departure (the paper handles it as a
@@ -845,9 +785,9 @@ func (r *Replica) bump(f func(*Stats)) {
 	r.statsMu.Unlock()
 }
 
-// run is the replica's event loop. The intercept goroutine owns the
-// client endpoint, so this loop handles group events only and a slow
-// Apply never delays datagram interception.
+// run is the replica's event loop. The read workers own the client
+// endpoint, so this loop handles group events only and a slow Apply
+// never delays datagram interception.
 func (r *Replica) run() {
 	labelStage("event_loop")
 	if r.applyQ != nil {
@@ -1168,7 +1108,7 @@ func (r *Replica) applyBatch(batch []*envelope) {
 
 	// Post-apply bookkeeping, in total order on the loop. The dedup
 	// table copies each fresh reply into its ring, and the reply leaves
-	// from the apply stage's encoder, which the replier releases after
+	// from the apply stage's encoder, which the releaser releases after
 	// the send; a second reply of the same command (an in-round
 	// duplicate) copies it first. Dedup-hit replies are copied out of
 	// the table under its lock (fetch): an evicted record's bytes are
@@ -1190,7 +1130,7 @@ func (r *Replica) applyBatch(batch []*envelope) {
 		}
 		if src.seen {
 			if enc, _, ok := r.dedup.fetch(pa.env.ReqID); ok && enc != nil {
-				replies = append(replies, reply{to: pa.env.Client, payload: enc.Bytes(), enc: enc})
+				replies = append(replies, reply{to: pa.env.Client, enc: enc})
 			}
 		} else if b := src.resp(); b != nil {
 			enc := src.enc
@@ -1199,7 +1139,7 @@ func (r *Replica) applyBatch(batch []*envelope) {
 				enc.PutRaw(b)
 			}
 			src.replied = true
-			replies = append(replies, reply{to: pa.env.Client, payload: enc.Bytes(), enc: enc})
+			replies = append(replies, reply{to: pa.env.Client, enc: enc})
 		}
 	}
 	for i := range cmds {
@@ -1387,14 +1327,11 @@ func (r *Replica) releaser() {
 				}
 			}
 			for _, rep := range b.replies {
-				if rep.enc != nil {
-					r.sendAsyncEnc(rep.to, rep.enc)
-				} else {
-					r.sendAsync(rep.to, rep.payload)
-				}
+				r.send(rep.to, rep.enc.Bytes())
+				rep.enc.Release()
 			}
 			// The round is fully released: durability resolved and
-			// replies queued. Drop the pipeline's envelope references
+			// replies sent. Drop the pipeline's envelope references
 			// and hand the slices back to the loop for the next round.
 			for i, env := range b.envs {
 				env.release()
@@ -1417,25 +1354,6 @@ func (r *Replica) releaser() {
 	}
 }
 
-// intercept drains client datagrams on a dedicated goroutine so the
-// classify/dispatch step runs concurrently with command application on
-// the event loop.
-func (r *Replica) intercept() {
-	labelStage("intercept")
-	recv := r.clientEP.Recv()
-	for {
-		select {
-		case <-r.done:
-			return
-		case dg, ok := <-recv:
-			if !ok {
-				return
-			}
-			r.handleClientDatagram(dg)
-		}
-	}
-}
-
 func (r *Replica) handleGroupEvent(e gcs.Event) {
 	switch ev := e.(type) {
 	case gcs.ViewEvent:
@@ -1454,63 +1372,47 @@ func (r *Replica) handleGroupEvent(e gcs.Event) {
 	}
 }
 
-// handleClientDatagram intercepts one client request: the cheap
-// verdict/ReqID parse runs here on the intercept goroutine, then the
-// work — response construction for reads, the dedup-retry probe and
-// broadcast for commands — is handed to the read-worker pool. If the
-// pool is saturated the datagram is served inline so nothing is ever
-// lost to a full queue.
-func (r *Replica) handleClientDatagram(dg transport.Message) {
-	cls := r.cfg.Classify(dg.Payload)
-	if cls.Verdict == Ignore {
-		return
-	}
-	r.bump(func(st *Stats) { st.Intercepted++ })
-
-	select {
-	case r.readQ <- readTask{from: dg.From, payload: dg.Payload, cls: cls}:
-		return
-	default: // pool saturated: degrade to inline service
-	}
-	r.serveRequest(dg.From, dg.Payload, cls)
-}
-
-// readWorker serves classified datagrams off the event loop.
+// readWorker receives client datagrams straight from the client
+// endpoint (every worker of the pool ranges over the same channel) and
+// serves each one off the event loop.
 func (r *Replica) readWorker() {
 	labelStage("read_worker")
+	recv := r.clientEP.Recv()
 	for {
 		select {
 		case <-r.done:
 			return
-		case t := <-r.readQ:
-			r.serveRequest(t.from, t.payload, t.cls)
+		case dg, ok := <-recv:
+			if !ok {
+				return
+			}
+			r.serveRequest(dg.From, dg.Payload)
 		}
 	}
 }
 
-// serveRequest finishes one classified datagram. It runs on a read
-// worker (or inline on the intercept goroutine on overflow), so it may
-// touch only concurrency-safe state: the sharded dedup table, the
-// group layer's view, and whatever the Respond closure guards. With
-// several workers, two of one client's outstanding commands may reach
-// Broadcast in either order; their replies follow the total order
-// they get, not the order they were sent (see Classifier).
-func (r *Replica) serveRequest(from transport.Addr, payload []byte, cls Classification) {
-	if cls.Verdict == Reply {
-		r.bump(func(st *Stats) { st.LocalReads++ })
-		if cls.RespondEnc != nil {
-			if enc := cls.RespondEnc(payload); enc != nil {
-				r.sendAsyncEnc(from, enc)
-			}
-			return
-		}
-		resp := cls.Response
+// serveRequest classifies and serves one client datagram. It runs on a
+// read worker, so it may touch only concurrency-safe state: the dedup
+// table, the group layer's view, and whatever the Respond hook guards.
+// With several workers, two of one client's outstanding commands may
+// reach Broadcast in either order; their replies follow the total
+// order they get, not the order they were sent (see Classifier).
+func (r *Replica) serveRequest(from transport.Addr, payload []byte) {
+	cls := r.cfg.Classify(payload)
+	switch cls.Verdict {
+	case Ignore:
+		return
+	case Reply:
+		r.bump(func(st *Stats) { st.Intercepted++; st.LocalReads++ })
 		if cls.Respond != nil {
-			resp = cls.Respond()
+			if enc := cls.Respond(payload); enc != nil {
+				r.send(from, enc.Bytes())
+				enc.Release()
+			}
 		}
-		r.sendAsync(from, resp)
 		return
 	}
+	r.bump(func(st *Stats) { st.Intercepted++ })
 
 	// Retried request already applied? Answer from the table without
 	// re-executing (exactly-once semantics across replica failures) —
@@ -1523,13 +1425,14 @@ func (r *Replica) serveRequest(from transport.Addr, payload []byte, cls Classifi
 	if idx, hasResp, ok := r.dedup.lookup(cls.ReqID); ok {
 		if r.log == nil || idx <= r.durableIdx.Load() {
 			if hasResp {
-				// fetch copies the recorded response under the shard
-				// lock into a pooled encoder the reply path owns. A
-				// concurrent eviction between lookup and fetch just
-				// drops the answer; the client's next retry recovers.
+				// fetch copies the recorded response under the table
+				// lock into a pooled encoder. A concurrent eviction
+				// between lookup and fetch just drops the answer; the
+				// client's next retry recovers.
 				if enc, _, ok2 := r.dedup.fetch(cls.ReqID); ok2 && enc != nil {
 					r.bump(func(st *Stats) { st.DedupHits++ })
-					r.sendAsyncEnc(from, enc)
+					r.send(from, enc.Bytes())
+					enc.Release()
 				}
 			}
 			return
@@ -1538,7 +1441,7 @@ func (r *Replica) serveRequest(from transport.Addr, payload []byte, cls Classifi
 
 	if !r.group.View().Primary {
 		if r.cfg.RejectNotPrimary != nil {
-			r.sendAsync(from, r.cfg.RejectNotPrimary(cls.ReqID))
+			r.send(from, r.cfg.RejectNotPrimary(cls.ReqID))
 		}
 		return
 	}
@@ -1547,53 +1450,23 @@ func (r *Replica) serveRequest(from transport.Addr, payload []byte, cls Classifi
 	encodeEnvelopeTo(enc, cls.ReqID, r.cfg.Self, from, payload)
 	err := r.group.Broadcast(enc.Bytes())
 	enc.Release() // Broadcast copies the payload before queueing
-	if err != nil {
-		if r.cfg.RejectShutdown != nil {
-			r.sendAsync(from, r.cfg.RejectShutdown(cls.ReqID))
-		}
+	if err != nil && r.cfg.RejectShutdown != nil {
+		r.send(from, r.cfg.RejectShutdown(cls.ReqID))
 	}
 }
 
-// sendAsync queues one response for the replier goroutine. A full
-// queue drops the reply — the bounded-buffer backpressure policy: a
-// slow or dead client socket must never stall command application,
-// and the client's retry recovers the answer (reads re-execute, and
-// command responses are replayed from the deduplication table).
-func (r *Replica) sendAsync(to transport.Addr, payload []byte) {
-	select {
-	case r.replyQ <- reply{to: to, payload: payload}:
-	default:
+// send hands one response to the client endpoint. Send never blocks:
+// each transport queues per peer (tcpnet drops the oldest frame when a
+// peer's queue is full), so a slow or dead client socket cannot stall
+// command application, and the client's retry recovers a lost reply
+// (reads re-execute, command responses replay from the deduplication
+// table). The caller keeps the payload: Send does not retain it.
+func (r *Replica) send(to transport.Addr, payload []byte) {
+	if r.clientEP.Send(to, payload) != nil {
 		r.bump(func(st *Stats) { st.ReplyQueueDrops++ })
+		return
 	}
-}
-
-// sendAsyncEnc queues a pooled-encoder response; the replier releases
-// the encoder after the send. A drop releases it immediately.
-func (r *Replica) sendAsyncEnc(to transport.Addr, enc *codec.Encoder) {
-	select {
-	case r.replyQ <- reply{to: to, payload: enc.Bytes(), enc: enc}:
-	default:
-		enc.Release()
-		r.bump(func(st *Stats) { st.ReplyQueueDrops++ })
-	}
-}
-
-// replier drains the reply queue onto the client endpoint.
-func (r *Replica) replier() {
-	labelStage("replier")
-	for {
-		select {
-		case <-r.done:
-			return
-		case rep := <-r.replyQ:
-			if r.clientEP.Send(rep.to, rep.payload) == nil {
-				r.bump(func(st *Stats) { st.Replied++ })
-			}
-			if rep.enc != nil {
-				rep.enc.Release()
-			}
-		}
-	}
+	r.bump(func(st *Stats) { st.Replied++ })
 }
 
 // shouldReply is the output rule: the origin relays the output, as in

@@ -57,7 +57,7 @@ func (s *benchSvc) Fork() func() []byte  { return s.Snapshot }
 func (s *benchSvc) Restore([]byte) error { return nil }
 
 // startBenchReplica assembles the write-path engine — dedup table,
-// WAL, apply workers, releaser, replier — without a group layer or
+// WAL, apply workers, releaser — without a group layer or
 // event loop, so tests and benchmarks can drive applyBatch directly
 // (standing in for the loop goroutine) with no concurrent loop racing
 // them. Everything downstream of the loop is the real machinery.
@@ -89,14 +89,12 @@ func startEngine(tb testing.TB, svc Service, applyConc int, ep *nullEP) *Replica
 		done:     make(chan struct{}),
 		ready:    make(chan struct{}),
 		dedup:    newDedupTable(4096),
-		replyQ:   make(chan reply, 1024),
 		log:      l,
 	}
 	r.view = gcs.View{Primary: true}
 	r.relQ = make(chan releaseBatch, 64)
 	r.envFree = make(chan []*envelope, 4)
 	r.replyFree = make(chan []reply, 4)
-	go r.replier()
 	go r.releaser()
 	if applyConc > 1 {
 		r.applyQ = make(chan applyRun, applyConc*2)

@@ -16,10 +16,13 @@
 // cut cable is silent: the peer's datagrams just stop. A killed
 // process's kernel resets its connections, so CrashHost also hands
 // every live endpoint elsewhere a connection-loss hint
-// (transport.Message.Lost) for each endpoint on the crashed host.
+// (transport.Message.Lost) for each endpoint on the crashed host, and
+// a later Send to the crashed host fails with ErrHostDown, as a dial
+// to a dead process is refused.
 package simnet
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"time"
@@ -55,6 +58,12 @@ type Config struct {
 }
 
 const defaultQueueLen = 4096
+
+// ErrHostDown is Send's error for a datagram to a crashed host: the
+// network knows the host is down, as a TCP sender learns of a refused
+// connection, so a failover caller can move to its next peer at once.
+// A partition or random loss stays silent, as a cut cable does.
+var ErrHostDown = errors.New("simnet: destination host down")
 
 // Network is an in-memory transport.Network with fault injection.
 type Network struct {
@@ -266,9 +275,9 @@ func (n *Network) HealAll() {
 }
 
 // CrashHost fail-stops every endpoint on a host: in-flight and future
-// datagrams to and from the host are discarded until RestartHost. The
-// endpoints themselves remain attached; their owners are presumed dead
-// and receive nothing.
+// datagrams to and from the host are discarded until RestartHost, and a
+// Send to the host returns ErrHostDown. The endpoints themselves remain
+// attached; their owners are presumed dead and receive nothing.
 //
 // As a killed process's kernel resets its connections, every live
 // endpoint on another host receives one connection-loss hint
@@ -336,34 +345,46 @@ func (n *Network) hostsLocked() []string {
 	return hosts
 }
 
-// send routes one datagram. Called by endpoint.Send.
-func (n *Network) send(from, to transport.Addr, payload []byte) {
+// send routes one datagram from e. The payload is copied only once the
+// datagram is on its way (the caller may reuse its buffer, and delivery
+// is asynchronous), so a drop decided here costs no allocation.
+func (n *Network) send(e *endpoint, to transport.Addr, payload []byte) error {
 	n.mu.Lock()
+	if e.closed {
+		n.mu.Unlock()
+		return transport.ErrClosed
+	}
 	n.stats.Sent++
 	n.stats.Bytes += uint64(len(payload))
 
+	from := e.addr
 	srcHost, dstHost := from.Host(), to.Host()
-	if n.downHosts[srcHost] || n.downHosts[dstHost] {
+	if n.downHosts[dstHost] {
 		n.stats.DroppedDown++
 		n.mu.Unlock()
-		return
+		return ErrHostDown
+	}
+	if n.downHosts[srcHost] {
+		n.stats.DroppedDown++
+		n.mu.Unlock()
+		return nil
 	}
 	local := srcHost == dstHost
 	if !local && n.cut[[2]string{srcHost, dstHost}] {
 		n.stats.DroppedCut++
 		n.mu.Unlock()
-		return
+		return nil
 	}
 	if !local && n.cfg.DropRate > 0 && n.rng.Float64() < n.cfg.DropRate {
 		n.stats.DroppedLoss++
 		n.mu.Unlock()
-		return
+		return nil
 	}
 	dst, ok := n.endpoints[to]
 	if !ok || dst.closed {
 		n.stats.DroppedDown++
 		n.mu.Unlock()
-		return
+		return nil
 	}
 
 	delay := n.cfg.Latency.Remote
@@ -374,23 +395,27 @@ func (n *Network) send(from, to transport.Addr, payload []byte) {
 		delay += time.Duration(n.rng.Int63n(int64(n.cfg.Latency.Jitter)))
 	}
 
-	msg := transport.Message{From: from, To: to, Payload: payload}
-	if delay <= 0 {
-		// Fast path: synchronous delivery preserves order trivially.
-		n.mu.Unlock()
-		n.deliver(dst, msg)
-		return
+	var f *flow
+	if delay > 0 {
+		fk := flowKey{from, to}
+		if f, ok = n.flows[fk]; !ok {
+			f = newFlow()
+			n.flows[fk] = f
+			go f.run(func(m transport.Message) { n.deliverAddr(m) })
+		}
 	}
-	fk := flowKey{from, to}
-	f, ok := n.flows[fk]
-	if !ok {
-		f = newFlow()
-		n.flows[fk] = f
-		go f.run(func(m transport.Message) { n.deliverAddr(m) })
-	}
-	arrival := time.Now().Add(delay)
 	n.mu.Unlock()
-	f.push(arrival, msg)
+
+	p := make([]byte, len(payload))
+	copy(p, payload)
+	msg := transport.Message{From: from, To: to, Payload: p}
+	if f == nil {
+		// Fast path: synchronous delivery preserves order trivially.
+		n.deliver(dst, msg)
+		return nil
+	}
+	f.push(time.Now().Add(delay), msg)
+	return nil
 }
 
 // deliverAddr re-resolves the destination endpoint at arrival time so
@@ -449,18 +474,7 @@ func (e *endpoint) Addr() transport.Addr { return e.addr }
 func (e *endpoint) Recv() <-chan transport.Message { return e.recv }
 
 func (e *endpoint) Send(to transport.Addr, payload []byte) error {
-	e.net.mu.Lock()
-	if e.closed {
-		e.net.mu.Unlock()
-		return transport.ErrClosed
-	}
-	e.net.mu.Unlock()
-	// Copy the payload: the caller may reuse its buffer, and delivery
-	// is asynchronous.
-	p := make([]byte, len(payload))
-	copy(p, payload)
-	e.net.send(e.addr, to, p)
-	return nil
+	return e.net.send(e, to, payload)
 }
 
 func (e *endpoint) Close() error {

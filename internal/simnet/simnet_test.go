@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -256,6 +257,53 @@ func TestCrashAndRestartHost(t *testing.T) {
 	a.Send("h2/b", []byte("alive"))
 	if m, ok := recvWithin(t, b, time.Second); !ok || string(m.Payload) != "alive" {
 		t.Fatal("restarted host should receive again")
+	}
+}
+
+// TestSendToCrashedHostFails checks that Send reports a datagram to a
+// crashed host as ErrHostDown, counted in DroppedDown and without an
+// allocation, while a partition and random loss stay silent, and that
+// a restarted host is reachable again.
+func TestSendToCrashedHostFails(t *testing.T) {
+	n := New(Config{})
+	a, _ := n.Endpoint("h1/a")
+	b, _ := n.Endpoint("h2/b")
+	n.Endpoint("h3/c")
+
+	n.CrashHost("h2")
+	if err := a.Send("h2/b", []byte("x")); !errors.Is(err, ErrHostDown) {
+		t.Fatalf("Send to a crashed host = %v, want ErrHostDown", err)
+	}
+	if st := n.Stats(); st.DroppedDown != 1 {
+		t.Errorf("DroppedDown = %d, want 1", st.DroppedDown)
+	}
+	payload := []byte("payload")
+	if allocs := testing.AllocsPerRun(100, func() { a.Send("h2/b", payload) }); allocs != 0 {
+		t.Errorf("Send to a crashed host allocates %.1f times, want 0", allocs)
+	}
+	// The crashed host's own sends are lost without an error: its
+	// process is presumed dead.
+	if err := b.Send("h1/a", []byte("ghost")); err != nil {
+		t.Errorf("Send from a crashed host = %v, want nil", err)
+	}
+
+	n.Partition("h1", "h3")
+	if err := a.Send("h3/c", []byte("cut")); err != nil {
+		t.Errorf("Send across a partition = %v, want nil", err)
+	}
+	lossy := New(Config{DropRate: 1})
+	la, _ := lossy.Endpoint("h1/a")
+	lossy.Endpoint("h2/b")
+	if err := la.Send("h2/b", []byte("lost")); err != nil || lossy.Stats().DroppedLoss != 1 {
+		t.Errorf("Send under random loss = %v (DroppedLoss %d), want nil and 1", err, lossy.Stats().DroppedLoss)
+	}
+
+	n.RestartHost("h2")
+	if err := a.Send("h2/b", []byte("alive")); err != nil {
+		t.Fatalf("Send to a restarted host = %v", err)
+	}
+	if m, ok := recvWithin(t, b, time.Second); !ok || string(m.Payload) != "alive" {
+		t.Fatalf("restarted host received %+v (ok %v), want the datagram", m, ok)
 	}
 }
 

@@ -22,7 +22,8 @@
 // — a sequence of independently CRC-guarded chunks so a multi-hundred-
 // megabyte state never needs a single contiguous staging buffer and a
 // torn write is detected at the first bad chunk. Flags bit 0 marks the
-// payload stream as flate-compressed (Options.Compress). Torn or
+// payload stream as flate-compressed; the writer no longer sets it, but
+// files written with it still load. Torn or
 // corrupt tails — the expected residue of a crash — are truncated at
 // open, never fatal; everything from the first bad frame on is
 // discarded, which is exactly the not-yet-acknowledged suffix. A
@@ -104,10 +105,6 @@ type Options struct {
 	// SegmentBytes triggers rotation once the active segment exceeds
 	// it. Default 4 MiB.
 	SegmentBytes int64
-	// Compress flate-compresses checkpoint payloads (level 1: cheap,
-	// still 3-10x on the repetitive job-state encodings). Existing
-	// checkpoints of either kind remain readable regardless.
-	Compress bool
 	// Logger receives diagnostics (torn-tail truncation, checkpoint
 	// pruning); nil disables logging.
 	Logger *log.Logger
@@ -147,7 +144,8 @@ const (
 	ckptMagic   = "JCKP"
 	ckptVersion = 2
 	// ckptFlagCompressed marks the chunk payload stream as flate-
-	// compressed.
+	// compressed. The writer no longer sets it; the reader still
+	// honours it.
 	ckptFlagCompressed = 0x01
 	// ckptChunkSize is the v2 chunk payload size: large enough that
 	// per-chunk CRC and header overhead vanish, small enough that a
@@ -209,7 +207,7 @@ type Log struct {
 	stats      Stats
 	closed     bool
 
-	// pending holds CommitAsync waiters awaiting an fsync; the
+	// pending holds commit waiters awaiting an fsync; the
 	// committer goroutine coalesces them into group commits.
 	pending []commitTicket
 	kick    chan struct{} // wakes the committer (buffered 1)
@@ -218,7 +216,7 @@ type Log struct {
 	syncDone chan struct{} // stops the background interval syncer
 }
 
-// commitTicket is one CommitAsync call awaiting the fsync that covers
+// commitTicket is one commit awaiting the fsync that covers
 // its flush generation.
 type commitTicket struct {
 	gen uint64
@@ -611,32 +609,25 @@ func (l *Log) fsyncLocked() error {
 // fsync per policy — every round under SyncAlways, at most once per
 // Interval under SyncInterval, never under SyncNone. It blocks until
 // the covering fsync (if any) completes.
-func (l *Log) Commit() error { return <-l.CommitAsync() }
+func (l *Log) Commit() error { return l.CommitTicket().Wait() }
 
-// CommitAsync is the pipelined group-commit point, called once per
-// event-loop round after the round's appends: the staged batch is
-// flushed inline, and the returned channel receives the commit's
-// outcome once the fsync the policy demands (if any) has covered it.
-// The fsync itself runs on the committer goroutine, so the appender
-// may keep staging the next round while this round reaches disk;
-// outstanding commits are coalesced into one fsync.
-func (l *Log) CommitAsync() <-chan error {
-	ch := make(chan error, 1)
-	l.commitEnqueue(ch)
-	return ch
-}
-
-// Ticket is a pooled CommitAsync waiter: CommitTicket hands one out
-// per round and Wait returns it to the pool, so steady-state group
-// commit allocates nothing.
+// Ticket is a pooled commit waiter: CommitTicket hands one out per
+// round and Wait returns it to the pool, so steady-state group commit
+// allocates nothing.
 type Ticket struct {
 	ch chan error
 }
 
 var ticketPool = sync.Pool{New: func() any { return &Ticket{ch: make(chan error, 1)} }}
 
-// CommitTicket is CommitAsync with ticket reuse. The caller must call
-// Wait exactly once; the ticket must not be used afterwards.
+// CommitTicket is the pipelined group-commit point, called once per
+// event-loop round after the round's appends: the staged batch is
+// flushed inline, and the ticket's Wait returns the commit's outcome
+// once the fsync the policy demands (if any) has covered it. The fsync
+// itself runs on the committer goroutine, so the appender may keep
+// staging the next round while this round reaches disk; outstanding
+// commits are coalesced into one fsync. The caller must call Wait
+// exactly once; the ticket must not be used afterwards.
 func (l *Log) CommitTicket() *Ticket {
 	t := ticketPool.Get().(*Ticket)
 	l.commitEnqueue(t.ch)
@@ -685,7 +676,7 @@ func (l *Log) commitEnqueue(ch chan error) {
 	}
 }
 
-// committer services CommitAsync tickets off the appender's path,
+// committer services commit tickets off the appender's path,
 // coalescing every queued ticket into a single fsync of the active
 // segment. A Sync that loses the race with rotation (or Close)
 // observes os.ErrClosed and counts as success: both seal the file
@@ -783,14 +774,14 @@ func (l *Log) SaveCheckpoint(index uint64, state []byte) error {
 }
 
 // SaveCheckpointFrom durably records the application state as of index,
-// streamed from src: the state is chunked into CRC-guarded frames (and
-// optionally flate-compressed) as it is read, written to a temp file,
-// fsynced, and renamed into place — so the caller never needs the whole
-// encoding resident, and a crash at any point leaves either the
-// previous checkpoint or a .tmp that Open discards. On success old
-// checkpoint generations are pruned and every segment fully covered by
-// index is released. Safe to call concurrently with appends: the rsm
-// engine runs it on a dedicated checkpointer goroutine.
+// streamed from src: the state is chunked into CRC-guarded frames as it
+// is read, written to a temp file, fsynced, and renamed into place — so
+// the caller never needs the whole encoding resident, and a crash at
+// any point leaves either the previous checkpoint or a .tmp that Open
+// discards. On success old checkpoint generations are pruned and every
+// segment fully covered by index is released. Safe to call concurrently
+// with appends: the rsm engine runs it on a dedicated checkpointer
+// goroutine.
 func (l *Log) SaveCheckpointFrom(index uint64, src io.Reader) error {
 	path := filepath.Join(l.opts.Dir, fmt.Sprintf("%s%020d%s", ckptPrefix, index, ckptSuffix))
 	tmp := path + ".tmp"
@@ -821,30 +812,15 @@ func (l *Log) writeCheckpointTmp(tmp string, index uint64, src io.Reader) error 
 		return fmt.Errorf("wal: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<16)
-	var flags byte
-	if l.opts.Compress {
-		flags |= ckptFlagCompressed
-	}
 	hdr := make([]byte, 0, len(ckptMagic)+2+binary.MaxVarintLen64)
 	hdr = append(hdr, ckptMagic...)
-	hdr = append(hdr, ckptVersion, flags)
+	hdr = append(hdr, ckptVersion, 0) // flags: none
 	hdr = binary.AppendUvarint(hdr, index)
 	_, err = bw.Write(hdr)
 
 	cw := &ckptChunkWriter{w: bw, buf: make([]byte, 0, ckptChunkSize)}
 	if err == nil {
-		var dst io.Writer = cw
-		var fw *flate.Writer
-		if l.opts.Compress {
-			// BestSpeed: the win is fewer bytes through fsync and
-			// transfer, not ratio records.
-			fw, _ = flate.NewWriter(cw, flate.BestSpeed)
-			dst = fw
-		}
-		if _, err = io.Copy(dst, src); err == nil && fw != nil {
-			err = fw.Close()
-		}
-		if err == nil {
+		if _, err = io.Copy(cw, src); err == nil {
 			err = cw.finish()
 		}
 	}
@@ -1123,7 +1099,7 @@ func (l *Log) Stats() Stats {
 }
 
 // Close flushes and fsyncs the active segment and releases the file
-// handle. Outstanding CommitAsync waiters are completed by the final
+// handle. Outstanding commit tickets are completed by the final
 // fsync. The log must not be used afterwards.
 func (l *Log) Close() error {
 	l.mu.Lock()

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"os"
@@ -293,15 +294,15 @@ func TestCommitAsyncAlwaysAwaitsFsync(t *testing.T) {
 	if err := l.Append(1, []byte("a")); err != nil {
 		t.Fatalf("Append: %v", err)
 	}
-	if err := <-l.CommitAsync(); err != nil {
-		t.Fatalf("CommitAsync: %v", err)
+	if err := l.CommitTicket().Wait(); err != nil {
+		t.Fatalf("commit: %v", err)
 	}
 	if st := l.Stats(); st.Fsyncs != 1 {
 		t.Fatalf("Fsyncs = %d after commit, want 1", st.Fsyncs)
 	}
 	// Nothing new staged: the next commit completes without fsyncing.
-	if err := <-l.CommitAsync(); err != nil {
-		t.Fatalf("idle CommitAsync: %v", err)
+	if err := l.CommitTicket().Wait(); err != nil {
+		t.Fatalf("idle commit: %v", err)
 	}
 	if st := l.Stats(); st.Fsyncs != 1 {
 		t.Fatalf("Fsyncs = %d after idle commit, want still 1", st.Fsyncs)
@@ -314,20 +315,15 @@ func TestCommitAsyncCompletesImmediatelyWhenNoFsyncDue(t *testing.T) {
 	if err := none.Append(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-none.CommitAsync():
-		if err != nil {
-			t.Fatalf("SyncNone CommitAsync: %v", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("SyncNone CommitAsync did not complete immediately")
+	if err := waitWithin(t, none.CommitTicket(), time.Second); err != nil {
+		t.Fatalf("SyncNone commit: %v", err)
 	}
 	if st := none.Stats(); st.Fsyncs != 0 {
 		t.Fatalf("SyncNone: %d fsyncs", st.Fsyncs)
 	}
 
 	// Within the interval, an interval-policy commit is durability-
-	// deferred: the channel resolves without waiting for an fsync.
+	// deferred: the ticket resolves without waiting for an fsync.
 	iv := openT(t, t.TempDir(), func(o *Options) {
 		o.Policy = SyncInterval
 		o.Interval = time.Hour
@@ -336,8 +332,8 @@ func TestCommitAsyncCompletesImmediatelyWhenNoFsyncDue(t *testing.T) {
 	if err := iv.Append(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-iv.CommitAsync(); err != nil {
-		t.Fatalf("SyncInterval CommitAsync: %v", err)
+	if err := iv.CommitTicket().Wait(); err != nil {
+		t.Fatalf("SyncInterval commit: %v", err)
 	}
 	if st := iv.Stats(); st.Fsyncs != 0 {
 		t.Fatalf("SyncInterval fsynced %d times inside the interval", st.Fsyncs)
@@ -348,15 +344,15 @@ func TestCommitAsyncCoalescesOutstandingCommits(t *testing.T) {
 	dir := t.TempDir()
 	l := openT(t, dir, func(o *Options) { o.Policy = SyncAlways })
 	const n = 16
-	chans := make([]<-chan error, 0, n)
+	tickets := make([]*Ticket, 0, n)
 	for i := uint64(1); i <= n; i++ {
 		if err := l.Append(i, []byte(fmt.Sprintf("record-%d", i))); err != nil {
 			t.Fatalf("Append(%d): %v", i, err)
 		}
-		chans = append(chans, l.CommitAsync())
+		tickets = append(tickets, l.CommitTicket())
 	}
-	for i, ch := range chans {
-		if err := <-ch; err != nil {
+	for i, tk := range tickets {
+		if err := tk.Wait(); err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
 	}
@@ -382,15 +378,15 @@ func TestCommitAsyncAcrossRotation(t *testing.T) {
 		o.SegmentBytes = 64
 	})
 	const n = 60
-	chans := make([]<-chan error, 0, n)
+	tickets := make([]*Ticket, 0, n)
 	for i := uint64(1); i <= n; i++ {
 		if err := l.Append(i, []byte(fmt.Sprintf("record-%d", i))); err != nil {
 			t.Fatalf("Append(%d): %v", i, err)
 		}
-		chans = append(chans, l.CommitAsync())
+		tickets = append(tickets, l.CommitTicket())
 	}
-	for i, ch := range chans {
-		if err := <-ch; err != nil {
+	for i, tk := range tickets {
+		if err := tk.Wait(); err != nil {
 			t.Fatalf("commit %d: %v", i, err)
 		}
 	}
@@ -412,8 +408,8 @@ func TestCommitAsyncAfterClose(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-l.CommitAsync(); err == nil {
-		t.Fatal("CommitAsync on a closed log should fail")
+	if err := l.CommitTicket().Wait(); err == nil {
+		t.Fatal("CommitTicket on a closed log should fail")
 	}
 	if err := l.Commit(); err == nil {
 		t.Fatal("Commit on a closed log should fail")
@@ -424,25 +420,35 @@ func TestCloseCompletesOutstandingCommits(t *testing.T) {
 	// Tickets still queued when Close runs are covered by its final
 	// fsync and must resolve (with nil), not leak.
 	l := openT(t, t.TempDir(), func(o *Options) { o.Policy = SyncAlways })
-	var chans []<-chan error
+	var tickets []*Ticket
 	for i := uint64(1); i <= 8; i++ {
 		if err := l.Append(i, []byte("r")); err != nil {
 			t.Fatal(err)
 		}
-		chans = append(chans, l.CommitAsync())
+		tickets = append(tickets, l.CommitTicket())
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for i, ch := range chans {
-		select {
-		case err := <-ch:
-			if err != nil {
-				t.Fatalf("commit %d resolved with %v", i, err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("commit %d never resolved after Close", i)
+	for i, tk := range tickets {
+		if err := waitWithin(t, tk, 2*time.Second); err != nil {
+			t.Fatalf("commit %d resolved with %v", i, err)
 		}
+	}
+}
+
+// waitWithin returns a commit ticket's outcome, failing the test if it
+// has not resolved within d.
+func waitWithin(t *testing.T, tk *Ticket, d time.Duration) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- tk.Wait() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("commit ticket unresolved after %v", d)
+		return nil
 	}
 }
 
@@ -548,33 +554,43 @@ func TestCheckpointFromStreamsReader(t *testing.T) {
 	}
 }
 
+// TestCheckpointCompression checks that a checkpoint whose header flags
+// a flate-compressed payload, as an earlier writer option produced,
+// still loads: a data directory holding one recovers without a wipe.
 func TestCheckpointCompression(t *testing.T) {
 	dir := t.TempDir()
-	l := openT(t, dir, func(o *Options) { o.Compress = true })
+	l := openT(t, dir, nil)
 	appendN(t, l, 1, 2)
-	state := bytes.Repeat([]byte("abcdefgh"), 64<<10) // highly compressible
-	if err := l.SaveCheckpoint(2, state); err != nil {
-		t.Fatalf("SaveCheckpoint: %v", err)
-	}
-	ckpts, _ := filepath.Glob(filepath.Join(dir, ckptPrefix+"*"+ckptSuffix))
-	if len(ckpts) != 1 {
-		t.Fatalf("%d checkpoint files, want 1", len(ckpts))
-	}
-	fi, err := os.Stat(ckpts[0])
+	l.Close()
+
+	state := bytes.Repeat([]byte("abcdefgh"), 64<<10)
+	var file bytes.Buffer
+	file.WriteString(ckptMagic)
+	file.Write([]byte{ckptVersion, ckptFlagCompressed})
+	file.Write(binary.AppendUvarint(nil, 2))
+	cw := &ckptChunkWriter{w: &file, buf: make([]byte, 0, ckptChunkSize)}
+	fw, err := flate.NewWriter(cw, flate.BestSpeed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fi.Size() >= int64(len(state))/4 {
-		t.Fatalf("compressed checkpoint is %d bytes for %d of repetitive state", fi.Size(), len(state))
+	if _, err := fw.Write(state); err != nil {
+		t.Fatal(err)
 	}
-	l.Close()
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.finish(); err != nil {
+		t.Fatal(err)
+	}
+	name := filepath.Join(dir, fmt.Sprintf("%s%020d%s", ckptPrefix, 2, ckptSuffix))
+	if err := os.WriteFile(name, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-	// A reader without the Compress option still decodes it (the flag
-	// travels in the file header).
 	l = openT(t, dir, nil)
 	defer l.Close()
 	if idx, got := l.Checkpoint(); idx != 2 || !bytes.Equal(got, state) {
-		t.Fatalf("Checkpoint = (%d, %d bytes), want decompressed original", idx, len(got))
+		t.Fatalf("Checkpoint = (%d, %d bytes), want the decompressed %d bytes at 2", idx, len(got), len(state))
 	}
 }
 
