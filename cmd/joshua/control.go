@@ -174,13 +174,14 @@ func runJobs(c *command, args []string) error {
 // (round-robined across the group, prefix-consistent, possibly
 // trailing a mutation in flight). -ordered asks for a linearizable
 // read instead: a head holding a live sequencer lease serves it
-// locally at nearly local-read cost, and a leaseless head falls back
-// to serializing it through the total order (one full ordering round)
-// — see DESIGN.md §6.7.
+// locally once its state covers every mutation acknowledged before
+// the read arrived, and a leaseless head falls back to serializing it
+// through the total order (one full ordering round) — see DESIGN.md
+// §6.7.
 func runJstat(c *command, args []string) error {
 	f := newFlags(c, true)
 	full := f.Bool("f", false, "full display (qstat -f)")
-	ordered := f.Bool("ordered", false, "serialize the query through the total order (linearizable read)")
+	ordered := f.Bool("ordered", false, "linearizable read: served under the head's read lease, or through the total order")
 	conf, err := f.load(args)
 	if err != nil {
 		return err
@@ -265,8 +266,8 @@ var perHeadKeys = []string{
 	"cmds_replied", "dedup_hits", "local_reads", "read_cache_hits",
 	"reply_queue_drops",
 	// lease_held is a per-head boolean gauge, reported but not summed.
-	"lease_reads", "lease_fallbacks", "lease_revocations",
-	"lease_fb_no_lease", "lease_fb_apply_lag", "lease_fb_durable",
+	"lease_reads", "lease_waits", "lease_fallbacks", "lease_revocations",
+	"lease_fb_no_lease", "lease_fb_wait",
 	// ckpt_inflight is a per-head boolean gauge; duration/bytes are
 	// per-head last-observed values, failures are a counter.
 	"ckpt_last_duration_ns", "ckpt_bytes", "ckpt_failures",

@@ -240,8 +240,8 @@ type Config struct {
 	// LeaseDuration is the wall-clock length of the read leases the
 	// sequencer grants to view members (piggybacked on heartbeat and
 	// BATCH frames). A member holding a live lease may serve
-	// linearizable reads locally without a broadcast; see
-	// LeasedReadOK. Grants are issued only while SafeDelivery is on
+	// linearizable reads locally without a broadcast; see ReadMark.
+	// Grants are issued only while SafeDelivery is on
 	// (an acked message is then guaranteed received at every lease
 	// holder) and only in a primary view; they cease the moment a
 	// flush begins, and holders revoke synchronously when they enter
@@ -349,16 +349,16 @@ type Process struct {
 	stats    Stats // guarded by viewMu
 
 	// Read-lease state, written by the loop goroutine and read by
-	// application read paths (LeaseValid/LeasedReadOK):
+	// application read paths (LeaseValid, LeaseEpoch, ReadMark):
 	// leaseExp is the UnixNano expiry of the current lease (0 = none);
-	// caughtUp is republished every event-loop round and reports
-	// whether this member has delivered every sequence it knows was
-	// assigned in the current view; delivCount counts DeliverEvents
-	// pushed, so the application can tell when it has consumed them
-	// all.
+	// leaseEpoch counts revocations; delivCount counts DeliverEvents
+	// pushed; readMark is the delivCount at which every sequence this
+	// member knows was assigned in the view will have been delivered
+	// (see publishMark).
 	leaseExp   atomic.Int64
-	caughtUp   atomic.Bool
+	leaseEpoch atomic.Uint64
 	delivCount atomic.Uint64
+	readMark   atomic.Uint64
 
 	// --- everything below is owned by the run loop goroutine ---
 
@@ -404,7 +404,8 @@ type Process struct {
 	recvAcked map[MemberID]uint64
 	// tailSeq is the highest sequence known to have been assigned in
 	// this view (from received DATA and heartbeat advertisements); it
-	// lets a member that missed the tail of the stream NACK it.
+	// lets a member that missed the tail of the stream NACK it, and
+	// sets the read mark. Only advanceTail raises it.
 	tailSeq uint64
 	// delivBlock is the unused tail of the block deliverOne carves
 	// Delivery records from, deliveryBlock at a time.
@@ -603,10 +604,17 @@ func (p *Process) bumpStat(f func(*Stats)) {
 // remaining lease window bounds how long any member may keep serving
 // leased reads across a membership change. Loop goroutine only.
 func (p *Process) leaseGrant() time.Duration {
-	if p.cfg.LeaseDuration <= 0 || !p.cfg.SafeDelivery {
+	if p.st != statusNormal || !p.view.Primary || p.view.Sequencer() != p.cfg.Self {
 		return 0
 	}
-	if p.st != statusNormal || !p.view.Primary || p.view.Sequencer() != p.cfg.Self {
+	return p.LeaseDuration()
+}
+
+// LeaseDuration returns the length of the read leases this group
+// grants, after defaults and clamping, or zero when it grants none
+// (leasing disabled, or no safe delivery). Safe from any goroutine.
+func (p *Process) LeaseDuration() time.Duration {
+	if p.cfg.LeaseDuration <= 0 || !p.cfg.SafeDelivery {
 		return 0
 	}
 	return p.cfg.LeaseDuration
@@ -623,10 +631,13 @@ func (p *Process) renewLease(dur time.Duration) {
 	}
 }
 
-// revokeLease drops the local lease immediately. Called on flush
-// entry and view installation so no leased read is served once a
-// membership change is underway. Loop goroutine only.
+// revokeLease drops the local lease immediately and bumps the lease
+// epoch, so a read that took its mark before the revocation is never
+// served under a lease granted after it. Called on flush entry and
+// view installation so no leased read is served once a membership
+// change is underway. Loop goroutine only.
 func (p *Process) revokeLease() {
+	p.leaseEpoch.Add(1)
 	if p.leaseExp.Swap(0) != 0 {
 		p.bumpStat(func(st *Stats) { st.LeaseRevocations++ })
 	}
@@ -639,22 +650,50 @@ func (p *Process) LeaseValid() bool {
 	return exp != 0 && time.Now().UnixNano() < exp
 }
 
-// LeasedReadOK reports whether a linearizable local read may be
-// served right now: the lease is live and this member has delivered
-// every sequence it knows was assigned. The second condition matters
-// because safe delivery guarantees an acked message was *received*
-// everywhere, not yet delivered; a holder with a received-but-
-// undelivered suffix must fall back to the broadcast path. The
-// application must additionally have consumed every pushed delivery
-// (see DeliveredCount) before its state is current. Safe from any
-// goroutine.
-func (p *Process) LeasedReadOK() bool {
-	return p.caughtUp.Load() && p.LeaseValid()
+// LeaseEpoch returns the number of lease revocations so far. Safe
+// from any goroutine.
+func (p *Process) LeaseEpoch() uint64 { return p.leaseEpoch.Load() }
+
+// ReadMark returns the lease epoch and the read mark, loaded in that
+// order. The mark counts DeliverEvents: once the application has
+// consumed that many, its state holds every message this member had
+// received (or seen advertised) when ReadMark was called. Under safe
+// delivery a message is delivered anywhere only after every member
+// received it, so the mark covers every message any member had
+// delivered by then, and with it every reply a client had been sent.
+// A linearizable read taken at ReadMark may therefore be served
+// locally once the mark is consumed, provided the lease is still live
+// and LeaseEpoch still returns epoch: a revocation in between (a
+// flush, a new view) may have cut or reordered the suffix the mark
+// counted on. Safe from any goroutine.
+func (p *Process) ReadMark() (epoch, mark uint64) {
+	epoch = p.leaseEpoch.Load()
+	return epoch, p.readMark.Load()
 }
 
-// DeliveredCount returns the cumulative number of DeliverEvents
-// pushed to the event stream. Safe from any goroutine.
-func (p *Process) DeliveredCount() uint64 { return p.delivCount.Load() }
+// advanceTail raises tailSeq to seq if it is higher, and publishes the
+// new read mark before anything else happens on the loop: a receipt
+// ack that covers seq may leave later this round, and a peer may then
+// deliver, and answer a client, on the strength of it. Loop goroutine
+// only.
+func (p *Process) advanceTail(seq uint64) {
+	if seq > p.tailSeq {
+		p.tailSeq = seq
+		p.publishMark()
+	}
+}
+
+// publishMark stores the read mark: the delivery count this member
+// reaches once it has delivered every sequence up to tailSeq. Within a
+// view each delivery advances delivCount and nextDeliver together, so
+// the mark stays exact until the view changes. Loop goroutine only.
+func (p *Process) publishMark() {
+	mark := p.delivCount.Load()
+	if p.tailSeq >= p.nextDeliver {
+		mark += p.tailSeq - p.nextDeliver + 1
+	}
+	p.readMark.Store(mark)
+}
 
 // Broadcast submits a payload for totally ordered delivery to the
 // group (including this member). It blocks while the send window is
@@ -736,7 +775,7 @@ func (p *Process) run() {
 	defer func() {
 		p.st = statusClosed
 		p.leaseExp.Store(0)
-		p.caughtUp.Store(false)
+		p.leaseEpoch.Add(1)
 		p.ep.Close()
 		p.events.close()
 	}()
@@ -801,16 +840,11 @@ func (p *Process) drainInputs() {
 // batching and ack coalescing.
 func (p *Process) flushRound() {
 	if p.st == statusClosed {
-		p.caughtUp.Store(false)
 		return
 	}
 	p.flushOutData()
 	p.flushReqOut()
 	p.flushAck()
-	// Republish the leased-read catch-up gate: delivered everything we
-	// know was assigned in this view (tailSeq covers every received
-	// sequence and every heartbeat advertisement).
-	p.caughtUp.Store(p.st == statusNormal && p.nextDeliver > p.tailSeq)
 }
 
 // batchLen returns how many of msgs (at least one) the next frame
@@ -1249,13 +1283,7 @@ func (p *Process) acceptData(d *dataMsg) {
 	if d.Seq-p.stable > maxRingSpan && p.view.Sequencer() != p.cfg.Self {
 		return // too far past a gap (or corrupt); NACKed once the gap closes
 	}
-	if d.Seq > p.tailSeq {
-		p.tailSeq = d.Seq
-		// Close the leased-read gate before this receipt is reported
-		// to anyone: a peer may deliver, and answer a client, on the
-		// strength of it. flushRound reopens it once we have delivered.
-		p.caughtUp.Store(false)
-	}
+	p.advanceTail(d.Seq)
 	if p.ordered.put(d) {
 		if p.cfg.SafeDelivery && p.st == statusNormal && p.view.Sequencer() != p.cfg.Self {
 			p.scheduleAck()
@@ -1436,9 +1464,7 @@ func (p *Process) onHeartbeat(m *message) {
 	if m.ViewID != p.view.ID {
 		return
 	}
-	if m.Tail > p.tailSeq {
-		p.tailSeq = m.Tail
-	}
+	p.advanceTail(m.Tail)
 	if m.LeaseDur > 0 && p.st == statusNormal && m.From == p.view.Sequencer() {
 		p.renewLease(m.LeaseDur)
 	}
@@ -1523,6 +1549,7 @@ func (p *Process) installView(v View) {
 	p.recvAcked = make(map[MemberID]uint64)
 	p.gapSince = time.Time{}
 	p.tailSeq = 0
+	p.publishMark()
 	// Unflushed round output belongs to the old view: sequenced
 	// messages were reconciled by the flush and queued requests are
 	// retransmitted by adoptView.

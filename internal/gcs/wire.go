@@ -108,7 +108,7 @@ type message struct {
 	// kindHeartbeat, kindBatch: a read-lease grant from the sequencer
 	// (zero = no grant). The receiving member may serve leased local
 	// reads for this long after receipt, minus the safety margin; see
-	// Process.LeasedReadOK.
+	// Process.ReadMark.
 	LeaseDur time.Duration
 }
 

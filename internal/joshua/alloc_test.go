@@ -49,7 +49,8 @@ func newApplyDaemon(t testing.TB) *pbs.Daemon {
 
 // leaseRig boots a single head and waits for it to grant itself a
 // lease, then returns the server plus an encoded ordered StatAll
-// request whose classification must take the leased local path.
+// request, which the replica serves with the classification's Respond
+// hook while it holds the lease.
 func leaseRig(t testing.TB) (*Server, []byte) {
 	r := newRawRig(t, 1, nil)
 	s := r.heads[0]
@@ -72,12 +73,13 @@ func leaseRig(t testing.TB) (*Server, []byte) {
 	return s, payload
 }
 
-// leasedServe classifies payload and builds the reply; it is the
-// measured operation.
+// leasedServe classifies payload and builds the reply a lease holder
+// sends; it is the measured operation. The replica's own share of a
+// leased read (mark, park, resume) is gated in internal/rsm.
 func leasedServe(t testing.TB, s *Server, payload []byte) {
 	cls := s.classify(payload)
-	if cls.Verdict != rsm.Reply || cls.Respond == nil {
-		t.Fatal("ordered read fell back to broadcast: lease lost mid-measurement")
+	if cls.Verdict != rsm.OrderedRead || cls.Respond == nil || len(cls.ReqID) == 0 {
+		t.Fatalf("ordered read classified %v, want an OrderedRead with Respond and ReqID", cls.Verdict)
 	}
 	enc := cls.Respond(payload)
 	if enc == nil {

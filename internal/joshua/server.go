@@ -124,8 +124,9 @@ func StartServer(cfg Config) (*Server, error) {
 }
 
 // classify sorts one control-command datagram: queries are answered
-// locally (serveRead, the Respond hook), mutations — and queries
-// carrying the Ordered flag — flow through the total order. It only
+// locally (serveRead, the Respond hook), queries carrying the Ordered
+// flag are linearizable reads the replica serves under its read lease
+// or orders, and mutations flow through the total order. It only
 // peeks at the request header (kind, ReqID, op, ordered); a read's
 // full argument decode happens in serveRead.
 func (s *Server) classify(payload []byte) rsm.Classification {
@@ -135,21 +136,13 @@ func (s *Server) classify(payload []byte) rsm.Classification {
 	if !v.header(codec.NewDecoder(payload)) {
 		return rsm.Classification{Verdict: rsm.Ignore}
 	}
-	if !v.op.mutating() {
-		if !v.ordered {
-			return rsm.Classification{Verdict: rsm.Reply, Respond: s.serveReadFn}
-		}
-		// Ordered read under a live lease: serve it locally. The lease
-		// gates pass at this instant — that is the read's linearization
-		// point — so the response may be built later on a read worker
-		// even if the lease is revoked in between. No lease (or any
-		// gate failing) falls through to the broadcast path below,
-		// exactly as ordered reads worked before leases existed.
-		if rep := s.rep.Load(); rep != nil && rep.TryLeasedRead() {
-			return rsm.Classification{Verdict: rsm.Reply, Respond: s.serveReadFn}
-		}
+	switch {
+	case v.op.mutating():
+		return rsm.Classification{Verdict: rsm.Replicate, ReqID: v.reqID}
+	case v.ordered:
+		return rsm.Classification{Verdict: rsm.OrderedRead, ReqID: v.reqID, Respond: s.serveReadFn}
 	}
-	return rsm.Classification{Verdict: rsm.Replicate, ReqID: v.reqID}
+	return rsm.Classification{Verdict: rsm.Reply, Respond: s.serveReadFn}
 }
 
 // Ready is closed once the head has joined (or formed) the group and
@@ -269,10 +262,10 @@ func (s *Server) infoLocked() map[string]string {
 		"mem_allocs_per_cmd": fmt.Sprintf("%.1f", st.AllocsPerCmd),
 		"lease_held":         fmt.Sprintf("%v", st.LeaseHeld),
 		"lease_reads":        fmt.Sprintf("%d", st.LeaseReads),
+		"lease_waits":        fmt.Sprintf("%d", st.LeaseWaits),
 		"lease_fallbacks":    fmt.Sprintf("%d", st.LeaseFallbacks),
 		"lease_fb_no_lease":  fmt.Sprintf("%d", st.LeaseFallbackNoLease),
-		"lease_fb_apply_lag": fmt.Sprintf("%d", st.LeaseFallbackApplyLag),
-		"lease_fb_durable":   fmt.Sprintf("%d", st.LeaseFallbackDurability),
+		"lease_fb_wait":      fmt.Sprintf("%d", st.LeaseFallbackWait),
 		"lease_revocations":  fmt.Sprintf("%d", st.LeaseRevocations),
 		"gcs_broadcasts":     fmt.Sprintf("%d", gst.Broadcasts),
 		"gcs_delivered":      fmt.Sprintf("%d", gst.Delivered),

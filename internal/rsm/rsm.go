@@ -153,16 +153,22 @@ const (
 	// Replicate pushes the datagram through the total order; every
 	// replica applies it; the origin and the sequencer answer.
 	Replicate
+	// OrderedRead is a linearizable read. A replica holding a live
+	// read lease answers it locally with Respond once its state covers
+	// every command acknowledged before the read arrived, waiting for
+	// that if it must; otherwise the read is replicated under ReqID
+	// like a Replicate datagram (see Replica.leasedRead).
+	OrderedRead
 )
 
 // Classification is the Classifier's decision for one datagram.
 type Classification struct {
 	Verdict Verdict
-	// ReqID is the deduplication key; required for Replicate. It may
-	// be a view into the datagram: the replica reads it only while it
-	// holds the payload.
+	// ReqID is the deduplication key; required for Replicate and
+	// OrderedRead. It may be a view into the datagram: the replica
+	// reads it only while it holds the payload.
 	ReqID []byte
-	// Respond builds a Reply verdict's response into a pooled encoder
+	// Respond builds a Reply or OrderedRead response into a pooled encoder
 	// (codec.GetEncoder), which the replica returns to the pool once
 	// the send returns, so the read reply path allocates nothing. It
 	// receives the datagram payload back from the replica, so the
@@ -234,8 +240,12 @@ type Config struct {
 
 	// LeaseDuration is the length of the sequencer-granted read leases
 	// that let this replica serve linearizable (ordered) reads from
-	// local state without a broadcast — see TryLeasedRead. Zero selects
+	// local state without a broadcast — see leasedRead. Zero selects
 	// the group layer's default length; negative is a Start error.
+	// The field is only the request: TuneGCS may override it (and
+	// cluster.Options.TuneGCS callers typically leave it zero), so the
+	// replica reads the length in force back from the group layer
+	// (gcs.Process.LeaseDuration) and nothing should read it here.
 	// Leases need safe delivery in the group layer (the grant is only
 	// sound when an acked command is known received at every holder),
 	// so the replica always turns it on; a TuneGCS that turns it off
@@ -334,13 +344,12 @@ type Stats struct {
 	// Leased linearizable reads (see Config.LeaseDuration).
 	LeaseHeld        bool   // a read lease is currently live (gauge)
 	LeaseReads       uint64 // ordered reads served locally under a lease
-	LeaseFallbacks   uint64 // ordered reads that fell back to the broadcast path (sum of the three below)
+	LeaseWaits       uint64 // ordered reads parked until local state covered their mark
+	LeaseFallbacks   uint64 // ordered reads that fell back to the broadcast path (sum of the two below)
 	LeaseRevocations uint64 // leases revoked by flush entry or view change
 
-	// Fallbacks by the TryLeasedRead gate that refused them.
-	LeaseFallbackNoLease    uint64 // gate 1: no live lease, or the group layer not caught up
-	LeaseFallbackApplyLag   uint64 // gate 2: deliveries not yet applied
-	LeaseFallbackDurability uint64 // gate 3: applied state ahead of the fsync watermark
+	LeaseFallbackNoLease uint64 // no live lease when the read arrived
+	LeaseFallbackWait    uint64 // parked, then the lease broke or a lease period passed
 
 	// Memory pressure (runtime.MemStats-derived gauges, sampled by
 	// Stats() so regressions are visible in operation, not just
@@ -483,22 +492,32 @@ type Replica struct {
 	// acknowledges is durable. Meaningless (and unused) without a log.
 	durableIdx atomic.Uint64
 	// appliedPub publishes appliedIdx for the leased-read durability
-	// gate. It is stored *before* a command executes (conservative:
+	// check. It is stored *before* a command executes (conservative:
 	// the published value is never behind the state a reader can
-	// observe), so TryLeasedRead's durableIdx >= appliedPub check
-	// never passes while applied state outruns the fsync watermark.
+	// observe), so a durableIdx >= appliedPub check never passes while
+	// applied state outruns the fsync watermark.
 	appliedPub atomic.Uint64
 	// delivHandled counts group deliveries this replica has finished
-	// applying; compared against the group layer's DeliveredCount so
-	// a leased read never runs while deliveries sit in the event
-	// queue.
+	// applying; a leased read is served once it reaches the read's
+	// mark (gcs.Process.ReadMark).
 	delivHandled atomic.Uint64
-	// Leased-read outcome counters (TryLeasedRead): served, and
-	// refused by each of its three gates.
-	leaseReads      atomic.Uint64
-	leaseNoLease    atomic.Uint64
-	leaseApplyLag   atomic.Uint64
-	leaseDurability atomic.Uint64
+	// Leased-read outcome counters (see Stats).
+	leaseReads        atomic.Uint64
+	leaseWaits        atomic.Uint64
+	leaseNoLease      atomic.Uint64
+	leaseWaitFallback atomic.Uint64
+
+	// Parked leased reads (see park). parked is guarded by parkMu and
+	// keeps its capacity, so parking allocates nothing once warm;
+	// nParked mirrors its length for the loop's and the releaser's
+	// lock-free check. wake (buffered 1) tells a read worker to look at
+	// the parked reads, and parkTimer sends it when the earliest one's
+	// lease period runs out.
+	parkMu    sync.Mutex
+	parked    []parkedRead
+	nParked   atomic.Int64
+	wake      chan struct{}
+	parkTimer *time.Timer
 
 	// --- owned by the run loop ---
 	view gcs.View
@@ -574,7 +593,10 @@ func Start(cfg Config) (*Replica, error) {
 		done:     make(chan struct{}),
 		ready:    make(chan struct{}),
 		dedup:    newDedupTable(cfg.DedupLimit),
+		wake:     make(chan struct{}, 1),
 	}
+	r.parkTimer = time.AfterFunc(time.Hour, r.kick)
+	r.parkTimer.Stop()
 	r.stats.ReadWorkers = cfg.ReadConcurrency
 	r.stats.ApplyWorkers = cfg.ApplyConcurrency
 
@@ -674,50 +696,6 @@ func (r *Replica) View() gcs.View { return r.group.View() }
 // GroupStats returns the group communication layer's counters.
 func (r *Replica) GroupStats() gcs.Stats { return r.group.Stats() }
 
-// TryLeasedRead reports whether an ordered (linearizable) read may be
-// served from local state right now, counting the outcome either way.
-// It holds when three gates pass together:
-//
-//  1. The group layer holds a live read lease from the sequencer and
-//     is caught up — it has delivered everything it knows was
-//     assigned a sequence (gcs.Process.LeasedReadOK). Leases are only
-//     granted under safe delivery, so any command a client has been
-//     acknowledged for was received here before the ack; the caught-up
-//     gate then turns "received" into "delivered".
-//  2. This replica has finished applying every delivery the group
-//     layer pushed at it (delivHandled vs DeliveredCount) — the
-//     event-queue and apply-stage lag.
-//  3. When a WAL is attached, applied state is covered by the fsync
-//     watermark (durableIdx vs appliedPub, which publishes *before*
-//     execution, conservatively), so a leased read never observes
-//     state a crash could still lose.
-//
-// The load order is chosen so every race resolves conservatively
-// (toward fallback): the lease/caught-up check first, then the
-// handled count before the delivered count, then the durability
-// watermark before the published applied index. The decision is made
-// at classification time; that instant is the read's linearization
-// point, so a lease revoked before the response is built does not
-// matter — the read is serialized where the gates held.
-//
-// A false return is the automatic fallback: the caller broadcasts the
-// read through the total order exactly as before leases existed. The
-// first gate that refuses is counted (Stats.LeaseFallback*).
-func (r *Replica) TryLeasedRead() bool {
-	switch {
-	case !r.group.LeasedReadOK():
-		r.leaseNoLease.Add(1)
-	case r.delivHandled.Load() < r.group.DeliveredCount():
-		r.leaseApplyLag.Add(1)
-	case r.log != nil && r.durableIdx.Load() < r.appliedPub.Load():
-		r.leaseDurability.Add(1)
-	default:
-		r.leaseReads.Add(1)
-		return true
-	}
-	return false
-}
-
 // Stats returns a snapshot of the replica counters.
 func (r *Replica) Stats() Stats {
 	r.statsMu.Lock()
@@ -725,10 +703,10 @@ func (r *Replica) Stats() Stats {
 	r.statsMu.Unlock()
 	st.LeaseHeld = r.group.LeaseValid()
 	st.LeaseReads = r.leaseReads.Load()
+	st.LeaseWaits = r.leaseWaits.Load()
 	st.LeaseFallbackNoLease = r.leaseNoLease.Load()
-	st.LeaseFallbackApplyLag = r.leaseApplyLag.Load()
-	st.LeaseFallbackDurability = r.leaseDurability.Load()
-	st.LeaseFallbacks = st.LeaseFallbackNoLease + st.LeaseFallbackApplyLag + st.LeaseFallbackDurability
+	st.LeaseFallbackWait = r.leaseWaitFallback.Load()
+	st.LeaseFallbacks = st.LeaseFallbackNoLease + st.LeaseFallbackWait
 	st.LeaseRevocations = r.group.Stats().LeaseRevocations
 	st.ReadQueueDepth = len(r.clientEP.Recv())
 	if r.log != nil {
@@ -763,6 +741,7 @@ func (r *Replica) Leave() {
 func (r *Replica) Close() {
 	r.once.Do(func() {
 		close(r.done)
+		r.parkTimer.Stop()
 		r.group.Close()
 		r.clientEP.Close()
 		if r.log != nil {
@@ -955,8 +934,7 @@ func (r *Replica) runRound(first gcs.Event, events <-chan gcs.Event) {
 	flush := func() {
 		r.applyBatch(batch)
 		// Every delivery in the batch is now reflected in local state;
-		// credit them against the group layer's delivered count so
-		// leased reads know the apply queue is drained.
+		// credit them so parked leased reads can see their mark reached.
 		r.delivHandled.Add(uint64(len(batch)))
 		batch = batch[:0]
 	}
@@ -989,6 +967,9 @@ func (r *Replica) runRound(first gcs.Event, events <-chan gcs.Event) {
 	}
 	flush()
 	r.batchBuf = batch[:0]
+	// The round may have applied a parked read's mark, or (with a view
+	// event) broken its lease epoch.
+	r.resumeParked()
 }
 
 // takeReplySlice / takeEnvSlice pull a recycled per-round slice from
@@ -1324,6 +1305,7 @@ func (r *Replica) releaser() {
 				})
 				if err == nil && b.maxIndex > 0 {
 					r.durableIdx.Store(b.maxIndex)
+					r.resumeParked()
 				}
 			}
 			for _, rep := range b.replies {
@@ -1378,10 +1360,13 @@ func (r *Replica) handleGroupEvent(e gcs.Event) {
 func (r *Replica) readWorker() {
 	labelStage("read_worker")
 	recv := r.clientEP.Recv()
+	var ready []parkedRead // scratch for serveParked, reused
 	for {
 		select {
 		case <-r.done:
 			return
+		case <-r.wake:
+			ready = r.serveParked(ready)
 		case dg, ok := <-recv:
 			if !ok {
 				return
@@ -1393,10 +1378,11 @@ func (r *Replica) readWorker() {
 
 // serveRequest classifies and serves one client datagram. It runs on a
 // read worker, so it may touch only concurrency-safe state: the dedup
-// table, the group layer's view, and whatever the Respond hook guards.
-// With several workers, two of one client's outstanding commands may
-// reach Broadcast in either order; their replies follow the total
-// order they get, not the order they were sent (see Classifier).
+// table, the group layer's view and lease, the parked reads, and
+// whatever the Respond hook guards. With several workers, two of one
+// client's outstanding commands may reach Broadcast in either order;
+// their replies follow the total order they get, not the order they
+// were sent (see Classifier).
 func (r *Replica) serveRequest(from transport.Addr, payload []byte) {
 	cls := r.cfg.Classify(payload)
 	switch cls.Verdict {
@@ -1404,16 +1390,30 @@ func (r *Replica) serveRequest(from transport.Addr, payload []byte) {
 		return
 	case Reply:
 		r.bump(func(st *Stats) { st.Intercepted++; st.LocalReads++ })
-		if cls.Respond != nil {
-			if enc := cls.Respond(payload); enc != nil {
-				r.send(from, enc.Bytes())
-				enc.Release()
-			}
-		}
+		r.respond(from, payload, cls.Respond)
 		return
 	}
 	r.bump(func(st *Stats) { st.Intercepted++ })
+	if cls.Verdict == OrderedRead && r.leasedRead(from, payload, &cls) {
+		return
+	}
+	r.replicate(from, payload, cls.ReqID)
+}
 
+// respond builds a local read's response with fn and sends it.
+func (r *Replica) respond(from transport.Addr, payload []byte, fn func([]byte) *codec.Encoder) {
+	if fn != nil {
+		if enc := fn(payload); enc != nil {
+			r.send(from, enc.Bytes())
+			enc.Release()
+		}
+	}
+}
+
+// replicate takes a request to the total order: a retry already
+// applied is answered from the deduplication table, a replica outside
+// the primary component refuses, and anything else is broadcast.
+func (r *Replica) replicate(from transport.Addr, payload, reqID []byte) {
 	// Retried request already applied? Answer from the table without
 	// re-executing (exactly-once semantics across replica failures) —
 	// but only once the command's index is covered by the durability
@@ -1422,14 +1422,14 @@ func (r *Replica) serveRequest(from transport.Addr, payload []byte) {
 	// retry falls through to the broadcast path; the copy collapses
 	// in the table and its reply is released by the normal
 	// durability-gated path.
-	if idx, hasResp, ok := r.dedup.lookup(cls.ReqID); ok {
+	if idx, hasResp, ok := r.dedup.lookup(reqID); ok {
 		if r.log == nil || idx <= r.durableIdx.Load() {
 			if hasResp {
 				// fetch copies the recorded response under the table
 				// lock into a pooled encoder. A concurrent eviction
 				// between lookup and fetch just drops the answer; the
 				// client's next retry recovers.
-				if enc, _, ok2 := r.dedup.fetch(cls.ReqID); ok2 && enc != nil {
+				if enc, _, ok2 := r.dedup.fetch(reqID); ok2 && enc != nil {
 					r.bump(func(st *Stats) { st.DedupHits++ })
 					r.send(from, enc.Bytes())
 					enc.Release()
@@ -1441,18 +1441,184 @@ func (r *Replica) serveRequest(from transport.Addr, payload []byte) {
 
 	if !r.group.View().Primary {
 		if r.cfg.RejectNotPrimary != nil {
-			r.send(from, r.cfg.RejectNotPrimary(cls.ReqID))
+			r.send(from, r.cfg.RejectNotPrimary(reqID))
 		}
 		return
 	}
 
-	enc := codec.GetEncoder(64 + len(cls.ReqID) + len(payload))
-	encodeEnvelopeTo(enc, cls.ReqID, r.cfg.Self, from, payload)
+	enc := codec.GetEncoder(64 + len(reqID) + len(payload))
+	encodeEnvelopeTo(enc, reqID, r.cfg.Self, from, payload)
 	err := r.group.Broadcast(enc.Bytes())
 	enc.Release() // Broadcast copies the payload before queueing
 	if err != nil && r.cfg.RejectShutdown != nil {
-		r.send(from, r.cfg.RejectShutdown(cls.ReqID))
+		r.send(from, r.cfg.RejectShutdown(reqID))
 	}
+}
+
+// parkedRead is an ordered read waiting, under a lease, for local
+// state to cover its mark. payload is the datagram, which the
+// transport hands over for good; reqID and respond come from its
+// classification.
+type parkedRead struct {
+	from     transport.Addr
+	payload  []byte
+	reqID    []byte
+	respond  func([]byte) *codec.Encoder
+	epoch    uint64 // lease epoch when the read arrived
+	mark     uint64 // deliveries to apply before serving it
+	deadline int64  // UnixNano: fall back past this, lease or not
+	serve    bool   // serveParked: serve locally (else fall back)
+}
+
+// leaseNow is one reading of what a leased read is checked against.
+// The lease is read before local progress, and durableIdx before
+// appliedPub, so every race resolves toward waiting.
+type leaseNow struct {
+	epoch   uint64
+	live    bool
+	handled uint64
+	durable bool
+}
+
+func (r *Replica) leaseNow() leaseNow {
+	n := leaseNow{epoch: r.group.LeaseEpoch(), live: r.group.LeaseValid()}
+	n.handled = r.delivHandled.Load()
+	n.durable = r.log == nil || r.durableIdx.Load() >= r.appliedPub.Load()
+	return n
+}
+
+// broken reports that pr may no longer be served locally: the lease
+// died or was revoked since pr took its mark.
+func (n leaseNow) broken(pr *parkedRead) bool { return !n.live || n.epoch != pr.epoch }
+
+// ready reports that local state holds pr's mark, applied and durable.
+func (n leaseNow) ready(pr *parkedRead) bool { return n.handled >= pr.mark && n.durable }
+
+// leasedRead serves an ordered read from local state under the read
+// lease, parks it until local state catches up, or reports false when
+// it must be broadcast instead: no live lease when it arrived.
+//
+// The read's mark (gcs.Process.ReadMark) counts every delivery this
+// replica must apply before its state holds each command a client was
+// answered for before the read arrived. A read whose mark is applied
+// and durable is served at once. Otherwise it parks, and a read worker
+// serves it once the loop (after a round's apply) or the releaser
+// (after a durability step) resumes it — provided the lease is still
+// live and its epoch unchanged, since a revocation may have cut the
+// suffix the mark counted on. A read that cannot be served within one
+// lease period, or whose lease breaks, falls back to the broadcast.
+// The instant its checks pass is the read's linearization point, so
+// the reply may be built after the lease is revoked.
+func (r *Replica) leasedRead(from transport.Addr, payload []byte, cls *Classification) bool {
+	epoch, mark := r.group.ReadMark()
+	pr := parkedRead{from: from, payload: payload, reqID: cls.ReqID, respond: cls.Respond, epoch: epoch, mark: mark}
+	now := r.leaseNow()
+	if now.broken(&pr) {
+		r.leaseNoLease.Add(1)
+		return false
+	}
+	if now.ready(&pr) {
+		r.serveLeased(&pr)
+		return true
+	}
+	r.park(&pr)
+	return true
+}
+
+// serveLeased answers a leased read from local state.
+func (r *Replica) serveLeased(pr *parkedRead) {
+	r.leaseReads.Add(1)
+	r.bump(func(st *Stats) { st.LocalReads++ })
+	r.respond(pr.from, pr.payload, pr.respond)
+}
+
+// park queues a leased read that must wait for its mark. Nothing here
+// blocks or, once the parked slice has grown, allocates.
+func (r *Replica) park(pr *parkedRead) {
+	r.leaseWaits.Add(1)
+	lease := r.group.LeaseDuration()
+	pr.deadline = time.Now().Add(lease).UnixNano()
+	r.parkMu.Lock()
+	if len(r.parked) == 0 {
+		r.parkTimer.Reset(lease)
+	}
+	r.parked = append(r.parked, *pr)
+	r.nParked.Store(int64(len(r.parked)))
+	r.parkMu.Unlock()
+	// A round that completed after the check in leasedRead, but before
+	// nParked rose, saw nothing to resume; look again so the read does
+	// not wait for the next round.
+	if now := r.leaseNow(); now.ready(pr) || now.broken(pr) {
+		r.kick()
+	}
+}
+
+// kick wakes one read worker to look at the parked reads. It never
+// blocks: a wake already pending covers this one.
+func (r *Replica) kick() {
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
+}
+
+// resumeParked wakes a read worker if any read is parked. The loop
+// calls it after each round and the releaser after each durability
+// step.
+func (r *Replica) resumeParked() {
+	if r.nParked.Load() > 0 {
+		r.kick()
+	}
+}
+
+// serveParked takes every parked read that has stopped waiting: it
+// serves one whose mark is applied and durable under an unbroken
+// lease, falls back to the broadcast for one whose lease broke or
+// whose lease period is over, and re-arms the timer for the earliest
+// read still waiting. buf is the calling
+// worker's scratch slice, returned emptied for reuse.
+func (r *Replica) serveParked(buf []parkedRead) []parkedRead {
+	r.parkMu.Lock()
+	now, at := r.leaseNow(), time.Now().UnixNano()
+	keep := r.parked[:0]
+	var next int64
+	for i := range r.parked {
+		pr := &r.parked[i]
+		switch {
+		case now.broken(pr):
+			pr.serve = false
+		case now.ready(pr):
+			pr.serve = true
+		case at >= pr.deadline:
+			pr.serve = false
+		default:
+			keep = append(keep, *pr)
+			if next == 0 || pr.deadline < next {
+				next = pr.deadline
+			}
+			continue
+		}
+		buf = append(buf, *pr)
+	}
+	clear(r.parked[len(keep):])
+	r.parked = keep
+	r.nParked.Store(int64(len(keep)))
+	if next != 0 {
+		r.parkTimer.Reset(time.Duration(next - at))
+	}
+	r.parkMu.Unlock()
+
+	for i := range buf {
+		pr := &buf[i]
+		if pr.serve {
+			r.serveLeased(pr)
+		} else {
+			r.leaseWaitFallback.Add(1)
+			r.replicate(pr.from, pr.payload, pr.reqID)
+		}
+	}
+	clear(buf)
+	return buf[:0]
 }
 
 // send hands one response to the client endpoint. Send never blocks:
