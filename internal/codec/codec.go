@@ -22,6 +22,7 @@ import (
 	"math"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // Decoding errors. ErrTruncated is returned when the buffer ends in the
@@ -174,9 +175,9 @@ type Decoder struct {
 	buf []byte
 	off int
 	err error
-	// text is the one string copy of buf made by ShareStrings; Text
-	// slices it. Empty otherwise (and for an empty buf, where slicing
-	// and converting agree).
+	// text is buf as a string, for Text to slice: the one copy made
+	// by ShareStrings, or buf itself after ViewStrings. Empty otherwise
+	// (and for an empty buf, where slicing and converting agree).
 	text string
 }
 
@@ -290,15 +291,30 @@ func (d *Decoder) String() string {
 // allocating one string per field. A message decoded into many strings
 // then costs one allocation, and every string it yields keeps the
 // whole copy alive; decode short-lived or small-field messages without
-// it. Strings from the copy survive later changes to the input buffer.
+// it. Strings from the copy survive later changes to the input buffer,
+// so this is the mode for an input its owner will write again, such
+// as a buffer the caller recycles.
 func (d *Decoder) ShareStrings() { d.text = string(d.buf) }
 
+// ViewStrings makes Text (and StringSlice) return strings over the
+// input itself, without copying or allocating: a message decoded into
+// many strings costs nothing, and every string it yields keeps the
+// whole input alive. It is only for an input the caller owns and that
+// nothing writes again, such as a received transport.Message's
+// Payload, since a later write to the input would change strings the
+// language holds immutable. Use ShareStrings for any other input.
+func (d *Decoder) ViewStrings() {
+	if len(d.buf) > 0 {
+		d.text = unsafe.String(unsafe.SliceData(d.buf), len(d.buf))
+	}
+}
+
 // Text decodes a length-prefixed string like String. After
-// ShareStrings it returns a substring of the shared copy without
-// allocating; otherwise it converts, exactly as String does. String is
-// kept separate on purpose: its inlined conversion lets a caller whose
-// string does not escape keep it on the stack, which a call through
-// Text would prevent.
+// ShareStrings or ViewStrings it returns a substring of the shared copy
+// or of the input without allocating; otherwise it converts, exactly
+// as String does. String is kept separate on purpose: its inlined
+// conversion lets a caller whose string does not escape keep it on the
+// stack, which a call through Text would prevent.
 func (d *Decoder) Text() string {
 	b := d.Bytes()
 	if d.text == "" {
@@ -345,7 +361,8 @@ func (d *Decoder) Duration() time.Duration {
 }
 
 // StringSlice decodes a slice written by PutStringSlice. Its strings
-// share the input after ShareStrings (see Text).
+// share the input's copy after ShareStrings, and the input itself after
+// ViewStrings (see Text).
 func (d *Decoder) StringSlice() []string {
 	n := d.Uint()
 	if d.err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestRoundTripScalars(t *testing.T) {
@@ -397,26 +398,28 @@ func decodeFixture(d *Decoder, text func() string) ([]string, error) {
 	return out, d.Finish()
 }
 
-// TestTextMatchesString checks that Text after ShareStrings returns
-// exactly what String returns — empty strings included — and that a
-// truncated input fails the same way, with the same sticky error and
-// zero values from then on.
+// TestTextMatchesString checks that Text after ShareStrings or
+// ViewStrings returns exactly what String returns — empty strings
+// included — and that a truncated input fails the same way, with the
+// same sticky error and zero values from then on.
 func TestTextMatchesString(t *testing.T) {
 	full := sharedFixture()
 	for cut := len(full); cut >= 0; cut-- {
 		in := full[:cut]
 		plain := NewDecoder(in)
 		want, wantErr := decodeFixture(plain, plain.String)
-		shared := NewDecoder(in)
-		shared.ShareStrings()
-		got, gotErr := decodeFixture(shared, shared.Text)
-		if !slices.Equal(got, want) || gotErr != wantErr {
-			t.Fatalf("cut %d: Text gave %q (%v), String %q (%v)", cut, got, gotErr, want, wantErr)
+		for mode, set := range map[string]func(*Decoder){"ShareStrings": (*Decoder).ShareStrings, "ViewStrings": (*Decoder).ViewStrings} {
+			d := NewDecoder(in)
+			set(d)
+			got, gotErr := decodeFixture(d, d.Text)
+			if !slices.Equal(got, want) || gotErr != wantErr {
+				t.Fatalf("cut %d, %s: Text gave %q (%v), String %q (%v)", cut, mode, got, gotErr, want, wantErr)
+			}
 		}
 		if cut == len(full) && wantErr != nil {
 			t.Fatalf("full input: %v", wantErr)
 		}
-		if cut < len(full) && gotErr == nil {
+		if cut < len(full) && wantErr == nil {
 			t.Fatalf("cut %d: truncated input decoded without error", cut)
 		}
 	}
@@ -457,5 +460,61 @@ func TestSharedStringsOutliveInput(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Errorf("shared decode: %v allocs, want 1 (the copy)", allocs)
+	}
+}
+
+// TestViewStringsAliasInput checks that strings decoded after
+// ViewStrings lie inside the input itself, so that a whole message,
+// string slice included, costs only the slice; and that an empty
+// input, or one holding only an empty string, decodes as String does,
+// without allocating.
+func TestViewStringsAliasInput(t *testing.T) {
+	in := sharedFixture()
+	d := NewDecoder(in)
+	d.ViewStrings()
+	got, err := decodeFixture(d, d.Text)
+	if err != nil || got[1] != "hello, 世界" || got[len(got)-1] != "tail" {
+		t.Fatalf("decode: %q, %v", got, err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(in)))
+	hi := lo + uintptr(len(in))
+	d = NewDecoder(in)
+	d.ViewStrings()
+	views := []string{d.Text(), d.Text()}
+	d.Uint()
+	views = append(views, d.StringSlice()...)
+	for _, s := range views {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); s != "" && (p < lo || p+uintptr(len(s)) > hi) {
+			t.Errorf("%q is not a view into the input", s)
+		}
+	}
+
+	allocs := testing.AllocsPerRun(100, func() {
+		d := NewDecoder(in)
+		d.ViewStrings()
+		d.Text()
+		d.Text()
+		d.Uint()
+	})
+	if allocs != 0 {
+		t.Errorf("viewed decode: %v allocs, want 0", allocs)
+	}
+
+	for _, in := range [][]byte{nil, {}, {0}} {
+		var s string
+		var err error
+		allocs := testing.AllocsPerRun(100, func() {
+			d := NewDecoder(in)
+			d.ViewStrings()
+			s = d.Text()
+			err = d.Finish()
+		})
+		wantErr := error(nil)
+		if len(in) == 0 {
+			wantErr = ErrTruncated
+		}
+		if s != "" || err != wantErr || allocs != 0 {
+			t.Errorf("input %v: Text %q, Finish %v, %v allocs; want \"\", %v, 0", in, s, err, allocs, wantErr)
+		}
 	}
 }

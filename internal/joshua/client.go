@@ -48,6 +48,7 @@ type Client struct {
 	// then fan out).
 	nodes [][]string
 
+	// reqSeq numbers request IDs: blocks of idBlock (ids) and probes.
 	reqSeq atomic.Uint64
 	// submitRR spreads submissions (which carry no job ID yet) across
 	// shards; each shard mints IDs that route back to itself, so any
@@ -64,6 +65,12 @@ type Client struct {
 	// their channel is empty and their timer stopped.
 	free   []*waiter
 	closed bool
+	// ids holds the request IDs minted ahead but not yet handed out,
+	// back to back, the first numbered idSeq; idBuf is the buffer the
+	// next block is rendered in (see nextReqIDLocked).
+	ids   string
+	idSeq uint64
+	idBuf []byte
 
 	done chan struct{}
 	once sync.Once
@@ -350,13 +357,17 @@ func (c *Client) learnLocked(w *waiter, from transport.Addr, resp *rpcResponse) 
 	}
 }
 
-// register adds a waiter for reqID on shard hs, recycling a retired
-// one when there is one.
-func (c *Client) register(reqID string, hs *headSet, mutating bool) (*waiter, error) {
+// register adds a waiter for req on shard hs, recycling a retired one
+// when there is one, and first gives req the client's next request ID
+// if it has none.
+func (c *Client) register(req *rpcRequest, hs *headSet, mutating bool) (*waiter, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return nil, ErrClosed
+	}
+	if req.ReqID == "" {
+		req.ReqID = c.nextReqIDLocked()
 	}
 	var w *waiter
 	if n := len(c.free); n > 0 {
@@ -367,8 +378,8 @@ func (c *Client) register(reqID string, hs *headSet, mutating bool) (*waiter, er
 		w = &waiter{ch: make(chan *rpcResponse, 1), lost: make(chan int, 1), timer: time.NewTimer(time.Hour)}
 		w.timer.Stop()
 	}
-	*w = waiter{reqID: reqID, ch: w.ch, lost: w.lost, timer: w.timer, hs: hs, mutating: mutating}
-	c.waiters[reqID] = w
+	*w = waiter{reqID: req.ReqID, ch: w.ch, lost: w.lost, timer: w.timer, hs: hs, mutating: mutating}
+	c.waiters[req.ReqID] = w
 	return w, nil
 }
 
@@ -436,15 +447,46 @@ func (c *Client) callOrdered(s int, op Op, args cmdArgs) (*rpcResponse, error) {
 	return c.callReq(s, &rpcRequest{Op: op, Ordered: true, Args: args})
 }
 
-// mintReqID renders a request ID, "<addr>#<tag><seq>", into a stack
-// buffer: the returned string is the only allocation.
-func mintReqID(addr transport.Addr, tag string, seq uint64) string {
-	var buf [96]byte
-	b := append(buf[:0], addr...)
+// idBlock is how many request IDs the client mints at a time.
+const idBlock = 64
+
+// appendReqID appends a request ID, "<addr>#<tag><seq>", to b.
+func appendReqID(b []byte, addr transport.Addr, tag string, seq uint64) []byte {
+	b = append(b, addr...)
 	b = append(b, '#')
 	b = append(b, tag...)
-	b = strconv.AppendUint(b, seq, 10)
-	return string(b)
+	return strconv.AppendUint(b, seq, 10)
+}
+
+// nextReqIDLocked hands out the client's next request ID,
+// "<addr>#<seq>". IDs are minted idBlock at a time into one string and
+// handed out as substrings of it, so a call allocates no ID of its own;
+// a block stays alive while any of its IDs is referenced. Callers hold
+// c.mu.
+func (c *Client) nextReqIDLocked() string {
+	addr := c.ep.Addr()
+	if c.ids == "" {
+		c.idSeq = c.reqSeq.Add(idBlock) - idBlock + 1
+		b := c.idBuf[:0]
+		for i := uint64(0); i < idBlock; i++ {
+			b = appendReqID(b, addr, "", c.idSeq+i)
+		}
+		c.ids, c.idBuf = string(b), b
+	}
+	n := len(addr) + 1 + decimalLen(c.idSeq)
+	id := c.ids[:n]
+	c.ids = c.ids[n:]
+	c.idSeq++
+	return id
+}
+
+// decimalLen is the number of decimal digits of v.
+func decimalLen(v uint64) int {
+	n := 1
+	for ; v >= 10; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // callReq runs the per-shard failover loop. A req whose ReqID is
@@ -452,15 +494,6 @@ func mintReqID(addr transport.Addr, tag string, seq uint64) string {
 // request ID so every shard's deduplication table collapses retries
 // of the same logical command.
 func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
-	if req.ReqID == "" {
-		req.ReqID = mintReqID(c.ep.Addr(), "", c.reqSeq.Add(1))
-	}
-	// One pooled encode serves every failover attempt; the transport
-	// does not retain payloads after Send, so the buffer goes back to
-	// the pool when the call returns.
-	enc := req.encodeTo()
-	defer enc.Release()
-	payload := enc.Bytes()
 	// Reads — ordered ones included — rotate their starting head:
 	// under leasing any caught-up head serves an ordered read locally
 	// (and a leaseless head transparently falls back to broadcasting
@@ -469,11 +502,17 @@ func (c *Client) callReq(s int, req *rpcRequest) (*rpcResponse, error) {
 	readOnly := !req.Op.mutating()
 	hs := c.shards[s]
 
-	w, err := c.register(req.ReqID, hs, !readOnly)
+	w, err := c.register(req, hs, !readOnly)
 	if err != nil {
 		return nil, err
 	}
 	defer c.unregister(w)
+	// One pooled encode serves every failover attempt; the transport
+	// does not retain payloads after Send, so the buffer goes back to
+	// the pool when the call returns.
+	enc := req.encodeTo()
+	defer enc.Release()
+	payload := enc.Bytes()
 	c.mu.Lock()
 	start := hs.preferred
 	if readOnly {
@@ -655,11 +694,12 @@ func (c *Client) probeLoop() {
 // it doesn't (or the send fails outright).
 func (c *Client) probe(s, i int) {
 	hs := c.shards[s]
+	var buf [96]byte
 	req := &rpcRequest{
-		ReqID: mintReqID(c.ep.Addr(), "probe", c.reqSeq.Add(1)),
+		ReqID: string(appendReqID(buf[:0], c.ep.Addr(), "probe", c.reqSeq.Add(1))),
 		Op:    OpInfoLocal,
 	}
-	w, err := c.register(req.ReqID, hs, false)
+	w, err := c.register(req, hs, false)
 	if err != nil {
 		return
 	}
@@ -707,8 +747,8 @@ func rpcErr(resp *rpcResponse) error {
 }
 
 // jobReply is the outcome of a one-job command: the job, whose strings
-// share the reply's one copy, and the error. The response goes back
-// for reuse, so nothing else of it may be kept.
+// are views into the reply's datagram, and the error. The response
+// goes back for reuse, so nothing else of it may be kept.
 func jobReply(resp *rpcResponse, err error) (pbs.Job, error) {
 	if err != nil {
 		return pbs.Job{}, err

@@ -3,6 +3,7 @@ package joshua
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -520,8 +521,8 @@ func TestClientDeadHeadStaysOutOfReadRotation(t *testing.T) {
 	}
 }
 
-// TestMintReqIDMatchesSprintf pins the request IDs the client mints to
-// the fmt form they replaced, for calls and probes, over short, long
+// TestMintReqIDMatchesSprintf pins the request IDs the client renders
+// to the fmt form they replaced, for calls and probes, over short, long
 // and empty addresses and sequence numbers up to the largest uint64.
 func TestMintReqIDMatchesSprintf(t *testing.T) {
 	addrs := []transport.Addr{"", "user/cli", "login1/jsub-4242", "127.0.0.1:7601",
@@ -529,16 +530,102 @@ func TestMintReqIDMatchesSprintf(t *testing.T) {
 	seqs := []uint64{0, 1, 9, 10, 42, 1 << 20, 1<<63 + 7, ^uint64(0)}
 	for _, a := range addrs {
 		for _, seq := range seqs {
-			if got, want := mintReqID(a, "", seq), fmt.Sprintf("%s#%d", a, seq); got != want {
-				t.Errorf("mintReqID(%q, %d) = %q, want %q", a, seq, got, want)
+			if got, want := string(appendReqID(nil, a, "", seq)), fmt.Sprintf("%s#%d", a, seq); got != want {
+				t.Errorf("appendReqID(%q, %d) = %q, want %q", a, seq, got, want)
 			}
-			if got, want := mintReqID(a, "probe", seq), fmt.Sprintf("%s#probe%d", a, seq); got != want {
-				t.Errorf("mintReqID(%q, probe, %d) = %q, want %q", a, seq, got, want)
+			if got, want := string(appendReqID(nil, a, "probe", seq)), fmt.Sprintf("%s#probe%d", a, seq); got != want {
+				t.Errorf("appendReqID(%q, probe, %d) = %q, want %q", a, seq, got, want)
+			}
+			if got, want := decimalLen(seq), len(fmt.Sprint(seq)); got != want {
+				t.Errorf("decimalLen(%d) = %d, want %d", seq, got, want)
 			}
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = mintReqID("login1/jsub-4242", "", 1234567) }); allocs > 1 {
-		t.Errorf("mintReqID: %v allocs, want <= 1", allocs)
+}
+
+// TestReqIDBlocksStayUnique runs 32 concurrent callers through many
+// blocks of minted request IDs, and checks that the calls sent as many
+// distinct IDs as there were calls, each of the form "<addr>#<seq>",
+// and the probes theirs of the form "<addr>#probe<seq>".
+func TestReqIDBlocksStayUnique(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string]Op{} // a retried call resends its ID
+	ep := newScriptedEndpoint(func(_ transport.Addr, req *rpcRequest) *rpcResponse {
+		mu.Lock()
+		seen[req.ReqID] = req.Op
+		mu.Unlock()
+		return &rpcResponse{OK: true}
+	})
+	heads := []transport.Addr{clientAddr(0), clientAddr(1)}
+	cli, err := NewClient(ClientConfig{Endpoint: ep, Heads: heads, AttemptTimeout: 10 * time.Second, RedeemAfter: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+
+	const callers, perCaller = 32, 3 * idBlock
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				resp, err := cli.call(0, OpStatAll, cmdArgs{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				releaseResponse(resp)
+			}
+		}()
+	}
+	wg.Wait()
+	// The prober's first round sends one probe to each head.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		n := len(seen)
+		mu.Unlock()
+		if n >= callers*perCaller+len(heads) || time.Now().After(deadline) {
+			break
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	calls, probes := 0, 0
+	for id, op := range seen {
+		tag := ""
+		if op == OpInfoLocal {
+			tag = "probe"
+			probes++
+		} else {
+			calls++
+		}
+		digits, ok := strings.CutPrefix(id, string(ep.Addr())+"#"+tag)
+		if seq, err := strconv.ParseUint(digits, 10, 64); !ok || err != nil || strconv.FormatUint(seq, 10) != digits {
+			t.Errorf("%v request ID %q is not %s#%s<seq>", op, id, ep.Addr(), tag)
+		}
+	}
+	if calls != callers*perCaller || probes != len(heads) {
+		t.Errorf("%d distinct call IDs and %d probe IDs, want %d and %d", calls, probes, callers*perCaller, len(heads))
+	}
+}
+
+// TestReqIDMintAllocs: minting request IDs costs one allocation per
+// block of idBlock, the string the block's IDs are substrings of.
+func TestReqIDMintAllocs(t *testing.T) {
+	c, _ := newEchoClient(t)
+	const blocks = 20
+	mint := func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for i := 0; i < blocks*idBlock; i++ {
+			c.nextReqIDLocked()
+		}
+	}
+	// AllocsPerRun rounds the mean down, so the render buffer growing
+	// once at the fifth digit (ID 10,000) does not count.
+	if allocs := testing.AllocsPerRun(10, mint); allocs > blocks {
+		t.Errorf("minting %d request IDs: %v allocs, want <= %d", blocks*idBlock, allocs, blocks)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -185,8 +186,8 @@ func bigListing(n int) []byte {
 }
 
 // TestListingDecodeAllocs pins the client side of a 2,000-job jstat:
-// the response value, one string copy of the datagram and one job
-// slice — three allocations, not several per job.
+// the response value and one job slice — two allocations, not several
+// per job, since every string is a view into the datagram.
 func TestListingDecodeAllocs(t *testing.T) {
 	payload := bigListing(2000)
 	allocs := testing.AllocsPerRun(20, func() {
@@ -194,35 +195,57 @@ func TestListingDecodeAllocs(t *testing.T) {
 			t.Fatalf("decode: %v", err)
 		}
 	})
-	if allocs > 3 {
-		t.Errorf("decoding a 2,000-job listing: %v allocs, want <= 3", allocs)
+	if allocs > 2 {
+		t.Errorf("decoding a 2,000-job listing: %v allocs, want <= 2", allocs)
 	}
 }
 
-// TestDecodedResponseOutlivesBuffer checks that a decoded response
-// owns its strings: overwriting the datagram afterwards changes
-// nothing, and the decode matches the encoded response field for
-// field.
-func TestDecodedResponseOutlivesBuffer(t *testing.T) {
-	want := &rpcResponse{
-		ReqID: "x#1", OK: true, Epoch: 9,
-		Jobs: []pbs.Job{
-			{ID: "1.cluster", Seq: 1, Name: "a", Owner: "u", Script: "s", State: pbs.StateRunning, NodeCount: 2,
-				Nodes: []string{"c0", "c1"}, Output: "", ArrayIdx: -1},
-			{ID: "2.cluster", Seq: 2, Name: "", Owner: "v", State: pbs.StateCompleted, ExitCode: -271,
-				Nodes: []string{}, Output: "out\n", ArrayIdx: 3},
+// responseStrings lists every string a decoded response holds.
+func responseStrings(r *rpcResponse) []string {
+	ss := []string{r.ReqID, r.ErrMsg}
+	for _, j := range r.Jobs {
+		ss = append(ss, string(j.ID), j.Name, j.Owner, j.Script, j.Output)
+		ss = append(ss, j.Nodes...)
+	}
+	return ss
+}
+
+// TestDecodedResponseViewsPayload checks the client's receive-side
+// contract: decodeResponse matches the encoded response field for
+// field, and every string it yields is a view into the datagram, not a
+// copy, so overwriting the datagram shows through each of them. The
+// client may keep such views only because the transport hands every
+// received Payload to the receiver to own and never writes it again
+// (TestReceivedPayloadIsOwned in simnet and tcpnet).
+func TestDecodedResponseViewsPayload(t *testing.T) {
+	for _, want := range []*rpcResponse{
+		{
+			ReqID: "x#1", OK: true, Epoch: 9,
+			Jobs: []pbs.Job{
+				{ID: "1.cluster", Seq: 1, Name: "a", Owner: "u", Script: "s", State: pbs.StateRunning, NodeCount: 2,
+					Nodes: []string{"c0", "c1"}, Output: "", ArrayIdx: -1},
+				{ID: "2.cluster", Seq: 2, Name: "", Owner: "v", State: pbs.StateCompleted, ExitCode: -271,
+					Nodes: []string{}, Output: "out\n", ArrayIdx: 3},
+			},
 		},
-	}
-	payload := want.encode()
-	_, got, err := decodeRPC(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range payload {
-		payload[i] = 'X'
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("decoded response changed with its buffer:\n got %+v\nwant %+v", got, want)
+		{ReqID: "x#2", ErrMsg: "qstat: Unknown Job Id 9.cluster", Jobs: []pbs.Job{}, Epoch: 10},
+	} {
+		payload := want.encode()
+		got := new(rpcResponse)
+		if err := decodeResponse(payload, got); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("decoded response differs:\n got %+v\nwant %+v", got, want)
+		}
+		for i := range payload {
+			payload[i] = 'X'
+		}
+		for _, s := range responseStrings(got) {
+			if strings.Trim(s, "X") != "" {
+				t.Errorf("%s: %q did not change with the datagram: a copy, not a view", want.ReqID, s)
+			}
+		}
 	}
 }
 

@@ -348,8 +348,9 @@ func putResponse(e *codec.Encoder, reqID []byte, r *rpcResponse) {
 }
 
 // decodeRPC decodes either RPC message; exactly one of the returns is
-// non-nil on success. The client decodes responses with it; heads read
-// requests through a view, which the tests hold to decodeRPC.
+// non-nil on success. A response decodes as the client's receive loop
+// decodes it (decodeResponse, strings over b); heads read requests
+// through a view, which the tests hold to decodeRPC.
 func decodeRPC(b []byte) (*rpcRequest, *rpcResponse, error) {
 	d := codec.NewDecoder(b)
 	switch kind := d.Byte(); kind {
@@ -376,17 +377,19 @@ func decodeRPC(b []byte) (*rpcRequest, *rpcResponse, error) {
 }
 
 // decodeResponse decodes a response datagram into resp, which must be
-// empty. One string copy of the datagram backs the ReqID, the error
-// and every job's strings, and the jobs land in one slice, resp's own
-// slot for a one-job reply: a listing of n jobs costs three
-// allocations, not a few per job, and a one-job reply into a recycled
-// resp one, or two if the job has nodes.
+// empty. The ReqID, the error and every job's strings are views into
+// b, and the jobs land in one slice, resp's own slot for a one-job
+// reply: a listing of n jobs costs two allocations, the response and
+// the slice, and a one-job reply into a recycled resp none, or one if
+// the job has nodes. b must be the caller's to keep and never written
+// again, as a received transport.Message's Payload is; the strings
+// keep the whole datagram alive.
 func decodeResponse(b []byte, resp *rpcResponse) error {
 	d := codec.NewDecoder(b)
 	if kind := d.Byte(); kind != rpcKindResponse {
 		return fmt.Errorf("joshua: rpc kind %d is not a response", kind)
 	}
-	d.ShareStrings()
+	d.ViewStrings()
 	resp.ReqID = d.Text()
 	resp.OK = d.Bool()
 	resp.ErrMsg = d.Text()
@@ -487,7 +490,8 @@ func (v *view) parse(payload []byte) bool {
 }
 
 // submitRequest returns the qsub arguments. Name, Owner and Script are
-// substrings of one copy of strs, the only allocation.
+// substrings of one copy of strs, the only allocation: the job keeps
+// them, and the engine recycles the payload strs is a view into.
 func (v *view) submitRequest() pbs.SubmitRequest {
 	d := codec.NewDecoder(v.strs)
 	d.ShareStrings()

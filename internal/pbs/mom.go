@@ -187,8 +187,9 @@ func (m *Mom) handle(dg transport.Message) {
 // state, folds onto the first. It is acked to its sender while the job
 // executes or is emulated here; a finished job's repeat gets nothing,
 // as its completion is already on its way to every head through the
-// total order. The first start decodes the job into one string and
-// one node slice; a sister node then keeps only the job ID.
+// total order. The first start decodes the job in place over the
+// datagram, allocating only its node slice; a sister node then keeps
+// only a copy of the job ID.
 func (m *Mom) onStart(id []byte, dg transport.Message) {
 	m.mu.Lock()
 	prev, known := m.jobs[JobID(id)]

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -311,5 +313,31 @@ func TestDuplicateStartAndAckAllocs(t *testing.T) {
 	// The receive loop is idle, so handling here races nothing.
 	if n := testing.AllocsPerRun(100, func() { r.mom.handle(start) }); n != 0 {
 		t.Errorf("duplicate start and ack: %.1f allocations, want 0", n)
+	}
+}
+
+// TestDecodeStartViewsPayload: a start datagram decodes into the job
+// it encodes, with every string a view into the datagram (overwriting
+// the datagram shows through each), and the node slice as the only
+// allocation. The mom may keep such views only because the transport
+// hands it every received Payload to own.
+func TestDecodeStartViewsPayload(t *testing.T) {
+	want := Job{ID: "7.cluster", Name: "sim", Owner: "alice", Script: "#!/bin/sh\ntrue\n",
+		WallTime: 90 * time.Second, Nodes: []string{"compute0", "compute1"}}
+	payload := encodeStart(&want)
+	if n := testing.AllocsPerRun(100, func() { decodeStart(payload) }); n > 1 {
+		t.Errorf("decodeStart: %.1f allocations, want <= 1 (the node slice)", n)
+	}
+	got, ok := decodeStart(payload)
+	if !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("decodeStart = %+v, %v; want %+v", got, ok, want)
+	}
+	for i := range payload {
+		payload[i] = 'X'
+	}
+	for _, s := range append([]string{string(got.ID), got.Name, got.Owner, got.Script}, got.Nodes...) {
+		if strings.Trim(s, "X") != "" {
+			t.Errorf("%q did not change with the datagram: a copy, not a view", s)
+		}
 	}
 }

@@ -379,9 +379,10 @@ func DecodeJob(d *codec.Decoder) Job {
 
 // DecodeJobInto reads a Job written by EncodeJob into *j, overwriting
 // every field. Its strings are substrings of the decoder's shared copy
-// after codec.Decoder.ShareStrings, and fresh strings otherwise (as in
-// Restore), so a caller decoding a whole listing into one []Job pays
-// no per-job allocation.
+// after codec.Decoder.ShareStrings, views into the input after
+// ViewStrings, and fresh strings otherwise (as in Restore), so a
+// caller decoding a whole listing into one []Job pays no per-job
+// allocation.
 func DecodeJobInto(d *codec.Decoder, j *Job) {
 	*j = Job{
 		ID:        JobID(d.Text()),

@@ -50,12 +50,13 @@ func encodeKill(id JobID) []byte {
 }
 
 // decodeStart decodes a start datagram into a Job whose strings are
-// substrings of one copy of the datagram: that copy and the Nodes slice
-// are its only allocations. ok is false for anything but a well-formed
-// start.
+// views into payload: the Nodes slice is its only allocation. payload
+// must be the caller's to keep and never written again, as a received
+// transport.Message's Payload is; the job keeps it alive. ok is false
+// for anything but a well-formed start.
 func decodeStart(payload []byte) (j Job, ok bool) {
 	d := codec.NewDecoder(payload)
-	d.ShareStrings()
+	d.ViewStrings()
 	if d.Byte() != momKindStart {
 		return Job{}, false
 	}

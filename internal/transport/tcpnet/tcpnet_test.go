@@ -62,9 +62,10 @@ func TestRoundTrip(t *testing.T) {
 }
 
 // TestReceivedPayloadIsOwned pins the transport.Message contract the
-// group layer's zero-copy decode relies on: a received payload survives
-// the sender overwriting and resending its buffer, and no two received
-// payloads share memory.
+// group layer's zero-copy decode relies on, and so do the joshua
+// client's and the pbs mom's in-place decodes: a received payload
+// survives the sender overwriting and resending its buffer, and no two
+// received payloads share memory.
 func TestReceivedPayloadIsOwned(t *testing.T) {
 	a, b := pair(t)
 	buf := []byte("first!")

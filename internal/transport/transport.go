@@ -47,7 +47,11 @@ type Message struct {
 	// Payload is a fresh buffer owned by the receiver: no other
 	// delivered Message shares its memory, and the sender's later
 	// writes to the buffer it passed to Send never reach it. Receivers
-	// may therefore keep slices of it without copying.
+	// may therefore keep slices of it without copying, and two keep
+	// strings over it (codec.Decoder.ViewStrings): the joshua client's
+	// receive loop (a reply's ReqID, error and jobs) and the pbs mom's
+	// (a started job). A receiver must not write into a Payload it has
+	// decoded that way.
 	Payload []byte
 	// Lost reports that the transport lost its connection to From;
 	// Payload is nil. It is a hint, not a verdict: From may be alive
