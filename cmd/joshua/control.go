@@ -252,12 +252,11 @@ func runJnodes(c *command, args []string) error {
 }
 
 // perShardKeys are the gauges (jobs_*) and replicated counters
-// (cmds_applied, wal_*, apply_*) jadmin's cluster-total section adds
+// (cmds_applied, wal_*) jadmin's cluster-total section adds
 // up once per shard: every replica of a shard agrees on them.
 var perShardKeys = []string{
 	"jobs_waiting", "jobs_running", "jobs_completed",
 	"cmds_applied", "wal_appends", "wal_fsyncs", "wal_bytes",
-	"apply_parallel", "apply_barriers",
 }
 
 // perHeadKeys are the per-head counters jadmin's cluster total sums

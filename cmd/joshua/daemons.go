@@ -106,14 +106,13 @@ func runJoshuad(c *command, args []string) error {
 
 	cfg := joshua.Config{
 		Config: rsm.Config{
-			Self:             head.MemberID(),
-			GroupEndpoint:    groupEP,
-			ClientEndpoint:   clientEP,
-			Peers:            conf.ShardGroupPeers(head.Shard),
-			SyncPolicy:       conf.SyncPolicy,
-			CheckpointEvery:  conf.CheckpointEvery,
-			ApplyConcurrency: conf.ApplyConcurrency,
-			LeaseDuration:    conf.LeaseDuration,
+			Self:            head.MemberID(),
+			GroupEndpoint:   groupEP,
+			ClientEndpoint:  clientEP,
+			Peers:           conf.ShardGroupPeers(head.Shard),
+			SyncPolicy:      conf.SyncPolicy,
+			CheckpointEvery: conf.CheckpointEvery,
+			LeaseDuration:   conf.LeaseDuration,
 		},
 		Daemon: daemon,
 		Shard:  head.Shard,

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -568,6 +569,103 @@ func TestSignalReplicated(t *testing.T) {
 		return true
 	})
 	cli.Delete(j.ID)
+}
+
+// TestAccountingOrderSameOnEveryHead drives two heads with one command
+// stream from four concurrent clients — submits, holds, releases,
+// deletes, jsig, ordered jstat and the moms' completions — and requires
+// both heads' accounting sinks to hold the same records in the same
+// order. Records are compared by type and job ID: Time is each head's
+// own clock.
+func TestAccountingOrderSameOnEveryHead(t *testing.T) {
+	c := newCluster(t, testOptions(2, 2))
+	const clients, each = 4, 6
+	var wg sync.WaitGroup
+	errs := make(chan error, clients)
+	for g := 0; g < clients; g++ {
+		cli, err := c.Client()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < each; k++ {
+				held, err := cli.Submit(pbs.SubmitRequest{Name: fmt.Sprintf("h%d.%d", g, k), WallTime: time.Millisecond, Hold: true})
+				if err != nil {
+					errs <- err
+					return
+				}
+				run, err := cli.Submit(pbs.SubmitRequest{Name: fmt.Sprintf("r%d.%d", g, k), WallTime: 3 * time.Millisecond})
+				if err != nil {
+					errs <- err
+					return
+				}
+				// Whether these succeed depends on how far the job got,
+				// which the total order decides the same way on every
+				// head.
+				_, _ = cli.Hold(run.ID)
+				_, _ = cli.Signal(run.ID, "SIGUSR1")
+				if _, err := cli.StatOrdered(run.ID); err != nil {
+					errs <- err
+					return
+				}
+				_, _ = cli.Release(run.ID)
+				if k%2 == 0 {
+					_, err = cli.Release(held.ID)
+				} else {
+					_, err = cli.Delete(held.ID)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	records := func(i int) []string {
+		var out []string
+		for _, r := range c.Accounting(i).Records() {
+			out = append(out, fmt.Sprintf("%c %s", r.Type, r.Job))
+		}
+		return out
+	}
+	idle := func(i int) bool {
+		waiting, running, _ := c.Head(i).Daemon().Server().QueueLengths()
+		return waiting == 0 && running == 0
+	}
+	var a, b []string
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		a, b = records(0), records(1)
+		if idle(0) && idle(1) && slices.Equal(a, b) {
+			break
+		}
+		if time.Now().After(deadline) {
+			n := 0
+			for n < len(a) && n < len(b) && a[n] == b[n] {
+				n++
+			}
+			t.Fatalf("accounting diverged at record %d of %d/%d:\nhead0: %v\nhead1: %v",
+				n, len(a), len(b), a[n:min(n+5, len(a))], b[n:min(n+5, len(b))])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	types := map[byte]bool{}
+	for _, r := range a {
+		types[r[0]] = true
+	}
+	for _, typ := range []byte{pbs.AcctQueued, pbs.AcctStarted, pbs.AcctEnded, pbs.AcctDeleted, pbs.AcctHeld, pbs.AcctReleased} {
+		if !types[typ] {
+			t.Errorf("no %c record among %d: the stream missed an operation", typ, len(a))
+		}
+	}
 }
 
 func TestMajorityPartitionRejectsMinority(t *testing.T) {

@@ -69,10 +69,6 @@ type ClusterFile struct {
 	// CheckpointEvery is the applied-command cadence between
 	// checkpoints ("checkpoint_every"; 0 = engine default).
 	CheckpointEvery uint64
-	// ApplyConcurrency sizes each head's apply-worker pool
-	// ("apply_concurrency"; 0 = engine default, 1 = serial apply;
-	// negative values are rejected).
-	ApplyConcurrency int
 	// LeaseDuration is the sequencer-granted read-lease length
 	// ("lease_duration", a Go duration like "500ms"; 0 = the group
 	// engine's default; negative values are rejected).
@@ -91,7 +87,7 @@ var clusterKeys = map[string]bool{
 	"sched_weight_user": true, "sched_weight_fair": true, "fairshare_half_life": true,
 	"node_cpus": true, "node_mem": true, "time_scale": true, "client_bind": true,
 	"data_dir": true, "sync_policy": true, "checkpoint_every": true,
-	"apply_concurrency": true, "lease_duration": true,
+	"lease_duration": true,
 }
 
 // HeadDecl is one "[head <name>]" section.
@@ -254,15 +250,14 @@ func ClusterFromFile(f *File) (*ClusterFile, error) {
 			User: r.int("sched_weight_user"),
 			Fair: r.int("sched_weight_fair"),
 		},
-		NodeCPUs:         int(r.int("node_cpus")),
-		NodeMem:          parsed(r, "node_mem", pbs.ParseMem),
-		TimeScale:        r.float("time_scale", 1),
-		ClientBind:       o.Get("client_bind"),
-		DataDir:          o.Get("data_dir"),
-		SyncPolicy:       parsed(r, "sync_policy", wal.ParseSyncPolicy),
-		CheckpointEvery:  r.uint("checkpoint_every"),
-		ApplyConcurrency: int(r.uint("apply_concurrency")),
-		LeaseDuration:    parsed(r, "lease_duration", nonNegative),
+		NodeCPUs:        int(r.int("node_cpus")),
+		NodeMem:         parsed(r, "node_mem", pbs.ParseMem),
+		TimeScale:       r.float("time_scale", 1),
+		ClientBind:      o.Get("client_bind"),
+		DataDir:         o.Get("data_dir"),
+		SyncPolicy:      parsed(r, "sync_policy", wal.ParseSyncPolicy),
+		CheckpointEvery: r.uint("checkpoint_every"),
+		LeaseDuration:   parsed(r, "lease_duration", nonNegative),
 	}
 	if r.err != nil {
 		return nil, r.err

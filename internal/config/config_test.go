@@ -281,25 +281,25 @@ func TestClusterEngineOptions(t *testing.T) {
 		return ClusterFromFile(f)
 	}
 
-	c, err := cluster(head + "[options]\napply_concurrency = 4\n")
+	c, err := cluster(head + "[options]\ncheckpoint_every = 64\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ApplyConcurrency != 4 {
-		t.Errorf("ApplyConcurrency = %d, want 4", c.ApplyConcurrency)
+	if c.CheckpointEvery != 64 {
+		t.Errorf("CheckpointEvery = %d, want 64", c.CheckpointEvery)
 	}
-	// A pool size is never negative.
-	if _, err := cluster(head + "[options]\napply_concurrency = -1\n"); err == nil {
-		t.Error("apply_concurrency = -1 should be rejected")
+	// A cadence is never negative.
+	if _, err := cluster(head + "[options]\ncheckpoint_every = -1\n"); err == nil {
+		t.Error("checkpoint_every = -1 should be rejected")
 	}
 
 	// Every key is read at top level too, with [options] overriding.
-	c, err = cluster("apply_concurrency = 4\ncheckpoint_every = 64\n" + head + "[options]\ncheckpoint_every = 128\n")
+	c, err = cluster("data_dir = /top\ncheckpoint_every = 64\n" + head + "[options]\ncheckpoint_every = 128\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.ApplyConcurrency != 4 || c.CheckpointEvery != 128 {
-		t.Errorf("ApplyConcurrency/CheckpointEvery = %d/%d, want 4/128", c.ApplyConcurrency, c.CheckpointEvery)
+	if c.DataDir != "/top" || c.CheckpointEvery != 128 {
+		t.Errorf("DataDir/CheckpointEvery = %q/%d, want /top/128", c.DataDir, c.CheckpointEvery)
 	}
 	c, err = cluster(head + "[options]\nsync_policy = always\nlease_duration = 300ms\n")
 	if err != nil {
@@ -317,6 +317,7 @@ func TestClusterRejectsUnknownKeys(t *testing.T) {
 		head + "[options]\nexclusive = true\napply_concurency = 4\n": "line 7:",
 		head + "[options]\nsync-policy = always\n":                   "line 6:",
 		"checkpoint_compress = true\n" + head:                        "line 1:",
+		head + "[options]\napply_concurrency = 4\n":                  "line 6:",
 	} {
 		f, err := Parse(strings.NewReader(input))
 		if err != nil {

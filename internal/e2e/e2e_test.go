@@ -101,7 +101,8 @@ func deploy(t *testing.T) *deployment {
 	t.Helper()
 	bin := buildBinaries(t)
 	p := freePorts(t, 7)
-	conf := filepath.Join(t.TempDir(), "cluster.conf")
+	dir := t.TempDir()
+	conf := filepath.Join(dir, "cluster.conf")
 	body := fmt.Sprintf(`server_name = cluster
 
 [head head0]
@@ -119,11 +120,11 @@ mom = 127.0.0.1:%d
 
 [options]
 exclusive = true
-apply_concurrency = 2
+data_dir = %s
 checkpoint_every = 64
 sync_policy = interval
 lease_duration = 300ms
-`, p[0], p[1], p[2], p[3], p[4], p[5], p[6])
+`, p[0], p[1], p[2], p[3], p[4], p[5], p[6], filepath.Join(dir, "data"))
 	if err := os.WriteFile(conf, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -320,9 +321,13 @@ func TestBinariesDirectivesAndNodes(t *testing.T) {
 		!strings.Contains(out, "primary") {
 		t.Fatalf("jadmin output:\n%s", out)
 	}
-	// The [options] apply_concurrency key reached both heads' engines.
-	if n := len(regexp.MustCompile(`apply_workers\s+2\n`).FindAllString(out, -1)); n != 2 {
-		t.Fatalf("jadmin reports apply_concurrency = 2 on %d of 2 heads:\n%s", n, out)
+	// The [options] data_dir key reached both heads' engines, each
+	// logging under its own subdirectory.
+	for _, head := range []string{"head0", "head1"} {
+		want := `wal_dir\s+` + regexp.QuoteMeta(filepath.Join(filepath.Dir(d.conf), "data", head)) + `\n`
+		if !regexp.MustCompile(want).MatchString(out) {
+			t.Fatalf("jadmin reports no wal_dir for %s:\n%s", head, out)
+		}
 	}
 
 	// Node management round trip.

@@ -251,9 +251,6 @@ func (s *Server) infoLocked() map[string]string {
 		"read_workers":       fmt.Sprintf("%d", st.ReadWorkers),
 		"read_queue_depth":   fmt.Sprintf("%d", st.ReadQueueDepth),
 		"reply_queue_drops":  fmt.Sprintf("%d", st.ReplyQueueDrops), // failed Sends; the transport's per-peer queue drops the rest
-		"apply_workers":      fmt.Sprintf("%d", st.ApplyWorkers),
-		"apply_parallel":     fmt.Sprintf("%d", st.ApplyParallelRuns),
-		"apply_barriers":     fmt.Sprintf("%d", st.ApplyBarriers),
 		"apply_overlap_ns":   fmt.Sprintf("%d", st.FsyncOverlapNs),
 		"apply_dlag_max_ns":  fmt.Sprintf("%d", st.DurabilityLagMax),
 		"mem_heap_alloc":     fmt.Sprintf("%d", st.HeapAllocBytes),

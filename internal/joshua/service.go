@@ -33,29 +33,6 @@ func (s *headService) Apply(cmd rsm.Command, reply *codec.Encoder) {
 	}
 }
 
-// ConflictKey classifies the conflict domains for the engine's
-// parallel apply stage. Only operations that touch a single job's
-// record and never enter the scheduler are job-local: qsig bumps one
-// running job's signal count and an ordered qstat reads one job
-// ("job/<id>"). Every resource-consuming operation — submit, delete,
-// hold, release, completions (jdone), node state — runs the scheduling
-// pipeline over the shared node pool and advances its logical clock,
-// so it stays on the global barrier (""). Accounting-sink line order
-// across distinct jobs is unspecified under parallel apply; the sink
-// is local observability, not replicated state.
-func (s *headService) ConflictKey(cmd rsm.Command) string {
-	var v view
-	if !v.parse(cmd.Payload) || len(v.jobID) == 0 {
-		return ""
-	}
-	switch v.op {
-	case OpSignal, OpStat:
-		return "job/" + string(v.jobID)
-	default:
-		return ""
-	}
-}
-
 // headSnapshotFormat opens every head snapshot. The layout is
 //
 //	[format byte] [pbs snapshot]

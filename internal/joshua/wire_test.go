@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"joshua/internal/codec"
 	"joshua/internal/pbs"
-	"joshua/internal/rsm"
 )
 
 func TestRPCRequestRoundTrip(t *testing.T) {
@@ -99,21 +97,6 @@ func TestRequestOpPeek(t *testing.T) {
 	}
 }
 
-// decodedConflictKey is the conflict key as derived from a full
-// decodeRPC: the reference the head service's view parse must
-// reproduce byte for byte.
-func decodedConflictKey(payload []byte) string {
-	req, _, err := decodeRPC(payload)
-	if err != nil || req == nil || req.Args.JobID == "" {
-		return ""
-	}
-	switch req.Op {
-	case OpSignal, OpStat:
-		return "job/" + string(req.Args.JobID)
-	}
-	return ""
-}
-
 // viewRequest rebuilds the request a view read, for comparison with
 // decodeRPC's.
 func viewRequest(v *view) *rpcRequest {
@@ -128,13 +111,13 @@ func viewRequest(v *view) *rpcRequest {
 	}}
 }
 
-// TestConflictKeyMatchesDecode compares the head service's
-// ConflictKey with the decodeRPC-derived key over every operation,
-// with and without a job ID, and over every truncation of each
-// payload, every single-byte corruption of it, a payload with a
-// trailing byte and a response. The request view must accept exactly
-// the payloads decodeRPC accepts and read the same request from them.
-func TestConflictKeyMatchesDecode(t *testing.T) {
+// TestViewMatchesDecode compares the head service's request view with
+// decodeRPC over every operation, with and without a job ID, and over
+// every truncation of each payload, every single-byte corruption of
+// it, a payload with a trailing byte and a response. The view must
+// accept exactly the payloads decodeRPC accepts and read the same
+// request from them.
+func TestViewMatchesDecode(t *testing.T) {
 	full := cmdArgs{
 		Name: "n", Owner: "o", Script: "#!/bin/sh\n", NodeCount: 2, WallTime: time.Second,
 		Hold: true, Count: 3, NCPUs: 4, Mem: 1 << 30, Priority: -5,
@@ -164,8 +147,6 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 	}
 	payloads = append(payloads, (&rpcResponse{ReqID: "c#1", OK: true}).encode())
 
-	svc := &headService{}
-	var jobKeyed int
 	var accepted int
 	for _, p := range payloads {
 		req, _, err := decodeRPC(p)
@@ -178,25 +159,9 @@ func TestConflictKeyMatchesDecode(t *testing.T) {
 				t.Fatalf("view of %x:\n got %+v\nwant %+v", p, got, req)
 			}
 		}
-		want := decodedConflictKey(p)
-		if got := svc.ConflictKey(rsm.Command{Payload: p}); got != want {
-			t.Fatalf("ConflictKey(%x) = %q, decodeRPC-derived %q", p, got, want)
-		}
-		if strings.HasPrefix(want, "job/") {
-			jobKeyed++
-		}
 	}
 	if accepted == 0 || accepted == len(payloads) {
 		t.Fatalf("view accepted %d of %d payloads", accepted, len(payloads))
-	}
-	if jobKeyed == 0 {
-		t.Fatal("table never produced a job key")
-	}
-
-	// Classifying a jsig costs only the key string.
-	cmd := rsm.Command{Payload: (&rpcRequest{ReqID: "c#2", Op: OpSignal, Args: cmdArgs{JobID: "3.cluster", Signal: "SIGUSR1"}}).encode()}
-	if allocs := testing.AllocsPerRun(200, func() { _ = svc.ConflictKey(cmd) }); allocs > 1 {
-		t.Errorf("jsig ConflictKey: %v allocs/op, want <= 1", allocs)
 	}
 }
 

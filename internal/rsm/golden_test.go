@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync"
 	"testing"
 
 	"joshua/internal/codec"
@@ -15,22 +14,16 @@ import (
 // times, so replies run from suppressed (0 times) to several hundred
 // bytes, and counts what it applied.
 type goldenSvc struct {
-	mu      sync.Mutex
 	applied int
 }
 
 func (s *goldenSvc) Apply(cmd Command, reply *codec.Encoder) {
-	s.mu.Lock()
 	s.applied++
-	s.mu.Unlock()
 	for k := 0; k < int(cmd.Payload[1]); k++ {
 		reply.PutRaw(cmd.ReqID)
 	}
 }
-func (s *goldenSvc) ConflictKey(cmd Command) string { return string(cmd.Payload[:1]) }
 func (s *goldenSvc) Snapshot() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return fmt.Appendf(nil, "applied=%d", s.applied)
 }
 func (s *goldenSvc) Fork() func() []byte {
@@ -77,7 +70,7 @@ func TestReplicaStateGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := startBenchReplica(t, &goldenSvc{}, 4)
+	r := startBenchReplica(t, &goldenSvc{})
 	r.dedup = newDedupTable(64)
 	stream := goldenStream()
 	for i := 0; i < len(stream); i += 16 {

@@ -140,9 +140,8 @@ func (s *Store) Apply(cmd rsm.Command, reply *codec.Encoder) {
 		return
 	}
 	if d := s.applyCost.Load(); d > 0 {
-		// Simulated execution cost burns outside the lock, so
-		// commands on distinct keys genuinely overlap when the engine
-		// applies them in parallel.
+		// Simulated execution cost burns outside the lock, so local
+		// reads are not held up behind it.
 		time.Sleep(time.Duration(d))
 	}
 	s.mu.Lock()
@@ -164,22 +163,11 @@ func (s *Store) Apply(cmd rsm.Command, reply *codec.Encoder) {
 	resp.encodeTo(reply)
 }
 
-// ConflictKey names the key a mutation touches: mutations on distinct
-// keys commute, so the engine may apply them concurrently within one
-// totally ordered round. A malformed payload (and the empty key
-// itself) declares a global barrier, the conservative default.
-func (s *Store) ConflictKey(cmd rsm.Command) string {
-	req, err := DecodeRequest(cmd.Payload)
-	if err != nil {
-		return ""
-	}
-	return req.Key
-}
-
 // SetApplyCost makes every subsequent Apply burn roughly d of
 // simulated execution time before touching the map — a stand-in for
 // real per-command work (job admission, script staging). The apply
-// pipeline tests use it to expose apply-stage parallelism.
+// pipeline tests use it to keep a round's apply stage running while
+// its fsync is in flight.
 func (s *Store) SetApplyCost(d time.Duration) { s.applyCost.Store(int64(d)) }
 
 // Snapshot encodes the map, sorted for determinism.

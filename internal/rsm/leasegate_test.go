@@ -49,10 +49,9 @@ func (s *leaseSvc) Apply(cmd Command, reply *codec.Encoder) {
 	}
 }
 
-func (s *leaseSvc) ConflictKey(Command) string { return "" }
-func (s *leaseSvc) Snapshot() []byte           { return nil }
-func (s *leaseSvc) Fork() func() []byte        { return s.Snapshot }
-func (s *leaseSvc) Restore([]byte) error       { return nil }
+func (s *leaseSvc) Snapshot() []byte     { return nil }
+func (s *leaseSvc) Fork() func() []byte  { return s.Snapshot }
+func (s *leaseSvc) Restore([]byte) error { return nil }
 
 func (s *leaseSvc) classify(p []byte) Classification {
 	switch {

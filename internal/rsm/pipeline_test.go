@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"joshua/internal/gcs"
-	"joshua/internal/rsm"
 	"joshua/internal/rsm/kvstore"
 )
 
@@ -62,76 +61,68 @@ func (r *kvRig) drainReplies(onReply func(*kvstore.Response)) (stop func()) {
 }
 
 // TestParallelApplyDeterministicAcrossReplicas pins the pipeline's
-// correctness claim: under concurrent apply of commuting commands,
-// mixed with global barriers and order-sensitive appends to shared
-// keys, two replicas that deliver the same total order end in
-// byte-identical snapshots — for serial-but-overlapped execution and
-// for the full parallel pool alike. The race detector covers the
-// memory-safety half.
+// correctness claim: with apply overlapped against the round's fsync,
+// two replicas that deliver the same total order of puts to one shared
+// key and order-sensitive appends to others end in byte-identical
+// snapshots. The race detector covers the memory-safety half. The name
+// and the conc=1 case date from when apply could also run on a worker
+// pool; serial apply, one command at a time, is the only path left.
 func TestParallelApplyDeterministicAcrossReplicas(t *testing.T) {
-	for _, conc := range []int{1, 8} {
-		t.Run(fmt.Sprintf("conc=%d", conc), func(t *testing.T) {
-			r := newKVRig(t, 2, func(c *rsm.Config) { c.ApplyConcurrency = conc })
-			for _, s := range r.stores {
-				s.SetApplyCost(200 * time.Microsecond)
-			}
-			stop := r.drainReplies(nil)
-			defer stop()
+	t.Run("conc=1", func(t *testing.T) {
+		r := newKVRig(t, 2, nil)
+		for _, s := range r.stores {
+			s.SetApplyCost(200 * time.Microsecond)
+		}
+		stop := r.drainReplies(nil)
+		defer stop()
 
-			// Four senders flood both replicas concurrently, so the
-			// commands' arrival order is shuffled relative to the total
-			// order the group agrees on. Every fifth command mutates
-			// the empty key — a global barrier — and the rest append
-			// sender-unique values to a handful of shared keys, which
-			// makes any ordering divergence visible in the final state.
-			const senders, each = 4, 30
-			var wg sync.WaitGroup
-			errs := make([]error, senders)
-			for g := 0; g < senders; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					for j := 0; j < each; j++ {
-						req := &kvstore.Request{
-							ReqID: fmt.Sprintf("det/g%d#%d", g, j),
-							Op:    kvstore.OpAppend,
-							Key:   fmt.Sprintf("s%d", j%3),
-							Value: fmt.Sprintf("(%d.%d)", g, j),
-						}
-						if j%5 == 0 {
-							req.Op = kvstore.OpPut
-							req.Key = "" // conflict-key barrier
-							req.Value = fmt.Sprintf("b%d.%d", g, j)
-						}
-						if err := r.cli.Send(repClientAddr((g+j)%2), kvstore.EncodeRequest(req)); err != nil {
-							errs[g] = err
-							return
-						}
+		// Four senders flood both replicas concurrently, so the commands'
+		// arrival order is shuffled relative to the total order the group
+		// agrees on. Every fifth command overwrites the empty key and the
+		// rest append sender-unique values to a handful of shared keys,
+		// which makes any ordering divergence visible in the final state.
+		const senders, each = 4, 30
+		var wg sync.WaitGroup
+		errs := make([]error, senders)
+		for g := 0; g < senders; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for j := 0; j < each; j++ {
+					req := &kvstore.Request{
+						ReqID: fmt.Sprintf("det/g%d#%d", g, j),
+						Op:    kvstore.OpAppend,
+						Key:   fmt.Sprintf("s%d", j%3),
+						Value: fmt.Sprintf("(%d.%d)", g, j),
 					}
-				}(g)
-			}
-			wg.Wait()
-			for g, err := range errs {
-				if err != nil {
-					t.Fatalf("sender %d: %v", g, err)
+					if j%5 == 0 {
+						req.Op = kvstore.OpPut
+						req.Key = ""
+						req.Value = fmt.Sprintf("b%d.%d", g, j)
+					}
+					if err := r.cli.Send(repClientAddr((g+j)%2), kvstore.EncodeRequest(req)); err != nil {
+						errs[g] = err
+						return
+					}
 				}
+			}(g)
+		}
+		wg.Wait()
+		for g, err := range errs {
+			if err != nil {
+				t.Fatalf("sender %d: %v", g, err)
 			}
+		}
 
-			r.waitApplied(senders*each, 20*time.Second)
-			if a, b := r.stores[0].Snapshot(), r.stores[1].Snapshot(); !bytes.Equal(a, b) {
-				t.Fatalf("snapshots diverged under ApplyConcurrency=%d:\n replica 0: %v\n replica 1: %v",
-					conc, r.stores[0].Dump(), r.stores[1].Dump())
-			}
-
-			st := r.reps[0].Stats()
-			if st.ApplyBarriers == 0 {
-				t.Errorf("ApplyBarriers = 0, want the empty-key commands accounted as barriers")
-			}
-			if conc > 1 && st.ApplyParallelRuns == 0 {
-				t.Errorf("ApplyParallelRuns = 0 under ApplyConcurrency=%d with %d concurrent senders", conc, senders)
-			}
-		})
-	}
+		r.waitApplied(senders*each, 20*time.Second)
+		if a, b := r.stores[0].Snapshot(), r.stores[1].Snapshot(); !bytes.Equal(a, b) {
+			t.Fatalf("snapshots diverged:\n replica 0: %v\n replica 1: %v",
+				r.stores[0].Dump(), r.stores[1].Dump())
+		}
+		if st := r.reps[0].Stats(); st.ApplyBarriers != st.Applied {
+			t.Errorf("ApplyBarriers = %d, want every applied command (%d)", st.ApplyBarriers, st.Applied)
+		}
+	})
 }
 
 // TestCrashMidPipelineLosesNoAckedCommand pins the pipeline's
@@ -141,7 +132,7 @@ func TestParallelApplyDeterministicAcrossReplicas(t *testing.T) {
 // watermark. After recovery, retrying the whole flood must leave every
 // command applied exactly once.
 func TestCrashMidPipelineLosesNoAckedCommand(t *testing.T) {
-	durable := durableIn(t.TempDir(), func(c *rsm.Config) { c.ApplyConcurrency = 8 })
+	durable := durableIn(t.TempDir(), nil)
 	r := newKVRig(t, 1, durable)
 	r.stores[0].SetApplyCost(200 * time.Microsecond)
 

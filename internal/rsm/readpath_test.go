@@ -114,21 +114,16 @@ func TestDedupRetryServedOffLoop(t *testing.T) {
 	}
 }
 
-// TestSameClientReplyOrderUnderParallelApply pins the releaser's reply
-// ordering: replies follow the total order even when parallel apply
-// finishes a later command first. A long serial run on one key (six
-// appends, same conflict key, applied in order) batches with a single
-// fast put on another key; the put's execution completes first, but
-// its reply must still trail the whole run. One read worker broadcasts
-// the outstanding requests in arrival order, so total order equals
-// send order here; with more workers two outstanding requests may be
-// ordered either way (see rsm.Classifier), which is not what this
-// test isolates.
-func TestSameClientReplyOrderUnderParallelApply(t *testing.T) {
-	r := newKVRig(t, 1, func(c *rsm.Config) {
-		c.ApplyConcurrency = 8
-		c.ReadConcurrency = 1
-	})
+// TestSameClientReplyOrder pins the releaser's reply ordering: one
+// client's replies leave in total order. Six slow appends on one key
+// and a fast put on another queue up into one batch behind a plug, and
+// the put's reply must still trail the whole run. One read worker
+// broadcasts the outstanding requests in arrival order, so total order
+// equals send order here; with more workers two outstanding requests
+// may be ordered either way (see rsm.Classifier), which is not what
+// this test isolates.
+func TestSameClientReplyOrder(t *testing.T) {
+	r := newKVRig(t, 1, func(c *rsm.Config) { c.ReadConcurrency = 1 })
 	r.stores[0].SetApplyCost(2 * time.Millisecond)
 
 	// Plug the apply stage so the measured commands queue up into one

@@ -522,11 +522,11 @@ func TestStartValidation(t *testing.T) {
 	if _, err := rsm.Start(rsm.Config{Service: store, Classify: kvstore.Classifier(store)}); err == nil {
 		t.Error("missing ClientEndpoint should fail")
 	}
-	for _, cfg := range []rsm.Config{{ReadConcurrency: -1}, {ApplyConcurrency: -1}, {LeaseDuration: -1}} {
+	for _, cfg := range []rsm.Config{{ReadConcurrency: -1}, {LeaseDuration: -1}} {
 		cfg.ClientEndpoint, cfg.Service, cfg.Classify = ep, store, kvstore.Classifier(store)
 		if _, err := rsm.Start(cfg); err == nil {
-			t.Errorf("negative pool size or lease should fail: read %d, apply %d, lease %v",
-				cfg.ReadConcurrency, cfg.ApplyConcurrency, cfg.LeaseDuration)
+			t.Errorf("negative pool size or lease should fail: read %d, lease %v",
+				cfg.ReadConcurrency, cfg.LeaseDuration)
 		}
 	}
 }

@@ -20,18 +20,12 @@
 //
 // The write path itself is pipelined: each event-loop round appends
 // its commands to the write-ahead log and issues the group-commit
-// fsync asynchronously (wal.CommitTicket), then executes the round's
-// batch while the fsync is in flight — partitioned by
-// Service.ConflictKey into per-key runs so commands on disjoint
-// conflict domains (independent jobs, distinct keys) apply in
-// parallel on a bounded worker pool, while commands sharing a domain
-// stay in log order and an empty key is a global barrier. A releaser
-// goroutine couples the two stages back together, releasing each
-// round's client replies in order only once both its applies and its
-// covering fsync have completed — no client ever sees an
-// acknowledgment the log could still lose. Config.ApplyConcurrency
-// sizes the pool; 1 keeps execution serial, still overlapped with the
-// fsync.
+// fsync asynchronously (wal.CommitTicket), then applies the round's
+// commands one at a time, in log order on the loop, while the fsync is
+// in flight. A releaser goroutine couples the two stages back
+// together, releasing each round's client replies in order only once
+// both its applies and its covering fsync have completed — no client
+// ever sees an acknowledgment the log could still lose.
 //
 // Checkpoints and join-time state transfers never stall the loop
 // either: the loop only captures a copy-on-write image (Service.Fork),
@@ -90,15 +84,12 @@ type Command struct {
 }
 
 // Service is the deterministic state machine being replicated.
-// Fork and Restore are invoked from the Replica's event loop
-// goroutine only. Apply is invoked from the event loop too — except
-// that within one event-loop round, commands whose ConflictKeys are
-// distinct and non-empty may be executed concurrently on apply-worker
-// goroutines (Config.ApplyConcurrency), so Apply must be safe to call
-// from multiple goroutines. Any state a Classification's Respond hook
-// reads is read on read-worker goroutines concurrently with Apply, and
-// must be guarded (an RWMutex or a copy-on-write snapshot;
-// see internal/pbs for the pattern).
+// Apply, Fork and Restore are invoked from the Replica's event loop
+// goroutine only (local recovery in Start calls them before the loop
+// runs), one call at a time, in total order. Any state a
+// Classification's Respond hook reads is read on read-worker
+// goroutines concurrently with Apply, and must be guarded (an RWMutex
+// or a copy-on-write snapshot; see internal/pbs for the pattern).
 type Service interface {
 	// Apply executes one totally ordered command against local state
 	// and writes the encoded response to relay to the client into
@@ -108,18 +99,6 @@ type Service interface {
 	// the command produces no reply (internal commands, malformed
 	// payloads); it is still recorded in the dedup table.
 	Apply(cmd Command, reply *codec.Encoder)
-	// ConflictKey names the conflict domain cmd belongs to. Two
-	// commands with distinct non-empty keys must commute — applying
-	// them in either order (or concurrently) yields the same final
-	// state and the same responses — which lets the engine execute
-	// them in parallel inside one totally ordered round. Commands
-	// sharing a key are applied in log order. The empty string is a
-	// global barrier: the command conflicts with everything and is
-	// applied alone, in strict log order (the conservative default
-	// for any operation that touches shared state). The key must be
-	// a pure function of the command, so every replica partitions
-	// the same totally ordered batch identically.
-	ConflictKey(cmd Command) string
 	// Snapshot encodes the full service state. The engine serializes
 	// through Fork; Snapshot is the reference encoding every fork must
 	// reproduce byte for byte (the cross-replica determinism suites
@@ -230,14 +209,6 @@ type Config struct {
 	// error.
 	ReadConcurrency int
 
-	// ApplyConcurrency sizes the bounded worker pool that executes
-	// non-conflicting per-key runs of one round's batch in parallel
-	// (see Service.ConflictKey) while the round's WAL fsync is in
-	// flight. Zero selects the default, runtime.GOMAXPROCS(0); 1 keeps
-	// execution serial while still overlapping it with the fsync;
-	// negative is a Start error.
-	ApplyConcurrency int
-
 	// LeaseDuration is the length of the sequencer-granted read leases
 	// that let this replica serve linearizable (ordered) reads from
 	// local state without a broadcast — see leasedRead. Zero selects
@@ -307,10 +278,13 @@ type Stats struct {
 	// nowhere; the client's retry recovers the reply either way.
 	ReplyQueueDrops uint64
 
-	// Apply pipeline.
-	ApplyWorkers      int    // apply-worker pool size (1 = serial execution)
-	ApplyParallelRuns uint64 // per-key runs executed on the worker pool
-	ApplyBarriers     uint64 // commands applied alone as global barriers (empty ConflictKey)
+	// Apply pipeline. Every command is applied alone, in log order:
+	// ApplyBarriers counts each applied command, and ApplyParallelRuns
+	// always reads 0. Both are kept only for the benchmark's
+	// rsm.apply_barrier_frac and rsm.apply_parallel_runs rows, and go
+	// with them.
+	ApplyParallelRuns uint64
+	ApplyBarriers     uint64
 	FsyncOverlapNs    uint64 // cumulative ns the WAL fsync ran concurrently with the apply stage
 	DurabilityLagMax  uint64 // worst-case ns a round's replies waited on durability after apply finished
 
@@ -371,13 +345,11 @@ type reply struct {
 }
 
 // pendingApply is one delivery of a round. The round's commands live
-// in a reused slab ([]pendingApply, value entries), and per-key runs
-// are threaded through it with next indices, so batching a round
-// allocates no per-command nodes.
+// in a reused slab ([]pendingApply, value entries), so batching a
+// round allocates no per-command nodes.
 type pendingApply struct {
 	env   *envelope
 	cmd   Command
-	key   string // conflict key (fresh commands only)
 	index uint64 // applied index (fresh commands only)
 	// enc holds a fresh command's reply from the apply stage until the
 	// round's first reply of it takes it to the releaser, or the round
@@ -386,7 +358,6 @@ type pendingApply struct {
 	replied bool  // enc went out with a reply
 	seen    bool  // already in the dedup table (cross-round duplicate)
 	dupOf   int32 // >= 0: duplicate of cmds[dupOf] within this round; -1 otherwise
-	next    int32 // next command in the same per-key run; -1 ends the run
 }
 
 // resp is the reply Apply wrote, nil if it wrote none.
@@ -410,15 +381,6 @@ type releaseBatch struct {
 	envs     []*envelope // round envelopes; releaser drops the pipeline reference
 	t0       time.Time   // when the round's commit was issued (apply-stage start)
 	applyEnd time.Time   // when the round's apply stage finished
-}
-
-// applyRun hands one per-key run to an apply worker: the round's
-// command slab plus the head of an intrusive linked list (next
-// indices) through it. Carrying the slab in the message keeps the
-// workers free of shared mutable fields.
-type applyRun struct {
-	cmds []pendingApply
-	head int32
 }
 
 // ckptJob is one replica image for a background checkpoint or state
@@ -471,12 +433,6 @@ type Replica struct {
 	// stream.
 	dedup *dedupTable
 
-	// applyQ feeds the persistent apply workers one per-key run at a
-	// time (created only when ApplyConcurrency > 1). The event loop is
-	// the sole sender and closes it on exit, so every queued run is
-	// drained before the workers stop and applyWG.Wait can never hang.
-	applyQ  chan applyRun
-	applyWG sync.WaitGroup
 	// relQ feeds the releaser goroutine one releaseBatch per round, in
 	// round order.
 	relQ chan releaseBatch
@@ -527,14 +483,10 @@ type Replica struct {
 	clientIntern internTable
 	// batchBuf collects one round's envelopes; paBuf is the round's
 	// pendingApply slab; posIdx maps a ReqID's dedup hash → its first
-	// copy this round; runHeads/runTails/runIdx build the per-key runs.
-	// All are reused across rounds.
+	// copy this round. All are reused across rounds.
 	batchBuf []*envelope
 	paBuf    []pendingApply
 	posIdx   map[uint64]int
-	runHeads []int32
-	runTails []int32
-	runIdx   map[string]int
 	// appliedIdx numbers applied commands 1,2,3… across the replica's
 	// whole life (unlike gcs sequence numbers, which reset per view).
 	// It is the WAL record index, the checkpoint position, and the
@@ -566,9 +518,8 @@ func Start(cfg Config) (*Replica, error) {
 	if cfg.ClientEndpoint == nil {
 		return nil, errors.New("rsm: Config.ClientEndpoint required")
 	}
-	if cfg.ReadConcurrency < 0 || cfg.ApplyConcurrency < 0 {
-		return nil, fmt.Errorf("rsm: negative pool size (ReadConcurrency %d, ApplyConcurrency %d)",
-			cfg.ReadConcurrency, cfg.ApplyConcurrency)
+	if cfg.ReadConcurrency < 0 {
+		return nil, fmt.Errorf("rsm: negative ReadConcurrency %d", cfg.ReadConcurrency)
 	}
 	if cfg.LeaseDuration < 0 {
 		return nil, fmt.Errorf("rsm: negative LeaseDuration %v", cfg.LeaseDuration)
@@ -578,9 +529,6 @@ func Start(cfg Config) (*Replica, error) {
 	}
 	if cfg.ReadConcurrency == 0 {
 		cfg.ReadConcurrency = runtime.GOMAXPROCS(0)
-	}
-	if cfg.ApplyConcurrency == 0 {
-		cfg.ApplyConcurrency = runtime.GOMAXPROCS(0)
 	}
 	if cfg.CheckpointEvery == 0 {
 		cfg.CheckpointEvery = 1024
@@ -598,27 +546,16 @@ func Start(cfg Config) (*Replica, error) {
 	r.parkTimer = time.AfterFunc(time.Hour, r.kick)
 	r.parkTimer.Stop()
 	r.stats.ReadWorkers = cfg.ReadConcurrency
-	r.stats.ApplyWorkers = cfg.ApplyConcurrency
 
-	// The apply stage's workers and consumers start before local
-	// recovery, which replays the log suffix through applyBatch like a
-	// live round; failure paths below stop them again (run() owns the
-	// applyQ close once it starts).
-	if n := cfg.ApplyConcurrency; n > 1 {
-		r.applyQ = make(chan applyRun, n*2)
-		for i := 0; i < n; i++ {
-			go r.applyWorker()
-		}
-	}
+	// The releaser starts before local recovery, which replays the log
+	// suffix through applyBatch like a live round; failure paths below
+	// stop it again.
 	r.relQ = make(chan releaseBatch, 64)
 	r.envFree = make(chan []*envelope, 4)
 	r.replyFree = make(chan []reply, 4)
 	go r.releaser()
 	fail := func(err error) (*Replica, error) {
 		close(r.done)
-		if r.applyQ != nil {
-			close(r.applyQ)
-		}
 		if r.log != nil {
 			r.log.Close()
 		}
@@ -769,11 +706,6 @@ func (r *Replica) bump(f func(*Stats)) {
 // never delays datagram interception.
 func (r *Replica) run() {
 	labelStage("event_loop")
-	if r.applyQ != nil {
-		// The loop is the sole sender: closing here lets the apply
-		// workers drain every queued run and exit.
-		defer close(r.applyQ)
-	}
 	events := r.group.Events()
 	for {
 		select {
@@ -926,9 +858,8 @@ func (r *Replica) checkpointDone(t0 time.Time, size int) {
 
 // runRound is one event-loop round: deliveries are collected into a
 // batch and executed through applyBatch (WAL fsync overlapping the
-// conflict-partitioned apply stage), while control events (views,
-// state transfer) act as ordering points — everything delivered before
-// them is applied first.
+// apply stage), while control events (views, state transfer) act as
+// ordering points — everything delivered before them is applied first.
 func (r *Replica) runRound(first gcs.Event, events <-chan gcs.Event) {
 	batch := r.batchBuf[:0]
 	flush := func() {
@@ -998,18 +929,17 @@ func (r *Replica) takeEnvSlice() []*envelope {
 // delivery against the dedup table, assign applied indices, and append
 // fresh commands the WAL does not already hold to it; then issue the
 // round's group-commit fsync asynchronously. Stage 2 (concurrent with
-// the fsync): execute the batch, partitioned by ConflictKey into
-// per-key runs on the bounded worker pool. Stage 3: hand the round's
-// replies to the releaser, which holds them until the fsync lands.
-// Dedup inserts and eviction happen back on the loop in total order,
-// so the table stays identical across replicas.
+// the fsync): apply the fresh commands one at a time in log order.
+// Stage 3: hand the round's replies to the releaser, which holds them
+// until the fsync lands. Dedup inserts and eviction happen on the loop
+// in total order, so the table stays identical across replicas.
 func (r *Replica) applyBatch(batch []*envelope) {
 	if len(batch) == 0 {
 		return
 	}
 	t0 := time.Now()
 	// The round's commands live in a reused value slab. It is sized up
-	// front: later stages hold &cmds[i] pointers (and run links), so
+	// front: later stages hold &cmds[i] pointers, so
 	// append must never reallocate the backing array mid-round.
 	cmds := r.paBuf
 	if cap(cmds) < len(batch) {
@@ -1031,7 +961,7 @@ func (r *Replica) applyBatch(batch []*envelope) {
 		logged = r.log.LastIndex()
 	}
 	for _, env := range batch {
-		cmds = append(cmds, pendingApply{env: env, dupOf: -1, next: -1})
+		cmds = append(cmds, pendingApply{env: env, dupOf: -1})
 		pa := &cmds[len(cmds)-1]
 		h := dedupHash(env.ReqID)
 		j, ok := pos[h]
@@ -1048,7 +978,6 @@ func (r *Replica) applyBatch(batch []*envelope) {
 			r.appliedIdx++
 			pa.index = r.appliedIdx
 			pa.cmd = Command{ReqID: env.ReqID, Payload: env.Payload, Origin: env.Origin, Client: env.Client}
-			pa.key = r.service.ConflictKey(pa.cmd)
 			if r.log != nil && pa.index > logged {
 				// Write-ahead: the record hits the log before Apply
 				// runs. Recovery replays the log in index order, so a
@@ -1084,7 +1013,7 @@ func (r *Replica) applyBatch(batch []*envelope) {
 		maxIndex = r.appliedIdx
 	}
 
-	r.applySections(cmds)
+	r.applyFresh(cmds)
 	applyEnd := time.Now()
 
 	// Post-apply bookkeeping, in total order on the loop. The dedup
@@ -1134,6 +1063,7 @@ func (r *Replica) applyBatch(batch []*envelope) {
 	if fresh > 0 {
 		r.bump(func(st *Stats) {
 			st.Applied += uint64(fresh)
+			st.ApplyBarriers += uint64(fresh)
 			st.AppliedIndex = r.appliedIdx
 		})
 	}
@@ -1154,95 +1084,16 @@ func firstCopy(cmds []pendingApply, reqID []byte) (int, bool) {
 	return 0, false
 }
 
-// applySections executes one collected round. Commands with an empty
-// ConflictKey are global barriers, applied alone in log order; maximal
-// spans of keyed commands between barriers are partitioned into
-// per-key runs (log order within each run) and the runs execute
-// concurrently on the bounded apply pool. Every replica partitions the
-// same totally ordered batch identically, and distinct keys commute by
-// the Service contract, so the resulting state is deterministic.
-func (r *Replica) applySections(cmds []pendingApply) {
-	var parallelRuns, barriers uint64
-	for i := 0; i < len(cmds); {
+// applyFresh applies a round's fresh commands one at a time, in
+// log order; in-round duplicates and dedup hits are skipped.
+func (r *Replica) applyFresh(cmds []pendingApply) {
+	for i := range cmds {
 		pa := &cmds[i]
 		if pa.dupOf >= 0 || pa.seen {
-			i++
 			continue
 		}
-		if pa.key == "" {
-			r.apply(pa)
-			barriers++
-			i++
-			continue
-		}
-		// Partition the maximal keyed span into per-key runs threaded
-		// through the slab with next links — no per-run slices, no
-		// per-span map churn (runIdx is reused and cleared).
-		if r.runIdx == nil {
-			r.runIdx = make(map[string]int, 64)
-		}
-		clear(r.runIdx)
-		heads := r.runHeads[:0]
-		tails := r.runTails[:0]
-		j := i
-		for ; j < len(cmds); j++ {
-			q := &cmds[j]
-			if q.dupOf >= 0 || q.seen {
-				continue
-			}
-			if q.key == "" {
-				break
-			}
-			if k, ok := r.runIdx[q.key]; ok {
-				cmds[tails[k]].next = int32(j)
-				tails[k] = int32(j)
-			} else {
-				r.runIdx[q.key] = len(heads)
-				heads = append(heads, int32(j))
-				tails = append(tails, int32(j))
-			}
-		}
-		r.runHeads, r.runTails = heads, tails
-		if len(heads) == 1 || r.applyQ == nil {
-			for _, h := range heads {
-				for k := h; k >= 0; k = cmds[k].next {
-					r.apply(&cmds[k])
-				}
-			}
-		} else {
-			for _, h := range heads {
-				r.applyWG.Add(1)
-				r.applyQ <- applyRun{cmds: cmds, head: h}
-			}
-			r.applyWG.Wait()
-			parallelRuns += uint64(len(heads))
-		}
-		i = j
-	}
-	if parallelRuns > 0 || barriers > 0 {
-		r.bump(func(st *Stats) {
-			st.ApplyParallelRuns += parallelRuns
-			st.ApplyBarriers += barriers
-		})
-	}
-}
-
-// apply executes one fresh command into a pooled reply encoder.
-func (r *Replica) apply(pa *pendingApply) {
-	pa.enc = codec.GetEncoder(256)
-	r.service.Apply(pa.cmd, pa.enc)
-}
-
-// applyWorker executes per-key runs for applySections. The channel is
-// closed by the event loop on shutdown; every queued run drains first,
-// so applyWG.Wait cannot hang on an abandoned run.
-func (r *Replica) applyWorker() {
-	labelStage("apply_worker")
-	for run := range r.applyQ {
-		for k := run.head; k >= 0; k = run.cmds[k].next {
-			r.apply(&run.cmds[k])
-		}
-		r.applyWG.Done()
+		pa.enc = codec.GetEncoder(256)
+		r.service.Apply(pa.cmd, pa.enc)
 	}
 }
 

@@ -3,8 +3,6 @@ package rsm
 import (
 	"bytes"
 	"fmt"
-	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -33,41 +31,28 @@ func (n *nullEP) Send(to transport.Addr, _ []byte) error {
 }
 
 type benchSvc struct {
-	keys [64]string
 	resp []byte
 }
 
-func newBenchSvc() *benchSvc {
-	s := &benchSvc{resp: []byte("ok-response-payload")}
-	for i := range s.keys {
-		s.keys[i] = fmt.Sprintf("key%02d", i)
-	}
-	return s
-}
+func newBenchSvc() *benchSvc { return &benchSvc{resp: []byte("ok-response-payload")} }
 
 func (s *benchSvc) Apply(cmd Command, reply *codec.Encoder) { reply.PutRaw(s.resp) }
-func (s *benchSvc) ConflictKey(cmd Command) string {
-	if len(cmd.Payload) == 0 {
-		return ""
-	}
-	return s.keys[int(cmd.Payload[0])%len(s.keys)]
-}
-func (s *benchSvc) Snapshot() []byte     { return nil }
-func (s *benchSvc) Fork() func() []byte  { return s.Snapshot }
-func (s *benchSvc) Restore([]byte) error { return nil }
+func (s *benchSvc) Snapshot() []byte                        { return nil }
+func (s *benchSvc) Fork() func() []byte                     { return s.Snapshot }
+func (s *benchSvc) Restore([]byte) error                    { return nil }
 
 // startBenchReplica assembles the write-path engine — dedup table,
-// WAL, apply workers, releaser — without a group layer or
+// WAL, releaser — without a group layer or
 // event loop, so tests and benchmarks can drive applyBatch directly
 // (standing in for the loop goroutine) with no concurrent loop racing
 // them. Everything downstream of the loop is the real machinery.
-func startBenchReplica(tb testing.TB, svc Service, applyConc int) *Replica {
+func startBenchReplica(tb testing.TB, svc Service) *Replica {
 	tb.Helper()
-	return startEngine(tb, svc, applyConc, &nullEP{addr: "rep0/cli", recv: make(chan transport.Message)})
+	return startEngine(tb, svc, &nullEP{addr: "rep0/cli", recv: make(chan transport.Message)})
 }
 
 // startEngine is startBenchReplica over a given client endpoint.
-func startEngine(tb testing.TB, svc Service, applyConc int, ep *nullEP) *Replica {
+func startEngine(tb testing.TB, svc Service, ep *nullEP) *Replica {
 	tb.Helper()
 	l, err := wal.Open(wal.Options{Dir: tb.TempDir()})
 	if err != nil {
@@ -81,8 +66,7 @@ func startEngine(tb testing.TB, svc Service, applyConc int, ep *nullEP) *Replica
 			// dedup snapshot + service snapshot) are pushed out of the
 			// measured window so the benchmark isolates the per-command
 			// submit→apply→reply chain the CI alloc gate budgets.
-			CheckpointEvery:  1 << 30,
-			ApplyConcurrency: applyConc,
+			CheckpointEvery: 1 << 30,
 		},
 		clientEP: ep,
 		service:  svc,
@@ -96,16 +80,7 @@ func startEngine(tb testing.TB, svc Service, applyConc int, ep *nullEP) *Replica
 	r.envFree = make(chan []*envelope, 4)
 	r.replyFree = make(chan []reply, 4)
 	go r.releaser()
-	if applyConc > 1 {
-		r.applyQ = make(chan applyRun, applyConc*2)
-		for i := 0; i < applyConc; i++ {
-			go r.applyWorker()
-		}
-	}
 	tb.Cleanup(func() {
-		if r.applyQ != nil {
-			close(r.applyQ) // the test goroutine was the sole sender
-		}
 		close(r.done)
 		l.Close()
 	})
@@ -126,13 +101,13 @@ func drainReleaser(tb testing.TB, r *Replica) {
 }
 
 // BenchmarkSubmitApply measures the engine-side write path — pooled
-// envelope decode, shared-buffer WAL stage, conflict-keyed apply,
+// envelope decode, shared-buffer WAL stage, serial apply,
 // dedup insert, reply handoff — per delivered command, batched 64 per
 // round as the event loop would. CI gates allocs/op on this benchmark
 // at zero: the ReqID stays a view into the delivered command and the
 // dedup table copies it and the reply into its ring.
 func BenchmarkSubmitApply(b *testing.B) {
-	r := startBenchReplica(b, newBenchSvc(), 4)
+	r := startBenchReplica(b, newBenchSvc())
 
 	const batch = 64
 	n := b.N
@@ -170,50 +145,21 @@ func BenchmarkSubmitApply(b *testing.B) {
 
 // echoSvc answers every command with a copy of its ReqID, so any
 // stale or recycled buffer observed anywhere downstream (dedup retry
-// hits, state transfer, replies) is detectable by content. State is
-// kept per conflict key (commands on distinct keys commute, so
-// per-key order — not cross-key interleaving — is what must be
-// deterministic) and snapshots emit keys sorted.
+// hits, state transfer, replies) is detectable by content. Its state
+// is the ReqIDs in apply order.
 type echoSvc struct {
-	mu      sync.Mutex
-	applied map[string][]string // conflict key → ReqIDs in apply order
-	total   int
+	applied []string
 }
 
 func (s *echoSvc) Apply(cmd Command, reply *codec.Encoder) {
-	key := s.ConflictKey(cmd)
-	s.mu.Lock()
-	if s.applied == nil {
-		s.applied = make(map[string][]string)
-	}
-	s.applied[key] = append(s.applied[key], string(cmd.ReqID))
-	s.total++
-	s.mu.Unlock()
+	s.applied = append(s.applied, string(cmd.ReqID))
 	reply.PutRaw([]byte("resp:" + string(cmd.ReqID)))
 }
-func (s *echoSvc) ConflictKey(cmd Command) string {
-	if len(cmd.Payload) == 0 {
-		return ""
-	}
-	return string(cmd.Payload[:1])
-}
 func (s *echoSvc) Snapshot() []byte {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.applied))
-	for k := range s.applied {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	var buf bytes.Buffer
-	for _, k := range keys {
-		buf.WriteString(k)
-		buf.WriteByte(':')
-		for _, id := range s.applied[k] {
-			buf.WriteString(id)
-			buf.WriteByte(',')
-		}
-		buf.WriteByte('\n')
+	for _, id := range s.applied {
+		buf.WriteString(id)
+		buf.WriteByte(',')
 	}
 	return buf.Bytes()
 }
@@ -225,20 +171,10 @@ func (s *echoSvc) Fork() func() []byte {
 	return func() []byte { return b }
 }
 func (s *echoSvc) Restore(b []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.applied = make(map[string][]string)
-	s.total = 0
-	for _, line := range bytes.Split(b, []byte{'\n'}) {
-		key, rest, ok := bytes.Cut(line, []byte{':'})
-		if !ok {
-			continue
-		}
-		for _, id := range bytes.Split(rest, []byte{','}) {
-			if len(id) > 0 {
-				s.applied[string(key)] = append(s.applied[string(key)], string(id))
-				s.total++
-			}
+	s.applied = s.applied[:0]
+	for _, id := range bytes.Split(b, []byte{','}) {
+		if len(id) > 0 {
+			s.applied = append(s.applied, string(id))
 		}
 	}
 	return nil
@@ -254,7 +190,7 @@ func wireFor(reqID string, origin gcs.MemberID, client transport.Addr, payload [
 // state-transfer snapshots to be byte-identical. Run under -race this
 // is the donor-side recycling assertion: pooled envelopes and dedup
 // buffers churn heavily (batches of 1 recycle an envelope per round
-// while apply workers and the releaser still hold round N-1's), yet
+// while the releaser still holds round N-1's), yet
 // no recycled memory leaks into applied state, the dedup table, or
 // the snapshot.
 func TestRecyclingSnapshotsIdentical(t *testing.T) {
@@ -278,7 +214,7 @@ func TestRecyclingSnapshotsIdentical(t *testing.T) {
 
 	snapshots := make([][]byte, 2)
 	for variant, batchSize := range []int{64, 1} {
-		r := startBenchReplica(t, &echoSvc{}, 4)
+		r := startBenchReplica(t, &echoSvc{})
 		var envs []*envelope
 		for i := 0; i < len(stream); i += batchSize {
 			envs = envs[:0]
@@ -315,7 +251,7 @@ func TestRecyclingSnapshotsIdentical(t *testing.T) {
 // exactly: fetch copies under the shard lock, so a recycled entry
 // buffer is never observable through a retry hit.
 func TestDedupFetchUnderChurn(t *testing.T) {
-	r := startBenchReplica(t, &echoSvc{}, 2)
+	r := startBenchReplica(t, &echoSvc{})
 	const probes = 200
 	// Seed commands whose responses the prober will re-fetch.
 	ids := make([]string, probes)
@@ -385,7 +321,7 @@ func TestDedupFetchUnderChurn(t *testing.T) {
 // command applied exactly once.
 func TestEnvelopeRefcountSurvivesOverlap(t *testing.T) {
 	svc := &echoSvc{}
-	r := startBenchReplica(t, svc, 4)
+	r := startBenchReplica(t, svc)
 	const rounds, per = 200, 16
 	var envs []*envelope
 	for i := 0; i < rounds; i++ {
@@ -401,10 +337,7 @@ func TestEnvelopeRefcountSurvivesOverlap(t *testing.T) {
 		r.applyBatch(envs)
 	}
 	drainReleaser(t, r)
-	svc.mu.Lock()
-	applied := svc.total
-	svc.mu.Unlock()
-	if applied != rounds*per {
+	if applied := len(svc.applied); applied != rounds*per {
 		t.Fatalf("applied %d commands, want %d", applied, rounds*per)
 	}
 }
@@ -418,7 +351,7 @@ func TestReplyRule(t *testing.T) {
 	// sent holds more than the six cases can produce, so the replier
 	// never blocks on it.
 	ep := &nullEP{addr: "rep0/cli", recv: make(chan transport.Message), sent: make(chan transport.Addr, 16)}
-	r := startEngine(t, &echoSvc{}, 1, ep)
+	r := startEngine(t, &echoSvc{}, ep)
 	seq := []gcs.MemberID{"rep0", "rep1"}
 	follower := []gcs.MemberID{"head0", "rep0"} // head0 sequences
 	cases := []struct {
