@@ -175,6 +175,31 @@ func TestApplyAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, func() { applyPooled(svc, jdone) }); allocs > 1 {
 		t.Errorf("repeated jdone apply: %v allocs/op, want <= 1", allocs)
 	}
+
+	// A jdel looks its job ID up in place: deleting a held job
+	// allocates nothing.
+	const runs = 200
+	jdels := make([]rsm.Command, runs+1) // AllocsPerRun warms up with one extra run
+	for i := range jdels {
+		_, resp, err := decodeRPC(applied(svc, submit))
+		if err != nil || !resp.OK {
+			t.Fatalf("held jsub reply: %+v, %v", resp, err)
+		}
+		id := resp.Jobs[0].ID
+		jdels[i] = rsm.Command{Payload: (&rpcRequest{ReqID: "user/cli#del" + string(id), Op: OpDelete,
+			Args: cmdArgs{JobID: id}}).encode()}
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		applyPooled(svc, jdels[next])
+		next++
+	})
+	if !raceEnabled && allocs != 0 {
+		t.Errorf("jdel apply: %v allocs/op, want 0", allocs)
+	}
+	if _, resp, err := decodeRPC(applied(svc, jdels[0])); err != nil || resp.OK {
+		t.Errorf("a second jdel of a deleted job: %+v, %v; want refused", resp, err)
+	}
 }
 
 func BenchmarkApplySubmit(b *testing.B) {

@@ -66,11 +66,11 @@ func (o *oracle) apply(payload []byte) []byte {
 			resp.Jobs = append(resp.Jobs, j)
 		}
 	case OpDelete:
-		return one(o.d.Delete(a.JobID))
+		return one(o.d.Delete([]byte(a.JobID)))
 	case OpHold:
-		return one(o.d.Hold(a.JobID))
+		return one(o.d.Hold([]byte(a.JobID)))
 	case OpRelease:
-		return one(o.d.Release(a.JobID))
+		return one(o.d.Release([]byte(a.JobID)))
 	case OpSignal:
 		return one(o.d.Signal(a.JobID, a.Signal))
 	case OpStat:

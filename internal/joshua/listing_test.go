@@ -92,15 +92,15 @@ func randomPBSOp(rng *rand.Rand, srv *pbs.Server, history [][]byte) string {
 		return fmt.Sprintf("Submit(hold=%v)", hold)
 	case op < 8:
 		id := pick(known)
-		srv.Hold(id)
+		srv.Hold([]byte(id))
 		return "Hold(" + string(id) + ")"
 	case op < 10:
 		id := pick(known)
-		srv.Release(id)
+		srv.Release([]byte(id))
 		return "Release(" + string(id) + ")"
 	case op < 12:
 		id := pick(known)
-		srv.Delete(id)
+		srv.Delete([]byte(id))
 		return "Delete(" + string(id) + ")"
 	case op < 17:
 		id := pick(active)

@@ -112,11 +112,11 @@ func execute(e *codec.Encoder, d *pbs.Daemon, v *view) {
 		putReply(e, reqID, err, srv.Version())
 		return
 	case OpDelete:
-		j, err = d.Delete(pbs.JobID(v.jobID))
+		j, err = d.Delete(v.jobID)
 	case OpHold:
-		j, err = d.Hold(pbs.JobID(v.jobID))
+		j, err = d.Hold(v.jobID)
 	case OpRelease:
-		j, err = d.Release(pbs.JobID(v.jobID))
+		j, err = d.Release(v.jobID)
 	case OpSignal:
 		j, err = d.Signal(pbs.JobID(v.jobID), string(v.signal))
 	case OpJDone:

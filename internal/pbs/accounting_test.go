@@ -56,10 +56,10 @@ func TestAccountingHoldReleaseDelete(t *testing.T) {
 	s.TakeActions()
 
 	j, _ := s.Submit(SubmitRequest{})
-	s.Hold(j.ID)
-	s.Hold(j.ID) // idempotent: no second H record
-	s.Release(j.ID)
-	s.Delete(j.ID)
+	s.Hold([]byte(j.ID))
+	s.Hold([]byte(j.ID)) // idempotent: no second H record
+	s.Release([]byte(j.ID))
+	s.Delete([]byte(j.ID))
 	if got := recordTypes(sink.ForJob(j.ID)); got != "QHRD" {
 		t.Fatalf("record sequence = %q, want QHRD", got)
 	}
@@ -71,7 +71,7 @@ func TestAccountingHoldReleaseDelete(t *testing.T) {
 	}
 
 	// Deleting a running job records D, then E when the kill lands.
-	s.Delete(blocker.ID)
+	s.Delete([]byte(blocker.ID))
 	s.JobDone(blocker.ID, ExitCodeKilled, "")
 	if got := recordTypes(sink.ForJob(blocker.ID)); got != "QSDE" {
 		t.Fatalf("running-delete sequence = %q, want QSDE", got)
@@ -94,9 +94,9 @@ func goldenScenario(sink AccountingSink) {
 	multi, _ := s.Submit(SubmitRequest{Name: "multi", Owner: "alice", NodeCount: 2, WallTime: 90 * time.Minute})
 	s.TakeActions()
 	held, _ := s.Submit(SubmitRequest{Name: "held", Owner: "bob", Hold: true, WallTime: 123*time.Hour + 245*time.Second})
-	s.Release(held.ID)
-	s.Delete(held.ID)
-	s.Delete(multi.ID)
+	s.Release([]byte(held.ID))
+	s.Delete([]byte(held.ID))
+	s.Delete([]byte(multi.ID))
 	s.JobDone(multi.ID, ExitCodeKilled, "")
 	anon, _ := s.Submit(SubmitRequest{})
 	s.TakeActions()
@@ -273,7 +273,7 @@ func TestAccountingIdenticalAcrossReplicas(t *testing.T) {
 		j1, _ := s.Submit(SubmitRequest{Name: "x", Owner: "u"})
 		s.TakeActions()
 		j2, _ := s.Submit(SubmitRequest{Name: "y", Owner: "u", Hold: true})
-		s.Release(j2.ID)
+		s.Release([]byte(j2.ID))
 		s.JobDone(j1.ID, 0, "")
 		s.TakeActions()
 		s.JobDone(j2.ID, 0, "")

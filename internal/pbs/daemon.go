@@ -180,21 +180,21 @@ func (d *Daemon) SubmitArray(req SubmitRequest) ([]Job, error) {
 }
 
 // Delete runs qdel and dispatches any resulting kills/starts.
-func (d *Daemon) Delete(id JobID) (Job, error) {
+func (d *Daemon) Delete(id []byte) (Job, error) {
 	j, err := d.srv.Delete(id)
 	d.flush()
 	return j, err
 }
 
 // Hold runs qhold.
-func (d *Daemon) Hold(id JobID) (Job, error) {
+func (d *Daemon) Hold(id []byte) (Job, error) {
 	j, err := d.srv.Hold(id)
 	d.flush()
 	return j, err
 }
 
 // Release runs qrls and dispatches any resulting starts.
-func (d *Daemon) Release(id JobID) (Job, error) {
+func (d *Daemon) Release(id []byte) (Job, error) {
 	j, err := d.srv.Release(id)
 	d.flush()
 	return j, err

@@ -156,7 +156,7 @@ func TestOnlySenderSends(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := d.Delete("2.c"); err != nil {
+		if _, err := d.Delete([]byte("2.c")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -434,7 +434,7 @@ func TestKilledJobHasNoOutput(t *testing.T) {
 	r := newRig(t, 1, nil)
 	j, _ := r.daemon.Submit(SubmitRequest{Script: "echo never", WallTime: 10 * time.Second})
 	waitState(t, r.daemon, j.ID, StateRunning, 5*time.Second)
-	r.daemon.Delete(j.ID)
+	r.daemon.Delete([]byte(j.ID))
 	waitState(t, r.daemon, j.ID, StateCompleted, 5*time.Second)
 	got, _ := r.daemon.Status(j.ID)
 	if got.Output != "" {

@@ -92,13 +92,13 @@ func randomOp(rng *rand.Rand, s *Server, history [][]byte) (string, func(*Server
 		return fmt.Sprintf("SubmitArray(hold=%v)", r.Hold), func(x *Server) { x.SubmitArray(r) }
 	case op < 9:
 		id := pick(known)
-		return "Hold(" + string(id) + ")", func(x *Server) { x.Hold(id) }
+		return "Hold(" + string(id) + ")", func(x *Server) { x.Hold([]byte(id)) }
 	case op < 11:
 		id := pick(known)
-		return "Release(" + string(id) + ")", func(x *Server) { x.Release(id) }
+		return "Release(" + string(id) + ")", func(x *Server) { x.Release([]byte(id)) }
 	case op < 13:
 		id := pick(known)
-		return "Delete(" + string(id) + ")", func(x *Server) { x.Delete(id) }
+		return "Delete(" + string(id) + ")", func(x *Server) { x.Delete([]byte(id)) }
 	case op < 17:
 		id := pick(active)
 		if rng.Intn(5) == 0 {

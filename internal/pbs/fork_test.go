@@ -16,7 +16,7 @@ func TestForkMatchesSnapshot(t *testing.T) {
 	running, _ := s.Submit(SubmitRequest{Name: "running", Owner: "v"})
 	queued, _ := s.Submit(SubmitRequest{Name: "queued", Owner: "u"})
 	held, _ := s.Submit(SubmitRequest{Name: "held", Owner: "w"})
-	s.Hold(held.ID)
+	s.Hold([]byte(held.ID))
 	s.TakeActions()
 	s.JobDone(done.ID, 0, "out")
 	s.TakeActions()
@@ -32,7 +32,7 @@ func TestForkMatchesSnapshot(t *testing.T) {
 	// Mutations after the fork must not change the captured image.
 	s.Submit(SubmitRequest{Name: "late", Owner: "u"})
 	s.SetNodeOffline("c1", false)
-	s.Release(held.ID)
+	s.Release([]byte(held.ID))
 	s.TakeActions()
 	// The image shares each job's node list. The job running at the
 	// fork completes; the queued one starts on its node, is deleted
@@ -41,7 +41,7 @@ func TestForkMatchesSnapshot(t *testing.T) {
 	if j, _ := s.Status(queued.ID); j.State != StateRunning {
 		t.Fatalf("%s is %v after the running job's end, want running", j.ID, j.State)
 	}
-	s.Delete(queued.ID)
+	s.Delete([]byte(queued.ID))
 	s.JobDone(queued.ID, ExitCodeKilled, "")
 	s.TakeActions()
 

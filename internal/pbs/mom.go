@@ -2,7 +2,6 @@ package pbs
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"time"
@@ -48,10 +47,11 @@ type MomConfig struct {
 	// it.
 	Endpoint transport.Endpoint
 	// Complete is the job epilogue: it hands the heads the end of a job
-	// this node executed (JOSHUA orders it as a jdone). It runs once
-	// per executed job, off the receive loop, and may block. An error
-	// is retried at doubling gaps from completeRetry up to
-	// maxCompleteGap until the mom closes, except one wrapping
+	// this node executed (JOSHUA orders it as a jdone). The job holds
+	// the fields its start carried except the node list, which is nil.
+	// It runs once per executed job, off the receive loop, and may
+	// block. An error is retried at doubling gaps from completeRetry up
+	// to maxCompleteGap until the mom closes, except one wrapping
 	// ErrNotFirstNode: the heads refused the completion, finally. Nil
 	// drops completions.
 	Complete func(job Job, exitCode int, output string) error
@@ -64,8 +64,8 @@ type MomConfig struct {
 //
 //	executing → finished, or emulated
 //
-// A kill interrupts an executing job, whose run then completes it as
-// killed; a sister node ignores kills.
+// A kill interrupts an executing job, which then completes as killed;
+// a sister node ignores kills.
 type momState uint8
 
 const (
@@ -80,9 +80,11 @@ const (
 // node does not run, or no longer runs, keeps nothing but its table
 // key.
 type momJob struct {
-	job    Job
-	state  momState
-	killed chan struct{} // closed to interrupt execution; nil if shared
+	job   Job
+	state momState
+	// end ends an executing job's run when its wall time is up; a kill
+	// that stops it first ends the run as killed. Nil if shared.
+	end *time.Timer
 }
 
 var (
@@ -116,6 +118,13 @@ func StartMom(cfg MomConfig) *Mom {
 func (m *Mom) Close() {
 	m.once.Do(func() {
 		close(m.done)
+		m.mu.Lock()
+		for _, j := range m.jobs {
+			if j.state == momExecuting {
+				j.end.Stop()
+			}
+		}
+		m.mu.Unlock()
 		m.cfg.Endpoint.Close()
 	})
 }
@@ -188,8 +197,8 @@ func (m *Mom) handle(dg transport.Message) {
 // executes or is emulated here; a finished job's repeat gets nothing,
 // as its completion is already on its way to every head through the
 // total order. The first start decodes the job in place over the
-// datagram, allocating only its node slice; a sister node then keeps
-// only a copy of the job ID.
+// datagram without allocating; a sister node then keeps only a copy of
+// the job ID, and the first node a timer that ends the run.
 func (m *Mom) onStart(id []byte, dg transport.Message) {
 	m.mu.Lock()
 	prev, known := m.jobs[JobID(id)]
@@ -202,51 +211,39 @@ func (m *Mom) onStart(id []byte, dg transport.Message) {
 		}
 		return
 	}
-	job, ok := decodeStart(dg.Payload)
+	job, first, ok := decodeStart(dg.Payload)
 	if !ok {
 		return
 	}
-	if len(job.Nodes) == 0 || job.Nodes[0] != m.cfg.Name {
+	if first != m.cfg.Name {
 		key := JobID(id)
 		m.mu.Lock()
 		m.jobs[key] = sisterJob
 		m.mu.Unlock()
 		return
 	}
-	j := &momJob{job: job, state: momExecuting, killed: make(chan struct{})}
+	// The job runs for its (scaled) wall time on a timer alone: no
+	// goroutine waits for it, and one starts only to end it.
+	run := time.Duration(float64(job.WallTime) * m.cfg.TimeScale)
+	j := &momJob{job: job, state: momExecuting}
 	m.mu.Lock()
 	m.jobs[job.ID] = j
 	m.executions++
+	j.end = time.AfterFunc(run, func() { m.finish(j, 0) })
 	m.mu.Unlock()
-	go m.execute(j)
 }
 
-// execute simulates running j's job for its (scaled) wall time, then
-// hands its completion to the Complete hook. j.job is immutable, so it
-// is read without m.mu.
-func (m *Mom) execute(j *momJob) {
-	job := j.job
-	d := time.Duration(float64(job.WallTime) * m.cfg.TimeScale)
-	exit := 0
-	if d > 0 {
-		t := time.NewTimer(d)
-		select {
-		case <-t.C:
-		case <-j.killed:
-			t.Stop()
-			exit = ExitCodeKilled
-		case <-m.done:
-			t.Stop()
-			return // mom crashed: job evaporates, heads never hear back
-		}
-	} else {
-		select {
-		case <-j.killed:
-			exit = ExitCodeKilled
-		default:
-		}
+// finish ends j's run with exit and hands its completion to the
+// Complete hook. It runs once per executed job: on the timer's
+// goroutine when the wall time is up, or on one a kill starts after
+// stopping the timer. j.job is immutable, so it is read without m.mu.
+func (m *Mom) finish(j *momJob, exit int) {
+	select {
+	case <-m.done:
+		return // mom crashed: job evaporates, heads never hear back
+	default:
 	}
-
+	job := j.job
 	var output string
 	if exit == 0 {
 		output = runScript(job, m.cfg.Name)
@@ -283,20 +280,18 @@ func (m *Mom) complete(job Job, exitCode int, output string) {
 	}
 }
 
-// onKill interrupts an executing job (qdel relayed by a head node); its
-// run completes it as killed. Other states have nothing to stop.
+// onKill interrupts an executing job (qdel relayed by a head node): if
+// it stops the job's timer before the wall time is up, the job
+// completes as killed. Other states, and a job whose run is already
+// ending, have nothing to stop.
 func (m *Mom) onKill(id []byte) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j := m.jobs[JobID(id)]
-	if j == nil || j.state != momExecuting {
+	if j == nil || j.state != momExecuting || !j.end.Stop() {
 		return
 	}
-	select {
-	case <-j.killed:
-	default:
-		close(j.killed)
-	}
+	go m.finish(j, ExitCodeKilled)
 }
 
 // runScript "executes" the job script: the simulated mom interprets
@@ -314,7 +309,11 @@ func runScript(job Job, node string) string {
 		}
 	}
 	if out.Len() == 0 && job.Script != "" {
-		fmt.Fprintf(&out, "[%s completed on %s]\n", job.ID, node)
+		out.WriteByte('[')
+		out.WriteString(string(job.ID))
+		out.WriteString(" completed on ")
+		out.WriteString(node)
+		out.WriteString("]\n")
 	}
 	return out.String()
 }

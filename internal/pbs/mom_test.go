@@ -145,7 +145,7 @@ func TestKillRunningJob(t *testing.T) {
 	r := newRig(t, 1, nil)
 	j, _ := r.daemon.Submit(SubmitRequest{WallTime: 10 * time.Second})
 	waitState(t, r.daemon, j.ID, StateRunning, 5*time.Second)
-	if _, err := r.daemon.Delete(j.ID); err != nil {
+	if _, err := r.daemon.Delete([]byte(j.ID)); err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, r.daemon, j.ID, StateCompleted, 5*time.Second)

@@ -52,13 +52,13 @@ func TestNoWallClockInScheduling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Release(b.ID); err != nil {
+		if _, err := s.Release([]byte(b.ID)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Hold(b.ID); err != nil {
+		if _, err := s.Hold([]byte(b.ID)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Release(b.ID); err != nil {
+		if _, err := s.Release([]byte(b.ID)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.SubmitArray(SubmitRequest{Owner: "carol", Array: ArraySpec{Set: true, Start: 0, End: 2}}); err != nil {
@@ -70,7 +70,7 @@ func TestNoWallClockInScheduling(t *testing.T) {
 		if err := s.SetNodeOffline("compute3", false); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Delete(b.ID); err != nil {
+		if _, err := s.Delete([]byte(b.ID)); err != nil {
 			t.Fatal(err)
 		}
 		s.JobDone(a.ID, 0, "")
@@ -307,7 +307,7 @@ func TestHoldDoesNotBlockQueue(t *testing.T) {
 				t.Fatalf("policy %v: small should queue behind blocked, got %v", policy, got)
 			}
 		}
-		if _, err := s.Hold(blocked.ID); err != nil {
+		if _, err := s.Hold([]byte(blocked.ID)); err != nil {
 			t.Fatal(err)
 		}
 		// With the blocker held, the 2-node reservation vanishes...
@@ -341,7 +341,7 @@ func TestReleaseReentersPriorityOrder(t *testing.T) {
 	held, _ := s.Submit(SubmitRequest{Owner: "alice", Priority: 5, Hold: true})
 	better, _ := s.Submit(SubmitRequest{Owner: "bob", Priority: 9})
 	worse, _ := s.Submit(SubmitRequest{Owner: "carol", Priority: 1})
-	if _, err := s.Release(held.ID); err != nil {
+	if _, err := s.Release([]byte(held.ID)); err != nil {
 		t.Fatal(err)
 	}
 	// Free the node three times; order must be better, held, worse.
@@ -487,13 +487,13 @@ func TestSchedulerDeterminismAcrossPolicies(t *testing.T) {
 			s.Submit(SubmitRequest{Owner: "bob", NodeCount: 4, WallTime: 30 * time.Second})
 			s.SubmitArray(SubmitRequest{Owner: "carol", WallTime: 10 * time.Second, Array: ArraySpec{Set: true, Start: 0, End: 7}})
 			s.Submit(SubmitRequest{Owner: "dave", Hold: true})
-			s.Hold(JobID("2.cluster"))
-			s.Release(JobID("2.cluster"))
+			s.Hold([]byte(JobID("2.cluster")))
+			s.Release([]byte(JobID("2.cluster")))
 			s.SetNodeOffline("compute3", true)
 			s.JobDone(JobID("3[0].cluster"), 0, "")
 			s.SetNodeOffline("compute3", false)
 			s.JobDone(JobID("1.cluster"), 0, "")
-			s.Delete(JobID("11.cluster"))
+			s.Delete([]byte(JobID("11.cluster")))
 		}
 		drive(a)
 		drive(b)

@@ -384,23 +384,25 @@ func (s *Server) SubmitArray(req SubmitRequest) ([]Job, error) {
 
 // Delete removes a job (qdel). Queued and held jobs vanish
 // immediately; running jobs transition to Exiting and a KillAction is
-// emitted for the daemon to relay to the moms.
-func (s *Server) Delete(id JobID) (Job, error) {
+// emitted for the daemon to relay to the moms. Like Hold and Release,
+// it reads the ID in place from a request buffer, as StatusView does:
+// only an unknown ID is copied, into its error.
+func (s *Server) Delete(id []byte) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.dirty()
 	s.tick()
 
-	j, ok := s.jobs[id]
+	j, ok := s.jobs[JobID(id)]
 	if !ok {
-		return Job{}, errUnknownJob("qdel", id)
+		return Job{}, errUnknownJob("qdel", JobID(id))
 	}
 	switch j.State {
 	case StateQueued, StateHeld:
 		s.dropEligible(j)
 		s.removeFromQueue(j)
-		delete(s.jobs, id)
-		delete(s.sigCount, id)
+		delete(s.jobs, j.ID)
+		delete(s.sigCount, j.ID)
 		s.account(AcctDeleted, j)
 		s.schedule()
 		return j.clone(), nil
@@ -412,7 +414,7 @@ func (s *Server) Delete(id JobID) (Job, error) {
 	case StateExiting:
 		return j.clone(), nil // kill already in flight
 	default:
-		return Job{}, &Error{Op: "qdel", ID: id, Msg: "Request invalid for state of job"}
+		return Job{}, &Error{Op: "qdel", ID: j.ID, Msg: "Request invalid for state of job"}
 	}
 }
 
@@ -420,14 +422,14 @@ func (s *Server) Delete(id JobID) (Job, error) {
 // could not support holds because its command-replay state transfer
 // corrupted held queues; our snapshot-based transfer lifts that
 // limitation (see DESIGN.md).
-func (s *Server) Hold(id JobID) (Job, error) {
+func (s *Server) Hold(id []byte) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.dirty()
 	s.tick()
-	j, ok := s.jobs[id]
+	j, ok := s.jobs[JobID(id)]
 	if !ok {
-		return Job{}, errUnknownJob("qhold", id)
+		return Job{}, errUnknownJob("qhold", JobID(id))
 	}
 	switch j.State {
 	case StateQueued, StateHeld:
@@ -441,22 +443,22 @@ func (s *Server) Hold(id JobID) (Job, error) {
 		s.schedule()
 		return j.clone(), nil
 	default:
-		return Job{}, &Error{Op: "qhold", ID: id, Msg: "Request invalid for state of job"}
+		return Job{}, &Error{Op: "qhold", ID: j.ID, Msg: "Request invalid for state of job"}
 	}
 }
 
 // Release releases a held job (qrls).
-func (s *Server) Release(id JobID) (Job, error) {
+func (s *Server) Release(id []byte) (Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	defer s.dirty()
 	s.tick()
-	j, ok := s.jobs[id]
+	j, ok := s.jobs[JobID(id)]
 	if !ok {
-		return Job{}, errUnknownJob("qrls", id)
+		return Job{}, errUnknownJob("qrls", JobID(id))
 	}
 	if j.State != StateHeld {
-		return Job{}, &Error{Op: "qrls", ID: id, Msg: "Request invalid for state of job"}
+		return Job{}, &Error{Op: "qrls", ID: j.ID, Msg: "Request invalid for state of job"}
 	}
 	j.State = StateQueued
 	s.addEligible(j)

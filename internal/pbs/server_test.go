@@ -146,13 +146,13 @@ func TestDeleteQueuedJob(t *testing.T) {
 	s.Submit(SubmitRequest{Name: "running"})
 	j2, _ := s.Submit(SubmitRequest{Name: "doomed"})
 	s.TakeActions()
-	if _, err := s.Delete(j2.ID); err != nil {
+	if _, err := s.Delete([]byte(j2.ID)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Status(j2.ID); err == nil {
 		t.Fatal("deleted job should be unknown")
 	}
-	if _, err := s.Delete(j2.ID); err == nil {
+	if _, err := s.Delete([]byte(j2.ID)); err == nil {
 		t.Fatal("double delete should fail")
 	}
 }
@@ -161,7 +161,7 @@ func TestDeleteRunningJobEmitsKill(t *testing.T) {
 	s := testServer()
 	j, _ := s.Submit(SubmitRequest{})
 	s.TakeActions()
-	got, err := s.Delete(j.ID)
+	got, err := s.Delete([]byte(j.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,9 +188,9 @@ func TestDeleteExitingJobIdempotent(t *testing.T) {
 	s := testServer()
 	j, _ := s.Submit(SubmitRequest{})
 	s.TakeActions()
-	s.Delete(j.ID)
+	s.Delete([]byte(j.ID))
 	s.TakeActions()
-	if _, err := s.Delete(j.ID); err != nil {
+	if _, err := s.Delete([]byte(j.ID)); err != nil {
 		t.Fatalf("qdel of exiting job: %v", err)
 	}
 	if acts := s.TakeActions(); len(acts) != 0 {
@@ -203,7 +203,7 @@ func TestHoldAndRelease(t *testing.T) {
 	blocker, _ := s.Submit(SubmitRequest{})
 	s.TakeActions()
 	j, _ := s.Submit(SubmitRequest{})
-	if _, err := s.Hold(j.ID); err != nil {
+	if _, err := s.Hold([]byte(j.ID)); err != nil {
 		t.Fatal(err)
 	}
 	// Complete the blocker: the held job must NOT start.
@@ -211,7 +211,7 @@ func TestHoldAndRelease(t *testing.T) {
 	if acts := s.TakeActions(); len(acts) != 0 {
 		t.Fatalf("held job started: %v", acts)
 	}
-	if _, err := s.Release(j.ID); err != nil {
+	if _, err := s.Release([]byte(j.ID)); err != nil {
 		t.Fatal(err)
 	}
 	acts := s.TakeActions()
@@ -219,7 +219,7 @@ func TestHoldAndRelease(t *testing.T) {
 		t.Fatalf("release did not start job: %v", acts)
 	}
 	// Hold of a running job is invalid.
-	if _, err := s.Hold(j.ID); err == nil {
+	if _, err := s.Hold([]byte(j.ID)); err == nil {
 		t.Fatal("hold of running job should fail")
 	}
 }
@@ -359,7 +359,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s.Submit(SubmitRequest{Name: "running", Owner: "u"})
 	s.Submit(SubmitRequest{Name: "queued", Owner: "u"})
 	h, _ := s.Submit(SubmitRequest{Name: "held", Owner: "u"})
-	s.Hold(h.ID)
+	s.Hold([]byte(h.ID))
 	s.TakeActions()
 	s.JobDone(a.ID, 0, "")
 	s.TakeActions()
@@ -436,15 +436,15 @@ func TestDeterminismProperty(t *testing.T) {
 				}
 			case 1:
 				if len(ids) > 0 {
-					s.Delete(ids[idIdx%len(ids)])
+					s.Delete([]byte(ids[idIdx%len(ids)]))
 				}
 			case 2:
 				if len(ids) > 0 {
-					s.Hold(ids[idIdx%len(ids)])
+					s.Hold([]byte(ids[idIdx%len(ids)]))
 				}
 			case 3:
 				if len(ids) > 0 {
-					s.Release(ids[idIdx%len(ids)])
+					s.Release([]byte(ids[idIdx%len(ids)]))
 				}
 			case 4:
 				if len(ids) > 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+	"strings"
 
 	"joshua/internal/codec"
 )
@@ -223,8 +224,17 @@ func (img *serverImage) encode() []byte {
 // Restore replaces the server state with a snapshot taken by
 // Snapshot on a replica with the same configuration. Pending actions
 // are discarded: the snapshot source already performed them.
+//
+// A restored job costs what the table keeps of it: the Job and one
+// string holding all of its text (see Job.ownText). Its fields are
+// read as views into b and copied out together, and the queue, the
+// completed list, the per-node allocations, the signal counts and the
+// reservation name their jobs by the restored Job's own ID.
 func (s *Server) Restore(b []byte) error {
 	d := codec.NewDecoder(b)
+	// Views into b live only until ownText copies them out below; the
+	// other fields decode with String, which always copies.
+	d.ViewStrings()
 	if v := d.Uint(); v != snapshotVersion {
 		if d.Err() == nil {
 			return fmt.Errorf("pbs: snapshot version %d, want %d", v, snapshotVersion)
@@ -239,9 +249,11 @@ func (s *Server) Restore(b []byte) error {
 		return fmt.Errorf("pbs: corrupt snapshot: %v", d.Err())
 	}
 	jobs := make(map[JobID]*Job, n)
-	// The eligible index is derived state, not in the snapshot. Jobs
-	// are encoded in Seq order, which is the queue's order, so the
-	// StateQueued ones arrive already in index order.
+	// Jobs are encoded in Seq order, which is the queue's order. The
+	// queue holds every job not completed, so it is rebuilt from them,
+	// and the eligible index, derived state the snapshot does not
+	// carry, from the StateQueued ones.
+	queue := make([]JobID, 0, n)
 	var eligible []*Job
 	for i := uint64(0); i < n; i++ {
 		j := new(Job)
@@ -249,12 +261,34 @@ func (s *Server) Restore(b []byte) error {
 		if d.Err() != nil {
 			break
 		}
+		j.ownText()
 		jobs[j.ID] = j
+		if j.State != StateCompleted {
+			queue = append(queue, j.ID)
+		}
 		if j.State == StateQueued {
 			eligible = append(eligible, j)
 		}
 	}
+	// The encoded queue is only checked against the rebuilt one.
+	if c := d.Uint(); c != uint64(len(queue)) && d.Err() == nil {
+		return fmt.Errorf("pbs: corrupt snapshot: queue of %d jobs, %d unfinished", c, len(queue))
+	}
+	for _, id := range queue {
+		if b := d.Bytes(); string(b) != string(id) && d.Err() == nil {
+			return fmt.Errorf("pbs: corrupt snapshot: queue names %q where job %s is", b, id)
+		}
+	}
 
+	// readID returns the restored job's own ID for the next encoded
+	// one; only an ID the table lacks is copied.
+	readID := func() JobID {
+		id := d.Bytes()
+		if j, ok := jobs[JobID(id)]; ok {
+			return j.ID
+		}
+		return JobID(id)
+	}
 	readIDs := func() []JobID {
 		c := d.Uint()
 		if d.Err() != nil || c > uint64(d.Remaining())+1 {
@@ -262,11 +296,10 @@ func (s *Server) Restore(b []byte) error {
 		}
 		ids := make([]JobID, 0, c)
 		for i := uint64(0); i < c; i++ {
-			ids = append(ids, JobID(d.String()))
+			ids = append(ids, readID())
 		}
 		return ids
 	}
-	queue := readIDs()
 	completed := readIDs()
 
 	an := d.Uint()
@@ -276,7 +309,7 @@ func (s *Server) Restore(b []byte) error {
 		a := &nodeAlloc{cpus: int(d.Int()), mem: d.Int()}
 		jc := d.Uint()
 		for k := uint64(0); k < jc && d.Err() == nil; k++ {
-			a.jobs = append(a.jobs, JobID(d.String()))
+			a.jobs = append(a.jobs, readID())
 		}
 		alloc[node] = a
 	}
@@ -285,7 +318,7 @@ func (s *Server) Restore(b []byte) error {
 	sn := d.Uint()
 	sig := make(map[JobID]int, sn)
 	for i := uint64(0); i < sn && d.Err() == nil; i++ {
-		id := JobID(d.String())
+		id := readID()
 		sig[id] = int(d.Uint())
 	}
 
@@ -305,10 +338,9 @@ func (s *Server) Restore(b []byte) error {
 
 	var resv *reservation
 	if d.Bool() {
-		resv = &reservation{
-			Job:    JobID(d.String()),
-			Shadow: d.Int(),
-			Nodes:  d.StringSlice(),
+		resv = &reservation{Job: readID(), Shadow: d.Int()}
+		for k, c := uint64(0), d.Uint(); k < c && d.Err() == nil; k++ {
+			resv.Nodes = append(resv.Nodes, d.String())
 		}
 	}
 
@@ -380,9 +412,9 @@ func DecodeJob(d *codec.Decoder) Job {
 // DecodeJobInto reads a Job written by EncodeJob into *j, overwriting
 // every field. Its strings are substrings of the decoder's shared copy
 // after codec.Decoder.ShareStrings, views into the input after
-// ViewStrings, and fresh strings otherwise (as in Restore), so a
-// caller decoding a whole listing into one []Job pays no per-job
-// allocation.
+// ViewStrings (as in Restore, which then copies them out with
+// ownText), and fresh strings otherwise, so a caller decoding a whole
+// listing into one []Job pays no per-job allocation.
 func DecodeJobInto(d *codec.Decoder, j *Job) {
 	*j = Job{
 		ID:        JobID(d.Text()),
@@ -404,4 +436,40 @@ func DecodeJobInto(d *codec.Decoder, j *Job) {
 	j.Res.Mem = d.Int()
 	j.Priority = int(d.Int())
 	j.ArrayIdx = int(d.Int())
+}
+
+// ownText moves j's strings into one fresh string holding all of
+// them, in field order: the one allocation a job decoded over a
+// buffer its owner will reuse needs to outlive that buffer. The
+// strings keep only each other alive, not the buffer they were read
+// from.
+func (j *Job) ownText() {
+	n := len(j.ID) + len(j.Name) + len(j.Owner) + len(j.Script) + len(j.Output)
+	for _, node := range j.Nodes {
+		n += len(node)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(string(j.ID))
+	b.WriteString(j.Name)
+	b.WriteString(j.Owner)
+	b.WriteString(j.Script)
+	for _, node := range j.Nodes {
+		b.WriteString(node)
+	}
+	b.WriteString(j.Output)
+	text := b.String()
+	cut := func(l int) string {
+		s := text[:l]
+		text = text[l:]
+		return s
+	}
+	j.ID = JobID(cut(len(j.ID)))
+	j.Name = cut(len(j.Name))
+	j.Owner = cut(len(j.Owner))
+	j.Script = cut(len(j.Script))
+	for i, node := range j.Nodes {
+		j.Nodes[i] = cut(len(node))
+	}
+	j.Output = cut(len(j.Output))
 }

@@ -101,11 +101,11 @@ func TestStatusCacheInvalidation(t *testing.T) {
 	bump("SubmitArray", func() {
 		s.SubmitArray(SubmitRequest{Name: "arr", Owner: "bob", Hold: true, Array: ArraySpec{Set: true, Start: 0, End: 2}})
 	})
-	bump("Hold", func() { s.Hold(j.ID) })
-	bump("Release", func() { s.Release(j.ID) })
+	bump("Hold", func() { s.Hold([]byte(j.ID)) })
+	bump("Release", func() { s.Release([]byte(j.ID)) })
 	bump("SetNodeOffline", func() { s.SetNodeOffline("c1", true) })
 	bump("JobDone", func() { s.JobDone(j.ID, 0, "out") })
-	bump("Delete", func() { s.Delete("2.cluster") })
+	bump("Delete", func() { s.Delete([]byte("2.cluster")) })
 	bump("Restore", func() {
 		if err := s.Restore(s.Snapshot()); err != nil {
 			t.Fatal(err)
@@ -195,10 +195,10 @@ func TestStatusCacheConcurrentAccess(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
-			s.Release(j.ID)
+			s.Release([]byte(j.ID))
 		}
 		if i%7 == 0 {
-			s.Delete(j.ID)
+			s.Delete([]byte(j.ID))
 		}
 		if i%5 == 0 {
 			s.JobDone(j.ID, 0, "")

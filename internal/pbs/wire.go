@@ -50,15 +50,17 @@ func encodeKill(id JobID) []byte {
 }
 
 // decodeStart decodes a start datagram into a Job whose strings are
-// views into payload: the Nodes slice is its only allocation. payload
-// must be the caller's to keep and never written again, as a received
-// transport.Message's Payload is; the job keeps it alive. ok is false
-// for anything but a well-formed start.
-func decodeStart(payload []byte) (j Job, ok bool) {
+// views into payload, and the job's first node, the one that runs it:
+// the only node the mom reads, so the job's Nodes stay nil and
+// decoding allocates nothing. payload must be the caller's to keep and
+// never written again, as a received transport.Message's Payload is;
+// the job keeps it alive. ok is false for anything but a well-formed
+// start.
+func decodeStart(payload []byte) (j Job, first string, ok bool) {
 	d := codec.NewDecoder(payload)
 	d.ViewStrings()
 	if d.Byte() != momKindStart {
-		return Job{}, false
+		return Job{}, "", false
 	}
 	j = Job{
 		ID:       JobID(d.Text()),
@@ -66,9 +68,13 @@ func decodeStart(payload []byte) (j Job, ok bool) {
 		Owner:    d.Text(),
 		Script:   d.Text(),
 		WallTime: d.Duration(),
-		Nodes:    d.StringSlice(),
 	}
-	return j, d.Finish() == nil
+	for i, n := uint64(0), d.Uint(); i < n && d.Err() == nil; i++ {
+		if node := d.Text(); i == 0 {
+			first = node
+		}
+	}
+	return j, first, d.Finish() == nil
 }
 
 // appendStarted appends the ack of a repeated start for job id to b,

@@ -1,9 +1,11 @@
 package rsm_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -201,5 +203,72 @@ func TestJoinUsesHybridTransfer(t *testing.T) {
 	r.waitConverged(want, 10*time.Second)
 	if rst := r.reps[2].Stats(); rst.RecoveryReplayed >= 11 {
 		t.Errorf("joiner replayed %d records after restart; the transferred checkpoint was not installed", rst.RecoveryReplayed)
+	}
+}
+
+// TestFrequentRestartsRecoverFromCheckpoint pins that the checkpoint
+// cadence counts the commands a restart recovered from the log: a
+// replica restarted every 40 commands, more often than its
+// CheckpointEvery of 64, still checkpoints, so each restart replays at
+// most one cadence plus one cycle of records instead of its whole
+// history, and the log segments the checkpoints cover are deleted.
+// It ends in the state of a peer that never restarted.
+func TestFrequentRestartsRecoverFromCheckpoint(t *testing.T) {
+	const (
+		every    = 64
+		cycle    = 40
+		restarts = 10
+	)
+	durable := durableIn(t.TempDir(), func(c *rsm.Config) { c.CheckpointEvery = every })
+	r := newKVRig(t, 2, durable)
+
+	// 16 KiB values put 400 records past the log's 4 MiB segment size,
+	// so the first segment goes once a checkpoint covers it; four keys
+	// keep the state itself small.
+	value := strings.Repeat("v", 16<<10)
+	applied := uint64(0)
+	for k := 1; k <= restarts; k++ {
+		for i := 0; i < cycle; i++ {
+			req := &kvstore.Request{ReqID: r.reqID(), Op: kvstore.OpPut, Key: fmt.Sprintf("k%d", i%4), Value: value}
+			if resp, _ := r.call(0, req, 5*time.Second); !resp.OK {
+				t.Fatalf("restart %d, put %d: %+v", k, i, resp)
+			}
+		}
+		applied += cycle
+		r.waitApplied(applied, 10*time.Second)
+		r.waitNoCheckpointInflight(1, 5*time.Second)
+
+		r.crash(1)
+		r.restart(1, nil, durable)
+		st := r.reps[1].Stats()
+		t.Logf("restart %d at applied %d: replayed %d from checkpoint %d", k, st.AppliedIndex, st.RecoveryReplayed, st.CheckpointIndex)
+		if st.RecoveryReplayed > every+cycle {
+			t.Errorf("restart %d replayed %d records from checkpoint %d, want <= %d", k, st.RecoveryReplayed, st.CheckpointIndex, every+cycle)
+		}
+	}
+
+	r.waitApplied(applied, 10*time.Second)
+	if a, b := r.stores[0].Snapshot(), r.stores[1].Snapshot(); !bytes.Equal(a, b) {
+		t.Fatalf("restarted replica diverged from its peer: %v vs %v", r.stores[1].Dump(), r.stores[0].Dump())
+	}
+	st := r.reps[1].Stats()
+	if st.CheckpointIndex == 0 {
+		t.Fatalf("restarted replica never checkpointed: %+v", st)
+	}
+	if st.WALSegments != 1 {
+		t.Errorf("restarted replica keeps %d log segments at checkpoint %d, want the covered ones pruned", st.WALSegments, st.CheckpointIndex)
+	}
+}
+
+// waitNoCheckpointInflight polls until replica i has no background
+// checkpoint being written, so a crash does not land mid-write.
+func (r *kvRig) waitNoCheckpointInflight(i int, timeout time.Duration) {
+	r.t.Helper()
+	deadline := time.Now().Add(timeout)
+	for r.reps[i].Stats().CkptInflight {
+		if time.Now().After(deadline) {
+			r.t.Fatalf("replica %d checkpoint still in flight after %v", i, timeout)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -3,11 +3,14 @@ package rsm_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"joshua/internal/codec"
 	"joshua/internal/gcs"
+	"joshua/internal/rsm"
 	"joshua/internal/rsm/kvstore"
 )
 
@@ -64,12 +67,21 @@ func (r *kvRig) drainReplies(onReply func(*kvstore.Response)) (stop func()) {
 // correctness claim: with apply overlapped against the round's fsync,
 // two replicas that deliver the same total order of puts to one shared
 // key and order-sensitive appends to others end in byte-identical
-// snapshots. The race detector covers the memory-safety half. The name
-// and the conc=1 case date from when apply could also run on a worker
-// pool; serial apply, one command at a time, is the only path left.
+// snapshots, each having applied the commands in the order its log
+// holds them. Two replicas that cut their rounds alike would agree
+// even if both applied each round out of order; the log comparison is
+// what catches that. The race detector covers the memory-safety half.
+// The name and the conc=1 case date from when apply could also run on
+// a worker pool; serial apply, one command at a time, is the only
+// path left.
 func TestParallelApplyDeterministicAcrossReplicas(t *testing.T) {
 	t.Run("conc=1", func(t *testing.T) {
-		r := newKVRig(t, 2, nil)
+		orders := map[gcs.MemberID]*applyOrder{}
+		r := newKVRig(t, 2, durableIn(t.TempDir(), func(c *rsm.Config) {
+			o := &applyOrder{Service: c.Service}
+			orders[c.Self] = o
+			c.Service = o
+		}))
 		for _, s := range r.stores {
 			s.SetApplyCost(200 * time.Microsecond)
 		}
@@ -122,7 +134,37 @@ func TestParallelApplyDeterministicAcrossReplicas(t *testing.T) {
 		if st := r.reps[0].Stats(); st.ApplyBarriers != st.Applied {
 			t.Errorf("ApplyBarriers = %d, want every applied command (%d)", st.ApplyBarriers, st.Applied)
 		}
+		for i, rep := range r.reps {
+			logged, err := rsm.LogReqIDs(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := orders[repMember(i)].ids(); !slices.Equal(got, logged) {
+				t.Errorf("replica %d applied %v, its log holds %v", i, got, logged)
+			}
+		}
 	})
+}
+
+// applyOrder wraps a service and records the request IDs it applies,
+// in order.
+type applyOrder struct {
+	rsm.Service
+	mu      sync.Mutex
+	applied []string
+}
+
+func (o *applyOrder) Apply(cmd rsm.Command, reply *codec.Encoder) {
+	o.mu.Lock()
+	o.applied = append(o.applied, string(cmd.ReqID))
+	o.mu.Unlock()
+	o.Service.Apply(cmd, reply)
+}
+
+func (o *applyOrder) ids() []string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return slices.Clone(o.applied)
 }
 
 // TestCrashMidPipelineLosesNoAckedCommand pins the pipeline's

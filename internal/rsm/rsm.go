@@ -247,7 +247,8 @@ type Config struct {
 	// wal package's default interval policy.
 	SyncPolicy wal.SyncPolicy
 	// CheckpointEvery is the applied-command cadence between
-	// checkpoints. Default 1024.
+	// checkpoints, counted from the newest durable checkpoint: the
+	// commands a restart recovers past it count too. Default 1024.
 	CheckpointEvery uint64
 
 	// TuneGCS, when non-nil, may adjust group communication timings
@@ -492,7 +493,9 @@ type Replica struct {
 	// It is the WAL record index, the checkpoint position, and the
 	// version a restarted head advertises when rejoining.
 	appliedIdx uint64
-	// sinceCkpt counts applies since the last checkpoint.
+	// sinceCkpt counts the commands applied since the newest
+	// checkpoint: those a restart recovered from the log after it, then
+	// every command appended since. A received base resets it to 0.
 	sinceCkpt uint64
 
 	// log is the durability layer; nil without Config.DataDir.
@@ -1621,6 +1624,10 @@ func (r *Replica) recoverLocal() error {
 	if err != nil {
 		return fmt.Errorf("rsm: recovering checkpoint %d + %d records: %w", ckptIdx, len(recs), err)
 	}
+	// The recovered suffix counts toward the cadence, so a head that
+	// restarts more often than every CheckpointEvery commands still
+	// checkpoints, and its next restart replays a bounded suffix.
+	r.sinceCkpt = r.appliedIdx - ckptIdx
 	r.bump(func(st *Stats) { st.RecoveryReplayed = replayed })
 	if replayed > 0 || base != nil {
 		r.logf("recovered locally to applied index %d (checkpoint %d + %d replayed)",
