@@ -4,7 +4,8 @@
 // machinery is external to the service it replicates. Three replicas
 // form a group, a client with head failover mutates the store, one
 // replica crashes mid-stream, a fresh one joins by state transfer,
-// and every survivor ends with identical state.
+// and every survivor ends with identical state; the example exits
+// non-zero if one does not.
 //
 //	go run ./examples/kvstore
 package main
@@ -128,23 +129,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// All live replicas converge to identical state.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		agree := true
+	// All live replicas converge to identical state; the example fails
+	// unless they do.
+	agree := false
+	for deadline := time.Now().Add(5 * time.Second); !agree && time.Now().Before(deadline); {
+		agree = true
 		for _, s := range stores {
-			v, _ := s.Get("log")
-			if v != "ABC" {
+			if v, _ := s.Get("log"); v != "ABC" {
 				agree = false
+				time.Sleep(5 * time.Millisecond)
+				break
 			}
 		}
-		if agree || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 	fmt.Println()
 	for i, s := range stores {
 		fmt.Printf("replica kv%d state: %v\n", i, s.Dump())
+	}
+	if !agree {
+		log.Fatal("replicas disagree: every live replica must hold log = ABC")
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"joshua/internal/joshua"
 	"joshua/internal/pbs"
+	"joshua/internal/transport"
 )
 
 // intercepted reads Stats().Intercepted of heads 0..2 (0 for a head
@@ -161,4 +162,38 @@ func TestHedgedWriteSurvivesSequencerCrash(t *testing.T) {
 		return true
 	})
 	requireFollows(t, c, cli, 0)
+}
+
+// TestReusedClientAddressNotDeduplicated: a client that takes over an
+// earlier client's address, as a command whose process ID repeats
+// does, mints request IDs of its own. Its first submission is a new
+// job, not the earlier client's first one answered again from the
+// heads' dedup table.
+func TestReusedClientAddressNotDeduplicated(t *testing.T) {
+	c := newCluster(t, testOptions(1, 1))
+	for _, name := range []string{"first", "second"} {
+		ep, err := c.Net.Endpoint("login/cli")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli, err := joshua.NewClient(joshua.ClientConfig{
+			Endpoint:    ep,
+			Heads:       []transport.Addr{HeadClientAddr(0)},
+			RedeemAfter: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := cli.Submit(pbs.SubmitRequest{Name: name, Hold: true})
+		cli.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Name != name {
+			t.Fatalf("the %s client's submission returned job %s named %q", name, j.ID, j.Name)
+		}
+	}
+	if jobs := c.Head(0).Daemon().StatusAll(); len(jobs) != 2 {
+		t.Fatalf("head holds %d jobs, want 2", len(jobs))
+	}
 }

@@ -1,6 +1,7 @@
 package joshua
 
 import (
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"strconv"
@@ -521,32 +522,11 @@ func TestClientDeadHeadStaysOutOfReadRotation(t *testing.T) {
 	}
 }
 
-// TestMintReqIDMatchesSprintf pins the request IDs the client renders
-// to the fmt form they replaced, for calls and probes, over short, long
-// and empty addresses and sequence numbers up to the largest uint64.
-func TestMintReqIDMatchesSprintf(t *testing.T) {
-	addrs := []transport.Addr{"", "user/cli", "login1/jsub-4242", "127.0.0.1:7601",
-		transport.Addr(strings.Repeat("node-with-a-long-name/", 6))}
-	seqs := []uint64{0, 1, 9, 10, 42, 1 << 20, 1<<63 + 7, ^uint64(0)}
-	for _, a := range addrs {
-		for _, seq := range seqs {
-			if got, want := string(appendReqID(nil, a, "", seq)), fmt.Sprintf("%s#%d", a, seq); got != want {
-				t.Errorf("appendReqID(%q, %d) = %q, want %q", a, seq, got, want)
-			}
-			if got, want := string(appendReqID(nil, a, "probe", seq)), fmt.Sprintf("%s#probe%d", a, seq); got != want {
-				t.Errorf("appendReqID(%q, probe, %d) = %q, want %q", a, seq, got, want)
-			}
-			if got, want := decimalLen(seq), len(fmt.Sprint(seq)); got != want {
-				t.Errorf("decimalLen(%d) = %d, want %d", seq, got, want)
-			}
-		}
-	}
-}
-
 // TestReqIDBlocksStayUnique runs 32 concurrent callers through many
 // blocks of minted request IDs, and checks that the calls sent as many
-// distinct IDs as there were calls, each of the form "<addr>#<seq>",
-// and the probes theirs of the form "<addr>#probe<seq>".
+// distinct IDs as there were calls, each of the form "<inc>.<seq>",
+// and the probes theirs of the form "<inc>.p<seq>", where <inc> is the
+// client's one incarnation: 11 base64url characters, not its address.
 func TestReqIDBlocksStayUnique(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string]Op{} // a retried call resends its ID
@@ -563,7 +543,7 @@ func TestReqIDBlocksStayUnique(t *testing.T) {
 	}
 	defer cli.Close()
 
-	const callers, perCaller = 32, 3 * idBlock
+	const callers, perCaller = 32, 3 * 64 // three blocks of minted IDs each
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
 		wg.Add(1)
@@ -592,40 +572,30 @@ func TestReqIDBlocksStayUnique(t *testing.T) {
 	mu.Lock()
 	defer mu.Unlock()
 	calls, probes := 0, 0
+	incs := map[string]bool{}
 	for id, op := range seen {
 		tag := ""
 		if op == OpInfoLocal {
-			tag = "probe"
+			tag = "p"
 			probes++
 		} else {
 			calls++
 		}
-		digits, ok := strings.CutPrefix(id, string(ep.Addr())+"#"+tag)
-		if seq, err := strconv.ParseUint(digits, 10, 64); !ok || err != nil || strconv.FormatUint(seq, 10) != digits {
-			t.Errorf("%v request ID %q is not %s#%s<seq>", op, id, ep.Addr(), tag)
+		inc, rest, _ := strings.Cut(id, ".")
+		incs[inc] = true
+		digits, ok := strings.CutPrefix(rest, tag)
+		if _, err := base64.RawURLEncoding.DecodeString(inc); len(inc) != 11 || err != nil {
+			t.Errorf("%v request ID %q does not start with an 11-character incarnation", op, id)
 		}
+		if seq, err := strconv.ParseUint(digits, 10, 64); !ok || err != nil || strconv.FormatUint(seq, 10) != digits {
+			t.Errorf("%v request ID %q is not <inc>.%s<seq>", op, id, tag)
+		}
+	}
+	if len(incs) != 1 {
+		t.Errorf("request IDs carry %d incarnations, want the client's one", len(incs))
 	}
 	if calls != callers*perCaller || probes != len(heads) {
 		t.Errorf("%d distinct call IDs and %d probe IDs, want %d and %d", calls, probes, callers*perCaller, len(heads))
-	}
-}
-
-// TestReqIDMintAllocs: minting request IDs costs one allocation per
-// block of idBlock, the string the block's IDs are substrings of.
-func TestReqIDMintAllocs(t *testing.T) {
-	c, _ := newEchoClient(t)
-	const blocks = 20
-	mint := func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		for i := 0; i < blocks*idBlock; i++ {
-			c.nextReqIDLocked()
-		}
-	}
-	// AllocsPerRun rounds the mean down, so the render buffer growing
-	// once at the fifth digit (ID 10,000) does not count.
-	if allocs := testing.AllocsPerRun(10, mint); allocs > blocks {
-		t.Errorf("minting %d request IDs: %v allocs, want <= %d", blocks*idBlock, allocs, blocks)
 	}
 }
 

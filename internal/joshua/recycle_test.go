@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
-	"time"
 
 	"joshua/internal/codec"
 	"joshua/internal/pbs"
@@ -24,10 +25,12 @@ type echoEndpoint struct {
 	recv chan transport.Message
 	job  pbs.Job
 	// ready[i] answers the ReqID numbered from+i; last is the number
-	// of the last ReqID sent.
-	ready [][]byte
-	from  uint64
-	last  uint64
+	// of the last ReqID sent, and prefix what precedes the number in
+	// the client's IDs, "<inc>.".
+	ready  [][]byte
+	from   uint64
+	last   uint64
+	prefix []byte
 }
 
 func newEchoEndpoint() *echoEndpoint {
@@ -50,7 +53,7 @@ func (e *echoEndpoint) reply(reqID []byte) []byte {
 func (e *echoEndpoint) prepare(n int) {
 	e.from, e.ready = e.last+1, make([][]byte, n)
 	for i := range e.ready {
-		e.ready[i] = e.reply(appendReqID(nil, e.Addr(), "", e.from+uint64(i)))
+		e.ready[i] = e.reply(strconv.AppendUint(slices.Clip(e.prefix), e.from+uint64(i), 10))
 	}
 }
 
@@ -59,8 +62,12 @@ func (e *echoEndpoint) Send(to transport.Addr, payload []byte) error {
 	if !v.header(codec.NewDecoder(payload)) {
 		return nil
 	}
+	dot := bytes.LastIndexByte(v.reqID, '.') + 1
+	if e.prefix == nil {
+		e.prefix = bytes.Clone(v.reqID[:dot])
+	}
 	e.last = 0
-	for _, c := range v.reqID[bytes.LastIndexByte(v.reqID, '#')+1:] {
+	for _, c := range v.reqID[dot:] {
 		e.last = e.last*10 + uint64(c-'0')
 	}
 	var reply []byte
@@ -193,135 +200,4 @@ func TestStatResultOutlivesLaterCalls(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Stat result changed under later calls:\n got %+v\nwant %+v", got, want)
 	}
-}
-
-// handEndpoint hands every request it is sent to the test, which
-// answers, or does not, by injecting replies.
-type handEndpoint struct {
-	sent chan handSend
-	recv chan transport.Message
-}
-
-type handSend struct {
-	to    transport.Addr
-	reqID string
-}
-
-func (e *handEndpoint) Addr() transport.Addr { return "user/hand" }
-
-func (e *handEndpoint) Send(to transport.Addr, payload []byte) error {
-	var v view
-	if v.header(codec.NewDecoder(payload)) {
-		e.sent <- handSend{to: to, reqID: string(v.reqID)}
-	}
-	return nil
-}
-
-func (e *handEndpoint) Recv() <-chan transport.Message { return e.recv }
-func (e *handEndpoint) Close() error                   { return nil }
-
-// reply injects from's answer to reqID: a job named name.
-func (e *handEndpoint) reply(from transport.Addr, reqID, name string) {
-	enc := codec.NewEncoder(128)
-	putJobReply(enc, []byte(reqID), pbs.Job{ID: pbs.JobID(name + ".c"), Name: name}, nil, 1)
-	e.recv <- transport.Message{From: from, To: e.Addr(), Payload: enc.Bytes()}
-}
-
-// TestRecycledCallNeverSeesStaleReply drives the three ways a reply can
-// reach a call's waiter after the call took its answer, then makes a
-// later call reuse that waiter, and checks that the later call returns
-// its own reply: the sequencer's copy trailing a finished mutation
-// (which keeps its waiter registered as lastMut), a hedged mutation's
-// second answer, and a read's answer from a head that had already
-// timed out.
-func TestRecycledCallNeverSeesStaleReply(t *testing.T) {
-	heads := []transport.Addr{"head0/joshua", "head1/joshua"}
-	ep := &handEndpoint{sent: make(chan handSend, 8), recv: make(chan transport.Message, 8)}
-	// A mutation is hedged after AttemptTimeout/16 = 10 ms; a read
-	// waits the whole 160 ms on one head.
-	c, err := NewClient(ClientConfig{Endpoint: ep, Heads: heads, AttemptTimeout: 160 * time.Millisecond, Rounds: 100, RedeemAfter: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	type result struct {
-		job pbs.Job
-		err error
-	}
-	// start runs one call and returns its request, the waiter serving
-	// it, and where its result will land.
-	start := func(call func() (pbs.Job, error)) (handSend, *waiter, chan result) {
-		t.Helper()
-		done := make(chan result, 1)
-		go func() {
-			j, err := call()
-			done <- result{j, err}
-		}()
-		s := <-ep.sent
-		c.mu.Lock()
-		w := c.waiters[s.reqID]
-		c.mu.Unlock()
-		if w == nil {
-			t.Fatalf("request %s has no waiter: its call ended before the test answered it", s.reqID)
-		}
-		return s, w, done
-	}
-	submit := func() (pbs.Job, error) { return c.Submit(pbs.SubmitRequest{Name: "x", Hold: true}) }
-	stat := func() (pbs.Job, error) { return c.Stat("1.c") }
-	expect := func(what string, done chan result, name string) {
-		t.Helper()
-		r := <-done
-		if r.err != nil || r.job.Name != name {
-			t.Fatalf("%s returned %q, %v; want its own reply %q", what, r.job.Name, r.err, name)
-		}
-	}
-	// cycle runs one mutation and one read, each answered at once, and
-	// reports whether either reused w.
-	cycle := func(tag string, w *waiter) bool {
-		t.Helper()
-		s, wm, done := start(submit)
-		ep.reply(s.to, s.reqID, tag+"-m")
-		expect(tag+" mutation", done, tag+"-m")
-		s, wr, done := start(stat)
-		ep.reply(s.to, s.reqID, tag+"-r")
-		expect(tag+" read", done, tag+"-r")
-		return wm == w || wr == w
-	}
-	// recycled runs cycles until one reuses w.
-	recycled := func(what string, w *waiter) {
-		t.Helper()
-		for i := 0; i < 4; i++ {
-			if cycle(what+string(rune('a'+i)), w) {
-				return
-			}
-		}
-		t.Fatalf("%s: the waiter was never reused", what)
-	}
-
-	// The sequencer's copy trailing a finished mutation.
-	s, w, done := start(submit)
-	ep.reply(s.to, s.reqID, "first")
-	expect("mutation", done, "first")
-	ep.reply(heads[1], s.reqID, "trailing")
-	recycled("after a trailing sequencer copy", w)
-
-	// A hedged mutation answered by both heads.
-	s, w, done = start(submit)
-	hedge := <-ep.sent
-	if hedge.reqID != s.reqID || hedge.to == s.to {
-		t.Fatalf("hedge went to %s as %s; want the other head, %s", hedge.to, hedge.reqID, s.reqID)
-	}
-	ep.reply(hedge.to, s.reqID, "hedged")
-	ep.reply(s.to, s.reqID, "duplicate")
-	expect("hedged mutation", done, "hedged")
-	recycled("after a hedged duplicate", w)
-
-	// A read whose first head timed out and answers after the second.
-	s, w, done = start(stat)
-	retry := <-ep.sent
-	ep.reply(retry.to, s.reqID, "retried")
-	ep.reply(s.to, s.reqID, "late")
-	expect("retried read", done, "retried")
-	recycled("after a reply past the attempt timeout", w)
 }

@@ -239,9 +239,6 @@ type rpcResponse struct {
 // respPool recycles the client's decoded responses (see jobReply).
 var respPool = sync.Pool{New: func() any { return new(rpcResponse) }}
 
-// getResponse returns an empty response to decode into.
-func getResponse() *rpcResponse { return respPool.Get().(*rpcResponse) }
-
 // releaseResponse clears resp and returns it to the pool. Nothing of
 // it may be used afterwards: Jobs may be its inline slot.
 func releaseResponse(resp *rpcResponse) {

@@ -297,170 +297,92 @@ func RejectNotPrimary(reqID []byte) []byte {
 	return EncodeResponse(&Response{ReqID: string(reqID), Err: ErrNotPrimary.Error()})
 }
 
-// Errors.
+// Errors. The client's are the ones every rsm client returns.
 var (
 	ErrNotPrimary = errors.New("kvstore: replica not in primary component")
-	ErrNoHeads    = errors.New("kvstore: no replicas configured")
-	ErrUnreached  = errors.New("kvstore: no replica answered")
-	ErrClosed     = errors.New("kvstore: client closed")
+	ErrNoHeads    = rsm.ErrNoHeads
+	ErrUnreached  = rsm.ErrUnreached
+	ErrClosed     = rsm.ErrClosed
 )
 
-// Client talks to a replica group with head failover and retry — the
-// same exactly-once contract as the batch-system control commands:
+// Client talks to a replica group through the rsm client engine, with
+// the same exactly-once contract as the batch-system control commands:
 // the request ID makes any duplicate execution collapse in the
-// replicas' deduplication table.
+// replicas' deduplication table. Gets are reads and rotate across the
+// replicas; Put, Append and Delete are mutations, which follow the
+// sequencer and are hedged to a second replica when the first is slow.
 type Client struct {
-	ep      transport.Endpoint
-	heads   []transport.Addr
-	timeout time.Duration
-	rounds  int
+	rc *rsm.Client[*Response]
+}
 
-	mu      sync.Mutex
-	seq     uint64
-	waiters map[string]chan *Response
-	closed  bool
-
-	done chan struct{}
-	once sync.Once
+// clientCodec is what the rsm client engine needs of a replica's
+// replies. The prober's health check is a local Get.
+var clientCodec = rsm.ClientCodec[*Response]{
+	Decode: func(b []byte) (*Response, string, error) {
+		r, err := DecodeResponse(b)
+		if err != nil {
+			return nil, "", err
+		}
+		return r, r.ReqID, nil
+	},
+	NotPrimary: func(r *Response) bool { return r.Err == ErrNotPrimary.Error() },
+	Epoch:      func(*Response) uint64 { return 0 },
+	Release:    func(*Response) {},
+	Probe:      func(reqID string) []byte { return EncodeRequest(&Request{ReqID: reqID, Op: OpGet}) },
 }
 
 // NewClient creates a client over the given endpoint (which it owns).
+// timeout is the engine's AttemptTimeout; every replica is tried three
+// times before a call gives up.
 func NewClient(ep transport.Endpoint, heads []transport.Addr, timeout time.Duration) (*Client, error) {
-	if len(heads) == 0 {
-		return nil, ErrNoHeads
+	rc, err := rsm.NewClient(rsm.ClientConfig{
+		Endpoint:       ep,
+		Groups:         [][]transport.Addr{heads},
+		AttemptTimeout: timeout,
+	}, clientCodec)
+	if err != nil {
+		return nil, err
 	}
-	if timeout <= 0 {
-		timeout = time.Second
-	}
-	c := &Client{
-		ep:      ep,
-		heads:   heads,
-		timeout: timeout,
-		rounds:  3,
-		waiters: make(map[string]chan *Response),
-		done:    make(chan struct{}),
-	}
-	go c.recvLoop()
-	return c, nil
+	return &Client{rc}, nil
 }
 
 // Close shuts the client down; in-flight calls fail promptly.
-func (c *Client) Close() {
-	c.once.Do(func() {
-		c.mu.Lock()
-		c.closed = true
-		c.mu.Unlock()
-		close(c.done)
-		c.ep.Close()
-	})
-}
+func (c *Client) Close() { c.rc.Close() }
 
-func (c *Client) recvLoop() {
-	for dg := range c.ep.Recv() {
-		resp, err := DecodeResponse(dg.Payload)
-		if err != nil {
-			continue
-		}
-		c.mu.Lock()
-		if ch, ok := c.waiters[resp.ReqID]; ok {
-			select {
-			case ch <- resp:
-			default: // duplicate reply; the first one won
-			}
-		}
-		c.mu.Unlock()
-	}
-}
-
+// call runs one operation. Its reply comes back even beside an error:
+// empty if no replica answered, as sent if the replica refused.
 func (c *Client) call(op Op, key, value string) (*Response, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
+	id := c.rc.NextID()
+	resp, err := c.rc.Call(0, id, op != OpGet, EncodeRequest(&Request{ReqID: id, Op: op, Key: key, Value: value}))
+	switch {
+	case err != nil:
+		return &Response{}, err
+	case !resp.OK:
+		return resp, errors.New(resp.Err)
 	}
-	c.seq++
-	reqID := fmt.Sprintf("%s#%d", c.ep.Addr(), c.seq)
-	ch := make(chan *Response, 1)
-	c.waiters[reqID] = ch
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, reqID)
-		c.mu.Unlock()
-	}()
-
-	payload := EncodeRequest(&Request{ReqID: reqID, Op: op, Key: key, Value: value})
-	attempts := c.rounds * len(c.heads)
-	timer := time.NewTimer(c.timeout)
-	defer timer.Stop()
-	for i := 0; i < attempts; i++ {
-		if err := c.ep.Send(c.heads[i%len(c.heads)], payload); err != nil {
-			if errors.Is(err, transport.ErrClosed) {
-				return nil, ErrClosed
-			}
-			continue // head down: advance, like a timeout would
-		}
-		if !timer.Stop() {
-			select {
-			case <-timer.C: // fired unread (pre-1.23 timer semantics)
-			default:
-			}
-		}
-		timer.Reset(c.timeout)
-		select {
-		case resp := <-ch:
-			if resp.Err == ErrNotPrimary.Error() {
-				continue
-			}
-			return resp, nil
-		case <-timer.C:
-			// Replica silent: try the next one.
-		case <-c.done:
-			return nil, ErrClosed
-		}
-	}
-	return nil, fmt.Errorf("%w after %d attempts", ErrUnreached, attempts)
-}
-
-func respErr(resp *Response) error {
-	if resp.OK {
-		return nil
-	}
-	return errors.New(resp.Err)
+	return resp, nil
 }
 
 // Put sets key to value on every replica.
 func (c *Client) Put(key, value string) error {
-	resp, err := c.call(OpPut, key, value)
-	if err != nil {
-		return err
-	}
-	return respErr(resp)
+	_, err := c.call(OpPut, key, value)
+	return err
 }
 
 // Append appends value to the key and returns the new value.
 func (c *Client) Append(key, value string) (string, error) {
 	resp, err := c.call(OpAppend, key, value)
-	if err != nil {
-		return "", err
-	}
-	return resp.Value, respErr(resp)
+	return resp.Value, err
 }
 
 // Delete removes a key; found reports whether it existed.
 func (c *Client) Delete(key string) (bool, error) {
 	resp, err := c.call(OpDelete, key, "")
-	if err != nil {
-		return false, err
-	}
-	return resp.Found, respErr(resp)
+	return resp.Found, err
 }
 
 // Get reads a key from one replica's local state.
 func (c *Client) Get(key string) (string, bool, error) {
 	resp, err := c.call(OpGet, key, "")
-	if err != nil {
-		return "", false, err
-	}
-	return resp.Value, resp.Found, respErr(resp)
+	return resp.Value, resp.Found, err
 }

@@ -355,6 +355,60 @@ func TestOriginAndSequencerReply(t *testing.T) {
 	r.waitConverged(map[string]string{"k": "abc"}, 5*time.Second)
 }
 
+// kvClient opens a kvstore client at addr over every replica of the
+// rig, in replica order.
+func (r *kvRig) kvClient(addr transport.Addr, n int, attempt time.Duration) *kvstore.Client {
+	r.t.Helper()
+	ep, err := r.net.Endpoint(addr)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	heads := make([]transport.Addr, n)
+	for i := range heads {
+		heads[i] = repClientAddr(i)
+	}
+	cli, err := kvstore.NewClient(ep, heads, attempt)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	return cli
+}
+
+// TestKVClientHedgesPastSilentHead: the kvstore client hedges a
+// mutation whose first replica is silent, cut off by a partition
+// rather than crashed so that no send fails, to the next replica after
+// a sixteenth of its attempt timeout, and the mutation applies once.
+func TestKVClientHedgesPastSilentHead(t *testing.T) {
+	r := newKVRig(t, 3, nil)
+	const attempt = 10 * time.Second // the hedge is due after 625 ms
+	cli := r.kvClient("app/kv", 3, attempt)
+	defer cli.Close()
+	r.net.Partition("app", repHost(0))
+	t0 := time.Now()
+	got, err := cli.Append("k", "a")
+	if took := time.Since(t0); err != nil || got != "a" || took > attempt/4 {
+		t.Fatalf("append past a silent replica: %q, %v after %v; want \"a\" well within the %v attempt timeout", got, err, took, attempt)
+	}
+	r.waitConverged(map[string]string{"k": "a"}, 5*time.Second)
+}
+
+// TestKVClientReusedAddressNotDeduplicated: two clients, one after the
+// other at one address, each append once. The second mints IDs of its
+// own, so its append runs instead of being answered with the first
+// client's reply from the dedup table.
+func TestKVClientReusedAddressNotDeduplicated(t *testing.T) {
+	r := newKVRig(t, 3, nil)
+	for _, v := range []string{"a", "b"} {
+		cli := r.kvClient("app/kv", 3, 5*time.Second)
+		_, err := cli.Append("k", v)
+		cli.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.waitConverged(map[string]string{"k": "ab"}, 5*time.Second)
+}
+
 // TestStateTransferCarriesDedupTable pins the join contract: the
 // deduplication table travels with the service snapshot, so a client
 // retry landing on the joiner is answered from the table instead of
