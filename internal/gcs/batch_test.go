@@ -16,9 +16,7 @@ import (
 func TestBatchedBurstTotalOrder(t *testing.T) {
 	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
 	defer net.Close()
-	obs := group(t, net, 3, func(i int, c *Config) {
-		c.SafeDelivery = true
-	})
+	obs := group(t, net, 3, nil)
 
 	const perSender = 40
 	var wg sync.WaitGroup

@@ -17,8 +17,8 @@ import (
 //
 //  1. survivors deliver identical sequences (total order);
 //  2. no member ever delivers a duplicate;
-//  3. under safe delivery, a crashed member's delivery stream is a
-//     prefix of the survivors' (nothing it acted on is lost);
+//  3. a crashed member's delivery stream is a prefix of the
+//     survivors' (nothing it acted on is lost: safe delivery);
 //  4. every message sent by a surviving member is delivered at every
 //     survivor (liveness after quiescence).
 func TestChaosInvariants(t *testing.T) {
@@ -28,7 +28,7 @@ func TestChaosInvariants(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runChaos(t, seed, seed%2 == 0, 4) // alternate safe/agreed delivery
+			runChaos(t, seed, 4)
 		})
 	}
 	// A 3-member view has exactly one other non-sequencer member to
@@ -36,12 +36,12 @@ func TestChaosInvariants(t *testing.T) {
 	for seed := int64(9); seed <= 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("members=3/seed=%d", seed), func(t *testing.T) {
-			runChaos(t, seed, seed%2 == 0, 3)
+			runChaos(t, seed, 3)
 		})
 	}
 }
 
-func runChaos(t *testing.T, seed int64, safe bool, members int) {
+func runChaos(t *testing.T, seed int64, members int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 
@@ -52,7 +52,6 @@ func runChaos(t *testing.T, seed int64, safe bool, members int) {
 	})
 	defer net.Close()
 	obs := group(t, net, members, func(i int, c *Config) {
-		c.SafeDelivery = safe
 		// Race-detector runs slow everything down severely; generous
 		// timeouts keep healthy-but-slow members from being excluded.
 		c.Heartbeat = 15 * time.Millisecond
@@ -172,21 +171,19 @@ func runChaos(t *testing.T, seed int64, safe bool, members int) {
 		}
 	}
 
-	// Invariant 3 (safe delivery only): crashed members' streams are
-	// prefixes of the survivors' stream — nothing a dead head acted on
-	// is missing from the group's history.
-	if safe {
-		for i := range crashedCopy {
-			dead := obs[i].deliveredPayloads()
-			if len(dead) > len(ref) {
-				t.Fatalf("seed %d: crashed member %d delivered more (%d) than survivors (%d)",
-					seed, i, len(dead), len(ref))
-			}
-			for k := range dead {
-				if dead[k] != ref[k] {
-					t.Fatalf("seed %d: crashed member %d diverged at %d: %q vs %q",
-						seed, i, k, dead[k], ref[k])
-				}
+	// Invariant 3: crashed members' streams are prefixes of the
+	// survivors' stream — nothing a dead head acted on is missing from
+	// the group's history.
+	for i := range crashedCopy {
+		dead := obs[i].deliveredPayloads()
+		if len(dead) > len(ref) {
+			t.Fatalf("seed %d: crashed member %d delivered more (%d) than survivors (%d)",
+				seed, i, len(dead), len(ref))
+		}
+		for k := range dead {
+			if dead[k] != ref[k] {
+				t.Fatalf("seed %d: crashed member %d diverged at %d: %q vs %q",
+					seed, i, k, dead[k], ref[k])
 			}
 		}
 	}

@@ -9,9 +9,13 @@ import (
 // These construct a Process directly (no run loop) and exercise the
 // functions the view-change protocol pivots on.
 
+// Like the group helper, it runs the shipped mode: safe delivery, and
+// the default timings and lease length.
 func bareProcess(self MemberID, members []MemberID, primary bool) *Process {
+	cfg := Config{Self: self, PartitionPolicy: FailStop, SafeDelivery: true}
+	cfg.fillDefaults()
 	p := &Process{
-		cfg:       Config{Self: self, PartitionPolicy: FailStop},
+		cfg:       cfg,
 		view:      View{ID: 3, Members: members, Primary: primary},
 		suspected: make(map[MemberID]bool),
 		joiners:   make(map[MemberID]bool),

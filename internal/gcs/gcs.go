@@ -192,7 +192,10 @@ type Config struct {
 	TransferChunk int
 
 	// Heartbeat is the failure-detector probe interval.
-	// Default 25ms. It bounds detection only where no connection-loss
+	// Default 25ms. Each tick heartbeats the view members this process
+	// has sent no DATA, BATCH, REQBATCH or ACK frame for half a
+	// Heartbeat, so a live link is never quiet for longer than
+	// 1.5×Heartbeat. It bounds detection only where no connection-loss
 	// hint is corroborated (see FailTimeout): a crash that every
 	// survivor's transport sees is detected within a hop or two, not a
 	// heartbeat.
@@ -238,9 +241,10 @@ type Config struct {
 	// common Transis usage.
 	SafeDelivery bool
 	// LeaseDuration is the wall-clock length of the read leases the
-	// sequencer grants to view members (piggybacked on heartbeat and
-	// BATCH frames). A member holding a live lease may serve
-	// linearizable reads locally without a broadcast; see ReadMark.
+	// sequencer grants to view members (piggybacked on every DATA,
+	// BATCH and heartbeat frame it sends). A member holding a live
+	// lease may serve linearizable reads locally without a broadcast;
+	// see ReadMark.
 	// Grants are issued only while SafeDelivery is on
 	// (an acked message is then guaranteed received at every lease
 	// holder) and only in a primary view; they cease the moment a
@@ -364,6 +368,15 @@ type Process struct {
 
 	st   status
 	view View
+	// now is read from the clock once per loop round; the sends of the
+	// round and lease renewals use it.
+	now time.Time
+	// sentAt records when this process last sent each member a frame
+	// carrying the steady-state header (headerKind); a tick heartbeats
+	// only the members it has been quiet towards (sendHeartbeats).
+	// hbTargets is the tick's reused target list.
+	sentAt    map[MemberID]time.Time
+	hbTargets []MemberID
 
 	// failure detection. lostAt records when the transport last hinted
 	// that a member's connection was lost; the hint stands until a
@@ -477,6 +490,7 @@ func Start(cfg Config) (*Process, error) {
 		events:    newEventQueue(),
 		window:    make(chan struct{}, cfg.Window),
 		lastHeard: make(map[MemberID]time.Time),
+		sentAt:    make(map[MemberID]time.Time),
 		lostAt:    make(map[MemberID]time.Time),
 		lostBy:    make(map[MemberID]map[MemberID]time.Time),
 		suspected: make(map[MemberID]bool),
@@ -596,7 +610,7 @@ func (p *Process) bumpStat(f func(*Stats)) {
 }
 
 // leaseGrant returns the lease duration to piggyback on an outgoing
-// heartbeat or BATCH frame, or zero when no grant may be issued.
+// header frame, or zero when no grant may be issued.
 // Grants require safe delivery: it guarantees that any message acked
 // to a client was received by every lease holder first, which is what
 // makes a caught-up holder's local read linearizable. Grants stop the
@@ -623,9 +637,10 @@ func (p *Process) LeaseDuration() time.Duration {
 // renewLease extends the local lease after receiving a grant. Only
 // 3/4 of the granted window is honored locally — the margin absorbs
 // frame transit delay and modest clock-rate drift between grantor and
-// grantee. The expiry never moves backwards. Loop goroutine only.
+// grantee — and it runs from the round's timestamp, which precedes the
+// receipt. The expiry never moves backwards. Loop goroutine only.
 func (p *Process) renewLease(dur time.Duration) {
-	exp := time.Now().Add(dur - dur/4).UnixNano()
+	exp := p.now.Add(dur - dur/4).UnixNano()
 	if exp > p.leaseExp.Load() {
 		p.leaseExp.Store(exp)
 	}
@@ -793,15 +808,19 @@ func (p *Process) run() {
 		case <-p.done:
 			return
 		case fn := <-p.actions:
+			p.now = time.Now()
 			fn()
 		case buf := <-p.bcast:
+			p.now = time.Now()
 			p.startBroadcast(buf)
 		case msg, ok := <-p.ep.Recv():
 			if !ok {
 				return
 			}
+			p.now = time.Now()
 			p.handleDatagram(msg)
 		case <-tick.C:
+			p.now = time.Now()
 			p.onTick()
 		}
 		p.drainInputs()
@@ -864,17 +883,19 @@ func batchLen(msgs []dataMsg) int {
 
 // flushOutData multicasts the messages sequenced this round, packing
 // them into BATCH frames. A lone message uses the plain DATA frame.
+// Either carries the header, so holders under sustained write load
+// renew their leases, and learn the stability watermark, from the data
+// stream itself.
 func (p *Process) flushOutData() {
 	for out := p.outData; len(out) > 0; {
 		n := batchLen(out)
-		var m *message
+		var m message
 		if n == 1 {
-			m = &message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: out[0]}
+			m = p.header(kindData)
+			m.Data = out[0]
 		} else {
-			m = &message{Kind: kindBatch, From: p.cfg.Self, ViewID: p.view.ID, Msgs: out[:n]}
-			// Piggyback a lease grant so holders under sustained
-			// write load renew from the data stream itself.
-			m.LeaseDur = p.leaseGrant()
+			m = p.header(kindBatch)
+			m.Msgs = out[:n]
 			p.bumpStat(func(st *Stats) {
 				st.BatchesSent++
 				if uint64(n) > st.MsgsPerBatchMax {
@@ -882,7 +903,7 @@ func (p *Process) flushOutData() {
 				}
 			})
 		}
-		p.sendToMembers(m)
+		p.sendToMembers(&m)
 		out = out[n:]
 	}
 	p.outData = resetOut(p.outData)
@@ -896,8 +917,8 @@ func resetOut(out []dataMsg) []dataMsg {
 }
 
 // flushReqOut sends the ordering requests queued this round to the
-// sequencer, packing them into REQBATCH frames with the
-// current delivery/receipt watermarks piggybacked (which is the
+// sequencer, packing them into REQBATCH frames with the header
+// piggybacked (which is the
 // sequencer's copy of any pending receipt ack; the other members get
 // theirs standalone). Requests queued by the time a
 // view change interrupted the round are discarded: adoptView
@@ -913,18 +934,12 @@ func (p *Process) flushReqOut() {
 	seqr := p.view.Sequencer()
 	for out := p.reqOut; len(out) > 0; {
 		n := batchLen(out)
-		var m *message
+		var m message
 		if n == 1 && !p.ackPending {
-			m = &message{Kind: kindReq, From: p.cfg.Self, ViewID: p.view.ID, Data: out[0]}
+			m = message{Kind: kindReq, From: p.cfg.Self, ViewID: p.view.ID, Data: out[0]}
 		} else {
-			m = &message{
-				Kind:      kindReqBatch,
-				From:      p.cfg.Self,
-				ViewID:    p.view.ID,
-				Msgs:      out[:n],
-				Delivered: p.nextDeliver - 1,
-				Received:  p.contiguousReceived(),
-			}
+			m = p.header(kindReqBatch)
+			m.Msgs = out[:n]
 			if p.ackPending {
 				p.sendAck(p.view.Members[1:]) // everyone but the sequencer
 				p.bumpStat(func(st *Stats) { st.AcksCoalesced++ })
@@ -938,7 +953,7 @@ func (p *Process) flushReqOut() {
 				})
 			}
 		}
-		p.sendTo(seqr, m)
+		p.sendTo(seqr, &m)
 		out = out[n:]
 	}
 	p.reqOut = resetOut(p.reqOut)
@@ -979,18 +994,14 @@ func (p *Process) handleDatagram(dg transport.Message) {
 	p.lastHeard[m.From] = time.Now()
 
 	switch m.Kind {
-	case kindHeartbeat:
-		p.onHeartbeat(m)
+	case kindHeartbeat, kindAck:
+		p.onHeader(m)
 	case kindData:
 		p.onData(m)
 	case kindReq:
 		p.onReq(m)
 	case kindNack:
 		p.onNack(m)
-	case kindAck:
-		p.onAck(m)
-	case kindStable:
-		p.onStable(m)
 	case kindJoin:
 		p.onJoin(m)
 	case kindLeave:
@@ -1041,7 +1052,7 @@ func (p *Process) onLost(m *message) {
 	for _, s := range m.Suspects {
 		switch {
 		case s == p.cfg.Self:
-			hb := p.heartbeat()
+			hb := p.header(kindHeartbeat)
 			p.sendToMembers(&hb)
 		case p.view.Includes(s):
 			by := p.lostBy[s]
@@ -1093,25 +1104,50 @@ func (p *Process) checkLost(m MemberID) {
 	p.shareSuspicions()
 }
 
-// heartbeat builds the frame sent to every view member each tick. It
-// advertises the highest sequence we know was assigned, so peers can
-// detect a missed tail, and repeats our cumulative ack, so a lost ACK
-// frame costs one heartbeat, not a stalled delivery. The ack rides
-// only in normal operation: what arrives during a flush is buffered
-// after our flush state was reported, and a peer must not deliver on a
-// receipt the flush may never hear of.
-func (p *Process) heartbeat() message {
-	hb := message{Kind: kindHeartbeat, From: p.cfg.Self, ViewID: p.view.ID, Tail: p.tailSeq}
+// header returns a frame of a headerKind kind carrying this process's
+// steady-state header. It advertises the highest sequence we know was
+// assigned, so peers can detect a missed tail, and repeats our
+// cumulative ack, so a lost ACK frame costs at most 1.5 heartbeats, not
+// a stalled delivery. The ack rides only in normal operation: what
+// arrives during a flush is buffered after our flush state was
+// reported, and a peer must not deliver on a receipt the flush may
+// never hear of. The stability watermark and, at the sequencer of a
+// primary view, the lease grant ride only then too.
+func (p *Process) header(kind byte) message {
+	m := message{Kind: kind, From: p.cfg.Self, ViewID: p.view.ID, Tail: p.tailSeq}
 	if p.st == statusNormal {
-		hb.Delivered, hb.Received = p.nextDeliver-1, p.contiguousReceived()
+		m.Delivered, m.Received = p.nextDeliver-1, p.contiguousReceived()
+		m.Stable = p.stable
+		m.LeaseDur = p.leaseGrant()
 	}
-	return hb
+	return m
+}
+
+// sendHeartbeats sends the tick's HEARTBEAT. In normal operation it
+// goes only to the view members this process has sent no header frame
+// for Heartbeat/2 or longer: a header frame told them everything the
+// heartbeat would, and a live link stays quiet for at most 1.5 ×
+// Heartbeat, under the lone-hint rule's two. While flushing it goes to
+// every member.
+func (p *Process) sendHeartbeats(now time.Time) {
+	targets := p.view.Members
+	if p.st == statusNormal {
+		targets = p.hbTargets[:0]
+		for _, m := range p.view.Members {
+			if now.Sub(p.sentAt[m]) >= p.cfg.Heartbeat/2 {
+				targets = append(targets, m)
+			}
+		}
+		p.hbTargets = targets
+	}
+	hb := p.header(kindHeartbeat)
+	p.multicast(targets, &hb)
 }
 
 // onTick drives heartbeats, the failure detector, retransmission, and
 // flush/join timeouts.
 func (p *Process) onTick() {
-	now := time.Now()
+	now := p.now
 	switch p.st {
 	case statusJoining:
 		if now.Sub(p.lastJoinReq) >= p.cfg.JoinInterval {
@@ -1123,13 +1159,14 @@ func (p *Process) onTick() {
 		return
 	}
 
-	hb := p.heartbeat()
+	if p.st == statusNormal && p.view.Sequencer() == p.cfg.Self {
+		p.advanceStability() // our own delivery may have been the last
+	}
 	if dur := p.leaseGrant(); dur > 0 {
-		hb.LeaseDur = dur
 		p.renewLease(dur) // the sequencer's own lease rides its grant
 		p.bumpStat(func(st *Stats) { st.LeaseGrants++ })
 	}
-	p.sendToMembers(&hb)
+	p.sendHeartbeats(now)
 
 	// Failure detection: silence beyond FailTimeout, or beyond two
 	// heartbeats once the transport hinted that the connection was lost
@@ -1164,9 +1201,6 @@ func (p *Process) onTick() {
 	case statusNormal:
 		p.resendPending(now)
 		p.nackGaps(now)
-		if p.view.Sequencer() == p.cfg.Self {
-			p.advanceStability() // our own delivery may have been the last
-		}
 		p.maybeStartFlush()
 	case statusFlushing:
 		p.flushTick(now)
@@ -1189,7 +1223,7 @@ func (p *Process) startBroadcast(payload []byte) {
 // transmitPending sends one of our queued messages: self-sequence when
 // we are the sequencer, otherwise request ordering from it.
 func (p *Process) transmitPending(pm *pendingMsg) {
-	pm.lastSent = time.Now()
+	pm.lastSent = p.now
 	if p.view.Sequencer() == p.cfg.Self {
 		p.sequence(dataMsg{Sender: p.cfg.Self, SenderSeq: pm.senderSeq, Payload: pm.payload})
 		return
@@ -1206,8 +1240,7 @@ func (p *Process) sequence(d dataMsg) {
 		// Duplicate request: the DATA we sent may have been lost on
 		// the way back to the sender. Retransmit it if still buffered.
 		if dm := p.ordered.find(d.Sender, d.SenderSeq); dm != nil {
-			p.bumpStat(func(st *Stats) { st.Retransmits++ })
-			p.sendTo(d.Sender, &message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: *dm})
+			p.retransmit(d.Sender, dm)
 		}
 		return
 	}
@@ -1240,14 +1273,12 @@ func (p *Process) onBatch(m *message) {
 		p.acceptData(&m.Msgs[i])
 	}
 	p.deliverReady()
-	if m.LeaseDur > 0 && p.st == statusNormal && m.From == p.view.Sequencer() {
-		p.renewLease(m.LeaseDur)
-	}
+	p.onHeader(m)
 }
 
 // onReqBatch handles a coalesced frame of ordering requests
-// (sequencer only). The piggybacked watermarks are applied exactly
-// like a standalone ACK.
+// (sequencer only). Its header is applied exactly like a standalone
+// ACK's.
 func (p *Process) onReqBatch(m *message) {
 	if m.ViewID != p.view.ID || p.st != statusNormal {
 		return
@@ -1255,7 +1286,7 @@ func (p *Process) onReqBatch(m *message) {
 	if p.view.Sequencer() != p.cfg.Self || !p.view.Includes(m.From) {
 		return
 	}
-	p.onAck(m)
+	p.onHeader(m)
 	for i := range m.Msgs {
 		p.sequence(m.Msgs[i])
 	}
@@ -1268,6 +1299,7 @@ func (p *Process) onData(m *message) {
 	}
 	p.acceptData(&m.Data)
 	p.deliverReady()
+	p.onHeader(m)
 }
 
 // acceptData buffers a copy of a sequenced message and owes the view a
@@ -1318,13 +1350,8 @@ func (p *Process) scheduleAck() {
 // the sequencer. It satisfies any coalesced ack still pending.
 func (p *Process) sendAck(targets []MemberID) {
 	p.ackPending = false
-	p.multicast(targets, &message{
-		Kind:      kindAck,
-		From:      p.cfg.Self,
-		ViewID:    p.view.ID,
-		Delivered: p.nextDeliver - 1,
-		Received:  p.contiguousReceived(),
-	})
+	ack := p.header(kindAck)
+	p.multicast(targets, &ack)
 }
 
 // deliverLimit returns the highest sequence this member may deliver
@@ -1452,47 +1479,55 @@ func (p *Process) onNack(m *message) {
 	}
 	for _, seq := range m.Missing {
 		if d := p.ordered.get(seq); d != nil {
-			p.bumpStat(func(st *Stats) { st.Retransmits++ })
-			p.sendTo(m.From, &message{Kind: kindData, From: p.cfg.Self, ViewID: p.view.ID, Data: *d})
+			p.retransmit(m.From, d)
 		}
 	}
 }
 
-// onHeartbeat takes a peer's tail advertisement, lease grant, and the
-// cumulative ack every heartbeat repeats.
-func (p *Process) onHeartbeat(m *message) {
-	if m.ViewID != p.view.ID {
-		return
-	}
-	p.advanceTail(m.Tail)
-	if m.LeaseDur > 0 && p.st == statusNormal && m.From == p.view.Sequencer() {
-		p.renewLease(m.LeaseDur)
-	}
-	p.onAck(m)
+// retransmit resends one buffered sequenced message to a member, as a
+// DATA frame with the current header (sequencer only).
+func (p *Process) retransmit(to MemberID, d *dataMsg) {
+	p.bumpStat(func(st *Stats) { st.Retransmits++ })
+	m := p.header(kindData)
+	m.Data = *d
+	p.sendTo(to, &m)
 }
 
-// onAck records a member's progress, carried by an ACK, a heartbeat or
-// a REQBATCH: receipt feeds this member's own safe-delivery rule,
-// delivery feeds stability GC at the sequencer. Watermarks are
-// per-view; foreign-view, non-member and joining-state acks are void.
-func (p *Process) onAck(m *message) {
+// onHeader takes the steady-state header of a DATA, BATCH, REQBATCH,
+// ACK or HEARTBEAT frame: the sender's tail advertisement, its receipt
+// (this member's safe-delivery rule) and its delivery (stability GC at
+// the sequencer). From the view's sequencer, in normal status only, it
+// also takes the stability watermark and the lease grant. Headers are
+// per-view; foreign-view, non-member and joining-state ones are void.
+func (p *Process) onHeader(m *message) {
 	if m.ViewID != p.view.ID || p.st == statusJoining || !p.view.Includes(m.From) {
 		return
 	}
+	p.advanceTail(m.Tail)
 	if m.Received > p.recvAcked[m.From] {
 		p.recvAcked[m.From] = m.Received
 		p.deliverReady()
 	}
-	if p.view.Sequencer() == p.cfg.Self {
+	seqr := p.view.Sequencer()
+	if seqr == p.cfg.Self {
 		if m.Delivered > p.acked[m.From] {
 			p.acked[m.From] = m.Delivered
 		}
 		p.advanceStability()
+		return
+	}
+	if m.From == seqr && p.st == statusNormal {
+		p.applyStable(m.Stable)
+		if m.LeaseDur > 0 {
+			p.renewLease(m.LeaseDur)
+		}
 	}
 }
 
-// advanceStability publishes a new stability watermark when every
-// member has delivered further than the current one (sequencer only).
+// advanceStability raises the stability watermark when every member has
+// delivered further than the current one, and garbage-collects up to it
+// (sequencer only). The watermark reaches the members in the header of
+// the next frame this process sends each of them.
 func (p *Process) advanceStability() {
 	min := p.nextDeliver - 1
 	for _, m := range p.view.Members {
@@ -1505,17 +1540,7 @@ func (p *Process) advanceStability() {
 	}
 	if min > p.stable {
 		p.applyStable(min)
-		m := &message{Kind: kindStable, From: p.cfg.Self, ViewID: p.view.ID, Stable: min}
-		p.sendToMembers(m)
 	}
-}
-
-// onStable garbage-collects up to the announced watermark.
-func (p *Process) onStable(m *message) {
-	if m.ViewID != p.view.ID {
-		return
-	}
-	p.applyStable(m.Stable)
 }
 
 func (p *Process) applyStable(w uint64) {
@@ -1556,6 +1581,8 @@ func (p *Process) installView(v View) {
 	p.outData = resetOut(p.outData)
 	p.reqOut = resetOut(p.reqOut)
 	p.ackPending = false
+	// No header frame of the new view has been sent yet.
+	clear(p.sentAt)
 
 	now := time.Now()
 	for _, m := range v.Members {
@@ -1598,6 +1625,9 @@ func (p *Process) sendTo(to MemberID, m *message) {
 	e := m.encodeTo()
 	p.sendRaw(addr, e.Bytes())
 	e.Release()
+	if headerKind(m.Kind) {
+		p.sentAt[to] = p.now
+	}
 }
 
 // sendRaw hands one encoded datagram to the transport, counting
@@ -1609,11 +1639,13 @@ func (p *Process) sendRaw(addr transport.Addr, buf []byte) {
 }
 
 // multicast transmits one message to every listed member except self,
-// encoding it exactly once. The transport contract (payloads are not
+// encoding it exactly once, and stamps sentAt for each recipient of a
+// header frame. The transport contract (payloads are not
 // aliased after Send returns) lets all recipients share the buffer
 // and the buffer return to the pool afterwards.
 func (p *Process) multicast(targets []MemberID, m *message) {
 	var e *codec.Encoder
+	header := headerKind(m.Kind)
 	for _, t := range targets {
 		if t == p.cfg.Self {
 			continue
@@ -1626,6 +1658,9 @@ func (p *Process) multicast(targets []MemberID, m *message) {
 			e = m.encodeTo()
 		}
 		p.sendRaw(addr, e.Bytes())
+		if header {
+			p.sentAt[t] = p.now
+		}
 	}
 	if e != nil {
 		e.Release()

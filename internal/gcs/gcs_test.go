@@ -113,7 +113,9 @@ func (o *observer) transferCount() int {
 }
 
 // group spins up a static group of n members named m0..m(n-1), one
-// per simulated host.
+// per simulated host, in the mode every head runs (rsm.Start): safe
+// delivery, with read leases at their default length. A test that
+// needs agreed delivery turns SafeDelivery off in mutate and says why.
 func group(t *testing.T, net *simnet.Network, n int, mutate func(i int, c *Config)) []*observer {
 	t.Helper()
 	ids := make([]MemberID, n)
@@ -133,6 +135,7 @@ func group(t *testing.T, net *simnet.Network, n int, mutate func(i int, c *Confi
 			Endpoint:       ep,
 			Peers:          peers,
 			InitialMembers: ids,
+			SafeDelivery:   true,
 		}
 		fastTimings(&cfg)
 		if mutate != nil {
@@ -166,10 +169,11 @@ func TestSingletonBootstrap(t *testing.T) {
 	defer net.Close()
 	ep, _ := net.Endpoint("h/gcs")
 	cfg := Config{
-		Self:      "solo",
-		Endpoint:  ep,
-		Peers:     map[MemberID]transport.Addr{"solo": "h/gcs"},
-		Bootstrap: true,
+		Self:         "solo",
+		Endpoint:     ep,
+		Peers:        map[MemberID]transport.Addr{"solo": "h/gcs"},
+		Bootstrap:    true,
+		SafeDelivery: true,
 	}
 	fastTimings(&cfg)
 	p, err := Start(cfg)
@@ -523,7 +527,7 @@ func TestJoinWithStateTransfer(t *testing.T) {
 		"m1": "host1/gcs",
 	}
 	ep0, _ := net.Endpoint("host0/gcs")
-	cfg0 := Config{Self: "m0", Endpoint: ep0, Peers: peers, Bootstrap: true}
+	cfg0 := Config{Self: "m0", Endpoint: ep0, Peers: peers, Bootstrap: true, SafeDelivery: true}
 	fastTimings(&cfg0)
 	p0, err := Start(cfg0)
 	if err != nil {
@@ -540,7 +544,7 @@ func TestJoinWithStateTransfer(t *testing.T) {
 	})
 
 	ep1, _ := net.Endpoint("host1/gcs")
-	cfg1 := Config{Self: "m1", Endpoint: ep1, Peers: peers}
+	cfg1 := Config{Self: "m1", Endpoint: ep1, Peers: peers, SafeDelivery: true}
 	fastTimings(&cfg1)
 	p1, err := Start(cfg1)
 	if err != nil {
@@ -670,7 +674,7 @@ func TestSnapshotTimeoutAbortsJoin(t *testing.T) {
 
 	peers := map[MemberID]transport.Addr{"m0": "host0/gcs", "m1": "host1/gcs"}
 	ep0, _ := net.Endpoint("host0/gcs")
-	cfg0 := Config{Self: "m0", Endpoint: ep0, Peers: peers, Bootstrap: true}
+	cfg0 := Config{Self: "m0", Endpoint: ep0, Peers: peers, Bootstrap: true, SafeDelivery: true}
 	fastTimings(&cfg0)
 	cfg0.SnapshotTimeout = 100 * time.Millisecond
 	p0, err := Start(cfg0)
@@ -684,7 +688,7 @@ func TestSnapshotTimeoutAbortsJoin(t *testing.T) {
 	o0.mu.Unlock()
 
 	ep1, _ := net.Endpoint("host1/gcs")
-	cfg1 := Config{Self: "m1", Endpoint: ep1, Peers: peers}
+	cfg1 := Config{Self: "m1", Endpoint: ep1, Peers: peers, SafeDelivery: true}
 	fastTimings(&cfg1)
 	p1, err := Start(cfg1)
 	if err != nil {
@@ -709,7 +713,7 @@ func TestBroadcastAfterClose(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
 	ep, _ := net.Endpoint("h/gcs")
-	cfg := Config{Self: "solo", Endpoint: ep, Peers: map[MemberID]transport.Addr{"solo": "h/gcs"}, Bootstrap: true}
+	cfg := Config{Self: "solo", Endpoint: ep, Peers: map[MemberID]transport.Addr{"solo": "h/gcs"}, Bootstrap: true, SafeDelivery: true}
 	fastTimings(&cfg)
 	p, err := Start(cfg)
 	if err != nil {

@@ -162,7 +162,7 @@ func TestRepeatedLeaveJoinChurn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := Config{Self: self, Endpoint: ep, Peers: peers, InitialMembers: initial}
+		cfg := Config{Self: self, Endpoint: ep, Peers: peers, InitialMembers: initial, SafeDelivery: true}
 		fastTimings(&cfg)
 		p, err := Start(cfg)
 		if err != nil {

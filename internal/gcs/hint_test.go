@@ -191,7 +191,6 @@ func TestMajorityHintWaitsLeaseFence(t *testing.T) {
 	obs := group(t, net, 3, func(_ int, c *Config) {
 		hintTimings(c)
 		c.PartitionPolicy = Majority
-		c.SafeDelivery = true
 		c.LeaseDuration = lease
 		c.FlushTimeout = 2 * lease // one attempt outlasts the fence
 	})

@@ -9,17 +9,10 @@ import (
 	"joshua/internal/transport"
 )
 
-// safeGroup builds a group with safe delivery enabled.
-func safeGroup(t *testing.T, net *simnet.Network, n int) []*observer {
-	return group(t, net, n, func(i int, c *Config) {
-		c.SafeDelivery = true
-	})
-}
-
 func TestSafeDeliveryTotalOrder(t *testing.T) {
 	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
 	defer net.Close()
-	obs := safeGroup(t, net, 3)
+	obs := group(t, net, 3, nil)
 
 	const perSender = 15
 	for i, o := range obs {
@@ -62,7 +55,7 @@ func TestSafeDeliveryWithLoss(t *testing.T) {
 				Seed:     11,
 			})
 			defer net.Close()
-			obs := safeGroup(t, net, n)
+			obs := group(t, net, n, nil)
 
 			for k := 0; k < 10; k++ {
 				obs[k%n].p.Broadcast([]byte(fmt.Sprintf("m%d", k)))
@@ -99,7 +92,6 @@ func TestLostMemberAcksHealByHeartbeat(t *testing.T) {
 	defer net.Close()
 	const resend = 5 * time.Second
 	obs := group(t, net, 3, func(i int, c *Config) {
-		c.SafeDelivery = true
 		c.ResendInterval = resend
 		c.Endpoint = ackDropper{c.Endpoint}
 	})
@@ -124,7 +116,7 @@ func TestSafeDeliverySurvivesFailure(t *testing.T) {
 	// change's agreed final sequence supersedes the ack condition.
 	net := simnet.New(simnet.Config{Latency: simnet.Latency{Remote: time.Millisecond}})
 	defer net.Close()
-	obs := safeGroup(t, net, 3)
+	obs := group(t, net, 3, nil)
 
 	obs[1].p.Broadcast([]byte("before"))
 	waitFor(t, 5*time.Second, "initial delivery", func() bool {

@@ -12,18 +12,18 @@ import (
 // non-sequencer member has acknowledged holding it. No run loop, no
 // network, no clock: handlers are called directly.
 
-// safeProcess is a bareProcess in normal status with safe delivery on
-// and the order state the delivery path touches. It has no Peers, so
+// safeProcess is a bareProcess in normal status with the order state
+// the delivery path touches. It has no Peers, so
 // every send is a no-op, and its event queue has no dispatcher.
 func safeProcess(self MemberID, members []MemberID) *Process {
 	p := bareProcess(self, members, true)
-	p.cfg.SafeDelivery = true
 	p.st = statusNormal
 	p.nextDeliver = 1
 	p.recvAcked = make(map[MemberID]uint64)
 	p.acked = make(map[MemberID]uint64)
 	p.lastSeqd = make(map[MemberID]uint64)
 	p.lastHeard = make(map[MemberID]time.Time)
+	p.sentAt = make(map[MemberID]time.Time)
 	p.events = &eventQueue{}
 	p.events.cond = sync.NewCond(&p.events.mu)
 	return p
@@ -41,7 +41,7 @@ func receive(p *Process, seq uint64) {
 }
 
 func ack(p *Process, from MemberID, received uint64) {
-	p.onAck(&message{Kind: kindAck, From: from, ViewID: p.view.ID, Received: received})
+	p.onHeader(&message{Kind: kindAck, From: from, ViewID: p.view.ID, Received: received})
 }
 
 func TestSafeDeliveryRule(t *testing.T) {
@@ -102,7 +102,7 @@ func TestSafeDeliveryRule(t *testing.T) {
 func TestHeartbeatCarriesAck(t *testing.T) {
 	p := safeProcess("b", []MemberID{"a", "b", "c"})
 	receive(p, 1)
-	p.onHeartbeat(&message{Kind: kindHeartbeat, From: "c", ViewID: p.view.ID, Tail: 1, Received: 1})
+	p.onHeader(&message{Kind: kindHeartbeat, From: "c", ViewID: p.view.ID, Tail: 1, Received: 1})
 	if p.nextDeliver != 2 {
 		t.Fatal("a heartbeat's Received must count as the lost ACK")
 	}
@@ -112,7 +112,7 @@ func TestHeartbeatAckOnlyInNormalOperation(t *testing.T) {
 	p := safeProcess("b", []MemberID{"a", "b", "c"})
 	ack(p, "c", 2)
 	receive(p, 1)
-	if hb := p.heartbeat(); hb.Tail != 1 || hb.Received != 1 || hb.Delivered != 1 {
+	if hb := p.header(kindHeartbeat); hb.Tail != 1 || hb.Received != 1 || hb.Delivered != 1 {
 		t.Fatalf("normal heartbeat = %+v, want tail, receipt and delivery all 1", hb)
 	}
 	// What is buffered during a flush came after the flush state was
@@ -120,7 +120,7 @@ func TestHeartbeatAckOnlyInNormalOperation(t *testing.T) {
 	// flush then cuts.
 	p.st = statusFlushing
 	receive(p, 2)
-	if hb := p.heartbeat(); hb.Tail != 2 || hb.Received != 0 || hb.Delivered != 0 {
+	if hb := p.header(kindHeartbeat); hb.Tail != 2 || hb.Received != 0 || hb.Delivered != 0 {
 		t.Fatalf("flushing heartbeat = %+v, want the tail and no ack", hb)
 	}
 }
@@ -129,8 +129,8 @@ func TestVoidAcksChangeNothing(t *testing.T) {
 	p := safeProcess("b", []MemberID{"a", "b", "c"})
 	receive(p, 1)
 
-	p.onAck(&message{Kind: kindAck, From: "c", ViewID: p.view.ID - 1, Received: 1}) // another view
-	p.onAck(&message{Kind: kindAck, From: "z", ViewID: p.view.ID, Received: 1})     // not a member
+	p.onHeader(&message{Kind: kindAck, From: "c", ViewID: p.view.ID - 1, Received: 1}) // another view
+	p.onHeader(&message{Kind: kindAck, From: "z", ViewID: p.view.ID, Received: 1})     // not a member
 	p.st = statusJoining
 	ack(p, "c", 1) // joining: no view to account acks against
 	p.st = statusNormal

@@ -115,13 +115,19 @@ func TestStalledHeadDoesNotBlockSequencing(t *testing.T) {
 
 	// FailTimeout is far beyond the test window: the stalled head must
 	// remain a member the whole time, so continued delivery cannot be
-	// explained by its exclusion from the view.
+	// explained by its exclusion from the view. The group runs agreed
+	// delivery on purpose: under safe delivery nobody may deliver what
+	// a member has not acknowledged receiving, so a member that stops
+	// reading stalls delivery until it is excluded, and the transport
+	// property under test (a stalled peer never blocks the sender's
+	// loop) could not be told apart from that wait.
 	mkcfg := func(id MemberID) Config {
 		cfg := Config{
 			Self:           id,
 			Endpoint:       eps[id],
 			Peers:          logical,
 			InitialMembers: ids,
+			SafeDelivery:   false,
 		}
 		fastTimings(&cfg)
 		cfg.FailTimeout = 30 * time.Second
@@ -219,7 +225,7 @@ func TestTCPProcessExitDetectedByHint(t *testing.T) {
 	}
 	var obs []*observer
 	for _, id := range ids {
-		cfg := Config{Self: id, Endpoint: eps[id], Peers: logical, InitialMembers: ids}
+		cfg := Config{Self: id, Endpoint: eps[id], Peers: logical, InitialMembers: ids, SafeDelivery: true}
 		fastTimings(&cfg)
 		cfg.FailTimeout = 2 * time.Second
 		p, err := Start(cfg)

@@ -16,7 +16,6 @@ const (
 	kindReq             // sender -> sequencer: please order this payload
 	kindNack            // receiver -> sequencer: retransmit these sequence numbers
 	kindAck             // member -> all: cumulative receipt and delivery acknowledgment
-	kindStable          // sequencer -> all: stability watermark for garbage collection
 	kindJoin            // joiner -> all: request admission
 	kindLeave           // member -> all: voluntary departure
 	kindSuspect         // member -> all: shared failure suspicion
@@ -33,6 +32,19 @@ const (
 // change (kindJoin through kindStateSnap) rather than to the
 // steady-state message stream.
 func membershipKind(k byte) bool { return k >= kindJoin && k <= kindStateSnap }
+
+// headerKind reports whether frames of a kind carry the steady-state
+// header (Tail, Delivered, Received, Stable, LeaseDur): DATA, BATCH,
+// REQBATCH, ACK and HEARTBEAT. A frame of one of these kinds tells its
+// receiver everything a heartbeat would, so a tick sends no heartbeat
+// over a link that carried one recently (see Process.sendHeartbeats).
+func headerKind(k byte) bool {
+	switch k {
+	case kindHeartbeat, kindData, kindBatch, kindReqBatch, kindAck:
+		return true
+	}
+	return false
+}
 
 // dataMsg is one sequenced application message. Seq is the global
 // total-order position within the view; SenderSeq is the sender's own
@@ -59,19 +71,24 @@ type message struct {
 	// kindNack: sequences to retransmit.
 	Missing []uint64
 
-	// kindAck, kindHeartbeat, kindReqBatch: the sender's cumulative
-	// delivery watermark (stability accounting at the sequencer).
+	// The steady-state header, carried by every headerKind frame and
+	// read by Process.onHeader. Tail is the highest sequence the
+	// sender knows was assigned, so peers that missed the tail of the
+	// stream learn to NACK it. Delivered is the sender's cumulative
+	// delivery watermark (stability accounting at the sequencer), and
+	// Received its highest contiguously received sequence (safe-delivery
+	// accounting at every member; may exceed Delivered while delivery
+	// awaits the other members' acks); both are zero outside normal
+	// status. Stable is the sequencer's stability watermark, up to
+	// which members garbage-collect. LeaseDur is a read-lease grant from
+	// the sequencer (zero = no grant): the receiving member may serve
+	// leased local reads for this long after receipt, minus the safety
+	// margin; see Process.ReadMark.
+	Tail      uint64
 	Delivered uint64
-	// kindAck, kindHeartbeat, kindReqBatch: highest contiguously
-	// received sequence (safe-delivery accounting at every member; may
-	// exceed Delivered while delivery awaits the other members' acks).
-	Received uint64
-	// kindHeartbeat: highest sequence the sender knows was assigned, so
-	// peers that missed the tail of the stream learn to NACK it.
-	Tail uint64
-
-	// kindStable
-	Stable uint64
+	Received  uint64
+	Stable    uint64
+	LeaseDur  time.Duration
 
 	// kindSuspect, kindLost
 	Suspects []MemberID
@@ -104,12 +121,6 @@ type message struct {
 	// application, which may answer the snapshot request with an
 	// incremental transfer instead of a full one.
 	Since uint64
-
-	// kindHeartbeat, kindBatch: a read-lease grant from the sequencer
-	// (zero = no grant). The receiving member may serve leased local
-	// reads for this long after receipt, minus the safety margin; see
-	// Process.ReadMark.
-	LeaseDur time.Duration
 }
 
 func putMembers(e *codec.Encoder, ms []MemberID) {
@@ -237,16 +248,18 @@ func (m *message) marshal(e *codec.Encoder) {
 	e.PutString(string(m.From))
 	e.PutUint(m.ViewID)
 	e.PutUint(m.Attempt)
-	switch m.Kind {
-	case kindLeave:
-		// header only
-	case kindJoin:
-		e.PutUint(m.Since)
-	case kindHeartbeat:
+	if headerKind(m.Kind) {
 		e.PutUint(m.Tail)
 		e.PutUint(m.Delivered)
 		e.PutUint(m.Received)
+		e.PutUint(m.Stable)
 		e.PutDuration(m.LeaseDur)
+	}
+	switch m.Kind {
+	case kindLeave, kindHeartbeat, kindAck:
+		// nothing beyond the headers
+	case kindJoin:
+		e.PutUint(m.Since)
 	case kindData:
 		putDataMsg(e, m.Data)
 	case kindReq:
@@ -257,11 +270,6 @@ func (m *message) marshal(e *codec.Encoder) {
 		for _, s := range m.Missing {
 			e.PutUint(s)
 		}
-	case kindAck:
-		e.PutUint(m.Delivered)
-		e.PutUint(m.Received)
-	case kindStable:
-		e.PutUint(m.Stable)
 	case kindSuspect, kindLost:
 		putMembers(e, m.Suspects)
 	case kindPropose:
@@ -284,11 +292,8 @@ func (m *message) marshal(e *codec.Encoder) {
 		e.PutUint(m.ChunkCnt)
 		e.PutBytes(m.AppState)
 	case kindBatch:
-		e.PutDuration(m.LeaseDur)
 		putDataMsgs(e, m.Msgs)
 	case kindReqBatch:
-		e.PutUint(m.Delivered)
-		e.PutUint(m.Received)
 		// Requests carry no Seq, and the Sender is implied by the
 		// frame's From, so only (SenderSeq, Payload) pairs go on the
 		// wire.
@@ -325,15 +330,17 @@ func (m *message) decode(b []byte, ids map[string]MemberID) error {
 	m.From = getID(d, ids)
 	m.ViewID = d.Uint()
 	m.Attempt = d.Uint()
-	switch m.Kind {
-	case kindLeave:
-	case kindJoin:
-		m.Since = d.Uint()
-	case kindHeartbeat:
+	if headerKind(m.Kind) {
 		m.Tail = d.Uint()
 		m.Delivered = d.Uint()
 		m.Received = d.Uint()
+		m.Stable = d.Uint()
 		m.LeaseDur = d.Duration()
+	}
+	switch m.Kind {
+	case kindLeave, kindHeartbeat, kindAck:
+	case kindJoin:
+		m.Since = d.Uint()
 	case kindData:
 		m.Data = getDataMsg(d, ids)
 	case kindReq:
@@ -348,11 +355,6 @@ func (m *message) decode(b []byte, ids map[string]MemberID) error {
 				m.Missing = append(m.Missing, d.Uint())
 			}
 		}
-	case kindAck:
-		m.Delivered = d.Uint()
-		m.Received = d.Uint()
-	case kindStable:
-		m.Stable = d.Uint()
 	case kindSuspect, kindLost:
 		m.Suspects = getMembers(d, ids)
 	case kindPropose:
@@ -375,11 +377,8 @@ func (m *message) decode(b []byte, ids map[string]MemberID) error {
 		m.ChunkCnt = d.Uint()
 		m.AppState = getPayload(d)
 	case kindBatch:
-		m.LeaseDur = d.Duration()
 		m.Msgs = getDataMsgs(d, ids, m.Msgs)
 	case kindReqBatch:
-		m.Delivered = d.Uint()
-		m.Received = d.Uint()
 		n := d.Uint()
 		if d.Err() == nil && n <= uint64(d.Remaining())+1 {
 			m.Msgs = slices.Grow(m.Msgs, int(n))

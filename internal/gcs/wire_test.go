@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestWireRoundTripAllKinds(t *testing.T) {
@@ -17,10 +18,15 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 		{Kind: kindJoin, From: "newguy"},
 		{Kind: kindLeave, From: "b", ViewID: 3},
 		{Kind: kindData, From: "a", ViewID: 2, Data: dataMsg{Seq: 9, Sender: "c", SenderSeq: 4, Payload: []byte("hi")}},
+		{ // the whole header rides a DATA frame
+			Kind: kindData, From: "a", ViewID: 2, Tail: 9, Delivered: 7, Received: 8, Stable: 6, LeaseDur: 12500 * time.Microsecond,
+			Data: dataMsg{Seq: 9, Sender: "c", SenderSeq: 4, Payload: []byte("hi")},
+		},
+		{Kind: kindHeartbeat, From: "a", ViewID: 7, Tail: 42, Stable: 40, LeaseDur: 100 * time.Millisecond}, // the sequencer's
+		{Kind: kindAck, From: "b", ViewID: 2, Tail: 13, Delivered: 9, Received: 12, Stable: 8},
 		{Kind: kindReq, From: "b", ViewID: 2, Data: dataMsg{Sender: "b", SenderSeq: 11, Payload: []byte("req")}},
 		{Kind: kindNack, From: "c", ViewID: 2, Missing: []uint64{3, 4, 9}},
 		{Kind: kindAck, From: "c", ViewID: 2, Delivered: 42},
-		{Kind: kindStable, From: "a", ViewID: 2, Stable: 40},
 		{Kind: kindSuspect, From: "a", ViewID: 2, Suspects: []MemberID{"b", "c"}},
 		{Kind: kindLost, From: "b", ViewID: 2, Suspects: []MemberID{"c"}},
 		{Kind: kindPropose, From: "a", ViewID: 2, Attempt: 3, Members: []MemberID{"a", "c"}},
@@ -52,6 +58,7 @@ func TestWireRoundTripAllKinds(t *testing.T) {
 			},
 		},
 		{Kind: kindBatch, From: "a", ViewID: 2}, // empty batch still round-trips
+		{Kind: kindBatch, From: "a", ViewID: 2, Tail: 20, Stable: 17, LeaseDur: time.Second, Msgs: []dataMsg{{Seq: 20, Sender: "b", SenderSeq: 7}}},
 		{
 			Kind: kindReqBatch, From: "b", ViewID: 2, Delivered: 8, Received: 11,
 			Msgs: []dataMsg{

@@ -150,9 +150,11 @@ type versioned[T any] struct {
 // version, and otherwise builds it with build under the read lock
 // (concurrent with other readers, excluded only by mutators), stamped
 // with the version read under that same lock. The fast path is two
-// atomic loads.
+// atomic loads, the version first: Restore empties the caches before
+// it stores the restored version, which may equal an old entry's.
 func cachedListing[T any](s *Server, c *atomic.Pointer[versioned[T]], build func(*Server) T) (T, uint64) {
-	if v := c.Load(); v != nil && v.version == s.version.Load() {
+	ver := s.version.Load()
+	if v := c.Load(); v != nil && v.version == ver {
 		s.cacheHits.Add(1)
 		return v.val, v.version
 	}

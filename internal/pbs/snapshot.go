@@ -12,8 +12,10 @@ import (
 // snapshotVersion guards against decoding snapshots from a different
 // build of the wire format. Version 4 added the scheduling-pipeline
 // sections (logical clock, per-node allocations, fairshare usage,
-// backfill reservation, per-job resources) and a trailing CRC.
-const snapshotVersion = 4
+// backfill reservation, per-job resources) and a trailing CRC; version
+// 5 the mutation epoch (Server.Version), so that a restored replica
+// continues it instead of starting over.
+const snapshotVersion = 5
 
 // Snapshot serializes the complete server state. JOSHUA transfers it
 // to joining head nodes, and the determinism suites compare it
@@ -50,6 +52,7 @@ func (s *Server) Fork() func() []byte {
 // serializes, decoupled from s.mu so encoding can happen later.
 type serverImage struct {
 	name      string
+	epoch     uint64 // Server.version
 	nextSeq   uint64
 	ltick     uint64
 	jobs      []Job // deep clones, sorted by Seq
@@ -90,6 +93,7 @@ func (s *Server) captureImage() *serverImage {
 
 	img := &serverImage{
 		name:         s.cfg.ServerName,
+		epoch:        s.version.Load(),
 		nextSeq:      s.nextSeq,
 		ltick:        s.ltick,
 		queue:        append([]JobID(nil), s.queue...),
@@ -159,6 +163,7 @@ func (img *serverImage) encode() []byte {
 	e := codec.NewEncoder(256)
 	e.PutUint(snapshotVersion)
 	e.PutString(img.name)
+	e.PutUint(img.epoch)
 	e.PutUint(img.nextSeq)
 	e.PutUint(img.ltick)
 
@@ -223,7 +228,12 @@ func (img *serverImage) encode() []byte {
 
 // Restore replaces the server state with a snapshot taken by
 // Snapshot on a replica with the same configuration. Pending actions
-// are discarded: the snapshot source already performed them.
+// are discarded: the snapshot source already performed them. The
+// mutation epoch continues from the snapshot's, so replicas at equal
+// state report equal versions however they got there (applying,
+// recovering from a checkpoint or by state transfer), and both listing
+// caches are dropped: an entry built before the restore may carry the
+// restored version number for a different state.
 //
 // A restored job costs what the table keeps of it: the Job and one
 // string holding all of its text (see Job.ownText). Its fields are
@@ -241,6 +251,7 @@ func (s *Server) Restore(b []byte) error {
 		}
 	}
 	name := d.String()
+	epoch := d.Uint()
 	nextSeq := d.Uint()
 	ltick := d.Uint()
 
@@ -356,7 +367,6 @@ func (s *Server) Restore(b []byte) error {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	defer s.dirty()
 	if name != s.cfg.ServerName {
 		return fmt.Errorf("pbs: snapshot from server %q, this server is %q", name, s.cfg.ServerName)
 	}
@@ -374,6 +384,12 @@ func (s *Server) Restore(b []byte) error {
 	s.fairUsage = fair
 	s.resv = resv
 	s.actions = nil
+	// Caches first, then the version: a reader loads the version
+	// before its cache entry (cachedListing), so one that sees the
+	// restored version finds the caches already empty.
+	s.jobsCache.Store(nil)
+	s.listing.Store(nil)
+	s.version.Store(epoch)
 	return nil
 }
 

@@ -26,7 +26,8 @@ func encodedStatusAll(s *Server) []byte {
 // StatusView and NodesStatus read the live table and are never cache
 // events; StatusAll and Listing are each built once per version
 // (repeat calls are hits), and every mutating entry point bumps the
-// version so the next listing call rebuilds.
+// version so the next listing call rebuilds. Restore continues the
+// snapshot's version and rebuilds too.
 func TestStatusCacheInvalidation(t *testing.T) {
 	s := testServer()
 
@@ -106,11 +107,30 @@ func TestStatusCacheInvalidation(t *testing.T) {
 	bump("SetNodeOffline", func() { s.SetNodeOffline("c1", true) })
 	bump("JobDone", func() { s.JobDone(j.ID, 0, "out") })
 	bump("Delete", func() { s.Delete([]byte("2.cluster")) })
-	bump("Restore", func() {
-		if err := s.Restore(s.Snapshot()); err != nil {
-			t.Fatal(err)
-		}
-	})
+
+	// Restore is no mutation of its own: it continues the snapshot's
+	// version. It still drops both listings, because one cached before
+	// it may carry the restored version number for another state: here
+	// the state of a replica that ran other commands to the same count.
+	twin := testServer()
+	for twin.Version() < s.Version() {
+		twin.Submit(SubmitRequest{Name: "twin", Owner: "carol", Hold: true})
+	}
+	s.StatusAll()
+	s.Listing()
+	_, m0 := s.ReadCacheStats()
+	if err := s.Restore(twin.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if s.Version() != twin.Version() {
+		t.Errorf("Restore: version %d, want the snapshot's %d", s.Version(), twin.Version())
+	}
+	if !reflect.DeepEqual(s.StatusAll(), twin.StatusAll()) || !bytes.Equal(mustListing(s), mustListing(twin)) {
+		t.Error("Restore: a listing cached before it was served after it")
+	}
+	if _, m1 := s.ReadCacheStats(); m1 != m0+2 {
+		t.Errorf("Restore: listings rebuilt %d times, want 2", m1-m0)
+	}
 
 	// The listing handed out before the mutations is untouched.
 	if got := s.StatusAll(); reflect.DeepEqual(got, first) {

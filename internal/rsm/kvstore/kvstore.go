@@ -174,18 +174,7 @@ func (s *Store) SetApplyCost(d time.Duration) { s.applyCost.Store(int64(d)) }
 func (s *Store) Snapshot() []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e := codec.NewEncoder(64)
-	e.PutUint(uint64(len(keys)))
-	for _, k := range keys {
-		e.PutString(k)
-		e.PutString(s.data[k])
-	}
-	return e.Bytes()
+	return encode(s.data)
 }
 
 // Fork captures a shallow copy of the map under the read lock —
@@ -200,20 +189,24 @@ func (s *Store) Fork() func() []byte {
 		data[k] = v
 	}
 	s.mu.RUnlock()
-	return func() []byte {
-		keys := make([]string, 0, len(data))
-		for k := range data {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		e := codec.NewEncoder(64)
-		e.PutUint(uint64(len(keys)))
-		for _, k := range keys {
-			e.PutString(k)
-			e.PutString(data[k])
-		}
-		return e.Bytes()
+	return func() []byte { return encode(data) }
+}
+
+// encode renders a map as Snapshot's bytes: the key count, then every
+// key and value in sorted key order.
+func encode(data map[string]string) []byte {
+	keys := make([]string, 0, len(data))
+	for k := range data {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
+	e := codec.NewEncoder(64)
+	e.PutUint(uint64(len(keys)))
+	for _, k := range keys {
+		e.PutString(k)
+		e.PutString(data[k])
+	}
+	return e.Bytes()
 }
 
 // Restore replaces the map from a snapshot.
