@@ -2,7 +2,6 @@ package rsm
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"joshua/internal/codec"
 	"joshua/internal/gcs"
@@ -14,62 +13,39 @@ import (
 // information for deduplication and the output rule (which replicas
 // answer the client).
 //
-// Envelopes are pooled and refcounted. A decoded envelope adopts the
-// delivered wire buffer as its backing store (raw): ReqID and Payload
-// are views into it, and Origin and Client are interned strings, so
-// decoding a command allocates nothing. Whatever outlives the envelope
-// is copied by its keeper — the dedup table copies the ReqID and the
-// reply into its ring. The write path takes one reference per
-// concurrent consumer — the apply/reply pipeline and the WAL stage
-// each hold their own — and the envelope returns to the pool only when
-// the last reference drops, which is what makes the stage overlap
-// (round N+1 staged while round N executes, replies released later
-// still) safe under recycling.
+// Envelopes are pooled, and each has one owner at a time. A decoded
+// envelope adopts the delivered wire buffer as its backing store
+// (raw): ReqID and Payload are views into it, and Origin and Client
+// are interned strings, so decoding a command allocates nothing.
+// Whatever outlives the envelope is copied by its keeper — the dedup
+// table copies the ReqID and the reply into its ring. The round that
+// decodes an envelope owns it and releases it once its apply pass
+// ends. The WAL may stage a view of raw past that point, which is safe
+// because the transport hands every delivery over as a fresh buffer
+// that nothing writes into again: release recycles the envelope, never
+// the buffer.
 type envelope struct {
 	ReqID   []byte         // view into raw
 	Origin  gcs.MemberID   // replica that intercepted the command
 	Client  transport.Addr // where the reply goes; empty for internal
 	Payload []byte         // view into raw; never mutated
 	raw     []byte         // exact wire encoding, adopted from the delivery
-	refs    atomic.Int32
+	// index is the applied index the round assigned the command; 0
+	// means it is not fresh (a copy already in the dedup table, or a
+	// second copy within the round).
+	index uint64
 }
 
 var envelopePool = sync.Pool{New: func() any { return new(envelope) }}
 
-// getEnvelope returns a pooled envelope holding one reference.
-func getEnvelope() *envelope {
-	e := envelopePool.Get().(*envelope)
-	e.refs.Store(1)
-	return e
-}
+// getEnvelope returns a pooled envelope.
+func getEnvelope() *envelope { return envelopePool.Get().(*envelope) }
 
-// ref adds a reference for a new concurrent holder (e.g. the WAL
-// stage retaining raw until flush).
-func (e *envelope) ref() { e.refs.Add(1) }
-
-// release drops one reference; the last drop zeroes the views and
-// repools the envelope. Releasing more times than referenced is a
-// lifecycle bug and panics rather than corrupting a recycled command.
+// release zeroes the envelope and returns it to the pool.
 func (e *envelope) release() {
-	n := e.refs.Add(-1)
-	if n > 0 {
-		return
-	}
-	if n < 0 {
-		panic("rsm: envelope released more times than referenced")
-	}
-	e.ReqID = nil
-	e.Origin = ""
-	e.Client = ""
-	e.Payload = nil
-	e.raw = nil
+	*e = envelope{}
 	envelopePool.Put(e)
 }
-
-// ReleaseWAL implements wal.Releaser: the log calls it once the
-// staged record (which aliases e.raw) has been written to the
-// segment file.
-func (e *envelope) ReleaseWAL() { e.release() }
 
 // encodeEnvelopeTo writes the wire form of an envelope into enc.
 // The origin side uses this with a pooled encoder so broadcasting a
