@@ -31,6 +31,7 @@ package joshua
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"joshua/internal/codec"
@@ -225,6 +226,15 @@ func (s *Server) infoLocked() map[string]string {
 	dst := s.daemon.Stats()
 	st := rep.Stats()
 	gst := rep.GroupStats()
+	// Memory is process-wide: heads sharing a process report the same
+	// figures, and allocations per command divide every malloc the
+	// process has made by this head's applied commands.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	allocsPerCmd := 0.0
+	if st.Applied > 0 {
+		allocsPerCmd = float64(ms.Mallocs) / float64(st.Applied)
+	}
 	cacheHits, _ := s.daemon.Server().ReadCacheStats()
 	view := rep.View()
 	shards := s.cfg.Shards
@@ -253,10 +263,10 @@ func (s *Server) infoLocked() map[string]string {
 		"reply_queue_drops":  fmt.Sprintf("%d", st.ReplyQueueDrops), // failed Sends; the transport's per-peer queue drops the rest
 		"apply_overlap_ns":   fmt.Sprintf("%d", st.FsyncOverlapNs),
 		"apply_dlag_max_ns":  fmt.Sprintf("%d", st.DurabilityLagMax),
-		"mem_heap_alloc":     fmt.Sprintf("%d", st.HeapAllocBytes),
-		"mem_gc_pause_ns":    fmt.Sprintf("%d", st.GCPauseNs),
-		"mem_gc_count":       fmt.Sprintf("%d", st.NumGC),
-		"mem_allocs_per_cmd": fmt.Sprintf("%.1f", st.AllocsPerCmd),
+		"mem_heap_alloc":     fmt.Sprintf("%d", ms.HeapAlloc),
+		"mem_gc_pause_ns":    fmt.Sprintf("%d", ms.PauseTotalNs),
+		"mem_gc_count":       fmt.Sprintf("%d", ms.NumGC),
+		"mem_allocs_per_cmd": fmt.Sprintf("%.1f", allocsPerCmd),
 		"lease_held":         fmt.Sprintf("%v", st.LeaseHeld),
 		"lease_reads":        fmt.Sprintf("%d", st.LeaseReads),
 		"lease_waits":        fmt.Sprintf("%d", st.LeaseWaits),
