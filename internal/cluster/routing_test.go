@@ -161,6 +161,15 @@ func TestHedgedWriteSurvivesSequencerCrash(t *testing.T) {
 		}
 		return true
 	})
+	// The view forms before head0 has caught up: it replies, and so can
+	// be followed, only once it applies the writes it sequences. Until
+	// then every write still goes to head1, so the measured window
+	// starts only after a write has reached head0.
+	waitFor(t, 15*time.Second, "the client following head0", func() bool {
+		before := intercepted(c)
+		submitHeld(t, cli, 1)
+		return intercepted(c)[0] > before[0]
+	})
 	requireFollows(t, c, cli, 0)
 }
 

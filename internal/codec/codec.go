@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 	"unsafe"
@@ -144,6 +145,11 @@ func (e *Encoder) PutRaw(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
+// PutRawString is PutRaw for pre-encoded bytes held in a string.
+func (e *Encoder) PutRawString(s string) {
+	e.buf = append(e.buf, s...)
+}
+
 // PutTime encodes a time.Time with nanosecond precision (Unix epoch).
 // The zero time is encoded as a distinguished marker so it round-trips
 // to a time for which IsZero reports true.
@@ -170,14 +176,31 @@ func (e *Encoder) PutStringSlice(ss []string) {
 	}
 }
 
+// SizeUint is the number of bytes PutUint(v) writes.
+func SizeUint(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// SizeInt is the number of bytes PutInt(v) (and PutDuration) writes.
+func SizeInt(v int64) int { return SizeUint(uint64(v<<1) ^ uint64(v>>63)) }
+
+// SizeString is the number of bytes PutString(s) writes.
+func SizeString(s string) int { return SizeUint(uint64(len(s))) + len(s) }
+
+// SizeTime is the number of bytes PutTime(t) writes.
+func SizeTime(t time.Time) int {
+	if t.IsZero() {
+		return 1
+	}
+	return 1 + SizeInt(t.Unix()) + SizeInt(int64(t.Nanosecond()))
+}
+
 // Decoder consumes fields from a byte slice with a sticky error.
 type Decoder struct {
 	buf []byte
 	off int
 	err error
-	// text is buf as a string, for Text to slice: the one copy made
-	// by ShareStrings, or buf itself after ViewStrings. Empty otherwise
-	// (and for an empty buf, where slicing and converting agree).
+	// text is buf itself as a string after ViewStrings, for Text to
+	// slice. Empty otherwise (and for an empty buf, where slicing and
+	// converting agree).
 	text string
 }
 
@@ -286,23 +309,14 @@ func (d *Decoder) String() string {
 	return string(b)
 }
 
-// ShareStrings makes one string copy of the whole input, after which
-// Text (and StringSlice) return substrings of that copy instead of
-// allocating one string per field. A message decoded into many strings
-// then costs one allocation, and every string it yields keeps the
-// whole copy alive; decode short-lived or small-field messages without
-// it. Strings from the copy survive later changes to the input buffer,
-// so this is the mode for an input its owner will write again, such
-// as a buffer the caller recycles.
-func (d *Decoder) ShareStrings() { d.text = string(d.buf) }
-
 // ViewStrings makes Text (and StringSlice) return strings over the
 // input itself, without copying or allocating: a message decoded into
 // many strings costs nothing, and every string it yields keeps the
 // whole input alive. It is only for an input the caller owns and that
 // nothing writes again, such as a received transport.Message's
 // Payload, since a later write to the input would change strings the
-// language holds immutable. Use ShareStrings for any other input.
+// language holds immutable. Decode any other input with String, or
+// copy what is kept.
 func (d *Decoder) ViewStrings() {
 	if len(d.buf) > 0 {
 		d.text = unsafe.String(unsafe.SliceData(d.buf), len(d.buf))
@@ -310,11 +324,11 @@ func (d *Decoder) ViewStrings() {
 }
 
 // Text decodes a length-prefixed string like String. After
-// ShareStrings or ViewStrings it returns a substring of the shared copy
-// or of the input without allocating; otherwise it converts, exactly
-// as String does. String is kept separate on purpose: its inlined
-// conversion lets a caller whose string does not escape keep it on the
-// stack, which a call through Text would prevent.
+// ViewStrings it returns a substring of the input without allocating;
+// otherwise it converts, exactly as String does. String is kept
+// separate on purpose: its inlined conversion lets a caller whose
+// string does not escape keep it on the stack, which a call through
+// Text would prevent.
 func (d *Decoder) Text() string {
 	b := d.Bytes()
 	if d.text == "" {
@@ -361,8 +375,7 @@ func (d *Decoder) Duration() time.Duration {
 }
 
 // StringSlice decodes a slice written by PutStringSlice. Its strings
-// share the input's copy after ShareStrings, and the input itself after
-// ViewStrings (see Text).
+// are views into the input after ViewStrings (see Text).
 func (d *Decoder) StringSlice() []string {
 	n := d.Uint()
 	if d.err != nil {

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -398,23 +399,21 @@ func decodeFixture(d *Decoder, text func() string) ([]string, error) {
 	return out, d.Finish()
 }
 
-// TestTextMatchesString checks that Text after ShareStrings or
-// ViewStrings returns exactly what String returns — empty strings
-// included — and that a truncated input fails the same way, with the
-// same sticky error and zero values from then on.
+// TestTextMatchesString checks that Text after ViewStrings returns
+// exactly what String returns — empty strings included — and that a
+// truncated input fails the same way, with the same sticky error and
+// zero values from then on.
 func TestTextMatchesString(t *testing.T) {
 	full := sharedFixture()
 	for cut := len(full); cut >= 0; cut-- {
 		in := full[:cut]
 		plain := NewDecoder(in)
 		want, wantErr := decodeFixture(plain, plain.String)
-		for mode, set := range map[string]func(*Decoder){"ShareStrings": (*Decoder).ShareStrings, "ViewStrings": (*Decoder).ViewStrings} {
-			d := NewDecoder(in)
-			set(d)
-			got, gotErr := decodeFixture(d, d.Text)
-			if !slices.Equal(got, want) || gotErr != wantErr {
-				t.Fatalf("cut %d, %s: Text gave %q (%v), String %q (%v)", cut, mode, got, gotErr, want, wantErr)
-			}
+		d := NewDecoder(in)
+		d.ViewStrings()
+		got, gotErr := decodeFixture(d, d.Text)
+		if !slices.Equal(got, want) || gotErr != wantErr {
+			t.Fatalf("cut %d: Text gave %q (%v), String %q (%v)", cut, got, gotErr, want, wantErr)
 		}
 		if cut == len(full) && wantErr != nil {
 			t.Fatalf("full input: %v", wantErr)
@@ -424,42 +423,39 @@ func TestTextMatchesString(t *testing.T) {
 		}
 	}
 
-	// Without ShareStrings, Text converts just like String.
+	// Without ViewStrings, Text converts just like String.
 	d := NewDecoder(full)
 	if got, err := decodeFixture(d, d.Text); err != nil || got[1] != "hello, 世界" {
-		t.Fatalf("unshared Text: %q, %v", got, err)
+		t.Fatalf("unviewed Text: %q, %v", got, err)
 	}
 }
 
-// TestSharedStringsOutliveInput checks that strings decoded after
-// ShareStrings stay intact when the input buffer is overwritten, and
-// that the whole message costs one allocation.
-func TestSharedStringsOutliveInput(t *testing.T) {
-	in := sharedFixture()
-	d := NewDecoder(in)
-	d.ShareStrings()
-	got, err := decodeFixture(d, d.Text)
-	if err != nil {
-		t.Fatal(err)
+// TestSizesMatchPut checks each Size function against the bytes its
+// Put writes, at the varint boundaries and for times either side of
+// the epoch.
+func TestSizesMatchPut(t *testing.T) {
+	check := func(what string, size int, put func(*Encoder)) {
+		t.Helper()
+		e := NewEncoder(0)
+		put(e)
+		if e.Len() != size {
+			t.Errorf("%s: size %d, Put wrote %d", what, size, e.Len())
+		}
 	}
-	want := slices.Clone(got)
-	for i := range in {
-		in[i] = 0xFF
+	for _, v := range []uint64{0, 1, 127, 128, 16383, 16384, 1<<56 - 1, 1 << 56, 1<<63 - 1, 1 << 63, math.MaxUint64} {
+		check(fmt.Sprintf("uint %d", v), SizeUint(v), func(e *Encoder) { e.PutUint(v) })
+		for _, i := range []int64{int64(v), -int64(v), int64(v) - 1} {
+			check(fmt.Sprintf("int %d", i), SizeInt(i), func(e *Encoder) { e.PutInt(i) })
+		}
 	}
-	if !slices.Equal(got, want) || got[1] != "hello, 世界" || got[len(got)-1] != "tail" {
-		t.Errorf("decoded strings changed with the input: %q, want %q", got, want)
+	for _, i := range []int64{math.MinInt64, math.MaxInt64, -64, 63, -65, 64} {
+		check(fmt.Sprintf("int %d", i), SizeInt(i), func(e *Encoder) { e.PutInt(i) })
 	}
-
-	in = sharedFixture()
-	allocs := testing.AllocsPerRun(100, func() {
-		d := NewDecoder(in)
-		d.ShareStrings()
-		d.Text()
-		d.Text()
-		d.Uint()
-	})
-	if allocs != 1 {
-		t.Errorf("shared decode: %v allocs, want 1 (the copy)", allocs)
+	for _, s := range []string{"", "x", strings.Repeat("y", 127), strings.Repeat("z", 128), strings.Repeat("w", 20000)} {
+		check(fmt.Sprintf("string of %d", len(s)), SizeString(s), func(e *Encoder) { e.PutString(s) })
+	}
+	for _, tm := range []time.Time{{}, time.Unix(0, 0), time.Unix(0, 1), time.Unix(-1, 999999999), time.Unix(1<<40, 5e8), time.Date(2026, 7, 6, 12, 0, 0, 1, time.UTC)} {
+		check(fmt.Sprintf("time %v", tm), SizeTime(tm), func(e *Encoder) { e.PutTime(tm) })
 	}
 }
 

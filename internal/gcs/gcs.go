@@ -1113,12 +1113,22 @@ func (p *Process) checkLost(m MemberID) {
 // reported, and a peer must not deliver on a receipt the flush may
 // never hear of. The stability watermark and, at the sequencer of a
 // primary view, the lease grant ride only then too.
+//
+// Each role fills only the fields its receivers read (onHeader) and
+// sends 0, one byte, for the rest: a member's delivery and receipt
+// (the sequencer's acks and every member's safe-delivery rule, which
+// skips the sequencer's receipt), and the sequencer's watermark and
+// grant (which members take from the sequencer only).
 func (p *Process) header(kind byte) message {
 	m := message{Kind: kind, From: p.cfg.Self, ViewID: p.view.ID, Tail: p.tailSeq}
-	if p.st == statusNormal {
-		m.Delivered, m.Received = p.nextDeliver-1, p.contiguousReceived()
+	if p.st != statusNormal {
+		return m
+	}
+	if p.view.Sequencer() == p.cfg.Self {
 		m.Stable = p.stable
 		m.LeaseDur = p.leaseGrant()
+	} else {
+		m.Delivered, m.Received = p.nextDeliver-1, p.contiguousReceived()
 	}
 	return m
 }

@@ -14,7 +14,62 @@ import (
 // HEARTBEAT carries the same header (tail, receipt, delivery, the
 // stability watermark and the lease grant), so the sequencer sends no
 // frame of its own for stability and a tick heartbeats only the links
-// that have been quiet.
+// that have been quiet. Each role fills only the header fields its
+// receivers read and sends zeros for the rest.
+
+// TestHeaderCarriesWhatEachRoleReads pins what each role puts in a
+// header, on the wire: the sequencer its stability watermark and lease
+// grant, with zero delivery and receipt, which no member reads; a
+// member its delivery and receipt, with zero watermark and grant,
+// which only the sequencer's count; and either, while flushing, only
+// its tail.
+func TestHeaderCarriesWhatEachRoleReads(t *testing.T) {
+	members := []MemberID{"a", "b", "c"} // "a" sequences
+	type fields struct{ tail, delivered, received, stable uint64 }
+	for _, self := range []MemberID{"a", "b"} {
+		p, rec := wiredView(self, members)
+		for seq := uint64(1); seq <= 5; seq++ {
+			receive(p, seq)
+		}
+		for _, m := range members {
+			if m != self {
+				ack(p, m, 5)
+			}
+		}
+		if p.nextDeliver != 6 {
+			t.Fatalf("%s: delivered up to %d, want 5", self, p.nextDeliver-1)
+		}
+		p.stable = 3
+		want := fields{tail: 5, delivered: 5, received: 5}
+		wantLease := time.Duration(0)
+		if self == "a" {
+			want = fields{tail: 5, stable: 3}
+			wantLease = p.leaseGrant()
+			if wantLease <= 0 {
+				t.Fatal("the sequencer of a primary safe view grants no lease")
+			}
+		}
+		for _, st := range []status{statusNormal, statusFlushing} {
+			p.st = st
+			if st == statusFlushing {
+				want, wantLease = fields{tail: 5}, 0
+			}
+			for _, kind := range []byte{kindAck, kindHeartbeat} {
+				rec.sent = nil
+				m := p.header(kind)
+				p.multicast([]MemberID{"c"}, &m)
+				got := rec.to("c")
+				if len(got) != 1 {
+					t.Fatalf("%s: %d frames sent, want 1", self, len(got))
+				}
+				g := got[0]
+				if f := (fields{g.Tail, g.Delivered, g.Received, g.Stable}); f != want || g.LeaseDur != wantLease {
+					t.Errorf("%s (status %d) kind %d header: %+v lease %v, want %+v lease %v", self, st, kind, f, g.LeaseDur, want, wantLease)
+				}
+			}
+		}
+	}
+}
 
 // TestTickHeartbeatsOnlyQuietLinks: in normal operation a tick sends a
 // HEARTBEAT only to the members this process has sent no header frame

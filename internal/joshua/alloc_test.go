@@ -146,19 +146,20 @@ func applyPooled(svc *headService, cmd rsm.Command) {
 }
 
 // TestApplyAllocs pins what every head pays to apply a replicated
-// command. A held jsub allocates the one string behind Name, Owner and
-// Script, and the job and its ID (pbs's own two); the reply goes into
-// the engine's pooled encoder. A repeated jdone for a completed job
-// looks the job ID and the reporting node up in place and copies only
-// the output.
+// command. A held jsub decodes Name, Owner and Script as views into
+// the payload and allocates only what pbs keeps: the job and the one
+// string of its encoding, which holds its ID and its text; the reply
+// goes into the engine's pooled encoder. A repeated jdone for a
+// completed job looks the job ID and the reporting node up in place
+// and copies only the output.
 func TestApplyAllocs(t *testing.T) {
 	svc := newHeadService(newApplyDaemon(t))
 	submit := rsm.Command{Payload: benchSubmitReq().encode()}
 	if _, resp, err := decodeRPC(applied(svc, submit)); err != nil || !resp.OK || len(resp.Jobs) != 1 {
 		t.Fatalf("held jsub reply: %+v, %v", resp, err)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { applyPooled(svc, submit) }); allocs > 3 {
-		t.Errorf("held jsub apply: %v allocs/op, want <= 3", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { applyPooled(svc, submit) }); allocs > 2 {
+		t.Errorf("held jsub apply: %v allocs/op, want <= 2", allocs)
 	}
 
 	run := (&rpcRequest{ReqID: "user/cli#run", Op: OpSubmit, Args: cmdArgs{Name: "run", WallTime: time.Minute}}).encode()

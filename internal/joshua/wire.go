@@ -487,11 +487,12 @@ func (v *view) parse(payload []byte) bool {
 }
 
 // submitRequest returns the qsub arguments. Name, Owner and Script are
-// substrings of one copy of strs, the only allocation: the job keeps
-// them, and the engine recycles the payload strs is a view into.
+// views into strs, and so into the command's payload, and decoding
+// allocates nothing: the pbs server copies what it keeps of a request
+// into the job's own string.
 func (v *view) submitRequest() pbs.SubmitRequest {
 	d := codec.NewDecoder(v.strs)
-	d.ShareStrings()
+	d.ViewStrings()
 	req := v.sub
 	req.Name = d.Text()
 	req.Owner = d.Text()

@@ -174,9 +174,10 @@ func TestAccountingAttrsOnRead(t *testing.T) {
 }
 
 // TestHeldSubmitAllocs pins a held submit with an accounting sink and
-// an IDFilter to the job and its ID: the Q and H records, the ID
-// filter and the slice and map growth amortized over the runs allocate
-// nothing.
+// an IDFilter to the job and the one string of its encoding, which
+// holds its ID: the Q and H records, the ID filter (shown a candidate
+// in scratch) and the slice and map growth amortized over the runs
+// allocate nothing.
 func TestHeldSubmitAllocs(t *testing.T) {
 	s := heldSubmitServer()
 	req := SubmitRequest{Name: "bench", Owner: "bench", Hold: true}

@@ -55,17 +55,18 @@ func (c *jobCycle) run(tb testing.TB) {
 }
 
 // TestJobCycleAllocs pins what a job costs the daemon from submit to
-// completion: the job, its ID and its node list, which the server
-// keeps, and the start frame, which the daemon keeps for resends until
-// the completion. The start action, the node's allocation record, the
+// completion: the job and the one string of its encoding, which the
+// server keeps, and the start frame, which the daemon keeps for
+// resends until the completion. The start action, the one-node job's
+// node list (its node's shared one), the node's allocation record, the
 // scheduler's scratch and the eligible index allocate nothing.
 func TestJobCycleAllocs(t *testing.T) {
 	c := newJobCycle(t)
 	for i := 0; i < 100; i++ { // fill the completed history
 		c.run(t)
 	}
-	if allocs := testing.AllocsPerRun(500, func() { c.run(t) }); allocs > 4 {
-		t.Errorf("job cycle: %v allocs/job, want <= 4", allocs)
+	if allocs := testing.AllocsPerRun(500, func() { c.run(t) }); allocs > 3 {
+		t.Errorf("job cycle: %v allocs/job, want <= 3", allocs)
 	}
 	if st, err := c.d.Status(c.jobID); err != nil || st.State != StateCompleted {
 		t.Fatalf("last job: %+v, %v", st, err)

@@ -122,15 +122,44 @@ type Job struct {
 	SubmittedAt time.Time
 	StartedAt   time.Time
 	CompletedAt time.Time
+
+	// encLen is the length of the live job's own encoding, exactly as
+	// EncodeJob writes it, from when the server creates or restores the
+	// job until its first in-place write (setState); 0 after that. The
+	// encoding is the job's one string of text: ID, Name, Owner and
+	// Script (and, for a restored job, Nodes and Output) are substrings
+	// of it (useText), and the server's own listings and snapshots
+	// splice it while it is valid (cachedEnc). Values handed out of the
+	// server never carry it (view, clone).
+	encLen int
 }
 
 // ExitCodeKilled is reported for jobs deleted while running.
 const ExitCodeKilled = -271 // matches TORQUE's JOB_EXEC_KILLED convention
 
+// view returns a copy of the live job j without its cached encoding,
+// its Nodes aliasing j's (see Nodes).
+func (j *Job) view() Job {
+	v := *j
+	v.encLen = 0
+	return v
+}
+
+// clone returns a copy of j that shares nothing mutable with it.
 func (j *Job) clone() Job {
-	c := *j
+	c := j.view()
 	c.Nodes = append([]string(nil), j.Nodes...)
 	return c
+}
+
+// setState moves the live job j to state st. It is the one way the
+// server writes into a job it holds, so it drops the job's cached
+// encoding: the caller goes on to write the fields the new state
+// carries (Nodes, stamps, exit code, output), and from then on the job
+// is encoded field by field.
+func (j *Job) setState(st JobState) {
+	j.State = st
+	j.encLen = 0
 }
 
 // SubmitRequest is the qsub argument set.

@@ -94,9 +94,11 @@ func (s *Server) freeCaps(online []string) []nodeCap {
 // (configuration order), claiming NodeCount distinct nodes that each
 // still hold the job's per-node request. On success the chosen
 // capacity is deducted from caps and the node names are returned, in
-// the one slice the job keeps as its Nodes; nil means the job does not
-// fit right now. avoid, when non-nil, excludes nodes (backfill keeps
-// long jobs off reserved nodes). Must be called with s.mu held.
+// the slice the job keeps as its Nodes: the node's shared list
+// (Server.oneNode) for a one-node job, a fresh one otherwise; nil
+// means the job does not fit right now. avoid, when non-nil, excludes
+// nodes (backfill keeps long jobs off reserved nodes). Must be called
+// with s.mu held.
 func (s *Server) fitJob(j *Job, caps []nodeCap, avoid map[string]bool) []string {
 	need := j.Res.withDefaults()
 	picked := s.pickBuf[:0]
@@ -119,10 +121,15 @@ func (s *Server) fitJob(j *Job, caps []nodeCap, avoid map[string]bool) []string 
 	if len(picked) < j.NodeCount {
 		return nil
 	}
-	nodes := make([]string, 0, len(picked))
 	for _, i := range picked {
 		caps[i].cpus -= need.NCPUs
 		caps[i].mem -= need.Mem
+	}
+	if len(picked) == 1 {
+		return s.oneNode[caps[picked[0]].name]
+	}
+	nodes := make([]string, 0, len(picked))
+	for _, i := range picked {
 		nodes = append(nodes, caps[i].name)
 	}
 	return nodes
@@ -365,7 +372,7 @@ func (s *Server) dropEligible(j *Job) {
 // fairshare charge, accounting, and the StartAction for the daemon.
 // Must be called with s.mu held.
 func (s *Server) startJob(j *Job, nodes []string) {
-	j.State = StateRunning
+	j.setState(StateRunning)
 	j.Nodes = nodes
 	j.StartedAt = s.logicalNow()
 	res := j.Res.withDefaults()

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"joshua/internal/codec"
 )
@@ -65,7 +66,8 @@ type Config struct {
 	// every ID a shard mints hashes back to that shard, making IDs
 	// globally unique and client-routable with no directory. Replicas
 	// of one shard share the filter, so assignment stays
-	// deterministic.
+	// deterministic. The ID a filter is passed is valid only for the
+	// call: a filter that keeps it must copy it.
 	IDFilter func(JobID) bool
 }
 
@@ -130,6 +132,16 @@ type Server struct {
 	freeAllocs []*nodeAlloc
 	capsBuf    []nodeCap
 	pickBuf    []int
+	// idBuf and encBuf are scratch for a new job: its rendered ID and
+	// its encoding, which the job then keeps as one string
+	// (enqueueJob).
+	idBuf  []byte
+	encBuf codec.Encoder
+	// oneNode maps each configured node to a one-element node list,
+	// shared by every one-node job placed there: the server never
+	// writes into a job's Nodes (see Job.Nodes), and each list has
+	// capacity 1, so an append cannot reach a neighbour's.
+	oneNode map[string][]string
 	// sigCount counts qsig deliveries per job (the paper notes qsig
 	// does not change service state; we track it only for tests).
 	sigCount map[JobID]int
@@ -222,11 +234,17 @@ func NewServer(cfg Config) *Server {
 	if cfg.Policy != PolicyFIFO && cfg.Weights.isZero() {
 		cfg.Weights = DefaultSchedWeights
 	}
+	names := slices.Clone(cfg.Nodes)
+	oneNode := make(map[string][]string, len(names))
+	for i, n := range names {
+		oneNode[n] = names[i : i+1 : i+1]
+	}
 	return &Server{
 		cfg:       cfg,
 		jobs:      make(map[JobID]*Job),
 		alloc:     make(map[string]*nodeAlloc),
 		fairUsage: make(map[string]uint64),
+		oneNode:   oneNode,
 		sigCount:  make(map[JobID]int),
 	}
 }
@@ -234,12 +252,12 @@ func NewServer(cfg Config) *Server {
 // Name returns the configured server name.
 func (s *Server) Name() string { return s.cfg.ServerName }
 
-// jobID renders the ID of sequence number seq, "seq.server", or of
-// sub-job idx of the array based at seq, "seq[idx].server", when idx is
-// not negative. The ID is the only allocation.
-func (s *Server) jobID(seq uint64, idx int) JobID {
-	var buf [64]byte
-	b := strconv.AppendUint(buf[:0], seq, 10)
+// renderID renders into s.idBuf the ID of sequence number seq,
+// "seq.server", or of sub-job idx of the array based at seq,
+// "seq[idx].server", when idx is not negative. Must be called with s.mu
+// held.
+func (s *Server) renderID(seq uint64, idx int) []byte {
+	b := strconv.AppendUint(s.idBuf[:0], seq, 10)
 	if idx >= 0 {
 		b = append(b, '[')
 		b = strconv.AppendInt(b, int64(idx), 10)
@@ -247,19 +265,23 @@ func (s *Server) jobID(seq uint64, idx int) JobID {
 	}
 	b = append(b, '.')
 	b = append(b, s.cfg.ServerName...)
-	return JobID(b)
+	s.idBuf = b
+	return b
 }
 
 // nextID advances the sequence to the next number whose ID the
-// IDFilter accepts and returns that ID. Each candidate is rendered
-// once: the accepted one is the job's ID. Must be called with s.mu
-// held.
-func (s *Server) nextID() JobID {
+// IDFilter accepts. A candidate is rendered into scratch and shown to
+// the filter in place, so candidates allocate nothing. Must be called
+// with s.mu held.
+func (s *Server) nextID() {
 	for {
 		s.nextSeq++
-		id := s.jobID(s.nextSeq, -1)
-		if s.cfg.IDFilter == nil || s.cfg.IDFilter(id) {
-			return id
+		if s.cfg.IDFilter == nil {
+			return
+		}
+		id := s.renderID(s.nextSeq, -1)
+		if s.cfg.IDFilter(JobID(unsafe.String(unsafe.SliceData(id), len(id)))) {
+			return
 		}
 	}
 }
@@ -288,11 +310,17 @@ func (s *Server) validateSubmit(req *SubmitRequest) error {
 	return nil
 }
 
-// enqueueJob creates one job from a validated request and queues it.
-// Must be called with s.mu held.
-func (s *Server) enqueueJob(req SubmitRequest, id JobID, seq uint64, arrayIdx int) *Job {
+// maxScratch bounds the encoding scratch a server keeps between jobs.
+const maxScratch = 64 << 10
+
+// enqueueJob creates one job from a validated request and queues it:
+// job seq, named by idSeq and arrayIdx (see renderID). The job and its
+// encoding, one string that also holds its ID, Name, Owner and Script,
+// are the only allocations, and the request's strings are copied, so a
+// caller may pass views into a buffer it reuses. Must be called with
+// s.mu held.
+func (s *Server) enqueueJob(req SubmitRequest, idSeq, seq uint64, arrayIdx int) *Job {
 	j := &Job{
-		ID:          id,
 		Seq:         seq,
 		Name:        req.Name,
 		Owner:       req.Owner,
@@ -310,6 +338,16 @@ func (s *Server) enqueueJob(req SubmitRequest, id JobID, seq uint64, arrayIdx in
 	}
 	if req.Hold {
 		j.State = StateHeld
+	}
+	id := s.renderID(idSeq, arrayIdx)
+	s.encBuf.Reset()
+	s.encBuf.PutBytes(id)
+	putJobFields(&s.encBuf, j)
+	enc := string(s.encBuf.Bytes())
+	j.ID = JobID(enc[codec.SizeUint(uint64(len(id))):][:len(id)])
+	j.useText(enc)
+	if s.encBuf.Len() > maxScratch {
+		s.encBuf = codec.Encoder{} // keep no giant script's buffer
 	}
 	s.jobs[j.ID] = j
 	s.queue = append(s.queue, j.ID)
@@ -336,10 +374,10 @@ func (s *Server) Submit(req SubmitRequest) (Job, error) {
 	if err := s.validateSubmit(&req); err != nil {
 		return Job{}, err
 	}
-	id := s.nextID()
-	j := s.enqueueJob(req, id, s.nextSeq, -1)
+	s.nextID()
+	j := s.enqueueJob(req, s.nextSeq, s.nextSeq, -1)
 	s.schedule()
-	return *j, nil
+	return j.view(), nil
 }
 
 // SubmitArray expands a job-array submission (qsub -t start-end) into
@@ -376,7 +414,7 @@ func (s *Server) SubmitArray(req SubmitRequest) ([]Job, error) {
 	out := make([]Job, 0, n)
 	for k := 0; k < n; k++ {
 		idx := req.Array.Start + k
-		j := s.enqueueJob(req, s.jobID(base, idx), base+uint64(k), idx)
+		j := s.enqueueJob(req, base, base+uint64(k), idx)
 		out = append(out, j.clone())
 	}
 	s.nextSeq = base + uint64(n) - 1
@@ -409,7 +447,7 @@ func (s *Server) Delete(id []byte) (Job, error) {
 		s.schedule()
 		return j.clone(), nil
 	case StateRunning:
-		j.State = StateExiting
+		j.setState(StateExiting)
 		s.account(AcctDeleted, j)
 		s.actions = append(s.actions, KillAction{Job: j})
 		return j.clone(), nil
@@ -438,8 +476,8 @@ func (s *Server) Hold(id []byte) (Job, error) {
 		if j.State != StateHeld {
 			s.account(AcctHeld, j)
 			s.dropEligible(j)
+			j.setState(StateHeld)
 		}
-		j.State = StateHeld
 		// A held job no longer competes: jobs behind it may now be
 		// runnable (it might have been the blocked reservation holder).
 		s.schedule()
@@ -462,7 +500,7 @@ func (s *Server) Release(id []byte) (Job, error) {
 	if j.State != StateHeld {
 		return Job{}, &Error{Op: "qrls", ID: j.ID, Msg: "Request invalid for state of job"}
 	}
-	j.State = StateQueued
+	j.setState(StateQueued)
 	s.addEligible(j)
 	s.account(AcctReleased, j)
 	s.schedule()
@@ -519,7 +557,7 @@ func (s *Server) StatusView(id []byte) (Job, error) {
 	if !ok {
 		return Job{}, errUnknownJob("qstat", JobID(id))
 	}
-	return *j, nil
+	return j.view(), nil
 }
 
 // StatusAll returns every known job in submission order, completed
@@ -542,20 +580,23 @@ func (s *Server) cloneStatusLocked() []Job {
 
 // Listing returns the StatusAll listing encoded for the wire — the job
 // count, then each job exactly as EncodeJob writes it — and the
-// version it was built at. It is encoded straight from the live table
-// at most once per version, and the bytes are shared by every caller
-// at that version, so they must not be modified.
+// version it was built at. It is built straight from the live table at
+// most once per version, splicing each job's cached encoding where it
+// has one, and the bytes are shared by every caller at that version,
+// so they must not be modified.
 func (s *Server) Listing() (body []byte, version uint64) {
 	return cachedListing(s, &s.listing, (*Server).encodeListingLocked)
 }
 
-// encodeListingLocked builds Listing's body. Must be called with s.mu
-// held.
+// encodeListingLocked builds Listing's body in a buffer of its exact
+// size. Must be called with s.mu held.
 func (s *Server) encodeListingLocked() []byte {
 	n := s.statusCountLocked()
-	e := codec.NewEncoder(16 + 64*n)
+	size := codec.SizeUint(uint64(n))
+	s.eachStatusLocked(func(j *Job) { size += j.encodedSize() })
+	e := codec.NewEncoder(size)
 	e.PutUint(uint64(n))
-	s.eachStatusLocked(func(j *Job) { putJob(e, j) })
+	s.eachStatusLocked(func(j *Job) { j.appendTo(e) })
 	return e.Bytes()
 }
 
@@ -613,7 +654,7 @@ func (s *Server) jobDoneLocked(j *Job, exitCode int, output string) bool {
 	if end := j.StartedAt.UnixNano() + int64(j.WallTime); end > int64(s.ltick) {
 		s.ltick = uint64(end)
 	}
-	j.State = StateCompleted
+	j.setState(StateCompleted)
 	j.ExitCode = exitCode
 	j.Output = output
 	j.CompletedAt = s.logicalNow()

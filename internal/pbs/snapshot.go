@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
-	"strings"
+	"unsafe"
 
 	"joshua/internal/codec"
 )
@@ -105,8 +105,9 @@ func (s *Server) captureImage() *serverImage {
 		fairTick:     s.fairTick,
 	}
 
-	// A value copy shares the job's Nodes: the server replaces a job's
-	// node list and never writes into one (see Job.Nodes).
+	// A value copy shares the job's Nodes, since the server replaces a
+	// job's node list and never writes into one (see Job.Nodes), and
+	// its cached encoding, which the image splices.
 	img.jobs = make([]Job, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		img.jobs = append(img.jobs, *j)
@@ -169,7 +170,7 @@ func (img *serverImage) encode() []byte {
 
 	e.PutUint(uint64(len(img.jobs)))
 	for i := range img.jobs {
-		putJob(e, &img.jobs[i])
+		img.jobs[i].appendTo(e)
 	}
 
 	e.PutUint(uint64(len(img.queue)))
@@ -236,14 +237,15 @@ func (img *serverImage) encode() []byte {
 // restored version number for a different state.
 //
 // A restored job costs what the table keeps of it: the Job and one
-// string holding all of its text (see Job.ownText). Its fields are
-// read as views into b and copied out together, and the queue, the
-// completed list, the per-node allocations, the signal counts and the
-// reservation name their jobs by the restored Job's own ID.
+// string, the copied bytes of its encoding in b, which is also its
+// cached encoding (see Job.encLen) and holds all of its text. The queue,
+// the completed list, the per-node allocations, the signal counts and
+// the reservation name their jobs by the restored Job's own ID.
 func (s *Server) Restore(b []byte) error {
 	d := codec.NewDecoder(b)
-	// Views into b live only until ownText copies them out below; the
-	// other fields decode with String, which always copies.
+	// Views into b live only until useText points a job's strings
+	// into its copied encoding below; the other fields decode with
+	// String, which always copies.
 	d.ViewStrings()
 	if v := d.Uint(); v != snapshotVersion {
 		if d.Err() == nil {
@@ -268,11 +270,18 @@ func (s *Server) Restore(b []byte) error {
 	var eligible []*Job
 	for i := uint64(0); i < n; i++ {
 		j := new(Job)
+		at := len(b) - d.Remaining()
 		DecodeJobInto(d, j)
 		if d.Err() != nil {
 			break
 		}
-		j.ownText()
+		// useText places the job's strings by its fields' encoded
+		// sizes, so the bytes must be the encoding putJob writes.
+		end := len(b) - d.Remaining()
+		if j.encodedSize() != end-at {
+			return fmt.Errorf("pbs: corrupt snapshot: job %d takes %d bytes, its fields encode in %d", i, end-at, j.encodedSize())
+		}
+		j.useText(string(b[at:end]))
 		jobs[j.ID] = j
 		if j.State != StateCompleted {
 			queue = append(queue, j.ID)
@@ -393,8 +402,15 @@ func (s *Server) Restore(b []byte) error {
 	return nil
 }
 
+// putJob appends j's encoding, field by field. It is the encoding's
+// one definition: a job's cached encoding is putJob's output.
 func putJob(e *codec.Encoder, j *Job) {
 	e.PutString(string(j.ID))
+	putJobFields(e, j)
+}
+
+// putJobFields appends j's encoding after its ID.
+func putJobFields(e *codec.Encoder, j *Job) {
 	e.PutUint(j.Seq)
 	e.PutString(j.Name)
 	e.PutString(j.Owner)
@@ -414,6 +430,80 @@ func putJob(e *codec.Encoder, j *Job) {
 	e.PutInt(int64(j.ArrayIdx))
 }
 
+// encodedSize is the number of bytes putJob writes for j.
+func (j *Job) encodedSize() int {
+	if j.encLen != 0 {
+		return j.encLen
+	}
+	n := codec.SizeString(string(j.ID)) + codec.SizeUint(j.Seq) +
+		codec.SizeString(j.Name) + codec.SizeString(j.Owner) + codec.SizeString(j.Script) +
+		codec.SizeUint(uint64(j.NodeCount)) + codec.SizeInt(int64(j.WallTime)) +
+		codec.SizeUint(uint64(j.State)) + codec.SizeUint(uint64(len(j.Nodes)))
+	for _, node := range j.Nodes {
+		n += codec.SizeString(node)
+	}
+	return n + codec.SizeInt(int64(j.ExitCode)) + codec.SizeString(j.Output) +
+		codec.SizeTime(j.SubmittedAt) + codec.SizeTime(j.StartedAt) + codec.SizeTime(j.CompletedAt) +
+		codec.SizeInt(int64(j.Res.NCPUs)) + codec.SizeInt(j.Res.Mem) +
+		codec.SizeInt(int64(j.Priority)) + codec.SizeInt(int64(j.ArrayIdx))
+}
+
+// appendTo appends j's encoding: its cached bytes while it has them,
+// and otherwise field by field. Only the server's own encoders use it;
+// EncodeJob, which callers reach with copies they may have edited,
+// always encodes fields.
+func (j *Job) appendTo(e *codec.Encoder) {
+	if enc := j.cachedEnc(); enc != "" {
+		e.PutRawString(enc)
+		return
+	}
+	putJob(e, j)
+}
+
+// useText makes enc, the encoding putJob writes for j's current
+// fields, the job's cached encoding and its one string of text: ID,
+// Name, Owner, Script, each node of Nodes and Output become the
+// substrings of enc that encode them. Their places follow from the
+// fields' encoded sizes, so nothing is decoded or allocated. A job
+// without an ID caches nothing (see cachedEnc).
+func (j *Job) useText(enc string) {
+	at := 0
+	cut := func(s string) string {
+		at += codec.SizeUint(uint64(len(s)))
+		at += len(s)
+		return enc[at-len(s) : at]
+	}
+	j.ID = JobID(cut(string(j.ID)))
+	at += codec.SizeUint(j.Seq)
+	j.Name = cut(j.Name)
+	j.Owner = cut(j.Owner)
+	j.Script = cut(j.Script)
+	at += codec.SizeUint(uint64(j.NodeCount)) + codec.SizeInt(int64(j.WallTime)) +
+		codec.SizeUint(uint64(j.State)) + codec.SizeUint(uint64(len(j.Nodes)))
+	for i, node := range j.Nodes {
+		j.Nodes[i] = cut(node)
+	}
+	at += codec.SizeInt(int64(j.ExitCode))
+	j.Output = cut(j.Output)
+	if j.ID != "" {
+		j.encLen = len(enc)
+	}
+}
+
+// cachedEnc returns j's cached encoding, or "" when it has none. The
+// job keeps only its length: the encoding begins with ID's length
+// prefix, so it is the encLen bytes from that prefix on, in the string
+// useText cut ID from, which ID keeps alive. One string header less
+// keeps a Job in the 256-byte size class.
+func (j *Job) cachedEnc() string {
+	if j.encLen == 0 {
+		return ""
+	}
+	id := unsafe.Pointer(unsafe.StringData(string(j.ID)))
+	start := unsafe.Add(id, -codec.SizeUint(uint64(len(j.ID))))
+	return unsafe.String((*byte)(start), j.encLen)
+}
+
 // EncodeJob appends a Job to an encoder; the JOSHUA command protocol
 // carries jobs in responses.
 func EncodeJob(e *codec.Encoder, j Job) { putJob(e, &j) }
@@ -426,11 +516,11 @@ func DecodeJob(d *codec.Decoder) Job {
 }
 
 // DecodeJobInto reads a Job written by EncodeJob into *j, overwriting
-// every field. Its strings are substrings of the decoder's shared copy
-// after codec.Decoder.ShareStrings, views into the input after
-// ViewStrings (as in Restore, which then copies them out with
-// ownText), and fresh strings otherwise, so a caller decoding a whole
-// listing into one []Job pays no per-job allocation.
+// every field. Its strings are views into the input after
+// codec.Decoder.ViewStrings, so a caller decoding a whole listing into
+// one []Job pays no per-job allocation (Restore then points them into
+// the job's copied encoding with useText), and fresh strings
+// otherwise.
 func DecodeJobInto(d *codec.Decoder, j *Job) {
 	*j = Job{
 		ID:        JobID(d.Text()),
@@ -452,40 +542,4 @@ func DecodeJobInto(d *codec.Decoder, j *Job) {
 	j.Res.Mem = d.Int()
 	j.Priority = int(d.Int())
 	j.ArrayIdx = int(d.Int())
-}
-
-// ownText moves j's strings into one fresh string holding all of
-// them, in field order: the one allocation a job decoded over a
-// buffer its owner will reuse needs to outlive that buffer. The
-// strings keep only each other alive, not the buffer they were read
-// from.
-func (j *Job) ownText() {
-	n := len(j.ID) + len(j.Name) + len(j.Owner) + len(j.Script) + len(j.Output)
-	for _, node := range j.Nodes {
-		n += len(node)
-	}
-	var b strings.Builder
-	b.Grow(n)
-	b.WriteString(string(j.ID))
-	b.WriteString(j.Name)
-	b.WriteString(j.Owner)
-	b.WriteString(j.Script)
-	for _, node := range j.Nodes {
-		b.WriteString(node)
-	}
-	b.WriteString(j.Output)
-	text := b.String()
-	cut := func(l int) string {
-		s := text[:l]
-		text = text[l:]
-		return s
-	}
-	j.ID = JobID(cut(len(j.ID)))
-	j.Name = cut(len(j.Name))
-	j.Owner = cut(len(j.Owner))
-	j.Script = cut(len(j.Script))
-	for i, node := range j.Nodes {
-		j.Nodes[i] = cut(len(node))
-	}
-	j.Output = cut(len(j.Output))
 }
